@@ -138,6 +138,14 @@ class Policy:
     def decide(self, obs: Observation, priv: dict) -> List[Action]:
         raise NotImplementedError
 
+    def onboard(self, obs: Observation) -> Optional[List[Action]]:
+        """None once a relayer; before that, the deposit when affordable."""
+        st = obs.bridge
+        if st.is_relayer(self.name):
+            return None
+        need = st.required_relayer_deposit()
+        return [Action("become_relayer", {"deposit": need})] if obs.my_eth >= need else []
+
     def rng_for(self, obs: Observation) -> random.Random:
         return random.Random(f"{self.agent_seed}/{obs.sim_time}")
 
@@ -188,17 +196,20 @@ class HonestRelayer(Policy):
     challenges cover everything else that disagrees with this relayer's view.
     """
 
+    # a claimed range more than k + RANGE_SLACK past my confirmed maximum,
+    # still unverifiable RANGE_PATIENCE_ETH contract blocks after submission,
+    # draws a commitment challenge
+    RANGE_SLACK = 2
+    RANGE_PATIENCE_ETH = 30
+
     def decide(self, obs: Observation, priv: dict) -> List[Action]:
         if obs.sim_time < self.params.get("online_at", 0):
             return []
+        joining = self.onboard(obs)
+        if joining is not None:
+            return joining
         st = obs.bridge
         actions: List[Action] = []
-
-        if not st.is_relayer(self.name):
-            need = st.required_relayer_deposit()
-            if obs.my_eth >= need:
-                actions.append(Action("become_relayer", {"deposit": need}))
-            return actions
 
         view = obs.chain
         tip = view.best_tip()
@@ -225,7 +236,7 @@ class HonestRelayer(Policy):
 
         bogus = self.first_bogus_index(obs, cm)
         if bogus is not None:
-            prior = st.history[bogus - 1].range if bogus > 0 else 0
+            _, prior = st.base(bogus)
             range_b = min(cm, prior + st.params.max_extension_len)
             if range_b > prior:
                 sub = self._try_build(view, tip, prior, range_b, st.params.c)
@@ -236,8 +247,7 @@ class HonestRelayer(Policy):
                         actions.append(Action("backtrack", {"from_index": bogus, "sub": sub}))
             return actions
 
-        lead = self.params.get("submit_lead", 1)
-        if cm - st.current_date >= lead:
+        if cm > st.current_date:
             range_b = min(cm, st.current_date + st.params.max_extension_len)
             sub = self._try_build(view, tip, st.current_date, range_b, st.params.c)
             if sub is not None:
@@ -269,17 +279,11 @@ class HonestRelayer(Policy):
         st = obs.bridge
         active = st.active
         sub = active.sub
-        base = active.backtrack_from
-        if base is None:
-            prior = st.current_date
-        else:
-            prior = st.history[base - 1].range if base > 0 else 0
+        _, prior = st.base(active.backtrack_from)
 
-        slack = self.params.get("range_slack", 2)
         if sub.range > cm:
-            patience = self.params.get("range_patience_eth", 30)
             waited = obs.eth_time - active.submitted_at_eth
-            if sub.range > cm + st.params.k + slack and waited >= patience:
+            if sub.range > cm + st.params.k + self.RANGE_SLACK and waited >= self.RANGE_PATIENCE_ETH:
                 return Action("challenge_commitment", {})
             return None  # plausibly fresher than my view; re-judge next turn
 
@@ -308,10 +312,7 @@ class LazyRelayer(Policy):
     """Posts a deposit and then never acts; deposits alone do not relay."""
 
     def decide(self, obs: Observation, priv: dict) -> List[Action]:
-        st = obs.bridge
-        if not st.is_relayer(self.name) and obs.my_eth >= st.required_relayer_deposit():
-            return [Action("become_relayer", {"deposit": st.required_relayer_deposit()})]
-        return []
+        return self.onboard(obs) or []
 
 
 class OrphanAttacker(Policy):
@@ -328,15 +329,13 @@ class OrphanAttacker(Policy):
         self._proof_cache: Dict[bytes, ExtensionProof] = {}
 
     def decide(self, obs: Observation, priv: dict) -> List[Action]:
+        if obs.sim_time < self.params.get("activate_at", 0):
+            return []
+        joining = self.onboard(obs)
+        if joining is not None:
+            return joining
         st = obs.bridge
         actions: List[Action] = []
-        if obs.sim_time < self.params.get("activate_at", 0):
-            return actions
-        if not st.is_relayer(self.name):
-            need = st.required_relayer_deposit()
-            if obs.my_eth >= need:
-                actions.append(Action("become_relayer", {"deposit": need}))
-            return actions
 
         for thread in st.threads.values():
             if not thread.resolved and thread.relayer == self.name and thread.proof is None:
@@ -347,8 +346,7 @@ class OrphanAttacker(Policy):
         if priv.get("attacked") or st.relay_mode != "listening" or not st.history:
             return actions
 
-        prior_tip = st.current_tip_header()
-        prior = st.current_date
+        prior_tip, prior = st.base()
         cm = confirmed_max(obs.chain, st.params.c)
         range_b = max(prior + 1, cm)
         if range_b - prior > st.params.max_extension_len:
@@ -388,14 +386,12 @@ class HighRangeAttacker(Policy):
     """Claims a range beyond anything mined, then never backs it up."""
 
     def decide(self, obs: Observation, priv: dict) -> List[Action]:
-        st = obs.bridge
         if obs.sim_time < self.params.get("activate_at", 0):
             return []
-        if not st.is_relayer(self.name):
-            need = st.required_relayer_deposit()
-            if obs.my_eth >= need:
-                return [Action("become_relayer", {"deposit": need})]
-            return []
+        joining = self.onboard(obs)
+        if joining is not None:
+            return joining
+        st = obs.bridge
         if priv.get("attacked") or st.relay_mode != "listening":
             return []
         cm = confirmed_max(obs.chain, st.params.c)
@@ -422,14 +418,12 @@ class FalseChallenger(Policy):
     """Griefer that disputes honest commitments it has no evidence against."""
 
     def decide(self, obs: Observation, priv: dict) -> List[Action]:
-        st = obs.bridge
         if obs.sim_time < self.params.get("activate_at", 0):
             return []
-        if not st.is_relayer(self.name):
-            need = st.required_relayer_deposit()
-            if obs.my_eth >= need:
-                return [Action("become_relayer", {"deposit": need})]
-            return []
+        joining = self.onboard(obs)
+        if joining is not None:
+            return joining
+        st = obs.bridge
         rounds = priv.get("rounds", self.params.get("rounds", 1))
         if rounds <= 0 or st.relay_mode != "verification" or st.active is None:
             return []
@@ -443,22 +437,19 @@ class DosChallenger(Policy):
     """Spams range challenges with inflated garbage alternatives."""
 
     def decide(self, obs: Observation, priv: dict) -> List[Action]:
-        st = obs.bridge
         if obs.sim_time < self.params.get("activate_at", 0):
             return []
-        if not st.is_relayer(self.name):
-            need = st.required_relayer_deposit()
-            if obs.my_eth >= need:
-                return [Action("become_relayer", {"deposit": need})]
-            return []
+        joining = self.onboard(obs)
+        if joining is not None:
+            return joining
+        st = obs.bridge
         rounds = priv.get("rounds", self.params.get("rounds", 3))
         if rounds <= 0 or st.relay_mode != "verification" or st.active is None:
             return []
         sub = st.active.sub
         rng = random.Random(f"{self.agent_seed}/{st.active.seq}")
         alt_range = sub.range + st.params.d
-        base = st.active.backtrack_from
-        prior = st.current_date if base is None else (st.history[base - 1].range if base > 0 else 0)
+        _, prior = st.base(st.active.backtrack_from)
         if alt_range - prior > st.params.max_extension_len:
             return []
         tip_header = find_bad_header(bytes(rng.randbytes(32)), alt_range, obs.sim_time,
@@ -494,19 +485,17 @@ class RationalOperator(Policy):
                 actions.append(Action("open_bridge", {
                     "x": x, "y": y, "head": head,
                     "crossing_fee": self.params.get("crossing_fee", 0),
-                    "min_lock": self.params.get("min_lock"),
                     "burn_bounty": bounty,
                 }))
                 priv["opened"] = True
 
         paid = set(priv.get("paid", ()))
         absconded = set(priv.get("absconded", ()))
-        honest_forever = self.params.get("never_abscond", False)
 
         for bridge in st.bridges.values():
             if bridge.operator != self.name or not bridge.minted or bridge.state == "closed":
                 continue
-            if bridge.bridge_id not in absconded and not honest_forever and \
+            if bridge.bridge_id not in absconded and \
                     should_abscond(bridge.capacity, obs.true_rate, bridge.collateral):
                 balance = obs.doge_balances.get(bridge.head, 0)
                 if balance > 0:
@@ -547,11 +536,13 @@ class HonestCrosser(Policy):
     lock at a time, always tagging the lock with its own ETH identity.
     """
 
+    RATE_MARGIN = Fraction(1, 4)  # crosses only while the rate is >= (1 + margin) * y
+    DEPOSIT_MARGIN = 100  # registration deposit above the void fee, ETH units
+
     def decide(self, obs: Observation, priv: dict) -> List[Action]:
         st = obs.bridge
         y = Fraction(self.params["y"])
-        margin = Fraction(self.params.get("margin", Fraction(1, 4)))
-        if obs.true_rate < (1 + margin) * y:
+        if obs.true_rate < (1 + self.RATE_MARGIN) * y:
             return []
         sent_heads = set(priv.get("sent_heads", ()))
         if len(sent_heads) >= self.params.get("crossings", 1):
@@ -569,10 +560,10 @@ class HonestCrosser(Policy):
                 if bridge.state == "open" and bridge.y == y and \
                         bridge.head not in st.registrations and bridge.head.hex() not in sent_heads:
                     planned = self.params.get("amount", bridge.capacity)
-                    if self.params.get("check_funds", True) and obs.my_doge < planned:
+                    if obs.my_doge < planned:
                         return []  # cannot fund the lock; don't waste a registration
                     void_fee = rate_mul(st.params.registration_void_fee_rate, bridge.collateral)
-                    deposit = void_fee + self.params.get("deposit_margin", 100)
+                    deposit = void_fee + self.DEPOSIT_MARGIN
                     if obs.my_eth >= deposit:
                         return [Action("register", {
                             "head": bridge.head, "deposit": deposit,
@@ -642,7 +633,7 @@ class VigilantHodler(Policy):
                 priv["burned_total"] = priv.get("burned_total", 0) + w
                 actions.append(Action("burn_wow", {
                     "y": y, "w": w,
-                    "dest": self.params.get("dest", obs.my_doge_addr),
+                    "dest": obs.my_doge_addr,
                 }))
         return actions
 

@@ -373,15 +373,20 @@ class BridgeContract:
     def required_relayer_deposit(self) -> int:
         return proofsys.required_relayer_deposit(self.cost_model, self.params)
 
-    def current_tip_header(self) -> Optional[BlockHeader]:
-        return self.history[-1].tip_header if self.history else None
+    def base(self, index: Optional[int] = None) -> Tuple[Optional[BlockHeader], int]:
+        """(tip header, date) that an extension starts from.
 
-    def _prior_for_base(self, base_index: int) -> Tuple[Optional[BlockHeader], int]:
-        """(tip header, current date) of the history truncated to base_index entries."""
-        if base_index > 0:
-            entry = self.history[base_index - 1]
-            return entry.tip_header, entry.range
-        return None, 0
+        index is the number of history entries the extension keeps, as a
+        backtrack's from_index; None extends the whole history from the
+        current date.
+        """
+        if index is None:
+            return (self.history[-1].tip_header if self.history else None), self.current_date
+        return history_base(self.history, index)
+
+    @staticmethod
+    def _unsettled_escrow(burns) -> int:
+        return sum(p.escrow_eth for burn in burns for p in burn.portions if p.settled is None)
 
     def backing_eth(self, y: Fraction) -> int:
         """ETH actually backing WOW[y]: minted live collateral plus burn escrow."""
@@ -389,10 +394,7 @@ class BridgeContract:
         for b in self.bridges.values():
             if b.y == y and b.minted and b.state != "closed":
                 total += b.collateral
-        for burn in self.burns.values():
-            if burn.y == y:
-                total += sum(p.escrow_eth for p in burn.portions if p.settled is None)
-        return total
+        return total + self._unsettled_escrow(burn for burn in self.burns.values() if burn.y == y)
 
     def held_total(self) -> int:
         held = self.retained
@@ -402,8 +404,7 @@ class BridgeContract:
             held += b.collateral
             if not b.bounty_paid:
                 held += b.bounty_pot
-        for burn in self.burns.values():
-            held += sum(p.escrow_eth for p in burn.portions if p.settled is None)
+        held += self._unsettled_escrow(self.burns.values())
         if self.active and self.active.pending_penalty:
             held += self.active.pending_penalty[1]
         for t in self.threads.values():
@@ -696,7 +697,7 @@ class BridgeContract:
             self._emit("challenge_range_ignored", challenger, alt_range=alt.range, sub_range=sub.range)
             return "ignored"
         base = self.active.backtrack_from
-        prior_date = self.current_date if base is None else self._prior_for_base(base)[1]
+        _, prior_date = self.base(base)
         if alt.range - prior_date > self.params.max_extension_len:
             raise RangeTooLong(f"alt extension of {alt.range - prior_date} blocks")
         displaced = sub.relayer
@@ -736,11 +737,7 @@ class BridgeContract:
         if at_eth >= self._window_deadline():
             raise WindowElapsed(f"eth {at_eth} past deadline {self._window_deadline()}")
         active = self.active
-        base = active.backtrack_from
-        if base is None:
-            prior_tip, prior_date = self.current_tip_header(), self.current_date
-        else:
-            prior_tip, prior_date = self._prior_for_base(base)
+        prior_tip, prior_date = self.base(active.backtrack_from)
         ext_len = active.sub.range - prior_date
         thread = ProofThread(
             thread_id=self._next_thread_id,
@@ -806,37 +803,48 @@ class BridgeContract:
         reward = rate_mul(self.params.challenge_reward_rate, cost)
         settlement = {"thread_id": thread_id, "verdict": verdict, "cost": cost, "reward": reward}
 
-        if verdict == "accept":
-            available = self.relayer_deposits.get(thread.challenger, 0)
-            cost_part = min(cost, available)
-            reward_part = min(reward, available - cost_part)
-            self.relayer_deposits[thread.challenger] = available - cost_part - reward_part
-            if self.relayer_deposits[thread.challenger] == 0:
-                del self.relayer_deposits[thread.challenger]
-            self.retained += cost_part
-            self._outflow(thread.relayer, reward_part)
-            self._refund_or_retain_penalty(thread, vindicated=False)
-            settlement.update(payer=thread.challenger, paid=cost_part + reward_part)
-        elif verdict == "reject":
-            available = self.relayer_deposits.get(thread.relayer, 0)
-            cost_part = min(cost, available)
-            reward_part = min(reward, available - cost_part)
-            self.relayer_deposits[thread.relayer] = available - cost_part - reward_part
-            if self.relayer_deposits[thread.relayer] == 0:
-                del self.relayer_deposits[thread.relayer]
-            self.retained += cost_part
-            self._outflow(thread.challenger, reward_part)
-            self._refund_or_retain_penalty(thread, vindicated=True)
-            settlement.update(payer=thread.relayer, paid=cost_part + reward_part)
-        else:  # timed_out
+        if verdict == "timed_out":
             destroyed = self.relayer_deposits.pop(thread.relayer, 0)
             self.retained += destroyed
             self._refund_or_retain_penalty(thread, vindicated=True)
             settlement.update(payer=thread.relayer, paid=destroyed, destroyed=destroyed)
+        else:  # the loser pays the cost and rewards the winner
+            relayer_lost = verdict == "reject"
+            payer, payee = (thread.relayer, thread.challenger) if relayer_lost else (thread.challenger, thread.relayer)
+            available = self.relayer_deposits.get(payer, 0)
+            cost_part = min(cost, available)
+            reward_part = min(reward, available - cost_part)
+            self.relayer_deposits[payer] = available - cost_part - reward_part
+            if self.relayer_deposits[payer] == 0:
+                del self.relayer_deposits[payer]
+            self.retained += cost_part
+            self._outflow(payee, reward_part)
+            self._refund_or_retain_penalty(thread, vindicated=relayer_lost)
+            settlement.update(payer=payer, paid=cost_part + reward_part)
 
         thread.resolved = True
         self._emit("proof_resolved", thread.relayer, **settlement)
         return settlement
+
+    # -- transaction evidence -------------------------------------------------
+
+    def _evidence_fault(self, report: TxReport, min_index: int = 0) -> Optional[str]:
+        """Why a report does not evidence its transaction, or None.
+
+        The indexed commitment must exist, must not precede min_index, and
+        must hold the transaction under the report's Merkle path.
+        """
+        if not 0 <= report.history_index < len(self.history):
+            return "no such commitment"
+        if report.history_index < min_index:
+            return "commitment predates burn"
+        if not merkle_verify(self.history[report.history_index].commitment, report.tx.encode(), report.leaf_proof):
+            return "bad proof"
+        return None
+
+    def _ignored(self, reporter: str, report_kind: str, reason: str) -> str:
+        self._emit("report_ignored", reporter, report_kind=report_kind, reason=reason)
+        return "ignored"
 
     # -- minting ------------------------------------------------------------
 
@@ -847,39 +855,29 @@ class BridgeContract:
         contract verifies the Merkle proof itself, so reporters post nothing.
         """
         tx = report.tx
-        reason = None
-        bridge = None
-        if not 0 <= report.history_index < len(self.history):
-            reason = "no such commitment"
-        elif not merkle_verify(self.history[report.history_index].commitment, tx.encode(), report.leaf_proof):
-            reason = "bad proof"
-        else:
-            bridge = self._open_bridge_by_head(tx.receiver)
-            if bridge is None:
-                reason = "receiver not an open bridge head"
-            elif bridge.min_lock is not None and tx.amount < bridge.min_lock:
-                reason = "below minimum lock"
-            elif tx.tx_id in self.used_txs:
-                reason = "transaction used"
-        reg = self.registrations.get(tx.receiver) if bridge is not None else None
-        if reason is None and reg is not None and reg.crosser_doge != tx.sender:
-            reason = "sender does not match registration"
-        crosser = None
-        if reason is None:
-            if reg is not None:
-                crosser = reg.crosser
-            else:
-                try:
-                    crosser = tx.memo.decode() or None
-                except UnicodeDecodeError:
-                    crosser = None
-            if crosser is None:
-                reason = "no mintable recipient"
+        reason = self._evidence_fault(report)
         if reason is not None:
-            self._emit("report_ignored", reporter, report_kind="lock", reason=reason)
-            return "ignored"
+            return self._ignored(reporter, "lock", reason)
+        bridge = self._open_bridge_by_head(tx.receiver)
+        if bridge is None:
+            return self._ignored(reporter, "lock", "receiver not an open bridge head")
+        if bridge.min_lock is not None and tx.amount < bridge.min_lock:
+            return self._ignored(reporter, "lock", "below minimum lock")
+        if tx.tx_id in self.used_txs:
+            return self._ignored(reporter, "lock", "transaction used")
+        reg = self.registrations.get(tx.receiver)
+        if reg is not None:
+            if reg.crosser_doge != tx.sender:
+                return self._ignored(reporter, "lock", "sender does not match registration")
+            crosser = reg.crosser
+        else:
+            try:
+                crosser = tx.memo.decode() or None
+            except UnicodeDecodeError:
+                crosser = None
+        if crosser is None:
+            return self._ignored(reporter, "lock", "no mintable recipient")
 
-        assert bridge is not None and crosser is not None
         y = bridge.y
         k = eth_per_doge(y)
         capacity = bridge.capacity
@@ -1004,36 +1002,24 @@ class BridgeContract:
         """Evidence that an operator paid a burn's portion; refunds their escrow."""
         burn = self.burns.get(burn_id)
         tx = report.tx
-        reason = None
-        portion = None
-        bridge = None
         if burn is None:
-            reason = "no such burn"
-        elif not 0 <= report.history_index < len(self.history):
-            reason = "no such commitment"
-        elif report.history_index < burn.history_len_at_burn:
-            reason = "commitment predates burn"
-        elif not merkle_verify(self.history[report.history_index].commitment, tx.encode(), report.leaf_proof):
-            reason = "bad proof"
-        elif tx.tx_id in self.used_txs:
-            reason = "transaction used"
-        elif tx.receiver != burn.dest:
-            reason = "wrong receiver"
-        else:
-            for p in burn.portions:
-                b = self.bridges[p.bridge_id]
-                if p.settled is None and b.head == tx.sender:
-                    portion, bridge = p, b
-                    break
-            if portion is None:
-                reason = "sender is not an owing bridge head"
-            elif tx.amount < portion.owed_doge:
-                reason = "payment below owed portion"
+            return self._ignored(reporter, "unlock", "no such burn")
+        reason = self._evidence_fault(report, burn.history_len_at_burn)
         if reason is not None:
-            self._emit("report_ignored", reporter, report_kind="unlock", reason=reason)
-            return "ignored"
+            return self._ignored(reporter, "unlock", reason)
+        if tx.tx_id in self.used_txs:
+            return self._ignored(reporter, "unlock", "transaction used")
+        if tx.receiver != burn.dest:
+            return self._ignored(reporter, "unlock", "wrong receiver")
+        for portion in burn.portions:
+            bridge = self.bridges[portion.bridge_id]
+            if portion.settled is None and bridge.head == tx.sender:
+                break
+        else:
+            return self._ignored(reporter, "unlock", "sender is not an owing bridge head")
+        if tx.amount < portion.owed_doge:
+            return self._ignored(reporter, "unlock", "payment below owed portion")
 
-        assert burn is not None and portion is not None and bridge is not None
         portion.settled = "doge"
         burn.d_recv += portion.owed_doge
         self.used_txs.add(tx.tx_id)
@@ -1090,30 +1076,21 @@ class BridgeContract:
         if n <= 0 or self.wow_balance(hodler, y) < n:
             raise InsufficientBalance(f"{hodler} holds {self.wow_balance(hodler, y)} WOW[{y}], burn {n}")
         tx = report.tx
-        reason = None
-        bridge = None
-        if not 0 <= report.history_index < len(self.history):
-            reason = "no such commitment"
-        elif not merkle_verify(self.history[report.history_index].commitment, tx.encode(), report.leaf_proof):
-            reason = "bad proof"
-        elif tx.tx_id in self.used_txs:
-            reason = "transaction used"
-        else:
-            for b in self.bridges.values():
-                if b.head == tx.sender and b.y == y and b.minted and b.state != "closed":
-                    bridge = b
-                    break
-            if bridge is None:
-                reason = "sender is not a live bridge head at this rate"
-            elif tx.amount < n:
-                reason = "moved amount below burn"
-            elif n > bridge.capacity:
-                reason = "burn exceeds bridge's remaining backing"
+        reason = self._evidence_fault(report)
         if reason is not None:
-            self._emit("report_ignored", hodler, report_kind="missing", reason=reason)
-            return "ignored"
+            return self._ignored(hodler, "missing", reason)
+        if tx.tx_id in self.used_txs:
+            return self._ignored(hodler, "missing", "transaction used")
+        for bridge in self.bridges.values():
+            if bridge.head == tx.sender and bridge.y == y and bridge.minted and bridge.state != "closed":
+                break
+        else:
+            return self._ignored(hodler, "missing", "sender is not a live bridge head at this rate")
+        if tx.amount < n:
+            return self._ignored(hodler, "missing", "moved amount below burn")
+        if n > bridge.capacity:
+            return self._ignored(hodler, "missing", "burn exceeds bridge's remaining backing")
 
-        assert bridge is not None
         k = eth_per_doge(y)
         payout = n * k
         self._wow_debit(hodler, y, n)
@@ -1139,22 +1116,27 @@ class BridgeContract:
         again.  Depth is bounded by what the relayer's deposit can pay to
         verify; anything deeper must go through the deep-backtracking modes.
         """
+        prior_date, ext_len = self._check_backtrack(relayer, from_index, sub)
+        depth = max(self.current_date - prior_date, ext_len)
+        if verification_cost(self.cost_model, depth, self.params.c) > self.relayer_deposits[relayer]:
+            raise TooDeep(f"depth {depth} not coverable by deposit")
+        return self._activate(sub, at_eth, backtrack_from=from_index)
+
+    def _check_backtrack(self, relayer: str, from_index: int, sub: Submission) -> Tuple[int, int]:
+        """Checks both deposit-bounded backtrack modes share; returns (prior date, extension length)."""
         if self.relay_mode != "listening":
             raise NotListening(self.relay_mode)
         if not self.is_relayer(relayer) or sub.relayer != relayer:
             raise NotARelayer(relayer)
         if not 0 <= from_index < len(self.history):
             raise BadIndex(f"from_index {from_index} vs history of {len(self.history)}")
-        _, prior_date = self._prior_for_base(from_index)
+        _, prior_date = self.base(from_index)
         ext_len = sub.range - prior_date
         if ext_len < 1:
             raise RangeNotAhead(f"range {sub.range} vs prior date {prior_date}")
         if ext_len > self.params.max_extension_len:
             raise RangeTooLong(f"extension of {ext_len} blocks")
-        depth = max(self.current_date - prior_date, ext_len)
-        if verification_cost(self.cost_model, depth, self.params.c) > self.relayer_deposits[relayer]:
-            raise TooDeep(f"depth {depth} not coverable by deposit")
-        return self._activate(sub, at_eth, backtrack_from=from_index)
+        return prior_date, ext_len
 
     def propose_deep_backtrack(self, proposer: str, from_index: int, sub: Submission, now_s: int) -> DeepProposal:
         """Mode 1: anyone proposes an arbitrarily long extension or backtrack."""
@@ -1162,10 +1144,7 @@ class BridgeContract:
             raise ProposalPending("a proposal is already staged")
         if not 0 <= from_index <= len(self.history):
             raise BadIndex(f"from_index {from_index} vs history of {len(self.history)}")
-        if from_index == len(self.history):
-            prior_date = self.current_date
-        else:
-            _, prior_date = self._prior_for_base(from_index)
+        _, prior_date = self.base(from_index)
         if sub.range <= prior_date:
             raise RangeNotAhead(f"range {sub.range} vs prior date {prior_date}")
         proposal = DeepProposal(proposer, from_index, sub, now_s, self._next_proposal_seq)
@@ -1189,11 +1168,18 @@ class BridgeContract:
         return "cancelled"
 
     def finalize_deep_backtrack(self, now_s: int) -> HistoryEntry:
+        """Replace the history from the staged proposal's index once unopposed.
+
+        Refused while a submission is in Verification: that submission
+        extends the history the proposal would replace.
+        """
         proposal = self.deep_proposal
         if proposal is None:
             raise NoProposal("nothing staged")
         if now_s < proposal.proposed_at_s + self.params.deep_backtrack_delay_1_s:
             raise NotElapsed("objection window still open")
+        if self.relay_mode != "listening":
+            raise NotListening(self.relay_mode)
         self.deep_proposal = None
         del self.history[proposal.from_index:]
         entry = HistoryEntry(
@@ -1217,18 +1203,7 @@ class BridgeContract:
         """Mode 2: after prolonged stagnation, any depth in deposit-sized chunks."""
         if now_s - self.last_progress_s < self.params.deep_backtrack_delay_2_s:
             raise NotStuck(f"only {now_s - self.last_progress_s}s without progress")
-        if self.relay_mode != "listening":
-            raise NotListening(self.relay_mode)
-        if not self.is_relayer(relayer) or sub.relayer != relayer:
-            raise NotARelayer(relayer)
-        if not 0 <= from_index < len(self.history):
-            raise BadIndex(f"from_index {from_index} vs history of {len(self.history)}")
-        _, prior_date = self._prior_for_base(from_index)
-        ext_len = sub.range - prior_date
-        if ext_len < 1:
-            raise RangeNotAhead(f"range {sub.range} vs prior date {prior_date}")
-        if ext_len > self.params.max_extension_len:
-            raise RangeTooLong(f"extension of {ext_len} blocks")
+        _, ext_len = self._check_backtrack(relayer, from_index, sub)
         if verification_cost(self.cost_model, ext_len, self.params.c) > self.relayer_deposits[relayer]:
             raise TooDeep(f"chunk of {ext_len} not coverable by deposit")
         return self._activate(sub, at_eth, backtrack_from=from_index)
@@ -1268,11 +1243,17 @@ def build_submission(view: ChainView, tip: bytes, prior_date: int, range_b: int,
     )
 
 
+def history_base(history: List[HistoryEntry], index: int) -> Tuple[Optional[BlockHeader], int]:
+    """(tip header, date) after the first index entries of a history."""
+    if index > 0:
+        entry = history[index - 1]
+        return entry.tip_header, entry.range
+    return None, 0
+
+
 def segment_bounds(history: List[HistoryEntry], history_index: int) -> Tuple[int, int]:
     """Ordinal interval (prior, range] that the indexed commitment covers."""
-    entry = history[history_index]
-    prior = history[history_index - 1].range if history_index > 0 else 0
-    return prior, entry.range
+    return history_base(history, history_index)[1], history[history_index].range
 
 
 def build_tx_report(view: ChainView, tip: bytes, history: List[HistoryEntry],

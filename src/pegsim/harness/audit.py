@@ -17,6 +17,17 @@ from ..errors import ParseError
 # event kinds allowed to change the relay mode, per the state machine
 _MODE_CHANGERS = {"submit", "accept", "challenge_commitment", "challenge_range_replaced"}
 
+# payload fields, and their types, of the event kinds the audit reconstructs
+_PAYLOAD_FIELDS = {
+    "mint": {"y": str, "minted": int, "bridge_id": int},
+    "burn": {"y": str, "burn_id": int, "portions": list},
+    "unlock_settled": {"burn_id": int, "owed": int, "escrow_refund": int},
+    "unlock_timeout": {"burn_id": int, "payouts": list},
+    "missing_doge_paid": {"y": str, "burned": int, "eth": int, "bridge_id": int},
+    "bridge_closed": {"bridge_id": int},
+    "burn_settled": {"y": str, "w": int, "d_recv": int, "eth_received": int},
+}
+
 
 @dataclass
 class Violation:
@@ -44,19 +55,33 @@ class AuditReport:
         self.violations.append(Violation(seq, rule, detail))
 
 
-def _require(event: dict, key: str) -> object:
-    if key not in event:
-        raise ParseError(f"event missing {key!r}: {event}")
-    return event[key]
+def _require(obj: dict, key: str, typ: type, where: str) -> object:
+    if key not in obj:
+        raise ParseError(f"{where} missing {key!r}")
+    value = obj[key]
+    if not isinstance(value, typ) or (typ is int and isinstance(value, bool)):
+        raise ParseError(f"{where} field {key!r} is not {typ.__name__}: {value!r}")
+    return value
 
 
 def audit(events: List[dict]) -> AuditReport:
-    """Re-check every event of a trace; returns the violation report."""
+    """Re-check every event of a trace; returns the violation report.
+
+    Raises ParseError when an event lacks a field its kind needs or holds a
+    value of the wrong type.
+    """
     report = AuditReport()
     if not events:
         report.warnings.append("EmptyTrace")
         return report
+    try:
+        _check_events(events, report)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"malformed event {report.events - 1}: {type(exc).__name__}: {exc}") from exc
+    return report
 
+
+def _check_events(events: List[dict], report: AuditReport) -> None:
     supply: Dict[str, int] = {}
     backing: Dict[str, int] = {}
     queues: Dict[str, List[int]] = {}
@@ -69,11 +94,13 @@ def audit(events: List[dict]) -> AuditReport:
     for event in events:
         if not isinstance(event, dict):
             raise ParseError(f"not an event object: {event!r}")
-        seq = _require(event, "seq")
-        kind = _require(event, "kind")
-        agg = _require(event, "agg")
+        seq = _require(event, "seq", int, "event")
+        kind = _require(event, "kind", str, f"event {seq}")
+        agg = _require(event, "agg", dict, f"event {seq}")
         payload = event.get("payload", {})
         report.events += 1
+        for key, typ in _PAYLOAD_FIELDS.get(kind, {}).items():
+            _require(payload, key, typ, f"{kind} event {seq}")
 
         if seq != prev_seq + 1:
             report.flag(seq, "SeqOrder", f"expected seq {prev_seq + 1}")
@@ -181,5 +208,3 @@ def audit(events: List[dict]) -> AuditReport:
                                     f"locked[{y_str}]={locked.get(y_str, 0)} != supply {n}")
     else:
         report.warnings.append("NoRunSummary")
-
-    return report

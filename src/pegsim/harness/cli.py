@@ -7,7 +7,6 @@ errors.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import glob
 import json
 import os
@@ -31,6 +30,20 @@ def _print_summary(trace: Trace) -> None:
     print(f"trace digest: {trace.digest()}")
 
 
+def _print_audit(trace: Trace) -> int:
+    """Audit a trace and print the outcome; returns the exit code."""
+    report = audit(trace.events)
+    for warning in report.warnings:
+        print(f"warning: {warning}")
+    if report.violations:
+        print(f"VIOLATIONS ({len(report.violations)}):")
+        for v in report.violations:
+            print(f"  {v}")
+        return 1
+    print(f"audit: clean ({report.events} events, {report.burns_checked} burns checked)")
+    return 0
+
+
 def cmd_run(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
@@ -40,30 +53,11 @@ def cmd_run(args) -> int:
         trace.write(args.out)
         print(f"trace written to {args.out}")
     _print_summary(trace)
-    report = audit(trace.events)
-    for warning in report.warnings:
-        print(f"warning: {warning}")
-    if report.violations:
-        print(f"VIOLATIONS ({len(report.violations)}):")
-        for v in report.violations:
-            print(f"  {v}")
-        return 1
-    print(f"audit: clean ({report.events} events, {report.burns_checked} burns checked)")
-    return 0
+    return _print_audit(trace)
 
 
 def cmd_audit(args) -> int:
-    trace = Trace.read(args.trace)
-    report = audit(trace.events)
-    for warning in report.warnings:
-        print(f"warning: {warning}")
-    if report.violations:
-        print(f"VIOLATIONS ({len(report.violations)}):")
-        for v in report.violations:
-            print(f"  {v}")
-        return 1
-    print(f"audit: clean ({report.events} events, {report.burns_checked} burns checked)")
-    return 0
+    return _print_audit(Trace.read(args.trace))
 
 
 def cmd_replay(args) -> int:
@@ -83,13 +77,6 @@ def _scenario_paths(directory: str) -> List[str]:
     return sorted(glob.glob(os.path.join(directory, "*.json")))
 
 
-def _run_one(path: str) -> tuple:
-    config = load_config(path)
-    trace = run(config)
-    report = audit(trace.events)
-    return path, len(trace.events), len(report.violations), [str(v) for v in report.violations[:5]]
-
-
 def cmd_scenarios(args) -> int:
     paths = _scenario_paths(args.dir)
     if not paths:
@@ -106,18 +93,15 @@ def cmd_scenarios(args) -> int:
         return 0
 
     failed = 0
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_run_one, paths))
-    else:
-        results = [_run_one(path) for path in paths]
-    for path, n_events, n_violations, samples in results:
-        status = "ok" if n_violations == 0 else f"{n_violations} VIOLATIONS"
-        print(f"{os.path.basename(path):40s} {n_events:6d} events  {status}")
-        for s in samples:
-            print(f"    {s}")
-        failed += 1 if n_violations else 0
-    print(f"{len(results) - failed}/{len(results)} scenarios clean")
+    for path in paths:
+        trace = run(load_config(path))
+        violations = audit(trace.events).violations
+        status = "ok" if not violations else f"{len(violations)} VIOLATIONS"
+        print(f"{os.path.basename(path):40s} {len(trace.events):6d} events  {status}")
+        for v in violations[:5]:
+            print(f"    {v}")
+        failed += 1 if violations else 0
+    print(f"{len(paths) - failed}/{len(paths)} scenarios clean")
     return 1 if failed else 0
 
 
@@ -147,7 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sc = sub.add_parser("scenarios", help="operate on the bundled scenario corpus")
     p_sc.add_argument("action", choices=["list", "run-all"])
     p_sc.add_argument("--dir", default=DEFAULT_SCENARIO_DIR)
-    p_sc.add_argument("--jobs", type=int, default=1)
     p_sc.set_defaults(fn=cmd_scenarios)
 
     return parser

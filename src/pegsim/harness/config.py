@@ -90,21 +90,15 @@ def _agent_params(raw: dict, name: str, path: str) -> dict:
     for key in ("y",):
         if key in params:
             params[key] = _check_exact_y(_as_fraction(params[key], f"{path}.{key}"), f"{path}.{key}")
-    for key in ("margin", "headroom"):
-        if key in params:
-            rate = _as_fraction(params[key], f"{path}.{key}")
-            _expect(rate >= 0, f"{path}.{key}", "must be non-negative")
-            params[key] = rate
+    if "headroom" in params:
+        rate = _as_fraction(params["headroom"], f"{path}.headroom")
+        _expect(rate >= 0, f"{path}.headroom", "must be non-negative")
+        params["headroom"] = rate
     if "head" in params:
         try:
             params["head"] = bytes.fromhex(params["head"])
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{path}.head: expected hex string: {exc}") from exc
-    if "dest" in params:
-        try:
-            params["dest"] = bytes.fromhex(params["dest"])
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"{path}.dest: expected hex string: {exc}") from exc
     return params
 
 

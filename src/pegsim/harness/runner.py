@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from ..agents import Observation, make_policy
@@ -140,11 +139,7 @@ class SimulationRunner:
                 for tx in txs
             ],
         })
-        self.queue.schedule(
-            next_doge_block_time(self.now, self.clock,
-                                 self._doge_rng if self.clock.doge_interarrival != "deterministic" else None),
-            ("doge_block", {}),
-        )
+        self.queue.schedule(next_doge_block_time(self.now, self.clock, self._doge_rng), ("doge_block", {}))
 
     def _send_doge(self, agent: _AgentRuntime, params: dict) -> None:
         sender: bytes = params["sender"]
@@ -203,10 +198,7 @@ class SimulationRunner:
             c.withdraw_relayer_deposit(agent.name)
         elif kind == "open_bridge":
             c.open_bridge(agent.name, p["x"], p["y"], p["head"],
-                          crossing_fee=p.get("crossing_fee", 0),
-                          fee_rate=p.get("fee_rate", Fraction(0)),
-                          min_lock=p.get("min_lock"),
-                          burn_bounty=p.get("burn_bounty"))
+                          crossing_fee=p["crossing_fee"], burn_bounty=p["burn_bounty"])
         elif kind == "register":
             c.register_crossing(agent.name, p["head"], p["deposit"],
                                 at_ordinal=c.current_date,
@@ -305,7 +297,12 @@ class SimulationRunner:
                 pass
         elif kind == "deep_finalize":
             if c.deep_proposal is not None and c.deep_proposal.seq == p["proposal_seq"]:
-                c.finalize_deep_backtrack(self.now)
+                if c.relay_mode == "verification":
+                    # retry when the active submission's window closes; accepting it cancels the proposal
+                    deadline_eth = c.active.submitted_at_eth + c.params.challenge_window_eth_blocks
+                    self.queue.schedule(deadline_eth * self.clock.eth_block_seconds, event)
+                else:
+                    c.finalize_deep_backtrack(self.now)
 
     # -- entry point -------------------------------------------------------------
 
@@ -316,11 +313,7 @@ class SimulationRunner:
             "seed": self.config.seed,
             "agents": [a.name for a in self.config.agents],
         })
-        self.queue.schedule(
-            next_doge_block_time(0, self.clock,
-                                 self._doge_rng if self.clock.doge_interarrival != "deterministic" else None),
-            ("doge_block", {}),
-        )
+        self.queue.schedule(next_doge_block_time(0, self.clock, self._doge_rng), ("doge_block", {}))
         self.queue.schedule(self.clock.eth_block_seconds, ("turns", {}))
         self.queue.run_until(self.config.end_time, self._handle)
         self.now = self.config.end_time

@@ -93,36 +93,26 @@ class Verdict:
 ACCEPT = Verdict(True)
 
 
-def prove_extension(view: ChainView, tip: bytes, prior_date: int, range_b: int) -> ExtensionProof:
-    """Reveal the blocks (prior_date, range_b] on tip's path plus c-deep witness.
+def prove_extension_for(view: ChainView, tip: bytes, prior_date: int, range_b: int, c: int) -> ExtensionProof:
+    """Reveal the blocks (prior_date, range_b] on tip's path plus the c above them.
 
-    The witness carries every block above range_b available on the path; the
-    contract's c parameter decides how many it requires.
+    Raises InsufficientChain when tip is unknown, the range is empty, or the
+    path does not reach range_b + c.
     """
     if tip not in view.blocks:
         raise InsufficientChain("unknown tip")
     tip_ord = view.blocks[tip].header.ordinal
+    if tip_ord < range_b + c:
+        raise InsufficientChain(f"chain height {tip_ord} below range+c = {range_b + c}")
     if range_b <= prior_date:
         raise InsufficientChain(f"range {range_b} not past prior date {prior_date}")
-    if tip_ord < range_b:
-        raise InsufficientChain(f"chain height {tip_ord} below range {range_b}")
     revealed = view.path_blocks(tip, prior_date + 1, range_b)
-    witness = view.path_blocks(tip, range_b + 1, tip_ord)
+    witness = view.path_blocks(tip, range_b + 1, range_b + c)
     return ExtensionProof(
         revealed_headers=tuple(b.header for b in revealed),
         witness_headers=tuple(b.header for b in witness),
         txs_per_block=tuple(b.txs for b in revealed),
     )
-
-
-def prove_extension_for(view: ChainView, tip: bytes, prior_date: int, range_b: int, c: int) -> ExtensionProof:
-    """prove_extension trimmed to exactly c witness headers; raises if unavailable."""
-    if tip in view.blocks and view.blocks[tip].header.ordinal < range_b + c:
-        raise InsufficientChain(
-            f"chain height {view.blocks[tip].header.ordinal} below range+c = {range_b + c}"
-        )
-    proof = prove_extension(view, tip, prior_date, range_b)
-    return ExtensionProof(proof.revealed_headers, proof.witness_headers[:c], proof.txs_per_block)
 
 
 def _chain_ok(headers: Sequence[BlockHeader], prev_hash: Optional[bytes], prev_ordinal: Optional[int]) -> Optional[str]:
@@ -168,9 +158,6 @@ def verify_extension_proof(
     err = _chain_ok(revealed, None, prior_date)
     if err:
         return Verdict.reject(err)
-    for h1, h2 in zip(revealed, revealed[1:]):
-        if h2.parent != block_hash(h1):
-            return Verdict.reject("BadLink")
 
     if prior_tip_header is not None and revealed[0].parent != block_hash(prior_tip_header):
         return Verdict.reject("NotExtendingHistory")

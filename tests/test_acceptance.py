@@ -5,11 +5,11 @@ lines).  Scenario configs live under scenarios/; every criterion that
 consumes them re-runs the simulator rather than trusting cached artifacts.
 """
 
-import glob
 import random
 import statistics
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +20,8 @@ from pegsim.harness.runner import SimulationRunner
 from pegsim.merkle import merkle_prove, merkle_root, merkle_verify
 from pegsim.proofsys import CostModel, commitment_root, required_relayer_deposit, verification_cost
 
-SCENARIOS = sorted(glob.glob("scenarios/*.json"))
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+SCENARIOS = sorted(str(p) for p in SCENARIO_DIR.glob("*.json"))
 DEPOSIT = 10_110  # required relayer deposit under the corpus cost model
 
 
@@ -31,6 +32,7 @@ def _ok(n, message):
 @pytest.fixture(scope="module")
 def corpus():
     """One audited run of every bundled scenario."""
+    assert len(SCENARIOS) == 16, f"expected the 16-scenario corpus in {SCENARIO_DIR}"
     results = {}
     for path in SCENARIOS:
         config = load_config(path)
@@ -56,7 +58,7 @@ def history_matches_chain(runner) -> bool:
 class TestCriterion01Lifecycle:
     def test_happy_path_exact_and_fast(self):
         started = time.monotonic()
-        config = load_config("scenarios/lifecycle_happy_path.json")
+        config = load_config(str(SCENARIO_DIR / "lifecycle_happy_path.json"))
         runner = SimulationRunner(config)
         trace = runner.run()
         elapsed = time.monotonic() - started
@@ -88,7 +90,7 @@ class TestCriterion02Invariant1:
         _ok(2, f"{len(corpus)} corpus scenarios clean ({len(byzantine)} Byzantine)")
 
     def test_fuzz_100_seeds(self):
-        config = load_config("scenarios/fuzz_random.json")
+        config = load_config(str(SCENARIO_DIR / "fuzz_random.json"))
         for seed in range(100):
             report = audit(run(config.with_seed(seed)).events)
             assert report.ok, f"seed {seed}: {report.violations[:3]}"
@@ -129,7 +131,7 @@ class TestCriterion04Invariant3:
 
 class TestCriterion05OrphanRejection:
     def test_20_seeds(self):
-        config = load_config("scenarios/orphan_attack.json")
+        config = load_config(str(SCENARIO_DIR / "orphan_attack.json"))
         for seed in range(20):
             runner = SimulationRunner(config.with_seed(seed))
             trace = runner.run()
@@ -146,7 +148,7 @@ class TestCriterion05OrphanRejection:
 
 class TestCriterion06HighRange:
     def test_20_seeds(self):
-        config = load_config("scenarios/high_range_attack.json")
+        config = load_config(str(SCENARIO_DIR / "high_range_attack.json"))
         for seed in range(20):
             runner = SimulationRunner(config.with_seed(seed))
             trace = runner.run()
@@ -161,7 +163,7 @@ class TestCriterion06HighRange:
 
 class TestCriterion07MaximalityGap:
     def test_100_seeds_no_honest_displacement(self):
-        config = load_config("scenarios/maximality_gap.json")
+        config = load_config(str(SCENARIO_DIR / "maximality_gap.json"))
         for seed in range(100):
             trace = run(config.with_seed(seed))
             kinds = [e["kind"] for e in trace.events]
@@ -191,7 +193,7 @@ class TestCriterion08MissingDogeBackstop:
 
 class TestCriterion09BacktrackingRecovery:
     def test_recovery_and_no_double_mint(self):
-        config = load_config("scenarios/backtrack_recovery.json")
+        config = load_config(str(SCENARIO_DIR / "backtrack_recovery.json"))
         runner = SimulationRunner(config)
         trace = runner.run()
         backtracks = [e for e in trace.events if e["kind"] == "accept"

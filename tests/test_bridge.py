@@ -17,6 +17,7 @@ from pegsim.bridge import (
     ProtocolParams,
     Submission,
     build_submission,
+    TxReport,
     build_tx_report,
     eth_per_doge,
     genesis,
@@ -46,7 +47,7 @@ from pegsim.errors import (
     WindowElapsed,
     WindowNotElapsed,
 )
-from pegsim.proofsys import prove_extension_for, verification_cost
+from pegsim.proofsys import commitment_root, prove_extension_for, verification_cost
 
 ETH = 100_000
 Y100 = Fraction(1, 1000)  # 100 DOGE per ETH at this unit scale
@@ -80,6 +81,34 @@ def chain_with_lock(n_blocks=45, lock_at=3, head=None, sender=None, amount=1000,
         assert view.add_block(block, 62 * i).accepted
         tip = block_hash(block.header)
     return view, tip, lock_tx
+
+
+def ignored_reasons(contract) -> list:
+    """Collects the reason of every report_ignored event the contract emits."""
+    reasons = []
+
+    def hook(kind, actor, payload):
+        if kind == "report_ignored":
+            reasons.append(payload["reason"])
+
+    contract.emit_hook = hook
+    return reasons
+
+
+def tampered(report: TxReport) -> TxReport:
+    """The same proof path over a transaction with a different amount."""
+    tx = report.tx
+    return TxReport(report.history_index,
+                    Transaction(tx.sender, tx.receiver, tx.amount + 1, tx.nonce, tx.memo),
+                    report.leaf_proof)
+
+
+def assert_contiguous(contract, view, tip):
+    """Each history entry's commitment covers the blocks after the previous entry's range."""
+    prior = 0
+    for entry in contract.history:
+        assert commitment_root(view.path_blocks(tip, prior + 1, entry.range)) == entry.commitment
+        prior = entry.range
 
 
 def accept_first_extension(contract, view, tip, relayer=R1, range_b=30, at_eth=100):
@@ -512,6 +541,21 @@ class TestMinting:
         assert contract.report_lock(BOB, report) == "ignored"
         assert contract.wow_supply.get(Y100, 0) == 0
 
+    def test_ignored_reasons(self):
+        contract = fresh()
+        view, tip, bid, lock_tx = minted_bridge(contract)
+        reasons = ignored_reasons(contract)
+        report = build_tx_report(view, tip, contract.history, 0, lock_tx)
+        assert contract.report_lock(BOB, TxReport(1, lock_tx, report.leaf_proof)) == "ignored"
+        assert contract.report_lock(BOB, tampered(report)) == "ignored"
+        # close the bridge and reopen its head so only the used transaction stands in the way
+        burn = contract.burn_wow(ALICE, Y100, 1000, doge_address("alice/dest"), at_eth=300)
+        contract.unlock_timeout(burn.burn_id, at_eth=320)
+        assert contract.bridges[bid].state == "closed"
+        contract.open_bridge(OP, 10 * ETH, Y100, contract.bridges[bid].head)
+        assert contract.report_lock(BOB, report) == "ignored"
+        assert reasons == ["no such commitment", "bad proof", "transaction used"]
+
     def test_supply_equals_balance_sum(self):
         contract = fresh(ProtocolParams(relay_tax=2, registration_window_doge_blocks=60))
         minted_bridge(contract, fee=5, lock_bounty=1)
@@ -629,6 +673,17 @@ class TestBurnAndUnlock:
         contract.accept_on_timeout(deadline, now_s=deadline * 14)
         report = build_tx_report(view, tip2, contract.history, 2, stray)
         assert contract.report_unlock(BOB, burn.burn_id, report) == "ignored"
+
+    def test_ignored_reasons(self):
+        contract, view, tip, bid, burn, pay_tx = self.unlockable_state()
+        reasons = ignored_reasons(contract)
+        report = build_tx_report(view, tip, contract.history, 1, pay_tx)
+        assert contract.report_unlock(BOB, burn.burn_id, TxReport(2, pay_tx, report.leaf_proof)) == "ignored"
+        assert contract.report_unlock(BOB, burn.burn_id, TxReport(0, pay_tx, report.leaf_proof)) == "ignored"
+        assert contract.report_unlock(BOB, burn.burn_id, tampered(report)) == "ignored"
+        assert contract.report_unlock(BOB, burn.burn_id, report) == "settled"
+        assert contract.report_unlock(BOB, burn.burn_id, report) == "ignored"
+        assert reasons == ["no such commitment", "commitment predates burn", "bad proof", "transaction used"]
 
     def test_pre_burn_commitment_ignored(self):
         # a payment sitting in a commitment appended before the burn cannot settle it
@@ -750,6 +805,16 @@ class TestMissingDoge:
         assert contract.wow_supply[Y100] == 600
         assert contract.wow_supply[Y100] == Y100 * contract.backing_eth(Y100)
 
+    def test_ignored_reasons(self):
+        contract, view, tip, bid, theft = self.stolen_state()
+        reasons = ignored_reasons(contract)
+        report = build_tx_report(view, tip, contract.history, 1, theft)
+        assert contract.report_missing_doge(ALICE, TxReport(2, theft, report.leaf_proof), Y100, 400) == "ignored"
+        assert contract.report_missing_doge(ALICE, tampered(report), Y100, 400) == "ignored"
+        assert contract.report_missing_doge(ALICE, report, Y100, 400) == "paid"
+        assert contract.report_missing_doge(ALICE, report, Y100, 400) == "ignored"
+        assert reasons == ["no such commitment", "bad proof", "transaction used"]
+
     def test_balance_pre_violation_raises(self):
         contract, view, tip, bid, theft = self.stolen_state()
         report = build_tx_report(view, tip, contract.history, 1, theft)
@@ -854,6 +919,20 @@ class TestDeepBacktrack:
         sub2 = build_submission(view, tip, 0, 31, R1, 10)
         contract.chunked_backtrack(R1, 0, sub2, at_eth=10_000, now_s=73 * 3600)
         assert contract.relay_mode == "verification"
+
+    def test_finalize_refused_while_verifying(self):
+        contract = fresh()
+        view, tip, _ = chain_with_lock(65)
+        accept_first_extension(contract, view, tip, range_b=20, at_eth=10)
+        contract.propose_deep_backtrack("anyone", 1, build_submission(view, tip, 20, 40, "anyone", 10),
+                                        now_s=2000)
+        deadline = contract.submit_extension(R1, build_submission(view, tip, 20, 50, R1, 10), at_eth=200)
+        with pytest.raises(NotListening):
+            contract.finalize_deep_backtrack(now_s=2000 + 24 * 3600)
+        contract.accept_on_timeout(deadline, now_s=2000 + 25 * 3600)
+        assert [e.range for e in contract.history] == [20, 50]
+        assert contract.deep_proposal is None
+        assert_contiguous(contract, view, tip)
 
     def test_accept_cancels_staged_proposal(self):
         contract = fresh()

@@ -2,14 +2,16 @@
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
-from pegsim.errors import ConfigError
+from pegsim.errors import ConfigError, ParseError
 from pegsim.harness import audit, load_config, parse_config, replay_check, run
 from pegsim.harness.cli import main as cli_main
 from pegsim.harness.runner import Trace
 
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 BASE = {
     "schema_version": 1,
     "name": "mini",
@@ -127,7 +129,7 @@ class TestAudit:
         assert "EmptyTrace" in report.warnings
 
     def test_corrupted_mint_flagged_at_seq(self):
-        config = load_config("scenarios/lifecycle_happy_path.json")
+        config = load_config(str(SCENARIO_DIR / "lifecycle_happy_path.json"))
         trace = run(config)
         events = [json.loads(line) for line in trace.lines()]
         mint_seq = next(e["seq"] for e in events if e["kind"] == "mint")
@@ -137,7 +139,7 @@ class TestAudit:
         assert any(v.seq == mint_seq and v.rule == "SupplyDelta" for v in report.violations)
 
     def test_corrupted_snapshot_flagged(self):
-        config = load_config("scenarios/lifecycle_happy_path.json")
+        config = load_config(str(SCENARIO_DIR / "lifecycle_happy_path.json"))
         trace = run(config)
         events = [json.loads(line) for line in trace.lines()]
         mint_seq = next(e["seq"] for e in events if e["kind"] == "mint")
@@ -146,6 +148,25 @@ class TestAudit:
         assert not report.ok
         assert any(v.seq == mint_seq and v.rule in ("Invariant1", "SupplyDelta")
                    for v in report.violations)
+
+
+    @pytest.mark.parametrize("kind,key,value", [
+        ("mint", "minted", None),  # field missing
+        ("burn", "portions", "0,1,2"),  # iterable, but not a list
+    ])
+    def test_malformed_payload_is_a_parse_error(self, tmp_path, kind, key, value):
+        trace = run(load_config(str(SCENARIO_DIR / "lifecycle_happy_path.json")))
+        events = [json.loads(line) for line in trace.lines()]
+        payload = next(e for e in events if e["kind"] == kind)["payload"]
+        if value is None:
+            del payload[key]
+        else:
+            payload[key] = value
+        with pytest.raises(ParseError, match=key):
+            audit(events)
+        path = tmp_path / "trace.ndjson"
+        Trace(events).write(str(path))
+        assert cli_main(["audit", str(path)]) == 2
 
 
 class TestOracleAgreement:
@@ -159,7 +180,7 @@ class TestOracleAgreement:
         from pegsim.harness.runner import SimulationRunner
         from pegsim.proofsys import verify_extension_proof
 
-        runner = SimulationRunner(load_config(f"scenarios/{scenario}.json"))
+        runner = SimulationRunner(load_config(str(SCENARIO_DIR / f"{scenario}.json")))
         trace = runner.run()
         verdicts = {e["payload"]["thread_id"]: e["payload"]["verdict"]
                     for e in trace.events if e["kind"] == "proof_resolved"}
@@ -189,7 +210,7 @@ class TestFalseChallenge:
     def test_vindication_costs_the_challenger(self):
         # a baseless commitment challenge: the honest relayer proves out, the
         # challenger's deposit pays the oracle plus the compensation reward
-        config = load_config("scenarios/false_challenge.json")
+        config = load_config(str(SCENARIO_DIR / "false_challenge.json"))
         trace = run(config)
         accepts = [e for e in trace.events if e["kind"] == "proof_resolved"
                    and e["payload"]["verdict"] == "accept"]
@@ -208,7 +229,7 @@ class TestRelayLiveness:
     def test_current_date_tracks_tip(self):
         # with honest relayers and no adversary, every accepted extension
         # lands within c+d of the tip as of its acceptance
-        config = load_config("scenarios/lifecycle_happy_path.json")
+        config = load_config(str(SCENARIO_DIR / "lifecycle_happy_path.json"))
         trace = run(config)
         c_plus_d = config.params.c + config.params.d
         accepts = [e for e in trace.events if e["kind"] == "accept"]
@@ -255,6 +276,35 @@ class TestDeepBacktrackDispatch:
         assert runner.contract.deep_proposal is None
         assert [e.range for e in runner.contract.history][:1] == [1]
 
+    def test_finalize_waits_for_the_active_submission(self):
+        # the objection delay ends while relay1's next extension is in
+        # Verification; finalizing then would append that extension to a
+        # history it does not extend
+        from pegsim.agents import Action
+        from pegsim.bridge import build_submission
+        from pegsim.harness.runner import SimulationRunner
+        from pegsim.proofsys import commitment_root
+
+        doc = mini_config()
+        doc["params"]["deep_backtrack_delay_1_s"] = 100
+        config = parse_config(doc)
+        runner = SimulationRunner(config)
+        runner.queue.schedule(62, ("doge_block", {}))
+        runner.queue.schedule(14, ("turns", {}))
+        runner.queue.run_until(1900, runner._handle)
+        contract = runner.contract
+        assert [e.range for e in contract.history] == [1] and contract.relay_mode == "verification"
+
+        sub = build_submission(runner.view, runner.view.best_tip(), 1, 10, "relay1", config.params.c)
+        runner._apply_action(runner.agents[0], Action("propose_deep", {"from_index": 1, "sub": sub}))
+        runner.queue.run_until(config.end_time, runner._handle)
+        tip, prior = runner.view.best_tip(), 0
+        for entry in contract.history:
+            assert commitment_root(runner.view.path_blocks(tip, prior + 1, entry.range)) == entry.commitment
+            prior = entry.range
+        assert contract.deep_proposal is None
+        assert any(e["kind"] == "deep_cancelled" for e in runner.events)
+
     def test_objection_through_dispatch_cancels(self):
         from pegsim.agents import Action
         from pegsim.bridge import build_submission
@@ -288,10 +338,8 @@ class TestCli:
         assert cli_main(["run", str(config_path)]) == 2
 
     def test_scenarios_list_and_run_all(self):
-        assert cli_main(["scenarios", "list", "--dir", "scenarios"]) == 0
-        assert cli_main(["scenarios", "run-all", "--dir", "scenarios"]) == 0
+        assert cli_main(["scenarios", "list", "--dir", str(SCENARIO_DIR)]) == 0
+        assert cli_main(["scenarios", "run-all", "--dir", str(SCENARIO_DIR)]) == 0
 
     def test_corpus_has_at_least_ten(self):
-        import glob
-
-        assert len(glob.glob("scenarios/*.json")) >= 10
+        assert len(list(SCENARIO_DIR.glob("*.json"))) >= 10
