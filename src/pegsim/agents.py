@@ -34,7 +34,7 @@ from .chainsim import (
 )
 from .errors import BeforeStart, ConfigError, RangeUnavailable, SimError
 from .merkle import sha256
-from .proofsys import ExtensionProof, commitment_root, prove_extension_for, verification_cost, witness_root
+from .proofsys import ExtensionProof, commitment_root, prove_extension_for, witness_root
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +71,8 @@ class RatePath:
 
 @dataclass
 class Observation:
-    """What one agent sees at its turn; chain snapshot honors visibility delay."""
+    """What one agent sees at its turn: the whole chain, read only along the
+    path of tip, the best tip the agent's visibility delay allows."""
 
     sim_time: int
     eth_time: int
@@ -80,6 +81,7 @@ class Observation:
     my_eth: int
     doge_balances: Dict[bytes, int]
     chain: ChainView
+    tip: bytes
     bridge: BridgeContract
     true_rate: Fraction
 
@@ -99,9 +101,8 @@ def should_abscond(locked_doge: int, true_rate: Fraction, collateral_eth: int) -
     return Fraction(locked_doge, 1) / true_rate > collateral_eth
 
 
-def confirmed_max(view: ChainView, c: int) -> int:
-    """Ordinal of the newest confirmed block: c valid PoWs sit on top of it."""
-    tip = view.best_tip()
+def confirmed_max(view: ChainView, tip: bytes, c: int) -> int:
+    """Ordinal of the newest block on tip's path with c valid PoWs on top of it."""
     return max(0, view.blocks[tip].header.ordinal - c)
 
 
@@ -158,11 +159,10 @@ class Policy:
         if cached is not None:
             return cached
         prior, range_b = segment_bounds(obs.bridge.history, i)
-        tip = obs.chain.best_tip()
-        if obs.chain.blocks[tip].header.ordinal < range_b:
+        if obs.chain.blocks[obs.tip].header.ordinal < range_b:
             return None
         try:
-            blocks = tuple(obs.chain.path_blocks(tip, prior + 1, range_b))
+            blocks = tuple(obs.chain.path_blocks(obs.tip, prior + 1, range_b))
         except RangeUnavailable:
             return None
         if commitment_root(blocks) != entry.commitment:
@@ -211,9 +211,8 @@ class HonestRelayer(Policy):
         st = obs.bridge
         actions: List[Action] = []
 
-        view = obs.chain
-        tip = view.best_tip()
-        cm = confirmed_max(view, st.params.c)
+        view, tip = obs.chain, obs.tip
+        cm = confirmed_max(view, tip, st.params.c)
         samples = dict(priv.get("cm_samples", {}))
         samples[obs.eth_time] = cm
         if len(samples) > 400:
@@ -241,9 +240,8 @@ class HonestRelayer(Policy):
             if range_b > prior:
                 sub = self._try_build(view, tip, prior, range_b, st.params.c)
                 if sub is not None:
-                    depth = max(st.current_date - prior, range_b - prior)
-                    affordable = verification_cost(st.cost_model, depth, st.params.c)
-                    if affordable <= st.relayer_deposits.get(self.name, 0):
+                    _, cost = st.backtrack_cost(bogus, range_b)
+                    if cost <= st.relayer_deposits.get(self.name, 0):
                         actions.append(Action("backtrack", {"from_index": bogus, "sub": sub}))
             return actions
 
@@ -347,7 +345,7 @@ class OrphanAttacker(Policy):
             return actions
 
         prior_tip, prior = st.base()
-        cm = confirmed_max(obs.chain, st.params.c)
+        cm = confirmed_max(obs.chain, obs.tip, st.params.c)
         range_b = max(prior + 1, cm)
         if range_b - prior > st.params.max_extension_len:
             return actions
@@ -394,7 +392,7 @@ class HighRangeAttacker(Policy):
         st = obs.bridge
         if priv.get("attacked") or st.relay_mode != "listening":
             return []
-        cm = confirmed_max(obs.chain, st.params.c)
+        cm = confirmed_max(obs.chain, obs.tip, st.params.c)
         overshoot = self.params.get("overshoot", 60)
         range_b = min(max(cm + st.params.d + overshoot, st.current_date + st.params.d + overshoot),
                       st.current_date + st.params.max_extension_len)
@@ -658,7 +656,7 @@ class VigilantHodler(Policy):
                     n = min(balance, tx.amount, bridge.capacity)
                     if n < 1:
                         continue
-                    report = build_tx_report(obs.chain, obs.chain.best_tip(), st.history, i, tx)
+                    report = build_tx_report(obs.chain, obs.tip, st.history, i, tx)
                     return Action("report_missing", {"report": report, "y": y, "n": n})
         return None
 
@@ -693,13 +691,13 @@ class GreedyReporter(Policy):
                     if tx.tx_id.hex() in reported or tx.tx_id in st.used_txs:
                         continue
                     if tx.receiver in open_heads:
-                        report = build_tx_report(obs.chain, obs.chain.best_tip(), st.history, i, tx)
+                        report = build_tx_report(obs.chain, obs.tip, st.history, i, tx)
                         actions.append(Action("report_lock", {"report": report}))
                         reported.add(tx.tx_id.hex())
                     elif (tx.sender, tx.receiver) in owing:
                         burn, portion = owing[(tx.sender, tx.receiver)]
                         if i >= burn.history_len_at_burn and tx.amount >= portion.owed_doge:
-                            report = build_tx_report(obs.chain, obs.chain.best_tip(), st.history, i, tx)
+                            report = build_tx_report(obs.chain, obs.tip, st.history, i, tx)
                             actions.append(Action("report_unlock", {"burn_id": burn.burn_id, "report": report}))
                             reported.add(tx.tx_id.hex())
 

@@ -171,8 +171,6 @@ class Bridge:
     head: bytes
     collateral: int
     crossing_fee: int
-    fee_rate: Fraction
-    min_lock: Optional[int]
     bounty_pot: int
     bounty_paid: bool = False
     state: str = "open"  # open | queued | escrowed | closed
@@ -491,8 +489,6 @@ class BridgeContract:
         y: Fraction,
         head: bytes,
         crossing_fee: int = 0,
-        fee_rate: Fraction = Fraction(0),
-        min_lock: Optional[int] = None,
         burn_bounty: Optional[int] = None,
     ) -> int:
         if x <= 0:
@@ -514,8 +510,6 @@ class BridgeContract:
             head=head,
             collateral=x,
             crossing_fee=crossing_fee,
-            fee_rate=fee_rate,
-            min_lock=min_lock,
             bounty_pot=bounty,
         )
         self.bridges[bid] = bridge
@@ -861,8 +855,6 @@ class BridgeContract:
         bridge = self._open_bridge_by_head(tx.receiver)
         if bridge is None:
             return self._ignored(reporter, "lock", "receiver not an open bridge head")
-        if bridge.min_lock is not None and tx.amount < bridge.min_lock:
-            return self._ignored(reporter, "lock", "below minimum lock")
         if tx.tx_id in self.used_txs:
             return self._ignored(reporter, "lock", "transaction used")
         reg = self.registrations.get(tx.receiver)
@@ -888,7 +880,7 @@ class BridgeContract:
             bridge.collateral -= shortfall_refund
             self._outflow(bridge.operator, shortfall_refund)
 
-        fee = min(minted, bridge.crossing_fee + rate_mul(bridge.fee_rate, minted))
+        fee = min(minted, bridge.crossing_fee)
         tax = min(minted - fee, self.params.relay_tax)
         bounty = min(minted - fee - tax, reg.lock_bounty if reg is not None else 0)
         to_crosser = minted - fee - tax - bounty
@@ -1116,14 +1108,20 @@ class BridgeContract:
         again.  Depth is bounded by what the relayer's deposit can pay to
         verify; anything deeper must go through the deep-backtracking modes.
         """
-        prior_date, ext_len = self._check_backtrack(relayer, from_index, sub)
-        depth = max(self.current_date - prior_date, ext_len)
-        if verification_cost(self.cost_model, depth, self.params.c) > self.relayer_deposits[relayer]:
+        self._check_backtrack(relayer, from_index, sub)
+        depth, cost = self.backtrack_cost(from_index, sub.range)
+        if cost > self.relayer_deposits[relayer]:
             raise TooDeep(f"depth {depth} not coverable by deposit")
         return self._activate(sub, at_eth, backtrack_from=from_index)
 
-    def _check_backtrack(self, relayer: str, from_index: int, sub: Submission) -> Tuple[int, int]:
-        """Checks both deposit-bounded backtrack modes share; returns (prior date, extension length)."""
+    def backtrack_cost(self, from_index: int, range_b: int) -> Tuple[int, int]:
+        """(depth, verification cost) of a backtrack from entry from_index to range_b."""
+        _, prior_date = self.base(from_index)
+        depth = max(self.current_date, range_b) - prior_date
+        return depth, verification_cost(self.cost_model, depth, self.params.c)
+
+    def _check_backtrack(self, relayer: str, from_index: int, sub: Submission) -> int:
+        """Checks both deposit-bounded backtrack modes share; returns the extension length."""
         if self.relay_mode != "listening":
             raise NotListening(self.relay_mode)
         if not self.is_relayer(relayer) or sub.relayer != relayer:
@@ -1136,7 +1134,7 @@ class BridgeContract:
             raise RangeNotAhead(f"range {sub.range} vs prior date {prior_date}")
         if ext_len > self.params.max_extension_len:
             raise RangeTooLong(f"extension of {ext_len} blocks")
-        return prior_date, ext_len
+        return ext_len
 
     def propose_deep_backtrack(self, proposer: str, from_index: int, sub: Submission, now_s: int) -> DeepProposal:
         """Mode 1: anyone proposes an arbitrarily long extension or backtrack."""
@@ -1203,7 +1201,7 @@ class BridgeContract:
         """Mode 2: after prolonged stagnation, any depth in deposit-sized chunks."""
         if now_s - self.last_progress_s < self.params.deep_backtrack_delay_2_s:
             raise NotStuck(f"only {now_s - self.last_progress_s}s without progress")
-        _, ext_len = self._check_backtrack(relayer, from_index, sub)
+        ext_len = self._check_backtrack(relayer, from_index, sub)
         if verification_cost(self.cost_model, ext_len, self.params.c) > self.relayer_deposits[relayer]:
             raise TooDeep(f"chunk of {ext_len} not coverable by deposit")
         return self._activate(sub, at_eth, backtrack_from=from_index)

@@ -12,8 +12,9 @@ layouts are documented in the README.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from bisect import bisect_right
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import UnknownParent, RangeUnavailable
 from .merkle import merkle_root, sha256
@@ -195,29 +196,34 @@ class AddResult:
 
 @dataclass
 class ChainView:
-    """All blocks seen so far, fork structure, and arrival bookkeeping.
+    """All blocks seen so far, arrival bookkeeping, and the best tip over time.
+
+    Visibility rule: an observer whose view lags by `delay` seconds sees, at
+    time t, the best tip among the blocks that arrived by t - delay (genesis
+    when none did).  Each insertion records the new best tip and the time it
+    became visible: the later of the block's arrival and the previous
+    record's.  So no block is shown before it arrives, and the answer is
+    exact when blocks are inserted in arrival order, as the simulation does.
+    A child always carries more work than its parent, so the best block
+    overall is a tip.
 
     Owned by the simulation thread; never mutated concurrently.
     """
 
-    blocks: Dict[bytes, Block] = field(default_factory=dict)
-    children: Dict[bytes, List[bytes]] = field(default_factory=dict)
-    tips: Set[bytes] = field(default_factory=set)
-    arrival: Dict[bytes, int] = field(default_factory=dict)
-    cum_work: Dict[bytes, int] = field(default_factory=dict)
-    genesis_hash: bytes = ZERO_HASH
+    blocks: Dict[bytes, Block]
+    arrival: Dict[bytes, int]
+    cum_work: Dict[bytes, int]
+    genesis_hash: bytes
+    _seen_at: List[int]  # when each recorded best became visible
+    _best: List[bytes]  # best tip after each insertion
 
     @classmethod
     def new(cls, difficulty_target: int, pow_fn: str = "sha256d") -> "ChainView":
         header, _ = search_pow(ZERO_HASH, EMPTY_TX_ROOT, 0, 0, difficulty_target, pow_fn, seed=0)
         genesis = Block(header, ())
         gh = block_hash(header)
-        view = cls(genesis_hash=gh)
-        view.blocks[gh] = genesis
-        view.tips.add(gh)
-        view.arrival[gh] = 0
-        view.cum_work[gh] = work_for_target(difficulty_target)
-        return view
+        return cls(blocks={gh: genesis}, arrival={gh: 0}, cum_work={gh: work_for_target(difficulty_target)},
+                   genesis_hash=gh, _seen_at=[0], _best=[gh])
 
     @property
     def genesis(self) -> Block:
@@ -225,6 +231,9 @@ class ChainView:
 
     def header(self, h: bytes) -> BlockHeader:
         return self.blocks[h].header
+
+    def _fork_key(self, h: bytes) -> Tuple[int, int, bytes]:
+        return -self.cum_work[h], self.arrival[h], h
 
     def add_block(self, block: Block, arrival_time: int = 0) -> AddResult:
         h = block_hash(block.header)
@@ -240,11 +249,10 @@ class ChainView:
         if block.header.tx_root != tx_list_root(block.txs):
             return AddResult(False, "BadTxRoot")
         self.blocks[h] = block
-        self.children.setdefault(parent, []).append(h)
         self.arrival[h] = arrival_time
         self.cum_work[h] = self.cum_work[parent] + work_for_target(block.header.difficulty_target)
-        self.tips.discard(parent)
-        self.tips.add(h)
+        self._seen_at.append(max(arrival_time, self._seen_at[-1]))
+        self._best.append(min(self._best[-1], h, key=self._fork_key))
         return AddResult(True)
 
     def mine_block(self, parent: bytes, txs: Sequence[Transaction], time: int, seed: int = 0) -> Block:
@@ -264,9 +272,15 @@ class ChainView:
         )
         return Block(header, txs)
 
-    def best_tip(self) -> bytes:
-        """Tip with maximal cumulative work; ties: earliest arrival, then smallest hash."""
-        return min(self.tips, key=lambda h: (-self.cum_work[h], self.arrival[h], h))
+    def best_tip(self, cutoff: Optional[int] = None) -> bytes:
+        """Tip with maximal cumulative work; ties: earliest arrival, then smallest hash.
+
+        With a cutoff, the best tip visible at that time (see the class docstring).
+        """
+        if cutoff is None:
+            return self._best[-1]
+        i = bisect_right(self._seen_at, cutoff)
+        return self._best[i - 1] if i else self.genesis_hash
 
     def ancestor_at(self, tip: bytes, ordinal: int) -> bytes:
         """Hash of tip's ancestor at the given ordinal; raises RangeUnavailable."""
@@ -301,23 +315,3 @@ class ChainView:
     def headers_range(self, tip: bytes, from_ordinal: int, to_ordinal: int) -> List[BlockHeader]:
         return [b.header for b in self.path_blocks(tip, from_ordinal, to_ordinal)]
 
-
-def visible_view(view: ChainView, cutoff_time: int) -> ChainView:
-    """Restriction of view to blocks that arrived at or before cutoff_time.
-
-    Cheap filtered copy sharing immutable blocks; genesis is always visible.
-    """
-    out = ChainView(genesis_hash=view.genesis_hash)
-    for h, block in view.blocks.items():
-        if view.arrival[h] <= cutoff_time or h == view.genesis_hash:
-            out.blocks[h] = block
-            out.arrival[h] = view.arrival[h]
-            out.cum_work[h] = view.cum_work[h]
-    for h, block in out.blocks.items():
-        p = block.header.parent
-        if p in out.blocks:
-            out.children.setdefault(p, []).append(h)
-    for h in out.blocks:
-        if not out.children.get(h):
-            out.tips.add(h)
-    return out

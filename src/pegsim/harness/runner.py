@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..agents import Observation, make_policy
 from ..bridge import BridgeContract, EthAccounts
-from ..chainsim import ChainView, Transaction, block_hash, visible_view
+from ..chainsim import ChainView, Transaction, block_hash
 from ..errors import AlreadySettled, NotElapsed, SimError
 from ..merkle import sha256
 from ..proofsys import oracle_verify
@@ -102,7 +102,6 @@ class SimulationRunner:
 
         self.events: List[dict] = []
         self._seq = 0
-        self._visible_cache: Dict[int, ChainView] = {}
 
     # -- trace plumbing ------------------------------------------------------
 
@@ -129,7 +128,6 @@ class SimulationRunner:
         self._blocks_mined += 1
         block = self.view.mine_block(parent, txs, time=self.now, seed=seed)
         self.view.add_block(block, arrival_time=self.now)
-        self._visible_cache.clear()
         self._record("doge_block", "network", {
             "ordinal": block.header.ordinal,
             "hash": block_hash(block.header).hex(),
@@ -164,14 +162,6 @@ class SimulationRunner:
         })
 
     def _observe(self, agent: _AgentRuntime) -> Observation:
-        if agent.visibility_delay_s <= 0:
-            chain = self.view
-        else:
-            cutoff = self.now - agent.visibility_delay_s
-            chain = self._visible_cache.get(cutoff)
-            if chain is None:
-                chain = visible_view(self.view, cutoff)
-                self._visible_cache[cutoff] = chain
         return Observation(
             sim_time=self.now,
             eth_time=self.eth_now,
@@ -179,7 +169,8 @@ class SimulationRunner:
             my_doge_addr=agent.doge_addr,
             my_eth=self.accounts.get(agent.name),
             doge_balances=self.doge_balances,
-            chain=chain,
+            chain=self.view,
+            tip=self.view.best_tip(self.now - agent.visibility_delay_s),
             bridge=self.contract,
             true_rate=self.config.rate_path.rate_at(self.now),
         )

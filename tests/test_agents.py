@@ -71,8 +71,9 @@ class TestHelpers:
             b = view.mine_block(tip, [], time=62 * i, seed=i)
             view.add_block(b, 62 * i)
             tip = block_hash(b.header)
-        assert confirmed_max(view, 10) == 5
-        assert confirmed_max(view, 20) == 0
+        assert confirmed_max(view, tip, 10) == 5
+        assert confirmed_max(view, tip, 20) == 0
+        assert confirmed_max(view, view.ancestor_at(tip, 12), 10) == 2
 
     def test_find_bad_header_fails_pow(self):
         header = find_bad_header(b"\x00" * 32, 5, 0, TARGET, seed=1)
@@ -88,6 +89,7 @@ def observation(contract, view, name="agent", rate=Fraction(1, 500), t=100):
         my_eth=contract.accounts.get(name),
         doge_balances={},
         chain=view,
+        tip=view.best_tip(),
         bridge=contract,
         true_rate=rate,
     )

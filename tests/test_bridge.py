@@ -529,18 +529,6 @@ class TestMinting:
         minted_bridge(contract)
         assert contract.wow_supply[Y100] == Y100 * contract.backing_eth(Y100)
 
-    def test_below_min_lock_ignored(self):
-        contract = fresh()
-        head = doge_address(f"{OP}/head")
-        contract.open_bridge(OP, 10 * ETH, Y100, head, min_lock=500)
-        view, tip, lock_tx = chain_with_lock(45, lock_at=3, head=head,
-                                             sender=doge_address(ALICE), amount=400,
-                                             memo=ALICE.encode())
-        accept_first_extension(contract, view, tip)
-        report = build_tx_report(view, tip, contract.history, 0, lock_tx)
-        assert contract.report_lock(BOB, report) == "ignored"
-        assert contract.wow_supply.get(Y100, 0) == 0
-
     def test_ignored_reasons(self):
         contract = fresh()
         view, tip, bid, lock_tx = minted_bridge(contract)

@@ -3,6 +3,8 @@
 import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pegsim.chainsim import (
     EMPTY_TX_ROOT,
@@ -14,7 +16,6 @@ from pegsim.chainsim import (
     pow_check,
     search_pow,
     tx_list_root,
-    visible_view,
     work_for_target,
 )
 from pegsim.errors import RangeUnavailable, UnknownParent
@@ -89,7 +90,9 @@ class TestMining:
         assert block_hash(b1.header) != block_hash(b2.header)
         assert view.add_block(b1, 62).accepted
         assert view.add_block(b2, 63).accepted
-        assert len(view.tips) == 2
+        assert view.best_tip() == block_hash(b1.header)  # equal work: earlier arrival
+        assert view.best_tip(62) == block_hash(b1.header)
+        assert view.best_tip(61) == view.genesis_hash
 
     def test_thirty_block_ordinals_consecutive(self):
         view, tip = build_chain(30)
@@ -229,12 +232,61 @@ class TestHeadersRange:
             view.headers_range(tip, 3, 1)
 
 
+def visible_best(view, cutoff):
+    """Reference: the best among blocks arrived by cutoff that have no visible child."""
+    seen = {h for h in view.blocks if view.arrival[h] <= cutoff or h == view.genesis_hash}
+    parents = {view.blocks[h].header.parent for h in seen}
+    tips = seen - parents
+    return min(tips, key=lambda h: (-view.cum_work[h], view.arrival[h], h))
+
+
+EASY = 1 << 255  # ~2 attempts per block
+
+
+def grow(moves, target=EASY):
+    """Insert one block per (parent pick, arrival) move; returns (view, hashes)."""
+    view = ChainView.new(target)
+    hashes = [view.genesis_hash]
+    for i, (pick, arrival) in enumerate(moves):
+        parent = hashes[pick % len(hashes)]
+        block = view.mine_block(parent, [], time=arrival, seed=i)
+        assert view.add_block(block, arrival).accepted
+        hashes.append(block_hash(block.header))
+    return view, hashes
+
+
 class TestVisibility:
-    def test_visible_view_filters_by_arrival(self):
+    def test_best_tip_at_cutoff_filters_by_arrival(self):
         view, tip = build_chain(5)  # arrivals 62, 124, ...
-        snap = visible_view(view, 124 + 1)
-        assert max(b.header.ordinal for b in snap.blocks.values()) == 2
-        assert snap.best_tip() == view.ancestor_at(tip, 2)
+        assert view.best_tip(124 + 1) == view.ancestor_at(tip, 2)
+        assert view.best_tip(124) == view.ancestor_at(tip, 2)
+        assert view.best_tip(123) == view.ancestor_at(tip, 1)
+        assert view.best_tip(-1) == view.genesis_hash
+        assert view.best_tip(10**9) == view.best_tip() == tip
+
+    @settings(max_examples=60, deadline=None)
+    @given(moves=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from([0, 0, 1, 3])),
+                          min_size=1, max_size=25))
+    def test_in_order_insertion_matches_reference_filter(self, moves):
+        # non-decreasing arrivals with ties, parents anywhere in the tree so far
+        arrival, timed = 0, []
+        for pick, step in moves:
+            arrival += step
+            timed.append((pick, arrival))
+        view, _ = grow(timed)
+        for cutoff in range(-1, arrival + 2):
+            assert view.best_tip(cutoff) == visible_best(view, cutoff), cutoff
+        assert view.best_tip() == visible_best(view, arrival)
+
+    @settings(max_examples=60, deadline=None)
+    @given(moves=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 20)),
+                          min_size=1, max_size=25))
+    def test_out_of_order_insertion_never_shows_a_later_block(self, moves):
+        view, _ = grow(moves)
+        for cutoff in range(-1, 22):
+            tip = view.best_tip(cutoff)
+            assert tip == view.genesis_hash or view.arrival[tip] <= cutoff
+        assert view.best_tip() == visible_best(view, 20)  # fork choice stays exact
 
     def test_every_path_block_passes_pow(self):
         view, tip = build_chain(10, seed_base=500)

@@ -239,6 +239,30 @@ class TestRelayLiveness:
             assert tip_ordinal - e["payload"]["range"] <= c_plus_d, e
 
 
+class TestDelayedVisibility:
+    def test_delayed_relayer_sees_the_best_tip_at_its_cutoff(self):
+        from pegsim.harness.runner import SimulationRunner
+
+        runner = SimulationRunner(load_config(str(SCENARIO_DIR / "fuzz_random.json")))
+        relay2 = next(a for a in runner.agents if a.name == "relay2")
+        assert relay2.visibility_delay_s == 31
+        observe, lagged = runner._observe, []
+
+        def checked(agent):
+            obs = observe(agent)
+            if agent is relay2:
+                view, cutoff = runner.view, runner.now - 31
+                assert obs.tip == view.best_tip(cutoff)
+                arrived = [h for h in view.blocks if view.arrival[h] <= cutoff] or [view.genesis_hash]
+                assert obs.tip == min(arrived, key=lambda h: (-view.cum_work[h], view.arrival[h], h))
+                lagged.append(obs.tip != view.best_tip())
+            return obs
+
+        runner._observe = checked
+        runner.run()
+        assert len(lagged) > 100 and any(lagged)
+
+
 class TestScryptVariant:
     def test_runs_with_reduced_scrypt_pow(self):
         doc = mini_config(pow={"target_bits": 254, "fn": "scrypt"})
@@ -253,12 +277,14 @@ class TestScryptVariant:
 class TestDeepBacktrackDispatch:
     def test_proposal_finalizes_through_the_queue(self):
         # drive the propose_deep action through the runner's dispatch and let
-        # the scheduled finalize event land after the objection delay
+        # the scheduled finalize event land after the objection delay; a
+        # relayer that never submits leaves nothing to cancel the proposal
         from pegsim.agents import Action
         from pegsim.bridge import build_submission
         from pegsim.harness.runner import SimulationRunner
 
         doc = mini_config()
+        doc["agents"][0]["policy"] = "lazy_relayer"
         doc["end"] = {"sim_time": 90000}  # > 24h
         config = parse_config(doc)
         runner = SimulationRunner(config)
@@ -274,7 +300,8 @@ class TestDeepBacktrackDispatch:
         assert runner.contract.deep_proposal is not None
         runner.queue.run_until(700 + 24 * 3600 + 1, runner._handle)
         assert runner.contract.deep_proposal is None
-        assert [e.range for e in runner.contract.history][:1] == [1]
+        assert any(e["kind"] == "deep_finalized" for e in runner.events)
+        assert [e.range for e in runner.contract.history] == [1]
 
     def test_finalize_waits_for_the_active_submission(self):
         # the objection delay ends while relay1's next extension is in
