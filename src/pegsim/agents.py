@@ -1,11 +1,16 @@
 """Agent policies: honest, rational, and Byzantine behavior profiles.
 
-Each policy is a pure decision function from (observation, private state) to a
-list of protocol actions plus updated private state.  Policies never mutate
-the world; the harness applies their actions in roster order each turn and
-records rejected ones as policy bugs.  Instance-level caches hold only
-deterministic memoization (segment matches, mined private forks), so replays
-with the same seed produce identical action streams.
+Each policy is a decision function from (observation, private state) to a
+list of protocol actions plus updated private state.  Every value a decision
+depends on lives in that private state, `priv`: step() hands decide() a
+shallow copy and decide() replaces, never mutates, the values it changes.
+The instance holds only its configuration and one memo, the blocks of each
+commitment its chain has matched.  A commitment is a Merkle root, so those
+blocks are a function of the commitment alone; the memo is filled only from
+the agent's own chain, so replaying the same observations rebuilds it
+exactly, and a fresh run with the same seed produces identical action
+streams.  Policies never mutate the world; the harness applies their actions
+in roster order each turn and records rejected ones as policy bugs.
 """
 
 from __future__ import annotations
@@ -13,28 +18,30 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .bridge import (
     BridgeContract,
+    ProofThread,
     Submission,
-    build_submission,
-    build_tx_report,
+    proven_submission,
     rate_mul,
     segment_bounds,
+    tx_report,
 )
 from .chainsim import (
     EMPTY_TX_ROOT,
     Block,
     BlockHeader,
     ChainView,
+    Transaction,
     block_hash,
     mine_header,
     pow_check,
 )
 from .errors import BeforeStart, ConfigError, RangeUnavailable, SimError
 from .merkle import sha256
-from .proofsys import ExtensionProof, commitment_root, prove_extension_for, witness_root
+from .proofsys import ExtensionProof, commitment_root, prove_extension_for
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +136,7 @@ class Policy:
         self.name = name
         self.params = dict(params)
         self.agent_seed = agent_seed
-        self._segment_cache: Dict[bytes, Tuple[Block, ...]] = {}
+        self._segments: Dict[bytes, Tuple[Block, ...]] = {}
 
     def step(self, obs: Observation, priv: dict) -> Tuple[List[Action], dict]:
         priv = dict(priv)
@@ -139,36 +146,69 @@ class Policy:
     def decide(self, obs: Observation, priv: dict) -> List[Action]:
         raise NotImplementedError
 
-    def onboard(self, obs: Observation) -> Optional[List[Action]]:
-        """None once a relayer; before that, the deposit when affordable."""
+    def onboard(self, obs: Observation, start: str = "activate_at") -> Optional[List[Action]]:
+        """[] before params[start]; then the deposit when affordable; None once a relayer."""
+        if obs.sim_time < self.params.get(start, 0):
+            return []
         st = obs.bridge
         if st.is_relayer(self.name):
             return None
         need = st.required_relayer_deposit()
         return [Action("become_relayer", {"deposit": need})] if obs.my_eth >= need else []
 
-    def rng_for(self, obs: Observation) -> random.Random:
-        return random.Random(f"{self.agent_seed}/{obs.sim_time}")
+    def supply_proofs(self, obs: Observation,
+                      proof_for: Callable[[ProofThread], Optional[ExtensionProof]]) -> List[Action]:
+        """A supply_proof for each of my unanswered challenges that proof_for can answer."""
+        actions = []
+        for thread in obs.bridge.threads.values():
+            if not thread.resolved and thread.relayer == self.name and thread.proof is None:
+                proof = proof_for(thread)
+                if proof is not None:
+                    actions.append(Action("supply_proof", {"thread_id": thread.thread_id, "proof": proof}))
+        return actions
+
+    def fake_submission(self, obs: Observation, rng: random.Random, range_b: int) -> Submission:
+        """Random roots under a tip header that fails PoW, claiming range_b."""
+        tip_header = find_bad_header(rng.randbytes(32), range_b, obs.sim_time,
+                                     obs.chain.genesis.header.difficulty_target, seed=self.agent_seed)
+        return Submission(range_b, rng.randbytes(32), rng.randbytes(32), tip_header, self.name)
 
     # -- shared views over the contract history ----------------------------
 
-    def matched_segment(self, obs: Observation, i: int) -> Optional[Tuple[Block, ...]]:
-        """Blocks of history entry i if its commitment matches my chain, else None."""
-        entry = obs.bridge.history[i]
-        cached = self._segment_cache.get(entry.commitment)
-        if cached is not None:
-            return cached
-        prior, range_b = segment_bounds(obs.bridge.history, i)
-        if obs.chain.blocks[obs.tip].header.ordinal < range_b:
-            return None
+    def matched(self, obs: Observation, commitment: bytes, prior: int,
+                range_b: int) -> Optional[Tuple[Block, ...]]:
+        """Blocks (prior, range_b] on my chain if they hash to commitment, else None.
+
+        A match stays memoised even after a reorg takes its blocks off my best chain.
+        """
+        blocks = self._segments.get(commitment)
+        if blocks is not None:
+            return blocks
         try:
             blocks = tuple(obs.chain.path_blocks(obs.tip, prior + 1, range_b))
         except RangeUnavailable:
             return None
-        if commitment_root(blocks) != entry.commitment:
+        if commitment_root(blocks) != commitment:
             return None
-        self._segment_cache[entry.commitment] = blocks
+        self._segments[commitment] = blocks
         return blocks
+
+    def matched_segment(self, obs: Observation, i: int) -> Optional[Tuple[Block, ...]]:
+        """Blocks of history entry i if its commitment matches my chain, else None."""
+        prior, range_b = segment_bounds(obs.bridge.history, i)
+        return self.matched(obs, obs.bridge.history[i].commitment, prior, range_b)
+
+    def committed_txs(self, obs: Observation) -> Iterator[Tuple[int, Tuple[Block, ...], Transaction]]:
+        """(index, blocks, tx) for each unused tx of the history entries my chain matches."""
+        used = obs.bridge.used_txs
+        for i in range(len(obs.bridge.history)):
+            blocks = self.matched_segment(obs, i)
+            if blocks is None:
+                continue
+            for block in blocks:
+                for tx in block.txs:
+                    if tx.tx_id not in used:
+                        yield i, blocks, tx
 
     def first_bogus_index(self, obs: Observation, cm: int) -> Optional[int]:
         """First history entry provably wrong against my view.
@@ -203,16 +243,12 @@ class HonestRelayer(Policy):
     RANGE_PATIENCE_ETH = 30
 
     def decide(self, obs: Observation, priv: dict) -> List[Action]:
-        if obs.sim_time < self.params.get("online_at", 0):
-            return []
-        joining = self.onboard(obs)
+        joining = self.onboard(obs, "online_at")
         if joining is not None:
             return joining
         st = obs.bridge
-        actions: List[Action] = []
 
-        view, tip = obs.chain, obs.tip
-        cm = confirmed_max(view, tip, st.params.c)
+        cm = confirmed_max(obs.chain, obs.tip, st.params.c)
         samples = dict(priv.get("cm_samples", {}))
         samples[obs.eth_time] = cm
         if len(samples) > 400:
@@ -220,15 +256,11 @@ class HonestRelayer(Policy):
                 del samples[key]
         priv["cm_samples"] = samples
 
-        for thread in st.threads.values():
-            if not thread.resolved and thread.relayer == self.name and thread.proof is None:
-                proof = self._try_prove(view, tip, thread.prior_date, thread.sub.range, st.params.c)
-                if proof is not None:
-                    actions.append(Action("supply_proof", {"thread_id": thread.thread_id, "proof": proof}))
+        actions = self.supply_proofs(obs, lambda t: self._try_prove(obs, t.prior_date, t.sub.range))
 
         if st.relay_mode == "verification" and st.active is not None:
             if st.active.sub.relayer != self.name:
-                challenge = self._evaluate_submission(obs, priv, view, tip, cm)
+                challenge = self._evaluate_submission(obs, priv, cm)
                 if challenge is not None:
                     actions.append(challenge)
             return actions
@@ -238,7 +270,7 @@ class HonestRelayer(Policy):
             _, prior = st.base(bogus)
             range_b = min(cm, prior + st.params.max_extension_len)
             if range_b > prior:
-                sub = self._try_build(view, tip, prior, range_b, st.params.c)
+                sub = self._try_build(obs, prior, range_b)
                 if sub is not None:
                     _, cost = st.backtrack_cost(bogus, range_b)
                     if cost <= st.relayer_deposits.get(self.name, 0):
@@ -247,24 +279,22 @@ class HonestRelayer(Policy):
 
         if cm > st.current_date:
             range_b = min(cm, st.current_date + st.params.max_extension_len)
-            sub = self._try_build(view, tip, st.current_date, range_b, st.params.c)
+            sub = self._try_build(obs, st.current_date, range_b)
             if sub is not None:
                 actions.append(Action("submit_extension", {"sub": sub}))
         return actions
 
-    def _try_build(self, view, tip, prior, range_b, c) -> Optional[Submission]:
+    def _try_prove(self, obs: Observation, prior: int, range_b: int) -> Optional[ExtensionProof]:
         try:
-            return build_submission(view, tip, prior, range_b, self.name, c)
-        except (RangeUnavailable, SimError):
-            return None
-
-    def _try_prove(self, view, tip, prior, range_b, c) -> Optional[ExtensionProof]:
-        try:
-            return prove_extension_for(view, tip, prior, range_b, c)
+            return prove_extension_for(obs.chain, obs.tip, prior, range_b, obs.bridge.params.c)
         except SimError:
             return None
 
-    def _evaluate_submission(self, obs, priv, view, tip, cm) -> Optional[Action]:
+    def _try_build(self, obs: Observation, prior: int, range_b: int) -> Optional[Submission]:
+        proof = self._try_prove(obs, prior, range_b)
+        return None if proof is None else proven_submission(proof, self.name)
+
+    def _evaluate_submission(self, obs: Observation, priv: dict, cm: int) -> Optional[Action]:
         """Judge the active submission against my own view.
 
         Three zones by claimed range: at or below my confirmed maximum the
@@ -285,12 +315,7 @@ class HonestRelayer(Policy):
                 return Action("challenge_commitment", {})
             return None  # plausibly fresher than my view; re-judge next turn
 
-        try:
-            blocks = tuple(view.path_blocks(tip, prior + 1, sub.range))
-            matches = commitment_root(blocks) == sub.commitment
-        except RangeUnavailable:
-            matches = False
-        if matches:
+        if self.matched(obs, sub.commitment, prior, sub.range) is not None:
             return None
 
         samples = priv.get("cm_samples", {})
@@ -300,7 +325,7 @@ class HonestRelayer(Policy):
         if stale and cm - sub.range >= st.params.d:
             alt_range = min(cm, prior + st.params.max_extension_len)
             if alt_range - sub.range >= st.params.d:
-                alt = self._try_build(view, tip, prior, alt_range, st.params.c)
+                alt = self._try_build(obs, prior, alt_range)
                 if alt is not None:
                     return Action("challenge_range", {"alt": alt})
         return Action("challenge_commitment", {})
@@ -322,26 +347,15 @@ class OrphanAttacker(Policy):
     when challenged.
     """
 
-    def __init__(self, name: str, params: dict, agent_seed: int):
-        super().__init__(name, params, agent_seed)
-        self._proof_cache: Dict[bytes, ExtensionProof] = {}
-
     def decide(self, obs: Observation, priv: dict) -> List[Action]:
-        if obs.sim_time < self.params.get("activate_at", 0):
-            return []
         joining = self.onboard(obs)
         if joining is not None:
             return joining
         st = obs.bridge
-        actions: List[Action] = []
+        commitment, proof = priv.get("attack", (None, None))
+        actions = self.supply_proofs(obs, lambda t: proof if t.sub.commitment == commitment else None)
 
-        for thread in st.threads.values():
-            if not thread.resolved and thread.relayer == self.name and thread.proof is None:
-                proof = self._proof_cache.get(thread.sub.commitment)
-                if proof is not None:
-                    actions.append(Action("supply_proof", {"thread_id": thread.thread_id, "proof": proof}))
-
-        if priv.get("attacked") or st.relay_mode != "listening" or not st.history:
+        if proof is not None or st.relay_mode != "listening" or not st.history:
             return actions
 
         prior_tip, prior = st.base()
@@ -365,17 +379,9 @@ class OrphanAttacker(Policy):
             witness.append(bad)
             parent = block_hash(bad)
 
-        blocks = tuple(Block(h, ()) for h in headers)
-        sub = Submission(
-            range=range_b,
-            commitment=commitment_root(blocks),
-            confirmation_witness=witness_root(witness),
-            tip_header=headers[-1],
-            relayer=self.name,
-        )
         proof = ExtensionProof(tuple(headers), tuple(witness), tuple(() for _ in headers))
-        self._proof_cache[sub.commitment] = proof
-        priv["attacked"] = True
+        sub = proven_submission(proof, self.name)
+        priv["attack"] = (sub.commitment, proof)
         actions.append(Action("submit_extension", {"sub": sub}))
         return actions
 
@@ -384,8 +390,6 @@ class HighRangeAttacker(Policy):
     """Claims a range beyond anything mined, then never backs it up."""
 
     def decide(self, obs: Observation, priv: dict) -> List[Action]:
-        if obs.sim_time < self.params.get("activate_at", 0):
-            return []
         joining = self.onboard(obs)
         if joining is not None:
             return joining
@@ -398,16 +402,7 @@ class HighRangeAttacker(Policy):
                       st.current_date + st.params.max_extension_len)
         if range_b <= st.current_date:
             return []
-        rng = random.Random(self.agent_seed)
-        tip_header = find_bad_header(bytes(rng.randbytes(32)), range_b, obs.sim_time,
-                                     obs.chain.genesis.header.difficulty_target, seed=self.agent_seed)
-        sub = Submission(
-            range=range_b,
-            commitment=bytes(rng.randbytes(32)),
-            confirmation_witness=bytes(rng.randbytes(32)),
-            tip_header=tip_header,
-            relayer=self.name,
-        )
+        sub = self.fake_submission(obs, random.Random(self.agent_seed), range_b)
         priv["attacked"] = True
         return [Action("submit_extension", {"sub": sub})]
 
@@ -416,8 +411,6 @@ class FalseChallenger(Policy):
     """Griefer that disputes honest commitments it has no evidence against."""
 
     def decide(self, obs: Observation, priv: dict) -> List[Action]:
-        if obs.sim_time < self.params.get("activate_at", 0):
-            return []
         joining = self.onboard(obs)
         if joining is not None:
             return joining
@@ -435,8 +428,6 @@ class DosChallenger(Policy):
     """Spams range challenges with inflated garbage alternatives."""
 
     def decide(self, obs: Observation, priv: dict) -> List[Action]:
-        if obs.sim_time < self.params.get("activate_at", 0):
-            return []
         joining = self.onboard(obs)
         if joining is not None:
             return joining
@@ -444,16 +435,11 @@ class DosChallenger(Policy):
         rounds = priv.get("rounds", self.params.get("rounds", 3))
         if rounds <= 0 or st.relay_mode != "verification" or st.active is None:
             return []
-        sub = st.active.sub
-        rng = random.Random(f"{self.agent_seed}/{st.active.seq}")
-        alt_range = sub.range + st.params.d
+        alt_range = st.active.sub.range + st.params.d
         _, prior = st.base(st.active.backtrack_from)
         if alt_range - prior > st.params.max_extension_len:
             return []
-        tip_header = find_bad_header(bytes(rng.randbytes(32)), alt_range, obs.sim_time,
-                                     obs.chain.genesis.header.difficulty_target, seed=self.agent_seed)
-        alt = Submission(alt_range, bytes(rng.randbytes(32)), bytes(rng.randbytes(32)),
-                         tip_header, self.name)
+        alt = self.fake_submission(obs, random.Random(f"{self.agent_seed}/{st.active.seq}"), alt_range)
         priv["rounds"] = rounds - 1
         return [Action("challenge_range", {"alt": alt})]
 
@@ -522,8 +508,8 @@ class RationalOperator(Policy):
                     }))
                     paid.add(key)
 
-        priv["paid"] = sorted(paid)
-        priv["absconded"] = sorted(absconded)
+        priv["paid"] = paid
+        priv["absconded"] = absconded
         return actions
 
 
@@ -542,21 +528,21 @@ class HonestCrosser(Policy):
         y = Fraction(self.params["y"])
         if obs.true_rate < (1 + self.RATE_MARGIN) * y:
             return []
-        sent_heads = set(priv.get("sent_heads", ()))
+        sent_heads = priv.get("sent_heads", set())
         if len(sent_heads) >= self.params.get("crossings", 1):
             return []
         register = self.params.get("register", True)
 
         my_reg = None
         for r in st.registrations.values():
-            if r.crosser == self.name and r.head.hex() not in sent_heads:
+            if r.crosser == self.name and r.head not in sent_heads:
                 my_reg = r
                 break
 
         if register and my_reg is None:
             for bridge in st.bridges.values():
                 if bridge.state == "open" and bridge.y == y and \
-                        bridge.head not in st.registrations and bridge.head.hex() not in sent_heads:
+                        bridge.head not in st.registrations and bridge.head not in sent_heads:
                     planned = self.params.get("amount", bridge.capacity)
                     if obs.my_doge < planned:
                         return []  # cannot fund the lock; don't waste a registration
@@ -575,14 +561,13 @@ class HonestCrosser(Policy):
                            if b.head == my_reg.head and b.state == "open"), None)
         else:
             bridge = next((b for b in st.bridges.values()
-                           if b.state == "open" and b.y == y and b.head.hex() not in sent_heads), None)
+                           if b.state == "open" and b.y == y and b.head not in sent_heads), None)
         if bridge is None:
             return []
 
         amount = self.params.get("amount", bridge.capacity)
         if obs.my_doge >= amount:
-            sent_heads.add(bridge.head.hex())
-            priv["sent_heads"] = sorted(sent_heads)
+            priv["sent_heads"] = sent_heads | {bridge.head}
             return [Action("send_doge", {
                 "sender": obs.my_doge_addr, "receiver": bridge.head,
                 "amount": amount, "memo": self.name.encode(),
@@ -642,22 +627,13 @@ class VigilantHodler(Policy):
         if not heads:
             return None
         unlock_dests = {burn.dest for burn in st.burns.values()}
-        for i in range(len(st.history)):
-            blocks = self.matched_segment(obs, i)
-            if blocks is None:
-                continue
-            for block in blocks:
-                for tx in block.txs:
-                    bridge = heads.get(tx.sender)
-                    if bridge is None or tx.tx_id in st.used_txs:
-                        continue
-                    if tx.receiver in unlock_dests:
-                        continue  # a legitimate unlock payment, not theft
-                    n = min(balance, tx.amount, bridge.capacity)
-                    if n < 1:
-                        continue
-                    report = build_tx_report(obs.chain, obs.tip, st.history, i, tx)
-                    return Action("report_missing", {"report": report, "y": y, "n": n})
+        for i, blocks, tx in self.committed_txs(obs):
+            bridge = heads.get(tx.sender)
+            if bridge is None or tx.receiver in unlock_dests:
+                continue  # not from a live head, or a legitimate unlock payment
+            n = min(balance, tx.amount, bridge.capacity)
+            if n >= 1:
+                return Action("report_missing", {"report": tx_report(i, blocks, tx), "y": y, "n": n})
         return None
 
 
@@ -678,30 +654,22 @@ class GreedyReporter(Policy):
                     bridge = st.bridges[portion.bridge_id]
                     owing[(bridge.head, burn.dest)] = (burn, portion)
 
-        for i in range(len(st.history)):
+        for i, blocks, tx in self.committed_txs(obs):
+            if tx.tx_id in reported:
+                continue
+            burn, portion = owing.get((tx.sender, tx.receiver), (None, None))
+            if tx.receiver in open_heads:
+                actions.append(Action("report_lock", {"report": tx_report(i, blocks, tx)}))
+            elif burn is not None and i >= burn.history_len_at_burn and tx.amount >= portion.owed_doge:
+                actions.append(Action("report_unlock", {"burn_id": burn.burn_id,
+                                                        "report": tx_report(i, blocks, tx)}))
+            else:
+                continue
+            reported.add(tx.tx_id)
             if len(actions) >= self.MAX_PER_TURN:
                 break
-            blocks = self.matched_segment(obs, i)
-            if blocks is None:
-                continue
-            for block in blocks:
-                for tx in block.txs:
-                    if len(actions) >= self.MAX_PER_TURN:
-                        break
-                    if tx.tx_id.hex() in reported or tx.tx_id in st.used_txs:
-                        continue
-                    if tx.receiver in open_heads:
-                        report = build_tx_report(obs.chain, obs.tip, st.history, i, tx)
-                        actions.append(Action("report_lock", {"report": report}))
-                        reported.add(tx.tx_id.hex())
-                    elif (tx.sender, tx.receiver) in owing:
-                        burn, portion = owing[(tx.sender, tx.receiver)]
-                        if i >= burn.history_len_at_burn and tx.amount >= portion.owed_doge:
-                            report = build_tx_report(obs.chain, obs.tip, st.history, i, tx)
-                            actions.append(Action("report_unlock", {"burn_id": burn.burn_id, "report": report}))
-                            reported.add(tx.tx_id.hex())
 
-        priv["reported"] = sorted(reported)
+        priv["reported"] = reported
         return actions
 
 

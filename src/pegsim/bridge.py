@@ -27,10 +27,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from . import proofsys
-from .chainsim import BlockHeader, ChainView, Transaction, block_hash
+from .chainsim import Block, BlockHeader, ChainView, Transaction, block_hash
 from .errors import (
     AlreadyRegistered,
     AlreadySettled,
@@ -66,6 +66,7 @@ from .proofsys import (
     ExtensionProof,
     commitment_root,
     extension_leaves,
+    prove_extension_for,
     verification_cost,
     witness_root,
 )
@@ -531,7 +532,6 @@ class BridgeContract:
         crosser: str,
         head: bytes,
         deposit: int,
-        at_ordinal: int,
         crosser_doge: bytes,
         lock_bounty: int = 0,
     ) -> Registration:
@@ -550,7 +550,7 @@ class BridgeContract:
             crosser_doge=crosser_doge,
             deposit=deposit,
             void_fee=void_fee,
-            expiry_ordinal=at_ordinal + self.params.registration_window_doge_blocks,
+            expiry_ordinal=self.current_date + self.params.registration_window_doge_blocks,
             lock_bounty=lock_bounty,
         )
         self.registrations[head] = reg
@@ -620,7 +620,7 @@ class BridgeContract:
         self._next_sub_seq += 1
         self.active = ActiveSubmission(sub, at_eth, seq, backtrack_from, pending_penalty)
         self.relay_mode = "verification"
-        deadline = at_eth + self.params.challenge_window_eth_blocks
+        deadline = self.window_deadline()
         self._emit(
             "submit", sub.relayer,
             range=sub.range, commitment=sub.commitment.hex(), at_eth=at_eth,
@@ -628,7 +628,8 @@ class BridgeContract:
         )
         return deadline
 
-    def _window_deadline(self) -> int:
+    def window_deadline(self) -> int:
+        """The contract block that closes the active submission's challenge window."""
         assert self.active is not None
         return self.active.submitted_at_eth + self.params.challenge_window_eth_blocks
 
@@ -642,8 +643,8 @@ class BridgeContract:
         """Append the unchallenged submission and advance the current date."""
         if self.relay_mode != "verification" or self.active is None:
             raise NotVerifying("relay is listening")
-        if at_eth < self._window_deadline():
-            raise WindowNotElapsed(f"eth {at_eth} before deadline {self._window_deadline()}")
+        if at_eth < self.window_deadline():
+            raise WindowNotElapsed(f"eth {at_eth} before deadline {self.window_deadline()}")
         active = self.active
         sub = active.sub
         if active.backtrack_from is not None:
@@ -684,8 +685,8 @@ class BridgeContract:
             raise NotVerifying("relay is listening")
         if not self.is_relayer(challenger) or alt.relayer != challenger:
             raise NotARelayer(challenger)
-        if at_eth >= self._window_deadline():
-            raise WindowElapsed(f"eth {at_eth} past deadline {self._window_deadline()}")
+        if at_eth >= self.window_deadline():
+            raise WindowElapsed(f"eth {at_eth} past deadline {self.window_deadline()}")
         sub = self.active.sub
         if alt.range - sub.range < self.params.d:
             self._emit("challenge_range_ignored", challenger, alt_range=alt.range, sub_range=sub.range)
@@ -710,7 +711,7 @@ class BridgeContract:
         self._emit(
             "challenge_range_replaced", challenger,
             displaced=displaced, penalty=penalty, alt_range=alt.range, sub_range=sub.range,
-            at_eth=at_eth, deadline_eth=at_eth + self.params.challenge_window_eth_blocks,
+            at_eth=at_eth, deadline_eth=self.window_deadline(),
             sub_seq=seq, backtrack_from=base,
         )
         return "replaced"
@@ -728,8 +729,8 @@ class BridgeContract:
             raise NotVerifying("relay is listening")
         if not self.is_relayer(challenger):
             raise NotARelayer(challenger)
-        if at_eth >= self._window_deadline():
-            raise WindowElapsed(f"eth {at_eth} past deadline {self._window_deadline()}")
+        if at_eth >= self.window_deadline():
+            raise WindowElapsed(f"eth {at_eth} past deadline {self.window_deadline()}")
         active = self.active
         prior_tip, prior_date = self.base(active.backtrack_from)
         ext_len = active.sub.range - prior_date
@@ -1223,22 +1224,29 @@ def genesis(params: ProtocolParams, cost_model: Optional[CostModel] = None,
 
 
 # ---------------------------------------------------------------------------
-# chain-facing submission builder (shared by honest relayer tooling and tests)
+# chain-facing builders (shared by agent policies and tests)
 # ---------------------------------------------------------------------------
+
+
+def proven_submission(proof: ExtensionProof, relayer: str) -> Submission:
+    """The submission an extension proof evidences: its range, both roots and its tip."""
+    headers = proof.revealed_headers
+    return Submission(
+        range=headers[-1].ordinal,
+        commitment=commitment_root([Block(h, txs) for h, txs in zip(headers, proof.txs_per_block)]),
+        confirmation_witness=witness_root(proof.witness_headers),
+        tip_header=headers[-1],
+        relayer=relayer,
+    )
 
 
 def build_submission(view: ChainView, tip: bytes, prior_date: int, range_b: int,
                      relayer: str, c: int) -> Submission:
-    """Honest submission for the segment (prior_date, range_b] on tip's path."""
-    blocks = view.path_blocks(tip, prior_date + 1, range_b)
-    witness = view.path_blocks(tip, range_b + 1, range_b + c)
-    return Submission(
-        range=range_b,
-        commitment=commitment_root(blocks),
-        confirmation_witness=witness_root([b.header for b in witness]),
-        tip_header=blocks[-1].header,
-        relayer=relayer,
-    )
+    """Honest submission for the segment (prior_date, range_b] on tip's path.
+
+    Raises InsufficientChain (a SimError) when tip's path does not reach range_b + c.
+    """
+    return proven_submission(prove_extension_for(view, tip, prior_date, range_b, c), relayer)
 
 
 def history_base(history: List[HistoryEntry], index: int) -> Tuple[Optional[BlockHeader], int]:
@@ -1254,6 +1262,15 @@ def segment_bounds(history: List[HistoryEntry], history_index: int) -> Tuple[int
     return history_base(history, history_index)[1], history[history_index].range
 
 
+def tx_report(history_index: int, blocks: Sequence[Block], tx: Transaction) -> TxReport:
+    """Report a transaction out of the committed blocks of history entry history_index.
+
+    Raises ValueError when the transaction is not in those blocks.
+    """
+    leaves = extension_leaves(blocks)
+    return TxReport(history_index, tx, merkle_prove(leaves, leaves.index(tx.encode())))
+
+
 def build_tx_report(view: ChainView, tip: bytes, history: List[HistoryEntry],
                     history_index: int, tx: Transaction) -> TxReport:
     """Report a transaction out of a commitment, reconstructed from a chain view.
@@ -1262,7 +1279,4 @@ def build_tx_report(view: ChainView, tip: bytes, history: List[HistoryEntry],
     raises ValueError when the transaction is not in that segment.
     """
     prior, range_b = segment_bounds(history, history_index)
-    blocks = view.path_blocks(tip, prior + 1, range_b)
-    leaves = extension_leaves(blocks)
-    idx = leaves.index(tx.encode())
-    return TxReport(history_index, tx, merkle_prove(leaves, idx))
+    return tx_report(history_index, view.path_blocks(tip, prior + 1, range_b), tx)

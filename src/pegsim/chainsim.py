@@ -229,9 +229,6 @@ class ChainView:
     def genesis(self) -> Block:
         return self.blocks[self.genesis_hash]
 
-    def header(self, h: bytes) -> BlockHeader:
-        return self.blocks[h].header
-
     def _fork_key(self, h: bytes) -> Tuple[int, int, bytes]:
         return -self.cum_work[h], self.arrival[h], h
 

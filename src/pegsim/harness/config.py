@@ -149,7 +149,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
 
     pow_doc = doc.get("pow", {})
     target_bits = _as_int(pow_doc.get("target_bits", 250), "pow.target_bits", 8)
-    _expect(target_bits <= 256, "pow.target_bits", "must be <= 256")
+    _expect(target_bits <= 255, "pow.target_bits", "must be <= 255 (the target is a 32-byte field)")
     pow_fn = pow_doc.get("fn", "sha256d")
     _expect(pow_fn in POW_FNS, "pow.fn", f"one of {sorted(POW_FNS)}")
 

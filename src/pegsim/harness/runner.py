@@ -192,7 +192,6 @@ class SimulationRunner:
                           crossing_fee=p["crossing_fee"], burn_bounty=p["burn_bounty"])
         elif kind == "register":
             c.register_crossing(agent.name, p["head"], p["deposit"],
-                                at_ordinal=c.current_date,
                                 crosser_doge=agent.doge_addr,
                                 lock_bounty=p.get("lock_bounty", 0))
         elif kind == "send_doge":
@@ -202,7 +201,7 @@ class SimulationRunner:
             self._schedule_accept(deadline)
         elif kind == "challenge_range":
             if c.challenge_range(agent.name, p["alt"], self.eth_now) == "replaced":
-                self._schedule_accept(c.active.submitted_at_eth + c.params.challenge_window_eth_blocks)
+                self._schedule_accept(c.window_deadline())
         elif kind == "challenge_commitment":
             thread = c.challenge_commitment(agent.name, self.eth_now, self.now)
             self.queue.schedule(thread.proof_deadline_s, ("proof_timeout", {"thread_id": thread.thread_id}))
@@ -221,8 +220,7 @@ class SimulationRunner:
             c.report_missing_doge(agent.name, p["report"], p["y"], p["n"])
         elif kind == "burn_wow":
             burn = c.burn_wow(agent.name, p["y"], p["w"], p["dest"], self.eth_now)
-            deadline = burn.created_eth + c.params.unlock_timeout_eth_blocks
-            self.queue.schedule(deadline * self.clock.eth_block_seconds,
+            self.queue.schedule(burn.portions[0].deadline_eth * self.clock.eth_block_seconds,
                                 ("unlock_deadline", {"burn_id": burn.burn_id}))
         elif kind == "backtrack":
             deadline = c.backtrack(agent.name, p["from_index"], p["sub"], self.eth_now)
@@ -232,7 +230,7 @@ class SimulationRunner:
             self._schedule_accept(deadline)
         elif kind == "propose_deep":
             proposal = c.propose_deep_backtrack(agent.name, p["from_index"], p["sub"], self.now)
-            self.queue.schedule(self.now + c.params.deep_backtrack_delay_1_s,
+            self.queue.schedule(proposal.proposed_at_s + c.params.deep_backtrack_delay_1_s,
                                 ("deep_finalize", {"proposal_seq": proposal.seq}))
         elif kind == "object_deep":
             c.object_deep_backtrack(agent.name, self.now)
@@ -290,8 +288,7 @@ class SimulationRunner:
             if c.deep_proposal is not None and c.deep_proposal.seq == p["proposal_seq"]:
                 if c.relay_mode == "verification":
                     # retry when the active submission's window closes; accepting it cancels the proposal
-                    deadline_eth = c.active.submitted_at_eth + c.params.challenge_window_eth_blocks
-                    self.queue.schedule(deadline_eth * self.clock.eth_block_seconds, event)
+                    self.queue.schedule(c.window_deadline() * self.clock.eth_block_seconds, event)
                 else:
                     c.finalize_deep_backtrack(self.now)
 

@@ -75,9 +75,6 @@ class EventQueue:
         self.now = at
         return at, seq, event
 
-    def peek_time(self) -> Optional[int]:
-        return self._heap[0][0] if self._heap else None
-
     def run_until(self, t_end: int, handler: Callable[[int, Any], None]) -> int:
         """Fire events with time <= t_end in (time, seq) order; returns count fired."""
         fired = 0

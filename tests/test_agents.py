@@ -12,9 +12,17 @@ from pegsim.agents import (
     make_policy,
     should_abscond,
 )
-from pegsim.bridge import CostModel, EthAccounts, ProtocolParams, genesis
-from pegsim.chainsim import ChainView, block_hash, doge_address, pow_check
+from pegsim.bridge import (
+    CostModel,
+    EthAccounts,
+    ProtocolParams,
+    build_submission,
+    build_tx_report,
+    genesis,
+)
+from pegsim.chainsim import ChainView, Transaction, block_hash, doge_address, pow_check
 from pegsim.errors import BeforeStart, ConfigError
+from pegsim.proofsys import verify_extension_proof
 
 Y100 = Fraction(1, 1000)
 TARGET = 1 << 250
@@ -95,13 +103,14 @@ def observation(contract, view, name="agent", rate=Fraction(1, 500), t=100):
     )
 
 
-def fresh_world(n_blocks=45):
-    accounts = EthAccounts({"r": 50_000, "op": 2_000_000, "alice": 50_000})
+def fresh_world(n_blocks=45, txs_at=None):
+    """A contract and a chain of n_blocks; txs_at maps an ordinal to that block's txs."""
+    accounts = EthAccounts({"r": 50_000, "op": 2_000_000, "alice": 50_000, "m": 50_000})
     contract = genesis(ProtocolParams(relay_tax=0), CostModel(), accounts)
     view = ChainView.new(TARGET)
     tip = view.genesis_hash
     for i in range(1, n_blocks + 1):
-        b = view.mine_block(tip, [], time=62 * i, seed=400 + i)
+        b = view.mine_block(tip, (txs_at or {}).get(i, []), time=62 * i, seed=400 + i)
         view.add_block(b, 62 * i)
         tip = block_hash(b.header)
     return contract, view
@@ -186,6 +195,101 @@ class TestHonestRelayer:
         assert [a.kind for a in actions] == ["challenge_commitment"]
 
 
+def accept_extension(contract, view, prior, range_b, at_eth=10):
+    """Relay (prior, range_b] of view's best chain through relayer "r" into the history."""
+    if not contract.is_relayer("r"):
+        contract.become_relayer("r", contract.required_relayer_deposit())
+    sub = build_submission(view, view.best_tip(), prior, range_b, "r", contract.params.c)
+    deadline = contract.submit_extension("r", sub, at_eth)
+    contract.accept_on_timeout(deadline, now_s=deadline * 14)
+
+
+HEAD = doge_address("op/head")
+
+
+def locks_world(n_locks):
+    """n_locks lock transactions to one open bridge's head, committed in history entry 0."""
+    locks = [Transaction(doge_address(f"crosser{j}"), HEAD, 100, 0) for j in range(n_locks)]
+    contract, view = fresh_world(txs_at={3: locks[:3], 5: locks[3:]})
+    contract.open_bridge("op", 1_000_000, Y100, HEAD)
+    accept_extension(contract, view, 0, 30)
+    return contract, view, locks
+
+
+class TestGreedyReporter:
+    def test_reports_at_most_four_per_turn_and_the_rest_next_turn(self):
+        contract, view, locks = locks_world(6)
+        policy = make_policy("greedy_reporter", "bob", {}, agent_seed=1)
+        first, priv = policy.step(observation(contract, view, "bob"), {})
+        second, priv = policy.step(observation(contract, view, "bob"), priv)
+        third, _ = policy.step(observation(contract, view, "bob"), priv)
+        assert [a.kind for a in first] == ["report_lock"] * 4
+        assert [a.kind for a in second] == ["report_lock"] * 2
+        assert third == []
+        reported = [a.params["report"].tx for a in first + second]
+        assert reported == locks
+        for a in first + second:
+            report = a.params["report"]
+            assert report == build_tx_report(view, view.best_tip(), contract.history, 0, report.tx)
+
+    def test_skips_used_transactions(self):
+        contract, view, locks = locks_world(2)
+        contract.used_txs.add(locks[0].tx_id)
+        policy = make_policy("greedy_reporter", "bob", {}, agent_seed=1)
+        actions, _ = policy.step(observation(contract, view, "bob"), {})
+        assert [a.params["report"].tx for a in actions] == [locks[1]]
+
+
+class TestVigilantHodler:
+    def test_theft_report_is_paid(self):
+        lock = Transaction(doge_address("alice"), HEAD, 1000, 0, b"alice")
+        theft = Transaction(HEAD, doge_address("op/getaway"), 1000, 0)
+        contract, view = fresh_world(57, txs_at={3: [lock], 46: [theft]})
+        contract.open_bridge("op", 1_000_000, Y100, HEAD)
+        accept_extension(contract, view, 0, 30)
+        tip = view.best_tip()
+        assert contract.report_lock("bob", build_tx_report(view, tip, contract.history, 0, lock)) == "minted"
+        accept_extension(contract, view, 30, 46, at_eth=300)
+
+        policy = make_policy("vigilant_hodler", "alice", {"y": Y100, "burn_on_rate": False}, agent_seed=1)
+        actions, _ = policy.step(observation(contract, view, "alice"), {})
+        assert [a.kind for a in actions] == ["report_missing"]
+        p = actions[0].params
+        assert p["report"].tx == theft and p["report"].history_index == 1 and p["n"] == 1000
+        assert contract.report_missing_doge("alice", p["report"], p["y"], p["n"]) == "paid"
+        # the evidence is spent: nothing left to report, and the balance is gone
+        assert policy.step(observation(contract, view, "alice"), {})[0] == []
+
+
+class TestOrphanAttacker:
+    def test_supplies_its_stored_proof_once_challenged(self):
+        contract, view = fresh_world()
+        accept_extension(contract, view, 0, 30)
+        policy = make_policy("orphan_attacker", "m", {}, agent_seed=3)
+        actions, priv = policy.step(observation(contract, view, "m"), {})
+        assert [a.kind for a in actions] == ["become_relayer"]
+        contract.become_relayer("m", actions[0].params["deposit"])
+
+        actions, priv = policy.step(observation(contract, view, "m"), priv)
+        assert [a.kind for a in actions] == ["submit_extension"]
+        sub = actions[0].params["sub"]
+        commitment, proof = priv["attack"]
+        assert commitment == sub.commitment and sub.range == 35
+        contract.submit_extension("m", sub, at_eth=200)
+        # unchallenged, it neither supplies nor attacks again
+        assert policy.step(observation(contract, view, "m"), priv)[0] == []
+
+        thread = contract.challenge_commitment("r", at_eth=201, now_s=201 * 14)
+        actions, priv = policy.step(observation(contract, view, "m"), priv)
+        assert [a.kind for a in actions] == ["supply_proof"]
+        assert actions[0].params == {"thread_id": thread.thread_id, "proof": proof}
+        verdict = verify_extension_proof(thread.prior_tip_header, sub, proof, contract.params)
+        assert not verdict.accepted  # the fabricated witness fails PoW
+
+        contract.supply_proof("m", thread.thread_id, proof, now_s=202 * 14)
+        assert policy.step(observation(contract, view, "m"), priv)[0] == []
+
+
 class TestPolicyPurity:
     def test_step_is_replayable(self):
         contract1, view1 = fresh_world()
@@ -206,6 +310,15 @@ class TestPolicyPurity:
         frozen = {"cm_samples": {1: 2}}
         policy.step(observation(contract, view, "r"), priv_in)
         assert priv_in == frozen
+
+    def test_step_does_not_mutate_input_set_priv(self):
+        contract, view, locks = locks_world(2)
+        policy = make_policy("greedy_reporter", "bob", {}, agent_seed=9)
+        priv_in = {"reported": {locks[0].tx_id}}
+        actions, priv_out = policy.step(observation(contract, view, "bob"), priv_in)
+        assert priv_in == {"reported": {locks[0].tx_id}}
+        assert [a.params["report"].tx for a in actions] == [locks[1]]
+        assert priv_out["reported"] == {locks[0].tx_id, locks[1].tx_id}
 
 
 class TestMakePolicy:

@@ -180,7 +180,8 @@ class TestRegistration:
         contract = fresh(ProtocolParams())
         head = doge_address("h")
         contract.open_bridge(OP, 10 * ETH, Y100, head)
-        reg = contract.register_crossing(ALICE, head, deposit=ETH // 2, at_ordinal=500,
+        contract.current_date = 500
+        reg = contract.register_crossing(ALICE, head, deposit=ETH // 2,
                                          crosser_doge=doge_address(ALICE))
         assert reg.void_fee == 10_000  # 0.1 ETH
         assert reg.expiry_ordinal == 520
@@ -190,23 +191,23 @@ class TestRegistration:
         head = doge_address("h")
         contract.open_bridge(OP, 10 * ETH, Y100, head)
         with pytest.raises(InsufficientDeposit):
-            contract.register_crossing(ALICE, head, deposit=9_999, at_ordinal=0,
+            contract.register_crossing(ALICE, head, deposit=9_999,
                                        crosser_doge=doge_address(ALICE))
 
     def test_already_registered(self):
         contract = fresh()
         head = doge_address("h")
         contract.open_bridge(OP, 10 * ETH, Y100, head)
-        contract.register_crossing(ALICE, head, ETH, 0, doge_address(ALICE))
+        contract.register_crossing(ALICE, head, ETH, doge_address(ALICE))
         with pytest.raises(AlreadyRegistered):
-            contract.register_crossing(BOB, head, ETH, 0, doge_address(BOB))
+            contract.register_crossing(BOB, head, ETH, doge_address(BOB))
 
     def test_expiry_sweep_retains_fee(self):
         contract = fresh(ProtocolParams())
         head = doge_address("h")
         contract.open_bridge(OP, 10 * ETH, Y100, head)
         before = contract.accounts.get(ALICE)
-        contract.register_crossing(ALICE, head, deposit=ETH // 2, at_ordinal=0,
+        contract.register_crossing(ALICE, head, deposit=ETH // 2,
                                    crosser_doge=doge_address(ALICE))
         assert contract.expire_registrations() == []  # date 0, not expired
         contract.current_date = 21
@@ -460,7 +461,7 @@ def minted_bridge(contract, *, x=10 * ETH, fee=0, tax_override=None, bounty=0,
     )
     if register:
         contract.register_crossing(crosser, head, deposit=rate_mul(Fraction(1, 100), x) + 100,
-                                   at_ordinal=0, crosser_doge=doge_address(crosser),
+                                   crosser_doge=doge_address(crosser),
                                    lock_bounty=lock_bounty)
     accept_first_extension(contract, view, tip, relayer=relayer, range_b=30, at_eth=at_eth)
     report = build_tx_report(view, tip, contract.history, 0, lock_tx)
@@ -518,7 +519,7 @@ class TestMinting:
         contract.open_bridge(OP, 10 * ETH, Y100, head)
         view, tip, lock_tx = chain_with_lock(45, lock_at=3, head=head,
                                              sender=doge_address("mallory"), amount=1000)
-        contract.register_crossing(ALICE, head, deposit=2 * ETH, at_ordinal=0,
+        contract.register_crossing(ALICE, head, deposit=2 * ETH,
                                    crosser_doge=doge_address(ALICE))
         accept_first_extension(contract, view, tip)
         report = build_tx_report(view, tip, contract.history, 0, lock_tx)

@@ -364,6 +364,15 @@ class TestCli:
         config_path.write_text(json.dumps(mini_config(schema_version=9)))
         assert cli_main(["run", str(config_path)]) == 2
 
+    def test_target_past_the_header_field_exits_2(self, tmp_path, capsys):
+        # a target of 1 << 256 does not fit the header's 32-byte target field
+        config_path = tmp_path / "wide.json"
+        config_path.write_text(json.dumps(mini_config(pow={"target_bits": 256})))
+        assert cli_main(["run", str(config_path)]) == 2
+        assert "pow.target_bits" in capsys.readouterr().err
+        config_path.write_text(json.dumps(mini_config(pow={"target_bits": 255}, end={"sim_time": 200})))
+        assert cli_main(["run", str(config_path)]) == 0
+
     def test_scenarios_list_and_run_all(self):
         assert cli_main(["scenarios", "list", "--dir", str(SCENARIO_DIR)]) == 0
         assert cli_main(["scenarios", "run-all", "--dir", str(SCENARIO_DIR)]) == 0
