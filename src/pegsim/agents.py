@@ -4,13 +4,13 @@ Each policy is a decision function from (observation, private state) to a
 list of protocol actions plus updated private state.  Every value a decision
 depends on lives in that private state, `priv`: step() hands decide() a
 shallow copy and decide() replaces, never mutates, the values it changes.
-The instance holds only its configuration and one memo, the blocks of each
-commitment its chain has matched.  A commitment is a Merkle root, so those
-blocks are a function of the commitment alone; the memo is filled only from
-the agent's own chain, so replaying the same observations rebuilds it
-exactly, and a fresh run with the same seed produces identical action
-streams.  Policies never mutate the world; the harness applies their actions
-in roster order each turn and records rejected ones as policy bugs.
+The instance holds only its configuration and one memo, the segments its
+chain has matched, each keyed by commitment and range.  The memo is emptied
+whenever the observed tip stops extending the tip it was filled on, so a hit
+returns what recomputing from the observation would: decisions depend on
+(obs, priv) alone, and a fresh run with the same seed produces identical
+action streams.  Policies never mutate the world; the harness applies their
+actions in roster order each turn and records rejected ones as policy bugs.
 """
 
 from __future__ import annotations
@@ -136,7 +136,8 @@ class Policy:
         self.name = name
         self.params = dict(params)
         self.agent_seed = agent_seed
-        self._segments: Dict[bytes, Tuple[Block, ...]] = {}
+        self._memo_tip: Optional[bytes] = None  # every memoised segment is on this tip's path
+        self._segments: Dict[Tuple[bytes, int, int], Tuple[Block, ...]] = {}
 
     def step(self, obs: Observation, priv: dict) -> Tuple[List[Action], dict]:
         priv = dict(priv)
@@ -179,18 +180,30 @@ class Policy:
                 range_b: int) -> Optional[Tuple[Block, ...]]:
         """Blocks (prior, range_b] on my chain if they hash to commitment, else None.
 
-        A match stays memoised even after a reorg takes its blocks off my best chain.
+        The memo holds the matches found on the path of _memo_tip and is
+        emptied when my tip stops extending that tip, so a hit is what
+        recomputing would return, also after a reorg.
         """
-        blocks = self._segments.get(commitment)
-        if blocks is not None:
-            return blocks
+        chain, tip = obs.chain, obs.tip
+        if self._memo_tip != tip:
+            anchor = chain.blocks.get(self._memo_tip)
+            try:
+                kept = anchor is not None and chain.ancestor_at(tip, anchor.header.ordinal) == self._memo_tip
+            except RangeUnavailable:
+                kept = False
+            if not kept:
+                self._segments = {}
+            self._memo_tip = tip
+        key = (commitment, prior, range_b)
+        if key in self._segments:
+            return self._segments[key]
         try:
-            blocks = tuple(obs.chain.path_blocks(obs.tip, prior + 1, range_b))
+            blocks = tuple(chain.path_blocks(tip, prior + 1, range_b))
         except RangeUnavailable:
             return None
         if commitment_root(blocks) != commitment:
             return None
-        self._segments[commitment] = blocks
+        self._segments[key] = blocks
         return blocks
 
     def matched_segment(self, obs: Observation, i: int) -> Optional[Tuple[Block, ...]]:

@@ -290,6 +290,58 @@ class TestOrphanAttacker:
         assert policy.step(observation(contract, view, "m"), priv)[0] == []
 
 
+def reorg(view, fork_at, to):
+    """Make a heavier branch, forked off the best chain at ordinal fork_at, the best chain up to `to`."""
+    tip = view.ancestor_at(view.best_tip(), fork_at)
+    for i in range(fork_at + 1, to + 1):
+        b = view.mine_block(tip, [], time=62 * i, seed=9000 + i)
+        view.add_block(b, 62 * i + 1)
+        tip = block_hash(b.header)
+    assert view.best_tip() == tip
+
+
+class TestSegmentMemo:
+    """A segment matched once is judged again like one never seen before."""
+
+    def test_replayed_commitment_over_another_range_is_challenged(self):
+        from pegsim.bridge import Submission
+
+        contract, view = fresh_world(n_blocks=75)
+        accept_extension(contract, view, 0, 30)
+        contract.become_relayer("alice", contract.required_relayer_deposit())
+        policy = make_policy("honest_relayer", "alice", {}, agent_seed=1)
+        actions, priv = policy.step(observation(contract, view, "alice"), {})
+        assert [a.kind for a in actions] == ["submit_extension"]  # entry 0 matched
+        contract.become_relayer("m", contract.required_relayer_deposit())
+        replay = Submission(60, contract.history[0].commitment, b"\x37" * 32, view.genesis.header, "m")
+        contract.submit_extension("m", replay, at_eth=10)
+        actions, _ = policy.step(observation(contract, view, "alice"), priv)
+        assert [a.kind for a in actions] == ["challenge_commitment"]
+
+    def test_entry_orphaned_after_a_match_is_backtracked(self):
+        contract, view = fresh_world()
+        accept_extension(contract, view, 0, 30)
+        contract.become_relayer("alice", contract.required_relayer_deposit())
+        policy = make_policy("honest_relayer", "alice", {}, agent_seed=1)
+        actions, priv = policy.step(observation(contract, view, "alice"), {})
+        assert [a.kind for a in actions] == ["submit_extension"]
+        reorg(view, 20, 80)
+        actions, _ = policy.step(observation(contract, view, "alice"), priv)
+        assert [(a.kind, a.params.get("from_index")) for a in actions] == [("backtrack", 0)]
+
+    def test_active_submission_orphaned_after_a_match_is_challenged(self):
+        contract, view = fresh_world()
+        contract.become_relayer("alice", contract.required_relayer_deposit())
+        contract.become_relayer("r", contract.required_relayer_deposit())
+        contract.submit_extension("r", build_submission(view, view.best_tip(), 0, 35, "r", 10), at_eth=10)
+        policy = make_policy("honest_relayer", "alice", {}, agent_seed=1)
+        actions, priv = policy.step(observation(contract, view, "alice"), {})
+        assert actions == []  # matches my chain
+        reorg(view, 20, 80)
+        actions, _ = policy.step(observation(contract, view, "alice", t=200), priv)
+        assert [a.kind for a in actions] == ["challenge_commitment"]
+
+
 class TestPolicyPurity:
     def test_step_is_replayable(self):
         contract1, view1 = fresh_world()
