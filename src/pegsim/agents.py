@@ -5,12 +5,13 @@ list of protocol actions plus updated private state.  Every value a decision
 depends on lives in that private state, `priv`: step() hands decide() a
 shallow copy and decide() replaces, never mutates, the values it changes.
 The instance holds only its configuration and one memo, the segments its
-chain has matched, each keyed by commitment and range.  The memo is emptied
-whenever the observed tip stops extending the tip it was filled on, so a hit
-returns what recomputing from the observation would: decisions depend on
-(obs, priv) alone, and a fresh run with the same seed produces identical
-action streams.  Policies never mutate the world; the harness applies their
-actions in roster order each turn and records rejected ones as policy bugs.
+chain has matched (their blocks and transactions), each keyed by commitment
+and range.  The memo is emptied whenever the observed tip stops extending
+the tip it was filled on, so a hit returns what recomputing from the
+observation would: decisions depend on (obs, priv) alone, and a fresh run
+with the same seed produces identical action streams.  Policies never mutate
+the world; the harness applies their actions in roster order each turn and
+records rejected ones as policy bugs.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .bridge import (
     BridgeContract,
@@ -31,6 +32,7 @@ from .bridge import (
 )
 from .chainsim import (
     EMPTY_TX_ROOT,
+    MAX_U64,
     Block,
     BlockHeader,
     ChainView,
@@ -116,17 +118,24 @@ def confirmed_max(view: ChainView, tip: bytes, c: int) -> int:
 def find_bad_header(parent: bytes, ordinal: int, timestamp: int, target: int,
                     pow_fn: str = "sha256d", seed: int = 0) -> BlockHeader:
     """A header that fails its own PoW check, for modeling fabricated blocks."""
-    nonce = seed
+    nonce = seed % MAX_U64
     while True:
         header = BlockHeader(parent, EMPTY_TX_ROOT, ordinal, timestamp, nonce, target, pow_fn)
         if not pow_check(header):
             return header
-        nonce += 1
+        nonce = (nonce + 1) % MAX_U64
 
 
 # ---------------------------------------------------------------------------
 # policy base and shared machinery
 # ---------------------------------------------------------------------------
+
+
+class Segment(NamedTuple):
+    """Blocks of a matched commitment and their transactions, in block order."""
+
+    blocks: Tuple[Block, ...]
+    txs: Tuple[Transaction, ...]
 
 
 class Policy:
@@ -137,7 +146,7 @@ class Policy:
         self.params = dict(params)
         self.agent_seed = agent_seed
         self._memo_tip: Optional[bytes] = None  # every memoised segment is on this tip's path
-        self._segments: Dict[Tuple[bytes, int, int], Tuple[Block, ...]] = {}
+        self._segments: Dict[Tuple[bytes, int, int], Segment] = {}
 
     def step(self, obs: Observation, priv: dict) -> Tuple[List[Action], dict]:
         priv = dict(priv)
@@ -177,8 +186,8 @@ class Policy:
     # -- shared views over the contract history ----------------------------
 
     def matched(self, obs: Observation, commitment: bytes, prior: int,
-                range_b: int) -> Optional[Tuple[Block, ...]]:
-        """Blocks (prior, range_b] on my chain if they hash to commitment, else None.
+                range_b: int) -> Optional[Segment]:
+        """Segment (prior, range_b] of my chain if its blocks hash to commitment, else None.
 
         The memo holds the matches found on the path of _memo_tip and is
         emptied when my tip stops extending that tip, so a hit is what
@@ -203,11 +212,11 @@ class Policy:
             return None
         if commitment_root(blocks) != commitment:
             return None
-        self._segments[key] = blocks
-        return blocks
+        segment = self._segments[key] = Segment(blocks, tuple(tx for b in blocks for tx in b.txs))
+        return segment
 
-    def matched_segment(self, obs: Observation, i: int) -> Optional[Tuple[Block, ...]]:
-        """Blocks of history entry i if its commitment matches my chain, else None."""
+    def matched_segment(self, obs: Observation, i: int) -> Optional[Segment]:
+        """Segment of history entry i if its commitment matches my chain, else None."""
         prior, range_b = segment_bounds(obs.bridge.history, i)
         return self.matched(obs, obs.bridge.history[i].commitment, prior, range_b)
 
@@ -215,13 +224,12 @@ class Policy:
         """(index, blocks, tx) for each unused tx of the history entries my chain matches."""
         used = obs.bridge.used_txs
         for i in range(len(obs.bridge.history)):
-            blocks = self.matched_segment(obs, i)
-            if blocks is None:
+            segment = self.matched_segment(obs, i)
+            if segment is None:
                 continue
-            for block in blocks:
-                for tx in block.txs:
-                    if tx.tx_id not in used:
-                        yield i, blocks, tx
+            for tx in segment.txs:
+                if tx.tx_id not in used:
+                    yield i, segment.blocks, tx
 
     def first_bogus_index(self, obs: Observation, cm: int) -> Optional[int]:
         """First history entry provably wrong against my view.

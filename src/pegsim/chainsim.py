@@ -6,17 +6,19 @@ then lexicographically smallest hash.
 
 Canonical byte encodings (all integers big-endian, addresses length-prefixed)
 are the cross-language contract for every hash in the system; the exact
-layouts are documented in the README.
+layouts are documented in the README.  An integer outside its field's range
+is refused (EncodingError), never reduced.  A header's PoW digest and a
+transaction's id are computed once, when the value is built.
 """
 
 from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import UnknownParent, RangeUnavailable
+from .errors import EncodingError, UnknownParent, RangeUnavailable
 from .merkle import merkle_root, sha256
 
 ZERO_HASH = b"\x00" * 32
@@ -25,7 +27,9 @@ MAX_U64 = 2**64
 
 
 def _u64(n: int) -> bytes:
-    return (n % MAX_U64).to_bytes(8, "big")
+    if not 0 <= n < MAX_U64:
+        raise EncodingError(f"{n} is outside the u64 range [0, 2^64)")
+    return n.to_bytes(8, "big")
 
 
 def _u256(n: int) -> bytes:
@@ -35,7 +39,7 @@ def _u256(n: int) -> bytes:
 def _lp(data: bytes) -> bytes:
     """Length-prefixed bytes (1-byte length, max 255)."""
     if len(data) > 255:
-        raise ValueError("length-prefixed field too long")
+        raise EncodingError(f"length-prefixed field of {len(data)} bytes exceeds 255")
     return bytes([len(data)]) + data
 
 
@@ -58,13 +62,13 @@ class Transaction:
     amount: int
     nonce: int
     memo: bytes = b""
+    tx_id: bytes = field(init=False, repr=False, compare=False)  # sha256 of the encoding
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "tx_id", sha256(self.encode()))
 
     def encode(self) -> bytes:
         return _lp(self.sender) + _lp(self.receiver) + _u64(self.amount) + _u64(self.nonce) + _lp(self.memo)
-
-    @property
-    def tx_id(self) -> bytes:
-        return sha256(self.encode())
 
 
 def tx_list_root(txs: Sequence[Transaction]) -> bytes:
@@ -87,6 +91,10 @@ class BlockHeader:
     nonce: int
     difficulty_target: int
     pow_fn: str = "sha256d"
+    hash: bytes = field(init=False, repr=False, compare=False)  # PoW digest: the block's identity
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "hash", pow_digest(self))
 
     def encode(self) -> bytes:
         return (
@@ -121,19 +129,20 @@ POW_FNS = {
 
 
 def pow_digest(header: BlockHeader) -> bytes:
+    """The one PoW evaluation; BlockHeader stores its result as `hash` when built."""
     return POW_FNS[header.pow_fn](header.encode())
 
 
 def block_hash(header: BlockHeader) -> bytes:
     """A block's identity is its PoW digest."""
-    return pow_digest(header)
+    return header.hash
 
 
 def pow_check(header: BlockHeader) -> bool:
     """True iff the PoW digest, read as a 256-bit big-endian integer, beats the target."""
     if header.difficulty_target <= 0:
         return False
-    return int.from_bytes(pow_digest(header), "big") < header.difficulty_target
+    return int.from_bytes(header.hash, "big") < header.difficulty_target
 
 
 def work_for_target(target: int) -> int:
@@ -152,8 +161,12 @@ def search_pow(
     pow_fn: str = "sha256d",
     seed: int = 0,
 ) -> Tuple[BlockHeader, int]:
-    """Deterministic nonce search from a seeded start; returns (header, attempts)."""
-    start = int.from_bytes(sha256(b"nonce/" + _u64(seed) + parent + tx_root + _u64(ordinal))[:8], "big")
+    """Deterministic nonce search from a seeded start; returns (header, attempts).
+
+    Each attempt builds a header, which computes its PoW digest once.
+    """
+    # seed is not an encoded field: callers pass agent_seed + offset, which may reach 2^64
+    start = int.from_bytes(sha256(b"nonce/" + _u64(seed % MAX_U64) + parent + tx_root + _u64(ordinal))[:8], "big")
     nonce = start
     attempts = 0
     while True:

@@ -26,6 +26,10 @@ class IndexOutOfRange(SimError):
 
 # chainsim
 
+class EncodingError(SimError):
+    """A value lies outside the range of its canonical byte field."""
+
+
 class UnknownParent(SimError):
     pass
 

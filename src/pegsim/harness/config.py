@@ -84,6 +84,11 @@ def _check_exact_y(y: Fraction, path: str) -> Fraction:
     return y
 
 
+def _object(value, path: str) -> dict:
+    _expect(isinstance(value, dict), path, "expected an object")
+    return value
+
+
 def _agent_params(raw: dict, name: str, path: str) -> dict:
     """Normalize policy params: rationals parsed, addresses resolved."""
     params = dict(raw)
@@ -108,10 +113,13 @@ def parse_config(doc: dict) -> ScenarioConfig:
             f"expected {SCHEMA_VERSION}")
 
     name = doc.get("name", "unnamed")
-    tags = tuple(doc.get("tags", []))
+    tags = doc.get("tags", [])
+    _expect(isinstance(tags, list) and all(isinstance(t, str) for t in tags), "tags",
+            "expected a list of strings")
+    tags = tuple(tags)
     seed = _as_int(doc.get("seed", 0), "seed", 0)
 
-    clock_doc = doc.get("clock", {})
+    clock_doc = _object(doc.get("clock", {}), "clock")
     try:
         clock = ClockParams(
             eth_block_seconds=_as_int(clock_doc.get("eth_block_seconds", 14), "clock.eth_block_seconds", 1),
@@ -121,7 +129,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
     except ValueError as exc:
         raise ConfigError(f"clock: {exc}") from exc
 
-    params_doc = dict(doc.get("params", {}))
+    params_doc = _object(doc.get("params", {}), "params")
     overrides = {}
     for key, value in params_doc.items():
         _expect(hasattr(ProtocolParams, key) and key in ProtocolParams.__dataclass_fields__,
@@ -140,14 +148,14 @@ def parse_config(doc: dict) -> ScenarioConfig:
     except Exception as exc:
         raise ConfigError(f"params: {exc}") from exc
 
-    cm_doc = doc.get("cost_model", {})
+    cm_doc = _object(doc.get("cost_model", {}), "cost_model")
     cost_model = CostModel(
         base_cost=_as_int(cm_doc.get("base_cost", 100), "cost_model.base_cost", 0),
         per_block_cost=_as_int(cm_doc.get("per_block_cost", 1), "cost_model.per_block_cost", 0),
         latency_per_block_s=_as_int(cm_doc.get("latency_per_block_s", 2), "cost_model.latency_per_block_s", 0),
     )
 
-    pow_doc = doc.get("pow", {})
+    pow_doc = _object(doc.get("pow", {}), "pow")
     target_bits = _as_int(pow_doc.get("target_bits", 250), "pow.target_bits", 8)
     _expect(target_bits <= 255, "pow.target_bits", "must be <= 255 (the target is a 32-byte field)")
     pow_fn = pow_doc.get("fn", "sha256d")
@@ -186,7 +194,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
             eth=_as_int(a.get("eth", 0), f"{path}.eth", 0),
             doge=_as_int(a.get("doge", 0), f"{path}.doge", 0),
             visibility_delay_s=_as_int(a.get("visibility_delay_s", 0), f"{path}.visibility_delay_s", 0),
-            params=_agent_params(a.get("params", {}), aname, f"{path}.params"),
+            params=_agent_params(_object(a.get("params", {}), f"{path}.params"), aname, f"{path}.params"),
         )
         if spec.policy == "rational_operator" and "head" not in spec.params:
             spec.params["head"] = doge_address(f"{aname}/head")

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 from ..agents import Observation, make_policy
 from ..bridge import BridgeContract, EthAccounts
 from ..chainsim import ChainView, Transaction, block_hash
-from ..errors import AlreadySettled, NotElapsed, SimError
+from ..errors import AlreadySettled, NotElapsed, ParseError, SimError
 from ..merkle import sha256
 from ..proofsys import oracle_verify
 from ..scheduler import EventQueue, ethereum_time, next_doge_block_time
@@ -41,12 +41,16 @@ class Trace:
 
     @classmethod
     def read(cls, path: str) -> "Trace":
+        """Parse an NDJSON trace; raises ParseError on a line that is not a JSON object."""
         events = []
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for n, line in enumerate(fh, 1):
                 line = line.strip()
                 if line:
-                    events.append(json.loads(line))
+                    event = json.loads(line)
+                    if not isinstance(event, dict):
+                        raise ParseError(f"{path}:{n}: not an event object: {event!r}")
+                    events.append(event)
         return cls(events)
 
     @property
@@ -151,8 +155,8 @@ class SimulationRunner:
         if amount <= 0 or balance < amount:
             raise SimError(f"overdraft: {sender.hex()[:8]} holds {balance}, sends {amount}")
         nonce = self._nonces.get(sender, 0)
-        self._nonces[sender] = nonce + 1
         tx = Transaction(sender, params["receiver"], amount, nonce, params.get("memo", b""))
+        self._nonces[sender] = nonce + 1
         self.doge_balances[sender] = balance - amount
         self.doge_balances[params["receiver"]] = self.doge_balances.get(params["receiver"], 0) + amount
         self.mempool.append(tx)
@@ -375,8 +379,8 @@ def replay_check(config: ScenarioConfig, trace: Trace) -> ReplayResult:
     old, new = trace.events, fresh.events
     for i, (a, b) in enumerate(zip(old, new)):
         if a.get("digest") != b.get("digest") or a.get("kind") != b.get("kind"):
-            return ReplayResult(False, i, f"event {i}: {a.get('kind')}/{a.get('digest', '')[:12]} "
-                                          f"vs {b.get('kind')}/{b.get('digest', '')[:12]}")
+            return ReplayResult(False, i, f"event {i}: {a.get('kind')}/{str(a.get('digest', ''))[:12]} "
+                                          f"vs {b.get('kind')}/{b['digest'][:12]}")
     if len(old) != len(new):
         return ReplayResult(False, min(len(old), len(new)),
                             f"length mismatch: {len(old)} vs {len(new)}")

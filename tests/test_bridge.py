@@ -5,6 +5,7 @@ unit, rate "100 DOGE per ETH" = Fraction(1, 1000) DOGE units per ETH unit.
 All expected values below are hand-computed at that scale.
 """
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,7 @@ from pegsim.errors import (
     BadCollateral,
     BadIndex,
     BadParams,
+    EncodingError,
     HeadInUse,
     InsufficientBalance,
     InsufficientDeposit,
@@ -544,6 +546,27 @@ class TestMinting:
         contract.open_bridge(OP, 10 * ETH, Y100, contract.bridges[bid].head)
         assert contract.report_lock(BOB, report) == "ignored"
         assert reasons == ["no such commitment", "bad proof", "transaction used"]
+
+    def test_amount_forged_past_u64_refused(self):
+        # a 10-DOGE lock into a 10,000-capacity bridge; reduced mod 2^64, amount +- 2^64
+        # would share the lock's encoding, tx id and Merkle leaf and mint the forged amount
+        contract = fresh()
+        head = doge_address(f"{OP}/head")
+        contract.open_bridge(OP, 100 * ETH, Y100, head)
+        view, tip, lock_tx = chain_with_lock(45, lock_at=3, head=head, amount=10, memo=ALICE.encode())
+        accept_first_extension(contract, view, tip)
+        report = build_tx_report(view, tip, contract.history, 0, lock_tx)
+        for forged in (lock_tx.amount + 2**64, lock_tx.amount - 2**64):
+            with pytest.raises(EncodingError):
+                Transaction(lock_tx.sender, lock_tx.receiver, forged, lock_tx.nonce, lock_tx.memo)
+            # altered after it was built, it still cannot be encoded, so its proof never checks
+            altered = copy.copy(lock_tx)
+            object.__setattr__(altered, "amount", forged)
+            with pytest.raises(EncodingError):
+                contract.report_lock(BOB, TxReport(0, altered, report.leaf_proof))
+        assert contract.wow_supply.get(Y100, 0) == 0
+        assert contract.report_lock(BOB, report) == "minted"
+        assert contract.wow_supply[Y100] == 10
 
     def test_supply_equals_balance_sum(self):
         contract = fresh(ProtocolParams(relay_tax=2, registration_window_doge_blocks=60))

@@ -1,13 +1,19 @@
 """Chain simulation tests: PoW predicate, mining, fork choice, header ranges."""
 
+import dataclasses
+import hashlib
 import statistics
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pegsim import chainsim
 from pegsim.chainsim import (
     EMPTY_TX_ROOT,
+    MAX_U64,
+    POW_FNS,
     BlockHeader,
     ChainView,
     Transaction,
@@ -18,7 +24,11 @@ from pegsim.chainsim import (
     tx_list_root,
     work_for_target,
 )
-from pegsim.errors import RangeUnavailable, UnknownParent
+from pegsim.errors import EncodingError, RangeUnavailable, UnknownParent
+from pegsim.harness import load_config
+from pegsim.harness.runner import SimulationRunner
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 TARGET = 1 << 250  # ~64 expected attempts per block
 
@@ -68,6 +78,85 @@ class TestTransactions:
 
     def test_empty_tx_root_constant(self):
         assert tx_list_root([]) == EMPTY_TX_ROOT
+
+    @pytest.mark.parametrize("value", [-1, MAX_U64, MAX_U64 + 41, -MAX_U64 + 41])
+    def test_u64_fields_outside_range_refused(self, value):
+        # reducing mod 2^64 would give these the encoding, id and Merkle leaf of a real value
+        a, b = doge_address("a"), doge_address("b")
+        with pytest.raises(EncodingError):
+            Transaction(a, b, value, 0)
+        with pytest.raises(EncodingError):
+            Transaction(a, b, 41, value)
+        with pytest.raises(EncodingError):
+            BlockHeader(b"\x00" * 32, EMPTY_TX_ROOT, 0, 0, value, TARGET)
+
+    def test_length_prefixed_field_past_255_bytes_refused(self):
+        a, b = doge_address("a"), doge_address("b")
+        assert Transaction(a, b, 1, 0, b"m" * 255).encode()[-256] == 255
+        with pytest.raises(EncodingError):
+            Transaction(a, b, 1, 0, b"m" * 256)
+
+    def test_u64_bounds_accepted(self):
+        a, b = doge_address("a"), doge_address("b")
+        assert Transaction(a, b, MAX_U64 - 1, 0).encode()[-17:-9] == b"\xff" * 8
+        assert Transaction(a, b, 0, 0).encode()[-17:-9] == b"\x00" * 8
+
+
+class TestIdentity:
+    """Each header's PoW digest and each transaction's id are computed once, when built."""
+
+    def test_stored_ids_match_recomputation_over_a_run(self):
+        runner = SimulationRunner(load_config(str(SCENARIO_DIR / "fuzz_random.json")))
+        runner.run()
+        txs = 0
+        for h, block in runner.view.blocks.items():
+            header = block.header
+            assert h == header.hash == POW_FNS[header.pow_fn](header.encode())
+            for tx in block.txs:
+                assert tx.tx_id == hashlib.sha256(tx.encode()).digest()
+                txs += 1
+        assert txs > 0
+
+    def test_replace_recomputes(self):
+        header, _ = search_pow(b"\x11" * 32, EMPTY_TX_ROOT, 1, 0, TARGET, seed=1)
+        other = dataclasses.replace(header, nonce=header.nonce + 1)
+        assert other.hash == POW_FNS["sha256d"](other.encode()) != header.hash
+        tx = Transaction(doge_address("a"), doge_address("b"), 5, 0)
+        assert dataclasses.replace(tx, amount=6).tx_id == Transaction(tx.sender, tx.receiver, 6, 0).tx_id
+
+    def test_equal_values_compare_and_hash_equal(self):
+        fields = (b"\x11" * 32, EMPTY_TX_ROOT, 1, 0, 77, TARGET)
+        a, b = BlockHeader(*fields), BlockHeader(*fields)
+        assert a is not b and a == b and hash(a) == hash(b) and a.hash == b.hash
+        assert "hash=" not in repr(a)
+        t1, t2 = (Transaction(doge_address("a"), doge_address("b"), 5, 0) for _ in range(2))
+        assert t1 == t2 and hash(t1) == hash(t2) and "tx_id" not in repr(t1)
+
+    def test_digest_cannot_be_supplied(self):
+        with pytest.raises(TypeError):
+            BlockHeader(b"\x11" * 32, EMPTY_TX_ROOT, 1, 0, 77, TARGET, hash=b"\x00" * 32)
+        with pytest.raises(TypeError):
+            Transaction(doge_address("a"), doge_address("b"), 5, 0, tx_id=b"\x00" * 32)
+
+    def test_every_digest_of_a_run_is_a_search_attempt(self, monkeypatch):
+        # two_rates: sha256d and no attacker, so nothing builds a header outside a search
+        counts = {"digests": 0, "attempts": 0}
+        digest, search = chainsim.pow_digest, chainsim.search_pow
+
+        def counting_digest(header):
+            counts["digests"] += 1
+            return digest(header)
+
+        def counting_search(*args, **kwargs):
+            header, attempts = search(*args, **kwargs)
+            counts["attempts"] += attempts
+            return header, attempts
+
+        monkeypatch.setattr(chainsim, "pow_digest", counting_digest)
+        monkeypatch.setattr(chainsim, "search_pow", counting_search)
+        SimulationRunner(load_config(str(SCENARIO_DIR / "two_rates.json"))).run()
+        assert counts["attempts"] > 0
+        assert counts["digests"] == counts["attempts"]
 
 
 class TestMining:

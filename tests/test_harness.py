@@ -51,6 +51,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=r"agents\[0\]\.policy"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("section", ["clock", "params", "cost_model", "pow"])
+    def test_sections_must_be_objects(self, section):
+        with pytest.raises(ConfigError, match=f"^{section}: expected an object"):
+            parse_config(mini_config(**{section: [1]}))
+
     def test_duplicate_agent_names(self):
         doc = mini_config()
         doc["agents"].append(dict(doc["agents"][0]))
@@ -349,6 +354,27 @@ class TestDeepBacktrackDispatch:
         assert runner.contract.deep_proposal is None
 
 
+class TestSendDoge:
+    def test_unencodable_transfer_is_refused_and_changes_nothing(self):
+        from pegsim.agents import Action
+        from pegsim.chainsim import doge_address
+        from pegsim.errors import EncodingError, SimError
+        from pegsim.harness.runner import SimulationRunner
+
+        doc = mini_config()
+        doc["agents"][0]["doge"] = 2**64  # enough to pass the overdraft check
+        runner = SimulationRunner(parse_config(doc))
+        agent = runner.agents[0]
+        before = (dict(runner.doge_balances), dict(runner._nonces), list(runner.mempool))
+        for amount, memo in ((2**64, b""), (1, b"m" * 256)):
+            send = Action("send_doge", {"sender": agent.doge_addr, "receiver": doge_address("x"),
+                                        "amount": amount, "memo": memo})
+            with pytest.raises(EncodingError):  # a SimError: the turn records action_rejected
+                runner._apply_action(agent, send)
+        assert issubclass(EncodingError, SimError)
+        assert (runner.doge_balances, runner._nonces, runner.mempool) == before
+
+
 class TestCli:
     def test_run_and_audit_and_replay(self, tmp_path):
         config_path = tmp_path / "mini.json"
@@ -372,6 +398,43 @@ class TestCli:
         assert "pow.target_bits" in capsys.readouterr().err
         config_path.write_text(json.dumps(mini_config(pow={"target_bits": 255}, end={"sim_time": 200})))
         assert cli_main(["run", str(config_path)]) == 0
+
+    def test_non_object_trace_line_exits_2(self, tmp_path, capsys):
+        config_path = tmp_path / "mini.json"
+        config_path.write_text(json.dumps(mini_config()))
+        trace_path = tmp_path / "trace.ndjson"
+        assert cli_main(["run", str(config_path), "--out", str(trace_path)]) == 0
+        with trace_path.open("a") as fh:
+            fh.write("[1,2]\n")
+        capsys.readouterr()
+        assert cli_main(["replay", str(config_path), str(trace_path)]) == 2
+        assert "not an event object" in capsys.readouterr().err
+
+    def test_non_string_digest_is_a_divergence(self, tmp_path, capsys):
+        config_path = tmp_path / "mini.json"
+        config_path.write_text(json.dumps(mini_config()))
+        trace_path = tmp_path / "trace.ndjson"
+        assert cli_main(["run", str(config_path), "--out", str(trace_path)]) == 0
+        events = Trace.read(str(trace_path)).events
+        events[0]["digest"] = 5
+        Trace(events).write(str(trace_path))
+        capsys.readouterr()
+        assert cli_main(["replay", str(config_path), str(trace_path)]) == 1
+        assert "DIVERGED at event 0" in capsys.readouterr().out
+
+    def test_non_object_agent_params_exits_2(self, tmp_path, capsys):
+        agents = [{"name": "relay1", "policy": "honest_relayer", "eth": 20000, "params": "x"}]
+        config_path = tmp_path / "params.json"
+        config_path.write_text(json.dumps(mini_config(agents=agents)))
+        assert cli_main(["run", str(config_path)]) == 2
+        assert "agents[0].params: expected an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tags", [5, "ab", [5]])
+    def test_tags_not_a_list_of_strings_exits_2(self, tmp_path, capsys, tags):
+        config_path = tmp_path / "tags.json"
+        config_path.write_text(json.dumps(mini_config(tags=tags)))
+        assert cli_main(["run", str(config_path)]) == 2
+        assert "tags: expected a list of strings" in capsys.readouterr().err
 
     def test_scenarios_list_and_run_all(self):
         assert cli_main(["scenarios", "list", "--dir", str(SCENARIO_DIR)]) == 0
