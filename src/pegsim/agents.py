@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import UnionType
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .bridge import (
@@ -38,6 +39,7 @@ from .chainsim import (
     ChainView,
     Transaction,
     block_hash,
+    doge_address,
     mine_header,
     pow_check,
 )
@@ -131,6 +133,17 @@ def find_bad_header(parent: bytes, ordinal: int, timestamp: int, target: int,
 # ---------------------------------------------------------------------------
 
 
+class Rate(Fraction):
+    """Declared type of an exact-unit rate y: positive, with 1/y an integer."""
+
+
+def declared_defaults(declared: dict) -> dict:
+    """A declaration maps each key to its default, whose type is the key's type; a bare type
+    declares a required key (no default), `T | None` an optional one that reads None."""
+    return {key: None if isinstance(decl, UnionType) else decl
+            for key, decl in declared.items() if not isinstance(decl, type)}
+
+
 class Segment(NamedTuple):
     """Blocks of a matched commitment and their transactions, in block order."""
 
@@ -141,9 +154,12 @@ class Segment(NamedTuple):
 class Policy:
     """Base: subclasses implement decide(); step() wraps it with purity plumbing."""
 
+    # the scenario config validates params against PARAMS; __init__ only fills in defaults
+    PARAMS: Dict[str, object] = {}
+
     def __init__(self, name: str, params: dict, agent_seed: int):
         self.name = name
-        self.params = dict(params)
+        self.params = {**declared_defaults(self.PARAMS), **params}
         self.agent_seed = agent_seed
         self._memo_tip: Optional[bytes] = None  # every memoised segment is on this tip's path
         self._segments: Dict[Tuple[bytes, int, int], Segment] = {}
@@ -158,7 +174,7 @@ class Policy:
 
     def onboard(self, obs: Observation, start: str = "activate_at") -> Optional[List[Action]]:
         """[] before params[start]; then the deposit when affordable; None once a relayer."""
-        if obs.sim_time < self.params.get(start, 0):
+        if obs.sim_time < self.params[start]:
             return []
         st = obs.bridge
         if st.is_relayer(self.name):
@@ -262,6 +278,7 @@ class HonestRelayer(Policy):
     # draws a commitment challenge
     RANGE_SLACK = 2
     RANGE_PATIENCE_ETH = 30
+    PARAMS = {"online_at": 0}
 
     def decide(self, obs: Observation, priv: dict) -> List[Action]:
         joining = self.onboard(obs, "online_at")
@@ -355,6 +372,8 @@ class HonestRelayer(Policy):
 class LazyRelayer(Policy):
     """Posts a deposit and then never acts; deposits alone do not relay."""
 
+    PARAMS = {"activate_at": 0}
+
     def decide(self, obs: Observation, priv: dict) -> List[Action]:
         return self.onboard(obs) or []
 
@@ -367,6 +386,8 @@ class OrphanAttacker(Policy):
     confirm a branch the network has orphaned.  Supplies its (failing) proof
     when challenged.
     """
+
+    PARAMS = {"activate_at": 0}
 
     def decide(self, obs: Observation, priv: dict) -> List[Action]:
         joining = self.onboard(obs)
@@ -410,6 +431,8 @@ class OrphanAttacker(Policy):
 class HighRangeAttacker(Policy):
     """Claims a range beyond anything mined, then never backs it up."""
 
+    PARAMS = {"activate_at": 0, "overshoot": 60}
+
     def decide(self, obs: Observation, priv: dict) -> List[Action]:
         joining = self.onboard(obs)
         if joining is not None:
@@ -418,7 +441,7 @@ class HighRangeAttacker(Policy):
         if priv.get("attacked") or st.relay_mode != "listening":
             return []
         cm = confirmed_max(obs.chain, obs.tip, st.params.c)
-        overshoot = self.params.get("overshoot", 60)
+        overshoot = self.params["overshoot"]
         range_b = min(max(cm + st.params.d + overshoot, st.current_date + st.params.d + overshoot),
                       st.current_date + st.params.max_extension_len)
         if range_b <= st.current_date:
@@ -431,12 +454,14 @@ class HighRangeAttacker(Policy):
 class FalseChallenger(Policy):
     """Griefer that disputes honest commitments it has no evidence against."""
 
+    PARAMS = {"activate_at": 0, "rounds": 1}
+
     def decide(self, obs: Observation, priv: dict) -> List[Action]:
         joining = self.onboard(obs)
         if joining is not None:
             return joining
         st = obs.bridge
-        rounds = priv.get("rounds", self.params.get("rounds", 1))
+        rounds = priv.get("rounds", self.params["rounds"])
         if rounds <= 0 or st.relay_mode != "verification" or st.active is None:
             return []
         if st.active.sub.relayer == self.name:
@@ -448,12 +473,14 @@ class FalseChallenger(Policy):
 class DosChallenger(Policy):
     """Spams range challenges with inflated garbage alternatives."""
 
+    PARAMS = {"activate_at": 0, "rounds": 3}
+
     def decide(self, obs: Observation, priv: dict) -> List[Action]:
         joining = self.onboard(obs)
         if joining is not None:
             return joining
         st = obs.bridge
-        rounds = priv.get("rounds", self.params.get("rounds", 3))
+        rounds = priv.get("rounds", self.params["rounds"])
         if rounds <= 0 or st.relay_mode != "verification" or st.active is None:
             return []
         alt_range = st.active.sub.range + st.params.d
@@ -477,20 +504,19 @@ class RationalOperator(Policy):
     collateral, evaluated per bridge.
     """
 
+    PARAMS = {"y": Rate, "collateral": int, "open_at": 0, "burn_bounty": 0, "crossing_fee": 0}
+
     def decide(self, obs: Observation, priv: dict) -> List[Action]:
         st = obs.bridge
         actions: List[Action] = []
-        y = Fraction(self.params["y"]) if not isinstance(self.params["y"], Fraction) else self.params["y"]
 
-        if not priv.get("opened") and obs.sim_time >= self.params.get("open_at", 0):
+        if not priv.get("opened") and obs.sim_time >= self.params["open_at"]:
             x = self.params["collateral"]
-            bounty = self.params.get("burn_bounty", 0)
+            bounty = self.params["burn_bounty"]
             if obs.my_eth >= x + bounty:
-                head = self.params["head"]
                 actions.append(Action("open_bridge", {
-                    "x": x, "y": y, "head": head,
-                    "crossing_fee": self.params.get("crossing_fee", 0),
-                    "burn_bounty": bounty,
+                    "x": x, "y": self.params["y"], "head": doge_address(f"{self.name}/head"),
+                    "crossing_fee": self.params["crossing_fee"], "burn_bounty": bounty,
                 }))
                 priv["opened"] = True
 
@@ -537,22 +563,24 @@ class RationalOperator(Policy):
 class HonestCrosser(Policy):
     """Registers and locks DOGE when the rate clears a comfort margin over y.
 
-    Crosses up to `crossings` bridges (default 1), one registration and one
-    lock at a time, always tagging the lock with its own ETH identity.
+    Crosses up to `crossings` bridges, one registration and one lock of
+    `amount` (default: the capacity) at a time, tagged with its ETH identity.
     """
+
+    PARAMS = {"y": Rate, "crossings": 1, "register": True, "amount": int | None, "lock_bounty": 0}
 
     RATE_MARGIN = Fraction(1, 4)  # crosses only while the rate is >= (1 + margin) * y
     DEPOSIT_MARGIN = 100  # registration deposit above the void fee, ETH units
 
     def decide(self, obs: Observation, priv: dict) -> List[Action]:
         st = obs.bridge
-        y = Fraction(self.params["y"])
+        y = self.params["y"]
         if obs.true_rate < (1 + self.RATE_MARGIN) * y:
             return []
         sent_heads = priv.get("sent_heads", set())
-        if len(sent_heads) >= self.params.get("crossings", 1):
+        if len(sent_heads) >= self.params["crossings"]:
             return []
-        register = self.params.get("register", True)
+        register = self.params["register"]
 
         my_reg = None
         for r in st.registrations.values():
@@ -564,16 +592,13 @@ class HonestCrosser(Policy):
             for bridge in st.bridges.values():
                 if bridge.state == "open" and bridge.y == y and \
                         bridge.head not in st.registrations and bridge.head not in sent_heads:
-                    planned = self.params.get("amount", bridge.capacity)
-                    if obs.my_doge < planned:
+                    if obs.my_doge < self._amount(bridge):
                         return []  # cannot fund the lock; don't waste a registration
                     void_fee = rate_mul(st.params.registration_void_fee_rate, bridge.collateral)
                     deposit = void_fee + self.DEPOSIT_MARGIN
                     if obs.my_eth >= deposit:
-                        return [Action("register", {
-                            "head": bridge.head, "deposit": deposit,
-                            "lock_bounty": self.params.get("lock_bounty", 0),
-                        })]
+                        return [Action("register", {"head": bridge.head, "deposit": deposit,
+                                                    "lock_bounty": self.params["lock_bounty"]})]
                     return []
             return []
 
@@ -586,7 +611,7 @@ class HonestCrosser(Policy):
         if bridge is None:
             return []
 
-        amount = self.params.get("amount", bridge.capacity)
+        amount = self._amount(bridge)
         if obs.my_doge >= amount:
             priv["sent_heads"] = sent_heads | {bridge.head}
             return [Action("send_doge", {
@@ -595,17 +620,23 @@ class HonestCrosser(Policy):
             })]
         return []
 
+    def _amount(self, bridge) -> int:  # per lock
+        return bridge.capacity if self.params["amount"] is None else self.params["amount"]
+
 
 class VigilantHodler(Policy):
     """Burns out when the collateral margin thins; reports missing DOGE.
 
-    With params["cross"] set, first behaves as an honest crosser and then
-    holds what gets minted (a crosser transmogrified into a hodler).
+    With params["cross"] set, first behaves as an honest crosser (its params
+    too) and then holds what gets minted (a crosser transmogrified into a hodler).
     """
+
+    PARAMS = {**HonestCrosser.PARAMS, "cross": False, "report_missing": True, "headroom": Fraction(1, 10),
+              "burn_at": int | None, "burn_on_rate": True, "burn_amount": int | None}
 
     def __init__(self, name: str, params: dict, agent_seed: int):
         super().__init__(name, params, agent_seed)
-        self._crosser = HonestCrosser(name, params, agent_seed) if params.get("cross") else None
+        self._crosser = HonestCrosser(name, params, agent_seed) if self.params["cross"] else None
 
     def decide(self, obs: Observation, priv: dict) -> List[Action]:
         st = obs.bridge
@@ -615,22 +646,21 @@ class VigilantHodler(Policy):
             actions.extend(self._crosser.decide(obs, crosser_priv))
             priv["crosser"] = crosser_priv
 
-        y = Fraction(self.params["y"])
+        y = self.params["y"]
         balance = st.wow_balance(self.name, y)
 
-        if self.params.get("report_missing", True) and balance > 0:
+        if self.params["report_missing"] and balance > 0:
             theft = self._find_theft(obs, y, balance)
             if theft is not None:
                 return actions + [theft]
 
-        headroom = Fraction(self.params.get("headroom", Fraction(1, 10)))
-        burn_at = self.params.get("burn_at")
+        burn_at = self.params["burn_at"]
         triggered = (burn_at is not None and obs.sim_time >= burn_at) or \
-            (self.params.get("burn_on_rate", True) and obs.true_rate < (1 + headroom) * y)
+            (self.params["burn_on_rate"] and obs.true_rate < (1 + self.params["headroom"]) * y)
         if balance > 0 and triggered:
             queue = st.y_queues.get(y, [])
             coverage = sum(st.bridges[b].capacity for b in queue)
-            cap = self.params.get("burn_amount")
+            cap = self.params["burn_amount"]
             budget = balance if cap is None else cap - priv.get("burned_total", 0)
             w = min(balance, coverage, budget)
             if w > 0:

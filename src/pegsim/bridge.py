@@ -490,7 +490,7 @@ class BridgeContract:
         y: Fraction,
         head: bytes,
         crossing_fee: int = 0,
-        burn_bounty: Optional[int] = None,
+        burn_bounty: int = 0,
     ) -> int:
         if x <= 0:
             raise BadCollateral(f"collateral must be positive, got {x}")
@@ -500,8 +500,7 @@ class BridgeContract:
         for b in self.bridges.values():
             if b.head == head and b.state != "closed":
                 raise HeadInUse(head.hex())
-        bounty = burn_bounty or 0
-        self._inflow(operator, x + bounty)
+        self._inflow(operator, x + burn_bounty)
         bid = self._next_bridge_id
         self._next_bridge_id += 1
         bridge = Bridge(
@@ -511,13 +510,13 @@ class BridgeContract:
             head=head,
             collateral=x,
             crossing_fee=crossing_fee,
-            bounty_pot=bounty,
+            bounty_pot=burn_bounty,
         )
         self.bridges[bid] = bridge
         self._emit(
             "open_bridge", operator,
             bridge_id=bid, y=str(y), collateral=x, capacity=bridge.capacity,
-            head=head.hex(), crossing_fee=crossing_fee, burn_bounty=bounty,
+            head=head.hex(), crossing_fee=crossing_fee, burn_bounty=burn_bounty,
         )
         return bid
 

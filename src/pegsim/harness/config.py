@@ -1,4 +1,8 @@
-"""Scenario configuration: versioned JSON schema, validation with field paths."""
+"""Scenario configuration: versioned JSON schema, validation with field paths.
+
+Each object is parsed against its declaration (see agents.declared_defaults):
+an undeclared key, a wrong type or a missing required key is a ConfigError.
+"""
 
 from __future__ import annotations
 
@@ -6,18 +10,17 @@ import dataclasses
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from types import UnionType
+from typing import Callable, Tuple
 
-from ..agents import POLICIES, RatePath
+from ..agents import POLICIES, Rate, RatePath, declared_defaults
 from ..bridge import ProtocolParams
 from ..chainsim import POW_FNS, doge_address
-from ..errors import ConfigError
+from ..errors import BadParams, ConfigError
 from ..proofsys import CostModel
 from ..scheduler import ClockParams, challenge_window_eth_blocks
 
 SCHEMA_VERSION = 1
-
-_RATE_FIELDS = {"registration_void_fee_rate", "nonmax_penalty_rate", "challenge_reward_rate"}
 
 
 @dataclass(frozen=True)
@@ -58,165 +61,133 @@ def _expect(cond: bool, path: str, message: str) -> None:
 
 
 def _as_fraction(value, path: str) -> Fraction:
+    pair = isinstance(value, list) and len(value) == 2 and all(type(v) is int for v in value)
+    _expect(pair or isinstance(value, str) or type(value) is int, path,
+            "expected a rational: 'n/d', an integer, or [n, d] of integers")
     try:
-        if isinstance(value, str):
-            return Fraction(value)
-        if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, (list, tuple)) and len(value) == 2:
-            return Fraction(int(value[0]), int(value[1]))
+        rate = Fraction(*value) if pair else Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"{path}: not a rational: {exc}") from exc
-    raise ConfigError(f"{path}: expected rational as 'n/d' string, int, or [n, d]")
+    _expect(rate >= 0, path, "must be >= 0")
+    return rate
 
 
-def _as_int(value, path: str, minimum: Optional[int] = None) -> int:
-    _expect(isinstance(value, int) and not isinstance(value, bool), path, "expected an integer")
-    if minimum is not None:
-        _expect(value >= minimum, path, f"must be >= {minimum}")
+def _as_int(value, path: str) -> int:
+    if type(value) is not int or value < 0:
+        raise ConfigError(f"{path}: {'must be >= 0' if type(value) is int else 'expected an integer'}")
     return value
 
 
-def _check_exact_y(y: Fraction, path: str) -> Fraction:
-    _expect(y > 0, path, "rate must be positive")
-    _expect(y.numerator == 1, path,
-            "rate must be exact-unit: 1/y must be an integer number of ETH units per DOGE unit")
+def _check_exact_y(value, path: str) -> Fraction:
+    y = _as_fraction(value, path)  # >= 0, and 0 has numerator 0
+    _expect(y.numerator == 1, path, "rate must be exact-unit: 1/y (ETH units per DOGE unit) an integer")
     return y
 
 
-def _object(value, path: str) -> dict:
-    _expect(isinstance(value, dict), path, "expected an object")
-    return value
+def _is(accepts: Callable[[object], bool], message: str):
+    def parse(value, path: str):
+        _expect(accepts(value), path, message)
+        return value
+    return parse
 
 
-def _agent_params(raw: dict, name: str, path: str) -> dict:
-    """Normalize policy params: rationals parsed, addresses resolved."""
-    params = dict(raw)
-    for key in ("y",):
-        if key in params:
-            params[key] = _check_exact_y(_as_fraction(params[key], f"{path}.{key}"), f"{path}.{key}")
-    if "headroom" in params:
-        rate = _as_fraction(params["headroom"], f"{path}.headroom")
-        _expect(rate >= 0, f"{path}.headroom", "must be non-negative")
-        params["headroom"] = rate
-    if "head" in params:
-        try:
-            params["head"] = bytes.fromhex(params["head"])
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"{path}.head: expected hex string: {exc}") from exc
-    return params
+# declared type -> parser; ints and rationals in a config are never negative
+_PARSERS = {
+    int: _as_int,
+    int | None: _as_int,
+    bool: _is(lambda v: isinstance(v, bool), "expected a boolean"),
+    str: _is(lambda v: isinstance(v, str), "expected a string"),
+    dict: _is(lambda v: isinstance(v, dict), "expected an object"),
+    list: _is(lambda v: isinstance(v, list) and v != [], "expected a non-empty list"),
+    tuple: _is(lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v), "expected a list of strings"),
+    Fraction: _as_fraction,
+    Rate: _check_exact_y,
+}
+
+
+def _table(declared) -> Tuple[dict, dict, Tuple[str, ...]]:
+    """(key -> parser, defaults, required keys) of a declaration or of a dataclass's fields."""
+    if dataclasses.is_dataclass(declared):
+        declared = {f.name: f.default for f in dataclasses.fields(declared)}
+    parsers = {key: _PARSERS[decl if isinstance(decl, (type, UnionType)) else type(decl)]
+               for key, decl in declared.items()}
+    required = tuple(key for key, decl in declared.items() if isinstance(decl, type))
+    return parsers, declared_defaults(declared), required
+
+
+def _declared(table: Tuple[dict, dict, Tuple[str, ...]], doc: dict, prefix: str) -> dict:
+    """Every declared key of doc, parsed, with the declared default where unset."""
+    parsers, defaults, required = table
+    out = dict(defaults)
+    for key, value in doc.items():
+        if key not in parsers:
+            raise ConfigError(f"{prefix}{key}: unknown key")
+        out[key] = parsers[key](value, prefix + key)
+    for key in required:
+        _expect(key in doc, prefix + key, "missing required key")
+    return out
+
+
+_TOP = _table({"schema_version": int, "name": "unnamed", "tags": (), "seed": 0, "clock": {}, "params": {},
+               "cost_model": {}, "pow": {}, "rate_path": [[0, "1/1000"]], "agents": list, "end": dict})
+_CLOCK = _table(ClockParams)
+_PROTOCOL = _table(ProtocolParams)
+_COST_MODEL = _table(CostModel)
+_POW = _table({"target_bits": 250, "fn": "sha256d"})
+_END = _table({"sim_time": int})
+_AGENT = _table({"name": str, "policy": str, "eth": 0, "doge": 0, "visibility_delay_s": 0, "params": {}})
+_POLICY_PARAMS = {policy: _table(cls.PARAMS) for policy, cls in POLICIES.items()}
 
 
 def parse_config(doc: dict) -> ScenarioConfig:
     _expect(isinstance(doc, dict), "$", "config must be a JSON object")
-    _expect(doc.get("schema_version") == SCHEMA_VERSION, "schema_version",
-            f"expected {SCHEMA_VERSION}")
+    _expect(doc.get("schema_version") == SCHEMA_VERSION, "schema_version", f"expected {SCHEMA_VERSION}")
+    top = _declared(_TOP, doc, "")
 
-    name = doc.get("name", "unnamed")
-    tags = doc.get("tags", [])
-    _expect(isinstance(tags, list) and all(isinstance(t, str) for t in tags), "tags",
-            "expected a list of strings")
-    tags = tuple(tags)
-    seed = _as_int(doc.get("seed", 0), "seed", 0)
-
-    clock_doc = _object(doc.get("clock", {}), "clock")
     try:
-        clock = ClockParams(
-            eth_block_seconds=_as_int(clock_doc.get("eth_block_seconds", 14), "clock.eth_block_seconds", 1),
-            doge_block_seconds=_as_int(clock_doc.get("doge_block_seconds", 62), "clock.doge_block_seconds", 1),
-            doge_interarrival=clock_doc.get("doge_interarrival", "deterministic"),
-        )
+        clock = ClockParams(**_declared(_CLOCK, top["clock"], "clock."))
     except ValueError as exc:
         raise ConfigError(f"clock: {exc}") from exc
 
-    params_doc = _object(doc.get("params", {}), "params")
-    overrides = {}
-    for key, value in params_doc.items():
-        _expect(hasattr(ProtocolParams, key) and key in ProtocolParams.__dataclass_fields__,
-                f"params.{key}", "unknown parameter")
-        if key in _RATE_FIELDS:
-            overrides[key] = _as_fraction(value, f"params.{key}")
-        else:
-            overrides[key] = _as_int(value, f"params.{key}", 0)
-    if "challenge_window_eth_blocks" not in overrides:
-        d = overrides.get("d", ProtocolParams.d)
-        k = overrides.get("k", ProtocolParams.k)
-        overrides["challenge_window_eth_blocks"] = challenge_window_eth_blocks(d, k, clock)
+    fields = _declared(_PROTOCOL, top["params"], "params.")
+    if "challenge_window_eth_blocks" not in top["params"]:
+        fields["challenge_window_eth_blocks"] = challenge_window_eth_blocks(fields["d"], fields["k"], clock)
     try:
-        params = ProtocolParams(**overrides)
+        params = ProtocolParams(**fields)
         params.validate()
-    except Exception as exc:
+    except BadParams as exc:
         raise ConfigError(f"params: {exc}") from exc
 
-    cm_doc = _object(doc.get("cost_model", {}), "cost_model")
-    cost_model = CostModel(
-        base_cost=_as_int(cm_doc.get("base_cost", 100), "cost_model.base_cost", 0),
-        per_block_cost=_as_int(cm_doc.get("per_block_cost", 1), "cost_model.per_block_cost", 0),
-        latency_per_block_s=_as_int(cm_doc.get("latency_per_block_s", 2), "cost_model.latency_per_block_s", 0),
-    )
+    cost_model = CostModel(**_declared(_COST_MODEL, top["cost_model"], "cost_model."))
 
-    pow_doc = _object(doc.get("pow", {}), "pow")
-    target_bits = _as_int(pow_doc.get("target_bits", 250), "pow.target_bits", 8)
-    _expect(target_bits <= 255, "pow.target_bits", "must be <= 255 (the target is a 32-byte field)")
-    pow_fn = pow_doc.get("fn", "sha256d")
-    _expect(pow_fn in POW_FNS, "pow.fn", f"one of {sorted(POW_FNS)}")
+    pow_ = _declared(_POW, top["pow"], "pow.")
+    _expect(8 <= pow_["target_bits"] <= 255, "pow.target_bits", "must be in 8..255 (a 32-byte target field)")
+    _expect(pow_["fn"] in POW_FNS, "pow.fn", f"one of {sorted(POW_FNS)}")
 
-    rp_doc = doc.get("rate_path", [[0, "1/1000"]])
-    _expect(isinstance(rp_doc, list) and rp_doc, "rate_path", "expected a non-empty list")
     points = []
-    for i, pair in enumerate(rp_doc):
-        _expect(isinstance(pair, (list, tuple)) and len(pair) == 2, f"rate_path[{i}]",
-                "expected [time, rate]")
-        t = _as_int(pair[0], f"rate_path[{i}][0]", 0)
-        points.append((t, _as_fraction(pair[1], f"rate_path[{i}][1]")))
+    for i, pair in enumerate(top["rate_path"]):
+        _expect(isinstance(pair, list) and len(pair) == 2, f"rate_path[{i}]", "expected [time, rate]")
+        points.append((_as_int(pair[0], f"rate_path[{i}][0]"), _as_fraction(pair[1], f"rate_path[{i}][1]")))
     _expect(points[0][0] == 0, "rate_path[0][0]", "schedule must start at time 0")
-    try:
-        rate_path = RatePath(tuple(points))
-    except ConfigError as exc:
-        raise ConfigError(f"rate_path: {exc}") from exc
+    rate_path = RatePath(tuple(points))  # its errors name rate_path
 
-    agents_doc = doc.get("agents", [])
-    _expect(isinstance(agents_doc, list) and agents_doc, "agents", "expected a non-empty list")
-    agents: List[AgentSpec] = []
-    seen = set()
-    for i, a in enumerate(agents_doc):
+    agents = []
+    for i, agent_doc in enumerate(top["agents"]):
         path = f"agents[{i}]"
-        _expect(isinstance(a, dict), path, "expected an object")
-        aname = a.get("name")
-        _expect(isinstance(aname, str) and aname, f"{path}.name", "expected a non-empty string")
-        _expect(aname not in seen, f"{path}.name", f"duplicate agent name {aname!r}")
-        seen.add(aname)
-        policy = a.get("policy")
-        _expect(policy in POLICIES, f"{path}.policy", f"one of {sorted(POLICIES)}")
-        spec = AgentSpec(
-            name=aname,
-            policy=policy,
-            eth=_as_int(a.get("eth", 0), f"{path}.eth", 0),
-            doge=_as_int(a.get("doge", 0), f"{path}.doge", 0),
-            visibility_delay_s=_as_int(a.get("visibility_delay_s", 0), f"{path}.visibility_delay_s", 0),
-            params=_agent_params(_object(a.get("params", {}), f"{path}.params"), aname, f"{path}.params"),
-        )
-        if spec.policy == "rational_operator" and "head" not in spec.params:
-            spec.params["head"] = doge_address(f"{aname}/head")
-        agents.append(spec)
+        _expect(isinstance(agent_doc, dict), path, "expected an object")
+        a = _declared(_AGENT, agent_doc, path + ".")
+        _expect(a["name"] and a["name"] not in {s.name for s in agents}, f"{path}.name",
+                f"expected a non-empty name no other agent has, got {a['name']!r}")
+        _expect(a["policy"] in POLICIES, f"{path}.policy", f"one of {sorted(POLICIES)}")
+        a["params"] = _declared(_POLICY_PARAMS[a["policy"]], a["params"], f"{path}.params.")
+        agents.append(AgentSpec(**a))
 
-    end_doc = doc.get("end", {})
-    _expect(isinstance(end_doc, dict) and "sim_time" in end_doc, "end", "expected {'sim_time': seconds}")
-    end_time = _as_int(end_doc["sim_time"], "end.sim_time", 1)
+    end_time = _declared(_END, top["end"], "end.")["sim_time"]
+    _expect(end_time >= 1, "end.sim_time", "must be >= 1")
 
-    return ScenarioConfig(
-        name=name,
-        tags=tags,
-        seed=seed,
-        clock=clock,
-        params=params,
-        cost_model=cost_model,
-        pow_target=1 << target_bits,
-        pow_fn=pow_fn,
-        rate_path=rate_path,
-        agents=tuple(agents),
-        end_time=end_time,
-    )
+    return ScenarioConfig(name=top["name"], tags=tuple(top["tags"]), seed=top["seed"], clock=clock,
+                          params=params, cost_model=cost_model, pow_target=1 << pow_["target_bits"],
+                          pow_fn=pow_["fn"], rate_path=rate_path, agents=tuple(agents), end_time=end_time)
 
 
 def load_config(path: str) -> ScenarioConfig:

@@ -155,7 +155,7 @@ class SimulationRunner:
         if amount <= 0 or balance < amount:
             raise SimError(f"overdraft: {sender.hex()[:8]} holds {balance}, sends {amount}")
         nonce = self._nonces.get(sender, 0)
-        tx = Transaction(sender, params["receiver"], amount, nonce, params.get("memo", b""))
+        tx = Transaction(sender, params["receiver"], amount, nonce, params["memo"])
         self._nonces[sender] = nonce + 1
         self.doge_balances[sender] = balance - amount
         self.doge_balances[params["receiver"]] = self.doge_balances.get(params["receiver"], 0) + amount
@@ -195,9 +195,8 @@ class SimulationRunner:
             c.open_bridge(agent.name, p["x"], p["y"], p["head"],
                           crossing_fee=p["crossing_fee"], burn_bounty=p["burn_bounty"])
         elif kind == "register":
-            c.register_crossing(agent.name, p["head"], p["deposit"],
-                                crosser_doge=agent.doge_addr,
-                                lock_bounty=p.get("lock_bounty", 0))
+            c.register_crossing(agent.name, p["head"], p["deposit"], crosser_doge=agent.doge_addr,
+                                lock_bounty=p["lock_bounty"])
         elif kind == "send_doge":
             self._send_doge(agent, p)
         elif kind == "submit_extension":

@@ -382,5 +382,5 @@ class TestMakePolicy:
         from pegsim.agents import POLICIES
 
         for policy_id in POLICIES:
-            params = {"y": Y100, "collateral": 1_000_000, "head": doge_address("x/head")}
+            params = {"y": Y100, "collateral": 1_000_000}
             assert make_policy(policy_id, "x", params, 0) is not None

@@ -1,5 +1,8 @@
 """Golden trace digests: every corpus scenario, at its committed seed, must
-reproduce the trace digest and event count recorded in pegbench/golden.json.
+reproduce the trace digest and event count recorded in pegbench/golden.json,
+also with every policy param it leaves unset written out at the value the
+policies fell back to before their params were declared; those values must
+also be the declared defaults.
 
 A change that alters behaviour on purpose re-records the goldens with
 `python3 pegbench/run.py --workload corpus --seed 0 --write-golden` and says
@@ -7,11 +10,12 @@ why in CHANGES.md.
 """
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from pegsim.harness import load_config, run
+from pegsim.harness import load_config, parse_config, run
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = sorted((ROOT / "scenarios").glob("*.json"))
@@ -28,3 +32,48 @@ def test_trace_matches_golden(path):
     trace = run(load_config(str(path)))
     want = GOLDEN[f"{path.stem}+0"]
     assert (trace.digest(), len(trace.events)) == (want["digest"], want["events"])
+
+
+# Every policy key a scenario may leave unset, at the value the policies fell
+# back to before each key was declared (their `params.get(key, default)` reads).
+# `cross` was read as `params.get("cross")`, for which false is the same.
+PARENT_DEFAULTS = {
+    "honest_relayer": {"online_at": 0},
+    "lazy_relayer": {"activate_at": 0},
+    "orphan_attacker": {"activate_at": 0},
+    "high_range_attacker": {"activate_at": 0, "overshoot": 60},
+    "false_challenger": {"activate_at": 0, "rounds": 1},
+    "dos_challenger": {"activate_at": 0, "rounds": 3},
+    "rational_operator": {"open_at": 0, "burn_bounty": 0, "crossing_fee": 0},
+    "honest_crosser": {"crossings": 1, "register": True, "lock_bounty": 0},
+    "vigilant_hodler": {"crossings": 1, "register": True, "lock_bounty": 0, "cross": False,
+                        "report_missing": True, "burn_on_rate": True, "headroom": "1/10"},
+    "greedy_reporter": {},
+}
+REQUIRED = {"rational_operator": {"y", "collateral"}, "honest_crosser": {"y"}, "vigilant_hodler": {"y"}}
+# keys whose unset meaning has no value to write out: the bridge's capacity, never, no cap
+NO_DEFAULT = {"honest_crosser": {"amount"}, "vigilant_hodler": {"amount", "burn_at", "burn_amount"}}
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=[p.stem for p in SCENARIOS])
+def test_defaults_written_out_match_golden(path):
+    doc = json.loads(path.read_text())
+    for agent in doc["agents"]:
+        agent["params"] = {**PARENT_DEFAULTS[agent["policy"]], **agent.get("params", {})}
+    trace = run(parse_config(doc))
+    want = GOLDEN[f"{path.stem}+0"]
+    assert (trace.digest(), len(trace.events)) == (want["digest"], want["events"])
+
+
+def test_declared_params_are_the_parent_defaults():
+    from pegsim.agents import POLICIES, declared_defaults
+
+    assert set(POLICIES) == set(PARENT_DEFAULTS)
+    for policy, cls in POLICIES.items():
+        table = PARENT_DEFAULTS[policy]
+        assert set(cls.PARAMS) == set(table) | REQUIRED.get(policy, set()) | NO_DEFAULT.get(policy, set())
+        defaults = declared_defaults(cls.PARAMS)
+        want = {key: Fraction(value) if isinstance(value, str) else value for key, value in table.items()}
+        assert {key: (type(defaults[key]), defaults[key]) for key in table} == \
+            {key: (type(value), value) for key, value in want.items()}
+        assert all(defaults[key] is None for key in NO_DEFAULT.get(policy, ()))

@@ -2,6 +2,7 @@
 
 import copy
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,49 @@ BASE = {
     ],
     "end": {"sim_time": 3000},
 }
+
+
+OPERATOR = {"name": "op", "policy": "rational_operator", "eth": 1_100_000,
+            "params": {"y": "1/1000", "collateral": 1_000_000}}
+HODLER = {"name": "hodler", "policy": "vigilant_hodler", "eth": 50_000, "params": {"y": "1/1000"}}
+
+
+def _set(where, **values):
+    """A change to mini_config that updates the object at where (a key path) with values."""
+    def change(doc):
+        target = doc
+        for key in where:
+            target = target[key]
+        target.update(values)
+    return change
+
+
+def _add(agent, **params):
+    """A change to mini_config that adds agent with params merged into its own."""
+    return lambda doc: doc["agents"].append({**agent, "params": {**agent["params"], **params}})
+
+
+# Inputs refused with exit 2 and the field path named: an undeclared key in
+# each kind of object, a value of the wrong type, a missing required key.
+REFUSED = [
+    pytest.param(_set((), zap=1), "zap", id="top-level-key"),
+    pytest.param(_set(("clock",), eth_block_secs=14), "clock.eth_block_secs", id="clock-key"),
+    pytest.param(_set(("params",), zap=1), "params.zap", id="params-key"),
+    pytest.param(_set(("cost_model",), base=100), "cost_model.base", id="cost-model-key"),
+    pytest.param(_set(("pow",), target_bit=250), "pow.target_bit", id="pow-key"),
+    pytest.param(_set(("end",), wall_time=5), "end.wall_time", id="end-key"),
+    pytest.param(_set(("agents", 0), visibility_delay=5), "agents[0].visibility_delay", id="agent-key"),
+    pytest.param(_set(("agents", 0), params={"online": 5}), "agents[0].params.online", id="policy-key"),
+    pytest.param(_set(("agents", 0), params={"online_at": "x"}), "agents[0].params.online_at",
+                 id="online-at-string"),
+    pytest.param(_add(HODLER, burn_at="soon"), "agents[1].params.burn_at", id="burn-at-string"),
+    pytest.param(lambda doc: doc["agents"].append({**OPERATOR, "params": {"y": "1/1000"}}),
+                 "agents[1].params.collateral", id="missing-collateral"),
+    pytest.param(_set(("pow",), fn=[]), "pow.fn", id="pow-fn-list"),
+    pytest.param(_set(("agents", 0), policy=[]), "agents[0].policy", id="policy-list"),
+    pytest.param(_set((), name=5), "name", id="name-int"),
+    pytest.param(_add(OPERATOR, head="ab" * 20), "agents[1].params.head", id="operator-head"),
+]
 
 
 def mini_config(**changes):
@@ -85,6 +129,36 @@ class TestConfigValidation:
         doc = mini_config(clock={"eth_block_seconds": 10, "doge_block_seconds": 60})
         config = parse_config(doc)
         assert config.params.challenge_window_eth_blocks == 108  # ceil(18*60/10)
+
+    @staticmethod
+    def _rational_at(where, value):
+        """mini_config with value as the rate_path rate, a ProtocolParams rate or a policy y."""
+        doc = mini_config()
+        if where == "rate_path":
+            doc["rate_path"] = [[0, value]]
+            return doc, "rate_path[0][1]"
+        if where == "params":
+            doc["params"]["challenge_reward_rate"] = value
+            return doc, "params.challenge_reward_rate"
+        doc["agents"].append({**OPERATOR, "params": {"y": value, "collateral": 1_000_000}})
+        return doc, "agents[1].params.y"
+
+    @pytest.mark.parametrize("where", ["rate_path", "params", "y"])
+    @pytest.mark.parametrize("value", [True, [1.9, 500], [1.5, 1500], ["1", 500], [True, 500]],
+                             ids=["bool", "float-numerator", "float-y", "string-entry", "bool-entry"])
+    def test_rational_takes_integers_only(self, where, value):
+        doc, path = self._rational_at(where, value)
+        with pytest.raises(ConfigError) as exc:
+            parse_config(doc)
+        assert str(exc.value).startswith(f"{path}: expected a rational")
+
+    @pytest.mark.parametrize("where", ["rate_path", "params", "y"])
+    def test_rational_forms_agree(self, where):
+        read = {"rate_path": lambda c: c.rate_path.points[0][1],
+                "params": lambda c: c.params.challenge_reward_rate,
+                "y": lambda c: c.agents[1].params["y"]}[where]
+        values = [read(parse_config(self._rational_at(where, v)[0])) for v in ("1/500", [1, 500], [2, 1000])]
+        assert values == [Fraction(1, 500)] * 3
 
 
 class TestRunAndReplay:
@@ -435,6 +509,15 @@ class TestCli:
         config_path.write_text(json.dumps(mini_config(tags=tags)))
         assert cli_main(["run", str(config_path)]) == 2
         assert "tags: expected a list of strings" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change, path", REFUSED)
+    def test_refused_with_its_path(self, tmp_path, capsys, change, path):
+        doc = mini_config()
+        change(doc)
+        config_path = tmp_path / "refused.json"
+        config_path.write_text(json.dumps(doc))
+        assert cli_main(["run", str(config_path)]) == 2
+        assert f"config error: {path}: " in capsys.readouterr().err
 
     def test_scenarios_list_and_run_all(self):
         assert cli_main(["scenarios", "list", "--dir", str(SCENARIO_DIR)]) == 0
