@@ -4,13 +4,20 @@ Each policy is a decision function from (observation, private state) to a
 list of protocol actions plus updated private state.  Every value a decision
 depends on lives in that private state, `priv`: step() hands decide() a
 shallow copy and decide() replaces, never mutates, the values it changes.
-The instance holds only its configuration and one memo, the segments its
-chain has matched (their blocks and transactions), each keyed by commitment
-and range.  The memo is emptied whenever the observed tip stops extending
-the tip it was filled on, so a hit returns what recomputing from the
-observation would: decisions depend on (obs, priv) alone, and a fresh run
-with the same seed produces identical action streams.  Policies never mutate
-the world; the harness applies their actions in roster order each turn and
+The instance holds its configuration, a memo of the segments its chain has
+matched (their blocks and transactions, keyed by commitment and range), and
+a history cursor: the contract history entries it has judged, in order, with
+the unused transactions of the matched ones.  Both are emptied whenever the
+observed tip stops extending the tip they were filled on, so a memo hit
+returns what recomputing from the observation would.  So does the cursor:
+an entry is judged once my tip reaches its range, and ranges increase along
+the history, so the judged entries are exactly the prefix my chain can
+judge; the contract only appends entries or replaces a suffix with new
+ones, so the cursor is still a prefix of the history iff its last entry is
+still in place, and otherwise it drops its entries from the first one that
+is not.  Decisions depend on (obs, priv) alone, and a fresh run with the
+same seed produces identical action streams.  Policies never mutate the
+world; the harness applies their actions in roster order each turn and
 records rejected ones as policy bugs.
 """
 
@@ -24,6 +31,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .bridge import (
     BridgeContract,
+    HistoryEntry,
     ProofThread,
     Submission,
     proven_submission,
@@ -156,13 +164,23 @@ class Policy:
 
     # the scenario config validates params against PARAMS; __init__ only fills in defaults
     PARAMS: Dict[str, object] = {}
+    DEFAULTS: Dict[str, object] = {}  # declared_defaults(PARAMS), built once per class
+
+    def __init_subclass__(cls):
+        cls.DEFAULTS = declared_defaults(cls.PARAMS)
 
     def __init__(self, name: str, params: dict, agent_seed: int):
         self.name = name
-        self.params = {**declared_defaults(self.PARAMS), **params}
+        self.params = {**self.DEFAULTS, **params}
         self.agent_seed = agent_seed
-        self._memo_tip: Optional[bytes] = None  # every memoised segment is on this tip's path
+        self._memo_tip: Optional[bytes] = None  # the memo and the cursor hold for this tip's path
+        self._forget()
+
+    def _forget(self) -> None:
         self._segments: Dict[Tuple[bytes, int, int], Segment] = {}
+        self._judged: List[HistoryEntry] = []  # history prefix already judged against my chain
+        self._first_bogus: Optional[int] = None  # first judged entry my chain does not match
+        self._pending: List[Tuple[int, Tuple[Block, ...], Transaction]] = []  # unused txs of matched entries
 
     def step(self, obs: Observation, priv: dict) -> Tuple[List[Action], dict]:
         priv = dict(priv)
@@ -201,15 +219,8 @@ class Policy:
 
     # -- shared views over the contract history ----------------------------
 
-    def matched(self, obs: Observation, commitment: bytes, prior: int,
-                range_b: int) -> Optional[Segment]:
-        """Segment (prior, range_b] of my chain if its blocks hash to commitment, else None.
-
-        The memo holds the matches found on the path of _memo_tip and is
-        emptied when my tip stops extending that tip, so a hit is what
-        recomputing would return, also after a reorg.
-        """
-        chain, tip = obs.chain, obs.tip
+    def _follow(self, chain: ChainView, tip: bytes) -> None:
+        """Empty the memo and the cursor unless tip extends the tip they were filled on."""
         if self._memo_tip != tip:
             anchor = chain.blocks.get(self._memo_tip)
             try:
@@ -217,8 +228,18 @@ class Policy:
             except RangeUnavailable:
                 kept = False
             if not kept:
-                self._segments = {}
+                self._forget()
             self._memo_tip = tip
+
+    def matched(self, obs: Observation, commitment: bytes, prior: int,
+                range_b: int) -> Optional[Segment]:
+        """Segment (prior, range_b] of my chain if its blocks hash to commitment, else None.
+
+        The memo holds the matches found on the path of _memo_tip, so a hit
+        is what recomputing would return, also after a reorg.
+        """
+        chain, tip = obs.chain, obs.tip
+        self._follow(chain, tip)
         key = (commitment, prior, range_b)
         if key in self._segments:
             return self._segments[key]
@@ -236,16 +257,35 @@ class Policy:
         prior, range_b = segment_bounds(obs.bridge.history, i)
         return self.matched(obs, obs.bridge.history[i].commitment, prior, range_b)
 
-    def committed_txs(self, obs: Observation) -> Iterator[Tuple[int, Tuple[Block, ...], Transaction]]:
-        """(index, blocks, tx) for each unused tx of the history entries my chain matches."""
-        used = obs.bridge.used_txs
-        for i in range(len(obs.bridge.history)):
+    def _judge_history(self, obs: Observation) -> None:
+        """Bring the cursor up to the history entries my tip reaches (see the module docstring)."""
+        self._follow(obs.chain, obs.tip)
+        history, judged = obs.bridge.history, self._judged
+        n = len(judged)
+        if n and not (len(history) >= n and history[n - 1] is judged[n - 1]):
+            k = next((i for i, (a, b) in enumerate(zip(history, judged)) if a is not b), len(history))
+            del judged[k:]
+            if self._first_bogus is not None and self._first_bogus >= k:
+                self._first_bogus = None
+            self._pending = [p for p in self._pending if p[0] < k]
+        tip_ordinal = obs.chain.blocks[obs.tip].header.ordinal
+        for i in range(len(judged), len(history)):
+            if history[i].range > tip_ordinal:
+                break  # unverifiable yet, and so is every later entry
             segment = self.matched_segment(obs, i)
-            if segment is None:
-                continue
-            for tx in segment.txs:
-                if tx.tx_id not in used:
-                    yield i, segment.blocks, tx
+            judged.append(history[i])
+            if segment is not None:
+                self._pending.extend((i, segment.blocks, tx) for tx in segment.txs)
+            elif self._first_bogus is None:
+                self._first_bogus = i
+
+    def committed_txs(self, obs: Observation) -> Iterator[Tuple[int, Tuple[Block, ...], Transaction]]:
+        """(index, blocks, tx) for each unused tx of the history entries my chain matches,
+        in history then block order."""
+        self._judge_history(obs)
+        used = obs.bridge.used_txs
+        self._pending = [p for p in self._pending if p[2].tx_id not in used]
+        return iter(self._pending)
 
     def first_bogus_index(self, obs: Observation, cm: int) -> Optional[int]:
         """First history entry provably wrong against my view.
@@ -253,15 +293,28 @@ class Policy:
         An entry is judged only once my chain has confirmed past its range;
         until then it is unverifiable, not bogus.
         """
-        for i in range(len(obs.bridge.history)):
-            if obs.bridge.history[i].range <= cm and self.matched_segment(obs, i) is None:
-                return i
-        return None
+        self._judge_history(obs)
+        i = self._first_bogus
+        return i if i is not None and obs.bridge.history[i].range <= cm else None
 
 
 # ---------------------------------------------------------------------------
 # relayers
 # ---------------------------------------------------------------------------
+
+
+CM_WINDOW = 400  # confirmed-maximum samples a relayer keeps, one per contract block
+
+
+def sample_window(window: Tuple[Tuple[int, int], ...], eth_time: int, cm: int) -> Tuple[Tuple[int, int], ...]:
+    """The last CM_WINDOW (eth_time, cm) samples once this turn's is in, the latest per eth_time.
+
+    A turn's eth_time never precedes the previous turn's.  cm itself may
+    fall: my best tip is the one with most work, not the highest.
+    """
+    if window and window[-1][0] == eth_time:
+        return window[:-1] + ((eth_time, cm),)
+    return window[1 - CM_WINDOW:] + ((eth_time, cm),)
 
 
 class HonestRelayer(Policy):
@@ -287,12 +340,7 @@ class HonestRelayer(Policy):
         st = obs.bridge
 
         cm = confirmed_max(obs.chain, obs.tip, st.params.c)
-        samples = dict(priv.get("cm_samples", {}))
-        samples[obs.eth_time] = cm
-        if len(samples) > 400:
-            for key in sorted(samples)[:-400]:
-                del samples[key]
-        priv["cm_samples"] = samples
+        priv["cm_samples"] = sample_window(priv.get("cm_samples", ()), obs.eth_time, cm)
 
         actions = self.supply_proofs(obs, lambda t: self._try_prove(obs, t.prior_date, t.sub.range))
 
@@ -356,8 +404,7 @@ class HonestRelayer(Policy):
         if self.matched(obs, sub.commitment, prior, sub.range) is not None:
             return None
 
-        samples = priv.get("cm_samples", {})
-        past = [v for t, v in samples.items() if t <= active.submitted_at_eth]
+        past = [v for t, v in priv.get("cm_samples", ()) if t <= active.submitted_at_eth]
         cm_at_sub = max(past) if past else cm
         stale = cm_at_sub - sub.range >= st.params.d
         if stale and cm - sub.range >= st.params.d:
@@ -572,10 +619,14 @@ class HonestCrosser(Policy):
     RATE_MARGIN = Fraction(1, 4)  # crosses only while the rate is >= (1 + margin) * y
     DEPOSIT_MARGIN = 100  # registration deposit above the void fee, ETH units
 
+    def __init__(self, name: str, params: dict, agent_seed: int):
+        super().__init__(name, params, agent_seed)
+        self._min_rate = (1 + self.RATE_MARGIN) * self.params["y"]
+
     def decide(self, obs: Observation, priv: dict) -> List[Action]:
         st = obs.bridge
         y = self.params["y"]
-        if obs.true_rate < (1 + self.RATE_MARGIN) * y:
+        if obs.true_rate < self._min_rate:
             return []
         sent_heads = priv.get("sent_heads", set())
         if len(sent_heads) >= self.params["crossings"]:
@@ -637,6 +688,7 @@ class VigilantHodler(Policy):
     def __init__(self, name: str, params: dict, agent_seed: int):
         super().__init__(name, params, agent_seed)
         self._crosser = HonestCrosser(name, params, agent_seed) if self.params["cross"] else None
+        self._burn_below = (1 + self.params["headroom"]) * self.params["y"]
 
     def decide(self, obs: Observation, priv: dict) -> List[Action]:
         st = obs.bridge
@@ -656,7 +708,7 @@ class VigilantHodler(Policy):
 
         burn_at = self.params["burn_at"]
         triggered = (burn_at is not None and obs.sim_time >= burn_at) or \
-            (self.params["burn_on_rate"] and obs.true_rate < (1 + self.params["headroom"]) * y)
+            (self.params["burn_on_rate"] and obs.true_rate < self._burn_below)
         if balance > 0 and triggered:
             queue = st.y_queues.get(y, [])
             coverage = sum(st.bridges[b].capacity for b in queue)

@@ -137,6 +137,8 @@ _POW = _table({"target_bits": 250, "fn": "sha256d"})
 _END = _table({"sim_time": int})
 _AGENT = _table({"name": str, "policy": str, "eth": 0, "doge": 0, "visibility_delay_s": 0, "params": {}})
 _POLICY_PARAMS = {policy: _table(cls.PARAMS) for policy, cls in POLICIES.items()}
+_ONE_OF_POW_FNS = f"one of {sorted(POW_FNS)}"
+_ONE_OF_POLICIES = f"one of {sorted(POLICIES)}"
 
 
 def parse_config(doc: dict) -> ScenarioConfig:
@@ -162,7 +164,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
 
     pow_ = _declared(_POW, top["pow"], "pow.")
     _expect(8 <= pow_["target_bits"] <= 255, "pow.target_bits", "must be in 8..255 (a 32-byte target field)")
-    _expect(pow_["fn"] in POW_FNS, "pow.fn", f"one of {sorted(POW_FNS)}")
+    _expect(pow_["fn"] in POW_FNS, "pow.fn", _ONE_OF_POW_FNS)
 
     points = []
     for i, pair in enumerate(top["rate_path"]):
@@ -178,7 +180,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
         a = _declared(_AGENT, agent_doc, path + ".")
         _expect(a["name"] and a["name"] not in {s.name for s in agents}, f"{path}.name",
                 f"expected a non-empty name no other agent has, got {a['name']!r}")
-        _expect(a["policy"] in POLICIES, f"{path}.policy", f"one of {sorted(POLICIES)}")
+        _expect(a["policy"] in POLICIES, f"{path}.policy", _ONE_OF_POLICIES)
         a["params"] = _declared(_POLICY_PARAMS[a["policy"]], a["params"], f"{path}.params.")
         agents.append(AgentSpec(**a))
 

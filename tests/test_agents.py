@@ -1,28 +1,43 @@
-"""Agent policy tests: predicates, purity, and decision logic in isolation."""
+"""Agent policy tests: predicates, purity, and decision logic in isolation; the history
+cursor also against a full walk of the history on every turn of whole runs."""
 
+import dataclasses
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pegsim.agents import (
+    CM_WINDOW,
     Observation,
+    Policy,
     RatePath,
     confirmed_max,
     find_bad_header,
     make_policy,
+    sample_window,
     should_abscond,
 )
 from pegsim.bridge import (
     CostModel,
     EthAccounts,
     ProtocolParams,
+    Submission,
     build_submission,
     build_tx_report,
     genesis,
+    segment_bounds,
 )
 from pegsim.chainsim import ChainView, Transaction, block_hash, doge_address, pow_check
-from pegsim.errors import BeforeStart, ConfigError
-from pegsim.proofsys import verify_extension_proof
+from pegsim.errors import BeforeStart, ConfigError, RangeUnavailable
+from pegsim.harness import load_config, run
+from pegsim.proofsys import commitment_root, verify_extension_proof
+
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIOS = sorted((ROOT / "scenarios").glob("*.json"))
 
 Y100 = Fraction(1, 1000)
 TARGET = 1 << 250
@@ -304,8 +319,6 @@ class TestSegmentMemo:
     """A segment matched once is judged again like one never seen before."""
 
     def test_replayed_commitment_over_another_range_is_challenged(self):
-        from pegsim.bridge import Submission
-
         contract, view = fresh_world(n_blocks=75)
         accept_extension(contract, view, 0, 30)
         contract.become_relayer("alice", contract.required_relayer_deposit())
@@ -342,10 +355,197 @@ class TestSegmentMemo:
         assert [a.kind for a in actions] == ["challenge_commitment"]
 
 
+def reference_match(obs, i, cache):
+    """Blocks of history entry i if they are on my tip's path and hash to its commitment,
+    else None; cache holds earlier answers for the same tip, entry bounds and commitment."""
+    entry = obs.bridge.history[i]
+    prior, range_b = segment_bounds(obs.bridge.history, i)
+    key = (obs.tip, prior, range_b, entry.commitment)
+    if key not in cache:
+        try:
+            blocks = tuple(obs.chain.path_blocks(obs.tip, prior + 1, range_b))
+        except RangeUnavailable:
+            blocks = None
+        cache[key] = blocks if blocks is not None and commitment_root(blocks) == entry.commitment else None
+    return cache[key]
+
+
+def full_walk_committed_txs(obs, cache):
+    """committed_txs as a walk over every history entry on every call."""
+    used = obs.bridge.used_txs
+    out = []
+    for i in range(len(obs.bridge.history)):
+        blocks = reference_match(obs, i, cache)
+        if blocks is not None:
+            out.extend((i, blocks, tx) for b in blocks for tx in b.txs if tx.tx_id not in used)
+    return out
+
+
+def full_walk_first_bogus(obs, cm, cache):
+    """first_bogus_index as a walk over every history entry on every call."""
+    for i, entry in enumerate(obs.bridge.history):
+        if entry.range <= cm and reference_match(obs, i, cache) is None:
+            return i
+    return None
+
+
+def cursor_answers(policy, obs, cm):
+    return [tx for _, _, tx in policy.committed_txs(obs)], policy.first_bogus_index(obs, cm)
+
+
+class TestHistoryCursor:
+    """The cursor answers what a full walk of the history would after each way the
+    history or my chain can change under it."""
+
+    def assert_full_walk(self, policy, obs):
+        cache = {}
+        for cm in range(obs.chain.blocks[obs.tip].header.ordinal + 1):
+            assert policy.first_bogus_index(obs, cm) == full_walk_first_bogus(obs, cm, cache)
+        assert list(policy.committed_txs(obs)) == full_walk_committed_txs(obs, cache)
+
+    def test_backtrack_below_the_cursor(self):
+        lock = Transaction(doge_address("alice"), HEAD, 100, 0)
+        contract, view = fresh_world(n_blocks=75, txs_at={35: [lock]})
+        accept_extension(contract, view, 0, 30)
+        contract.relayer_deposits["m"] = contract.required_relayer_deposit()
+        bogus = Submission(40, b"\x13" * 32, b"\x37" * 32, view.genesis.header, "m")
+        deadline = contract.submit_extension("m", bogus, at_eth=20)
+        contract.accept_on_timeout(deadline, now_s=deadline * 14)
+        policy = make_policy("greedy_reporter", "bob", {}, agent_seed=1)
+        assert cursor_answers(policy, observation(contract, view, "bob"), 60) == ([], 1)
+
+        sub = build_submission(view, view.best_tip(), 30, 40, "r", contract.params.c)
+        deadline = contract.backtrack("r", 1, sub, at_eth=deadline + 1)
+        contract.accept_on_timeout(deadline, now_s=deadline * 14)
+        obs = observation(contract, view, "bob")
+        assert cursor_answers(policy, obs, 60) == ([lock], None)
+        self.assert_full_walk(policy, obs)
+
+    def test_deep_finalize(self):
+        locks = [Transaction(doge_address(f"crosser{j}"), HEAD, 100, 0) for j in range(2)]
+        contract, view = fresh_world(n_blocks=75, txs_at={3: locks[:1], 33: locks[1:]})
+        accept_extension(contract, view, 0, 30)
+        policy = make_policy("greedy_reporter", "bob", {}, agent_seed=1)
+        assert cursor_answers(policy, observation(contract, view, "bob"), 60) == (locks[:1], None)
+
+        sub = build_submission(view, view.best_tip(), 0, 35, "m", contract.params.c)
+        contract.propose_deep_backtrack("m", 0, sub, now_s=1000)
+        contract.finalize_deep_backtrack(now_s=1000 + contract.params.deep_backtrack_delay_1_s)
+        obs = observation(contract, view, "bob")
+        assert cursor_answers(policy, obs, 60) == (locks, None)
+        assert [blocks[-1].header.ordinal for _, blocks, _ in policy.committed_txs(obs)] == [35, 35]
+        self.assert_full_walk(policy, obs)
+
+    def test_reorg(self):
+        lock = Transaction(doge_address("alice"), HEAD, 100, 0)
+        contract, view = fresh_world(txs_at={3: [lock]})
+        accept_extension(contract, view, 0, 30)
+        policy = make_policy("greedy_reporter", "bob", {}, agent_seed=1)
+        assert cursor_answers(policy, observation(contract, view, "bob"), 40) == ([lock], None)
+
+        reorg(view, 2, 80)  # the lock's block is orphaned
+        obs = observation(contract, view, "bob")
+        assert cursor_answers(policy, obs, 40) == ([], 0)
+        self.assert_full_walk(policy, obs)
+
+    def test_entry_past_the_tip_becomes_judgeable(self):
+        locks = [Transaction(doge_address(f"crosser{j}"), HEAD, 100, 0) for j in range(2)]
+        contract, view = fresh_world(n_blocks=75, txs_at={3: locks[:1], 50: locks[1:]})
+        accept_extension(contract, view, 0, 30)
+        accept_extension(contract, view, 30, 55, at_eth=300)
+        policy = make_policy("greedy_reporter", "bob", {}, agent_seed=1)
+        behind = dataclasses.replace(observation(contract, view, "bob"), tip=view.ancestor_at(view.best_tip(), 50))
+        assert cursor_answers(policy, behind, 50) == (locks[:1], None)
+
+        obs = observation(contract, view, "bob")  # my tip now reaches entry 1's range
+        assert cursor_answers(policy, obs, 60) == (locks, None)
+        self.assert_full_walk(policy, obs)
+
+    def test_equals_full_walk_on_every_turn(self, monkeypatch):
+        """On every turn of every corpus scenario and of fuzz_random at x2: the run's trace is
+        unchanged by asking, and the answers equal a full walk of the history."""
+        step = Policy.step
+        seen, cache = Counter(), {}  # cache: reference answers within one run
+
+        def checking_step(self, obs, priv):
+            cm = confirmed_max(obs.chain, obs.tip, obs.bridge.params.c)
+            want = full_walk_committed_txs(obs, cache), full_walk_first_bogus(obs, cm, cache)
+            assert (list(self.committed_txs(obs)), self.first_bogus_index(obs, cm)) == want, \
+                f"{self.name} at {obs.sim_time}"
+            seen["turns"] += 1
+            seen["with txs"] += bool(want[0])
+            seen["with bogus"] += want[1] is not None
+            return step(self, obs, priv)
+
+        fuzz = load_config(str(ROOT / "scenarios" / "fuzz_random.json"))
+        configs = [load_config(str(p)) for p in SCENARIOS] + [dataclasses.replace(fuzz, end_time=2 * fuzz.end_time)]
+        digests = [run(config).digest() for config in configs]
+        monkeypatch.setattr(Policy, "step", checking_step)
+        for config, digest in zip(configs, digests):
+            cache.clear()
+            assert run(config).digest() == digest, config.name
+        assert seen["with txs"] > 0 and seen["with bogus"] > 0 and seen["turns"] > 10_000, seen
+
+    def test_each_entry_judged_once_per_chain(self, monkeypatch):
+        """Per policy on a fuzz_random run: matched_segment calls <= the history entries that
+        appeared + for each turn whose tip does not extend the previous turn's, the entries
+        then in the history (which that turn may have to judge again)."""
+        step, matched_segment = Policy.step, Policy.matched_segment
+        calls, bound, last_tip, entries = Counter(), Counter(), {}, {}
+
+        def counting_step(self, obs, priv):
+            seen = entries.setdefault(self.name, {})
+            for entry in obs.bridge.history:
+                seen.setdefault(id(entry), entry)  # holds the entry, so its id is never reused
+            prev = last_tip.get(self.name)
+            if prev is not None:
+                try:
+                    extends = obs.chain.ancestor_at(obs.tip, obs.chain.blocks[prev].header.ordinal) == prev
+                except RangeUnavailable:
+                    extends = False
+                bound[self.name] += 0 if extends else len(obs.bridge.history)
+            last_tip[self.name] = obs.tip
+            return step(self, obs, priv)
+
+        def counting_matched_segment(self, obs, i):
+            calls[self.name] += 1
+            return matched_segment(self, obs, i)
+
+        monkeypatch.setattr(Policy, "step", counting_step)
+        monkeypatch.setattr(Policy, "matched_segment", counting_matched_segment)
+        run(load_config(str(ROOT / "scenarios" / "fuzz_random.json")))
+        for name, seen in entries.items():
+            bound[name] += len(seen)
+        assert calls and all(calls[name] <= bound[name] for name in calls), (calls, bound)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(-3, 3), st.integers(0, CM_WINDOW + 5)),
+                min_size=CM_WINDOW + 1, max_size=CM_WINDOW + 300))
+def test_sample_window_answers_as_a_dict_of_the_last_samples(turns):
+    """The window against the per-turn dict it replaces: the latest cm per eth_time, trimmed to
+    the CM_WINDOW latest eth_times.  eth_time never falls and may repeat; cm may fall.  Each turn
+    asks for the largest sample at or before a submission made `back` contract blocks ago."""
+    window, samples, eth_time, cm = (), {}, 0, 50
+    for step, move, back in turns:
+        eth_time, cm = eth_time + step, max(0, cm + move)
+        window = sample_window(window, eth_time, cm)
+        samples[eth_time] = cm
+        if len(samples) > CM_WINDOW:
+            for key in sorted(samples)[:-CM_WINDOW]:
+                del samples[key]
+        submitted_at = eth_time - back
+        past = [v for t, v in samples.items() if t <= submitted_at]
+        assert max((v for t, v in window if t <= submitted_at), default=cm) == (max(past) if past else cm)
+    assert dict(window) == samples and len(window) == len(samples)
+
+
 class TestPolicyPurity:
     def test_step_is_replayable(self):
         contract1, view1 = fresh_world()
         contract2, view2 = fresh_world()
+        for contract in (contract1, contract2):
+            contract.become_relayer("r", contract.required_relayer_deposit())
         p1 = make_policy("honest_relayer", "r", {}, agent_seed=9)
         p2 = make_policy("honest_relayer", "r", {}, agent_seed=9)
         priv1, priv2 = {}, {}
@@ -354,14 +554,18 @@ class TestPolicyPurity:
             a2, priv2 = p2.step(observation(contract2, view2, "r", t=t), priv2)
             assert [a.kind for a in a1] == [a.kind for a in a2]
             assert priv1 == priv2
+        assert [t for t, _ in priv1["cm_samples"]] == [7, 8, 9]
 
     def test_step_does_not_mutate_input_priv(self):
         contract, view = fresh_world()
+        contract.become_relayer("r", contract.required_relayer_deposit())
         policy = make_policy("honest_relayer", "r", {}, agent_seed=9)
-        priv_in = {"cm_samples": {1: 2}}
-        frozen = {"cm_samples": {1: 2}}
-        policy.step(observation(contract, view, "r"), priv_in)
-        assert priv_in == frozen
+        priv_in = {"cm_samples": ((1, 2), (3, 4))}
+        obs = observation(contract, view, "r")
+        _, priv_out = policy.step(obs, priv_in)
+        assert priv_in == {"cm_samples": ((1, 2), (3, 4))}
+        this_turn = (obs.eth_time, confirmed_max(view, obs.tip, contract.params.c))
+        assert priv_out["cm_samples"] == ((1, 2), (3, 4), this_turn)
 
     def test_step_does_not_mutate_input_set_priv(self):
         contract, view, locks = locks_world(2)
