@@ -8,14 +8,16 @@ Canonical byte encodings (all integers big-endian, addresses length-prefixed)
 are the cross-language contract for every hash in the system; the exact
 layouts are documented in the README.  An integer outside its field's range
 is refused (EncodingError), never reduced.  A header's PoW digest and a
-transaction's id are computed once, when the value is built.
+transaction's id are computed once, when the value is built.  The nonce search
+encodes a header's fields once and changes only the nonce bytes between
+attempts; it builds the winning header once, from the digest it found.
 """
 
 from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import EncodingError, UnknownParent, RangeUnavailable
@@ -94,7 +96,7 @@ class BlockHeader:
     hash: bytes = field(init=False, repr=False, compare=False)  # PoW digest: the block's identity
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "hash", pow_digest(self))
+        object.__setattr__(self, "hash", pow_digest(self.pow_fn, self.encode()))
 
     def encode(self) -> bytes:
         return (
@@ -128,9 +130,20 @@ POW_FNS = {
 }
 
 
-def pow_digest(header: BlockHeader) -> bytes:
-    """The one PoW evaluation; BlockHeader stores its result as `hash` when built."""
-    return POW_FNS[header.pow_fn](header.encode())
+def pow_digest(pow_fn: str, data: bytes) -> bytes:
+    """The one PoW evaluation, over a header's encoding; a header stores it as `hash`."""
+    return POW_FNS[pow_fn](data)
+
+
+_HEADER_FIELDS = tuple(f.name for f in fields(BlockHeader))  # `hash` last
+
+
+def _found_header(*values) -> BlockHeader:
+    """A header built from its fields and the PoW digest a search already computed."""
+    header = object.__new__(BlockHeader)
+    for name, value in zip(_HEADER_FIELDS, values, strict=True):
+        object.__setattr__(header, name, value)
+    return header
 
 
 def block_hash(header: BlockHeader) -> bytes:
@@ -163,17 +176,22 @@ def search_pow(
 ) -> Tuple[BlockHeader, int]:
     """Deterministic nonce search from a seeded start; returns (header, attempts).
 
-    Each attempt builds a header, which computes its PoW digest once.
+    The header's other fields are encoded once; each attempt hashes that
+    encoding with only the nonce bytes changed, and the winning header is
+    built once, holding the digest the search computed.
     """
     # seed is not an encoded field: callers pass agent_seed + offset, which may reach 2^64
     start = int.from_bytes(sha256(b"nonce/" + _u64(seed % MAX_U64) + parent + tx_root + _u64(ordinal))[:8], "big")
+    prefix = parent + tx_root + _u64(ordinal) + _u64(timestamp)
+    suffix = _u256(target)
     nonce = start
     attempts = 0
     while True:
         attempts += 1
-        header = BlockHeader(parent, tx_root, ordinal, timestamp, nonce, target, pow_fn)
-        if pow_check(header):
-            return header, attempts
+        digest = pow_digest(pow_fn, prefix + nonce.to_bytes(8, "big") + suffix)
+        # pow_check as bytes: both are 32-byte big-endian, and a zero target is never beaten
+        if digest < suffix:
+            return _found_header(parent, tx_root, ordinal, timestamp, nonce, target, pow_fn, digest), attempts
         nonce = (nonce + 1) % MAX_U64
 
 

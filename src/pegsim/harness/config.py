@@ -174,12 +174,14 @@ def parse_config(doc: dict) -> ScenarioConfig:
     rate_path = RatePath(tuple(points))  # its errors name rate_path
 
     agents = []
+    names = set()
     for i, agent_doc in enumerate(top["agents"]):
         path = f"agents[{i}]"
         _expect(isinstance(agent_doc, dict), path, "expected an object")
         a = _declared(_AGENT, agent_doc, path + ".")
-        _expect(a["name"] and a["name"] not in {s.name for s in agents}, f"{path}.name",
-                f"expected a non-empty name no other agent has, got {a['name']!r}")
+        if not a["name"] or a["name"] in names:
+            raise ConfigError(f"{path}.name: expected a non-empty name no other agent has, got {a['name']!r}")
+        names.add(a["name"])
         _expect(a["policy"] in POLICIES, f"{path}.policy", _ONE_OF_POLICIES)
         a["params"] = _declared(_POLICY_PARAMS[a["policy"]], a["params"], f"{path}.params.")
         agents.append(AgentSpec(**a))

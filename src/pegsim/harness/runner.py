@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from ..agents import Observation, make_policy
@@ -165,7 +166,7 @@ class SimulationRunner:
             "amount": tx.amount, "tx_id": tx.tx_id.hex(), "memo": tx.memo.decode("utf-8", "replace"),
         })
 
-    def _observe(self, agent: _AgentRuntime) -> Observation:
+    def _observe(self, agent: _AgentRuntime, true_rate: Fraction) -> Observation:
         return Observation(
             sim_time=self.now,
             eth_time=self.eth_now,
@@ -176,7 +177,7 @@ class SimulationRunner:
             chain=self.view,
             tip=self.view.best_tip(self.now - agent.visibility_delay_s),
             bridge=self.contract,
-            true_rate=self.config.rate_path.rate_at(self.now),
+            true_rate=true_rate,
         )
 
     # -- action dispatch ---------------------------------------------------------
@@ -257,8 +258,9 @@ class SimulationRunner:
         if kind == "doge_block":
             self._mine_next_block()
         elif kind == "turns":
+            true_rate = self.config.rate_path.rate_at(t)
             for agent in self.agents:
-                obs = self._observe(agent)
+                obs = self._observe(agent, true_rate)
                 actions, agent.priv = agent.policy.step(obs, agent.priv)
                 for action in actions:
                     try:

@@ -67,6 +67,78 @@ class TestPow:
         assert header.pow_fn == "scrypt"
 
 
+def reference_search(parent, tx_root, ordinal, timestamp, target, pow_fn="sha256d", seed=0):
+    """The nonce search written plainly: one BlockHeader built, and its digest computed, per attempt."""
+    start = hashlib.sha256(b"nonce/" + (seed % MAX_U64).to_bytes(8, "big") + parent + tx_root
+                           + ordinal.to_bytes(8, "big")).digest()[:8]
+    nonce, attempts = int.from_bytes(start, "big"), 0
+    while True:
+        attempts += 1
+        header = BlockHeader(parent, tx_root, ordinal, timestamp, nonce, target, pow_fn)
+        if pow_check(header):
+            return header, attempts
+        nonce = (nonce + 1) % MAX_U64
+
+
+def search_inputs(seed):
+    """Distinct parent and tx root, and ordinal != timestamp, so a reordered encoding changes the digest."""
+    parent = hashlib.sha256(b"parent/%d" % seed).digest()
+    tx_root = EMPTY_TX_ROOT if seed % 2 else hashlib.sha256(b"txs/%d" % seed).digest()
+    ordinal, timestamp = (MAX_U64 - 1, 7) if seed % 50 == 0 else (seed + 1, 62 * seed + 5)
+    return parent, tx_root, ordinal, timestamp
+
+
+class TestNonceSearch:
+    """search_pow hashes a fixed encoding with only the nonce changing; it must equal the plain search."""
+
+    def assert_same_search(self, got, want):
+        (header, attempts), (ref, ref_attempts) = got, want
+        assert attempts == ref_attempts
+        assert type(header) is BlockHeader and header == ref and hash(header) == hash(ref)
+        assert header.hash == ref.hash
+        fields = (header.parent, header.tx_root, header.ordinal, header.timestamp, header.nonce,
+                  header.difficulty_target, header.pow_fn)
+        assert header == BlockHeader(*fields) and header.hash == BlockHeader(*fields).hash
+        assert header.hash == POW_FNS[header.pow_fn](header.encode())
+        assert pow_check(header)
+
+    @pytest.mark.parametrize("target", [1 << 250, 1 << 252])
+    def test_equals_the_plain_search_sha256d(self, target):
+        for seed in range(200):
+            args = search_inputs(seed) + (target,)
+            self.assert_same_search(search_pow(*args, seed=seed), reference_search(*args, seed=seed))
+
+    def test_equals_the_plain_search_scrypt(self):
+        for seed in range(3):
+            args = search_inputs(seed) + (1 << 252, "scrypt")
+            self.assert_same_search(search_pow(*args, seed=seed), reference_search(*args, seed=seed))
+
+    def test_digest_equal_to_the_target_does_not_pass(self, monkeypatch):
+        target = 1 << 200
+
+        def edge(data):
+            # by nonce mod 3: one above the target, the target itself, one below
+            nonce = int.from_bytes(data[-40:-32], "big")
+            return (target + 1 - nonce % 3).to_bytes(32, "big")
+
+        monkeypatch.setitem(POW_FNS, "edge", edge)
+        met_the_target = 0
+        for seed in range(20):
+            args = search_inputs(seed) + (target, "edge")
+            got = search_pow(*args, seed=seed)
+            self.assert_same_search(got, reference_search(*args, seed=seed))
+            assert got[0].hash == (target - 1).to_bytes(32, "big")
+            met_the_target += got[0].nonce % 3 == 2 and got[1] >= 2
+        assert met_the_target > 0
+
+    @pytest.mark.parametrize("value", [MAX_U64, -1])
+    def test_ordinal_or_timestamp_outside_u64_refused(self, value):
+        with pytest.raises(EncodingError):
+            search_pow(b"\x11" * 32, EMPTY_TX_ROOT, value, 0, TARGET)
+        with pytest.raises(EncodingError):
+            search_pow(b"\x11" * 32, EMPTY_TX_ROOT, 1, value, TARGET)
+
+
 class TestTransactions:
     def test_tx_id_is_encoding_hash(self):
         tx = Transaction(doge_address("a"), doge_address("b"), 41, 0, b"someone")
@@ -143,9 +215,9 @@ class TestIdentity:
         counts = {"digests": 0, "attempts": 0}
         digest, search = chainsim.pow_digest, chainsim.search_pow
 
-        def counting_digest(header):
+        def counting_digest(pow_fn, data):
             counts["digests"] += 1
-            return digest(header)
+            return digest(pow_fn, data)
 
         def counting_search(*args, **kwargs):
             header, attempts = search(*args, **kwargs)

@@ -106,6 +106,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=r"agents\[1\]\.name"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("names, bad", [(["relay1", "relay1"], 1), (["", "relay1"], 0),
+                                            (["a", "b", "a"], 2)])
+    def test_agent_name_error_text(self, names, bad):
+        doc = mini_config()
+        doc["agents"] = [dict(doc["agents"][0], name=name) for name in names]
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert str(err.value) == (f"agents[{bad}].name: expected a non-empty name no other agent has, "
+                                  f"got {names[bad]!r}")
+
     def test_non_exact_y_rejected(self):
         doc = mini_config()
         doc["agents"][0] = {"name": "op", "policy": "rational_operator", "eth": 10,
@@ -327,8 +337,9 @@ class TestDelayedVisibility:
         assert relay2.visibility_delay_s == 31
         observe, lagged = runner._observe, []
 
-        def checked(agent):
-            obs = observe(agent)
+        def checked(agent, true_rate):
+            obs = observe(agent, true_rate)
+            assert obs.true_rate == runner.config.rate_path.rate_at(runner.now)
             if agent is relay2:
                 view, cutoff = runner.view, runner.now - 31
                 assert obs.tip == view.best_tip(cutoff)
