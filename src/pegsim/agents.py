@@ -231,31 +231,31 @@ class Policy:
                 self._forget()
             self._memo_tip = tip
 
-    def matched(self, obs: Observation, commitment: bytes, prior: int,
-                range_b: int) -> Optional[Segment]:
-        """Segment (prior, range_b] of my chain if its blocks hash to commitment, else None.
+    def matched(self, obs: Observation, claim: Submission | HistoryEntry, prior: int) -> Optional[Segment]:
+        """Segment (prior, claim.range] of my chain if its blocks hash to claim's commitment
+        and its last block is claim's tip header, else None.
 
         The memo holds the matches found on the path of _memo_tip, so a hit
         is what recomputing would return, also after a reorg.
         """
         chain, tip = obs.chain, obs.tip
         self._follow(chain, tip)
-        key = (commitment, prior, range_b)
-        if key in self._segments:
-            return self._segments[key]
-        try:
-            blocks = tuple(chain.path_blocks(tip, prior + 1, range_b))
-        except RangeUnavailable:
-            return None
-        if commitment_root(blocks) != commitment:
-            return None
-        segment = self._segments[key] = Segment(blocks, tuple(tx for b in blocks for tx in b.txs))
-        return segment
+        key = (claim.commitment, prior, claim.range)
+        segment = self._segments.get(key)
+        if segment is None:
+            try:
+                blocks = tuple(chain.path_blocks(tip, prior + 1, claim.range))
+            except RangeUnavailable:
+                return None
+            if commitment_root(blocks) != claim.commitment:
+                return None
+            segment = self._segments[key] = Segment(blocks, tuple(tx for b in blocks for tx in b.txs))
+        return segment if segment.blocks[-1].header.hash == claim.tip_header.hash else None
 
     def matched_segment(self, obs: Observation, i: int) -> Optional[Segment]:
-        """Segment of history entry i if its commitment matches my chain, else None."""
-        prior, range_b = segment_bounds(obs.bridge.history, i)
-        return self.matched(obs, obs.bridge.history[i].commitment, prior, range_b)
+        """Segment of history entry i if it matches my chain (see matched), else None."""
+        history = obs.bridge.history
+        return self.matched(obs, history[i], segment_bounds(history, i)[0])
 
     def _judge_history(self, obs: Observation) -> None:
         """Bring the cursor up to the history entries my tip reaches (see the module docstring)."""
@@ -344,7 +344,7 @@ class HonestRelayer(Policy):
 
         actions = self.supply_proofs(obs, lambda t: self._try_prove(obs, t.prior_date, t.sub.range))
 
-        if st.relay_mode == "verification" and st.active is not None:
+        if st.active is not None:
             if st.active.sub.relayer != self.name:
                 challenge = self._evaluate_submission(obs, priv, cm)
                 if challenge is not None:
@@ -363,9 +363,10 @@ class HonestRelayer(Policy):
                         actions.append(Action("backtrack", {"from_index": bogus, "sub": sub}))
             return actions
 
-        if cm > st.current_date:
-            range_b = min(cm, st.current_date + st.params.max_extension_len)
-            sub = self._try_build(obs, st.current_date, range_b)
+        date = st.current_date
+        if cm > date:
+            range_b = min(cm, date + st.params.max_extension_len)
+            sub = self._try_build(obs, date, range_b)
             if sub is not None:
                 actions.append(Action("submit_extension", {"sub": sub}))
         return actions
@@ -401,7 +402,7 @@ class HonestRelayer(Policy):
                 return Action("challenge_commitment", {})
             return None  # plausibly fresher than my view; re-judge next turn
 
-        if self.matched(obs, sub.commitment, prior, sub.range) is not None:
+        if self.matched(obs, sub, prior) is not None:
             return None
 
         past = [v for t, v in priv.get("cm_samples", ()) if t <= active.submitted_at_eth]
@@ -509,7 +510,7 @@ class FalseChallenger(Policy):
             return joining
         st = obs.bridge
         rounds = priv.get("rounds", self.params["rounds"])
-        if rounds <= 0 or st.relay_mode != "verification" or st.active is None:
+        if rounds <= 0 or st.active is None:
             return []
         if st.active.sub.relayer == self.name:
             return []
@@ -528,7 +529,7 @@ class DosChallenger(Policy):
             return joining
         st = obs.bridge
         rounds = priv.get("rounds", self.params["rounds"])
-        if rounds <= 0 or st.relay_mode != "verification" or st.active is None:
+        if rounds <= 0 or st.active is None:
             return []
         alt_range = st.active.sub.range + st.params.d
         _, prior = st.base(st.active.backtrack_from)
@@ -571,7 +572,7 @@ class RationalOperator(Policy):
         absconded = set(priv.get("absconded", ()))
 
         for bridge in st.bridges.values():
-            if bridge.operator != self.name or not bridge.minted or bridge.state == "closed":
+            if bridge.operator != self.name or bridge.state not in ("queued", "escrowed"):
                 continue
             if bridge.bridge_id not in absconded and \
                     should_abscond(bridge.capacity, obs.true_rate, bridge.collateral):
@@ -726,7 +727,7 @@ class VigilantHodler(Policy):
     def _find_theft(self, obs: Observation, y: Fraction, balance: int) -> Optional[Action]:
         st = obs.bridge
         heads = {b.head: b for b in st.bridges.values()
-                 if b.y == y and b.minted and b.state != "closed"}
+                 if b.y == y and b.state in ("queued", "escrowed")}
         if not heads:
             return None
         unlock_dests = {burn.dest for burn in st.burns.values()}

@@ -1,10 +1,14 @@
 """The Bridge Contract state machine.
 
 One mutable BridgeContract instance holds the whole contract: accepted
-commitment history and current date, the relay's Listening/Verification
-toggle, bridges and their FIFO per-rate queues, the parametrized token
-ledger, relayer deposits, crossing registrations, pending burns and their
-escrows, proof threads, and the deep-backtracking proposal slot.
+commitment history, the active submission, bridges and their FIFO per-rate
+queues, the parametrized token ledger, relayer deposits, crossing
+registrations, pending burns and their escrows, proof threads, and the
+deep-backtracking proposal slot.  Each fact is stored once: the relay is in
+Verification exactly while a submission is active, the current date is the
+range of the last history entry (0 before the first), a bridge has minted
+once it has left the "open" state, and bridge, thread and burn ids count
+the records before them, none of which is ever deleted.
 
 Quantities are integer smallest units throughout.  A rate y is a Fraction
 "DOGE units per ETH unit" with numerator 1, which makes every n/y conversion
@@ -174,8 +178,7 @@ class Bridge:
     crossing_fee: int
     bounty_pot: int
     bounty_paid: bool = False
-    state: str = "open"  # open | queued | escrowed | closed
-    minted: bool = False
+    state: str = "open"  # open | queued | escrowed | closed; every state after open has minted
 
     @property
     def capacity(self) -> int:
@@ -304,22 +307,16 @@ class BridgeContract:
         self.accounts = accounts
 
         self.history: List[HistoryEntry] = []
-        self.current_date = 0
-        self.relay_mode = "listening"
         self.active: Optional[ActiveSubmission] = None
         self._next_sub_seq = 0
 
         self.bridges: Dict[int, Bridge] = {}
-        self._next_bridge_id = 0
         self.y_queues: Dict[Fraction, List[int]] = {}
         self.registrations: Dict[bytes, Registration] = {}
 
         self.relayer_deposits: Dict[str, int] = {}
         self.threads: Dict[int, ProofThread] = {}
-        self._next_thread_id = 0
-
         self.burns: Dict[int, Burn] = {}
-        self._next_burn_id = 0
 
         self.used_txs: Set[bytes] = set()
 
@@ -372,16 +369,23 @@ class BridgeContract:
     def required_relayer_deposit(self) -> int:
         return proofsys.required_relayer_deposit(self.cost_model, self.params)
 
+    @property
+    def relay_mode(self) -> str:
+        """Verification while a submission is active, else Listening."""
+        return "listening" if self.active is None else "verification"
+
+    @property
+    def current_date(self) -> int:
+        """The range of the last accepted history entry; 0 before the first."""
+        return self.history[-1].range if self.history else 0
+
     def base(self, index: Optional[int] = None) -> Tuple[Optional[BlockHeader], int]:
         """(tip header, date) that an extension starts from.
 
         index is the number of history entries the extension keeps, as a
-        backtrack's from_index; None extends the whole history from the
-        current date.
+        backtrack's from_index; None extends the whole history.
         """
-        if index is None:
-            return (self.history[-1].tip_header if self.history else None), self.current_date
-        return history_base(self.history, index)
+        return history_base(self.history, len(self.history) if index is None else index)
 
     @staticmethod
     def _unsettled_escrow(burns) -> int:
@@ -391,7 +395,7 @@ class BridgeContract:
         """ETH actually backing WOW[y]: minted live collateral plus burn escrow."""
         total = 0
         for b in self.bridges.values():
-            if b.y == y and b.minted and b.state != "closed":
+            if b.y == y and b.state in ("queued", "escrowed"):
                 total += b.collateral
         return total + self._unsettled_escrow(burn for burn in self.burns.values() if burn.y == y)
 
@@ -412,7 +416,7 @@ class BridgeContract:
         return held
 
     def aggregates(self) -> dict:
-        ys = sorted(set(self.wow_supply) | {b.y for b in self.bridges.values() if b.minted}, key=str)
+        ys = sorted(set(self.wow_supply) | {b.y for b in self.bridges.values() if b.state != "open"}, key=str)
         return {
             "supply": {str(y): self.wow_supply.get(y, 0) for y in ys},
             "backing": {str(y): self.backing_eth(y) for y in ys},
@@ -450,7 +454,7 @@ class BridgeContract:
                 self.active.pending_penalty,
             ],
             "bridges": [
-                [b.bridge_id, b.operator, str(b.y), b.head.hex(), b.collateral, b.state, b.minted,
+                [b.bridge_id, b.operator, str(b.y), b.head.hex(), b.collateral, b.state, b.state != "open",
                  b.bounty_pot, b.bounty_paid]
                 for _, b in sorted(self.bridges.items())
             ],
@@ -501,8 +505,7 @@ class BridgeContract:
             if b.head == head and b.state != "closed":
                 raise HeadInUse(head.hex())
         self._inflow(operator, x + burn_bounty)
-        bid = self._next_bridge_id
-        self._next_bridge_id += 1
+        bid = len(self.bridges)
         bridge = Bridge(
             bridge_id=bid,
             operator=operator,
@@ -562,9 +565,10 @@ class BridgeContract:
     def expire_registrations(self) -> List[Registration]:
         """Void registrations the advancing history has run past; fee retained."""
         voided = []
+        date = self.current_date
         for head in list(self.registrations):
             reg = self.registrations[head]
-            if self.current_date > reg.expiry_ordinal:
+            if date > reg.expiry_ordinal:
                 del self.registrations[head]
                 self.retained += reg.void_fee
                 self._outflow(reg.crosser, reg.deposit - reg.void_fee)
@@ -618,7 +622,6 @@ class BridgeContract:
         seq = self._next_sub_seq
         self._next_sub_seq += 1
         self.active = ActiveSubmission(sub, at_eth, seq, backtrack_from, pending_penalty)
-        self.relay_mode = "verification"
         deadline = self.window_deadline()
         self._emit(
             "submit", sub.relayer,
@@ -638,29 +641,27 @@ class BridgeContract:
             self.retained += amount
             self.active.pending_penalty = None
 
+    def _commit(self, keep: int, sub: Submission, submitted_at_eth: int, relayer: str,
+                now_s: int) -> HistoryEntry:
+        """Keep the first keep history entries and append sub's: the relay progressed."""
+        del self.history[keep:]
+        entry = HistoryEntry(sub.commitment, sub.range, submitted_at_eth, relayer, sub.tip_header)
+        self.history.append(entry)
+        self.last_progress_s = now_s
+        return entry
+
     def accept_on_timeout(self, at_eth: int, now_s: int) -> HistoryEntry:
         """Append the unchallenged submission and advance the current date."""
-        if self.relay_mode != "verification" or self.active is None:
+        if self.active is None:
             raise NotVerifying("relay is listening")
         if at_eth < self.window_deadline():
             raise WindowNotElapsed(f"eth {at_eth} before deadline {self.window_deadline()}")
         active = self.active
         sub = active.sub
-        if active.backtrack_from is not None:
-            del self.history[active.backtrack_from:]
-        entry = HistoryEntry(
-            commitment=sub.commitment,
-            range=sub.range,
-            submitted_at_eth=active.submitted_at_eth,
-            relayer=sub.relayer,
-            tip_header=sub.tip_header,
-        )
-        self.history.append(entry)
-        self.current_date = sub.range
+        keep = len(self.history) if active.backtrack_from is None else active.backtrack_from
+        entry = self._commit(keep, sub, active.submitted_at_eth, sub.relayer, now_s)
         self._finalize_pending_penalty()
         self.active = None
-        self.relay_mode = "listening"
-        self.last_progress_s = now_s
         if self.deep_proposal is not None:
             self._emit("deep_cancelled", sub.relayer, reason="relay progressed")
             self.deep_proposal = None
@@ -680,7 +681,7 @@ class BridgeContract:
         restarts the window, and debits the displaced relayer a penalty that
         stays refundable until this new submission survives or fails scrutiny.
         """
-        if self.relay_mode != "verification" or self.active is None:
+        if self.active is None:
             raise NotVerifying("relay is listening")
         if not self.is_relayer(challenger) or alt.relayer != challenger:
             raise NotARelayer(challenger)
@@ -722,7 +723,7 @@ class BridgeContract:
         while a proof thread awaits the active relayer's extension proof.
         Only the first such challenge against a submission is considered.
         """
-        if self.relay_mode != "verification" or self.active is None:
+        if self.active is None:
             if any(not t.resolved for t in self.threads.values()):
                 raise SecondChallenge("a commitment challenge is already pending")
             raise NotVerifying("relay is listening")
@@ -734,7 +735,7 @@ class BridgeContract:
         prior_tip, prior_date = self.base(active.backtrack_from)
         ext_len = active.sub.range - prior_date
         thread = ProofThread(
-            thread_id=self._next_thread_id,
+            thread_id=len(self.threads),
             sub=active.sub,
             sub_seq=active.seq,
             prior_tip_header=prior_tip,
@@ -745,10 +746,8 @@ class BridgeContract:
             proof_deadline_s=now_s + self.params.proof_timeout_per_block_s * ext_len,
             pending_penalty=active.pending_penalty,
         )
-        self._next_thread_id += 1
         self.threads[thread.thread_id] = thread
         self.active = None
-        self.relay_mode = "listening"
         self._emit(
             "challenge_commitment", challenger,
             relayer=thread.relayer, thread_id=thread.thread_id, ext_len=ext_len,
@@ -891,7 +890,6 @@ class BridgeContract:
         self._wow_credit(self.history[report.history_index].relayer, y, tax)
         self._wow_credit(reporter, y, bounty)
 
-        bridge.minted = True
         bridge.state = "queued"
         self.y_queues.setdefault(y, []).append(bridge.bridge_id)
         self.used_txs.add(tx.tx_id)
@@ -929,7 +927,7 @@ class BridgeContract:
         self._wow_debit(hodler, y, w)
         self._wow_credit(BRIDGE_ADDR, y, w)
         burn = Burn(
-            burn_id=self._next_burn_id,
+            burn_id=len(self.burns),
             hodler=hodler,
             y=y,
             w=w,
@@ -937,7 +935,6 @@ class BridgeContract:
             created_eth=at_eth,
             history_len_at_burn=len(self.history),
         )
-        self._next_burn_id += 1
         deadline = at_eth + self.params.unlock_timeout_eth_blocks
         remaining = w
         while remaining > 0:
@@ -960,7 +957,7 @@ class BridgeContract:
         return burn
 
     def _maybe_close_bridge(self, bridge: Bridge) -> None:
-        if bridge.state == "closed" or not bridge.minted:
+        if bridge.state in ("open", "closed"):
             return
         pending = any(
             p.settled is None and p.bridge_id == bridge.bridge_id
@@ -1074,7 +1071,7 @@ class BridgeContract:
         if tx.tx_id in self.used_txs:
             return self._ignored(hodler, "missing", "transaction used")
         for bridge in self.bridges.values():
-            if bridge.head == tx.sender and bridge.y == y and bridge.minted and bridge.state != "closed":
+            if bridge.head == tx.sender and bridge.y == y and bridge.state in ("queued", "escrowed"):
                 break
         else:
             return self._ignored(hodler, "missing", "sender is not a live bridge head at this rate")
@@ -1179,17 +1176,7 @@ class BridgeContract:
         if self.relay_mode != "listening":
             raise NotListening(self.relay_mode)
         self.deep_proposal = None
-        del self.history[proposal.from_index:]
-        entry = HistoryEntry(
-            commitment=proposal.sub.commitment,
-            range=proposal.sub.range,
-            submitted_at_eth=0,
-            relayer=proposal.proposer,
-            tip_header=proposal.sub.tip_header,
-        )
-        self.history.append(entry)
-        self.current_date = proposal.sub.range
-        self.last_progress_s = now_s
+        entry = self._commit(proposal.from_index, proposal.sub, 0, proposal.proposer, now_s)
         self._emit(
             "deep_finalized", proposal.proposer,
             from_index=proposal.from_index, range=entry.range, history_len=len(self.history),

@@ -339,7 +339,3 @@ class ChainView:
             cur -= 1
         out.reverse()
         return out
-
-    def headers_range(self, tip: bytes, from_ordinal: int, to_ordinal: int) -> List[BlockHeader]:
-        return [b.header for b in self.path_blocks(tip, from_ordinal, to_ordinal)]
-

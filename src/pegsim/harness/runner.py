@@ -103,16 +103,14 @@ class SimulationRunner:
         self.mempool: List[Transaction] = []
         self._nonces: Dict[bytes, int] = {}
         self._doge_rng = random.Random(f"{config.seed}/doge-times")
-        self._blocks_mined = 0
 
         self.events: List[dict] = []
-        self._seq = 0
 
     # -- trace plumbing ------------------------------------------------------
 
     def _record(self, kind: str, actor: str, payload: dict) -> None:
         event = {
-            "seq": self._seq,
+            "seq": len(self.events),
             "t": self.now,
             "eth": self.eth_now,
             "kind": kind,
@@ -121,7 +119,6 @@ class SimulationRunner:
             "agg": self.contract.aggregates(),
             "digest": self.contract.state_digest(),
         }
-        self._seq += 1
         self.events.append(event)
 
     # -- world mechanics -------------------------------------------------------
@@ -129,8 +126,8 @@ class SimulationRunner:
     def _mine_next_block(self) -> None:
         txs, self.mempool = self.mempool, []
         parent = self.view.best_tip()
-        seed = int.from_bytes(sha256(f"{self.config.seed}/mine/{self._blocks_mined}".encode())[:8], "big")
-        self._blocks_mined += 1
+        mined = len(self.view.blocks) - 1  # every block but genesis was mined here
+        seed = int.from_bytes(sha256(f"{self.config.seed}/mine/{mined}".encode())[:8], "big")
         block = self.view.mine_block(parent, txs, time=self.now, seed=seed)
         self.view.add_block(block, arrival_time=self.now)
         self._record("doge_block", "network", {
@@ -186,12 +183,8 @@ class SimulationRunner:
         c = self.contract
         p = action.params
         kind = action.kind
-        if kind == "idle":
-            return
         if kind == "become_relayer":
             c.become_relayer(agent.name, p["deposit"])
-        elif kind == "withdraw_relayer":
-            c.withdraw_relayer_deposit(agent.name)
         elif kind == "open_bridge":
             c.open_bridge(agent.name, p["x"], p["y"], p["head"],
                           crossing_fee=p["crossing_fee"], burn_bounty=p["burn_bounty"])
@@ -229,17 +222,12 @@ class SimulationRunner:
         elif kind == "backtrack":
             deadline = c.backtrack(agent.name, p["from_index"], p["sub"], self.eth_now)
             self._schedule_accept(deadline)
-        elif kind == "chunked_backtrack":
-            deadline = c.chunked_backtrack(agent.name, p["from_index"], p["sub"], self.eth_now, self.now)
-            self._schedule_accept(deadline)
         elif kind == "propose_deep":
             proposal = c.propose_deep_backtrack(agent.name, p["from_index"], p["sub"], self.now)
             self.queue.schedule(proposal.proposed_at_s + c.params.deep_backtrack_delay_1_s,
                                 ("deep_finalize", {"proposal_seq": proposal.seq}))
         elif kind == "object_deep":
             c.object_deep_backtrack(agent.name, self.now)
-        elif kind == "wow_transfer":
-            c.wow_transfer(agent.name, p["to"], p["y"], p["amount"])
         else:
             raise SimError(f"unknown action kind {kind!r}")
 
@@ -273,8 +261,7 @@ class SimulationRunner:
                         })
             self.queue.schedule(t + self.clock.eth_block_seconds, ("turns", {}))
         elif kind == "accept_check":
-            if (c.relay_mode == "verification" and c.active is not None
-                    and c.active.seq == p["sub_seq"]):
+            if c.active is not None and c.active.seq == p["sub_seq"]:
                 c.accept_on_timeout(self.eth_now, self.now)
         elif kind == "proof_timeout":
             thread = c.threads.get(p["thread_id"])
@@ -318,7 +305,7 @@ class SimulationRunner:
         c = self.contract
         live_heads: Dict[str, Dict[bytes, None]] = {}
         for b in c.bridges.values():
-            if b.minted and b.state != "closed":
+            if b.state in ("queued", "escrowed"):
                 live_heads.setdefault(str(b.y), {})[b.head] = None
         locked: Dict[str, int] = {y: 0 for y in live_heads}
         tip = self.view.best_tip()

@@ -42,14 +42,6 @@ def extension_leaves(blocks: Sequence[Block]) -> List[bytes]:
     return leaves
 
 
-def tx_leaf_index(blocks: Sequence[Block], block_i: int, tx_j: int) -> int:
-    """Leaf index of blocks[block_i].txs[tx_j] within extension_leaves(blocks)."""
-    idx = 0
-    for b in blocks[:block_i]:
-        idx += 1 + len(b.txs)
-    return idx + 1 + tx_j
-
-
 def commitment_root(blocks: Sequence[Block]) -> bytes:
     return merkle_root(extension_leaves(blocks))
 

@@ -209,6 +209,33 @@ class TestHonestRelayer:
         actions, _ = policy.step(observation(contract, view, "r", t=700), priv)
         assert [a.kind for a in actions] == ["challenge_commitment"]
 
+    def test_challenges_a_matching_commitment_under_another_tip(self):
+        contract, view = fresh_world()
+        contract.become_relayer("r", 10_110)
+        contract.relayer_deposits["evil"] = 10_110
+        honest = build_submission(view, view.best_tip(), 0, 35, "evil", 10)
+        contract.submit_extension("evil", dataclasses.replace(honest, tip_header=header_at(view, 34)), at_eth=10)
+        policy = make_policy("honest_relayer", "r", {}, agent_seed=1)
+        actions, _ = policy.step(observation(contract, view, "r"), {})
+        assert [a.kind for a in actions] == ["challenge_commitment"]
+
+    def test_backtracks_an_entry_with_a_matching_commitment_under_another_tip(self):
+        contract, view = fresh_world()
+        contract.relayer_deposits["evil"] = 10_110
+        honest = build_submission(view, view.best_tip(), 0, 30, "evil", 10)
+        deadline = contract.submit_extension("evil", dataclasses.replace(honest, tip_header=header_at(view, 29)),
+                                             at_eth=10)
+        contract.accept_on_timeout(deadline, now_s=deadline * 14)
+        contract.become_relayer("r", 10_110)
+        policy = make_policy("honest_relayer", "r", {}, agent_seed=1)
+        actions, _ = policy.step(observation(contract, view, "r"), {})
+        assert [(a.kind, a.params.get("from_index")) for a in actions] == [("backtrack", 0)]
+
+
+def header_at(view, ordinal):
+    """Header of the block at ordinal on view's best chain."""
+    return view.path_blocks(view.best_tip(), ordinal, ordinal)[0].header
+
 
 def accept_extension(contract, view, prior, range_b, at_eth=10):
     """Relay (prior, range_b] of view's best chain through relayer "r" into the history."""
@@ -356,17 +383,18 @@ class TestSegmentMemo:
 
 
 def reference_match(obs, i, cache):
-    """Blocks of history entry i if they are on my tip's path and hash to its commitment,
-    else None; cache holds earlier answers for the same tip, entry bounds and commitment."""
+    """Blocks of history entry i if they are on my tip's path, hash to its commitment and end
+    in its tip header, else None; cache holds earlier answers for the same tip and entry."""
     entry = obs.bridge.history[i]
     prior, range_b = segment_bounds(obs.bridge.history, i)
-    key = (obs.tip, prior, range_b, entry.commitment)
+    key = (obs.tip, prior, range_b, entry.commitment, entry.tip_header.hash)
     if key not in cache:
         try:
             blocks = tuple(obs.chain.path_blocks(obs.tip, prior + 1, range_b))
         except RangeUnavailable:
             blocks = None
-        cache[key] = blocks if blocks is not None and commitment_root(blocks) == entry.commitment else None
+        cache[key] = blocks if blocks is not None and commitment_root(blocks) == entry.commitment \
+            and blocks[-1].header.hash == entry.tip_header.hash else None
     return cache[key]
 
 

@@ -182,7 +182,8 @@ class TestRegistration:
         contract = fresh(ProtocolParams())
         head = doge_address("h")
         contract.open_bridge(OP, 10 * ETH, Y100, head)
-        contract.current_date = 500
+        view, tip, _ = chain_with_lock(510)
+        accept_first_extension(contract, view, tip, range_b=500)
         reg = contract.register_crossing(ALICE, head, deposit=ETH // 2,
                                          crosser_doge=doge_address(ALICE))
         assert reg.void_fee == 10_000  # 0.1 ETH
@@ -212,8 +213,15 @@ class TestRegistration:
         contract.register_crossing(ALICE, head, deposit=ETH // 2,
                                    crosser_doge=doge_address(ALICE))
         assert contract.expire_registrations() == []  # date 0, not expired
-        contract.current_date = 21
-        voided = contract.expire_registrations()
+        voided = []
+
+        def hook(kind, actor, payload):
+            if kind == "registration_expired":
+                voided.append(payload)
+
+        contract.emit_hook = hook
+        view, tip, _ = chain_with_lock(31)
+        accept_first_extension(contract, view, tip, range_b=21)  # date 21 passes expiry 20: the accept sweeps
         assert len(voided) == 1
         # 0.5 ETH deposit: 0.1 ETH fee retained, 0.4 ETH refunded
         assert contract.retained == 10_000
@@ -331,7 +339,9 @@ class TestChallengeRange:
         contract.become_relayer(R1, 10_110)
         contract.become_relayer(R2, 10_110)
         view, tip, _ = chain_with_lock(140)
-        contract.current_date = 80  # pretend prior progress
+        # prior progress to date 80, its window closing at eth 0, before this test's submissions
+        deadline = contract.submit_extension(R1, build_submission(view, tip, 0, 80, R1, 10), at_eth=-80)
+        contract.accept_on_timeout(deadline, now_s=0)
         sub = build_submission(view, tip, 80, range_b, R1, 10)
         contract.submit_extension(R1, sub, at_eth=10)
         return contract, view, tip

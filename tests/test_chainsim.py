@@ -257,7 +257,7 @@ class TestMining:
 
     def test_thirty_block_ordinals_consecutive(self):
         view, tip = build_chain(30)
-        ordinals = [h.ordinal for h in view.headers_range(tip, 0, 30)]
+        ordinals = [b.header.ordinal for b in view.path_blocks(tip, 0, 30)]
         assert ordinals == list(range(31))
 
 
@@ -364,12 +364,14 @@ class TestForkChoice:
 
 
 class TestHeadersRange:
+    """The headers of path_blocks over an ordinal range."""
+
     def test_single_and_full(self):
         view, tip = build_chain(6)
-        only = view.headers_range(tip, 1, 1)
-        assert [h.ordinal for h in only] == [1]
-        full = view.headers_range(tip, 1, 6)
-        assert [h.ordinal for h in full] == [1, 2, 3, 4, 5, 6]
+        only = view.path_blocks(tip, 1, 1)
+        assert [b.header.ordinal for b in only] == [1]
+        full = view.path_blocks(tip, 1, 6)
+        assert [b.header.ordinal for b in full] == [1, 2, 3, 4, 5, 6]
 
     def test_fork_ranges_differ_beyond_fork_point(self):
         view = ChainView.new(TARGET)
@@ -380,17 +382,17 @@ class TestHeadersRange:
         fb = view.mine_block(bh, [], time=124, seed=3)
         view.add_block(fa, 124)
         view.add_block(fb, 125)
-        ra = view.headers_range(block_hash(fa.header), 1, 2)
-        rb = view.headers_range(block_hash(fb.header), 1, 2)
+        ra = [b.header for b in view.path_blocks(block_hash(fa.header), 1, 2)]
+        rb = [b.header for b in view.path_blocks(block_hash(fb.header), 1, 2)]
         assert ra[0] == rb[0]
         assert ra[1] != rb[1]
 
     def test_out_of_path_errors(self):
         view, tip = build_chain(3)
         with pytest.raises(RangeUnavailable):
-            view.headers_range(tip, 1, 9)
+            view.path_blocks(tip, 1, 9)
         with pytest.raises(RangeUnavailable):
-            view.headers_range(tip, 3, 1)
+            view.path_blocks(tip, 3, 1)
 
 
 def visible_best(view, cutoff):
@@ -451,5 +453,5 @@ class TestVisibility:
 
     def test_every_path_block_passes_pow(self):
         view, tip = build_chain(10, seed_base=500)
-        for header in view.headers_range(tip, 0, 10):
-            assert pow_check(header)
+        for block in view.path_blocks(tip, 0, 10):
+            assert pow_check(block.header)

@@ -8,10 +8,10 @@ from pegsim.proofsys import (
     CostModel,
     ExtensionProof,
     InsufficientChain,
+    extension_leaves,
     oracle_verify,
     prove_extension_for,
     required_relayer_deposit,
-    tx_leaf_index,
     verification_cost,
     verify_extension_proof,
 )
@@ -146,18 +146,16 @@ class TestVerify:
 
 
 class TestLeafLayout:
-    def test_tx_leaf_index(self):
+    def test_each_block_header_precedes_its_txs(self):
         txa = Transaction(doge_address("a"), doge_address("b"), 1, 0)
         txb = Transaction(doge_address("a"), doge_address("b"), 2, 1)
         view, tip = build_chain(3, txs_at={1: [txa], 2: [txb]})
         blocks = view.path_blocks(tip, 1, 3)
-        # layout: [hdr1, txa, hdr2, txb, hdr3]
-        assert tx_leaf_index(blocks, 0, 0) == 1
-        assert tx_leaf_index(blocks, 1, 0) == 3
-        from pegsim.proofsys import extension_leaves
         leaves = extension_leaves(blocks)
-        assert leaves[1] == txa.encode()
-        assert leaves[3] == txb.encode()
+        assert leaves == [blocks[0].header.encode(), txa.encode(),
+                          blocks[1].header.encode(), txb.encode(), blocks[2].header.encode()]
+        assert leaves.index(txa.encode()) == 1
+        assert leaves.index(txb.encode()) == 3
 
 
 class TestCostModel:
