@@ -46,14 +46,13 @@ from .chainsim import (
     BlockHeader,
     ChainView,
     Transaction,
-    block_hash,
     doge_address,
     mine_header,
     pow_check,
 )
 from .errors import BeforeStart, ConfigError, RangeUnavailable, SimError
 from .merkle import sha256
-from .proofsys import ExtensionProof, commitment_root, prove_extension_for
+from .proofsys import ExtensionProof, commitment_root, date_of, prove_extension_for
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +159,12 @@ class Segment(NamedTuple):
 
 
 class Policy:
-    """Base: subclasses implement decide(); step() wraps it with purity plumbing."""
+    """Base: subclasses implement decide(); step() wraps it with onboarding and purity plumbing."""
 
     # the scenario config validates params against PARAMS; __init__ only fills in defaults
     PARAMS: Dict[str, object] = {}
     DEFAULTS: Dict[str, object] = {}  # declared_defaults(PARAMS), built once per class
+    ONBOARD_AT: Optional[str] = None  # a relayer policy's param holding the time it goes online
 
     def __init_subclass__(cls):
         cls.DEFAULTS = declared_defaults(cls.PARAMS)
@@ -184,15 +184,16 @@ class Policy:
 
     def step(self, obs: Observation, priv: dict) -> Tuple[List[Action], dict]:
         priv = dict(priv)
-        actions = self.decide(obs, priv)
+        joining = None if self.ONBOARD_AT is None else self.onboard(obs)
+        actions = self.decide(obs, priv) if joining is None else joining
         return actions, priv
 
     def decide(self, obs: Observation, priv: dict) -> List[Action]:
         raise NotImplementedError
 
-    def onboard(self, obs: Observation, start: str = "activate_at") -> Optional[List[Action]]:
-        """[] before params[start]; then the deposit when affordable; None once a relayer."""
-        if obs.sim_time < self.params[start]:
+    def onboard(self, obs: Observation) -> Optional[List[Action]]:
+        """[] before params[ONBOARD_AT]; then the deposit when affordable; None once a relayer."""
+        if obs.sim_time < self.params[self.ONBOARD_AT]:
             return []
         st = obs.bridge
         if st.is_relayer(self.name):
@@ -205,7 +206,7 @@ class Policy:
         """A supply_proof for each of my unanswered challenges that proof_for can answer."""
         actions = []
         for thread in obs.bridge.threads.values():
-            if not thread.resolved and thread.relayer == self.name and thread.proof is None:
+            if not thread.resolved and thread.sub.relayer == self.name and thread.proof is None:
                 proof = proof_for(thread)
                 if proof is not None:
                     actions.append(Action("supply_proof", {"thread_id": thread.thread_id, "proof": proof}))
@@ -215,7 +216,7 @@ class Policy:
         """Random roots under a tip header that fails PoW, claiming range_b."""
         tip_header = find_bad_header(rng.randbytes(32), range_b, obs.sim_time,
                                      obs.chain.genesis.header.difficulty_target, seed=self.agent_seed)
-        return Submission(range_b, rng.randbytes(32), rng.randbytes(32), tip_header, self.name)
+        return Submission(rng.randbytes(32), rng.randbytes(32), tip_header, self.name)
 
     # -- shared views over the contract history ----------------------------
 
@@ -332,17 +333,16 @@ class HonestRelayer(Policy):
     RANGE_SLACK = 2
     RANGE_PATIENCE_ETH = 30
     PARAMS = {"online_at": 0}
+    ONBOARD_AT = "online_at"
 
     def decide(self, obs: Observation, priv: dict) -> List[Action]:
-        joining = self.onboard(obs, "online_at")
-        if joining is not None:
-            return joining
         st = obs.bridge
 
         cm = confirmed_max(obs.chain, obs.tip, st.params.c)
         priv["cm_samples"] = sample_window(priv.get("cm_samples", ()), obs.eth_time, cm)
 
-        actions = self.supply_proofs(obs, lambda t: self._try_prove(obs, t.prior_date, t.sub.range))
+        actions = self.supply_proofs(
+            obs, lambda t: self._try_prove(obs, date_of(t.prior_tip_header), t.sub.range))
 
         if st.active is not None:
             if st.active.sub.relayer != self.name:
@@ -421,9 +421,10 @@ class LazyRelayer(Policy):
     """Posts a deposit and then never acts; deposits alone do not relay."""
 
     PARAMS = {"activate_at": 0}
+    ONBOARD_AT = "activate_at"
 
     def decide(self, obs: Observation, priv: dict) -> List[Action]:
-        return self.onboard(obs) or []
+        return []
 
 
 class OrphanAttacker(Policy):
@@ -436,11 +437,9 @@ class OrphanAttacker(Policy):
     """
 
     PARAMS = {"activate_at": 0}
+    ONBOARD_AT = "activate_at"
 
     def decide(self, obs: Observation, priv: dict) -> List[Action]:
-        joining = self.onboard(obs)
-        if joining is not None:
-            return joining
         st = obs.bridge
         commitment, proof = priv.get("attack", (None, None))
         actions = self.supply_proofs(obs, lambda t: proof if t.sub.commitment == commitment else None)
@@ -462,12 +461,12 @@ class OrphanAttacker(Policy):
             parent_header = header
         target = headers[-1].difficulty_target
         witness = []
-        parent = block_hash(headers[-1])
+        parent = headers[-1].hash
         for j in range(st.params.c):
             bad = find_bad_header(parent, headers[-1].ordinal + 1 + j, obs.sim_time, target,
                                   headers[-1].pow_fn, seed=self.agent_seed + 10_000 + j)
             witness.append(bad)
-            parent = block_hash(bad)
+            parent = bad.hash
 
         proof = ExtensionProof(tuple(headers), tuple(witness), tuple(() for _ in headers))
         sub = proven_submission(proof, self.name)
@@ -480,11 +479,9 @@ class HighRangeAttacker(Policy):
     """Claims a range beyond anything mined, then never backs it up."""
 
     PARAMS = {"activate_at": 0, "overshoot": 60}
+    ONBOARD_AT = "activate_at"
 
     def decide(self, obs: Observation, priv: dict) -> List[Action]:
-        joining = self.onboard(obs)
-        if joining is not None:
-            return joining
         st = obs.bridge
         if priv.get("attacked") or st.relay_mode != "listening":
             return []
@@ -503,11 +500,9 @@ class FalseChallenger(Policy):
     """Griefer that disputes honest commitments it has no evidence against."""
 
     PARAMS = {"activate_at": 0, "rounds": 1}
+    ONBOARD_AT = "activate_at"
 
     def decide(self, obs: Observation, priv: dict) -> List[Action]:
-        joining = self.onboard(obs)
-        if joining is not None:
-            return joining
         st = obs.bridge
         rounds = priv.get("rounds", self.params["rounds"])
         if rounds <= 0 or st.active is None:
@@ -522,11 +517,9 @@ class DosChallenger(Policy):
     """Spams range challenges with inflated garbage alternatives."""
 
     PARAMS = {"activate_at": 0, "rounds": 3}
+    ONBOARD_AT = "activate_at"
 
     def decide(self, obs: Observation, priv: dict) -> List[Action]:
-        joining = self.onboard(obs)
-        if joining is not None:
-            return joining
         st = obs.bridge
         rounds = priv.get("rounds", self.params["rounds"])
         if rounds <= 0 or st.active is None:

@@ -4,11 +4,12 @@ One mutable BridgeContract instance holds the whole contract: accepted
 commitment history, the active submission, bridges and their FIFO per-rate
 queues, the parametrized token ledger, relayer deposits, crossing
 registrations, pending burns and their escrows, proof threads, and the
-deep-backtracking proposal slot.  Each fact is stored once: the relay is in
-Verification exactly while a submission is active, the current date is the
-range of the last history entry (0 before the first), a bridge has minted
-once it has left the "open" state, and bridge, thread and burn ids count
-the records before them, none of which is ever deleted.
+deep-backtracking proposal slot.  Each fact is stored once: a claim's range
+is its tip header's ordinal, the relay is in Verification exactly while a
+submission is active, the current date is the range of the last history
+entry (0 before the first), a bridge has minted once it has left the "open"
+state, and bridge, thread and burn ids count the records before them, none
+of which is ever deleted.
 
 Quantities are integer smallest units throughout.  A rate y is a Fraction
 "DOGE units per ETH unit" with numerator 1, which makes every n/y conversion
@@ -34,7 +35,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from . import proofsys
-from .chainsim import Block, BlockHeader, ChainView, Transaction, block_hash
+from .chainsim import Block, BlockHeader, ChainView, Transaction
 from .errors import (
     AlreadyRegistered,
     AlreadySettled,
@@ -52,6 +53,7 @@ from .errors import (
     NotListening,
     NotStuck,
     NotVerifying,
+    PastEvent,
     ProposalPending,
     RangeNotAhead,
     RangeTooLong,
@@ -69,6 +71,7 @@ from .proofsys import (
     CostModel,
     ExtensionProof,
     commitment_root,
+    date_of,
     extension_leaves,
     prove_extension_for,
     verification_cost,
@@ -201,13 +204,16 @@ class Registration:
 
 @dataclass(frozen=True)
 class Submission:
-    """A relayer's claimed valid extension: range, both roots, claimed tip."""
+    """A relayer's claimed valid extension: both roots and the claimed tip, whose ordinal is the range."""
 
-    range: int
     commitment: bytes
     confirmation_witness: bytes
     tip_header: BlockHeader
     relayer: str
+
+    @property
+    def range(self) -> int:
+        return self.tip_header.ordinal
 
 
 @dataclass
@@ -224,10 +230,13 @@ class ActiveSubmission:
 @dataclass(frozen=True)
 class HistoryEntry:
     commitment: bytes
-    range: int
     submitted_at_eth: int
     relayer: str
     tip_header: BlockHeader
+
+    @property
+    def range(self) -> int:
+        return self.tip_header.ordinal
 
 
 @dataclass
@@ -236,14 +245,15 @@ class ProofThread:
     sub: Submission
     sub_seq: int
     prior_tip_header: Optional[BlockHeader]
-    prior_date: int
-    relayer: str
     challenger: str
-    ext_len: int
     proof_deadline_s: int
     pending_penalty: Optional[Tuple[str, int]] = None
     proof: Optional[ExtensionProof] = None
     resolved: bool = False
+
+    @property
+    def ext_len(self) -> int:
+        return self.sub.range - date_of(self.prior_tip_header)
 
 
 @dataclass
@@ -376,8 +386,8 @@ class BridgeContract:
 
     @property
     def current_date(self) -> int:
-        """The range of the last accepted history entry; 0 before the first."""
-        return self.history[-1].range if self.history else 0
+        """The date the whole history fixes: its last entry's range; 0 before the first."""
+        return self.base()[1]
 
     def base(self, index: Optional[int] = None) -> Tuple[Optional[BlockHeader], int]:
         """(tip header, date) that an extension starts from.
@@ -432,15 +442,11 @@ class BridgeContract:
 
     def state_digest(self) -> str:
         """SHA-256 over the canonical JSON encoding of the full contract state."""
-
-        def hdr(h: Optional[BlockHeader]):
-            return block_hash(h).hex() if h is not None else None
-
         doc = {
             "current_date": self.current_date,
             "relay_mode": self.relay_mode,
             "history": [
-                [e.commitment.hex(), e.range, e.submitted_at_eth, e.relayer, hdr(e.tip_header)]
+                [e.commitment.hex(), e.range, e.submitted_at_eth, e.relayer, e.tip_header.hash.hex()]
                 for e in self.history
             ],
             "active": None
@@ -465,7 +471,7 @@ class BridgeContract:
             ],
             "relayers": sorted(self.relayer_deposits.items()),
             "threads": [
-                [t.thread_id, t.sub_seq, t.relayer, t.challenger, t.ext_len, t.resolved, t.proof is not None]
+                [t.thread_id, t.sub_seq, t.sub.relayer, t.challenger, t.ext_len, t.resolved, t.proof is not None]
                 for _, t in sorted(self.threads.items())
             ],
             "burns": [
@@ -595,7 +601,7 @@ class BridgeContract:
         if self.active is not None and self.active.sub.relayer == who:
             raise ActiveOrPending("active relayer")
         for t in self.threads.values():
-            if not t.resolved and who in (t.relayer, t.challenger):
+            if not t.resolved and who in (t.sub.relayer, t.challenger):
                 raise ActiveOrPending(f"pending proof thread {t.thread_id}")
         refund = self.relayer_deposits.pop(who)
         self._outflow(who, refund)
@@ -644,8 +650,10 @@ class BridgeContract:
     def _commit(self, keep: int, sub: Submission, submitted_at_eth: int, relayer: str,
                 now_s: int) -> HistoryEntry:
         """Keep the first keep history entries and append sub's: the relay progressed."""
+        if now_s < self.last_progress_s:
+            raise PastEvent(f"progress at {now_s}s before the last at {self.last_progress_s}s")
         del self.history[keep:]
-        entry = HistoryEntry(sub.commitment, sub.range, submitted_at_eth, relayer, sub.tip_header)
+        entry = HistoryEntry(sub.commitment, submitted_at_eth, relayer, sub.tip_header)
         self.history.append(entry)
         self.last_progress_s = now_s
         return entry
@@ -739,10 +747,7 @@ class BridgeContract:
             sub=active.sub,
             sub_seq=active.seq,
             prior_tip_header=prior_tip,
-            prior_date=prior_date,
-            relayer=active.sub.relayer,
             challenger=challenger,
-            ext_len=ext_len,
             proof_deadline_s=now_s + self.params.proof_timeout_per_block_s * ext_len,
             pending_penalty=active.pending_penalty,
         )
@@ -750,7 +755,7 @@ class BridgeContract:
         self.active = None
         self._emit(
             "challenge_commitment", challenger,
-            relayer=thread.relayer, thread_id=thread.thread_id, ext_len=ext_len,
+            relayer=active.sub.relayer, thread_id=thread.thread_id, ext_len=ext_len,
             proof_deadline_s=thread.proof_deadline_s, sub_seq=thread.sub_seq,
         )
         return thread
@@ -759,7 +764,7 @@ class BridgeContract:
         thread = self.threads.get(thread_id)
         if thread is None or thread.resolved:
             raise UnknownThread(thread_id)
-        if thread.relayer != relayer:
+        if thread.sub.relayer != relayer:
             raise NotARelayer(f"{relayer} is not the thread's relayer")
         if thread.proof is not None:
             raise TooLate("proof already supplied")
@@ -774,7 +779,7 @@ class BridgeContract:
             return
         payer, amount = thread.pending_penalty
         thread.pending_penalty = None
-        if vindicated and payer != thread.relayer:
+        if vindicated and payer != thread.sub.relayer:
             self.relayer_deposits[payer] = self.relayer_deposits.get(payer, 0) + amount
         else:
             self.retained += amount
@@ -792,18 +797,19 @@ class BridgeContract:
             raise UnknownThread(thread_id)
         if verdict not in ("accept", "reject", "timed_out"):
             raise SimError(f"unknown verdict {verdict!r}")
+        relayer = thread.sub.relayer
         cost = verification_cost(self.cost_model, thread.ext_len, self.params.c)
         reward = rate_mul(self.params.challenge_reward_rate, cost)
         settlement = {"thread_id": thread_id, "verdict": verdict, "cost": cost, "reward": reward}
 
         if verdict == "timed_out":
-            destroyed = self.relayer_deposits.pop(thread.relayer, 0)
+            destroyed = self.relayer_deposits.pop(relayer, 0)
             self.retained += destroyed
             self._refund_or_retain_penalty(thread, vindicated=True)
-            settlement.update(payer=thread.relayer, paid=destroyed, destroyed=destroyed)
+            settlement.update(payer=relayer, paid=destroyed, destroyed=destroyed)
         else:  # the loser pays the cost and rewards the winner
             relayer_lost = verdict == "reject"
-            payer, payee = (thread.relayer, thread.challenger) if relayer_lost else (thread.challenger, thread.relayer)
+            payer, payee = (relayer, thread.challenger) if relayer_lost else (thread.challenger, relayer)
             available = self.relayer_deposits.get(payer, 0)
             cost_part = min(cost, available)
             reward_part = min(reward, available - cost_part)
@@ -816,7 +822,7 @@ class BridgeContract:
             settlement.update(payer=payer, paid=cost_part + reward_part)
 
         thread.resolved = True
-        self._emit("proof_resolved", thread.relayer, **settlement)
+        self._emit("proof_resolved", relayer, **settlement)
         return settlement
 
     # -- transaction evidence -------------------------------------------------
@@ -1175,8 +1181,8 @@ class BridgeContract:
             raise NotElapsed("objection window still open")
         if self.relay_mode != "listening":
             raise NotListening(self.relay_mode)
-        self.deep_proposal = None
         entry = self._commit(proposal.from_index, proposal.sub, 0, proposal.proposer, now_s)
+        self.deep_proposal = None
         self._emit(
             "deep_finalized", proposal.proposer,
             from_index=proposal.from_index, range=entry.range, history_len=len(self.history),
@@ -1215,10 +1221,9 @@ def genesis(params: ProtocolParams, cost_model: Optional[CostModel] = None,
 
 
 def proven_submission(proof: ExtensionProof, relayer: str) -> Submission:
-    """The submission an extension proof evidences: its range, both roots and its tip."""
+    """The submission an extension proof evidences: both roots and its tip."""
     headers = proof.revealed_headers
     return Submission(
-        range=headers[-1].ordinal,
         commitment=commitment_root([Block(h, txs) for h, txs in zip(headers, proof.txs_per_block)]),
         confirmation_witness=witness_root(proof.witness_headers),
         tip_header=headers[-1],
@@ -1237,10 +1242,8 @@ def build_submission(view: ChainView, tip: bytes, prior_date: int, range_b: int,
 
 def history_base(history: List[HistoryEntry], index: int) -> Tuple[Optional[BlockHeader], int]:
     """(tip header, date) after the first index entries of a history."""
-    if index > 0:
-        entry = history[index - 1]
-        return entry.tip_header, entry.range
-    return None, 0
+    tip_header = history[index - 1].tip_header if index > 0 else None
+    return tip_header, date_of(tip_header)
 
 
 def segment_bounds(history: List[HistoryEntry], history_index: int) -> Tuple[int, int]:

@@ -146,11 +146,6 @@ def _found_header(*values) -> BlockHeader:
     return header
 
 
-def block_hash(header: BlockHeader) -> bytes:
-    """A block's identity is its PoW digest."""
-    return header.hash
-
-
 def pow_check(header: BlockHeader) -> bool:
     """True iff the PoW digest, read as a 256-bit big-endian integer, beats the target."""
     if header.difficulty_target <= 0:
@@ -203,7 +198,7 @@ def mine_header(
 ) -> BlockHeader:
     """Mine a child header of parent_header (same target and PoW function)."""
     header, _ = search_pow(
-        block_hash(parent_header),
+        parent_header.hash,
         tx_root,
         parent_header.ordinal + 1,
         timestamp,
@@ -252,7 +247,7 @@ class ChainView:
     def new(cls, difficulty_target: int, pow_fn: str = "sha256d") -> "ChainView":
         header, _ = search_pow(ZERO_HASH, EMPTY_TX_ROOT, 0, 0, difficulty_target, pow_fn, seed=0)
         genesis = Block(header, ())
-        gh = block_hash(header)
+        gh = header.hash
         return cls(blocks={gh: genesis}, arrival={gh: 0}, cum_work={gh: work_for_target(difficulty_target)},
                    genesis_hash=gh, _seen_at=[0], _best=[gh])
 
@@ -264,7 +259,7 @@ class ChainView:
         return -self.cum_work[h], self.arrival[h], h
 
     def add_block(self, block: Block, arrival_time: int = 0) -> AddResult:
-        h = block_hash(block.header)
+        h = block.header.hash
         if h in self.blocks:
             return AddResult(True)  # idempotent
         parent = block.header.parent

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..agents import Observation, make_policy
 from ..bridge import BridgeContract, EthAccounts
-from ..chainsim import ChainView, Transaction, block_hash
+from ..chainsim import ChainView, Transaction
 from ..errors import AlreadySettled, NotElapsed, ParseError, SimError
 from ..merkle import sha256
 from ..proofsys import oracle_verify
@@ -132,7 +132,7 @@ class SimulationRunner:
         self.view.add_block(block, arrival_time=self.now)
         self._record("doge_block", "network", {
             "ordinal": block.header.ordinal,
-            "hash": block_hash(block.header).hex(),
+            "hash": block.header.hash.hex(),
             "txs": [
                 {"sender": tx.sender.hex(), "receiver": tx.receiver.hex(),
                  "amount": tx.amount, "tx_id": tx.tx_id.hex()}

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from .chainsim import Block, BlockHeader, ChainView, Transaction, block_hash, pow_check, tx_list_root
+from .chainsim import Block, BlockHeader, ChainView, Transaction, pow_check, tx_list_root
 from .errors import SimError
 from .merkle import merkle_root
 
@@ -115,9 +115,14 @@ def _chain_ok(headers: Sequence[BlockHeader], prev_hash: Optional[bytes], prev_o
             return "BadLink"
         if prev_ordinal is not None and h.ordinal != prev_ordinal + 1:
             return "BadOrdinal"
-        prev_hash = block_hash(h)
+        prev_hash = h.hash
         prev_ordinal = h.ordinal
     return None
+
+
+def date_of(base_header: Optional[BlockHeader]) -> int:
+    """The date a base header fixes: its ordinal, or 0 with no header (an empty history)."""
+    return 0 if base_header is None else base_header.ordinal
 
 
 def verify_extension_proof(
@@ -136,7 +141,7 @@ def verify_extension_proof(
     recomputed Merkle roots equal the submission's, and the last revealed
     header is the submission's claimed tip.
     """
-    prior_date = prior_tip_header.ordinal if prior_tip_header is not None else 0
+    prior_date = date_of(prior_tip_header)
     revealed = proof.revealed_headers
     witness = proof.witness_headers
 
@@ -151,12 +156,12 @@ def verify_extension_proof(
     if err:
         return Verdict.reject(err)
 
-    if prior_tip_header is not None and revealed[0].parent != block_hash(prior_tip_header):
+    if prior_tip_header is not None and revealed[0].parent != prior_tip_header.hash:
         return Verdict.reject("NotExtendingHistory")
 
-    if witness[0].parent != block_hash(revealed[-1]):
+    if witness[0].parent != revealed[-1].hash:
         return Verdict.reject("WitnessNotExtending")
-    err = _chain_ok(witness, block_hash(revealed[-1]), revealed[-1].ordinal)
+    err = _chain_ok(witness, revealed[-1].hash, revealed[-1].ordinal)
     if err:
         return Verdict.reject(err)
 
@@ -169,7 +174,7 @@ def verify_extension_proof(
         return Verdict.reject("CommitmentMismatch")
     if witness_root(witness) != sub.confirmation_witness:
         return Verdict.reject("WitnessMismatch")
-    if block_hash(revealed[-1]) != block_hash(sub.tip_header):
+    if revealed[-1].hash != sub.tip_header.hash:
         return Verdict.reject("TipMismatch")
     return ACCEPT
 

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from pegsim.agents import (
     CM_WINDOW,
+    POLICIES,
+    Action,
     Observation,
     Policy,
     RatePath,
@@ -25,16 +27,17 @@ from pegsim.bridge import (
     CostModel,
     EthAccounts,
     ProtocolParams,
-    Submission,
     build_submission,
     build_tx_report,
     genesis,
     segment_bounds,
 )
-from pegsim.chainsim import ChainView, Transaction, block_hash, doge_address, pow_check
+from pegsim.chainsim import ChainView, Transaction, doge_address, pow_check
 from pegsim.errors import BeforeStart, ConfigError, RangeUnavailable
 from pegsim.harness import load_config, run
 from pegsim.proofsys import commitment_root, verify_extension_proof
+
+from test_bridge import bogus_claim
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = sorted((ROOT / "scenarios").glob("*.json"))
@@ -93,7 +96,7 @@ class TestHelpers:
         for i in range(1, 16):
             b = view.mine_block(tip, [], time=62 * i, seed=i)
             view.add_block(b, 62 * i)
-            tip = block_hash(b.header)
+            tip = b.header.hash
         assert confirmed_max(view, tip, 10) == 5
         assert confirmed_max(view, tip, 20) == 0
         assert confirmed_max(view, view.ancestor_at(tip, 12), 10) == 2
@@ -127,8 +130,29 @@ def fresh_world(n_blocks=45, txs_at=None):
     for i in range(1, n_blocks + 1):
         b = view.mine_block(tip, (txs_at or {}).get(i, []), time=62 * i, seed=400 + i)
         view.add_block(b, 62 * i)
-        tip = block_hash(b.header)
+        tip = b.header.hash
     return contract, view
+
+
+@pytest.mark.parametrize("policy_id", ["honest_relayer", "lazy_relayer", "orphan_attacker",
+                                       "high_range_attacker", "false_challenger", "dos_challenger"])
+def test_relayer_policy_onboards_before_deciding(policy_id, monkeypatch):
+    contract, view = fresh_world()
+    policy = make_policy(policy_id, "r", {POLICIES[policy_id].ONBOARD_AT: 500}, agent_seed=1)
+    decided = []
+    monkeypatch.setattr(policy, "decide", lambda obs, priv: decided.append(obs.sim_time) or [])
+    need = contract.required_relayer_deposit()
+
+    assert policy.step(observation(contract, view, "r", t=400), {})[0] == []
+    poor = dataclasses.replace(observation(contract, view, "r", t=600), my_eth=need - 1)
+    assert policy.step(poor, {})[0] == []
+    joining, _ = policy.step(observation(contract, view, "r", t=600), {})
+    assert joining == [Action("become_relayer", {"deposit": need})]
+    assert decided == []
+
+    contract.become_relayer("r", need)
+    policy.step(observation(contract, view, "r", t=700), {})
+    assert decided == [700]
 
 
 class TestHonestRelayer:
@@ -169,37 +193,31 @@ class TestHonestRelayer:
         assert actions == []
 
     def test_challenges_garbage_commitment(self):
-        from pegsim.bridge import Submission
-
         contract, view = fresh_world()
         contract.become_relayer("r", 10_110)
         contract.relayer_deposits["evil"] = 10_110
-        bogus = Submission(35, b"\x13" * 32, b"\x37" * 32, view.genesis.header, "evil")
+        bogus = bogus_claim(35, b"\x13" * 32, b"\x37" * 32, "evil")
         contract.submit_extension("evil", bogus, at_eth=10)
         policy = make_policy("honest_relayer", "r", {}, agent_seed=1)
         actions, _ = policy.step(observation(contract, view, "r"), {})
         assert [a.kind for a in actions] == ["challenge_commitment"]
 
     def test_waits_on_plausibly_fresh_range(self):
-        from pegsim.bridge import Submission
-
         contract, view = fresh_world()
         contract.become_relayer("r", 10_110)
         contract.relayer_deposits["fast"] = 10_110
         # range cm+2 is within k + slack of my view: maybe they just see more
-        ahead = Submission(37, b"\x13" * 32, b"\x37" * 32, view.genesis.header, "fast")
+        ahead = bogus_claim(37, b"\x13" * 32, b"\x37" * 32, "fast")
         contract.submit_extension("fast", ahead, at_eth=10)
         policy = make_policy("honest_relayer", "r", {}, agent_seed=1)
         actions, _ = policy.step(observation(contract, view, "r"), {})
         assert actions == []
 
     def test_challenges_impossible_range_after_patience(self):
-        from pegsim.bridge import Submission
-
         contract, view = fresh_world()
         contract.become_relayer("r", 10_110)
         contract.relayer_deposits["evil"] = 10_110
-        beyond = Submission(90, b"\x13" * 32, b"\x37" * 32, view.genesis.header, "evil")
+        beyond = bogus_claim(90, b"\x13" * 32, b"\x37" * 32, "evil")
         contract.submit_extension("evil", beyond, at_eth=10)
         policy = make_policy("honest_relayer", "r", {}, agent_seed=1)
         # within the patience window the range might just be fresher news
@@ -338,7 +356,7 @@ def reorg(view, fork_at, to):
     for i in range(fork_at + 1, to + 1):
         b = view.mine_block(tip, [], time=62 * i, seed=9000 + i)
         view.add_block(b, 62 * i + 1)
-        tip = block_hash(b.header)
+        tip = b.header.hash
     assert view.best_tip() == tip
 
 
@@ -353,7 +371,7 @@ class TestSegmentMemo:
         actions, priv = policy.step(observation(contract, view, "alice"), {})
         assert [a.kind for a in actions] == ["submit_extension"]  # entry 0 matched
         contract.become_relayer("m", contract.required_relayer_deposit())
-        replay = Submission(60, contract.history[0].commitment, b"\x37" * 32, view.genesis.header, "m")
+        replay = bogus_claim(60, contract.history[0].commitment, b"\x37" * 32, "m")
         contract.submit_extension("m", replay, at_eth=10)
         actions, _ = policy.step(observation(contract, view, "alice"), priv)
         assert [a.kind for a in actions] == ["challenge_commitment"]
@@ -436,7 +454,7 @@ class TestHistoryCursor:
         contract, view = fresh_world(n_blocks=75, txs_at={35: [lock]})
         accept_extension(contract, view, 0, 30)
         contract.relayer_deposits["m"] = contract.required_relayer_deposit()
-        bogus = Submission(40, b"\x13" * 32, b"\x37" * 32, view.genesis.header, "m")
+        bogus = bogus_claim(40, b"\x13" * 32, b"\x37" * 32, "m")
         deadline = contract.submit_extension("m", bogus, at_eth=20)
         contract.accept_on_timeout(deadline, now_s=deadline * 14)
         policy = make_policy("greedy_reporter", "bob", {}, agent_seed=1)

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from pegsim import bridge as br
+from pegsim.agents import find_bad_header
 from pegsim.bridge import (
     BridgeContract,
     CostModel,
@@ -24,7 +25,7 @@ from pegsim.bridge import (
     genesis,
     rate_mul,
 )
-from pegsim.chainsim import ChainView, Transaction, block_hash, doge_address
+from pegsim.chainsim import ChainView, Transaction, doge_address
 from pegsim.errors import (
     AlreadyRegistered,
     AlreadySettled,
@@ -42,6 +43,7 @@ from pegsim.errors import (
     NotElapsed,
     NotListening,
     NotStuck,
+    PastEvent,
     RangeNotAhead,
     RangeTooLong,
     SecondChallenge,
@@ -81,8 +83,13 @@ def chain_with_lock(n_blocks=45, lock_at=3, head=None, sender=None, amount=1000,
             txs = [lock_tx]
         block = view.mine_block(tip, txs, time=62 * i, seed=1000 + i)
         assert view.add_block(block, 62 * i).accepted
-        tip = block_hash(block.header)
+        tip = block.header.hash
     return view, tip, lock_tx
+
+
+def bogus_claim(range_b, commitment, witness, relayer) -> Submission:
+    """A claim of range_b whose tip header is a fabricated header at that ordinal."""
+    return Submission(commitment, witness, find_bad_header(b"\0" * 32, range_b, 0, TARGET), relayer)
 
 
 def ignored_reasons(contract) -> list:
@@ -305,11 +312,10 @@ class TestRelaySubmitAccept:
         contract = fresh()
         view, tip, _ = chain_with_lock(45)
         contract.become_relayer(R1, 10_110)
+        at_genesis = Submission(b"\0" * 32, b"\0" * 32, view.genesis.header, R1)
         with pytest.raises(RangeNotAhead):
-            contract.submit_extension(R1, build_submission(view, tip, 0, 30, R1, 10)._replace_range(0)
-                                      if False else Submission(0, b"\0" * 32, b"\0" * 32,
-                                                               view.genesis.header, R1), at_eth=1)
-        too_long = Submission(10_001, b"\0" * 32, b"\0" * 32, view.genesis.header, R1)
+            contract.submit_extension(R1, at_genesis, at_eth=1)
+        too_long = bogus_claim(10_001, b"\0" * 32, b"\0" * 32, R1)
         with pytest.raises(RangeTooLong):
             contract.submit_extension(R1, too_long, at_eth=1)
 
@@ -391,7 +397,7 @@ class TestChallengeCommitmentAndProofs:
         view, tip, _ = chain_with_lock(45)
         sub = build_submission(view, tip, 0, 30, R1, 10)
         if not honest:
-            sub = Submission(30, b"\x42" * 32, sub.confirmation_witness, sub.tip_header, R1)
+            sub = Submission(b"\x42" * 32, sub.confirmation_witness, sub.tip_header, R1)
         contract.submit_extension(R1, sub, at_eth=10)
         return contract, view, tip, sub
 
@@ -451,7 +457,7 @@ class TestChallengeCommitmentAndProofs:
         view, tip, _ = chain_with_lock(45)
         sub = build_submission(view, tip, 0, 30, R1, 10)
         contract.submit_extension(R1, sub, at_eth=10)
-        bogus = Submission(50, b"\x66" * 32, b"\x66" * 32, sub.tip_header, R2)
+        bogus = bogus_claim(50, b"\x66" * 32, b"\x66" * 32, R2)
         contract.challenge_range(R2, bogus, at_eth=12)
         assert contract.relayer_deposits[R1] == 10_110 - 1_011
         thread = contract.challenge_commitment(R1, at_eth=14, now_s=200)
@@ -620,11 +626,11 @@ class TestBurnAndUnlock:
         tip2 = tip
         block = view.mine_block(tip2, [lock2], time=62 * 46, seed=2046)
         view.add_block(block, 62 * 46)
-        tip2 = block_hash(block.header)
+        tip2 = block.header.hash
         for i in range(47, 58):
             b = view.mine_block(tip2, [], time=62 * i, seed=2000 + i)
             view.add_block(b, 62 * i)
-            tip2 = block_hash(b.header)
+            tip2 = b.header.hash
         sub = build_submission(view, tip2, 30, 46, R1, 10)
         deadline = contract.submit_extension(R1, sub, at_eth=300)
         contract.accept_on_timeout(deadline, now_s=deadline * 14)
@@ -660,11 +666,11 @@ class TestBurnAndUnlock:
         pay_tx = Transaction(head, dest, w, 0)
         block = view.mine_block(tip, [pay_tx], time=62 * 46, seed=3046)
         view.add_block(block, 62 * 46)
-        tip = block_hash(block.header)
+        tip = block.header.hash
         for i in range(47, 58):
             b = view.mine_block(tip, [], time=62 * i, seed=3000 + i)
             view.add_block(b, 62 * i)
-            tip = block_hash(b.header)
+            tip = b.header.hash
         sub = build_submission(view, tip, 30, 46, R1, 10)
         deadline = contract.submit_extension(R1, sub, at_eth=320)
         contract.accept_on_timeout(deadline, now_s=deadline * 14)
@@ -685,11 +691,11 @@ class TestBurnAndUnlock:
         stray = Transaction(head, doge_address("somewhere/else"), 50, 5)
         block = view.mine_block(tip, [stray], time=62 * 58, seed=4000)
         view.add_block(block, 62 * 58)
-        tip2 = block_hash(block.header)
+        tip2 = block.header.hash
         for i in range(59, 70):
             b = view.mine_block(tip2, [], time=62 * i, seed=4000 + i)
             view.add_block(b, 62 * i)
-            tip2 = block_hash(b.header)
+            tip2 = b.header.hash
         sub = build_submission(view, tip2, 46, 58, R1, 10)
         deadline = contract.submit_extension(R1, sub, at_eth=800)
         contract.accept_on_timeout(deadline, now_s=deadline * 14)
@@ -727,11 +733,11 @@ class TestBurnAndUnlock:
         lock2 = Transaction(doge_address(ALICE), head2, 1000, 1, ALICE.encode())
         block = view.mine_block(tip, [lock2], time=62 * 46, seed=8046)
         view.add_block(block, 62 * 46)
-        tip = block_hash(block.header)
+        tip = block.header.hash
         for i in range(47, 58):
             b = view.mine_block(tip, [], time=62 * i, seed=8000 + i)
             view.add_block(b, 62 * i)
-            tip = block_hash(b.header)
+            tip = b.header.hash
         sub = build_submission(view, tip, 30, 46, R1, 10)
         deadline = contract.submit_extension(R1, sub, at_eth=300)
         contract.accept_on_timeout(deadline, now_s=deadline * 14)
@@ -742,11 +748,11 @@ class TestBurnAndUnlock:
         pay1 = Transaction(contract.bridges[bid1].head, dest, 1000, 0)
         block = view.mine_block(tip, [pay1], time=62 * 58, seed=8100)
         view.add_block(block, 62 * 58)
-        tip = block_hash(block.header)
+        tip = block.header.hash
         for i in range(59, 70):
             b = view.mine_block(tip, [], time=62 * i, seed=8100 + i)
             view.add_block(b, 62 * i)
-            tip = block_hash(b.header)
+            tip = b.header.hash
         sub = build_submission(view, tip, 46, 58, R1, 10)
         deadline = contract.submit_extension(R1, sub, at_eth=600)
         contract.accept_on_timeout(deadline, now_s=deadline * 14)
@@ -792,11 +798,11 @@ class TestMissingDoge:
         theft = Transaction(head, doge_address("op1/getaway"), steal, 0)
         block = view.mine_block(tip, [theft], time=62 * 46, seed=5046)
         view.add_block(block, 62 * 46)
-        tip = block_hash(block.header)
+        tip = block.header.hash
         for i in range(47, 58):
             b = view.mine_block(tip, [], time=62 * i, seed=5000 + i)
             view.add_block(b, 62 * i)
-            tip = block_hash(b.header)
+            tip = b.header.hash
         sub = build_submission(view, tip, 30, 46, R1, 10)
         deadline = contract.submit_extension(R1, sub, at_eth=300)
         contract.accept_on_timeout(deadline, now_s=deadline * 14)
@@ -849,7 +855,7 @@ class TestBacktracking:
         """Honest entry 0, then a bogus accepted entry 1 (window unmanned)."""
         contract = fresh()
         view, tip, bid, lock_tx = minted_bridge(contract)
-        bogus = Submission(60, b"\x99" * 32, b"\x98" * 32, view.genesis.header, R1)
+        bogus = bogus_claim(60, b"\x99" * 32, b"\x98" * 32, R1)
         deadline = contract.submit_extension(R1, bogus, at_eth=300)
         contract.accept_on_timeout(deadline, now_s=deadline * 14)
         assert contract.current_date == 60
@@ -859,7 +865,7 @@ class TestBacktracking:
         for i in range(46, upto + 1):
             b = view.mine_block(tip, [], time=62 * i, seed=seed_base + i)
             view.add_block(b, 62 * i)
-            tip = block_hash(b.header)
+            tip = b.header.hash
         return tip
 
     def test_recovery_from_bogus_tail(self):
@@ -966,6 +972,37 @@ class TestDeepBacktrack:
                                         now_s=200)
         contract.accept_on_timeout(deadline, now_s=deadline * 14)
         assert contract.deep_proposal is None
+
+
+class TestProgressTime:
+    """The relay's last progress time never moves back, so the 72 h stagnation
+    gate of chunked backtracking measures from the real last progress."""
+
+    def test_accept_before_last_progress_refused(self):
+        contract = fresh()
+        view, tip, _ = chain_with_lock(45)
+        accept_first_extension(contract, view, tip, range_b=30)  # accepted at eth 180
+        assert contract.last_progress_s == 2520
+        deadline = contract.submit_extension(R1, build_submission(view, tip, 30, 35, R1, 10), at_eth=5)
+        assert deadline == 85
+        with pytest.raises(PastEvent):
+            contract.accept_on_timeout(deadline, now_s=10)
+        assert contract.last_progress_s == 2520
+        assert [e.range for e in contract.history] == [30]
+        assert contract.relay_mode == "verification"
+
+    def test_finalize_before_last_progress_refused(self):
+        contract = fresh()
+        contract.become_relayer(R1, 10_110)
+        view, tip, _ = chain_with_lock(45)
+        deadline = contract.submit_extension(R1, build_submission(view, tip, 0, 30, R1, 10), at_eth=10)
+        contract.accept_on_timeout(deadline, now_s=100_000)
+        contract.propose_deep_backtrack("anyone", 0, build_submission(view, tip, 0, 31, "anyone", 10), now_s=0)
+        with pytest.raises(PastEvent):
+            contract.finalize_deep_backtrack(now_s=24 * 3600)
+        assert contract.deep_proposal is not None
+        assert [e.range for e in contract.history] == [30]
+        assert contract.last_progress_s == 100_000
 
 
 class TestWowTransfer:

@@ -13,12 +13,11 @@ from pegsim.bridge import (
     CostModel,
     EthAccounts,
     ProtocolParams,
-    Submission,
     build_submission,
     build_tx_report,
     genesis,
 )
-from pegsim.chainsim import Transaction, block_hash, doge_address
+from pegsim.chainsim import Transaction, doge_address
 from pegsim.errors import TooDeep
 
 from test_bridge import (
@@ -30,6 +29,7 @@ from test_bridge import (
     R2,
     RICH,
     Y100,
+    bogus_claim,
     chain_with_lock,
     fresh,
     minted_bridge,
@@ -47,11 +47,11 @@ class TestBurnBountyPot:
         pay = Transaction(head, dest, 1000, 0)
         block = view.mine_block(tip, [pay], time=62 * 46, seed=9046)
         view.add_block(block, 62 * 46)
-        tip = block_hash(block.header)
+        tip = block.header.hash
         for i in range(47, 58):
             b = view.mine_block(tip, [], time=62 * i, seed=9000 + i)
             view.add_block(b, 62 * i)
-            tip = block_hash(b.header)
+            tip = b.header.hash
         sub = build_submission(view, tip, 30, 46, R1, 10)
         deadline = contract.submit_extension(R1, sub, at_eth=320)
         contract.accept_on_timeout(deadline, now_s=deadline * 14)
@@ -89,11 +89,11 @@ class TestUnlockOverpayment:
         generous = Transaction(head, dest, 450, 0)  # overpays the 200 owed
         block = view.mine_block(tip, [generous], time=62 * 46, seed=9146)
         view.add_block(block, 62 * 46)
-        tip = block_hash(block.header)
+        tip = block.header.hash
         for i in range(47, 58):
             b = view.mine_block(tip, [], time=62 * i, seed=9100 + i)
             view.add_block(b, 62 * i)
-            tip = block_hash(b.header)
+            tip = b.header.hash
         sub = build_submission(view, tip, 30, 46, R1, 10)
         deadline = contract.submit_extension(R1, sub, at_eth=320)
         contract.accept_on_timeout(deadline, now_s=deadline * 14)
@@ -112,7 +112,7 @@ class TestChallengeRangeOnBacktrack:
         sub = build_submission(view, tip, 0, 30, R1, 10)
         deadline = contract.submit_extension(R1, sub, at_eth=10)
         contract.accept_on_timeout(deadline, now_s=deadline * 14)
-        bogus = Submission(60, b"\x99" * 32, b"\x98" * 32, view.genesis.header, R1)
+        bogus = bogus_claim(60, b"\x99" * 32, b"\x98" * 32, R1)
         deadline = contract.submit_extension(R1, bogus, at_eth=200)
         contract.accept_on_timeout(deadline, now_s=deadline * 14)
 
@@ -135,7 +135,7 @@ class TestChallengeRangeOnBacktrack:
         sub = build_submission(view, tip, 0, 30, R1, 10)
         deadline = contract.submit_extension(R1, sub, at_eth=10)
         contract.accept_on_timeout(deadline, now_s=deadline * 14)
-        bogus = Submission(60, b"\x99" * 32, b"\x98" * 32, view.genesis.header, R1)
+        bogus = bogus_claim(60, b"\x99" * 32, b"\x98" * 32, R1)
         deadline = contract.submit_extension(R1, bogus, at_eth=200)
         contract.accept_on_timeout(deadline, now_s=deadline * 14)
         short = build_submission(view, tip, 30, 50, R1, 10)

@@ -17,7 +17,6 @@ from pegsim.chainsim import (
     BlockHeader,
     ChainView,
     Transaction,
-    block_hash,
     doge_address,
     pow_check,
     search_pow,
@@ -39,7 +38,7 @@ def build_chain(n, target=TARGET, seed_base=100):
     for i in range(n):
         block = view.mine_block(tip, [], time=62 * (i + 1), seed=seed_base + i)
         assert view.add_block(block, arrival_time=62 * (i + 1)).accepted
-        tip = block_hash(block.header)
+        tip = block.header.hash
     return view, tip
 
 
@@ -248,11 +247,11 @@ class TestMining:
         view = ChainView.new(TARGET)
         b1 = view.mine_block(view.genesis_hash, [], time=62, seed=1)
         b2 = view.mine_block(view.genesis_hash, [], time=62, seed=2)
-        assert block_hash(b1.header) != block_hash(b2.header)
+        assert b1.header.hash != b2.header.hash
         assert view.add_block(b1, 62).accepted
         assert view.add_block(b2, 63).accepted
-        assert view.best_tip() == block_hash(b1.header)  # equal work: earlier arrival
-        assert view.best_tip(62) == block_hash(b1.header)
+        assert view.best_tip() == b1.header.hash  # equal work: earlier arrival
+        assert view.best_tip(62) == b1.header.hash
         assert view.best_tip(61) == view.genesis_hash
 
     def test_thirty_block_ordinals_consecutive(self):
@@ -325,12 +324,12 @@ class TestForkChoice:
         for i in range(3):
             b = view.mine_block(tip_a, [], time=10 + i, seed=10 + i)
             view.add_block(b, 10 + i)
-            tip_a = block_hash(b.header)
+            tip_a = b.header.hash
         tip_b = view.genesis_hash
         for i in range(4):
             b = view.mine_block(tip_b, [], time=20 + i, seed=20 + i)
             view.add_block(b, 20 + i)
-            tip_b = block_hash(b.header)
+            tip_b = b.header.hash
         assert view.best_tip() == tip_b
 
     def test_equal_length_earlier_arrival_wins(self):
@@ -340,7 +339,7 @@ class TestForkChoice:
             for name, seed, arrival in order:
                 b = view.mine_block(view.genesis_hash, [], time=62, seed=seed)
                 view.add_block(b, arrival)
-                tips[name] = block_hash(b.header)
+                tips[name] = b.header.hash
             return view, tips
 
         v1, t1 = build([("a", 1, 50), ("b", 2, 60)])
@@ -377,13 +376,13 @@ class TestHeadersRange:
         view = ChainView.new(TARGET)
         base = view.mine_block(view.genesis_hash, [], time=62, seed=1)
         view.add_block(base, 62)
-        bh = block_hash(base.header)
+        bh = base.header.hash
         fa = view.mine_block(bh, [], time=124, seed=2)
         fb = view.mine_block(bh, [], time=124, seed=3)
         view.add_block(fa, 124)
         view.add_block(fb, 125)
-        ra = [b.header for b in view.path_blocks(block_hash(fa.header), 1, 2)]
-        rb = [b.header for b in view.path_blocks(block_hash(fb.header), 1, 2)]
+        ra = [b.header for b in view.path_blocks(fa.header.hash, 1, 2)]
+        rb = [b.header for b in view.path_blocks(fb.header.hash, 1, 2)]
         assert ra[0] == rb[0]
         assert ra[1] != rb[1]
 
@@ -414,7 +413,7 @@ def grow(moves, target=EASY):
         parent = hashes[pick % len(hashes)]
         block = view.mine_block(parent, [], time=arrival, seed=i)
         assert view.add_block(block, arrival).accepted
-        hashes.append(block_hash(block.header))
+        hashes.append(block.header.hash)
     return view, hashes
 
 

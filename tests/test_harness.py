@@ -265,9 +265,8 @@ class TestOracleAgreement:
         # For every proof thread that received a proof: the oracle's verdict,
         # direct verification, and "revealed headers equal the best-chain
         # segment" must all agree.
-        from pegsim.chainsim import block_hash
         from pegsim.harness.runner import SimulationRunner
-        from pegsim.proofsys import verify_extension_proof
+        from pegsim.proofsys import date_of, verify_extension_proof
 
         runner = SimulationRunner(load_config(str(SCENARIO_DIR / f"{scenario}.json")))
         trace = runner.run()
@@ -287,7 +286,7 @@ class TestOracleAgreement:
             tip_ord = runner.view.blocks[tip].header.ordinal
             on_best = False
             if thread.sub.range <= tip_ord:
-                segment = runner.view.path_blocks(tip, thread.prior_date + 1, thread.sub.range)
+                segment = runner.view.path_blocks(tip, date_of(thread.prior_tip_header) + 1, thread.sub.range)
                 on_best = tuple(b.header for b in segment) == thread.proof.revealed_headers
             assert direct.accepted == on_best, thread.thread_id
             checked += 1

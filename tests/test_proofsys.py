@@ -3,7 +3,7 @@
 import pytest
 
 from pegsim.bridge import ProtocolParams, Submission, build_submission
-from pegsim.chainsim import BlockHeader, ChainView, Transaction, block_hash, doge_address
+from pegsim.chainsim import BlockHeader, ChainView, Transaction, doge_address
 from pegsim.proofsys import (
     CostModel,
     ExtensionProof,
@@ -27,7 +27,7 @@ def build_chain(n, txs_at=None, seed_base=900):
         txs = (txs_at or {}).get(i, [])
         block = view.mine_block(tip, txs, time=62 * i, seed=seed_base + i)
         assert view.add_block(block, 62 * i).accepted
-        tip = block_hash(block.header)
+        tip = block.header.hash
     return view, tip
 
 
@@ -50,7 +50,7 @@ class TestProveExtension:
         for i in range(26, 42):
             b = view.mine_block(ftip, [], time=62 * i + 1, seed=7000 + i)
             view.add_block(b, 62 * i + 1)
-            ftip = block_hash(b.header)
+            ftip = b.header.hash
         main = prove_extension_for(view, tip, 0, 30, c=10)
         fork = prove_extension_for(view, ftip, 0, 30, c=10)
         assert main.revealed_headers[:25] == fork.revealed_headers[:25]
@@ -119,12 +119,12 @@ class TestVerify:
 
     def test_commitment_mismatch(self):
         _, _, sub, proof, prior = self.roundtrip()
-        forged = Submission(sub.range, b"\x01" * 32, sub.confirmation_witness, sub.tip_header, sub.relayer)
+        forged = Submission(b"\x01" * 32, sub.confirmation_witness, sub.tip_header, sub.relayer)
         assert verify_extension_proof(prior, forged, proof, PARAMS).reason == "CommitmentMismatch"
 
     def test_witness_mismatch(self):
         _, _, sub, proof, prior = self.roundtrip()
-        forged = Submission(sub.range, sub.commitment, b"\x02" * 32, sub.tip_header, sub.relayer)
+        forged = Submission(sub.commitment, b"\x02" * 32, sub.tip_header, sub.relayer)
         assert verify_extension_proof(prior, forged, proof, PARAMS).reason == "WitnessMismatch"
 
     def test_tx_substitution_rejected(self):
@@ -139,9 +139,10 @@ class TestVerify:
         assert verify_extension_proof(prior, sub, swapped, PARAMS).reason == "BadTxRoot"
 
     def test_tip_binding(self):
-        _, _, sub, proof, prior = self.roundtrip()
-        wrong_tip = Submission(sub.range, sub.commitment, sub.confirmation_witness,
-                               proof.revealed_headers[0], sub.relayer)
+        view, tip, sub, proof, prior = self.roundtrip()
+        # a sibling of the last revealed header: same ordinal, so the length check passes
+        sibling = view.mine_block(view.ancestor_at(tip, sub.range - 1), [], time=1, seed=77).header
+        wrong_tip = Submission(sub.commitment, sub.confirmation_witness, sibling, sub.relayer)
         assert verify_extension_proof(prior, wrong_tip, proof, PARAMS).reason == "TipMismatch"
 
 
@@ -193,6 +194,6 @@ class TestOracle:
         job = oracle_verify(None, sub, proof, PARAMS, CostModel())
         assert job.verdict == direct
 
-        forged = Submission(sub.range, b"\x0f" * 32, sub.confirmation_witness, sub.tip_header, "r")
+        forged = Submission(b"\x0f" * 32, sub.confirmation_witness, sub.tip_header, "r")
         assert oracle_verify(None, forged, proof, PARAMS, CostModel()).verdict == \
             verify_extension_proof(None, forged, proof, PARAMS)
