@@ -19,11 +19,16 @@ is not.  Decisions depend on (obs, priv) alone, and a fresh run with the
 same seed produces identical action streams.  Policies never mutate the
 world; the harness applies their actions in roster order each turn and
 records rejected ones as policy bugs.
+
+A step also names its wake (see Policy.step).  The harness skips an agent's
+turn while its world is unchanged since its last step did nothing and that
+step's wake has not come, so most turns of a quiet relay cost no step.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import UnionType
@@ -102,6 +107,7 @@ class Observation:
     tip: bytes
     bridge: BridgeContract
     true_rate: Fraction
+    eth_block_seconds: int  # eth block n starts at sim_time n * eth_block_seconds
 
     @property
     def my_doge(self) -> int:
@@ -138,6 +144,17 @@ def find_bad_header(parent: bytes, ordinal: int, timestamp: int, target: int,
 # ---------------------------------------------------------------------------
 # policy base and shared machinery
 # ---------------------------------------------------------------------------
+
+
+WAKE = "wake"  # the priv key of a step's wake (see Policy.step)
+NEVER = float("inf")
+
+
+def reached(obs: Observation, priv: dict, t: int) -> bool:
+    """Whether sim_time t has come; if not, name it as a wake of this step."""
+    if obs.sim_time < t:
+        priv[WAKE] = min(priv[WAKE], t)
+    return obs.sim_time >= t
 
 
 class Rate(Fraction):
@@ -183,17 +200,21 @@ class Policy:
         self._pending: List[Tuple[int, Tuple[Block, ...], Transaction]] = []  # unused txs of matched entries
 
     def step(self, obs: Observation, priv: dict) -> Tuple[List[Action], dict]:
-        priv = dict(priv)
-        joining = None if self.ONBOARD_AT is None else self.onboard(obs)
+        """(actions, priv), priv[WAKE] the earliest sim_time at which this step could answer otherwise
+        in an unchanged world (the same contract, doge balances, visible tip and true rate), or NEVER.
+        A step compares each time threshold with the clock through reached(), which names it while
+        it is ahead.  Waking early only costs a step; waking late loses an action."""
+        priv = {**priv, WAKE: NEVER}
+        joining = None if self.ONBOARD_AT is None else self.onboard(obs, priv)
         actions = self.decide(obs, priv) if joining is None else joining
         return actions, priv
 
     def decide(self, obs: Observation, priv: dict) -> List[Action]:
         raise NotImplementedError
 
-    def onboard(self, obs: Observation) -> Optional[List[Action]]:
+    def onboard(self, obs: Observation, priv: dict) -> Optional[List[Action]]:
         """[] before params[ONBOARD_AT]; then the deposit when affordable; None once a relayer."""
-        if obs.sim_time < self.params[self.ONBOARD_AT]:
+        if not reached(obs, priv, self.params[self.ONBOARD_AT]):
             return []
         st = obs.bridge
         if st.is_relayer(self.name):
@@ -304,18 +325,27 @@ class Policy:
 # ---------------------------------------------------------------------------
 
 
-CM_WINDOW = 400  # confirmed-maximum samples a relayer keeps, one per contract block
+CM_WINDOW = 400  # contract blocks of confirmed-maximum history a relayer keeps
 
 
 def sample_window(window: Tuple[Tuple[int, int], ...], eth_time: int, cm: int) -> Tuple[Tuple[int, int], ...]:
-    """The last CM_WINDOW (eth_time, cm) samples once this turn's is in, the latest per eth_time.
-
-    A turn's eth_time never precedes the previous turn's.  cm itself may
-    fall: my best tip is the one with most work, not the highest.
-    """
+    """The (eth_time, cm) change points of my confirmed maximum, the latest per eth_time, once
+    this turn's cm is in; a point holds until the next one, and those that end before the last
+    CM_WINDOW contract blocks go.  eth_time never falls; cm may, as my best tip is the one with
+    most work.  A turn that keeps my tip keeps cm, so a skipped turn would add nothing."""
     if window and window[-1][0] == eth_time:
-        return window[:-1] + ((eth_time, cm),)
-    return window[1 - CM_WINDOW:] + ((eth_time, cm),)
+        window = window[:-1]
+    if window and window[-1][1] == cm:
+        return window
+    window += ((eth_time, cm),)
+    return window[bisect_right(window, (eth_time - CM_WINDOW + 1, NEVER), 1) - 1:]
+
+
+def window_max(window: Tuple[Tuple[int, int], ...], eth_time: int, until: int, default: int) -> int:
+    """The largest cm the window held at an eth_time in (eth_time - CM_WINDOW, until], else default."""
+    ends = [t for t, _ in window[1:]] + [NEVER]  # a point holds on [t, end)
+    lo = eth_time - CM_WINDOW + 1
+    return max((v for (t, v), end in zip(window, ends) if max(t, lo) < min(end, until + 1)), default=default)
 
 
 class HonestRelayer(Policy):
@@ -397,16 +427,15 @@ class HonestRelayer(Policy):
         _, prior = st.base(active.backtrack_from)
 
         if sub.range > cm:
-            waited = obs.eth_time - active.submitted_at_eth
-            if sub.range > cm + st.params.k + self.RANGE_SLACK and waited >= self.RANGE_PATIENCE_ETH:
+            if sub.range > cm + st.params.k + self.RANGE_SLACK and reached(
+                    obs, priv, (active.submitted_at_eth + self.RANGE_PATIENCE_ETH) * obs.eth_block_seconds):
                 return Action("challenge_commitment", {})
-            return None  # plausibly fresher than my view; re-judge next turn
+            return None  # plausibly fresher than my view; re-judge once my tip moves
 
         if self.matched(obs, sub, prior) is not None:
             return None
 
-        past = [v for t, v in priv.get("cm_samples", ()) if t <= active.submitted_at_eth]
-        cm_at_sub = max(past) if past else cm
+        cm_at_sub = window_max(priv["cm_samples"], obs.eth_time, active.submitted_at_eth, cm)
         stale = cm_at_sub - sub.range >= st.params.d
         if stale and cm - sub.range >= st.params.d:
             alt_range = min(cm, prior + st.params.max_extension_len)
@@ -551,7 +580,7 @@ class RationalOperator(Policy):
         st = obs.bridge
         actions: List[Action] = []
 
-        if not priv.get("opened") and obs.sim_time >= self.params["open_at"]:
+        if not priv.get("opened") and reached(obs, priv, self.params["open_at"]):
             x = self.params["collateral"]
             bounty = self.params["burn_bounty"]
             if obs.my_eth >= x + bounty:
@@ -576,7 +605,6 @@ class RationalOperator(Policy):
                         "amount": balance, "memo": b"",
                     }))
                     absconded.add(bridge.bridge_id)
-                continue
 
         for burn in st.burns.values():
             for portion in burn.portions:
@@ -627,11 +655,8 @@ class HonestCrosser(Policy):
             return []
         register = self.params["register"]
 
-        my_reg = None
-        for r in st.registrations.values():
-            if r.crosser == self.name and r.head not in sent_heads:
-                my_reg = r
-                break
+        my_reg = next((r for r in st.registrations.values()
+                       if r.crosser == self.name and r.head not in sent_heads), None)
 
         if register and my_reg is None:
             for bridge in st.bridges.values():
@@ -647,12 +672,8 @@ class HonestCrosser(Policy):
                     return []
             return []
 
-        if register:
-            bridge = next((b for b in st.bridges.values()
-                           if b.head == my_reg.head and b.state == "open"), None)
-        else:
-            bridge = next((b for b in st.bridges.values()
-                           if b.state == "open" and b.y == y and b.head not in sent_heads), None)
+        bridge = next((b for b in st.bridges.values() if b.state == "open" and
+                       (b.head == my_reg.head if register else b.y == y and b.head not in sent_heads)), None)
         if bridge is None:
             return []
 
@@ -701,7 +722,7 @@ class VigilantHodler(Policy):
                 return actions + [theft]
 
         burn_at = self.params["burn_at"]
-        triggered = (burn_at is not None and obs.sim_time >= burn_at) or \
+        triggered = (burn_at is not None and reached(obs, priv, burn_at)) or \
             (self.params["burn_on_rate"] and obs.true_rate < self._burn_below)
         if balance > 0 and triggered:
             queue = st.y_queues.get(y, [])

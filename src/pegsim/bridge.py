@@ -1143,6 +1143,8 @@ class BridgeContract:
         """Mode 1: anyone proposes an arbitrarily long extension or backtrack."""
         if self.deep_proposal is not None:
             raise ProposalPending("a proposal is already staged")
+        if sub.relayer != proposer:
+            raise NotARelayer(f"{proposer} proposes {sub.relayer}'s submission")
         if not 0 <= from_index <= len(self.history):
             raise BadIndex(f"from_index {from_index} vs history of {len(self.history)}")
         _, prior_date = self.base(from_index)

@@ -8,6 +8,7 @@ when its own snapshot was doctored to match.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional
@@ -64,6 +65,13 @@ def _require(obj: dict, key: str, typ: type, where: str) -> object:
     return value
 
 
+def _rate(text: str, where: str) -> Fraction:
+    """A rate as the runner writes it, str(Fraction): n or n/d in decimal digits."""
+    if not re.fullmatch(r"[0-9]+(/[0-9]+)?", text):
+        raise ParseError(f"{where}: rate {text!r} is not n or n/d")
+    return Fraction(text)
+
+
 def audit(events: List[dict]) -> AuditReport:
     """Re-check every event of a trace; returns the violation report.
 
@@ -113,7 +121,7 @@ def _check_events(events: List[dict], report: AuditReport) -> None:
 
         # -- per-event Invariant 1 and ETH conservation from the snapshot ----
         for y_str, n in agg.get("supply", {}).items():
-            y = Fraction(y_str)
+            y = _rate(y_str, f"event {seq} agg.supply")
             if Fraction(n, 1) != y * agg["backing"].get(y_str, 0):
                 report.flag(seq, "Invariant1",
                             f"supply[{y_str}]={n} != y*backing={y * agg['backing'].get(y_str, 0)}")
@@ -124,7 +132,7 @@ def _check_events(events: List[dict], report: AuditReport) -> None:
         # -- delta reconstruction ------------------------------------------
         if kind == "mint":
             y_str = payload["y"]
-            k = int(1 / Fraction(y_str))
+            k = int(1 / _rate(y_str, f"mint event {seq}"))
             supply[y_str] = supply.get(y_str, 0) + payload["minted"]
             backing[y_str] = backing.get(y_str, 0) + payload["minted"] * k
             q = queues.setdefault(y_str, [])
@@ -175,7 +183,7 @@ def _check_events(events: List[dict], report: AuditReport) -> None:
         if kind == "burn_settled":
             report.burns_checked += 1
             w, d, eth = payload["w"], payload["d_recv"], payload["eth_received"]
-            y = Fraction(payload["y"])
+            y = _rate(payload["y"], f"burn_settled event {seq}")
             if not 0 <= d <= w:
                 report.flag(seq, "Invariant2", f"d_recv {d} outside [0, {w}]")
             if Fraction(eth, 1) != Fraction(w - d, 1) / y:

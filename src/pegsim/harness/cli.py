@@ -73,12 +73,8 @@ def cmd_replay(args) -> int:
     return 1
 
 
-def _scenario_paths(directory: str) -> List[str]:
-    return sorted(glob.glob(os.path.join(directory, "*.json")))
-
-
 def cmd_scenarios(args) -> int:
-    paths = _scenario_paths(args.dir)
+    paths = sorted(glob.glob(os.path.join(args.dir, "*.json")))
     if not paths:
         print(f"no scenarios found in {args.dir!r}", file=sys.stderr)
         return 2

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from ..agents import Observation, make_policy
+from ..agents import WAKE, Observation, make_policy
 from ..bridge import BridgeContract, EthAccounts
 from ..chainsim import ChainView, Transaction
 from ..errors import AlreadySettled, NotElapsed, ParseError, SimError
@@ -69,6 +69,7 @@ class _AgentRuntime:
     doge_addr: bytes
     visibility_delay_s: int
     priv: dict = field(default_factory=dict)
+    idle: Optional[tuple] = None  # turn key (see _asleep) of my last step if it returned no actions
 
 
 class SimulationRunner:
@@ -175,7 +176,14 @@ class SimulationRunner:
             tip=self.view.best_tip(self.now - agent.visibility_delay_s),
             bridge=self.contract,
             true_rate=true_rate,
+            eth_block_seconds=self.clock.eth_block_seconds,
         )
+
+    def _asleep(self, agent: _AgentRuntime, key: tuple) -> bool:
+        """Whether the agent did nothing at a turn with this key, (trace events, visible tip, true
+        rate), and its wake (none: the next turn) has not come.  Each change to the contract, doge
+        balances or chain is an event, and ETH moves only through contract calls: so it would again."""
+        return key == agent.idle and self.now < agent.priv.get(WAKE, self.now)
 
     # -- action dispatch ---------------------------------------------------------
 
@@ -248,8 +256,11 @@ class SimulationRunner:
         elif kind == "turns":
             true_rate = self.config.rate_path.rate_at(t)
             for agent in self.agents:
-                obs = self._observe(agent, true_rate)
-                actions, agent.priv = agent.policy.step(obs, agent.priv)
+                key = (len(self.events), self.view.best_tip(t - agent.visibility_delay_s), true_rate)
+                if self._asleep(agent, key):
+                    continue
+                actions, agent.priv = agent.policy.step(self._observe(agent, true_rate), agent.priv)
+                agent.idle = None if actions else key
                 for action in actions:
                     try:
                         self._apply_action(agent, action)

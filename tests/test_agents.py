@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from pegsim.agents import (
     CM_WINDOW,
+    NEVER,
     POLICIES,
+    WAKE,
     Action,
     Observation,
     Policy,
@@ -22,6 +24,7 @@ from pegsim.agents import (
     make_policy,
     sample_window,
     should_abscond,
+    window_max,
 )
 from pegsim.bridge import (
     CostModel,
@@ -118,6 +121,7 @@ def observation(contract, view, name="agent", rate=Fraction(1, 500), t=100):
         tip=view.best_tip(),
         bridge=contract,
         true_rate=rate,
+        eth_block_seconds=14,
     )
 
 
@@ -153,6 +157,21 @@ def test_relayer_policy_onboards_before_deciding(policy_id, monkeypatch):
     contract.become_relayer("r", need)
     policy.step(observation(contract, view, "r", t=700), {})
     assert decided == [700]
+
+
+@pytest.mark.parametrize("policy_id,params", [
+    ("honest_relayer", {"online_at": 500}),
+    ("rational_operator", {"y": Y100, "collateral": 1_000_000, "open_at": 500}),
+    ("vigilant_hodler", {"y": Y100, "burn_at": 500}),
+])
+def test_a_time_threshold_is_the_wake_until_it_passes(policy_id, params):
+    """Before its threshold a step names it as its wake; from then on the threshold names
+    nothing, so an idle agent is not stepped every turn for a time already past."""
+    contract, view = fresh_world()
+    policy = make_policy(policy_id, "op", params, agent_seed=1)
+    assert policy.step(observation(contract, view, "op", t=499), {})[1][WAKE] == 500
+    assert policy.step(observation(contract, view, "op", t=500), {})[1][WAKE] == NEVER
+    assert policy.step(observation(contract, view, "op", t=900), {})[1][WAKE] == NEVER
 
 
 class TestHonestRelayer:
@@ -210,8 +229,8 @@ class TestHonestRelayer:
         ahead = bogus_claim(37, b"\x13" * 32, b"\x37" * 32, "fast")
         contract.submit_extension("fast", ahead, at_eth=10)
         policy = make_policy("honest_relayer", "r", {}, agent_seed=1)
-        actions, _ = policy.step(observation(contract, view, "r"), {})
-        assert actions == []
+        actions, priv = policy.step(observation(contract, view, "r"), {})
+        assert actions == [] and priv[WAKE] == NEVER  # only a move of my tip changes my answer
 
     def test_challenges_impossible_range_after_patience(self):
         contract, view = fresh_world()
@@ -220,11 +239,13 @@ class TestHonestRelayer:
         beyond = bogus_claim(90, b"\x13" * 32, b"\x37" * 32, "evil")
         contract.submit_extension("evil", beyond, at_eth=10)
         policy = make_policy("honest_relayer", "r", {}, agent_seed=1)
-        # within the patience window the range might just be fresher news
+        # within the patience window the range might just be fresher news; it ends at the
+        # first second of eth block 10 + RANGE_PATIENCE_ETH, which the step names as its wake
         actions, priv = policy.step(observation(contract, view, "r", t=200), {})
-        assert actions == []
+        assert actions == [] and priv[WAKE] == 40 * 14
+        assert policy.step(observation(contract, view, "r", t=40 * 14 - 1), priv) == ([], priv)
         # patience exhausted with the range still unverifiable: it cannot exist
-        actions, _ = policy.step(observation(contract, view, "r", t=700), priv)
+        actions, _ = policy.step(observation(contract, view, "r", t=40 * 14), priv)
         assert [a.kind for a in actions] == ["challenge_commitment"]
 
     def test_challenges_a_matching_commitment_under_another_tip(self):
@@ -566,24 +587,30 @@ class TestHistoryCursor:
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 2), st.integers(-3, 3), st.integers(0, CM_WINDOW + 5)),
-                min_size=CM_WINDOW + 1, max_size=CM_WINDOW + 300))
+@given(st.lists(st.tuples(st.integers(0, 4), st.sampled_from([-2, -1, 0, 0, 0, 1, 3]),
+                          st.integers(0, CM_WINDOW + 5)),
+                min_size=CM_WINDOW // 2, max_size=CM_WINDOW + 300))
 def test_sample_window_answers_as_a_dict_of_the_last_samples(turns):
-    """The window against the per-turn dict it replaces: the latest cm per eth_time, trimmed to
-    the CM_WINDOW latest eth_times.  eth_time never falls and may repeat; cm may fall.  Each turn
-    asks for the largest sample at or before a submission made `back` contract blocks ago."""
+    """The change points against the per-turn dict they replace: the latest cm per eth_time
+    of every turn, stepped or skipped, trimmed to the last CM_WINDOW eth_times.  A turn comes
+    `gap` contract blocks after the previous one (0: in the same block), and the turns between
+    are skipped, which keeps cm.  cm may fall.  Each stepped turn asks for the largest sample
+    at or before a submission made `back` contract blocks ago."""
     window, samples, eth_time, cm = (), {}, 0, 50
-    for step, move, back in turns:
-        eth_time, cm = eth_time + step, max(0, cm + move)
-        window = sample_window(window, eth_time, cm)
+    for gap, move, back in turns:
+        if window:  # skipped turns since my first step
+            samples.update((t, cm) for t in range(eth_time + 1, eth_time + gap))
+        eth_time, cm = eth_time + gap, max(0, cm + move)
         samples[eth_time] = cm
-        if len(samples) > CM_WINDOW:
-            for key in sorted(samples)[:-CM_WINDOW]:
-                del samples[key]
+        for key in [t for t in samples if t <= eth_time - CM_WINDOW]:
+            del samples[key]
+        window = sample_window(window, eth_time, cm)
+        assert all(a[1] != b[1] and a[0] < b[0] for a, b in zip(window, window[1:]))
         submitted_at = eth_time - back
         past = [v for t, v in samples.items() if t <= submitted_at]
-        assert max((v for t, v in window if t <= submitted_at), default=cm) == (max(past) if past else cm)
-    assert dict(window) == samples and len(window) == len(samples)
+        assert window_max(window, eth_time, submitted_at, cm) == max(past, default=cm)
+    assert {t: window_max(window, eth_time, t, None) for t in samples} == \
+        {t: max(v for u, v in samples.items() if u <= t) for t in samples}
 
 
 class TestPolicyPurity:
@@ -600,7 +627,7 @@ class TestPolicyPurity:
             a2, priv2 = p2.step(observation(contract2, view2, "r", t=t), priv2)
             assert [a.kind for a in a1] == [a.kind for a in a2]
             assert priv1 == priv2
-        assert [t for t, _ in priv1["cm_samples"]] == [7, 8, 9]
+        assert priv1["cm_samples"] == ((7, 35),)  # one change point: the tip, so cm, never moved
 
     def test_step_does_not_mutate_input_priv(self):
         contract, view = fresh_world()
@@ -612,6 +639,9 @@ class TestPolicyPurity:
         assert priv_in == {"cm_samples": ((1, 2), (3, 4))}
         this_turn = (obs.eth_time, confirmed_max(view, obs.tip, contract.params.c))
         assert priv_out["cm_samples"] == ((1, 2), (3, 4), this_turn)
+        later = dataclasses.replace(obs, sim_time=obs.sim_time + 14 * CM_WINDOW, eth_time=obs.eth_time + CM_WINDOW)
+        # cm kept: no new point, and nothing trimmed although (1, 2) has left the window
+        assert policy.step(later, priv_out)[1]["cm_samples"] == priv_out["cm_samples"]
 
     def test_step_does_not_mutate_input_set_priv(self):
         contract, view, locks = locks_world(2)

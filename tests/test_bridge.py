@@ -918,6 +918,14 @@ class TestDeepBacktrack:
         proposal = contract.propose_deep_backtrack("anyone", 0, sub, now_s=1000)
         return contract, proposal
 
+    def test_proposal_of_anothers_submission_refused(self):
+        contract = fresh()
+        view, tip, _ = chain_with_lock(45)
+        sub = build_submission(view, tip, 0, 30, "someone_else", 10)
+        with pytest.raises(NotARelayer):
+            contract.propose_deep_backtrack("proposer", 0, sub, now_s=1000)
+        assert contract.deep_proposal is None
+
     def test_objection_cancels(self):
         contract, _ = self.staged()
         assert contract.object_deep_backtrack("objector", now_s=1000 + 23 * 3600) == "cancelled"

@@ -2,13 +2,16 @@
 reproduce the trace digest and event count recorded in pegbench/golden.json,
 also with every policy param it leaves unset written out at the value the
 policies fell back to before their params were declared; those values must
-also be the declared defaults.
+also be the declared defaults.  The long-horizon runs (fuzz_random at seed
+offsets 0-2, at x1 and x8 its end.sim_time) must reproduce their digest,
+event count and blocks mined.
 
 A change that alters behaviour on purpose re-records the goldens with
-`python3 pegbench/run.py --workload corpus --seed 0 --write-golden` and says
+`python3 pegbench/run.py --workload <corpus|long_horizon> --seed 0 --write-golden` and says
 why in CHANGES.md.
 """
 
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -19,7 +22,9 @@ from pegsim.harness import load_config, parse_config, run
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = sorted((ROOT / "scenarios").glob("*.json"))
-GOLDEN = json.loads((ROOT / "pegbench" / "golden.json").read_text())["corpus"]["runs"]
+GOLDENS = json.loads((ROOT / "pegbench" / "golden.json").read_text())
+GOLDEN = GOLDENS["corpus"]["runs"]
+LONG_HORIZON = [(offset, horizon) for offset in range(3) for horizon in (1, 8)]
 
 
 def test_every_scenario_has_a_golden():
@@ -32,6 +37,25 @@ def test_trace_matches_golden(path):
     trace = run(load_config(str(path)))
     want = GOLDEN[f"{path.stem}+0"]
     assert (trace.digest(), len(trace.events)) == (want["digest"], want["events"])
+
+
+def long_horizon_label(offset, horizon):
+    return f"fuzz_random{'/x8' if horizon == 8 else ''}+{offset}"
+
+
+def test_every_long_horizon_golden_is_run():
+    runs = GOLDENS["long_horizon"]["runs"]
+    assert {label.split("#")[0] for label in runs} == {long_horizon_label(*run) for run in LONG_HORIZON}
+
+
+@pytest.mark.parametrize("offset,horizon", LONG_HORIZON, ids=[long_horizon_label(*r) for r in LONG_HORIZON])
+def test_long_horizon_trace_matches_golden(offset, horizon):
+    config = load_config(str(ROOT / "scenarios" / "fuzz_random.json"))
+    config = dataclasses.replace(config, seed=config.seed + offset, end_time=config.end_time * horizon)
+    trace = run(config)
+    want = GOLDENS["long_horizon"]["runs"][long_horizon_label(offset, horizon)]
+    blocks = sum(e["kind"] == "doge_block" for e in trace.events)
+    assert (trace.digest(), len(trace.events), blocks) == (want["digest"], want["events"], want["blocks"])
 
 
 # Every policy key a scenario may leave unset, at the value the policies fell

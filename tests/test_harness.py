@@ -1,7 +1,10 @@
 """Harness tests: config validation, run/audit/replay, fault injection, CLI."""
 
 import copy
+import dataclasses
 import json
+import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +16,7 @@ from pegsim.harness.cli import main as cli_main
 from pegsim.harness.runner import Trace
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+GOLDEN = json.loads((SCENARIO_DIR.parent / "pegbench" / "golden.json").read_text())["corpus"]["runs"]
 BASE = {
     "schema_version": 1,
     "name": "mini",
@@ -257,6 +261,22 @@ class TestAudit:
         Trace(events).write(str(path))
         assert cli_main(["audit", str(path)]) == 2
 
+    @pytest.mark.parametrize("rate", ["1e10000000", "1/0x10", " 1/1000", "1_000", "0.001", "-1/1000"])
+    def test_rate_outside_the_integer_grammar_is_a_parse_error(self, rate):
+        event = {"seq": 0, "kind": "genesis", "payload": {}, "agg": {"supply": {rate: 0}, "backing": {}}}
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="rate"):
+            audit([event])
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("kind", ["mint", "burn_settled"])
+    def test_payload_rate_outside_the_integer_grammar_is_a_parse_error(self, kind):
+        events = [json.loads(line) for line in
+                  run(load_config(str(SCENARIO_DIR / "lifecycle_happy_path.json"))).lines()]
+        next(e for e in events if e["kind"] == kind)["payload"]["y"] = "1e-3"
+        with pytest.raises(ParseError, match="rate '1e-3'"):
+            audit(events)
+
 
 class TestOracleAgreement:
     @pytest.mark.parametrize("scenario", ["orphan_attack", "fuzz_random", "dos_challenge",
@@ -361,6 +381,54 @@ class TestScryptVariant:
         assert audit(trace.events).ok
         blocks = [e for e in trace.events if e["kind"] == "doge_block"]
         assert len(blocks) >= 20
+
+
+class TestTurnSkipping:
+    """The runner skips an agent's turn while nothing it sees has changed since its last step
+    returned no actions, and the wake that step named has not come."""
+
+    def test_a_skipped_turn_is_a_no_op(self, monkeypatch):
+        """On every corpus scenario each skipped step, run anyway, returns no actions and the
+        priv the agent kept, and running it leaves the trace as it was."""
+        from pegsim.agents import POLICIES
+        from pegsim.harness.runner import SimulationRunner
+
+        asleep, skipped = SimulationRunner._asleep, Counter()
+
+        def checked(runner, agent, key):
+            if not asleep(runner, agent, key):
+                return False
+            obs = runner._observe(agent, key[2])
+            assert obs.tip == key[1]
+            assert agent.policy.step(obs, agent.priv) == ([], agent.priv), f"{agent.name} at {runner.now}"
+            skipped[type(agent.policy)] += 1
+            return True
+
+        monkeypatch.setattr(SimulationRunner, "_asleep", checked)
+        paths = sorted(SCENARIO_DIR.glob("*.json"))
+        assert paths
+        for path in paths:
+            trace = run(load_config(str(path)))
+            want = GOLDEN[f"{path.stem}+0"]
+            assert (trace.digest(), len(trace.events)) == (want["digest"], want["events"]), path.stem
+        assert set(skipped) == set(POLICIES.values()), skipped
+
+    def test_fuzz_random_x8_steps_under_a_third_of_the_turns(self, monkeypatch):
+        from pegsim.agents import Policy
+
+        step, steps = Policy.step, Counter()
+
+        def counted(policy, obs, priv):
+            steps[policy.name] += 1
+            return step(policy, obs, priv)
+
+        monkeypatch.setattr(Policy, "step", counted)
+        config = load_config(str(SCENARIO_DIR / "fuzz_random.json"))
+        config = dataclasses.replace(config, end_time=8 * config.end_time)
+        run(config)
+        agent_turns = config.end_time // config.clock.eth_block_seconds * len(config.agents)
+        assert agent_turns == 36_000
+        assert sum(steps.values()) < 12_000, steps
 
 
 class TestDeepBacktrackDispatch:
