@@ -227,7 +227,7 @@ class Policy:
         """A supply_proof for each of my unanswered challenges that proof_for can answer."""
         actions = []
         for thread in obs.bridge.threads.values():
-            if not thread.resolved and thread.sub.relayer == self.name and thread.proof is None:
+            if not thread.resolved and thread.active.relayer == self.name and thread.proof is None:
                 proof = proof_for(thread)
                 if proof is not None:
                     actions.append(Action("supply_proof", {"thread_id": thread.thread_id, "proof": proof}))
@@ -237,7 +237,7 @@ class Policy:
         """Random roots under a tip header that fails PoW, claiming range_b."""
         tip_header = find_bad_header(rng.randbytes(32), range_b, obs.sim_time,
                                      obs.chain.genesis.header.difficulty_target, seed=self.agent_seed)
-        return Submission(rng.randbytes(32), rng.randbytes(32), tip_header, self.name)
+        return Submission(rng.randbytes(32), rng.randbytes(32), tip_header)
 
     # -- shared views over the contract history ----------------------------
 
@@ -372,10 +372,10 @@ class HonestRelayer(Policy):
         priv["cm_samples"] = sample_window(priv.get("cm_samples", ()), obs.eth_time, cm)
 
         actions = self.supply_proofs(
-            obs, lambda t: self._try_prove(obs, date_of(t.prior_tip_header), t.sub.range))
+            obs, lambda t: self._try_prove(obs, date_of(t.prior_tip_header), t.active.sub.range))
 
         if st.active is not None:
-            if st.active.sub.relayer != self.name:
+            if st.active.relayer != self.name:
                 challenge = self._evaluate_submission(obs, priv, cm)
                 if challenge is not None:
                     actions.append(challenge)
@@ -409,7 +409,7 @@ class HonestRelayer(Policy):
 
     def _try_build(self, obs: Observation, prior: int, range_b: int) -> Optional[Submission]:
         proof = self._try_prove(obs, prior, range_b)
-        return None if proof is None else proven_submission(proof, self.name)
+        return None if proof is None else proven_submission(proof)
 
     def _evaluate_submission(self, obs: Observation, priv: dict, cm: int) -> Optional[Action]:
         """Judge the active submission against my own view.
@@ -471,7 +471,7 @@ class OrphanAttacker(Policy):
     def decide(self, obs: Observation, priv: dict) -> List[Action]:
         st = obs.bridge
         commitment, proof = priv.get("attack", (None, None))
-        actions = self.supply_proofs(obs, lambda t: proof if t.sub.commitment == commitment else None)
+        actions = self.supply_proofs(obs, lambda t: proof if t.active.sub.commitment == commitment else None)
 
         if proof is not None or st.relay_mode != "listening" or not st.history:
             return actions
@@ -498,7 +498,7 @@ class OrphanAttacker(Policy):
             parent = bad.hash
 
         proof = ExtensionProof(tuple(headers), tuple(witness), tuple(() for _ in headers))
-        sub = proven_submission(proof, self.name)
+        sub = proven_submission(proof)
         priv["attack"] = (sub.commitment, proof)
         actions.append(Action("submit_extension", {"sub": sub}))
         return actions
@@ -536,7 +536,7 @@ class FalseChallenger(Policy):
         rounds = priv.get("rounds", self.params["rounds"])
         if rounds <= 0 or st.active is None:
             return []
-        if st.active.sub.relayer == self.name:
+        if st.active.relayer == self.name:
             return []
         priv["rounds"] = rounds - 1
         return [Action("challenge_commitment", {})]

@@ -204,12 +204,11 @@ class Registration:
 
 @dataclass(frozen=True)
 class Submission:
-    """A relayer's claimed valid extension: both roots and the claimed tip, whose ordinal is the range."""
+    """A claimed valid extension: both roots and the claimed tip, whose ordinal is the range.  Its relayer is its caller."""
 
     commitment: bytes
     confirmation_witness: bytes
     tip_header: BlockHeader
-    relayer: str
 
     @property
     def range(self) -> int:
@@ -219,6 +218,7 @@ class Submission:
 @dataclass
 class ActiveSubmission:
     sub: Submission
+    relayer: str
     submitted_at_eth: int
     seq: int
     backtrack_from: Optional[int] = None
@@ -242,18 +242,16 @@ class HistoryEntry:
 @dataclass
 class ProofThread:
     thread_id: int
-    sub: Submission
-    sub_seq: int
+    active: ActiveSubmission  # the challenged submission, with its relayer and pending penalty
     prior_tip_header: Optional[BlockHeader]
     challenger: str
     proof_deadline_s: int
-    pending_penalty: Optional[Tuple[str, int]] = None
     proof: Optional[ExtensionProof] = None
     resolved: bool = False
 
     @property
     def ext_len(self) -> int:
-        return self.sub.range - date_of(self.prior_tip_header)
+        return self.active.sub.range - date_of(self.prior_tip_header)
 
 
 @dataclass
@@ -298,7 +296,6 @@ class DeepProposal:
     from_index: int
     sub: Submission
     proposed_at_s: int
-    seq: int
 
 
 EmitFn = Callable[[str, str, dict], None]
@@ -338,7 +335,6 @@ class BridgeContract:
         self.paid_total = 0
 
         self.deep_proposal: Optional[DeepProposal] = None
-        self._next_proposal_seq = 0
         self.last_progress_s = 0
 
         self.emit_hook: Optional[EmitFn] = None
@@ -421,8 +417,8 @@ class BridgeContract:
         if self.active and self.active.pending_penalty:
             held += self.active.pending_penalty[1]
         for t in self.threads.values():
-            if not t.resolved and t.pending_penalty:
-                held += t.pending_penalty[1]
+            if not t.resolved and t.active.pending_penalty:
+                held += t.active.pending_penalty[1]
         return held
 
     def aggregates(self) -> dict:
@@ -454,7 +450,7 @@ class BridgeContract:
             else [
                 self.active.sub.commitment.hex(),
                 self.active.sub.range,
-                self.active.sub.relayer,
+                self.active.relayer,
                 self.active.submitted_at_eth,
                 self.active.backtrack_from,
                 self.active.pending_penalty,
@@ -471,7 +467,7 @@ class BridgeContract:
             ],
             "relayers": sorted(self.relayer_deposits.items()),
             "threads": [
-                [t.thread_id, t.sub_seq, t.sub.relayer, t.challenger, t.ext_len, t.resolved, t.proof is not None]
+                [t.thread_id, t.active.seq, t.active.relayer, t.challenger, t.ext_len, t.resolved, t.proof is not None]
                 for _, t in sorted(self.threads.items())
             ],
             "burns": [
@@ -598,10 +594,10 @@ class BridgeContract:
     def withdraw_relayer_deposit(self, who: str) -> int:
         if not self.is_relayer(who):
             raise NotARelayer(who)
-        if self.active is not None and self.active.sub.relayer == who:
+        if self.active is not None and self.active.relayer == who:
             raise ActiveOrPending("active relayer")
         for t in self.threads.values():
-            if not t.resolved and who in (t.sub.relayer, t.challenger):
+            if not t.resolved and who in (t.active.relayer, t.challenger):
                 raise ActiveOrPending(f"pending proof thread {t.thread_id}")
         refund = self.relayer_deposits.pop(who)
         self._outflow(who, refund)
@@ -614,23 +610,22 @@ class BridgeContract:
         """First valid submission flips the relay into Verification; returns deadline."""
         if self.relay_mode != "listening":
             raise NotListening(self.relay_mode)
-        if not self.is_relayer(relayer) or sub.relayer != relayer:
+        if not self.is_relayer(relayer):
             raise NotARelayer(relayer)
         ext = sub.range - self.current_date
         if ext < 1:
             raise RangeNotAhead(f"range {sub.range} vs current date {self.current_date}")
         if ext > self.params.max_extension_len:
             raise RangeTooLong(f"extension of {ext} blocks")
-        return self._activate(sub, at_eth, backtrack_from=None)
+        return self._activate(relayer, sub, at_eth, backtrack_from=None)
 
-    def _activate(self, sub: Submission, at_eth: int, backtrack_from: Optional[int],
-                  pending_penalty: Optional[Tuple[str, int]] = None) -> int:
+    def _activate(self, relayer: str, sub: Submission, at_eth: int, backtrack_from: Optional[int]) -> int:
         seq = self._next_sub_seq
         self._next_sub_seq += 1
-        self.active = ActiveSubmission(sub, at_eth, seq, backtrack_from, pending_penalty)
+        self.active = ActiveSubmission(sub, relayer, at_eth, seq, backtrack_from)
         deadline = self.window_deadline()
         self._emit(
-            "submit", sub.relayer,
+            "submit", relayer,
             range=sub.range, commitment=sub.commitment.hex(), at_eth=at_eth,
             deadline_eth=deadline, sub_seq=seq, backtrack_from=backtrack_from,
         )
@@ -667,14 +662,14 @@ class BridgeContract:
         active = self.active
         sub = active.sub
         keep = len(self.history) if active.backtrack_from is None else active.backtrack_from
-        entry = self._commit(keep, sub, active.submitted_at_eth, sub.relayer, now_s)
+        entry = self._commit(keep, sub, active.submitted_at_eth, active.relayer, now_s)
         self._finalize_pending_penalty()
         self.active = None
         if self.deep_proposal is not None:
-            self._emit("deep_cancelled", sub.relayer, reason="relay progressed")
+            self._emit("deep_cancelled", active.relayer, reason="relay progressed")
             self.deep_proposal = None
         self._emit(
-            "accept", sub.relayer,
+            "accept", active.relayer,
             range=sub.range, history_len=len(self.history), sub_seq=active.seq,
             backtrack_from=active.backtrack_from, commitment=sub.commitment.hex(),
         )
@@ -691,7 +686,7 @@ class BridgeContract:
         """
         if self.active is None:
             raise NotVerifying("relay is listening")
-        if not self.is_relayer(challenger) or alt.relayer != challenger:
+        if not self.is_relayer(challenger):
             raise NotARelayer(challenger)
         if at_eth >= self.window_deadline():
             raise WindowElapsed(f"eth {at_eth} past deadline {self.window_deadline()}")
@@ -703,7 +698,7 @@ class BridgeContract:
         _, prior_date = self.base(base)
         if alt.range - prior_date > self.params.max_extension_len:
             raise RangeTooLong(f"alt extension of {alt.range - prior_date} blocks")
-        displaced = sub.relayer
+        displaced = self.active.relayer
         have = self.relayer_deposits.get(displaced, 0)
         penalty = min(rate_mul(self.params.nonmax_penalty_rate, have), have)
         if penalty:
@@ -715,7 +710,7 @@ class BridgeContract:
         self._finalize_pending_penalty()
         seq = self._next_sub_seq
         self._next_sub_seq += 1
-        self.active = ActiveSubmission(alt, at_eth, seq, base, (displaced, penalty))
+        self.active = ActiveSubmission(alt, challenger, at_eth, seq, base, (displaced, penalty))
         self._emit(
             "challenge_range_replaced", challenger,
             displaced=displaced, penalty=penalty, alt_range=alt.range, sub_range=sub.range,
@@ -744,19 +739,17 @@ class BridgeContract:
         ext_len = active.sub.range - prior_date
         thread = ProofThread(
             thread_id=len(self.threads),
-            sub=active.sub,
-            sub_seq=active.seq,
+            active=active,
             prior_tip_header=prior_tip,
             challenger=challenger,
             proof_deadline_s=now_s + self.params.proof_timeout_per_block_s * ext_len,
-            pending_penalty=active.pending_penalty,
         )
         self.threads[thread.thread_id] = thread
         self.active = None
         self._emit(
             "challenge_commitment", challenger,
-            relayer=active.sub.relayer, thread_id=thread.thread_id, ext_len=ext_len,
-            proof_deadline_s=thread.proof_deadline_s, sub_seq=thread.sub_seq,
+            relayer=active.relayer, thread_id=thread.thread_id, ext_len=ext_len,
+            proof_deadline_s=thread.proof_deadline_s, sub_seq=active.seq,
         )
         return thread
 
@@ -764,7 +757,7 @@ class BridgeContract:
         thread = self.threads.get(thread_id)
         if thread is None or thread.resolved:
             raise UnknownThread(thread_id)
-        if thread.sub.relayer != relayer:
+        if thread.active.relayer != relayer:
             raise NotARelayer(f"{relayer} is not the thread's relayer")
         if thread.proof is not None:
             raise TooLate("proof already supplied")
@@ -775,11 +768,12 @@ class BridgeContract:
         return thread
 
     def _refund_or_retain_penalty(self, thread: ProofThread, vindicated: bool) -> None:
-        if thread.pending_penalty is None:
+        active = thread.active
+        if active.pending_penalty is None:
             return
-        payer, amount = thread.pending_penalty
-        thread.pending_penalty = None
-        if vindicated and payer != thread.sub.relayer:
+        payer, amount = active.pending_penalty
+        active.pending_penalty = None
+        if vindicated and payer != active.relayer:
             self.relayer_deposits[payer] = self.relayer_deposits.get(payer, 0) + amount
         else:
             self.retained += amount
@@ -797,7 +791,7 @@ class BridgeContract:
             raise UnknownThread(thread_id)
         if verdict not in ("accept", "reject", "timed_out"):
             raise SimError(f"unknown verdict {verdict!r}")
-        relayer = thread.sub.relayer
+        relayer = thread.active.relayer
         cost = verification_cost(self.cost_model, thread.ext_len, self.params.c)
         reward = rate_mul(self.params.challenge_reward_rate, cost)
         settlement = {"thread_id": thread_id, "verdict": verdict, "cost": cost, "reward": reward}
@@ -1115,7 +1109,7 @@ class BridgeContract:
         depth, cost = self.backtrack_cost(from_index, sub.range)
         if cost > self.relayer_deposits[relayer]:
             raise TooDeep(f"depth {depth} not coverable by deposit")
-        return self._activate(sub, at_eth, backtrack_from=from_index)
+        return self._activate(relayer, sub, at_eth, backtrack_from=from_index)
 
     def backtrack_cost(self, from_index: int, range_b: int) -> Tuple[int, int]:
         """(depth, verification cost) of a backtrack from entry from_index to range_b."""
@@ -1127,7 +1121,7 @@ class BridgeContract:
         """Checks both deposit-bounded backtrack modes share; returns the extension length."""
         if self.relay_mode != "listening":
             raise NotListening(self.relay_mode)
-        if not self.is_relayer(relayer) or sub.relayer != relayer:
+        if not self.is_relayer(relayer):
             raise NotARelayer(relayer)
         if not 0 <= from_index < len(self.history):
             raise BadIndex(f"from_index {from_index} vs history of {len(self.history)}")
@@ -1143,15 +1137,12 @@ class BridgeContract:
         """Mode 1: anyone proposes an arbitrarily long extension or backtrack."""
         if self.deep_proposal is not None:
             raise ProposalPending("a proposal is already staged")
-        if sub.relayer != proposer:
-            raise NotARelayer(f"{proposer} proposes {sub.relayer}'s submission")
         if not 0 <= from_index <= len(self.history):
             raise BadIndex(f"from_index {from_index} vs history of {len(self.history)}")
         _, prior_date = self.base(from_index)
         if sub.range <= prior_date:
             raise RangeNotAhead(f"range {sub.range} vs prior date {prior_date}")
-        proposal = DeepProposal(proposer, from_index, sub, now_s, self._next_proposal_seq)
-        self._next_proposal_seq += 1
+        proposal = DeepProposal(proposer, from_index, sub, now_s)
         self.deep_proposal = proposal
         self._emit(
             "deep_proposed", proposer,
@@ -1199,7 +1190,7 @@ class BridgeContract:
         ext_len = self._check_backtrack(relayer, from_index, sub)
         if verification_cost(self.cost_model, ext_len, self.params.c) > self.relayer_deposits[relayer]:
             raise TooDeep(f"chunk of {ext_len} not coverable by deposit")
-        return self._activate(sub, at_eth, backtrack_from=from_index)
+        return self._activate(relayer, sub, at_eth, backtrack_from=from_index)
 
     # -- token transfers -------------------------------------------------------
 
@@ -1222,24 +1213,22 @@ def genesis(params: ProtocolParams, cost_model: Optional[CostModel] = None,
 # ---------------------------------------------------------------------------
 
 
-def proven_submission(proof: ExtensionProof, relayer: str) -> Submission:
+def proven_submission(proof: ExtensionProof) -> Submission:
     """The submission an extension proof evidences: both roots and its tip."""
     headers = proof.revealed_headers
     return Submission(
         commitment=commitment_root([Block(h, txs) for h, txs in zip(headers, proof.txs_per_block)]),
         confirmation_witness=witness_root(proof.witness_headers),
         tip_header=headers[-1],
-        relayer=relayer,
     )
 
 
-def build_submission(view: ChainView, tip: bytes, prior_date: int, range_b: int,
-                     relayer: str, c: int) -> Submission:
+def build_submission(view: ChainView, tip: bytes, prior_date: int, range_b: int, c: int) -> Submission:
     """Honest submission for the segment (prior_date, range_b] on tip's path.
 
     Raises InsufficientChain (a SimError) when tip's path does not reach range_b + c.
     """
-    return proven_submission(prove_extension_for(view, tip, prior_date, range_b, c), relayer)
+    return proven_submission(prove_extension_for(view, tip, prior_date, range_b, c))
 
 
 def history_base(history: List[HistoryEntry], index: int) -> Tuple[Optional[BlockHeader], int]:

@@ -15,6 +15,9 @@ from typing import Dict, List, Optional
 
 from ..errors import ParseError
 
+# a rational written as text, in a config or a trace: n or n/d in decimal digits, as str(Fraction) writes it
+RATIONAL = re.compile(r"[0-9]+(/[0-9]+)?")
+
 # event kinds allowed to change the relay mode, per the state machine
 _MODE_CHANGERS = {"submit", "accept", "challenge_commitment", "challenge_range_replaced"}
 
@@ -66,8 +69,8 @@ def _require(obj: dict, key: str, typ: type, where: str) -> object:
 
 
 def _rate(text: str, where: str) -> Fraction:
-    """A rate as the runner writes it, str(Fraction): n or n/d in decimal digits."""
-    if not re.fullmatch(r"[0-9]+(/[0-9]+)?", text):
+    """A rate as the runner writes it (RATIONAL)."""
+    if not RATIONAL.fullmatch(text):
         raise ParseError(f"{where}: rate {text!r} is not n or n/d")
     return Fraction(text)
 

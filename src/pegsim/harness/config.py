@@ -19,6 +19,7 @@ from ..chainsim import POW_FNS, doge_address
 from ..errors import BadParams, ConfigError
 from ..proofsys import CostModel
 from ..scheduler import ClockParams, challenge_window_eth_blocks
+from .audit import RATIONAL
 
 SCHEMA_VERSION = 1
 
@@ -62,8 +63,8 @@ def _expect(cond: bool, path: str, message: str) -> None:
 
 def _as_fraction(value, path: str) -> Fraction:
     pair = isinstance(value, list) and len(value) == 2 and all(type(v) is int for v in value)
-    _expect(pair or isinstance(value, str) or type(value) is int, path,
-            "expected a rational: 'n/d', an integer, or [n, d] of integers")
+    _expect(pair or type(value) is int or isinstance(value, str) and RATIONAL.fullmatch(value) is not None,
+            path, "expected a rational: 'n/d', an integer, or [n, d] of integers")
     try:
         rate = Fraction(*value) if pair else Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:

@@ -212,7 +212,7 @@ class SimulationRunner:
             self.queue.schedule(thread.proof_deadline_s, ("proof_timeout", {"thread_id": thread.thread_id}))
         elif kind == "supply_proof":
             thread = c.supply_proof(agent.name, p["thread_id"], p["proof"], self.now)
-            job = oracle_verify(thread.prior_tip_header, thread.sub, p["proof"], c.params, c.cost_model)
+            job = oracle_verify(thread.prior_tip_header, thread.active.sub, p["proof"], c.params, c.cost_model)
             verdict = "accept" if job.verdict.accepted else "reject"
             self.queue.schedule(self.now + job.delay_s,
                                 ("oracle", {"thread_id": thread.thread_id, "verdict": verdict,
@@ -233,7 +233,7 @@ class SimulationRunner:
         elif kind == "propose_deep":
             proposal = c.propose_deep_backtrack(agent.name, p["from_index"], p["sub"], self.now)
             self.queue.schedule(proposal.proposed_at_s + c.params.deep_backtrack_delay_1_s,
-                                ("deep_finalize", {"proposal_seq": proposal.seq}))
+                                ("deep_finalize", {"proposal": proposal}))
         elif kind == "object_deep":
             c.object_deep_backtrack(agent.name, self.now)
         else:
@@ -288,7 +288,7 @@ class SimulationRunner:
             except (NotElapsed, AlreadySettled):
                 pass
         elif kind == "deep_finalize":
-            if c.deep_proposal is not None and c.deep_proposal.seq == p["proposal_seq"]:
+            if c.deep_proposal is p["proposal"]:
                 if c.relay_mode == "verification":
                     # retry when the active submission's window closes; accepting it cancels the proposal
                     self.queue.schedule(c.window_deadline() * self.clock.eth_block_seconds, event)

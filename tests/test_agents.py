@@ -205,7 +205,7 @@ class TestHonestRelayer:
         contract, view = fresh_world()
         contract.become_relayer("r", 10_110)
         contract.relayer_deposits["other"] = 10_110
-        sub = build_submission(view, view.best_tip(), 0, 35, "other", 10)
+        sub = build_submission(view, view.best_tip(), 0, 35, 10)
         contract.submit_extension("other", sub, at_eth=10)
         policy = make_policy("honest_relayer", "r", {}, agent_seed=1)
         actions, _ = policy.step(observation(contract, view, "r"), {})
@@ -215,7 +215,7 @@ class TestHonestRelayer:
         contract, view = fresh_world()
         contract.become_relayer("r", 10_110)
         contract.relayer_deposits["evil"] = 10_110
-        bogus = bogus_claim(35, b"\x13" * 32, b"\x37" * 32, "evil")
+        bogus = bogus_claim(35, b"\x13" * 32, b"\x37" * 32)
         contract.submit_extension("evil", bogus, at_eth=10)
         policy = make_policy("honest_relayer", "r", {}, agent_seed=1)
         actions, _ = policy.step(observation(contract, view, "r"), {})
@@ -226,7 +226,7 @@ class TestHonestRelayer:
         contract.become_relayer("r", 10_110)
         contract.relayer_deposits["fast"] = 10_110
         # range cm+2 is within k + slack of my view: maybe they just see more
-        ahead = bogus_claim(37, b"\x13" * 32, b"\x37" * 32, "fast")
+        ahead = bogus_claim(37, b"\x13" * 32, b"\x37" * 32)
         contract.submit_extension("fast", ahead, at_eth=10)
         policy = make_policy("honest_relayer", "r", {}, agent_seed=1)
         actions, priv = policy.step(observation(contract, view, "r"), {})
@@ -236,7 +236,7 @@ class TestHonestRelayer:
         contract, view = fresh_world()
         contract.become_relayer("r", 10_110)
         contract.relayer_deposits["evil"] = 10_110
-        beyond = bogus_claim(90, b"\x13" * 32, b"\x37" * 32, "evil")
+        beyond = bogus_claim(90, b"\x13" * 32, b"\x37" * 32)
         contract.submit_extension("evil", beyond, at_eth=10)
         policy = make_policy("honest_relayer", "r", {}, agent_seed=1)
         # within the patience window the range might just be fresher news; it ends at the
@@ -252,7 +252,7 @@ class TestHonestRelayer:
         contract, view = fresh_world()
         contract.become_relayer("r", 10_110)
         contract.relayer_deposits["evil"] = 10_110
-        honest = build_submission(view, view.best_tip(), 0, 35, "evil", 10)
+        honest = build_submission(view, view.best_tip(), 0, 35, 10)
         contract.submit_extension("evil", dataclasses.replace(honest, tip_header=header_at(view, 34)), at_eth=10)
         policy = make_policy("honest_relayer", "r", {}, agent_seed=1)
         actions, _ = policy.step(observation(contract, view, "r"), {})
@@ -261,7 +261,7 @@ class TestHonestRelayer:
     def test_backtracks_an_entry_with_a_matching_commitment_under_another_tip(self):
         contract, view = fresh_world()
         contract.relayer_deposits["evil"] = 10_110
-        honest = build_submission(view, view.best_tip(), 0, 30, "evil", 10)
+        honest = build_submission(view, view.best_tip(), 0, 30, 10)
         deadline = contract.submit_extension("evil", dataclasses.replace(honest, tip_header=header_at(view, 29)),
                                              at_eth=10)
         contract.accept_on_timeout(deadline, now_s=deadline * 14)
@@ -280,7 +280,7 @@ def accept_extension(contract, view, prior, range_b, at_eth=10):
     """Relay (prior, range_b] of view's best chain through relayer "r" into the history."""
     if not contract.is_relayer("r"):
         contract.become_relayer("r", contract.required_relayer_deposit())
-    sub = build_submission(view, view.best_tip(), prior, range_b, "r", contract.params.c)
+    sub = build_submission(view, view.best_tip(), prior, range_b, contract.params.c)
     deadline = contract.submit_extension("r", sub, at_eth)
     contract.accept_on_timeout(deadline, now_s=deadline * 14)
 
@@ -392,7 +392,7 @@ class TestSegmentMemo:
         actions, priv = policy.step(observation(contract, view, "alice"), {})
         assert [a.kind for a in actions] == ["submit_extension"]  # entry 0 matched
         contract.become_relayer("m", contract.required_relayer_deposit())
-        replay = bogus_claim(60, contract.history[0].commitment, b"\x37" * 32, "m")
+        replay = bogus_claim(60, contract.history[0].commitment, b"\x37" * 32)
         contract.submit_extension("m", replay, at_eth=10)
         actions, _ = policy.step(observation(contract, view, "alice"), priv)
         assert [a.kind for a in actions] == ["challenge_commitment"]
@@ -412,7 +412,7 @@ class TestSegmentMemo:
         contract, view = fresh_world()
         contract.become_relayer("alice", contract.required_relayer_deposit())
         contract.become_relayer("r", contract.required_relayer_deposit())
-        contract.submit_extension("r", build_submission(view, view.best_tip(), 0, 35, "r", 10), at_eth=10)
+        contract.submit_extension("r", build_submission(view, view.best_tip(), 0, 35, 10), at_eth=10)
         policy = make_policy("honest_relayer", "alice", {}, agent_seed=1)
         actions, priv = policy.step(observation(contract, view, "alice"), {})
         assert actions == []  # matches my chain
@@ -475,13 +475,13 @@ class TestHistoryCursor:
         contract, view = fresh_world(n_blocks=75, txs_at={35: [lock]})
         accept_extension(contract, view, 0, 30)
         contract.relayer_deposits["m"] = contract.required_relayer_deposit()
-        bogus = bogus_claim(40, b"\x13" * 32, b"\x37" * 32, "m")
+        bogus = bogus_claim(40, b"\x13" * 32, b"\x37" * 32)
         deadline = contract.submit_extension("m", bogus, at_eth=20)
         contract.accept_on_timeout(deadline, now_s=deadline * 14)
         policy = make_policy("greedy_reporter", "bob", {}, agent_seed=1)
         assert cursor_answers(policy, observation(contract, view, "bob"), 60) == ([], 1)
 
-        sub = build_submission(view, view.best_tip(), 30, 40, "r", contract.params.c)
+        sub = build_submission(view, view.best_tip(), 30, 40, contract.params.c)
         deadline = contract.backtrack("r", 1, sub, at_eth=deadline + 1)
         contract.accept_on_timeout(deadline, now_s=deadline * 14)
         obs = observation(contract, view, "bob")
@@ -495,7 +495,7 @@ class TestHistoryCursor:
         policy = make_policy("greedy_reporter", "bob", {}, agent_seed=1)
         assert cursor_answers(policy, observation(contract, view, "bob"), 60) == (locks[:1], None)
 
-        sub = build_submission(view, view.best_tip(), 0, 35, "m", contract.params.c)
+        sub = build_submission(view, view.best_tip(), 0, 35, contract.params.c)
         contract.propose_deep_backtrack("m", 0, sub, now_s=1000)
         contract.finalize_deep_backtrack(now_s=1000 + contract.params.deep_backtrack_delay_1_s)
         obs = observation(contract, view, "bob")

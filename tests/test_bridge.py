@@ -87,9 +87,9 @@ def chain_with_lock(n_blocks=45, lock_at=3, head=None, sender=None, amount=1000,
     return view, tip, lock_tx
 
 
-def bogus_claim(range_b, commitment, witness, relayer) -> Submission:
+def bogus_claim(range_b, commitment, witness) -> Submission:
     """A claim of range_b whose tip header is a fabricated header at that ordinal."""
-    return Submission(commitment, witness, find_bad_header(b"\0" * 32, range_b, 0, TARGET), relayer)
+    return Submission(commitment, witness, find_bad_header(b"\0" * 32, range_b, 0, TARGET))
 
 
 def ignored_reasons(contract) -> list:
@@ -122,7 +122,7 @@ def assert_contiguous(contract, view, tip):
 
 def accept_first_extension(contract, view, tip, relayer=R1, range_b=30, at_eth=100):
     contract.become_relayer(relayer, contract.required_relayer_deposit())
-    sub = build_submission(view, tip, contract.current_date, range_b, relayer, contract.params.c)
+    sub = build_submission(view, tip, contract.current_date, range_b, contract.params.c)
     deadline = contract.submit_extension(relayer, sub, at_eth)
     return contract.accept_on_timeout(deadline, now_s=deadline * 14)
 
@@ -254,7 +254,7 @@ class TestRelayerDeposits:
         contract = fresh()
         contract.open_bridge(OP, 100 * ETH, Y100, doge_address("h"))
         view, tip, _ = chain_with_lock(45)
-        sub = build_submission(view, tip, 0, 30, OP, 10)
+        sub = build_submission(view, tip, 0, 30, 10)
         with pytest.raises(NotARelayer):
             contract.submit_extension(OP, sub, at_eth=10)
 
@@ -270,7 +270,7 @@ class TestRelayerDeposits:
         contract = fresh()
         view, tip, _ = chain_with_lock(45)
         contract.become_relayer(R1, 10_110)
-        sub = build_submission(view, tip, 0, 30, R1, 10)
+        sub = build_submission(view, tip, 0, 30, 10)
         contract.submit_extension(R1, sub, at_eth=10)
         with pytest.raises(ActiveOrPending):
             contract.withdraw_relayer_deposit(R1)
@@ -280,7 +280,7 @@ class TestRelayerDeposits:
         view, tip, _ = chain_with_lock(45)
         contract.become_relayer(R1, 10_110)
         contract.become_relayer(R2, 10_110)
-        sub = build_submission(view, tip, 0, 30, R1, 10)
+        sub = build_submission(view, tip, 0, 30, 10)
         contract.submit_extension(R1, sub, at_eth=10)
         contract.challenge_commitment(R2, at_eth=20, now_s=280)
         for who in (R1, R2):
@@ -303,19 +303,19 @@ class TestRelaySubmitAccept:
         view, tip, _ = chain_with_lock(45)
         contract.become_relayer(R1, 10_110)
         contract.become_relayer(R2, 10_110)
-        sub = build_submission(view, tip, 0, 30, R1, 10)
+        sub = build_submission(view, tip, 0, 30, 10)
         contract.submit_extension(R1, sub, at_eth=10)
         with pytest.raises(NotListening):
-            contract.submit_extension(R2, build_submission(view, tip, 0, 31, R2, 10), at_eth=11)
+            contract.submit_extension(R2, build_submission(view, tip, 0, 31, 10), at_eth=11)
 
     def test_range_not_ahead_and_too_long(self):
         contract = fresh()
         view, tip, _ = chain_with_lock(45)
         contract.become_relayer(R1, 10_110)
-        at_genesis = Submission(b"\0" * 32, b"\0" * 32, view.genesis.header, R1)
+        at_genesis = Submission(b"\0" * 32, b"\0" * 32, view.genesis.header)
         with pytest.raises(RangeNotAhead):
             contract.submit_extension(R1, at_genesis, at_eth=1)
-        too_long = bogus_claim(10_001, b"\0" * 32, b"\0" * 32, R1)
+        too_long = bogus_claim(10_001, b"\0" * 32, b"\0" * 32)
         with pytest.raises(RangeTooLong):
             contract.submit_extension(R1, too_long, at_eth=1)
 
@@ -323,7 +323,7 @@ class TestRelaySubmitAccept:
         contract = fresh()
         view, tip, _ = chain_with_lock(45)
         contract.become_relayer(R1, 10_110)
-        sub = build_submission(view, tip, 0, 30, R1, 10)
+        sub = build_submission(view, tip, 0, 30, 10)
         deadline = contract.submit_extension(R1, sub, at_eth=100)
         assert deadline == 180  # 100 + 80-block window
         with pytest.raises(WindowNotElapsed):
@@ -333,7 +333,7 @@ class TestRelaySubmitAccept:
         contract = fresh()
         view, tip, _ = chain_with_lock(60)
         accept_first_extension(contract, view, tip, range_b=30)
-        sub2 = build_submission(view, tip, 30, 45, R1, 10)
+        sub2 = build_submission(view, tip, 30, 45, 10)
         deadline = contract.submit_extension(R1, sub2, at_eth=200)
         contract.accept_on_timeout(deadline, now_s=deadline * 14)
         assert [e.range for e in contract.history] == [30, 45]
@@ -346,43 +346,43 @@ class TestChallengeRange:
         contract.become_relayer(R2, 10_110)
         view, tip, _ = chain_with_lock(140)
         # prior progress to date 80, its window closing at eth 0, before this test's submissions
-        deadline = contract.submit_extension(R1, build_submission(view, tip, 0, 80, R1, 10), at_eth=-80)
+        deadline = contract.submit_extension(R1, build_submission(view, tip, 0, 80, 10), at_eth=-80)
         contract.accept_on_timeout(deadline, now_s=0)
-        sub = build_submission(view, tip, 80, range_b, R1, 10)
+        sub = build_submission(view, tip, 80, range_b, 10)
         contract.submit_extension(R1, sub, at_eth=10)
         return contract, view, tip
 
     def test_less_than_d_ignored(self):
         contract, view, tip = self.setup_verification(100)
-        alt = build_submission(view, tip, 80, 115, R2, 10)
+        alt = build_submission(view, tip, 80, 115, 10)
         assert contract.challenge_range(R2, alt, at_eth=20) == "ignored"
         assert contract.active.sub.range == 100
         assert contract.relayer_deposits[R1] == 10_110  # no penalty
 
     def test_equal_range_ignored(self):
         contract, view, tip = self.setup_verification(100)
-        alt = build_submission(view, tip, 80, 100, R2, 10)
+        alt = build_submission(view, tip, 80, 100, 10)
         assert contract.challenge_range(R2, alt, at_eth=20) == "ignored"
 
     def test_replacement_penalty_10_percent(self):
         contract, view, tip = self.setup_verification(100)
-        alt = build_submission(view, tip, 80, 125, R2, 10)
+        alt = build_submission(view, tip, 80, 125, 10)
         assert contract.challenge_range(R2, alt, at_eth=20) == "replaced"
         assert contract.active.sub.range == 125
-        assert contract.active.sub.relayer == R2
+        assert contract.active.relayer == R2
         assert contract.active.submitted_at_eth == 20  # window restarted
         assert contract.relayer_deposits[R1] == 10_110 - 1_011  # 10% of deposit
         assert contract.active.pending_penalty == (R1, 1_011)
 
     def test_window_elapsed(self):
         contract, view, tip = self.setup_verification(100)
-        alt = build_submission(view, tip, 80, 125, R2, 10)
+        alt = build_submission(view, tip, 80, 125, 10)
         with pytest.raises(WindowElapsed):
             contract.challenge_range(R2, alt, at_eth=90)
 
     def test_penalty_finalized_on_accept(self):
         contract, view, tip = self.setup_verification(100)
-        alt = build_submission(view, tip, 80, 125, R2, 10)
+        alt = build_submission(view, tip, 80, 125, 10)
         contract.challenge_range(R2, alt, at_eth=20)
         contract.accept_on_timeout(at_eth=100, now_s=1400)
         assert contract.retained == 1_011
@@ -395,9 +395,9 @@ class TestChallengeCommitmentAndProofs:
         contract.become_relayer(R1, 10_110)
         contract.become_relayer(R2, 10_110)
         view, tip, _ = chain_with_lock(45)
-        sub = build_submission(view, tip, 0, 30, R1, 10)
+        sub = build_submission(view, tip, 0, 30, 10)
         if not honest:
-            sub = Submission(b"\x42" * 32, sub.confirmation_witness, sub.tip_header, R1)
+            sub = Submission(b"\x42" * 32, sub.confirmation_witness, sub.tip_header)
         contract.submit_extension(R1, sub, at_eth=10)
         return contract, view, tip, sub
 
@@ -455,9 +455,9 @@ class TestChallengeCommitmentAndProofs:
         contract.become_relayer(R1, 10_110)
         contract.become_relayer(R2, 10_110)
         view, tip, _ = chain_with_lock(45)
-        sub = build_submission(view, tip, 0, 30, R1, 10)
+        sub = build_submission(view, tip, 0, 30, 10)
         contract.submit_extension(R1, sub, at_eth=10)
-        bogus = bogus_claim(50, b"\x66" * 32, b"\x66" * 32, R2)
+        bogus = bogus_claim(50, b"\x66" * 32, b"\x66" * 32)
         contract.challenge_range(R2, bogus, at_eth=12)
         assert contract.relayer_deposits[R1] == 10_110 - 1_011
         thread = contract.challenge_commitment(R1, at_eth=14, now_s=200)
@@ -465,6 +465,38 @@ class TestChallengeCommitmentAndProofs:
         # penalty returned to R1's deposit; R2's deposit destroyed
         assert contract.relayer_deposits[R1] == 10_110
         assert not contract.is_relayer(R2)
+
+
+class TestRelayerIsTheCaller:
+    """A claim names no relayer: whoever submits it backs it with their deposit."""
+
+    def test_the_same_claim_is_backed_by_each_caller_in_turn(self):
+        contract = fresh()
+        contract.become_relayer(R1, 10_110)
+        contract.become_relayer(R2, 10_110)
+        view, tip, _ = chain_with_lock(45)
+        sub = build_submission(view, tip, 0, 30, 10)
+        contract.submit_extension(R1, sub, at_eth=10)
+        thread = contract.challenge_commitment(R2, at_eth=20, now_s=280)
+        assert thread.active.sub is sub and thread.active.relayer == R1
+        deadline = contract.submit_extension(R2, sub, at_eth=21)
+        assert contract.active.relayer == R2
+        contract.accept_on_timeout(deadline, now_s=deadline * 14)
+        assert contract.history[-1].relayer == R2
+        with pytest.raises(NotARelayer):  # the thread still answers to R1
+            contract.supply_proof(R2, thread.thread_id, prove_extension_for(view, tip, 0, 30, c=10), now_s=290)
+
+    def test_range_replacement_displaces_the_relayer_on_record(self):
+        contract = fresh()
+        contract.become_relayer(R1, 10_110)
+        contract.become_relayer(R2, 10_110)
+        view, tip, _ = chain_with_lock(45)
+        contract.submit_extension(R1, build_submission(view, tip, 0, 30, 10), at_eth=10)
+        assert contract.challenge_range(R2, bogus_claim(50, b"\x66" * 32, b"\x66" * 32), at_eth=12) == "replaced"
+        assert contract.active.relayer == R2 and contract.active.pending_penalty[0] == R1
+        assert contract.challenge_range(R1, bogus_claim(70, b"\x67" * 32, b"\x67" * 32), at_eth=14) == "replaced"
+        assert contract.active.relayer == R1 and contract.active.pending_penalty == (R2, 1_011)
+        assert contract.retained == 1_011  # R1's penalty, final once its displacer was displaced
 
 
 def minted_bridge(contract, *, x=10 * ETH, fee=0, tax_override=None, bounty=0,
@@ -631,7 +663,7 @@ class TestBurnAndUnlock:
             b = view.mine_block(tip2, [], time=62 * i, seed=2000 + i)
             view.add_block(b, 62 * i)
             tip2 = b.header.hash
-        sub = build_submission(view, tip2, 30, 46, R1, 10)
+        sub = build_submission(view, tip2, 30, 46, 10)
         deadline = contract.submit_extension(R1, sub, at_eth=300)
         contract.accept_on_timeout(deadline, now_s=deadline * 14)
         report = build_tx_report(view, tip2, contract.history, 1, lock2)
@@ -671,7 +703,7 @@ class TestBurnAndUnlock:
             b = view.mine_block(tip, [], time=62 * i, seed=3000 + i)
             view.add_block(b, 62 * i)
             tip = b.header.hash
-        sub = build_submission(view, tip, 30, 46, R1, 10)
+        sub = build_submission(view, tip, 30, 46, 10)
         deadline = contract.submit_extension(R1, sub, at_eth=320)
         contract.accept_on_timeout(deadline, now_s=deadline * 14)
         return contract, view, tip, bid, burn, pay_tx
@@ -696,7 +728,7 @@ class TestBurnAndUnlock:
             b = view.mine_block(tip2, [], time=62 * i, seed=4000 + i)
             view.add_block(b, 62 * i)
             tip2 = b.header.hash
-        sub = build_submission(view, tip2, 46, 58, R1, 10)
+        sub = build_submission(view, tip2, 46, 58, 10)
         deadline = contract.submit_extension(R1, sub, at_eth=800)
         contract.accept_on_timeout(deadline, now_s=deadline * 14)
         report = build_tx_report(view, tip2, contract.history, 2, stray)
@@ -738,7 +770,7 @@ class TestBurnAndUnlock:
             b = view.mine_block(tip, [], time=62 * i, seed=8000 + i)
             view.add_block(b, 62 * i)
             tip = b.header.hash
-        sub = build_submission(view, tip, 30, 46, R1, 10)
+        sub = build_submission(view, tip, 30, 46, 10)
         deadline = contract.submit_extension(R1, sub, at_eth=300)
         contract.accept_on_timeout(deadline, now_s=deadline * 14)
         contract.report_lock(BOB, build_tx_report(view, tip, contract.history, 1, lock2))
@@ -753,7 +785,7 @@ class TestBurnAndUnlock:
             b = view.mine_block(tip, [], time=62 * i, seed=8100 + i)
             view.add_block(b, 62 * i)
             tip = b.header.hash
-        sub = build_submission(view, tip, 46, 58, R1, 10)
+        sub = build_submission(view, tip, 46, 58, 10)
         deadline = contract.submit_extension(R1, sub, at_eth=600)
         contract.accept_on_timeout(deadline, now_s=deadline * 14)
         assert contract.report_unlock(BOB, burn.burn_id,
@@ -803,7 +835,7 @@ class TestMissingDoge:
             b = view.mine_block(tip, [], time=62 * i, seed=5000 + i)
             view.add_block(b, 62 * i)
             tip = b.header.hash
-        sub = build_submission(view, tip, 30, 46, R1, 10)
+        sub = build_submission(view, tip, 30, 46, 10)
         deadline = contract.submit_extension(R1, sub, at_eth=300)
         contract.accept_on_timeout(deadline, now_s=deadline * 14)
         return contract, view, tip, bid, theft
@@ -855,7 +887,7 @@ class TestBacktracking:
         """Honest entry 0, then a bogus accepted entry 1 (window unmanned)."""
         contract = fresh()
         view, tip, bid, lock_tx = minted_bridge(contract)
-        bogus = bogus_claim(60, b"\x99" * 32, b"\x98" * 32, R1)
+        bogus = bogus_claim(60, b"\x99" * 32, b"\x98" * 32)
         deadline = contract.submit_extension(R1, bogus, at_eth=300)
         contract.accept_on_timeout(deadline, now_s=deadline * 14)
         assert contract.current_date == 60
@@ -871,7 +903,7 @@ class TestBacktracking:
     def test_recovery_from_bogus_tail(self):
         contract, view, tip, _ = self.bogus_tail_state()
         tip = self.extend_chain(view, tip, 60, 6000)
-        sub = build_submission(view, tip, 30, 50, R1, 10)
+        sub = build_submission(view, tip, 30, 50, 10)
         contract.backtrack(R1, from_index=1, sub=sub, at_eth=500)
         contract.accept_on_timeout(at_eth=580, now_s=580 * 14)
         assert [e.range for e in contract.history] == [30, 50]
@@ -881,7 +913,7 @@ class TestBacktracking:
     def test_bad_index(self):
         contract, view, tip, _ = self.bogus_tail_state()
         tip = self.extend_chain(view, tip, 60, 6100)
-        sub = build_submission(view, tip, 30, 50, R1, 10)
+        sub = build_submission(view, tip, 30, 50, 10)
         with pytest.raises(BadIndex):
             contract.backtrack(R1, from_index=5, sub=sub, at_eth=500)
 
@@ -889,19 +921,19 @@ class TestBacktracking:
         contract = fresh()
         contract.become_relayer(R1, 10_110)
         view, tip, _ = chain_with_lock(45)
-        sub = build_submission(view, tip, 0, 30, R1, 10)
+        sub = build_submission(view, tip, 0, 30, 10)
         deadline = contract.submit_extension(R1, sub, at_eth=10)
         contract.accept_on_timeout(deadline, now_s=deadline * 14)
         # drain the deposit so even a shallow backtrack is uncoverable
         contract.relayer_deposits[R1] = 120
-        sub2 = build_submission(view, tip, 0, 31, R1, 10)
+        sub2 = build_submission(view, tip, 0, 31, 10)
         with pytest.raises(TooDeep):
             contract.backtrack(R1, from_index=0, sub=sub2, at_eth=200)
 
     def test_used_tx_survives_truncation(self):
         contract, view, tip, lock_tx = self.bogus_tail_state()
         tip = self.extend_chain(view, tip, 60, 6200)
-        sub = build_submission(view, tip, 30, 50, R1, 10)
+        sub = build_submission(view, tip, 30, 50, 10)
         contract.backtrack(R1, from_index=1, sub=sub, at_eth=500)
         contract.accept_on_timeout(at_eth=580, now_s=580 * 14)
         assert lock_tx.tx_id in contract.used_txs
@@ -914,17 +946,9 @@ class TestDeepBacktrack:
     def staged(self, contract=None):
         contract = contract or fresh()
         view, tip, _ = chain_with_lock(45)
-        sub = build_submission(view, tip, 0, 30, "anyone", 10)
+        sub = build_submission(view, tip, 0, 30, 10)
         proposal = contract.propose_deep_backtrack("anyone", 0, sub, now_s=1000)
         return contract, proposal
-
-    def test_proposal_of_anothers_submission_refused(self):
-        contract = fresh()
-        view, tip, _ = chain_with_lock(45)
-        sub = build_submission(view, tip, 0, 30, "someone_else", 10)
-        with pytest.raises(NotARelayer):
-            contract.propose_deep_backtrack("proposer", 0, sub, now_s=1000)
-        assert contract.deep_proposal is None
 
     def test_objection_cancels(self):
         contract, _ = self.staged()
@@ -945,14 +969,14 @@ class TestDeepBacktrack:
         contract = fresh()
         contract.become_relayer(R1, 10_110)
         view, tip, _ = chain_with_lock(45)
-        sub = build_submission(view, tip, 0, 30, R1, 10)
+        sub = build_submission(view, tip, 0, 30, 10)
         with pytest.raises(NotStuck):
             contract.chunked_backtrack(R1, 0, sub, at_eth=10, now_s=50 * 3600)
         # chunked mode needs an existing entry to re-extend; stage one first
         deadline = contract.submit_extension(R1, sub, at_eth=10)
         contract.accept_on_timeout(deadline, now_s=deadline * 14)
         contract.last_progress_s = 0
-        sub2 = build_submission(view, tip, 0, 31, R1, 10)
+        sub2 = build_submission(view, tip, 0, 31, 10)
         contract.chunked_backtrack(R1, 0, sub2, at_eth=10_000, now_s=73 * 3600)
         assert contract.relay_mode == "verification"
 
@@ -960,9 +984,9 @@ class TestDeepBacktrack:
         contract = fresh()
         view, tip, _ = chain_with_lock(65)
         accept_first_extension(contract, view, tip, range_b=20, at_eth=10)
-        contract.propose_deep_backtrack("anyone", 1, build_submission(view, tip, 20, 40, "anyone", 10),
+        contract.propose_deep_backtrack("anyone", 1, build_submission(view, tip, 20, 40, 10),
                                         now_s=2000)
-        deadline = contract.submit_extension(R1, build_submission(view, tip, 20, 50, R1, 10), at_eth=200)
+        deadline = contract.submit_extension(R1, build_submission(view, tip, 20, 50, 10), at_eth=200)
         with pytest.raises(NotListening):
             contract.finalize_deep_backtrack(now_s=2000 + 24 * 3600)
         contract.accept_on_timeout(deadline, now_s=2000 + 25 * 3600)
@@ -974,9 +998,9 @@ class TestDeepBacktrack:
         contract = fresh()
         contract.become_relayer(R1, 10_110)
         view, tip, _ = chain_with_lock(45)
-        sub = build_submission(view, tip, 0, 30, R1, 10)
+        sub = build_submission(view, tip, 0, 30, 10)
         deadline = contract.submit_extension(R1, sub, at_eth=10)
-        contract.propose_deep_backtrack("anyone", 0, build_submission(view, tip, 0, 29, "anyone", 10),
+        contract.propose_deep_backtrack("anyone", 0, build_submission(view, tip, 0, 29, 10),
                                         now_s=200)
         contract.accept_on_timeout(deadline, now_s=deadline * 14)
         assert contract.deep_proposal is None
@@ -991,7 +1015,7 @@ class TestProgressTime:
         view, tip, _ = chain_with_lock(45)
         accept_first_extension(contract, view, tip, range_b=30)  # accepted at eth 180
         assert contract.last_progress_s == 2520
-        deadline = contract.submit_extension(R1, build_submission(view, tip, 30, 35, R1, 10), at_eth=5)
+        deadline = contract.submit_extension(R1, build_submission(view, tip, 30, 35, 10), at_eth=5)
         assert deadline == 85
         with pytest.raises(PastEvent):
             contract.accept_on_timeout(deadline, now_s=10)
@@ -1003,9 +1027,9 @@ class TestProgressTime:
         contract = fresh()
         contract.become_relayer(R1, 10_110)
         view, tip, _ = chain_with_lock(45)
-        deadline = contract.submit_extension(R1, build_submission(view, tip, 0, 30, R1, 10), at_eth=10)
+        deadline = contract.submit_extension(R1, build_submission(view, tip, 0, 30, 10), at_eth=10)
         contract.accept_on_timeout(deadline, now_s=100_000)
-        contract.propose_deep_backtrack("anyone", 0, build_submission(view, tip, 0, 31, "anyone", 10), now_s=0)
+        contract.propose_deep_backtrack("anyone", 0, build_submission(view, tip, 0, 31, 10), now_s=0)
         with pytest.raises(PastEvent):
             contract.finalize_deep_backtrack(now_s=24 * 3600)
         assert contract.deep_proposal is not None

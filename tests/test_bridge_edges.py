@@ -52,7 +52,7 @@ class TestBurnBountyPot:
             b = view.mine_block(tip, [], time=62 * i, seed=9000 + i)
             view.add_block(b, 62 * i)
             tip = b.header.hash
-        sub = build_submission(view, tip, 30, 46, R1, 10)
+        sub = build_submission(view, tip, 30, 46, 10)
         deadline = contract.submit_extension(R1, sub, at_eth=320)
         contract.accept_on_timeout(deadline, now_s=deadline * 14)
         return contract, view, tip, bid, burn, pay
@@ -94,7 +94,7 @@ class TestUnlockOverpayment:
             b = view.mine_block(tip, [], time=62 * i, seed=9100 + i)
             view.add_block(b, 62 * i)
             tip = b.header.hash
-        sub = build_submission(view, tip, 30, 46, R1, 10)
+        sub = build_submission(view, tip, 30, 46, 10)
         deadline = contract.submit_extension(R1, sub, at_eth=320)
         contract.accept_on_timeout(deadline, now_s=deadline * 14)
         report = build_tx_report(view, tip, contract.history, 1, generous)
@@ -109,16 +109,16 @@ class TestChallengeRangeOnBacktrack:
         contract.become_relayer(R1, 10_110)
         contract.become_relayer(R2, 10_110)
         view, tip, _ = chain_with_lock(120)
-        sub = build_submission(view, tip, 0, 30, R1, 10)
+        sub = build_submission(view, tip, 0, 30, 10)
         deadline = contract.submit_extension(R1, sub, at_eth=10)
         contract.accept_on_timeout(deadline, now_s=deadline * 14)
-        bogus = bogus_claim(60, b"\x99" * 32, b"\x98" * 32, R1)
+        bogus = bogus_claim(60, b"\x99" * 32, b"\x98" * 32)
         deadline = contract.submit_extension(R1, bogus, at_eth=200)
         contract.accept_on_timeout(deadline, now_s=deadline * 14)
 
-        short = build_submission(view, tip, 30, 50, R1, 10)
+        short = build_submission(view, tip, 30, 50, 10)
         contract.backtrack(R1, from_index=1, sub=short, at_eth=400)
-        longer = build_submission(view, tip, 30, 80, R2, 10)
+        longer = build_submission(view, tip, 30, 80, 10)
         assert contract.challenge_range(R2, longer, at_eth=410) == "replaced"
         assert contract.active.backtrack_from == 1
         contract.accept_on_timeout(at_eth=500, now_s=7000)
@@ -132,15 +132,15 @@ class TestChallengeRangeOnBacktrack:
         contract.become_relayer(R1, 10_110)
         contract.become_relayer(R2, 10_110)
         view, tip, _ = chain_with_lock(120)
-        sub = build_submission(view, tip, 0, 30, R1, 10)
+        sub = build_submission(view, tip, 0, 30, 10)
         deadline = contract.submit_extension(R1, sub, at_eth=10)
         contract.accept_on_timeout(deadline, now_s=deadline * 14)
-        bogus = bogus_claim(60, b"\x99" * 32, b"\x98" * 32, R1)
+        bogus = bogus_claim(60, b"\x99" * 32, b"\x98" * 32)
         deadline = contract.submit_extension(R1, bogus, at_eth=200)
         contract.accept_on_timeout(deadline, now_s=deadline * 14)
-        short = build_submission(view, tip, 30, 50, R1, 10)
+        short = build_submission(view, tip, 30, 50, 10)
         contract.backtrack(R1, from_index=1, sub=short, at_eth=400)
-        too_long = build_submission(view, tip, 30, 75, R2, 10)  # 45 > 40 from base
+        too_long = build_submission(view, tip, 30, 75, 10)  # 45 > 40 from base
         with pytest.raises(RangeTooLong):
             contract.challenge_range(R2, too_long, at_eth=410)
 
@@ -150,15 +150,15 @@ class TestChunkedBacktrackBounds:
         contract = fresh()
         contract.become_relayer(R1, 10_110)
         view, tip, _ = chain_with_lock(60)
-        sub = build_submission(view, tip, 0, 30, R1, 10)
+        sub = build_submission(view, tip, 0, 30, 10)
         deadline = contract.submit_extension(R1, sub, at_eth=10)
         contract.accept_on_timeout(deadline, now_s=deadline * 14)
         contract.last_progress_s = 0
         contract.relayer_deposits[R1] = 130  # covers only tiny chunks
-        big = build_submission(view, tip, 0, 40, R1, 10)
+        big = build_submission(view, tip, 0, 40, 10)
         with pytest.raises(TooDeep):
             contract.chunked_backtrack(R1, 0, big, at_eth=20_000, now_s=73 * 3600)
-        small = build_submission(view, tip, 0, 15, R1, 10)  # cost 125 <= 130
+        small = build_submission(view, tip, 0, 15, 10)  # cost 125 <= 130
         contract.chunked_backtrack(R1, 0, small, at_eth=20_000, now_s=73 * 3600)
         assert contract.relay_mode == "verification"
 

@@ -3,6 +3,9 @@
 import copy
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -81,6 +84,10 @@ def mini_config(**changes):
     doc = copy.deepcopy(BASE)
     doc.update(changes)
     return doc
+
+
+# rate strings outside the n or n/d grammar that Fraction(str) would take or expand
+OUTSIDE_THE_GRAMMAR = ["1e1000000", "0.001", " 1/1000", "1_000"]
 
 
 class TestConfigValidation:
@@ -173,6 +180,16 @@ class TestConfigValidation:
                 "y": lambda c: c.agents[1].params["y"]}[where]
         values = [read(parse_config(self._rational_at(where, v)[0])) for v in ("1/500", [1, 500], [2, 1000])]
         assert values == [Fraction(1, 500)] * 3
+
+
+    @pytest.mark.parametrize("rate", OUTSIDE_THE_GRAMMAR)
+    def test_rate_string_outside_the_grammar_is_refused_at_once(self, rate):
+        doc = json.loads((SCENARIO_DIR / "lazy_relay.json").read_text())
+        doc["rate_path"] = [[0, rate]]
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match=r"rate_path\[0\]\[1\]: expected a rational"):
+            parse_config(doc)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestRunAndReplay:
@@ -299,14 +316,14 @@ class TestOracleAgreement:
             traced = verdicts[thread.thread_id]
             if traced == "timed_out":
                 continue
-            direct = verify_extension_proof(thread.prior_tip_header, thread.sub,
+            direct = verify_extension_proof(thread.prior_tip_header, thread.active.sub,
                                             thread.proof, runner.contract.params)
             assert (traced == "accept") == direct.accepted
             tip = runner.view.best_tip()
             tip_ord = runner.view.blocks[tip].header.ordinal
             on_best = False
-            if thread.sub.range <= tip_ord:
-                segment = runner.view.path_blocks(tip, date_of(thread.prior_tip_header) + 1, thread.sub.range)
+            if thread.active.sub.range <= tip_ord:
+                segment = runner.view.path_blocks(tip, date_of(thread.prior_tip_header) + 1, thread.active.sub.range)
                 on_best = tuple(b.header for b in segment) == thread.proof.revealed_headers
             assert direct.accepted == on_best, thread.thread_id
             checked += 1
@@ -451,7 +468,7 @@ class TestDeepBacktrackDispatch:
 
         view = runner.view
         tip = view.best_tip()
-        sub = build_submission(view, tip, 0, 1, "relay1", config.params.c)
+        sub = build_submission(view, tip, 0, 1, config.params.c)
         agent = runner.agents[0]
         runner._apply_action(agent, Action("propose_deep", {"from_index": 0, "sub": sub}))
         assert runner.contract.deep_proposal is not None
@@ -479,7 +496,7 @@ class TestDeepBacktrackDispatch:
         contract = runner.contract
         assert [e.range for e in contract.history] == [1] and contract.relay_mode == "verification"
 
-        sub = build_submission(runner.view, runner.view.best_tip(), 1, 10, "relay1", config.params.c)
+        sub = build_submission(runner.view, runner.view.best_tip(), 1, 10, config.params.c)
         runner._apply_action(runner.agents[0], Action("propose_deep", {"from_index": 1, "sub": sub}))
         runner.queue.run_until(config.end_time, runner._handle)
         tip, prior = runner.view.best_tip(), 0
@@ -488,6 +505,38 @@ class TestDeepBacktrackDispatch:
             prior = entry.range
         assert contract.deep_proposal is None
         assert any(e["kind"] == "deep_cancelled" for e in runner.events)
+
+    def test_stale_finalize_event_leaves_a_later_proposal_staged(self):
+        # the first proposal's finalize event fires after it was objected to and
+        # a second proposal was staged; it must wait for the second's own delay
+        from pegsim.agents import Action
+        from pegsim.bridge import build_submission
+        from pegsim.harness.runner import SimulationRunner
+
+        doc = mini_config()
+        doc["agents"][0]["policy"] = "lazy_relayer"
+        doc["end"] = {"sim_time": 100000}
+        config = parse_config(doc)
+        runner = SimulationRunner(config)
+        runner.queue.schedule(62, ("doge_block", {}))
+        runner.queue.schedule(14, ("turns", {}))
+        runner.queue.run_until(700, runner._handle)
+        sub = build_submission(runner.view, runner.view.best_tip(), 0, 1, config.params.c)
+        agent = runner.agents[0]
+        runner._apply_action(agent, Action("propose_deep", {"from_index": 0, "sub": sub}))
+        first = runner.contract.deep_proposal
+        runner._apply_action(agent, Action("object_deep", {}))
+        runner.queue.run_until(700 + 3600, runner._handle)
+        runner._apply_action(agent, Action("propose_deep", {"from_index": 0, "sub": sub}))
+        second = runner.contract.deep_proposal
+        assert second is not None and second is not first
+        delay = config.params.deep_backtrack_delay_1_s
+        runner.queue.run_until(first.proposed_at_s + delay + 1, runner._handle)
+        assert runner.contract.deep_proposal is second
+        assert not any(e["kind"] == "deep_finalized" for e in runner.events)
+        runner.queue.run_until(second.proposed_at_s + delay + 1, runner._handle)
+        assert runner.contract.deep_proposal is None
+        assert [e["kind"] for e in runner.events].count("deep_finalized") == 1
 
     def test_objection_through_dispatch_cancels(self):
         from pegsim.agents import Action
@@ -499,7 +548,7 @@ class TestDeepBacktrackDispatch:
         runner.queue.schedule(62, ("doge_block", {}))
         runner.queue.schedule(14, ("turns", {}))
         runner.queue.run_until(700, runner._handle)
-        sub = build_submission(runner.view, runner.view.best_tip(), 0, 1, "relay1", config.params.c)
+        sub = build_submission(runner.view, runner.view.best_tip(), 0, 1, config.params.c)
         agent = runner.agents[0]
         runner._apply_action(agent, Action("propose_deep", {"from_index": 0, "sub": sub}))
         runner._apply_action(agent, Action("object_deep", {}))
@@ -596,6 +645,19 @@ class TestCli:
         config_path.write_text(json.dumps(doc))
         assert cli_main(["run", str(config_path)]) == 2
         assert f"config error: {path}: " in capsys.readouterr().err
+
+    def test_rate_outside_the_grammar_exits_2_without_a_traceback(self, tmp_path):
+        doc = json.loads((SCENARIO_DIR / "lazy_relay.json").read_text())
+        doc["rate_path"] = [[0, OUTSIDE_THE_GRAMMAR[0]]]
+        config_path = tmp_path / "rate.json"
+        config_path.write_text(json.dumps(doc))
+        src = str(SCENARIO_DIR.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "pegsim", "run", str(config_path)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 2
+        assert "config error: rate_path[0][1]: expected a rational" in done.stderr
+        assert "Traceback" not in done.stderr + done.stdout
 
     def test_scenarios_list_and_run_all(self):
         assert cli_main(["scenarios", "list", "--dir", str(SCENARIO_DIR)]) == 0

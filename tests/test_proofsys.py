@@ -60,7 +60,7 @@ class TestProveExtension:
 class TestVerify:
     def roundtrip(self, prior_date=0, range_b=30):
         view, tip = build_chain(45, txs_at={3: [Transaction(doge_address("a"), doge_address("b"), 7, 0)]})
-        sub = build_submission(view, tip, prior_date, range_b, "r", PARAMS.c)
+        sub = build_submission(view, tip, prior_date, range_b, PARAMS.c)
         proof = prove_extension_for(view, tip, prior_date, range_b, PARAMS.c)
         prior_tip = None if prior_date == 0 else view.blocks[view.ancestor_at(tip, prior_date)].header
         return view, tip, sub, proof, prior_tip
@@ -107,7 +107,7 @@ class TestVerify:
         stranger = ChainView.new(TARGET).genesis.header
         wrong_prior = view.blocks[view.ancestor_at(tip, 1)].header
         # claim prior date 1 by passing block-1 header from a different branch shape
-        sub1 = build_submission(view, tip, 1, 30, "r", PARAMS.c)
+        sub1 = build_submission(view, tip, 1, 30, PARAMS.c)
         proof1 = prove_extension_for(view, tip, 1, 30, PARAMS.c)
         assert verify_extension_proof(wrong_prior, sub1, proof1, PARAMS).accepted
         mismatched = ExtensionProof(proof1.revealed_headers, proof1.witness_headers, proof1.txs_per_block)
@@ -119,12 +119,12 @@ class TestVerify:
 
     def test_commitment_mismatch(self):
         _, _, sub, proof, prior = self.roundtrip()
-        forged = Submission(b"\x01" * 32, sub.confirmation_witness, sub.tip_header, sub.relayer)
+        forged = Submission(b"\x01" * 32, sub.confirmation_witness, sub.tip_header)
         assert verify_extension_proof(prior, forged, proof, PARAMS).reason == "CommitmentMismatch"
 
     def test_witness_mismatch(self):
         _, _, sub, proof, prior = self.roundtrip()
-        forged = Submission(sub.commitment, b"\x02" * 32, sub.tip_header, sub.relayer)
+        forged = Submission(sub.commitment, b"\x02" * 32, sub.tip_header)
         assert verify_extension_proof(prior, forged, proof, PARAMS).reason == "WitnessMismatch"
 
     def test_tx_substitution_rejected(self):
@@ -142,7 +142,7 @@ class TestVerify:
         view, tip, sub, proof, prior = self.roundtrip()
         # a sibling of the last revealed header: same ordinal, so the length check passes
         sibling = view.mine_block(view.ancestor_at(tip, sub.range - 1), [], time=1, seed=77).header
-        wrong_tip = Submission(sub.commitment, sub.confirmation_witness, sibling, sub.relayer)
+        wrong_tip = Submission(sub.commitment, sub.confirmation_witness, sibling)
         assert verify_extension_proof(prior, wrong_tip, proof, PARAMS).reason == "TipMismatch"
 
 
@@ -180,7 +180,7 @@ class TestCostModel:
 class TestOracle:
     def test_latency_counts_witness(self):
         view, tip = build_chain(45)
-        sub = build_submission(view, tip, 0, 30, "r", PARAMS.c)
+        sub = build_submission(view, tip, 0, 30, PARAMS.c)
         proof = prove_extension_for(view, tip, 0, 30, PARAMS.c)
         job = oracle_verify(None, sub, proof, PARAMS, CostModel(latency_per_block_s=2))
         assert job.delay_s == 80  # (30 + 10) * 2
@@ -188,12 +188,12 @@ class TestOracle:
 
     def test_oracle_matches_direct_verification(self):
         view, tip = build_chain(45)
-        sub = build_submission(view, tip, 0, 30, "r", PARAMS.c)
+        sub = build_submission(view, tip, 0, 30, PARAMS.c)
         proof = prove_extension_for(view, tip, 0, 30, PARAMS.c)
         direct = verify_extension_proof(None, sub, proof, PARAMS)
         job = oracle_verify(None, sub, proof, PARAMS, CostModel())
         assert job.verdict == direct
 
-        forged = Submission(b"\x0f" * 32, sub.confirmation_witness, sub.tip_header, "r")
+        forged = Submission(b"\x0f" * 32, sub.confirmation_witness, sub.tip_header)
         assert oracle_verify(None, forged, proof, PARAMS, CostModel()).verdict == \
             verify_extension_proof(None, forged, proof, PARAMS)
