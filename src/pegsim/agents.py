@@ -56,7 +56,6 @@ from .chainsim import (
     pow_check,
 )
 from .errors import BeforeStart, ConfigError, RangeUnavailable, SimError
-from .merkle import sha256
 from .proofsys import ExtensionProof, commitment_root, date_of, prove_extension_for
 
 
@@ -485,7 +484,7 @@ class OrphanAttacker(Policy):
         headers: List[BlockHeader] = []
         parent_header = prior_tip
         for i in range(range_b - prior):
-            header = mine_header(parent_header, sha256(b"\x02"), obs.sim_time, seed=self.agent_seed + i)
+            header = mine_header(parent_header, EMPTY_TX_ROOT, obs.sim_time, seed=self.agent_seed + i)
             headers.append(header)
             parent_header = header
         target = headers[-1].difficulty_target

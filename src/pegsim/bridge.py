@@ -414,12 +414,9 @@ class BridgeContract:
             if not b.bounty_paid:
                 held += b.bounty_pot
         held += self._unsettled_escrow(self.burns.values())
-        if self.active and self.active.pending_penalty:
-            held += self.active.pending_penalty[1]
-        for t in self.threads.values():
-            if not t.resolved and t.active.pending_penalty:
-                held += t.active.pending_penalty[1]
-        return held
+        # a fine stays pending until its submission is settled, so a resolved thread holds none
+        actives = [self.active, *(t.active for t in self.threads.values())]
+        return held + sum(a.pending_penalty[1] for a in actives if a is not None and a.pending_penalty)
 
     def aggregates(self) -> dict:
         ys = sorted(set(self.wow_supply) | {b.y for b in self.bridges.values() if b.state != "open"}, key=str)
@@ -608,16 +605,27 @@ class BridgeContract:
 
     def submit_extension(self, relayer: str, sub: Submission, at_eth: int) -> int:
         """First valid submission flips the relay into Verification; returns deadline."""
+        self._check_claim(relayer, sub)
+        return self._activate(relayer, sub, at_eth, backtrack_from=None)
+
+    def _check_claim(self, relayer: str, sub: Submission, from_index: Optional[int] = None) -> int:
+        """Checks every claim that enters Verification shares; returns its extension length.
+
+        from_index is a backtrack's number of kept history entries; None extends the whole history.
+        """
         if self.relay_mode != "listening":
             raise NotListening(self.relay_mode)
         if not self.is_relayer(relayer):
             raise NotARelayer(relayer)
-        ext = sub.range - self.current_date
-        if ext < 1:
-            raise RangeNotAhead(f"range {sub.range} vs current date {self.current_date}")
-        if ext > self.params.max_extension_len:
-            raise RangeTooLong(f"extension of {ext} blocks")
-        return self._activate(relayer, sub, at_eth, backtrack_from=None)
+        if from_index is not None and not 0 <= from_index < len(self.history):
+            raise BadIndex(f"from_index {from_index} vs history of {len(self.history)}")
+        _, prior_date = self.base(from_index)
+        ext_len = sub.range - prior_date
+        if ext_len < 1:
+            raise RangeNotAhead(f"range {sub.range} vs prior date {prior_date}")
+        if ext_len > self.params.max_extension_len:
+            raise RangeTooLong(f"extension of {ext_len} blocks")
+        return ext_len
 
     def _activate(self, relayer: str, sub: Submission, at_eth: int, backtrack_from: Optional[int]) -> int:
         seq = self._next_sub_seq
@@ -635,12 +643,6 @@ class BridgeContract:
         """The contract block that closes the active submission's challenge window."""
         assert self.active is not None
         return self.active.submitted_at_eth + self.params.challenge_window_eth_blocks
-
-    def _finalize_pending_penalty(self) -> None:
-        if self.active is not None and self.active.pending_penalty is not None:
-            _, amount = self.active.pending_penalty
-            self.retained += amount
-            self.active.pending_penalty = None
 
     def _commit(self, keep: int, sub: Submission, submitted_at_eth: int, relayer: str,
                 now_s: int) -> HistoryEntry:
@@ -663,7 +665,7 @@ class BridgeContract:
         sub = active.sub
         keep = len(self.history) if active.backtrack_from is None else active.backtrack_from
         entry = self._commit(keep, sub, active.submitted_at_eth, active.relayer, now_s)
-        self._finalize_pending_penalty()
+        self._settle_penalty(active, refund=False)
         self.active = None
         if self.deep_proposal is not None:
             self._emit("deep_cancelled", active.relayer, reason="relay progressed")
@@ -684,30 +686,19 @@ class BridgeContract:
         restarts the window, and debits the displaced relayer a penalty that
         stays refundable until this new submission survives or fails scrutiny.
         """
-        if self.active is None:
-            raise NotVerifying("relay is listening")
-        if not self.is_relayer(challenger):
-            raise NotARelayer(challenger)
-        if at_eth >= self.window_deadline():
-            raise WindowElapsed(f"eth {at_eth} past deadline {self.window_deadline()}")
-        sub = self.active.sub
+        active = self._check_challenge(challenger, at_eth)
+        sub = active.sub
         if alt.range - sub.range < self.params.d:
             self._emit("challenge_range_ignored", challenger, alt_range=alt.range, sub_range=sub.range)
             return "ignored"
-        base = self.active.backtrack_from
+        base = active.backtrack_from
         _, prior_date = self.base(base)
         if alt.range - prior_date > self.params.max_extension_len:
             raise RangeTooLong(f"alt extension of {alt.range - prior_date} blocks")
-        displaced = self.active.relayer
-        have = self.relayer_deposits.get(displaced, 0)
-        penalty = min(rate_mul(self.params.nonmax_penalty_rate, have), have)
-        if penalty:
-            remaining = have - penalty
-            if remaining:
-                self.relayer_deposits[displaced] = remaining
-            else:
-                del self.relayer_deposits[displaced]
-        self._finalize_pending_penalty()
+        displaced = active.relayer
+        penalty = self._take_deposit(
+            displaced, rate_mul(self.params.nonmax_penalty_rate, self.relayer_deposits.get(displaced, 0)))
+        self._settle_penalty(active, refund=False)
         seq = self._next_sub_seq
         self._next_sub_seq += 1
         self.active = ActiveSubmission(alt, challenger, at_eth, seq, base, (displaced, penalty))
@@ -726,15 +717,9 @@ class BridgeContract:
         while a proof thread awaits the active relayer's extension proof.
         Only the first such challenge against a submission is considered.
         """
-        if self.active is None:
-            if any(not t.resolved for t in self.threads.values()):
-                raise SecondChallenge("a commitment challenge is already pending")
-            raise NotVerifying("relay is listening")
-        if not self.is_relayer(challenger):
-            raise NotARelayer(challenger)
-        if at_eth >= self.window_deadline():
-            raise WindowElapsed(f"eth {at_eth} past deadline {self.window_deadline()}")
-        active = self.active
+        if self.active is None and any(not t.resolved for t in self.threads.values()):
+            raise SecondChallenge("a commitment challenge is already pending")
+        active = self._check_challenge(challenger, at_eth)
         prior_tip, prior_date = self.base(active.backtrack_from)
         ext_len = active.sub.range - prior_date
         thread = ProofThread(
@@ -753,6 +738,44 @@ class BridgeContract:
         )
         return thread
 
+    def _check_challenge(self, challenger: str, at_eth: int) -> ActiveSubmission:
+        """Checks both challenges share; returns the challenged submission."""
+        if self.active is None:
+            raise NotVerifying("relay is listening")
+        if not self.is_relayer(challenger):
+            raise NotARelayer(challenger)
+        if at_eth >= self.window_deadline():
+            raise WindowElapsed(f"eth {at_eth} past deadline {self.window_deadline()}")
+        return self.active
+
+    def _take_deposit(self, who: str, amount: int) -> int:
+        """Debit up to amount from who's relayer deposit; returns what it took.
+
+        A deposit that reaches zero leaves relayer_deposits, so who is no longer a relayer.
+        """
+        have = self.relayer_deposits.pop(who, 0)
+        taken = min(amount, have)
+        if taken < have:
+            self.relayer_deposits[who] = have - taken
+        return taken
+
+    def _settle_penalty(self, active: ActiveSubmission, refund: bool) -> None:
+        """Settle the fine active's range replacement took from the relayer it displaced.
+
+        It is retained unless refund is set and the payer is not active's own relayer.  A
+        refund goes back into the payer's deposit while it is a relayer, else to its account.
+        """
+        if active.pending_penalty is None:
+            return
+        payer, amount = active.pending_penalty
+        active.pending_penalty = None
+        if not refund or payer == active.relayer:
+            self.retained += amount
+        elif self.is_relayer(payer):
+            self.relayer_deposits[payer] += amount
+        else:
+            self._outflow(payer, amount)
+
     def supply_proof(self, relayer: str, thread_id: int, proof: ExtensionProof, now_s: int) -> ProofThread:
         thread = self.threads.get(thread_id)
         if thread is None or thread.resolved:
@@ -766,17 +789,6 @@ class BridgeContract:
         thread.proof = proof
         self._emit("proof_supplied", relayer, thread_id=thread_id, proof_len=proof.length)
         return thread
-
-    def _refund_or_retain_penalty(self, thread: ProofThread, vindicated: bool) -> None:
-        active = thread.active
-        if active.pending_penalty is None:
-            return
-        payer, amount = active.pending_penalty
-        active.pending_penalty = None
-        if vindicated and payer != active.relayer:
-            self.relayer_deposits[payer] = self.relayer_deposits.get(payer, 0) + amount
-        else:
-            self.retained += amount
 
     def resolve_proof(self, thread_id: int, verdict: str) -> dict:
         """Settle a proof thread: accept | reject | timed_out.
@@ -799,22 +811,16 @@ class BridgeContract:
         if verdict == "timed_out":
             destroyed = self.relayer_deposits.pop(relayer, 0)
             self.retained += destroyed
-            self._refund_or_retain_penalty(thread, vindicated=True)
             settlement.update(payer=relayer, paid=destroyed, destroyed=destroyed)
         else:  # the loser pays the cost and rewards the winner
-            relayer_lost = verdict == "reject"
-            payer, payee = (relayer, thread.challenger) if relayer_lost else (thread.challenger, relayer)
-            available = self.relayer_deposits.get(payer, 0)
-            cost_part = min(cost, available)
-            reward_part = min(reward, available - cost_part)
-            self.relayer_deposits[payer] = available - cost_part - reward_part
-            if self.relayer_deposits[payer] == 0:
-                del self.relayer_deposits[payer]
+            payer, payee = (relayer, thread.challenger) if verdict == "reject" else (thread.challenger, relayer)
+            cost_part = self._take_deposit(payer, cost)
+            reward_part = self._take_deposit(payer, reward)
             self.retained += cost_part
             self._outflow(payee, reward_part)
-            self._refund_or_retain_penalty(thread, vindicated=relayer_lost)
             settlement.update(payer=payer, paid=cost_part + reward_part)
-
+        # the relayer the challenged claim displaced is vindicated unless that claim was proven
+        self._settle_penalty(thread.active, refund=verdict != "accept")
         thread.resolved = True
         self._emit("proof_resolved", relayer, **settlement)
         return settlement
@@ -972,12 +978,24 @@ class BridgeContract:
         queue = self.y_queues.get(bridge.y, [])
         if bridge.bridge_id in queue:
             queue.remove(bridge.bridge_id)
-        refund = 0
-        if bridge.bounty_pot and not bridge.bounty_paid:
-            refund = bridge.bounty_pot
-            bridge.bounty_paid = True
-            self._outflow(bridge.operator, refund)
+        refund = self._pay_bounty(bridge, bridge.operator)
         self._emit("bridge_closed", bridge.operator, bridge_id=bridge.bridge_id, bounty_refund=refund)
+
+    def _pay_bounty(self, bridge: Bridge, to: str) -> int:
+        """Pay out bridge's unpaid bounty pot, if any, to `to`; returns the amount paid."""
+        if bridge.bounty_paid or not bridge.bounty_pot:
+            return 0
+        bridge.bounty_paid = True
+        self._outflow(to, bridge.bounty_pot)
+        return bridge.bounty_pot
+
+    def _settle_portion(self, burn: Burn, portion: BurnPortion, how: str, escrow_to: str) -> None:
+        """Settle a portion ("doge" paid, or "eth" timed out): its pending WOW is destroyed as its
+        escrow leaves the contract for escrow_to."""
+        portion.settled = how
+        self._wow_debit(BRIDGE_ADDR, burn.y, portion.owed_doge)
+        self.wow_supply[burn.y] -= portion.owed_doge
+        self._outflow(escrow_to, portion.escrow_eth)
 
     def _burn_maybe_settled(self, burn: Burn) -> None:
         if burn.settled:
@@ -1009,17 +1027,10 @@ class BridgeContract:
         if tx.amount < portion.owed_doge:
             return self._ignored(reporter, "unlock", "payment below owed portion")
 
-        portion.settled = "doge"
+        self._settle_portion(burn, portion, "doge", bridge.operator)
         burn.d_recv += portion.owed_doge
         self.used_txs.add(tx.tx_id)
-        self._wow_debit(BRIDGE_ADDR, burn.y, portion.owed_doge)
-        self.wow_supply[burn.y] -= portion.owed_doge
-        self._outflow(bridge.operator, portion.escrow_eth)
-        bounty = 0
-        if bridge.bounty_pot and not bridge.bounty_paid:
-            bounty = bridge.bounty_pot
-            bridge.bounty_paid = True
-            self._outflow(reporter, bounty)
+        bounty = self._pay_bounty(bridge, reporter)
         self._emit(
             "unlock_settled", reporter,
             burn_id=burn_id, bridge_id=bridge.bridge_id, owed=portion.owed_doge,
@@ -1041,11 +1052,8 @@ class BridgeContract:
             raise NotElapsed(f"burn {burn_id}")
         payouts = []
         for p in due:
-            p.settled = "eth"
+            self._settle_portion(burn, p, "eth", burn.hodler)
             burn.eth_received += p.escrow_eth
-            self._wow_debit(BRIDGE_ADDR, burn.y, p.owed_doge)
-            self.wow_supply[burn.y] -= p.owed_doge
-            self._outflow(burn.hodler, p.escrow_eth)
             payouts.append([p.bridge_id, p.owed_doge, p.escrow_eth])
         self._emit("unlock_timeout", burn.hodler, burn_id=burn_id, payouts=payouts)
         for p in due:
@@ -1105,7 +1113,7 @@ class BridgeContract:
         again.  Depth is bounded by what the relayer's deposit can pay to
         verify; anything deeper must go through the deep-backtracking modes.
         """
-        self._check_backtrack(relayer, from_index, sub)
+        self._check_claim(relayer, sub, from_index)
         depth, cost = self.backtrack_cost(from_index, sub.range)
         if cost > self.relayer_deposits[relayer]:
             raise TooDeep(f"depth {depth} not coverable by deposit")
@@ -1116,22 +1124,6 @@ class BridgeContract:
         _, prior_date = self.base(from_index)
         depth = max(self.current_date, range_b) - prior_date
         return depth, verification_cost(self.cost_model, depth, self.params.c)
-
-    def _check_backtrack(self, relayer: str, from_index: int, sub: Submission) -> int:
-        """Checks both deposit-bounded backtrack modes share; returns the extension length."""
-        if self.relay_mode != "listening":
-            raise NotListening(self.relay_mode)
-        if not self.is_relayer(relayer):
-            raise NotARelayer(relayer)
-        if not 0 <= from_index < len(self.history):
-            raise BadIndex(f"from_index {from_index} vs history of {len(self.history)}")
-        _, prior_date = self.base(from_index)
-        ext_len = sub.range - prior_date
-        if ext_len < 1:
-            raise RangeNotAhead(f"range {sub.range} vs prior date {prior_date}")
-        if ext_len > self.params.max_extension_len:
-            raise RangeTooLong(f"extension of {ext_len} blocks")
-        return ext_len
 
     def propose_deep_backtrack(self, proposer: str, from_index: int, sub: Submission, now_s: int) -> DeepProposal:
         """Mode 1: anyone proposes an arbitrarily long extension or backtrack."""
@@ -1187,7 +1179,7 @@ class BridgeContract:
         """Mode 2: after prolonged stagnation, any depth in deposit-sized chunks."""
         if now_s - self.last_progress_s < self.params.deep_backtrack_delay_2_s:
             raise NotStuck(f"only {now_s - self.last_progress_s}s without progress")
-        ext_len = self._check_backtrack(relayer, from_index, sub)
+        ext_len = self._check_claim(relayer, sub, from_index)
         if verification_cost(self.cost_model, ext_len, self.params.c) > self.relayer_deposits[relayer]:
             raise TooDeep(f"chunk of {ext_len} not coverable by deposit")
         return self._activate(relayer, sub, at_eth, backtrack_from=from_index)

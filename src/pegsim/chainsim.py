@@ -282,18 +282,8 @@ class ChainView:
         """Mine a child of parent containing txs; does not insert it."""
         if parent not in self.blocks:
             raise UnknownParent(parent.hex())
-        parent_header = self.blocks[parent].header
         txs = tuple(txs)
-        header, _ = search_pow(
-            parent,
-            tx_list_root(txs),
-            parent_header.ordinal + 1,
-            time,
-            parent_header.difficulty_target,
-            parent_header.pow_fn,
-            seed,
-        )
-        return Block(header, txs)
+        return Block(mine_header(self.blocks[parent].header, tx_list_root(txs), time, seed), txs)
 
     def best_tip(self, cutoff: Optional[int] = None) -> bytes:
         """Tip with maximal cumulative work; ties: earliest arrival, then smallest hash.

@@ -164,7 +164,7 @@ class SimulationRunner:
             "amount": tx.amount, "tx_id": tx.tx_id.hex(), "memo": tx.memo.decode("utf-8", "replace"),
         })
 
-    def _observe(self, agent: _AgentRuntime, true_rate: Fraction) -> Observation:
+    def _observe(self, agent: _AgentRuntime, tip: bytes, true_rate: Fraction) -> Observation:
         return Observation(
             sim_time=self.now,
             eth_time=self.eth_now,
@@ -173,7 +173,7 @@ class SimulationRunner:
             my_eth=self.accounts.get(agent.name),
             doge_balances=self.doge_balances,
             chain=self.view,
-            tip=self.view.best_tip(self.now - agent.visibility_delay_s),
+            tip=tip,
             bridge=self.contract,
             true_rate=true_rate,
             eth_block_seconds=self.clock.eth_block_seconds,
@@ -259,7 +259,7 @@ class SimulationRunner:
                 key = (len(self.events), self.view.best_tip(t - agent.visibility_delay_s), true_rate)
                 if self._asleep(agent, key):
                     continue
-                actions, agent.priv = agent.policy.step(self._observe(agent, true_rate), agent.priv)
+                actions, agent.priv = agent.policy.step(self._observe(agent, key[1], true_rate), agent.priv)
                 agent.idle = None if actions else key
                 for action in actions:
                     try:

@@ -388,6 +388,18 @@ class TestChallengeRange:
         assert contract.retained == 1_011
         assert contract.relayer_deposits[R1] == 10_110 - 1_011
 
+    def test_full_rate_penalty_takes_the_whole_deposit(self):
+        contract = fresh(ProtocolParams(registration_window_doge_blocks=60, relay_tax=0,
+                                        nonmax_penalty_rate=Fraction(1)))
+        contract.become_relayer(R1, 10_110)
+        contract.become_relayer(R2, 10_110)
+        view, tip, _ = chain_with_lock(45)
+        contract.submit_extension(R1, build_submission(view, tip, 0, 30, 10), at_eth=10)
+        assert contract.challenge_range(R2, bogus_claim(50, b"\x66" * 32, b"\x66" * 32), at_eth=12) == "replaced"
+        assert contract.active.pending_penalty == (R1, 10_110)
+        assert not contract.is_relayer(R1) and R1 not in contract.relayer_deposits
+        assert contract.received_total == contract.paid_total + contract.held_total()
+
 
 class TestChallengeCommitmentAndProofs:
     def make_verifying(self, honest=True):
@@ -465,6 +477,41 @@ class TestChallengeCommitmentAndProofs:
         # penalty returned to R1's deposit; R2's deposit destroyed
         assert contract.relayer_deposits[R1] == 10_110
         assert not contract.is_relayer(R2)
+
+    def test_penalty_refund_to_a_relayer_who_has_left_is_paid_out(self):
+        # R1 is displaced by R2's bogus claim and withdraws what is left of its deposit before
+        # that claim fails: the refunded fine goes to R1's account and does not make it a relayer
+        contract = fresh()
+        for relayer in (R1, R2, BOB):
+            contract.become_relayer(relayer, 10_110)
+        view, tip, _ = chain_with_lock(45)
+        contract.submit_extension(R1, build_submission(view, tip, 0, 30, 10), at_eth=10)
+        contract.challenge_range(R2, bogus_claim(50, b"\x66" * 32, b"\x66" * 32), at_eth=12)
+        assert contract.withdraw_relayer_deposit(R1) == 10_110 - 1_011
+        r1_before = contract.accounts.get(R1)
+        thread = contract.challenge_commitment(BOB, at_eth=14, now_s=200)
+        contract.resolve_proof(thread.thread_id, "timed_out")
+        assert not contract.is_relayer(R1)
+        assert contract.accounts.get(R1) == r1_before + 1_011
+        assert contract.received_total == contract.paid_total + contract.held_total()
+
+    def test_lost_proof_pays_the_cost_then_what_is_left_of_the_reward(self):
+        params = ProtocolParams(registration_window_doge_blocks=60, relay_tax=0, deposit_floor=0,
+                                max_extension_len=40, challenge_reward_rate=Fraction(1, 10))
+        contract = fresh(params)
+        assert contract.required_relayer_deposit() == 150  # 100 + 40 + 10
+        contract.become_relayer(R1, 150)
+        contract.become_relayer(R2, 150)
+        view, tip, _ = chain_with_lock(45)
+        sub = build_submission(view, tip, 0, 30, 10)
+        contract.submit_extension(R1, Submission(b"\x42" * 32, sub.confirmation_witness, sub.tip_header), at_eth=10)
+        thread = contract.challenge_commitment(R2, at_eth=20, now_s=280)
+        retained, r2_before = contract.retained, contract.accounts.get(R2)
+        settle = contract.resolve_proof(thread.thread_id, "reject")
+        assert (settle["payer"], settle["cost"], settle["reward"], settle["paid"]) == (R1, 140, 14, 150)
+        assert contract.retained == retained + 140  # the whole cost
+        assert contract.accounts.get(R2) == r2_before + 10  # what is left toward the reward of 14
+        assert R1 not in contract.relayer_deposits and not contract.is_relayer(R1)
 
 
 class TestRelayerIsTheCaller:

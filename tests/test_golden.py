@@ -1,10 +1,11 @@
 """Golden trace digests: every corpus scenario, at its committed seed, must
-reproduce the trace digest and event count recorded in pegbench/golden.json,
+reproduce the trace digest, event count and scheduler events handled per
+kind (`fired`) recorded in pegbench/golden.json,
 also with every policy param it leaves unset written out at the value the
 policies fell back to before their params were declared; those values must
 also be the declared defaults.  The long-horizon runs (fuzz_random at seed
 offsets 0-2, at x1 and x8 its end.sim_time) must reproduce their digest,
-event count and blocks mined.
+event count, blocks mined and `fired`.
 
 A change that alters behaviour on purpose re-records the goldens with
 `python3 pegbench/run.py --workload <corpus|long_horizon> --seed 0 --write-golden` and says
@@ -13,6 +14,7 @@ why in CHANGES.md.
 
 import dataclasses
 import json
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,16 +29,32 @@ GOLDEN = GOLDENS["corpus"]["runs"]
 LONG_HORIZON = [(offset, horizon) for offset in range(3) for horizon in (1, 8)]
 
 
+@pytest.fixture
+def fired(monkeypatch):
+    """Counts the scheduler events the runner handles, by kind."""
+    from pegsim.harness.runner import SimulationRunner
+
+    handle, counts = SimulationRunner._handle, Counter()
+
+    def counted(runner, t, event):
+        counts[event[0]] += 1
+        return handle(runner, t, event)
+
+    monkeypatch.setattr(SimulationRunner, "_handle", counted)
+    return counts
+
+
 def test_every_scenario_has_a_golden():
     assert SCENARIOS
     assert {f"{p.stem}+0" for p in SCENARIOS} == set(GOLDEN)
 
 
 @pytest.mark.parametrize("path", SCENARIOS, ids=[p.stem for p in SCENARIOS])
-def test_trace_matches_golden(path):
+def test_trace_matches_golden(path, fired):
     trace = run(load_config(str(path)))
     want = GOLDEN[f"{path.stem}+0"]
     assert (trace.digest(), len(trace.events)) == (want["digest"], want["events"])
+    assert fired == want["fired"]
 
 
 def long_horizon_label(offset, horizon):
@@ -49,13 +67,14 @@ def test_every_long_horizon_golden_is_run():
 
 
 @pytest.mark.parametrize("offset,horizon", LONG_HORIZON, ids=[long_horizon_label(*r) for r in LONG_HORIZON])
-def test_long_horizon_trace_matches_golden(offset, horizon):
+def test_long_horizon_trace_matches_golden(offset, horizon, fired):
     config = load_config(str(ROOT / "scenarios" / "fuzz_random.json"))
     config = dataclasses.replace(config, seed=config.seed + offset, end_time=config.end_time * horizon)
     trace = run(config)
     want = GOLDENS["long_horizon"]["runs"][long_horizon_label(offset, horizon)]
     blocks = sum(e["kind"] == "doge_block" for e in trace.events)
     assert (trace.digest(), len(trace.events), blocks) == (want["digest"], want["events"], want["blocks"])
+    assert fired == want["fired"]
 
 
 # Every policy key a scenario may leave unset, at the value the policies fell

@@ -373,8 +373,8 @@ class TestDelayedVisibility:
         assert relay2.visibility_delay_s == 31
         observe, lagged = runner._observe, []
 
-        def checked(agent, true_rate):
-            obs = observe(agent, true_rate)
+        def checked(agent, tip, true_rate):
+            obs = observe(agent, tip, true_rate)
             assert obs.true_rate == runner.config.rate_path.rate_at(runner.now)
             if agent is relay2:
                 view, cutoff = runner.view, runner.now - 31
@@ -415,8 +415,8 @@ class TestTurnSkipping:
         def checked(runner, agent, key):
             if not asleep(runner, agent, key):
                 return False
-            obs = runner._observe(agent, key[2])
-            assert obs.tip == key[1]
+            assert key[1] == runner.view.best_tip(runner.now - agent.visibility_delay_s)
+            obs = runner._observe(agent, key[1], key[2])
             assert agent.policy.step(obs, agent.priv) == ([], agent.priv), f"{agent.name} at {runner.now}"
             skipped[type(agent.policy)] += 1
             return True
