@@ -2,7 +2,8 @@
 
 Every state transition lands in the trace as one JSON-safe event carrying the
 contract's aggregate snapshot and state digest, so the auditor can re-check
-the economic invariants without consulting the live objects.  A fixed
+the economic invariants without consulting the live objects; a doge_block
+directly after another carries a copy of that block's snapshot.  A fixed
 (config, seed) pair replays to a byte-identical trace.
 """
 
@@ -110,6 +111,13 @@ class SimulationRunner:
     # -- trace plumbing ------------------------------------------------------
 
     def _record(self, kind: str, actor: str, payload: dict) -> None:
+        if kind == "doge_block" and self.events and self.events[-1]["kind"] == "doge_block":
+            # no event since the previous block, so no call has changed the contract (see _asleep)
+            agg, digest = dict(self.events[-1]["agg"]), self.events[-1]["digest"]
+            agg.update(supply=dict(agg["supply"]), backing=dict(agg["backing"]),
+                       queues={y: list(q) for y, q in agg["queues"].items()})
+        else:
+            agg, digest = self.contract.aggregates(), self.contract.state_digest()
         event = {
             "seq": len(self.events),
             "t": self.now,
@@ -117,8 +125,8 @@ class SimulationRunner:
             "kind": kind,
             "actor": actor,
             "payload": payload,
-            "agg": self.contract.aggregates(),
-            "digest": self.contract.state_digest(),
+            "agg": agg,
+            "digest": digest,
         }
         self.events.append(event)
 
@@ -182,7 +190,8 @@ class SimulationRunner:
     def _asleep(self, agent: _AgentRuntime, key: tuple) -> bool:
         """Whether the agent did nothing at a turn with this key, (trace events, visible tip, true
         rate), and its wake (none: the next turn) has not come.  Each change to the contract, doge
-        balances or chain is an event, and ETH moves only through contract calls: so it would again."""
+        balances or chain is an event, and ETH moves only through contract calls: so it would again.
+        _record's reuse of a doge_block's snapshot rests on the same event-count invariant."""
         return key == agent.idle and self.now < agent.priv.get(WAKE, self.now)
 
     # -- action dispatch ---------------------------------------------------------

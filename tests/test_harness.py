@@ -448,6 +448,99 @@ class TestTurnSkipping:
         assert sum(steps.values()) < 12_000, steps
 
 
+def _snapshot_runs():
+    """Every corpus config at its own horizon, then fuzz_random at x8."""
+    paths = sorted(SCENARIO_DIR.glob("*.json"))
+    assert paths
+    fuzz = load_config(str(SCENARIO_DIR / "fuzz_random.json"))
+    return [load_config(str(p)) for p in paths] + [dataclasses.replace(fuzz, end_time=8 * fuzz.end_time)]
+
+
+def _containers(value):
+    if isinstance(value, (dict, list)):
+        yield value
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _containers(item)
+
+
+class TestSnapshotReuse:
+    """A doge_block directly after another carries a copy of that block's snapshot.  This and
+    turn skipping both rest on one premise: a call that changes the contract writes an event."""
+
+    # the contract's public state-changing calls
+    CALLS = ("open_bridge", "register_crossing", "expire_registrations", "become_relayer",
+             "withdraw_relayer_deposit", "submit_extension", "accept_on_timeout", "challenge_range",
+             "challenge_commitment", "supply_proof", "resolve_proof", "report_lock", "burn_wow",
+             "report_unlock", "unlock_timeout", "report_missing_doge", "backtrack",
+             "propose_deep_backtrack", "object_deep_backtrack", "finalize_deep_backtrack",
+             "chunked_backtrack", "wow_transfer")
+
+    def test_every_recorded_snapshot_equals_a_fresh_one(self, monkeypatch):
+        from pegsim.bridge import BridgeContract
+        from pegsim.harness.runner import SimulationRunner
+
+        record, state_digest = SimulationRunner._record, BridgeContract.state_digest
+        digests, checking = [0], [False]
+
+        def counted(contract):
+            digests[0] += not checking[0]
+            return state_digest(contract)
+
+        def checked(runner, kind, actor, payload):
+            record(runner, kind, actor, payload)
+            event, contract = runner.events[-1], runner.contract
+            checking[0] = True
+            try:
+                fresh = (contract.aggregates(), contract.state_digest())
+            finally:
+                checking[0] = False
+            assert (event["agg"], event["digest"]) == fresh, (runner.config.name, event["seq"], kind)
+
+        monkeypatch.setattr(BridgeContract, "state_digest", counted)
+        monkeypatch.setattr(SimulationRunner, "_record", checked)
+        for config in _snapshot_runs():
+            digests[0] = 0
+            events = SimulationRunner(config).run().events
+            owners = Counter(id(obj) for event in events for obj in _containers(event["agg"]))
+            assert max(owners.values()) == 1, config.name
+        # the last run is fuzz_random x8: the runner must have reused most of its snapshots
+        assert len(events) == 990 and digests[0] <= 200, digests[0]
+
+    def test_a_call_that_changes_the_contract_writes_an_event(self, monkeypatch):
+        from pegsim.bridge import BridgeContract
+        from pegsim.errors import SimError
+
+        depth, reached = [0], set()
+
+        def snapshot(contract):
+            return contract.aggregates(), contract.state_digest()
+
+        def wrap(name, call):
+            def measured(contract, *args, **kwargs):
+                if depth[0]:  # only the outermost call is measured
+                    return call(contract, *args, **kwargs)
+                reached.add(name)
+                events = contract.emit_hook.__self__.events
+                before, count = snapshot(contract), len(events)
+                depth[0] += 1
+                try:
+                    result = call(contract, *args, **kwargs)
+                except SimError:
+                    assert snapshot(contract) == before, f"refused {name} changed the contract"
+                    raise
+                finally:
+                    depth[0] -= 1
+                assert snapshot(contract) == before or len(events) > count, f"{name} wrote no event"
+                return result
+            return measured
+
+        for name in self.CALLS:
+            monkeypatch.setattr(BridgeContract, name, wrap(name, getattr(BridgeContract, name)))
+        for config in _snapshot_runs():
+            run(config)
+        assert len(reached) >= 15, sorted(reached)
+
+
 class TestDeepBacktrackDispatch:
     def test_proposal_finalizes_through_the_queue(self):
         # drive the propose_deep action through the runner's dispatch and let
