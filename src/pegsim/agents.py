@@ -28,7 +28,6 @@ step's wake has not come, so most turns of a quiet relay cost no step.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import UnionType
@@ -94,7 +93,7 @@ class RatePath:
 @dataclass
 class Observation:
     """What one agent sees at its turn: the whole chain, read only along the
-    path of tip, the best tip the agent's visibility delay allows."""
+    path of tip, the best tip at sim_time - visibility_delay_s."""
 
     sim_time: int
     eth_time: int
@@ -107,6 +106,7 @@ class Observation:
     bridge: BridgeContract
     true_rate: Fraction
     eth_block_seconds: int  # eth block n starts at sim_time n * eth_block_seconds
+    visibility_delay_s: int
 
     @property
     def my_doge(self) -> int:
@@ -324,36 +324,14 @@ class Policy:
 # ---------------------------------------------------------------------------
 
 
-CM_WINDOW = 400  # contract blocks of confirmed-maximum history a relayer keeps
-
-
-def sample_window(window: Tuple[Tuple[int, int], ...], eth_time: int, cm: int) -> Tuple[Tuple[int, int], ...]:
-    """The (eth_time, cm) change points of my confirmed maximum, the latest per eth_time, once
-    this turn's cm is in; a point holds until the next one, and those that end before the last
-    CM_WINDOW contract blocks go.  eth_time never falls; cm may, as my best tip is the one with
-    most work.  A turn that keeps my tip keeps cm, so a skipped turn would add nothing."""
-    if window and window[-1][0] == eth_time:
-        window = window[:-1]
-    if window and window[-1][1] == cm:
-        return window
-    window += ((eth_time, cm),)
-    return window[bisect_right(window, (eth_time - CM_WINDOW + 1, NEVER), 1) - 1:]
-
-
-def window_max(window: Tuple[Tuple[int, int], ...], eth_time: int, until: int, default: int) -> int:
-    """The largest cm the window held at an eth_time in (eth_time - CM_WINDOW, until], else default."""
-    ends = [t for t, _ in window[1:]] + [NEVER]  # a point holds on [t, end)
-    lo = eth_time - CM_WINDOW + 1
-    return max((v for (t, v), end in zip(window, ends) if max(t, lo) < min(end, until + 1)), default=default)
-
-
 class HonestRelayer(Policy):
     """Submits maximal confirmed extensions, challenges mismatches, backtracks.
 
     Range challenges fire only against submissions whose range already lagged
-    the challenger's confirmed maximum by >= d at submission time (sampled per
-    turn), never against ones that were maximal when made; commitment
-    challenges cover everything else that disagrees with this relayer's view.
+    the challenger's confirmed maximum by >= d at submission time (on the tip
+    the chain's visibility record gives its view then), never against ones that
+    were maximal when made; commitment challenges cover everything else that
+    disagrees with this relayer's view.
     """
 
     # a claimed range more than k + RANGE_SLACK past my confirmed maximum,
@@ -368,7 +346,6 @@ class HonestRelayer(Policy):
         st = obs.bridge
 
         cm = confirmed_max(obs.chain, obs.tip, st.params.c)
-        priv["cm_samples"] = sample_window(priv.get("cm_samples", ()), obs.eth_time, cm)
 
         actions = self.supply_proofs(
             obs, lambda t: self._try_prove(obs, date_of(t.prior_tip_header), t.active.sub.range))
@@ -434,7 +411,8 @@ class HonestRelayer(Policy):
         if self.matched(obs, sub, prior) is not None:
             return None
 
-        cm_at_sub = window_max(priv["cm_samples"], obs.eth_time, active.submitted_at_eth, cm)
+        seen = obs.chain.best_tip(active.submitted_at_eth * obs.eth_block_seconds - obs.visibility_delay_s)
+        cm_at_sub = confirmed_max(obs.chain, seen, st.params.c)
         stale = cm_at_sub - sub.range >= st.params.d
         if stale and cm - sub.range >= st.params.d:
             alt_range = min(cm, prior + st.params.max_extension_len)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import glob
-import json
 import os
 import sys
 from typing import List, Optional
@@ -143,7 +142,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ParseError as exc:
         print(f"trace parse error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 from ..agents import WAKE, Observation, make_policy
 from ..bridge import BridgeContract, EthAccounts
 from ..chainsim import ChainView, Transaction
-from ..errors import AlreadySettled, NotElapsed, ParseError, SimError
+from ..errors import ParseError, SimError
 from ..merkle import sha256
 from ..proofsys import oracle_verify
 from ..scheduler import EventQueue, ethereum_time, next_doge_block_time
@@ -43,16 +43,20 @@ class Trace:
 
     @classmethod
     def read(cls, path: str) -> "Trace":
-        """Parse an NDJSON trace; raises ParseError on a line that is not a JSON object."""
+        """Parse an NDJSON trace; raises ParseError on a line that is not a UTF-8 JSON object."""
         events = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for n, line in enumerate(fh, 1):
-                line = line.strip()
-                if line:
+        with open(path, "rb") as fh:
+            for n, raw in enumerate(fh, 1):
+                try:
+                    line = raw.decode("utf-8").strip()
+                    if not line:
+                        continue
                     event = json.loads(line)
-                    if not isinstance(event, dict):
-                        raise ParseError(f"{path}:{n}: not an event object: {event!r}")
-                    events.append(event)
+                except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nesting past the stack
+                    raise ParseError(f"{path}:{n}: {exc}") from exc
+                if not isinstance(event, dict):
+                    raise ParseError(f"{path}:{n}: not an event object: {event!r}")
+                events.append(event)
         return cls(events)
 
     @property
@@ -185,6 +189,7 @@ class SimulationRunner:
             bridge=self.contract,
             true_rate=true_rate,
             eth_block_seconds=self.clock.eth_block_seconds,
+            visibility_delay_s=agent.visibility_delay_s,
         )
 
     def _asleep(self, agent: _AgentRuntime, key: tuple) -> bool:
@@ -218,14 +223,12 @@ class SimulationRunner:
                 self._schedule_accept(c.window_deadline())
         elif kind == "challenge_commitment":
             thread = c.challenge_commitment(agent.name, self.eth_now, self.now)
-            self.queue.schedule(thread.proof_deadline_s, ("proof_timeout", {"thread_id": thread.thread_id}))
+            self.queue.schedule(thread.proof_deadline_s, ("proof_timeout", {"thread": thread}))
         elif kind == "supply_proof":
             thread = c.supply_proof(agent.name, p["thread_id"], p["proof"], self.now)
             job = oracle_verify(thread.prior_tip_header, thread.active.sub, p["proof"], c.params, c.cost_model)
             verdict = "accept" if job.verdict.accepted else "reject"
-            self.queue.schedule(self.now + job.delay_s,
-                                ("oracle", {"thread_id": thread.thread_id, "verdict": verdict,
-                                            "reason": job.verdict.reason}))
+            self.queue.schedule(self.now + job.delay_s, ("oracle", {"thread": thread, "verdict": verdict}))
         elif kind == "report_lock":
             c.report_lock(agent.name, p["report"])
         elif kind == "report_unlock":
@@ -235,7 +238,7 @@ class SimulationRunner:
         elif kind == "burn_wow":
             burn = c.burn_wow(agent.name, p["y"], p["w"], p["dest"], self.eth_now)
             self.queue.schedule(burn.portions[0].deadline_eth * self.clock.eth_block_seconds,
-                                ("unlock_deadline", {"burn_id": burn.burn_id}))
+                                ("unlock_deadline", {"burn": burn}))
         elif kind == "backtrack":
             deadline = c.backtrack(agent.name, p["from_index"], p["sub"], self.eth_now)
             self._schedule_accept(deadline)
@@ -249,9 +252,8 @@ class SimulationRunner:
             raise SimError(f"unknown action kind {kind!r}")
 
     def _schedule_accept(self, deadline_eth: int) -> None:
-        sub_seq = self.contract.active.seq
         self.queue.schedule(deadline_eth * self.clock.eth_block_seconds,
-                            ("accept_check", {"sub_seq": sub_seq}))
+                            ("accept_check", {"active": self.contract.active}))
 
     # -- event handlers ---------------------------------------------------------
 
@@ -281,21 +283,16 @@ class SimulationRunner:
                         })
             self.queue.schedule(t + self.clock.eth_block_seconds, ("turns", {}))
         elif kind == "accept_check":
-            if c.active is not None and c.active.seq == p["sub_seq"]:
+            if c.active is p["active"]:
                 c.accept_on_timeout(self.eth_now, self.now)
         elif kind == "proof_timeout":
-            thread = c.threads.get(p["thread_id"])
-            if thread is not None and not thread.resolved and thread.proof is None:
-                c.resolve_proof(thread.thread_id, "timed_out")
+            if p["thread"].proof is None:  # no proof, so no oracle verdict has resolved it
+                c.resolve_proof(p["thread"].thread_id, "timed_out")
         elif kind == "oracle":
-            thread = c.threads.get(p["thread_id"])
-            if thread is not None and not thread.resolved:
-                c.resolve_proof(thread.thread_id, p["verdict"])
+            c.resolve_proof(p["thread"].thread_id, p["verdict"])
         elif kind == "unlock_deadline":
-            try:
-                c.unlock_timeout(p["burn_id"], self.eth_now)
-            except (NotElapsed, AlreadySettled):
-                pass
+            if not p["burn"].settled:  # its portions share one deadline, so all are due
+                c.unlock_timeout(p["burn"].burn_id, self.eth_now)
         elif kind == "deep_finalize":
             if c.deep_proposal is p["proposal"]:
                 if c.relay_mode == "verification":

@@ -7,11 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from pegsim.agents import (
-    CM_WINDOW,
     NEVER,
     POLICIES,
     WAKE,
@@ -22,9 +19,7 @@ from pegsim.agents import (
     confirmed_max,
     find_bad_header,
     make_policy,
-    sample_window,
     should_abscond,
-    window_max,
 )
 from pegsim.bridge import (
     CostModel,
@@ -109,7 +104,7 @@ class TestHelpers:
         assert not pow_check(header)
 
 
-def observation(contract, view, name="agent", rate=Fraction(1, 500), t=100):
+def observation(contract, view, name="agent", rate=Fraction(1, 500), t=100, delay=0):
     return Observation(
         sim_time=t,
         eth_time=t // 14,
@@ -122,6 +117,7 @@ def observation(contract, view, name="agent", rate=Fraction(1, 500), t=100):
         bridge=contract,
         true_rate=rate,
         eth_block_seconds=14,
+        visibility_delay_s=delay,
     )
 
 
@@ -247,6 +243,25 @@ class TestHonestRelayer:
         # patience exhausted with the range still unverifiable: it cannot exist
         actions, _ = policy.step(observation(contract, view, "r", t=40 * 14), priv)
         assert [a.kind for a in actions] == ["challenge_commitment"]
+
+    @pytest.mark.parametrize("submitted_at_eth, delay, kind", [
+        (160, 0, "challenge_range"),  # block 36 was out at 2240 s: range 5 was 21 behind cm 26
+        (10, 0, "challenge_commitment"),  # block 2 was out at 140 s: fresh then, stale only now
+        (160, 744, "challenge_commitment"),  # 744 s late, at 2240 s I saw block 24: cm 14, fresh
+    ])
+    def test_range_challenges_only_a_claim_stale_when_submitted(self, submitted_at_eth, delay, kind):
+        """A mismatched claim draws a range challenge iff its range was >= d behind my confirmed
+        maximum at its submission, on the tip my view then had.  Block i arrives at 62 i s, so at
+        3534 s = 2790 s + 744 s even the delayed view holds all 45 blocks: cm 35."""
+        contract, view = fresh_world()
+        contract.become_relayer("r", 10_110)
+        contract.relayer_deposits["evil"] = 10_110
+        contract.submit_extension("evil", bogus_claim(5, b"\x13" * 32, b"\x37" * 32), at_eth=submitted_at_eth)
+        policy = make_policy("honest_relayer", "r", {}, agent_seed=1)
+        actions, _ = policy.step(observation(contract, view, "r", t=3534, delay=delay), {})
+        assert [a.kind for a in actions] == [kind]
+        if kind == "challenge_range":
+            assert actions[0].params["alt"].range == 35  # maximal: tip 45 - c 10
 
     def test_challenges_a_matching_commitment_under_another_tip(self):
         contract, view = fresh_world()
@@ -586,33 +601,6 @@ class TestHistoryCursor:
         assert calls and all(calls[name] <= bound[name] for name in calls), (calls, bound)
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 4), st.sampled_from([-2, -1, 0, 0, 0, 1, 3]),
-                          st.integers(0, CM_WINDOW + 5)),
-                min_size=CM_WINDOW // 2, max_size=CM_WINDOW + 300))
-def test_sample_window_answers_as_a_dict_of_the_last_samples(turns):
-    """The change points against the per-turn dict they replace: the latest cm per eth_time
-    of every turn, stepped or skipped, trimmed to the last CM_WINDOW eth_times.  A turn comes
-    `gap` contract blocks after the previous one (0: in the same block), and the turns between
-    are skipped, which keeps cm.  cm may fall.  Each stepped turn asks for the largest sample
-    at or before a submission made `back` contract blocks ago."""
-    window, samples, eth_time, cm = (), {}, 0, 50
-    for gap, move, back in turns:
-        if window:  # skipped turns since my first step
-            samples.update((t, cm) for t in range(eth_time + 1, eth_time + gap))
-        eth_time, cm = eth_time + gap, max(0, cm + move)
-        samples[eth_time] = cm
-        for key in [t for t in samples if t <= eth_time - CM_WINDOW]:
-            del samples[key]
-        window = sample_window(window, eth_time, cm)
-        assert all(a[1] != b[1] and a[0] < b[0] for a, b in zip(window, window[1:]))
-        submitted_at = eth_time - back
-        past = [v for t, v in samples.items() if t <= submitted_at]
-        assert window_max(window, eth_time, submitted_at, cm) == max(past, default=cm)
-    assert {t: window_max(window, eth_time, t, None) for t in samples} == \
-        {t: max(v for u, v in samples.items() if u <= t) for t in samples}
-
-
 class TestPolicyPurity:
     def test_step_is_replayable(self):
         contract1, view1 = fresh_world()
@@ -625,23 +613,21 @@ class TestPolicyPurity:
         for t in (100, 114, 128):
             a1, priv1 = p1.step(observation(contract1, view1, "r", t=t), priv1)
             a2, priv2 = p2.step(observation(contract2, view2, "r", t=t), priv2)
-            assert [a.kind for a in a1] == [a.kind for a in a2]
+            assert [a.kind for a in a1] == ["submit_extension"]
+            assert a1 == a2
             assert priv1 == priv2
-        assert priv1["cm_samples"] == ((7, 35),)  # one change point: the tip, so cm, never moved
 
     def test_step_does_not_mutate_input_priv(self):
         contract, view = fresh_world()
         contract.become_relayer("r", contract.required_relayer_deposit())
-        policy = make_policy("honest_relayer", "r", {}, agent_seed=9)
-        priv_in = {"cm_samples": ((1, 2), (3, 4))}
-        obs = observation(contract, view, "r")
-        _, priv_out = policy.step(obs, priv_in)
-        assert priv_in == {"cm_samples": ((1, 2), (3, 4))}
-        this_turn = (obs.eth_time, confirmed_max(view, obs.tip, contract.params.c))
-        assert priv_out["cm_samples"] == ((1, 2), (3, 4), this_turn)
-        later = dataclasses.replace(obs, sim_time=obs.sim_time + 14 * CM_WINDOW, eth_time=obs.eth_time + CM_WINDOW)
-        # cm kept: no new point, and nothing trimmed although (1, 2) has left the window
-        assert policy.step(later, priv_out)[1]["cm_samples"] == priv_out["cm_samples"]
+        contract.relayer_deposits["other"] = 10_110
+        contract.submit_extension("other", build_submission(view, view.best_tip(), 0, 35, 10), at_eth=10)
+        policy = make_policy("dos_challenger", "r", {}, agent_seed=9)
+        priv_in = {"rounds": 2}
+        actions, priv_out = policy.step(observation(contract, view, "r"), priv_in)
+        assert priv_in == {"rounds": 2}
+        assert [a.kind for a in actions] == ["challenge_range"]
+        assert priv_out["rounds"] == 1
 
     def test_step_does_not_mutate_input_set_priv(self):
         contract, view, locks = locks_world(2)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from pegsim.errors import ConfigError, ParseError
+from pegsim.errors import ConfigError, ParseError, SimError
 from pegsim.harness import audit, load_config, parse_config, replay_check, run
 from pegsim.harness.cli import main as cli_main
 from pegsim.harness.runner import Trace
@@ -541,6 +541,26 @@ class TestSnapshotReuse:
         assert len(reached) >= 15, sorted(reached)
 
 
+class TestUnlockDeadline:
+    def test_a_burn_settled_by_report_unlock_draws_no_unlock_timeout(self, monkeypatch):
+        """The unlock_deadline timer calls unlock_timeout only for a burn still unsettled then."""
+        from pegsim.bridge import BridgeContract
+
+        unlock_timeout, refused = BridgeContract.unlock_timeout, []
+
+        def recording(self, burn_id, at_eth):
+            try:
+                return unlock_timeout(self, burn_id, at_eth)
+            except SimError as exc:
+                refused.append(exc)
+                raise
+
+        monkeypatch.setattr(BridgeContract, "unlock_timeout", recording)
+        trace = run(load_config(str(SCENARIO_DIR / "two_rates.json")))
+        assert any(e["kind"] == "unlock_settled" for e in trace.events)
+        assert refused == []
+
+
 class TestDeepBacktrackDispatch:
     def test_proposal_finalizes_through_the_queue(self):
         # drive the propose_deep action through the runner's dispatch and let
@@ -703,6 +723,18 @@ class TestCli:
         capsys.readouterr()
         assert cli_main(["replay", str(config_path), str(trace_path)]) == 2
         assert "not an event object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [b'{"name": "\xff"}\n', b"[" * 100_000 + b"\n"],
+                             ids=["invalid_utf8", "nested_past_the_stack"])
+    @pytest.mark.parametrize("argv", [["run", "{bad}"], ["audit", "{bad}"],
+                                      ["replay", "{bad}", "{good}"], ["replay", "{good}", "{bad}"]])
+    def test_unreadable_input_exits_2_without_a_traceback(self, tmp_path, capsys, content, argv):
+        bad, good = tmp_path / "bad", tmp_path / "good"
+        bad.write_bytes(content)
+        good.write_text(json.dumps(mini_config()))  # a valid config, and as a trace a valid line
+        assert cli_main([arg.format(bad=bad, good=good) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}" in err and "Traceback" not in err
 
     def test_non_string_digest_is_a_divergence(self, tmp_path, capsys):
         config_path = tmp_path / "mini.json"
