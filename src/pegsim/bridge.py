@@ -628,6 +628,8 @@ class BridgeContract:
         return ext_len
 
     def _activate(self, relayer: str, sub: Submission, at_eth: int, backtrack_from: Optional[int]) -> int:
+        if at_eth < 0:
+            raise PastEvent(f"eth {at_eth} before the first contract block")
         seq = self._next_sub_seq
         self._next_sub_seq += 1
         self.active = ActiveSubmission(sub, relayer, at_eth, seq, backtrack_from)
@@ -667,14 +669,14 @@ class BridgeContract:
         entry = self._commit(keep, sub, active.submitted_at_eth, active.relayer, now_s)
         self._settle_penalty(active, refund=False)
         self.active = None
-        if self.deep_proposal is not None:
-            self._emit("deep_cancelled", active.relayer, reason="relay progressed")
-            self.deep_proposal = None
         self._emit(
             "accept", active.relayer,
             range=sub.range, history_len=len(self.history), sub_seq=active.seq,
             backtrack_from=active.backtrack_from, commitment=sub.commitment.hex(),
         )
+        if self.deep_proposal is not None:  # after accept, whose event records the relay's return to Listening
+            self.deep_proposal = None
+            self._emit("deep_cancelled", active.relayer, reason="relay progressed")
         self.expire_registrations()
         return entry
 
@@ -744,6 +746,8 @@ class BridgeContract:
             raise NotVerifying("relay is listening")
         if not self.is_relayer(challenger):
             raise NotARelayer(challenger)
+        if at_eth < 0:
+            raise PastEvent(f"eth {at_eth} before the first contract block")
         if at_eth >= self.window_deadline():
             raise WindowElapsed(f"eth {at_eth} past deadline {self.window_deadline()}")
         return self.active
@@ -921,6 +925,8 @@ class BridgeContract:
         sit at the contract's own address until each touched bridge's portion
         settles by payment evidence or timeout.
         """
+        if at_eth < 0:
+            raise PastEvent(f"eth {at_eth} before the first contract block")
         if w <= 0:
             raise InsufficientBalance(f"burn of {w} rejected")
         if self.wow_balance(hodler, y) < w:
@@ -1187,6 +1193,8 @@ class BridgeContract:
     # -- token transfers -------------------------------------------------------
 
     def wow_transfer(self, frm: str, to: str, y: Fraction, amount: int) -> None:
+        if BRIDGE_ADDR in (frm, to):  # its WOW is owed to pending burns
+            raise SimError(f"{BRIDGE_ADDR} neither sends nor receives transfers")
         if amount < 0:
             raise InsufficientBalance("negative transfer")
         self._wow_debit(frm, y, amount)

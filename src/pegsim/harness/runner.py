@@ -242,12 +242,6 @@ class SimulationRunner:
         elif kind == "backtrack":
             deadline = c.backtrack(agent.name, p["from_index"], p["sub"], self.eth_now)
             self._schedule_accept(deadline)
-        elif kind == "propose_deep":
-            proposal = c.propose_deep_backtrack(agent.name, p["from_index"], p["sub"], self.now)
-            self.queue.schedule(proposal.proposed_at_s + c.params.deep_backtrack_delay_1_s,
-                                ("deep_finalize", {"proposal": proposal}))
-        elif kind == "object_deep":
-            c.object_deep_backtrack(agent.name, self.now)
         else:
             raise SimError(f"unknown action kind {kind!r}")
 
@@ -293,13 +287,6 @@ class SimulationRunner:
         elif kind == "unlock_deadline":
             if not p["burn"].settled:  # its portions share one deadline, so all are due
                 c.unlock_timeout(p["burn"].burn_id, self.eth_now)
-        elif kind == "deep_finalize":
-            if c.deep_proposal is p["proposal"]:
-                if c.relay_mode == "verification":
-                    # retry when the active submission's window closes; accepting it cancels the proposal
-                    self.queue.schedule(c.window_deadline() * self.clock.eth_block_seconds, event)
-                else:
-                    c.finalize_deep_backtrack(self.now)
 
     # -- entry point -------------------------------------------------------------
 

@@ -61,9 +61,6 @@ class EventQueue:
         self._seq = 0
         self.now = start
 
-    def __len__(self) -> int:
-        return len(self._heap)
-
     def schedule(self, at: int, event: Any) -> None:
         if at < self.now:
             raise PastEvent(f"schedule at {at} < now {self.now}")

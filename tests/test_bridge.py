@@ -47,6 +47,7 @@ from pegsim.errors import (
     RangeNotAhead,
     RangeTooLong,
     SecondChallenge,
+    SimError,
     TooDeep,
     WindowElapsed,
     WindowNotElapsed,
@@ -345,32 +346,32 @@ class TestChallengeRange:
         contract.become_relayer(R1, 10_110)
         contract.become_relayer(R2, 10_110)
         view, tip, _ = chain_with_lock(140)
-        # prior progress to date 80, its window closing at eth 0, before this test's submissions
-        deadline = contract.submit_extension(R1, build_submission(view, tip, 0, 80, 10), at_eth=-80)
-        contract.accept_on_timeout(deadline, now_s=0)
+        # prior progress to date 80, its window closing at eth 80, before this test's submissions
+        deadline = contract.submit_extension(R1, build_submission(view, tip, 0, 80, 10), at_eth=0)
+        contract.accept_on_timeout(deadline, now_s=deadline * 14)
         sub = build_submission(view, tip, 80, range_b, 10)
-        contract.submit_extension(R1, sub, at_eth=10)
+        contract.submit_extension(R1, sub, at_eth=90)
         return contract, view, tip
 
     def test_less_than_d_ignored(self):
         contract, view, tip = self.setup_verification(100)
         alt = build_submission(view, tip, 80, 115, 10)
-        assert contract.challenge_range(R2, alt, at_eth=20) == "ignored"
+        assert contract.challenge_range(R2, alt, at_eth=100) == "ignored"
         assert contract.active.sub.range == 100
         assert contract.relayer_deposits[R1] == 10_110  # no penalty
 
     def test_equal_range_ignored(self):
         contract, view, tip = self.setup_verification(100)
         alt = build_submission(view, tip, 80, 100, 10)
-        assert contract.challenge_range(R2, alt, at_eth=20) == "ignored"
+        assert contract.challenge_range(R2, alt, at_eth=100) == "ignored"
 
     def test_replacement_penalty_10_percent(self):
         contract, view, tip = self.setup_verification(100)
         alt = build_submission(view, tip, 80, 125, 10)
-        assert contract.challenge_range(R2, alt, at_eth=20) == "replaced"
+        assert contract.challenge_range(R2, alt, at_eth=100) == "replaced"
         assert contract.active.sub.range == 125
         assert contract.active.relayer == R2
-        assert contract.active.submitted_at_eth == 20  # window restarted
+        assert contract.active.submitted_at_eth == 100  # window restarted
         assert contract.relayer_deposits[R1] == 10_110 - 1_011  # 10% of deposit
         assert contract.active.pending_penalty == (R1, 1_011)
 
@@ -378,13 +379,13 @@ class TestChallengeRange:
         contract, view, tip = self.setup_verification(100)
         alt = build_submission(view, tip, 80, 125, 10)
         with pytest.raises(WindowElapsed):
-            contract.challenge_range(R2, alt, at_eth=90)
+            contract.challenge_range(R2, alt, at_eth=170)
 
     def test_penalty_finalized_on_accept(self):
         contract, view, tip = self.setup_verification(100)
         alt = build_submission(view, tip, 80, 125, 10)
-        contract.challenge_range(R2, alt, at_eth=20)
-        contract.accept_on_timeout(at_eth=100, now_s=1400)
+        contract.challenge_range(R2, alt, at_eth=100)
+        contract.accept_on_timeout(at_eth=180, now_s=2520)
         assert contract.retained == 1_011
         assert contract.relayer_deposits[R1] == 10_110 - 1_011
 
@@ -1083,6 +1084,30 @@ class TestProgressTime:
         assert [e.range for e in contract.history] == [30]
         assert contract.last_progress_s == 100_000
 
+    @pytest.mark.parametrize("call", ["submit_extension", "backtrack", "chunked_backtrack",
+                                      "challenge_range", "challenge_commitment", "burn_wow"])
+    def test_negative_eth_time_refused(self, call):
+        contract = fresh()
+        contract.become_relayer(R2, 10_110)
+        view, tip, bid, _ = minted_bridge(contract, n_blocks=60)  # history [30], accepted at eth 180
+        sub = build_submission(view, tip, 30, 40, 10)
+        if call in ("challenge_range", "challenge_commitment"):
+            contract.submit_extension(R1, sub, at_eth=200)
+        contract.last_progress_s = 0  # lets chunked_backtrack past its stagnation gate
+        before = (contract.state_digest(), contract.aggregates())
+        attempt = {
+            "submit_extension": lambda: contract.submit_extension(R1, sub, at_eth=-500),
+            "backtrack": lambda: contract.backtrack(R1, 0, sub, at_eth=-500),
+            "chunked_backtrack": lambda: contract.chunked_backtrack(R1, 0, sub, at_eth=-500, now_s=73 * 3600),
+            "challenge_range": lambda: contract.challenge_range(R2, build_submission(view, tip, 30, 50, 10),
+                                                                at_eth=-500),
+            "challenge_commitment": lambda: contract.challenge_commitment(R2, at_eth=-500, now_s=0),
+            "burn_wow": lambda: contract.burn_wow(ALICE, Y100, 100, doge_address("alice/dest"), at_eth=-500),
+        }[call]
+        with pytest.raises(PastEvent):
+            attempt()
+        assert (contract.state_digest(), contract.aggregates()) == before
+
 
 class TestWowTransfer:
     def test_transfers(self):
@@ -1097,6 +1122,20 @@ class TestWowTransfer:
         with pytest.raises(InsufficientBalance):
             contract.wow_transfer(ALICE, BOB, Y100, 1)
         assert contract.wow_supply[Y100] == 1000
+
+    def test_wow_held_for_a_pending_burn_does_not_move(self):
+        contract = fresh()
+        minted_bridge(contract)
+        burn = contract.burn_wow(ALICE, Y100, 500, doge_address("alice/dest"), at_eth=300)
+        before = contract.state_digest()
+        for frm, to in ((br.BRIDGE_ADDR, "mallory"), (ALICE, br.BRIDGE_ADDR)):
+            with pytest.raises(SimError):
+                contract.wow_transfer(frm, to, Y100, 500)
+        assert contract.state_digest() == before
+        alice_before = contract.accounts.get(ALICE)
+        contract.unlock_timeout(burn.burn_id, at_eth=400)
+        assert burn.settled and burn.eth_received == 500 * 1000
+        assert contract.accounts.get(ALICE) == alice_before + 500 * 1000
 
 
 class TestConservation:

@@ -5,14 +5,18 @@ also with every policy param it leaves unset written out at the value the
 policies fell back to before their params were declared; those values must
 also be the declared defaults.  The long-horizon runs (fuzz_random at seed
 offsets 0-2, at x1 and x8 its end.sim_time) must reproduce their digest,
-event count, blocks mined and `fired`.
+event count, blocks mined and `fired`.  Every event kind the contract emits
+is in a corpus trace, or is listed in REACHED_OUTSIDE_THE_CORPUS with the test
+that reaches it.
 
 A change that alters behaviour on purpose re-records the goldens with
 `python3 pegbench/run.py --workload <corpus|long_horizon> --seed 0 --write-golden` and says
 why in CHANGES.md.
 """
 
+import ast
 import dataclasses
+import functools
 import json
 from collections import Counter
 from fractions import Fraction
@@ -20,7 +24,8 @@ from pathlib import Path
 
 import pytest
 
-from pegsim.harness import load_config, parse_config, run
+from pegsim import bridge
+from pegsim.harness import SimulationRunner, load_config, parse_config, run
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = sorted((ROOT / "scenarios").glob("*.json"))
@@ -49,12 +54,54 @@ def test_every_scenario_has_a_golden():
     assert {f"{p.stem}+0" for p in SCENARIOS} == set(GOLDEN)
 
 
+@functools.cache
+def corpus_run(path):
+    """The trace of a corpus scenario at its committed seed, and the scheduler events it handled, by kind."""
+    runner, fired = SimulationRunner(load_config(str(path))), Counter()
+    handle = runner._handle
+
+    def counted(t, event):
+        fired[event[0]] += 1
+        handle(t, event)
+
+    runner._handle = counted
+    return runner.run(), fired
+
+
 @pytest.mark.parametrize("path", SCENARIOS, ids=[p.stem for p in SCENARIOS])
-def test_trace_matches_golden(path, fired):
-    trace = run(load_config(str(path)))
+def test_trace_matches_golden(path):
+    trace, fired = corpus_run(path)
     want = GOLDEN[f"{path.stem}+0"]
     assert (trace.digest(), len(trace.events)) == (want["digest"], want["events"])
     assert fired == want["fired"]
+
+
+# The contract event kinds that no corpus trace holds, each with the test that reaches it.  A kind that
+# a corpus trace starts to hold, or a new kind that none does, fails the ledger until this is edited.
+FUZZER = "tests/test_contract_fuzz.py::test_contract_state_machine"
+REACHED_OUTSIDE_THE_CORPUS = {
+    "registration_expired": FUZZER,
+    "report_ignored": FUZZER,
+    "challenge_range_ignored": FUZZER,
+    "withdraw_relayer": FUZZER,
+    "wow_transfer": FUZZER,
+    "deep_proposed": FUZZER,
+    "deep_objected": FUZZER,
+    "deep_cancelled": FUZZER,
+    "deep_finalized": FUZZER,
+}
+
+
+def contract_event_kinds():
+    """The event kinds BridgeContract can emit: the first argument of each _emit call in bridge.py."""
+    tree = ast.parse(Path(bridge.__file__).read_text())
+    return {node.args[0].value for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_emit"}
+
+
+def test_every_contract_event_kind_is_in_the_corpus_or_reached_elsewhere():
+    in_corpus = {event["kind"] for path in SCENARIOS for event in corpus_run(path)[0].events}
+    assert contract_event_kinds() - in_corpus == set(REACHED_OUTSIDE_THE_CORPUS)
 
 
 def long_horizon_label(offset, horizon):

@@ -18,6 +18,8 @@ from pegsim.harness import audit, load_config, parse_config, replay_check, run
 from pegsim.harness.cli import main as cli_main
 from pegsim.harness.runner import Trace
 
+from test_contract_fuzz import CALLS
+
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 GOLDEN = json.loads((SCENARIO_DIR.parent / "pegbench" / "golden.json").read_text())["corpus"]["runs"]
 BASE = {
@@ -467,14 +469,6 @@ class TestSnapshotReuse:
     """A doge_block directly after another carries a copy of that block's snapshot.  This and
     turn skipping both rest on one premise: a call that changes the contract writes an event."""
 
-    # the contract's public state-changing calls
-    CALLS = ("open_bridge", "register_crossing", "expire_registrations", "become_relayer",
-             "withdraw_relayer_deposit", "submit_extension", "accept_on_timeout", "challenge_range",
-             "challenge_commitment", "supply_proof", "resolve_proof", "report_lock", "burn_wow",
-             "report_unlock", "unlock_timeout", "report_missing_doge", "backtrack",
-             "propose_deep_backtrack", "object_deep_backtrack", "finalize_deep_backtrack",
-             "chunked_backtrack", "wow_transfer")
-
     def test_every_recorded_snapshot_equals_a_fresh_one(self, monkeypatch):
         from pegsim.bridge import BridgeContract
         from pegsim.harness.runner import SimulationRunner
@@ -534,7 +528,7 @@ class TestSnapshotReuse:
                 return result
             return measured
 
-        for name in self.CALLS:
+        for name in sorted(CALLS):
             monkeypatch.setattr(BridgeContract, name, wrap(name, getattr(BridgeContract, name)))
         for config in _snapshot_runs():
             run(config)
@@ -559,113 +553,6 @@ class TestUnlockDeadline:
         trace = run(load_config(str(SCENARIO_DIR / "two_rates.json")))
         assert any(e["kind"] == "unlock_settled" for e in trace.events)
         assert refused == []
-
-
-class TestDeepBacktrackDispatch:
-    def test_proposal_finalizes_through_the_queue(self):
-        # drive the propose_deep action through the runner's dispatch and let
-        # the scheduled finalize event land after the objection delay; a
-        # relayer that never submits leaves nothing to cancel the proposal
-        from pegsim.agents import Action
-        from pegsim.bridge import build_submission
-        from pegsim.harness.runner import SimulationRunner
-
-        doc = mini_config()
-        doc["agents"][0]["policy"] = "lazy_relayer"
-        doc["end"] = {"sim_time": 90000}  # > 24h
-        config = parse_config(doc)
-        runner = SimulationRunner(config)
-        runner.queue.schedule(62, ("doge_block", {}))
-        runner.queue.schedule(14, ("turns", {}))
-        runner.queue.run_until(700, runner._handle)  # bring up chain + relayer
-
-        view = runner.view
-        tip = view.best_tip()
-        sub = build_submission(view, tip, 0, 1, config.params.c)
-        agent = runner.agents[0]
-        runner._apply_action(agent, Action("propose_deep", {"from_index": 0, "sub": sub}))
-        assert runner.contract.deep_proposal is not None
-        runner.queue.run_until(700 + 24 * 3600 + 1, runner._handle)
-        assert runner.contract.deep_proposal is None
-        assert any(e["kind"] == "deep_finalized" for e in runner.events)
-        assert [e.range for e in runner.contract.history] == [1]
-
-    def test_finalize_waits_for_the_active_submission(self):
-        # the objection delay ends while relay1's next extension is in
-        # Verification; finalizing then would append that extension to a
-        # history it does not extend
-        from pegsim.agents import Action
-        from pegsim.bridge import build_submission
-        from pegsim.harness.runner import SimulationRunner
-        from pegsim.proofsys import commitment_root
-
-        doc = mini_config()
-        doc["params"]["deep_backtrack_delay_1_s"] = 100
-        config = parse_config(doc)
-        runner = SimulationRunner(config)
-        runner.queue.schedule(62, ("doge_block", {}))
-        runner.queue.schedule(14, ("turns", {}))
-        runner.queue.run_until(1900, runner._handle)
-        contract = runner.contract
-        assert [e.range for e in contract.history] == [1] and contract.relay_mode == "verification"
-
-        sub = build_submission(runner.view, runner.view.best_tip(), 1, 10, config.params.c)
-        runner._apply_action(runner.agents[0], Action("propose_deep", {"from_index": 1, "sub": sub}))
-        runner.queue.run_until(config.end_time, runner._handle)
-        tip, prior = runner.view.best_tip(), 0
-        for entry in contract.history:
-            assert commitment_root(runner.view.path_blocks(tip, prior + 1, entry.range)) == entry.commitment
-            prior = entry.range
-        assert contract.deep_proposal is None
-        assert any(e["kind"] == "deep_cancelled" for e in runner.events)
-
-    def test_stale_finalize_event_leaves_a_later_proposal_staged(self):
-        # the first proposal's finalize event fires after it was objected to and
-        # a second proposal was staged; it must wait for the second's own delay
-        from pegsim.agents import Action
-        from pegsim.bridge import build_submission
-        from pegsim.harness.runner import SimulationRunner
-
-        doc = mini_config()
-        doc["agents"][0]["policy"] = "lazy_relayer"
-        doc["end"] = {"sim_time": 100000}
-        config = parse_config(doc)
-        runner = SimulationRunner(config)
-        runner.queue.schedule(62, ("doge_block", {}))
-        runner.queue.schedule(14, ("turns", {}))
-        runner.queue.run_until(700, runner._handle)
-        sub = build_submission(runner.view, runner.view.best_tip(), 0, 1, config.params.c)
-        agent = runner.agents[0]
-        runner._apply_action(agent, Action("propose_deep", {"from_index": 0, "sub": sub}))
-        first = runner.contract.deep_proposal
-        runner._apply_action(agent, Action("object_deep", {}))
-        runner.queue.run_until(700 + 3600, runner._handle)
-        runner._apply_action(agent, Action("propose_deep", {"from_index": 0, "sub": sub}))
-        second = runner.contract.deep_proposal
-        assert second is not None and second is not first
-        delay = config.params.deep_backtrack_delay_1_s
-        runner.queue.run_until(first.proposed_at_s + delay + 1, runner._handle)
-        assert runner.contract.deep_proposal is second
-        assert not any(e["kind"] == "deep_finalized" for e in runner.events)
-        runner.queue.run_until(second.proposed_at_s + delay + 1, runner._handle)
-        assert runner.contract.deep_proposal is None
-        assert [e["kind"] for e in runner.events].count("deep_finalized") == 1
-
-    def test_objection_through_dispatch_cancels(self):
-        from pegsim.agents import Action
-        from pegsim.bridge import build_submission
-        from pegsim.harness.runner import SimulationRunner
-
-        config = parse_config(mini_config())
-        runner = SimulationRunner(config)
-        runner.queue.schedule(62, ("doge_block", {}))
-        runner.queue.schedule(14, ("turns", {}))
-        runner.queue.run_until(700, runner._handle)
-        sub = build_submission(runner.view, runner.view.best_tip(), 0, 1, config.params.c)
-        agent = runner.agents[0]
-        runner._apply_action(agent, Action("propose_deep", {"from_index": 0, "sub": sub}))
-        runner._apply_action(agent, Action("object_deep", {}))
-        assert runner.contract.deep_proposal is None
 
 
 class TestSendDoge:

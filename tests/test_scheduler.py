@@ -77,7 +77,8 @@ class TestEventQueue:
         fired = []
         assert q.run_until(0, lambda t, e: fired.append(e)) == 0
         assert fired == []
-        assert len(q) == 1
+        assert q.run_until(1, lambda t, e: fired.append(e)) == 1  # still queued
+        assert fired == ["later"]
 
     def test_past_event_rejected(self):
         q = EventQueue()
