@@ -34,19 +34,17 @@ GOLDEN = GOLDENS["corpus"]["runs"]
 LONG_HORIZON = [(offset, horizon) for offset in range(3) for horizon in (1, 8)]
 
 
-@pytest.fixture
-def fired(monkeypatch):
-    """Counts the scheduler events the runner handles, by kind."""
-    from pegsim.harness.runner import SimulationRunner
+def counted_run(config):
+    """The trace of a run, and the scheduler events the runner handled in it, by kind."""
+    runner, fired = SimulationRunner(config), Counter()
+    handle = runner._handle
 
-    handle, counts = SimulationRunner._handle, Counter()
+    def counted(t, event):
+        fired[event[0]] += 1
+        handle(t, event)
 
-    def counted(runner, t, event):
-        counts[event[0]] += 1
-        return handle(runner, t, event)
-
-    monkeypatch.setattr(SimulationRunner, "_handle", counted)
-    return counts
+    runner._handle = counted
+    return runner.run(), fired
 
 
 def test_every_scenario_has_a_golden():
@@ -56,16 +54,8 @@ def test_every_scenario_has_a_golden():
 
 @functools.cache
 def corpus_run(path):
-    """The trace of a corpus scenario at its committed seed, and the scheduler events it handled, by kind."""
-    runner, fired = SimulationRunner(load_config(str(path))), Counter()
-    handle = runner._handle
-
-    def counted(t, event):
-        fired[event[0]] += 1
-        handle(t, event)
-
-    runner._handle = counted
-    return runner.run(), fired
+    """counted_run of a corpus scenario at its committed seed, shared by the golden and ledger tests."""
+    return counted_run(load_config(str(path)))
 
 
 @pytest.mark.parametrize("path", SCENARIOS, ids=[p.stem for p in SCENARIOS])
@@ -114,10 +104,10 @@ def test_every_long_horizon_golden_is_run():
 
 
 @pytest.mark.parametrize("offset,horizon", LONG_HORIZON, ids=[long_horizon_label(*r) for r in LONG_HORIZON])
-def test_long_horizon_trace_matches_golden(offset, horizon, fired):
+def test_long_horizon_trace_matches_golden(offset, horizon):
     config = load_config(str(ROOT / "scenarios" / "fuzz_random.json"))
     config = dataclasses.replace(config, seed=config.seed + offset, end_time=config.end_time * horizon)
-    trace = run(config)
+    trace, fired = counted_run(config)
     want = GOLDENS["long_horizon"]["runs"][long_horizon_label(offset, horizon)]
     blocks = sum(e["kind"] == "doge_block" for e in trace.events)
     assert (trace.digest(), len(trace.events), blocks) == (want["digest"], want["events"], want["blocks"])
