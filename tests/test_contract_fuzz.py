@@ -1,7 +1,7 @@
 """The Bridge Contract as a state machine, fuzzed one public call at a time.
 
 `ContractMachine` is a Hypothesis `RuleBasedStateMachine` with one rule per
-public contract call (CALLS, named as the call) and two rules that move a
+public contract call (CALLS, named as the call) and a rule that moves a
 monotone clock.  Its world is a small Dogecoin chain, mined once: a lock
 payment to the operator's bridge head, the operator's unlock payment, and a
 fork on which the operator moves the locked coins elsewhere.  So the rules
@@ -245,7 +245,7 @@ class ContractMachine(RuleBasedStateMachine):
         to a deadline still to come.
         """
         c, main = self.contract, world()[1][0]
-        stage = usually(data, [5, 6], range(5))
+        stage = data.draw(st.sampled_from([5, 5, 5, 5, 6, 6, 6, 0, 1, 2, 3, 4]))
         register, propose = usually(data, [True], [False]), usually(data, [True], [False])
         c.open_bridge("op", x, y, HEAD, 0, 2_000)
         for relayer in ("relay1", "relay2"):
@@ -285,21 +285,14 @@ class ContractMachine(RuleBasedStateMachine):
             ends.append(c.deep_proposal.proposed_at_s + c.params.deep_backtrack_delay_1_s)
         return sorted({t for t in ends if t > self.now_s + 1})
 
-    def advance(self, now_s):
-        """Set the clock and mine a Dogecoin block at it on the runner's own chain: of two clock steps in a
-        row, the second records its block with a copy of the first one's snapshot."""
-        self.set_clock(now_s)
-        self.runner._mine_next_block()
-
-    @rule(seconds=st.sampled_from([1, 62]))
-    def tick(self, seconds):
-        self.advance(self.now_s + seconds)
-
-    @precondition(deadlines)
     @rule(data=st.data())
-    def wait(self, data):
-        """Advance the clock to a deadline still to come, or now and then to one second before it."""
-        self.advance(data.draw(st.sampled_from(self.deadlines())) - usually(data, [0], [1]))
+    def tick(self, data):
+        """Advance the clock, usually to a deadline still to come, else by a second or a Dogecoin block or
+        to one second before a deadline; and mine a Dogecoin block then on the runner's own chain, so
+        that of two ticks in a row the second records its block with a copy of the first one's snapshot."""
+        ends, now = self.deadlines(), self.now_s
+        self.set_clock(usually(data, ends, [now + 1, now + 62, *(t - 1 for t in ends)]))
+        self.runner._mine_next_block()
 
     # -- one rule per contract call --------------------------------------------
     # Each mostly draws the arguments an honest caller would pass, else ones the contract should refuse
