@@ -8,7 +8,7 @@ harness with an invariant auditor.
 """
 
 from . import agents, bridge, chainsim, errors, harness, merkle, proofsys, scheduler
-from .bridge import BridgeContract, EthAccounts, ProtocolParams, Submission, genesis
+from .bridge import BridgeContract, EthAccounts, ProtocolParams, Submission
 from .chainsim import Block, BlockHeader, ChainView, Transaction
 from .merkle import MerkleProof, merkle_prove, merkle_root, merkle_verify
 from .proofsys import CostModel, ExtensionProof, verification_cost, verify_extension_proof
@@ -29,7 +29,6 @@ __all__ = [
     "EthAccounts",
     "ProtocolParams",
     "Submission",
-    "genesis",
     "Block",
     "BlockHeader",
     "ChainView",

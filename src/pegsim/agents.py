@@ -96,8 +96,6 @@ class Observation:
     path of tip, the best tip at sim_time - visibility_delay_s."""
 
     sim_time: int
-    eth_time: int
-    me: str
     my_doge_addr: bytes
     my_eth: int
     doge_balances: Dict[bytes, int]
@@ -667,7 +665,7 @@ class HonestCrosser(Policy):
         return bridge.capacity if self.params["amount"] is None else self.params["amount"]
 
 
-class VigilantHodler(Policy):
+class VigilantHodler(HonestCrosser):
     """Burns out when the collateral margin thins; reports missing DOGE.
 
     With params["cross"] set, first behaves as an honest crosser (its params
@@ -679,16 +677,11 @@ class VigilantHodler(Policy):
 
     def __init__(self, name: str, params: dict, agent_seed: int):
         super().__init__(name, params, agent_seed)
-        self._crosser = HonestCrosser(name, params, agent_seed) if self.params["cross"] else None
         self._burn_below = (1 + self.params["headroom"]) * self.params["y"]
 
     def decide(self, obs: Observation, priv: dict) -> List[Action]:
         st = obs.bridge
-        actions: List[Action] = []
-        if self._crosser is not None:
-            crosser_priv = dict(priv.get("crosser", {}))
-            actions.extend(self._crosser.decide(obs, crosser_priv))
-            priv["crosser"] = crosser_priv
+        actions = super().decide(obs, priv) if self.params["cross"] else []
 
         y = self.params["y"]
         balance = st.wow_balance(self.name, y)

@@ -259,7 +259,6 @@ class BurnPortion:
     bridge_id: int
     owed_doge: int
     escrow_eth: int
-    deadline_eth: int
     settled: Optional[str] = None  # None | "doge" | "eth"
 
 
@@ -270,7 +269,7 @@ class Burn:
     y: Fraction
     w: int
     dest: bytes
-    created_eth: int
+    deadline_eth: int  # every portion times out at this contract block
     history_len_at_burn: int
     portions: List[BurnPortion] = field(default_factory=list)
     d_recv: int = 0
@@ -295,6 +294,7 @@ class DeepProposal:
     proposer: str
     from_index: int
     sub: Submission
+    proposed_at_eth: int
     proposed_at_s: int
 
 
@@ -469,7 +469,7 @@ class BridgeContract:
             ],
             "burns": [
                 [b.burn_id, b.hodler, str(b.y), b.w, b.d_recv, b.eth_received,
-                 [[p.bridge_id, p.owed_doge, p.escrow_eth, p.deadline_eth, p.settled] for p in b.portions]]
+                 [[p.bridge_id, p.owed_doge, p.escrow_eth, b.deadline_eth, p.settled] for p in b.portions]]
                 for _, b in sorted(self.burns.items())
             ],
             "used_txs": sorted(t.hex() for t in self.used_txs),
@@ -561,22 +561,17 @@ class BridgeContract:
         )
         return reg
 
-    def expire_registrations(self) -> List[Registration]:
+    def _expire_registrations(self) -> None:
         """Void registrations the advancing history has run past; fee retained."""
-        voided = []
-        date = self.current_date
-        for head in list(self.registrations):
-            reg = self.registrations[head]
-            if date > reg.expiry_ordinal:
+        for head, reg in list(self.registrations.items()):
+            if self.current_date > reg.expiry_ordinal:
                 del self.registrations[head]
                 self.retained += reg.void_fee
                 self._outflow(reg.crosser, reg.deposit - reg.void_fee)
-                voided.append(reg)
                 self._emit(
                     "registration_expired", reg.crosser,
                     head=head.hex(), fee_retained=reg.void_fee, refunded=reg.deposit - reg.void_fee,
                 )
-        return voided
 
     # -- relayers -----------------------------------------------------------
 
@@ -630,9 +625,7 @@ class BridgeContract:
     def _activate(self, relayer: str, sub: Submission, at_eth: int, backtrack_from: Optional[int]) -> int:
         if at_eth < 0:
             raise PastEvent(f"eth {at_eth} before the first contract block")
-        seq = self._next_sub_seq
-        self._next_sub_seq += 1
-        self.active = ActiveSubmission(sub, relayer, at_eth, seq, backtrack_from)
+        seq = self._verify(relayer, sub, at_eth, backtrack_from).seq
         deadline = self.window_deadline()
         self._emit(
             "submit", relayer,
@@ -640,6 +633,13 @@ class BridgeContract:
             deadline_eth=deadline, sub_seq=seq, backtrack_from=backtrack_from,
         )
         return deadline
+
+    def _verify(self, relayer: str, sub: Submission, at_eth: int, backtrack_from: Optional[int],
+                pending_penalty: Optional[Tuple[str, int]] = None) -> ActiveSubmission:
+        """Make sub, under the next submission sequence number, the submission in Verification."""
+        self.active = ActiveSubmission(sub, relayer, at_eth, self._next_sub_seq, backtrack_from, pending_penalty)
+        self._next_sub_seq += 1
+        return self.active
 
     def window_deadline(self) -> int:
         """The contract block that closes the active submission's challenge window."""
@@ -677,7 +677,7 @@ class BridgeContract:
         if self.deep_proposal is not None:  # after accept, whose event records the relay's return to Listening
             self.deep_proposal = None
             self._emit("deep_cancelled", active.relayer, reason="relay progressed")
-        self.expire_registrations()
+        self._expire_registrations()
         return entry
 
     def challenge_range(self, challenger: str, alt: Submission, at_eth: int) -> str:
@@ -701,9 +701,7 @@ class BridgeContract:
         penalty = self._take_deposit(
             displaced, rate_mul(self.params.nonmax_penalty_rate, self.relayer_deposits.get(displaced, 0)))
         self._settle_penalty(active, refund=False)
-        seq = self._next_sub_seq
-        self._next_sub_seq += 1
-        self.active = ActiveSubmission(alt, challenger, at_eth, seq, base, (displaced, penalty))
+        seq = self._verify(challenger, alt, at_eth, base, (displaced, penalty)).seq
         self._emit(
             "challenge_range_replaced", challenger,
             displaced=displaced, penalty=penalty, alt_range=alt.range, sub_range=sub.range,
@@ -944,10 +942,9 @@ class BridgeContract:
             y=y,
             w=w,
             dest=dest,
-            created_eth=at_eth,
+            deadline_eth=at_eth + self.params.unlock_timeout_eth_blocks,
             history_len_at_burn=len(self.history),
         )
-        deadline = at_eth + self.params.unlock_timeout_eth_blocks
         remaining = w
         while remaining > 0:
             bid = queue[0]
@@ -955,7 +952,7 @@ class BridgeContract:
             portion = min(remaining, bridge.capacity)
             escrow = portion * k
             bridge.collateral -= escrow
-            burn.portions.append(BurnPortion(bid, portion, escrow, deadline))
+            burn.portions.append(BurnPortion(bid, portion, escrow))
             remaining -= portion
             if bridge.collateral == 0:
                 queue.pop(0)
@@ -963,7 +960,7 @@ class BridgeContract:
         self.burns[burn.burn_id] = burn
         self._emit(
             "burn", hodler,
-            burn_id=burn.burn_id, y=str(y), w=w, dest=dest.hex(), deadline_eth=deadline,
+            burn_id=burn.burn_id, y=str(y), w=w, dest=dest.hex(), deadline_eth=burn.deadline_eth,
             portions=[[p.bridge_id, p.owed_doge, p.escrow_eth] for p in burn.portions],
         )
         return burn
@@ -1047,15 +1044,15 @@ class BridgeContract:
         return "settled"
 
     def unlock_timeout(self, burn_id: int, at_eth: int) -> dict:
-        """Pay the hodler the escrow of every elapsed, unpaid portion."""
+        """Pay the hodler the escrow of every unpaid portion once the burn's deadline has come."""
         burn = self.burns.get(burn_id)
         if burn is None:
             raise UnknownThread(f"burn {burn_id}")
-        due = [p for p in burn.portions if p.settled is None and p.deadline_eth <= at_eth]
-        if not due:
-            if burn.settled:
-                raise AlreadySettled(f"burn {burn_id}")
+        if burn.settled:
+            raise AlreadySettled(f"burn {burn_id}")
+        if at_eth < burn.deadline_eth:
             raise NotElapsed(f"burn {burn_id}")
+        due = [p for p in burn.portions if p.settled is None]
         payouts = []
         for p in due:
             self._settle_portion(burn, p, "eth", burn.hodler)
@@ -1131,8 +1128,11 @@ class BridgeContract:
         depth = max(self.current_date, range_b) - prior_date
         return depth, verification_cost(self.cost_model, depth, self.params.c)
 
-    def propose_deep_backtrack(self, proposer: str, from_index: int, sub: Submission, now_s: int) -> DeepProposal:
+    def propose_deep_backtrack(self, proposer: str, from_index: int, sub: Submission, at_eth: int,
+                               now_s: int) -> DeepProposal:
         """Mode 1: anyone proposes an arbitrarily long extension or backtrack."""
+        if at_eth < 0:
+            raise PastEvent(f"eth {at_eth} before the first contract block")
         if self.deep_proposal is not None:
             raise ProposalPending("a proposal is already staged")
         if not 0 <= from_index <= len(self.history):
@@ -1140,7 +1140,7 @@ class BridgeContract:
         _, prior_date = self.base(from_index)
         if sub.range <= prior_date:
             raise RangeNotAhead(f"range {sub.range} vs prior date {prior_date}")
-        proposal = DeepProposal(proposer, from_index, sub, now_s)
+        proposal = DeepProposal(proposer, from_index, sub, at_eth, now_s)
         self.deep_proposal = proposal
         self._emit(
             "deep_proposed", proposer,
@@ -1172,13 +1172,13 @@ class BridgeContract:
             raise NotElapsed("objection window still open")
         if self.relay_mode != "listening":
             raise NotListening(self.relay_mode)
-        entry = self._commit(proposal.from_index, proposal.sub, 0, proposal.proposer, now_s)
+        entry = self._commit(proposal.from_index, proposal.sub, proposal.proposed_at_eth, proposal.proposer, now_s)
         self.deep_proposal = None
         self._emit(
             "deep_finalized", proposal.proposer,
             from_index=proposal.from_index, range=entry.range, history_len=len(self.history),
         )
-        self.expire_registrations()
+        self._expire_registrations()
         return entry
 
     def chunked_backtrack(self, relayer: str, from_index: int, sub: Submission, at_eth: int, now_s: int) -> int:
@@ -1200,12 +1200,6 @@ class BridgeContract:
         self._wow_debit(frm, y, amount)
         self._wow_credit(to, y, amount)
         self._emit("wow_transfer", frm, to=to, y=str(y), amount=amount)
-
-
-def genesis(params: ProtocolParams, cost_model: Optional[CostModel] = None,
-            accounts: Optional[EthAccounts] = None) -> BridgeContract:
-    """A fresh contract: empty history, date 0, Listening, empty queues and ledger."""
-    return BridgeContract(params, cost_model or CostModel(), accounts or EthAccounts())
 
 
 # ---------------------------------------------------------------------------

@@ -179,8 +179,6 @@ class SimulationRunner:
     def _observe(self, agent: _AgentRuntime, tip: bytes, true_rate: Fraction) -> Observation:
         return Observation(
             sim_time=self.now,
-            eth_time=self.eth_now,
-            me=agent.name,
             my_doge_addr=agent.doge_addr,
             my_eth=self.accounts.get(agent.name),
             doge_balances=self.doge_balances,
@@ -237,7 +235,7 @@ class SimulationRunner:
             c.report_missing_doge(agent.name, p["report"], p["y"], p["n"])
         elif kind == "burn_wow":
             burn = c.burn_wow(agent.name, p["y"], p["w"], p["dest"], self.eth_now)
-            self.queue.schedule(burn.portions[0].deadline_eth * self.clock.eth_block_seconds,
+            self.queue.schedule(burn.deadline_eth * self.clock.eth_block_seconds,
                                 ("unlock_deadline", {"burn": burn}))
         elif kind == "backtrack":
             deadline = c.backtrack(agent.name, p["from_index"], p["sub"], self.eth_now)
@@ -285,7 +283,7 @@ class SimulationRunner:
         elif kind == "oracle":
             c.resolve_proof(p["thread"].thread_id, p["verdict"])
         elif kind == "unlock_deadline":
-            if not p["burn"].settled:  # its portions share one deadline, so all are due
+            if not p["burn"].settled:  # its deadline has come, so all its unpaid portions are due
                 c.unlock_timeout(p["burn"].burn_id, self.eth_now)
 
     # -- entry point -------------------------------------------------------------

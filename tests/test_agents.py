@@ -22,12 +22,12 @@ from pegsim.agents import (
     should_abscond,
 )
 from pegsim.bridge import (
+    BridgeContract,
     CostModel,
     EthAccounts,
     ProtocolParams,
     build_submission,
     build_tx_report,
-    genesis,
     segment_bounds,
 )
 from pegsim.chainsim import ChainView, Transaction, doge_address, pow_check
@@ -107,8 +107,6 @@ class TestHelpers:
 def observation(contract, view, name="agent", rate=Fraction(1, 500), t=100, delay=0):
     return Observation(
         sim_time=t,
-        eth_time=t // 14,
-        me=name,
         my_doge_addr=doge_address(name),
         my_eth=contract.accounts.get(name),
         doge_balances={},
@@ -124,7 +122,7 @@ def observation(contract, view, name="agent", rate=Fraction(1, 500), t=100, dela
 def fresh_world(n_blocks=45, txs_at=None):
     """A contract and a chain of n_blocks; txs_at maps an ordinal to that block's txs."""
     accounts = EthAccounts({"r": 50_000, "op": 2_000_000, "alice": 50_000, "m": 50_000})
-    contract = genesis(ProtocolParams(relay_tax=0), CostModel(), accounts)
+    contract = BridgeContract(ProtocolParams(relay_tax=0), CostModel(), accounts)
     view = ChainView.new(TARGET)
     tip = view.genesis_hash
     for i in range(1, n_blocks + 1):
@@ -511,7 +509,7 @@ class TestHistoryCursor:
         assert cursor_answers(policy, observation(contract, view, "bob"), 60) == (locks[:1], None)
 
         sub = build_submission(view, view.best_tip(), 0, 35, contract.params.c)
-        contract.propose_deep_backtrack("m", 0, sub, now_s=1000)
+        contract.propose_deep_backtrack("m", 0, sub, at_eth=71, now_s=1000)
         contract.finalize_deep_backtrack(now_s=1000 + contract.params.deep_backtrack_delay_1_s)
         obs = observation(contract, view, "bob")
         assert cursor_answers(policy, obs, 60) == (locks, None)

@@ -22,7 +22,6 @@ from pegsim.bridge import (
     TxReport,
     build_tx_report,
     eth_per_doge,
-    genesis,
     rate_mul,
 )
 from pegsim.chainsim import ChainView, Transaction, doge_address
@@ -69,7 +68,7 @@ def fresh(params=None, accounts=None) -> BridgeContract:
     # so balances stay round; both are tested explicitly at their defaults
     if params is None:
         params = ProtocolParams(registration_window_doge_blocks=60, relay_tax=0)
-    return genesis(params, CostModel(), EthAccounts(accounts or dict(RICH)))
+    return BridgeContract(params, CostModel(), EthAccounts(accounts or dict(RICH)))
 
 
 def chain_with_lock(n_blocks=45, lock_at=3, head=None, sender=None, amount=1000, memo=b""):
@@ -139,7 +138,7 @@ class TestGenesisAndParams:
 
     def test_bad_params_k_ge_d(self):
         with pytest.raises(BadParams):
-            genesis(ProtocolParams(k=20, d=20))
+            BridgeContract(ProtocolParams(k=20, d=20), CostModel(), EthAccounts())
 
     def test_genesis_deterministic(self):
         assert fresh().state_digest() == fresh().state_digest()
@@ -220,7 +219,6 @@ class TestRegistration:
         before = contract.accounts.get(ALICE)
         contract.register_crossing(ALICE, head, deposit=ETH // 2,
                                    crosser_doge=doge_address(ALICE))
-        assert contract.expire_registrations() == []  # date 0, not expired
         voided = []
 
         def hook(kind, actor, payload):
@@ -995,7 +993,7 @@ class TestDeepBacktrack:
         contract = contract or fresh()
         view, tip, _ = chain_with_lock(45)
         sub = build_submission(view, tip, 0, 30, 10)
-        proposal = contract.propose_deep_backtrack("anyone", 0, sub, now_s=1000)
+        proposal = contract.propose_deep_backtrack("anyone", 0, sub, at_eth=71, now_s=1000)
         return contract, proposal
 
     def test_objection_cancels(self):
@@ -1012,6 +1010,11 @@ class TestDeepBacktrack:
         entry = contract.finalize_deep_backtrack(now_s=1000 + 24 * 3600)
         assert contract.history == [entry]
         assert contract.current_date == 30
+
+    def test_finalized_entry_was_submitted_when_proposed(self):
+        contract, _ = self.staged()
+        entry = contract.finalize_deep_backtrack(now_s=1000 + 24 * 3600)
+        assert entry.submitted_at_eth == 71
 
     def test_mode2_gate_at_72h(self):
         contract = fresh()
@@ -1033,7 +1036,7 @@ class TestDeepBacktrack:
         view, tip, _ = chain_with_lock(65)
         accept_first_extension(contract, view, tip, range_b=20, at_eth=10)
         contract.propose_deep_backtrack("anyone", 1, build_submission(view, tip, 20, 40, 10),
-                                        now_s=2000)
+                                        at_eth=142, now_s=2000)
         deadline = contract.submit_extension(R1, build_submission(view, tip, 20, 50, 10), at_eth=200)
         with pytest.raises(NotListening):
             contract.finalize_deep_backtrack(now_s=2000 + 24 * 3600)
@@ -1049,7 +1052,7 @@ class TestDeepBacktrack:
         sub = build_submission(view, tip, 0, 30, 10)
         deadline = contract.submit_extension(R1, sub, at_eth=10)
         contract.propose_deep_backtrack("anyone", 0, build_submission(view, tip, 0, 29, 10),
-                                        now_s=200)
+                                        at_eth=14, now_s=200)
         contract.accept_on_timeout(deadline, now_s=deadline * 14)
         assert contract.deep_proposal is None
 
@@ -1077,7 +1080,7 @@ class TestProgressTime:
         view, tip, _ = chain_with_lock(45)
         deadline = contract.submit_extension(R1, build_submission(view, tip, 0, 30, 10), at_eth=10)
         contract.accept_on_timeout(deadline, now_s=100_000)
-        contract.propose_deep_backtrack("anyone", 0, build_submission(view, tip, 0, 31, 10), now_s=0)
+        contract.propose_deep_backtrack("anyone", 0, build_submission(view, tip, 0, 31, 10), at_eth=0, now_s=0)
         with pytest.raises(PastEvent):
             contract.finalize_deep_backtrack(now_s=24 * 3600)
         assert contract.deep_proposal is not None
@@ -1085,7 +1088,8 @@ class TestProgressTime:
         assert contract.last_progress_s == 100_000
 
     @pytest.mark.parametrize("call", ["submit_extension", "backtrack", "chunked_backtrack",
-                                      "challenge_range", "challenge_commitment", "burn_wow"])
+                                      "challenge_range", "challenge_commitment", "burn_wow",
+                                      "propose_deep_backtrack"])
     def test_negative_eth_time_refused(self, call):
         contract = fresh()
         contract.become_relayer(R2, 10_110)
@@ -1103,6 +1107,7 @@ class TestProgressTime:
                                                                 at_eth=-500),
             "challenge_commitment": lambda: contract.challenge_commitment(R2, at_eth=-500, now_s=0),
             "burn_wow": lambda: contract.burn_wow(ALICE, Y100, 100, doge_address("alice/dest"), at_eth=-500),
+            "propose_deep_backtrack": lambda: contract.propose_deep_backtrack(ALICE, 0, sub, at_eth=-500, now_s=0),
         }[call]
         with pytest.raises(PastEvent):
             attempt()

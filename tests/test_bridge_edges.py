@@ -14,7 +14,6 @@ from pegsim.bridge import (
     ProtocolParams,
     build_submission,
     build_tx_report,
-    genesis,
 )
 from pegsim.chainsim import Transaction, doge_address
 from pegsim.errors import TooDeep

@@ -268,7 +268,7 @@ class ContractMachine(RuleBasedStateMachine):
         if stage >= 6:
             c.submit_extension("relay1", claim(main, first, 30), self.at_eth)
         if propose:
-            c.propose_deep_backtrack("alice", 0, claim(main, 0, 26), self.now_s)
+            c.propose_deep_backtrack("alice", 0, claim(main, 0, 26), self.at_eth, self.now_s)
         self.set_clock(data.draw(st.sampled_from([self.now_s, self.now_s, *self.deadlines()])))
 
     # -- the clock -------------------------------------------------------------
@@ -277,7 +277,7 @@ class ContractMachine(RuleBasedStateMachine):
         """The times still to come at which a contract deadline or delay ends."""
         c, eth_s = self.contract, self.runner.clock.eth_block_seconds
         ends = [t.proof_deadline_s for t in c.threads.values() if not t.resolved]
-        ends += [p.deadline_eth * eth_s for b in c.burns.values() for p in b.portions if not p.settled]
+        ends += [b.deadline_eth * eth_s for b in c.burns.values() if not b.settled]
         ends.append(c.last_progress_s + c.params.deep_backtrack_delay_2_s)
         if c.active is not None:
             ends.append(c.window_deadline() * eth_s)
@@ -316,11 +316,6 @@ class ContractMachine(RuleBasedStateMachine):
                        HEADS)
         deposit = usually(data, [50_000], [0, 10_000])
         self.call("register_crossing", crosser, head, deposit, usually(data, [LOCK.sender], [DEST]), bounty)
-
-    @precondition(lambda self: self.contract.registrations)
-    @rule()
-    def expire_registrations(self):
-        self.call("expire_registrations")
 
     @precondition(lambda self: len(self.contract.relayer_deposits) < len(ACTORS))
     @rule(data=st.data(), who=st.sampled_from(ACTORS))
@@ -395,8 +390,8 @@ class ContractMachine(RuleBasedStateMachine):
         self.call("report_unlock", reporter, self.draw_id(data, self.contract.burns, lambda b: not b.settled),
                   self.draw_report(data))
 
-    @precondition(lambda self: any(not p.settled and p.deadline_eth <= self.at_eth + 1
-                                   for b in self.contract.burns.values() for p in b.portions))
+    @precondition(lambda self: any(not b.settled and b.deadline_eth <= self.at_eth + 1
+                                   for b in self.contract.burns.values()))
     @rule(data=st.data())
     def unlock_timeout(self, data):
         self.call("unlock_timeout", self.draw_id(data, self.contract.burns, lambda b: not b.settled), self.at_eth)
@@ -417,7 +412,8 @@ class ContractMachine(RuleBasedStateMachine):
     @rule(proposer=st.sampled_from(ACTORS), data=st.data())
     def propose_deep_backtrack(self, proposer, data):
         index = self.draw_index(data, len(self.contract.history) + 1)
-        self.call("propose_deep_backtrack", proposer, index, self.draw_claim(data, self.prior(index)), self.now_s)
+        self.call("propose_deep_backtrack", proposer, index, self.draw_claim(data, self.prior(index)),
+                  self.at_eth, self.now_s)
 
     def deep_delay_end(self):
         return self.contract.deep_proposal.proposed_at_s + self.contract.params.deep_backtrack_delay_1_s
@@ -479,7 +475,7 @@ class ContractMachine(RuleBasedStateMachine):
 
 def test_every_public_call_is_a_read_or_has_a_rule():
     assert READS <= PUBLIC
-    assert len(CALLS) == 22
+    assert len(CALLS) == 21
     assert {name for name in CALLS if callable(getattr(ContractMachine, name, None))} == CALLS
 
 
@@ -501,7 +497,7 @@ def test_an_accept_that_cancels_a_deep_proposal_audits_clean():
     c, main = runner.contract, world()[1][0]
     c.become_relayer("relay1", c.required_relayer_deposit())
     deadline = c.submit_extension("relay1", claim(main, 0, 8), 0)
-    c.propose_deep_backtrack("alice", 0, claim(main, 0, 20), 0)
+    c.propose_deep_backtrack("alice", 0, claim(main, 0, 20), 0, 0)
     runner.eth_now, runner.now = deadline, deadline * runner.clock.eth_block_seconds
     c.accept_on_timeout(runner.eth_now, runner.now)
     assert [e["kind"] for e in runner.events[-2:]] == ["accept", "deep_cancelled"]

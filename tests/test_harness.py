@@ -19,6 +19,7 @@ from pegsim.harness.cli import main as cli_main
 from pegsim.harness.runner import Trace
 
 from test_contract_fuzz import CALLS
+from test_golden import corpus_run
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 GOLDEN = json.loads((SCENARIO_DIR.parent / "pegbench" / "golden.json").read_text())["corpus"]["runs"]
@@ -79,6 +80,40 @@ REFUSED = [
     pytest.param(_set(("agents", 0), policy=[]), "agents[0].policy", id="policy-list"),
     pytest.param(_set((), name=5), "name", id="name-int"),
     pytest.param(_add(OPERATOR, head="ab" * 20), "agents[1].params.head", id="operator-head"),
+]
+
+
+def _edit(*path, to):
+    """A change to a trace event that replaces the value at path (a key path) with to(value)."""
+    def change(event):
+        *keys, last = path
+        for key in keys:
+            event = event[key]
+        event[last] = to(event[last])
+    return change
+
+
+# (corpus scenario, event kind, change, audit rule, part of its detail): the change edits one field of the
+# first event of that kind in the scenario's trace, and the rule must flag that event's seq.
+TAMPERED = [
+    pytest.param("lifecycle_happy_path", "burn", _edit("seq", to=lambda n: n + 1), "SeqOrder", "expected seq 50",
+                 id="SeqOrder"),
+    pytest.param("lifecycle_happy_path", "mint", _edit("agg", "paid", to=lambda n: n + 1), "EthConservation",
+                 "received", id="EthConservation"),
+    pytest.param("lifecycle_happy_path", "burn", _edit("payload", "portions", 0, 0, to=lambda b: b + 1), "FIFO",
+                 "burn touched [1]", id="FIFO"),
+    pytest.param("lifecycle_happy_path", "burn_settled", _edit("payload", "d_recv", to=lambda d: d + 1),
+                 "Invariant2", "d_recv 1001 outside [0, 1000]", id="Invariant2-d_recv"),
+    pytest.param("lifecycle_happy_path", "burn_settled", _edit("payload", "eth_received", to=lambda n: n + 1),
+                 "Invariant2", "eth 1 != (w-d)/y", id="Invariant2-eth"),
+    pytest.param("lifecycle_happy_path", "mint", _edit("agg", "relay_mode", to=lambda m: "listening"),
+                 "ModeExclusivity", "verification -> listening via mint", id="ModeExclusivity"),
+    pytest.param("lifecycle_happy_path", "burn", _edit("agg", "used_tx_count", to=lambda n: n - 1),
+                 "UsedTxMonotone", "1 -> 0", id="UsedTxMonotone"),
+    pytest.param("unregistered_cross", "run_summary", _edit("payload", "quiescent", to=lambda q: not q),
+                 "Invariant3", "did not end quiescent", id="Invariant3-quiescent"),
+    pytest.param("unregistered_cross", "run_summary", _edit("payload", "locked_on_best", "1/1000", to=lambda n: n - 1),
+                 "Invariant3", "locked[1/1000]=999 != supply 1000", id="Invariant3-locked"),
 ]
 
 
@@ -261,6 +296,28 @@ class TestAudit:
         assert any(v.seq == mint_seq and v.rule in ("Invariant1", "SupplyDelta")
                    for v in report.violations)
 
+
+    @pytest.mark.parametrize("scenario, kind, change, rule, detail", TAMPERED)
+    def test_a_changed_field_is_flagged_at_its_seq(self, scenario, kind, change, rule, detail):
+        trace, _ = corpus_run(SCENARIO_DIR / f"{scenario}.json")
+        events = [json.loads(line) for line in trace.lines()]
+        assert audit(events).ok
+        event = next(e for e in events if e["kind"] == kind)
+        change(event)
+        flagged = [(v.rule, v.detail) for v in audit(events).violations if v.seq == event["seq"]]
+        assert any(r == rule and detail in d for r, d in flagged), flagged
+
+    def test_a_refused_action_is_recorded_and_counted(self):
+        """An operator whose collateral is not a multiple of 1/y has its open_bridge refused: the runner
+        records the refusal, the trace still audits clean, and the audit counts it."""
+        doc = mini_config()
+        _add(OPERATOR, collateral=1_000_001)(doc)
+        trace = run(parse_config(doc))
+        rejected = [e["payload"] for e in trace.events if e["kind"] == "action_rejected"]
+        assert [(r["action"], r["error"]) for r in rejected] == [("open_bridge", "BadCollateral")]
+        report = audit(trace.events)
+        assert report.ok
+        assert report.rejected_actions == 1
 
     @pytest.mark.parametrize("kind,key,value", [
         ("mint", "minted", None),  # field missing
