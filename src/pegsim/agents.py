@@ -103,7 +103,6 @@ class Observation:
     tip: bytes
     bridge: BridgeContract
     true_rate: Fraction
-    eth_block_seconds: int  # eth block n starts at sim_time n * eth_block_seconds
     visibility_delay_s: int
 
     @property
@@ -333,8 +332,8 @@ class HonestRelayer(Policy):
     """
 
     # a claimed range more than k + RANGE_SLACK past my confirmed maximum,
-    # still unverifiable RANGE_PATIENCE_ETH contract blocks after submission,
-    # draws a commitment challenge
+    # still unverifiable RANGE_PATIENCE_ETH contract blocks after its tip could
+    # first be visible to me, draws a commitment challenge
     RANGE_SLACK = 2
     RANGE_PATIENCE_ETH = 30
     PARAMS = {"online_at": 0}
@@ -393,23 +392,31 @@ class HonestRelayer(Policy):
         type when the submission was already >= d stale at submission time,
         commitment type otherwise); just above my confirmed maximum it may
         simply be fresher than my view, so wait; still unverifiably far ahead
-        after a patience period, it claims blocks that cannot exist yet.
+        after a patience period, counted from when its tip could first be
+        visible to me (its submission plus my visibility delay), it claims
+        blocks that cannot exist yet.
+
+        So a far-ahead claim can be challenged only while the patience plus
+        my delay fits the challenge window: with 30 blocks of patience and the
+        default 80-block (1,120 s) window, a relayer whose delay is 700 s or
+        more cannot challenge one in time, and leaves it to faster relayers.
         """
         st = obs.bridge
         active = st.active
         sub = active.sub
         _, prior = st.base(active.backtrack_from)
+        eth_s = st.clock.eth_block_seconds
 
         if sub.range > cm:
             if sub.range > cm + st.params.k + self.RANGE_SLACK and reached(
-                    obs, priv, (active.submitted_at_eth + self.RANGE_PATIENCE_ETH) * obs.eth_block_seconds):
+                    obs, priv, (active.submitted_at_eth + self.RANGE_PATIENCE_ETH) * eth_s + obs.visibility_delay_s):
                 return Action("challenge_commitment", {})
             return None  # plausibly fresher than my view; re-judge once my tip moves
 
         if self.matched(obs, sub, prior) is not None:
             return None
 
-        seen = obs.chain.best_tip(active.submitted_at_eth * obs.eth_block_seconds - obs.visibility_delay_s)
+        seen = obs.chain.best_tip(active.submitted_at_eth * eth_s - obs.visibility_delay_s)
         cm_at_sub = confirmed_max(obs.chain, seen, st.params.c)
         stale = cm_at_sub - sub.range >= st.params.d
         if stale and cm - sub.range >= st.params.d:

@@ -77,6 +77,7 @@ from .proofsys import (
     verification_cost,
     witness_root,
 )
+from .scheduler import ClockParams, ethereum_time
 
 BRIDGE_ADDR = "<bridge>"  # internal holder of WOW pending burn settlement
 
@@ -294,7 +295,6 @@ class DeepProposal:
     proposer: str
     from_index: int
     sub: Submission
-    proposed_at_eth: int
     proposed_at_s: int
 
 
@@ -307,11 +307,16 @@ EmitFn = Callable[[str, str, dict], None]
 
 
 class BridgeContract:
-    def __init__(self, params: ProtocolParams, cost_model: CostModel, accounts: EthAccounts):
+    """now_s, the current simulated second, is the contract's clock: only advance_to moves it, and
+    eth_now is its contract block.  Like a block's timestamp it is environment, outside state_digest."""
+
+    def __init__(self, params: ProtocolParams, cost_model: CostModel, accounts: EthAccounts, clock: ClockParams):
         params.validate()
         self.params = params
         self.cost_model = cost_model
         self.accounts = accounts
+        self.clock = clock
+        self.now_s = 0
 
         self.history: List[HistoryEntry] = []
         self.active: Optional[ActiveSubmission] = None
@@ -338,6 +343,19 @@ class BridgeContract:
         self.last_progress_s = 0
 
         self.emit_hook: Optional[EmitFn] = None
+
+    # -- the clock -----------------------------------------------------------
+
+    def advance_to(self, t: int) -> None:
+        """Move the clock to simulated second t; it never runs back."""
+        if t < self.now_s:
+            raise PastEvent(f"{t}s before the clock's {self.now_s}s")
+        self.now_s = t
+
+    @property
+    def eth_now(self) -> int:
+        """The newest contract block at the current second."""
+        return ethereum_time(self.now_s, self.clock)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -598,10 +616,10 @@ class BridgeContract:
 
     # -- relay: listening, verification, challenges -------------------------
 
-    def submit_extension(self, relayer: str, sub: Submission, at_eth: int) -> int:
+    def submit_extension(self, relayer: str, sub: Submission) -> int:
         """First valid submission flips the relay into Verification; returns deadline."""
         self._check_claim(relayer, sub)
-        return self._activate(relayer, sub, at_eth, backtrack_from=None)
+        return self._activate(relayer, sub, backtrack_from=None)
 
     def _check_claim(self, relayer: str, sub: Submission, from_index: Optional[int] = None) -> int:
         """Checks every claim that enters Verification shares; returns its extension length.
@@ -622,22 +640,20 @@ class BridgeContract:
             raise RangeTooLong(f"extension of {ext_len} blocks")
         return ext_len
 
-    def _activate(self, relayer: str, sub: Submission, at_eth: int, backtrack_from: Optional[int]) -> int:
-        if at_eth < 0:
-            raise PastEvent(f"eth {at_eth} before the first contract block")
-        seq = self._verify(relayer, sub, at_eth, backtrack_from).seq
+    def _activate(self, relayer: str, sub: Submission, backtrack_from: Optional[int]) -> int:
+        seq = self._verify(relayer, sub, backtrack_from).seq
         deadline = self.window_deadline()
         self._emit(
             "submit", relayer,
-            range=sub.range, commitment=sub.commitment.hex(), at_eth=at_eth,
+            range=sub.range, commitment=sub.commitment.hex(), at_eth=self.eth_now,
             deadline_eth=deadline, sub_seq=seq, backtrack_from=backtrack_from,
         )
         return deadline
 
-    def _verify(self, relayer: str, sub: Submission, at_eth: int, backtrack_from: Optional[int],
+    def _verify(self, relayer: str, sub: Submission, backtrack_from: Optional[int],
                 pending_penalty: Optional[Tuple[str, int]] = None) -> ActiveSubmission:
         """Make sub, under the next submission sequence number, the submission in Verification."""
-        self.active = ActiveSubmission(sub, relayer, at_eth, self._next_sub_seq, backtrack_from, pending_penalty)
+        self.active = ActiveSubmission(sub, relayer, self.eth_now, self._next_sub_seq, backtrack_from, pending_penalty)
         self._next_sub_seq += 1
         return self.active
 
@@ -646,27 +662,24 @@ class BridgeContract:
         assert self.active is not None
         return self.active.submitted_at_eth + self.params.challenge_window_eth_blocks
 
-    def _commit(self, keep: int, sub: Submission, submitted_at_eth: int, relayer: str,
-                now_s: int) -> HistoryEntry:
+    def _commit(self, keep: int, sub: Submission, submitted_at_eth: int, relayer: str) -> HistoryEntry:
         """Keep the first keep history entries and append sub's: the relay progressed."""
-        if now_s < self.last_progress_s:
-            raise PastEvent(f"progress at {now_s}s before the last at {self.last_progress_s}s")
         del self.history[keep:]
         entry = HistoryEntry(sub.commitment, submitted_at_eth, relayer, sub.tip_header)
         self.history.append(entry)
-        self.last_progress_s = now_s
+        self.last_progress_s = self.now_s
         return entry
 
-    def accept_on_timeout(self, at_eth: int, now_s: int) -> HistoryEntry:
+    def accept_on_timeout(self) -> HistoryEntry:
         """Append the unchallenged submission and advance the current date."""
         if self.active is None:
             raise NotVerifying("relay is listening")
-        if at_eth < self.window_deadline():
-            raise WindowNotElapsed(f"eth {at_eth} before deadline {self.window_deadline()}")
+        if self.eth_now < self.window_deadline():
+            raise WindowNotElapsed(f"eth {self.eth_now} before deadline {self.window_deadline()}")
         active = self.active
         sub = active.sub
         keep = len(self.history) if active.backtrack_from is None else active.backtrack_from
-        entry = self._commit(keep, sub, active.submitted_at_eth, active.relayer, now_s)
+        entry = self._commit(keep, sub, active.submitted_at_eth, active.relayer)
         self._settle_penalty(active, refund=False)
         self.active = None
         self._emit(
@@ -680,7 +693,7 @@ class BridgeContract:
         self._expire_registrations()
         return entry
 
-    def challenge_range(self, challenger: str, alt: Submission, at_eth: int) -> str:
+    def challenge_range(self, challenger: str, alt: Submission) -> str:
         """Claim the active submission's range is too small, offering a longer one.
 
         Short-by-less-than-d alternatives are ignored and the window keeps
@@ -688,7 +701,7 @@ class BridgeContract:
         restarts the window, and debits the displaced relayer a penalty that
         stays refundable until this new submission survives or fails scrutiny.
         """
-        active = self._check_challenge(challenger, at_eth)
+        active = self._check_challenge(challenger)
         sub = active.sub
         if alt.range - sub.range < self.params.d:
             self._emit("challenge_range_ignored", challenger, alt_range=alt.range, sub_range=sub.range)
@@ -701,16 +714,16 @@ class BridgeContract:
         penalty = self._take_deposit(
             displaced, rate_mul(self.params.nonmax_penalty_rate, self.relayer_deposits.get(displaced, 0)))
         self._settle_penalty(active, refund=False)
-        seq = self._verify(challenger, alt, at_eth, base, (displaced, penalty)).seq
+        seq = self._verify(challenger, alt, base, (displaced, penalty)).seq
         self._emit(
             "challenge_range_replaced", challenger,
             displaced=displaced, penalty=penalty, alt_range=alt.range, sub_range=sub.range,
-            at_eth=at_eth, deadline_eth=self.window_deadline(),
+            at_eth=self.eth_now, deadline_eth=self.window_deadline(),
             sub_seq=seq, backtrack_from=base,
         )
         return "replaced"
 
-    def challenge_commitment(self, challenger: str, at_eth: int, now_s: int) -> ProofThread:
+    def challenge_commitment(self, challenger: str) -> ProofThread:
         """Claim the active submission's commitment is faulty.
 
         The contract forks: the relay returns to Listening without appending,
@@ -719,7 +732,7 @@ class BridgeContract:
         """
         if self.active is None and any(not t.resolved for t in self.threads.values()):
             raise SecondChallenge("a commitment challenge is already pending")
-        active = self._check_challenge(challenger, at_eth)
+        active = self._check_challenge(challenger)
         prior_tip, prior_date = self.base(active.backtrack_from)
         ext_len = active.sub.range - prior_date
         thread = ProofThread(
@@ -727,7 +740,7 @@ class BridgeContract:
             active=active,
             prior_tip_header=prior_tip,
             challenger=challenger,
-            proof_deadline_s=now_s + self.params.proof_timeout_per_block_s * ext_len,
+            proof_deadline_s=self.now_s + self.params.proof_timeout_per_block_s * ext_len,
         )
         self.threads[thread.thread_id] = thread
         self.active = None
@@ -738,16 +751,14 @@ class BridgeContract:
         )
         return thread
 
-    def _check_challenge(self, challenger: str, at_eth: int) -> ActiveSubmission:
+    def _check_challenge(self, challenger: str) -> ActiveSubmission:
         """Checks both challenges share; returns the challenged submission."""
         if self.active is None:
             raise NotVerifying("relay is listening")
         if not self.is_relayer(challenger):
             raise NotARelayer(challenger)
-        if at_eth < 0:
-            raise PastEvent(f"eth {at_eth} before the first contract block")
-        if at_eth >= self.window_deadline():
-            raise WindowElapsed(f"eth {at_eth} past deadline {self.window_deadline()}")
+        if self.eth_now >= self.window_deadline():
+            raise WindowElapsed(f"eth {self.eth_now} past deadline {self.window_deadline()}")
         return self.active
 
     def _take_deposit(self, who: str, amount: int) -> int:
@@ -778,7 +789,7 @@ class BridgeContract:
         else:
             self._outflow(payer, amount)
 
-    def supply_proof(self, relayer: str, thread_id: int, proof: ExtensionProof, now_s: int) -> ProofThread:
+    def supply_proof(self, relayer: str, thread_id: int, proof: ExtensionProof) -> ProofThread:
         thread = self.threads.get(thread_id)
         if thread is None or thread.resolved:
             raise UnknownThread(thread_id)
@@ -786,8 +797,8 @@ class BridgeContract:
             raise NotARelayer(f"{relayer} is not the thread's relayer")
         if thread.proof is not None:
             raise TooLate("proof already supplied")
-        if now_s > thread.proof_deadline_s:
-            raise TooLate(f"proof deadline {thread.proof_deadline_s} passed at {now_s}")
+        if self.now_s > thread.proof_deadline_s:
+            raise TooLate(f"proof deadline {thread.proof_deadline_s} passed at {self.now_s}")
         thread.proof = proof
         self._emit("proof_supplied", relayer, thread_id=thread_id, proof_len=proof.length)
         return thread
@@ -916,15 +927,13 @@ class BridgeContract:
 
     # -- unlocking ----------------------------------------------------------
 
-    def burn_wow(self, hodler: str, y: Fraction, w: int, dest: bytes, at_eth: int) -> Burn:
+    def burn_wow(self, hodler: str, y: Fraction, w: int, dest: bytes) -> Burn:
         """Destroy spendability of w WOW[y] and escrow matching collateral FIFO.
 
         The front of the y-queue owes the hodler w DOGE at dest; the tokens
         sit at the contract's own address until each touched bridge's portion
         settles by payment evidence or timeout.
         """
-        if at_eth < 0:
-            raise PastEvent(f"eth {at_eth} before the first contract block")
         if w <= 0:
             raise InsufficientBalance(f"burn of {w} rejected")
         if self.wow_balance(hodler, y) < w:
@@ -942,7 +951,7 @@ class BridgeContract:
             y=y,
             w=w,
             dest=dest,
-            deadline_eth=at_eth + self.params.unlock_timeout_eth_blocks,
+            deadline_eth=self.eth_now + self.params.unlock_timeout_eth_blocks,
             history_len_at_burn=len(self.history),
         )
         remaining = w
@@ -1043,14 +1052,14 @@ class BridgeContract:
         self._burn_maybe_settled(burn)
         return "settled"
 
-    def unlock_timeout(self, burn_id: int, at_eth: int) -> dict:
+    def unlock_timeout(self, burn_id: int) -> dict:
         """Pay the hodler the escrow of every unpaid portion once the burn's deadline has come."""
         burn = self.burns.get(burn_id)
         if burn is None:
             raise UnknownThread(f"burn {burn_id}")
         if burn.settled:
             raise AlreadySettled(f"burn {burn_id}")
-        if at_eth < burn.deadline_eth:
+        if self.eth_now < burn.deadline_eth:
             raise NotElapsed(f"burn {burn_id}")
         due = [p for p in burn.portions if p.settled is None]
         payouts = []
@@ -1108,7 +1117,7 @@ class BridgeContract:
 
     # -- backtracking ---------------------------------------------------------
 
-    def backtrack(self, relayer: str, from_index: int, sub: Submission, at_eth: int) -> int:
+    def backtrack(self, relayer: str, from_index: int, sub: Submission) -> int:
         """Re-enter Verification extending the history as of from_index entries.
 
         On acceptance the history is truncated to from_index and the new entry
@@ -1120,7 +1129,7 @@ class BridgeContract:
         depth, cost = self.backtrack_cost(from_index, sub.range)
         if cost > self.relayer_deposits[relayer]:
             raise TooDeep(f"depth {depth} not coverable by deposit")
-        return self._activate(relayer, sub, at_eth, backtrack_from=from_index)
+        return self._activate(relayer, sub, backtrack_from=from_index)
 
     def backtrack_cost(self, from_index: int, range_b: int) -> Tuple[int, int]:
         """(depth, verification cost) of a backtrack from entry from_index to range_b."""
@@ -1128,11 +1137,8 @@ class BridgeContract:
         depth = max(self.current_date, range_b) - prior_date
         return depth, verification_cost(self.cost_model, depth, self.params.c)
 
-    def propose_deep_backtrack(self, proposer: str, from_index: int, sub: Submission, at_eth: int,
-                               now_s: int) -> DeepProposal:
+    def propose_deep_backtrack(self, proposer: str, from_index: int, sub: Submission) -> DeepProposal:
         """Mode 1: anyone proposes an arbitrarily long extension or backtrack."""
-        if at_eth < 0:
-            raise PastEvent(f"eth {at_eth} before the first contract block")
         if self.deep_proposal is not None:
             raise ProposalPending("a proposal is already staged")
         if not 0 <= from_index <= len(self.history):
@@ -1140,39 +1146,41 @@ class BridgeContract:
         _, prior_date = self.base(from_index)
         if sub.range <= prior_date:
             raise RangeNotAhead(f"range {sub.range} vs prior date {prior_date}")
-        proposal = DeepProposal(proposer, from_index, sub, at_eth, now_s)
+        proposal = DeepProposal(proposer, from_index, sub, self.now_s)
         self.deep_proposal = proposal
         self._emit(
             "deep_proposed", proposer,
-            from_index=from_index, range=sub.range, finalize_at_s=now_s + self.params.deep_backtrack_delay_1_s,
+            from_index=from_index, range=sub.range, finalize_at_s=self.now_s + self.params.deep_backtrack_delay_1_s,
         )
         return proposal
 
-    def object_deep_backtrack(self, objector: str, now_s: int) -> str:
+    def object_deep_backtrack(self, objector: str) -> str:
         """Any objection within the first delay cancels the staged proposal."""
         proposal = self.deep_proposal
         if proposal is None:
             raise NoProposal("nothing staged")
-        if now_s >= proposal.proposed_at_s + self.params.deep_backtrack_delay_1_s:
+        if self.now_s >= proposal.proposed_at_s + self.params.deep_backtrack_delay_1_s:
             raise NoProposal("objection window passed")
         self.deep_proposal = None
         self._emit("deep_objected", objector, proposer=proposal.proposer, from_index=proposal.from_index)
         return "cancelled"
 
-    def finalize_deep_backtrack(self, now_s: int) -> HistoryEntry:
+    def finalize_deep_backtrack(self) -> HistoryEntry:
         """Replace the history from the staged proposal's index once unopposed.
 
         Refused while a submission is in Verification: that submission
-        extends the history the proposal would replace.
+        extends the history the proposal would replace.  The entry was
+        submitted in the contract block of the proposal.
         """
         proposal = self.deep_proposal
         if proposal is None:
             raise NoProposal("nothing staged")
-        if now_s < proposal.proposed_at_s + self.params.deep_backtrack_delay_1_s:
+        if self.now_s < proposal.proposed_at_s + self.params.deep_backtrack_delay_1_s:
             raise NotElapsed("objection window still open")
         if self.relay_mode != "listening":
             raise NotListening(self.relay_mode)
-        entry = self._commit(proposal.from_index, proposal.sub, proposal.proposed_at_eth, proposal.proposer, now_s)
+        entry = self._commit(proposal.from_index, proposal.sub, ethereum_time(proposal.proposed_at_s, self.clock),
+                             proposal.proposer)
         self.deep_proposal = None
         self._emit(
             "deep_finalized", proposal.proposer,
@@ -1181,14 +1189,14 @@ class BridgeContract:
         self._expire_registrations()
         return entry
 
-    def chunked_backtrack(self, relayer: str, from_index: int, sub: Submission, at_eth: int, now_s: int) -> int:
+    def chunked_backtrack(self, relayer: str, from_index: int, sub: Submission) -> int:
         """Mode 2: after prolonged stagnation, any depth in deposit-sized chunks."""
-        if now_s - self.last_progress_s < self.params.deep_backtrack_delay_2_s:
-            raise NotStuck(f"only {now_s - self.last_progress_s}s without progress")
+        if self.now_s - self.last_progress_s < self.params.deep_backtrack_delay_2_s:
+            raise NotStuck(f"only {self.now_s - self.last_progress_s}s without progress")
         ext_len = self._check_claim(relayer, sub, from_index)
         if verification_cost(self.cost_model, ext_len, self.params.c) > self.relayer_deposits[relayer]:
             raise TooDeep(f"chunk of {ext_len} not coverable by deposit")
-        return self._activate(relayer, sub, at_eth, backtrack_from=from_index)
+        return self._activate(relayer, sub, backtrack_from=from_index)
 
     # -- token transfers -------------------------------------------------------
 

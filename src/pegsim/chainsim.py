@@ -215,12 +215,6 @@ def mine_header(
 
 
 @dataclass
-class AddResult:
-    accepted: bool
-    reason: Optional[str] = None  # BadPoW | UnknownParent | BadOrdinal | BadTxRoot
-
-
-@dataclass
 class ChainView:
     """All blocks seen so far, arrival bookkeeping, and the best tip over time.
 
@@ -258,25 +252,26 @@ class ChainView:
     def _fork_key(self, h: bytes) -> Tuple[int, int, bytes]:
         return -self.cum_work[h], self.arrival[h], h
 
-    def add_block(self, block: Block, arrival_time: int = 0) -> AddResult:
+    def add_block(self, block: Block, arrival_time: int = 0) -> Optional[str]:
+        """Insert block; returns None, or why it was refused: UnknownParent | BadPoW | BadOrdinal | BadTxRoot."""
         h = block.header.hash
         if h in self.blocks:
-            return AddResult(True)  # idempotent
+            return None  # idempotent
         parent = block.header.parent
         if parent not in self.blocks:
-            return AddResult(False, "UnknownParent")
+            return "UnknownParent"
         if not pow_check(block.header):
-            return AddResult(False, "BadPoW")
+            return "BadPoW"
         if block.header.ordinal != self.blocks[parent].header.ordinal + 1:
-            return AddResult(False, "BadOrdinal")
+            return "BadOrdinal"
         if block.header.tx_root != tx_list_root(block.txs):
-            return AddResult(False, "BadTxRoot")
+            return "BadTxRoot"
         self.blocks[h] = block
         self.arrival[h] = arrival_time
         self.cum_work[h] = self.cum_work[parent] + work_for_target(block.header.difficulty_target)
         self._seen_at.append(max(arrival_time, self._seen_at[-1]))
         self._best.append(min(self._best[-1], h, key=self._fork_key))
-        return AddResult(True)
+        return None
 
     def mine_block(self, parent: bytes, txs: Sequence[Transaction], time: int, seed: int = 0) -> Block:
         """Mine a child of parent containing txs; does not insert it."""

@@ -21,7 +21,7 @@ from ..chainsim import ChainView, Transaction
 from ..errors import ParseError, SimError
 from ..merkle import sha256
 from ..proofsys import oracle_verify
-from ..scheduler import EventQueue, ethereum_time, next_doge_block_time
+from ..scheduler import EventQueue, next_doge_block_time
 from .config import ScenarioConfig
 
 
@@ -82,11 +82,9 @@ class SimulationRunner:
         self.config = config
         self.clock = config.clock
         self.queue = EventQueue()
-        self.now = 0
-        self.eth_now = 0
 
         self.accounts = EthAccounts({a.name: a.eth for a in config.agents})
-        self.contract = BridgeContract(config.params, config.cost_model, self.accounts)
+        self.contract = BridgeContract(config.params, config.cost_model, self.accounts, self.clock)
         self.contract.emit_hook = self._record
 
         self.view = ChainView.new(config.pow_target, config.pow_fn)
@@ -124,8 +122,8 @@ class SimulationRunner:
             agg, digest = self.contract.aggregates(), self.contract.state_digest()
         event = {
             "seq": len(self.events),
-            "t": self.now,
-            "eth": self.eth_now,
+            "t": self.contract.now_s,
+            "eth": self.contract.eth_now,
             "kind": kind,
             "actor": actor,
             "payload": payload,
@@ -141,8 +139,9 @@ class SimulationRunner:
         parent = self.view.best_tip()
         mined = len(self.view.blocks) - 1  # every block but genesis was mined here
         seed = int.from_bytes(sha256(f"{self.config.seed}/mine/{mined}".encode())[:8], "big")
-        block = self.view.mine_block(parent, txs, time=self.now, seed=seed)
-        self.view.add_block(block, arrival_time=self.now)
+        now = self.contract.now_s
+        block = self.view.mine_block(parent, txs, time=now, seed=seed)
+        self.view.add_block(block, arrival_time=now)
         self._record("doge_block", "network", {
             "ordinal": block.header.ordinal,
             "hash": block.header.hash.hex(),
@@ -152,7 +151,7 @@ class SimulationRunner:
                 for tx in txs
             ],
         })
-        self.queue.schedule(next_doge_block_time(self.now, self.clock, self._doge_rng), ("doge_block", {}))
+        self.queue.schedule(next_doge_block_time(now, self.clock, self._doge_rng), ("doge_block", {}))
 
     def _send_doge(self, agent: _AgentRuntime, params: dict) -> None:
         sender: bytes = params["sender"]
@@ -178,7 +177,7 @@ class SimulationRunner:
 
     def _observe(self, agent: _AgentRuntime, tip: bytes, true_rate: Fraction) -> Observation:
         return Observation(
-            sim_time=self.now,
+            sim_time=self.contract.now_s,
             my_doge_addr=agent.doge_addr,
             my_eth=self.accounts.get(agent.name),
             doge_balances=self.doge_balances,
@@ -186,7 +185,6 @@ class SimulationRunner:
             tip=tip,
             bridge=self.contract,
             true_rate=true_rate,
-            eth_block_seconds=self.clock.eth_block_seconds,
             visibility_delay_s=agent.visibility_delay_s,
         )
 
@@ -195,7 +193,8 @@ class SimulationRunner:
         rate), and its wake (none: the next turn) has not come.  Each change to the contract, doge
         balances or chain is an event, and ETH moves only through contract calls: so it would again.
         _record's reuse of a doge_block's snapshot rests on the same event-count invariant."""
-        return key == agent.idle and self.now < agent.priv.get(WAKE, self.now)
+        now = self.contract.now_s
+        return key == agent.idle and now < agent.priv.get(WAKE, now)
 
     # -- action dispatch ---------------------------------------------------------
 
@@ -214,19 +213,20 @@ class SimulationRunner:
         elif kind == "send_doge":
             self._send_doge(agent, p)
         elif kind == "submit_extension":
-            deadline = c.submit_extension(agent.name, p["sub"], self.eth_now)
+            deadline = c.submit_extension(agent.name, p["sub"])
             self._schedule_accept(deadline)
         elif kind == "challenge_range":
-            if c.challenge_range(agent.name, p["alt"], self.eth_now) == "replaced":
+            if c.challenge_range(agent.name, p["alt"]) == "replaced":
                 self._schedule_accept(c.window_deadline())
         elif kind == "challenge_commitment":
-            thread = c.challenge_commitment(agent.name, self.eth_now, self.now)
+            thread = c.challenge_commitment(agent.name)
             self.queue.schedule(thread.proof_deadline_s, ("proof_timeout", {"thread": thread}))
         elif kind == "supply_proof":
-            thread = c.supply_proof(agent.name, p["thread_id"], p["proof"], self.now)
-            job = oracle_verify(thread.prior_tip_header, thread.active.sub, p["proof"], c.params, c.cost_model)
-            verdict = "accept" if job.verdict.accepted else "reject"
-            self.queue.schedule(self.now + job.delay_s, ("oracle", {"thread": thread, "verdict": verdict}))
+            thread = c.supply_proof(agent.name, p["thread_id"], p["proof"])
+            fault, delay_s = oracle_verify(thread.prior_tip_header, thread.active.sub, p["proof"],
+                                           c.params, c.cost_model)
+            verdict = "accept" if fault is None else "reject"
+            self.queue.schedule(c.now_s + delay_s, ("oracle", {"thread": thread, "verdict": verdict}))
         elif kind == "report_lock":
             c.report_lock(agent.name, p["report"])
         elif kind == "report_unlock":
@@ -234,11 +234,11 @@ class SimulationRunner:
         elif kind == "report_missing":
             c.report_missing_doge(agent.name, p["report"], p["y"], p["n"])
         elif kind == "burn_wow":
-            burn = c.burn_wow(agent.name, p["y"], p["w"], p["dest"], self.eth_now)
+            burn = c.burn_wow(agent.name, p["y"], p["w"], p["dest"])
             self.queue.schedule(burn.deadline_eth * self.clock.eth_block_seconds,
                                 ("unlock_deadline", {"burn": burn}))
         elif kind == "backtrack":
-            deadline = c.backtrack(agent.name, p["from_index"], p["sub"], self.eth_now)
+            deadline = c.backtrack(agent.name, p["from_index"], p["sub"])
             self._schedule_accept(deadline)
         else:
             raise SimError(f"unknown action kind {kind!r}")
@@ -250,10 +250,9 @@ class SimulationRunner:
     # -- event handlers ---------------------------------------------------------
 
     def _handle(self, t: int, event: Tuple[str, dict]) -> None:
-        self.now = t
-        self.eth_now = ethereum_time(t, self.clock)
         kind, p = event
         c = self.contract
+        c.advance_to(t)
         if kind == "doge_block":
             self._mine_next_block()
         elif kind == "turns":
@@ -276,7 +275,7 @@ class SimulationRunner:
             self.queue.schedule(t + self.clock.eth_block_seconds, ("turns", {}))
         elif kind == "accept_check":
             if c.active is p["active"]:
-                c.accept_on_timeout(self.eth_now, self.now)
+                c.accept_on_timeout()
         elif kind == "proof_timeout":
             if p["thread"].proof is None:  # no proof, so no oracle verdict has resolved it
                 c.resolve_proof(p["thread"].thread_id, "timed_out")
@@ -284,7 +283,7 @@ class SimulationRunner:
             c.resolve_proof(p["thread"].thread_id, p["verdict"])
         elif kind == "unlock_deadline":
             if not p["burn"].settled:  # its deadline has come, so all its unpaid portions are due
-                c.unlock_timeout(p["burn"].burn_id, self.eth_now)
+                c.unlock_timeout(p["burn"].burn_id)
 
     # -- entry point -------------------------------------------------------------
 
@@ -298,8 +297,7 @@ class SimulationRunner:
         self.queue.schedule(next_doge_block_time(0, self.clock, self._doge_rng), ("doge_block", {}))
         self.queue.schedule(self.clock.eth_block_seconds, ("turns", {}))
         self.queue.run_until(self.config.end_time, self._handle)
-        self.now = self.config.end_time
-        self.eth_now = ethereum_time(self.now, self.clock)
+        self.contract.advance_to(self.config.end_time)
         self._record("run_summary", "system", self._summary())
         return Trace(self.events)
 

@@ -72,19 +72,6 @@ class ExtensionProof:
         return len(self.revealed_headers) + len(self.witness_headers)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    accepted: bool
-    reason: Optional[str] = None
-
-    @classmethod
-    def reject(cls, reason: str) -> "Verdict":
-        return cls(False, reason)
-
-
-ACCEPT = Verdict(True)
-
-
 def prove_extension_for(view: ChainView, tip: bytes, prior_date: int, range_b: int, c: int) -> ExtensionProof:
     """Reveal the blocks (prior_date, range_b] on tip's path plus the c above them.
 
@@ -130,8 +117,8 @@ def verify_extension_proof(
     sub: "Submission",
     proof: ExtensionProof,
     params: "ProtocolParams",
-) -> Verdict:
-    """Accept iff the proof evidences a well-formed, confirmed extension.
+) -> Optional[str]:
+    """Why the proof does not evidence a well-formed, confirmed extension, or None when it does.
 
     Checks: revealed length matches the claimed range, every revealed and
     witness header is a valid PoW chain with consecutive ordinals, the first
@@ -146,37 +133,37 @@ def verify_extension_proof(
     witness = proof.witness_headers
 
     if len(revealed) != sub.range - prior_date:
-        return Verdict.reject("BadLength")
+        return "BadLength"
     if len(witness) != params.c:
-        return Verdict.reject("ShortWitness" if len(witness) < params.c else "LongWitness")
+        return "ShortWitness" if len(witness) < params.c else "LongWitness"
     if not revealed:
-        return Verdict.reject("BadLength")
+        return "BadLength"
 
     err = _chain_ok(revealed, None, prior_date)
     if err:
-        return Verdict.reject(err)
+        return err
 
     if prior_tip_header is not None and revealed[0].parent != prior_tip_header.hash:
-        return Verdict.reject("NotExtendingHistory")
+        return "NotExtendingHistory"
 
     if witness[0].parent != revealed[-1].hash:
-        return Verdict.reject("WitnessNotExtending")
+        return "WitnessNotExtending"
     err = _chain_ok(witness, revealed[-1].hash, revealed[-1].ordinal)
     if err:
-        return Verdict.reject(err)
+        return err
 
     for header, txs in zip(revealed, proof.txs_per_block):
         if header.tx_root != tx_list_root(txs):
-            return Verdict.reject("BadTxRoot")
+            return "BadTxRoot"
 
     blocks = tuple(Block(h, txs) for h, txs in zip(revealed, proof.txs_per_block))
     if commitment_root(blocks) != sub.commitment:
-        return Verdict.reject("CommitmentMismatch")
+        return "CommitmentMismatch"
     if witness_root(witness) != sub.confirmation_witness:
-        return Verdict.reject("WitnessMismatch")
+        return "WitnessMismatch"
     if revealed[-1].hash != sub.tip_header.hash:
-        return Verdict.reject("TipMismatch")
-    return ACCEPT
+        return "TipMismatch"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -209,21 +196,12 @@ def required_relayer_deposit(model: CostModel, params: "ProtocolParams") -> int:
     return max(params.deposit_floor, verification_cost(model, params.max_extension_len, params.c))
 
 
-@dataclass(frozen=True)
-class OracleJob:
-    """A scheduled oracle verdict: fires delay_s after submission of the proof."""
-
-    verdict: Verdict
-    delay_s: int
-
-
 def oracle_verify(
     prior_tip_header: Optional[BlockHeader],
     sub: "Submission",
     proof: ExtensionProof,
     params: "ProtocolParams",
     model: CostModel,
-) -> OracleJob:
-    """Always-correct oracle: verdict equals direct verification, after latency."""
-    verdict = verify_extension_proof(prior_tip_header, sub, proof, params)
-    return OracleJob(verdict=verdict, delay_s=model.latency_per_block_s * proof.length)
+) -> Tuple[Optional[str], int]:
+    """Always-correct oracle: (fault, delay_s), the fault of direct verification, due delay_s after the proof."""
+    return verify_extension_proof(prior_tip_header, sub, proof, params), model.latency_per_block_s * proof.length

@@ -34,8 +34,9 @@ from pegsim.chainsim import ChainView, Transaction, doge_address, pow_check
 from pegsim.errors import BeforeStart, ConfigError, RangeUnavailable
 from pegsim.harness import load_config, run
 from pegsim.proofsys import commitment_root, verify_extension_proof
+from pegsim.scheduler import ClockParams
 
-from test_bridge import bogus_claim
+from test_bridge import at_block, bogus_claim
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = sorted((ROOT / "scenarios").glob("*.json"))
@@ -114,7 +115,6 @@ def observation(contract, view, name="agent", rate=Fraction(1, 500), t=100, dela
         tip=view.best_tip(),
         bridge=contract,
         true_rate=rate,
-        eth_block_seconds=14,
         visibility_delay_s=delay,
     )
 
@@ -122,7 +122,7 @@ def observation(contract, view, name="agent", rate=Fraction(1, 500), t=100, dela
 def fresh_world(n_blocks=45, txs_at=None):
     """A contract and a chain of n_blocks; txs_at maps an ordinal to that block's txs."""
     accounts = EthAccounts({"r": 50_000, "op": 2_000_000, "alice": 50_000, "m": 50_000})
-    contract = BridgeContract(ProtocolParams(relay_tax=0), CostModel(), accounts)
+    contract = BridgeContract(ProtocolParams(relay_tax=0), CostModel(), accounts, ClockParams())
     view = ChainView.new(TARGET)
     tip = view.genesis_hash
     for i in range(1, n_blocks + 1):
@@ -191,7 +191,7 @@ class TestHonestRelayer:
         actions, _ = policy.step(observation(contract, view, "r"), {})
         sub = actions[0].params["sub"]
         proof = prove_extension_for(view, view.best_tip(), 0, sub.range, contract.params.c)
-        assert verify_extension_proof(None, sub, proof, contract.params).accepted
+        assert verify_extension_proof(None, sub, proof, contract.params) is None
 
     def test_idles_when_matching_submission_pending(self):
         from pegsim.bridge import build_submission
@@ -200,7 +200,8 @@ class TestHonestRelayer:
         contract.become_relayer("r", 10_110)
         contract.relayer_deposits["other"] = 10_110
         sub = build_submission(view, view.best_tip(), 0, 35, 10)
-        contract.submit_extension("other", sub, at_eth=10)
+        at_block(contract, 10)
+        contract.submit_extension("other", sub)
         policy = make_policy("honest_relayer", "r", {}, agent_seed=1)
         actions, _ = policy.step(observation(contract, view, "r"), {})
         assert actions == []
@@ -210,7 +211,8 @@ class TestHonestRelayer:
         contract.become_relayer("r", 10_110)
         contract.relayer_deposits["evil"] = 10_110
         bogus = bogus_claim(35, b"\x13" * 32, b"\x37" * 32)
-        contract.submit_extension("evil", bogus, at_eth=10)
+        at_block(contract, 10)
+        contract.submit_extension("evil", bogus)
         policy = make_policy("honest_relayer", "r", {}, agent_seed=1)
         actions, _ = policy.step(observation(contract, view, "r"), {})
         assert [a.kind for a in actions] == ["challenge_commitment"]
@@ -221,7 +223,8 @@ class TestHonestRelayer:
         contract.relayer_deposits["fast"] = 10_110
         # range cm+2 is within k + slack of my view: maybe they just see more
         ahead = bogus_claim(37, b"\x13" * 32, b"\x37" * 32)
-        contract.submit_extension("fast", ahead, at_eth=10)
+        at_block(contract, 10)
+        contract.submit_extension("fast", ahead)
         policy = make_policy("honest_relayer", "r", {}, agent_seed=1)
         actions, priv = policy.step(observation(contract, view, "r"), {})
         assert actions == [] and priv[WAKE] == NEVER  # only a move of my tip changes my answer
@@ -231,7 +234,8 @@ class TestHonestRelayer:
         contract.become_relayer("r", 10_110)
         contract.relayer_deposits["evil"] = 10_110
         beyond = bogus_claim(90, b"\x13" * 32, b"\x37" * 32)
-        contract.submit_extension("evil", beyond, at_eth=10)
+        at_block(contract, 10)
+        contract.submit_extension("evil", beyond)
         policy = make_policy("honest_relayer", "r", {}, agent_seed=1)
         # within the patience window the range might just be fresher news; it ends at the
         # first second of eth block 10 + RANGE_PATIENCE_ETH, which the step names as its wake
@@ -241,6 +245,38 @@ class TestHonestRelayer:
         # patience exhausted with the range still unverifiable: it cannot exist
         actions, _ = policy.step(observation(contract, view, "r", t=40 * 14), priv)
         assert [a.kind for a in actions] == ["challenge_commitment"]
+
+    def test_range_patience_counts_from_when_the_claim_can_first_be_visible(self):
+        """A claim's tip can reach my view no sooner than my visibility delay after its submission,
+        so my patience with a far-ahead claim starts then."""
+        contract, view = fresh_world()
+        contract.become_relayer("r", 10_110)
+        contract.relayer_deposits["evil"] = 10_110
+        at_block(contract, 10)
+        contract.submit_extension("evil", bogus_claim(90, b"\x13" * 32, b"\x37" * 32))
+        policy = make_policy("honest_relayer", "r", {}, agent_seed=1)
+        actions, priv = policy.step(observation(contract, view, "r", t=40 * 14, delay=100), {})
+        assert actions == [] and priv[WAKE] == 40 * 14 + 100
+        actions, _ = policy.step(observation(contract, view, "r", t=40 * 14 + 100, delay=100), priv)
+        assert [a.kind for a in actions] == ["challenge_commitment"]
+
+    @pytest.mark.parametrize("scenario, relayer, seed", [
+        ("lifecycle_happy_path", "relay2", 1),
+        ("maximality_gap", "relay3", 0),
+        ("maximality_gap", "relay3", 1),
+        ("maximality_gap", "relay3", 2),
+    ])
+    def test_a_delayed_relayer_never_challenges_an_honest_claim(self, scenario, relayer, seed):
+        """Every relayer of these scenarios is honest, so every claim is: however far one relayer's view
+        lags, from 0 to 1,100 s, no relayer files a challenge."""
+        config = load_config(str(ROOT / "scenarios" / f"{scenario}.json")).with_seed(seed)
+        assert {a.policy for a in config.agents if "relay" in a.policy} == {"honest_relayer"}
+        for delay in range(0, 1101, 100):
+            agents = tuple(dataclasses.replace(a, visibility_delay_s=delay) if a.name == relayer else a
+                           for a in config.agents)
+            trace = run(dataclasses.replace(config, agents=agents))
+            challenges = [e["kind"] for e in trace.events if e["kind"].startswith("challenge_")]
+            assert challenges == [], (delay, challenges)
 
     @pytest.mark.parametrize("submitted_at_eth, delay, kind", [
         (160, 0, "challenge_range"),  # block 36 was out at 2240 s: range 5 was 21 behind cm 26
@@ -254,7 +290,8 @@ class TestHonestRelayer:
         contract, view = fresh_world()
         contract.become_relayer("r", 10_110)
         contract.relayer_deposits["evil"] = 10_110
-        contract.submit_extension("evil", bogus_claim(5, b"\x13" * 32, b"\x37" * 32), at_eth=submitted_at_eth)
+        at_block(contract, submitted_at_eth)
+        contract.submit_extension("evil", bogus_claim(5, b"\x13" * 32, b"\x37" * 32))
         policy = make_policy("honest_relayer", "r", {}, agent_seed=1)
         actions, _ = policy.step(observation(contract, view, "r", t=3534, delay=delay), {})
         assert [a.kind for a in actions] == [kind]
@@ -266,7 +303,8 @@ class TestHonestRelayer:
         contract.become_relayer("r", 10_110)
         contract.relayer_deposits["evil"] = 10_110
         honest = build_submission(view, view.best_tip(), 0, 35, 10)
-        contract.submit_extension("evil", dataclasses.replace(honest, tip_header=header_at(view, 34)), at_eth=10)
+        at_block(contract, 10)
+        contract.submit_extension("evil", dataclasses.replace(honest, tip_header=header_at(view, 34)))
         policy = make_policy("honest_relayer", "r", {}, agent_seed=1)
         actions, _ = policy.step(observation(contract, view, "r"), {})
         assert [a.kind for a in actions] == ["challenge_commitment"]
@@ -275,9 +313,10 @@ class TestHonestRelayer:
         contract, view = fresh_world()
         contract.relayer_deposits["evil"] = 10_110
         honest = build_submission(view, view.best_tip(), 0, 30, 10)
-        deadline = contract.submit_extension("evil", dataclasses.replace(honest, tip_header=header_at(view, 29)),
-                                             at_eth=10)
-        contract.accept_on_timeout(deadline, now_s=deadline * 14)
+        at_block(contract, 10)
+        deadline = contract.submit_extension("evil", dataclasses.replace(honest, tip_header=header_at(view, 29)))
+        at_block(contract, deadline)
+        contract.accept_on_timeout()
         contract.become_relayer("r", 10_110)
         policy = make_policy("honest_relayer", "r", {}, agent_seed=1)
         actions, _ = policy.step(observation(contract, view, "r"), {})
@@ -294,8 +333,10 @@ def accept_extension(contract, view, prior, range_b, at_eth=10):
     if not contract.is_relayer("r"):
         contract.become_relayer("r", contract.required_relayer_deposit())
     sub = build_submission(view, view.best_tip(), prior, range_b, contract.params.c)
-    deadline = contract.submit_extension("r", sub, at_eth)
-    contract.accept_on_timeout(deadline, now_s=deadline * 14)
+    at_block(contract, at_eth)
+    deadline = contract.submit_extension("r", sub)
+    at_block(contract, deadline)
+    contract.accept_on_timeout()
 
 
 HEAD = doge_address("op/head")
@@ -369,18 +410,20 @@ class TestOrphanAttacker:
         sub = actions[0].params["sub"]
         commitment, proof = priv["attack"]
         assert commitment == sub.commitment and sub.range == 35
-        contract.submit_extension("m", sub, at_eth=200)
+        at_block(contract, 200)
+        contract.submit_extension("m", sub)
         # unchallenged, it neither supplies nor attacks again
         assert policy.step(observation(contract, view, "m"), priv)[0] == []
 
-        thread = contract.challenge_commitment("r", at_eth=201, now_s=201 * 14)
+        at_block(contract, 201)
+        thread = contract.challenge_commitment("r")
         actions, priv = policy.step(observation(contract, view, "m"), priv)
         assert [a.kind for a in actions] == ["supply_proof"]
         assert actions[0].params == {"thread_id": thread.thread_id, "proof": proof}
-        verdict = verify_extension_proof(thread.prior_tip_header, sub, proof, contract.params)
-        assert not verdict.accepted  # the fabricated witness fails PoW
+        assert verify_extension_proof(thread.prior_tip_header, sub, proof, contract.params) == "BadPoW"
 
-        contract.supply_proof("m", thread.thread_id, proof, now_s=202 * 14)
+        at_block(contract, 202)
+        contract.supply_proof("m", thread.thread_id, proof)
         assert policy.step(observation(contract, view, "m"), priv)[0] == []
 
 
@@ -406,7 +449,7 @@ class TestSegmentMemo:
         assert [a.kind for a in actions] == ["submit_extension"]  # entry 0 matched
         contract.become_relayer("m", contract.required_relayer_deposit())
         replay = bogus_claim(60, contract.history[0].commitment, b"\x37" * 32)
-        contract.submit_extension("m", replay, at_eth=10)
+        contract.submit_extension("m", replay)
         actions, _ = policy.step(observation(contract, view, "alice"), priv)
         assert [a.kind for a in actions] == ["challenge_commitment"]
 
@@ -425,7 +468,8 @@ class TestSegmentMemo:
         contract, view = fresh_world()
         contract.become_relayer("alice", contract.required_relayer_deposit())
         contract.become_relayer("r", contract.required_relayer_deposit())
-        contract.submit_extension("r", build_submission(view, view.best_tip(), 0, 35, 10), at_eth=10)
+        at_block(contract, 10)
+        contract.submit_extension("r", build_submission(view, view.best_tip(), 0, 35, 10))
         policy = make_policy("honest_relayer", "alice", {}, agent_seed=1)
         actions, priv = policy.step(observation(contract, view, "alice"), {})
         assert actions == []  # matches my chain
@@ -489,14 +533,17 @@ class TestHistoryCursor:
         accept_extension(contract, view, 0, 30)
         contract.relayer_deposits["m"] = contract.required_relayer_deposit()
         bogus = bogus_claim(40, b"\x13" * 32, b"\x37" * 32)
-        deadline = contract.submit_extension("m", bogus, at_eth=20)
-        contract.accept_on_timeout(deadline, now_s=deadline * 14)
+        deadline = contract.submit_extension("m", bogus)
+        at_block(contract, deadline)
+        contract.accept_on_timeout()
         policy = make_policy("greedy_reporter", "bob", {}, agent_seed=1)
         assert cursor_answers(policy, observation(contract, view, "bob"), 60) == ([], 1)
 
         sub = build_submission(view, view.best_tip(), 30, 40, contract.params.c)
-        deadline = contract.backtrack("r", 1, sub, at_eth=deadline + 1)
-        contract.accept_on_timeout(deadline, now_s=deadline * 14)
+        at_block(contract, deadline + 1)
+        deadline = contract.backtrack("r", 1, sub)
+        at_block(contract, deadline)
+        contract.accept_on_timeout()
         obs = observation(contract, view, "bob")
         assert cursor_answers(policy, obs, 60) == ([lock], None)
         self.assert_full_walk(policy, obs)
@@ -509,8 +556,9 @@ class TestHistoryCursor:
         assert cursor_answers(policy, observation(contract, view, "bob"), 60) == (locks[:1], None)
 
         sub = build_submission(view, view.best_tip(), 0, 35, contract.params.c)
-        contract.propose_deep_backtrack("m", 0, sub, at_eth=71, now_s=1000)
-        contract.finalize_deep_backtrack(now_s=1000 + contract.params.deep_backtrack_delay_1_s)
+        contract.propose_deep_backtrack("m", 0, sub)
+        contract.advance_to(contract.now_s + contract.params.deep_backtrack_delay_1_s)
+        contract.finalize_deep_backtrack()
         obs = observation(contract, view, "bob")
         assert cursor_answers(policy, obs, 60) == (locks, None)
         assert [blocks[-1].header.ordinal for _, blocks, _ in policy.committed_txs(obs)] == [35, 35]
@@ -619,7 +667,8 @@ class TestPolicyPurity:
         contract, view = fresh_world()
         contract.become_relayer("r", contract.required_relayer_deposit())
         contract.relayer_deposits["other"] = 10_110
-        contract.submit_extension("other", build_submission(view, view.best_tip(), 0, 35, 10), at_eth=10)
+        at_block(contract, 10)
+        contract.submit_extension("other", build_submission(view, view.best_tip(), 0, 35, 10))
         policy = make_policy("dos_challenger", "r", {}, agent_seed=9)
         priv_in = {"rounds": 2}
         actions, priv_out = policy.step(observation(contract, view, "r"), priv_in)

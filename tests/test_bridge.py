@@ -52,6 +52,7 @@ from pegsim.errors import (
     WindowNotElapsed,
 )
 from pegsim.proofsys import commitment_root, prove_extension_for, verification_cost
+from pegsim.scheduler import ClockParams
 
 ETH = 100_000
 Y100 = Fraction(1, 1000)  # 100 DOGE per ETH at this unit scale
@@ -68,7 +69,12 @@ def fresh(params=None, accounts=None) -> BridgeContract:
     # so balances stay round; both are tested explicitly at their defaults
     if params is None:
         params = ProtocolParams(registration_window_doge_blocks=60, relay_tax=0)
-    return BridgeContract(params, CostModel(), EthAccounts(accounts or dict(RICH)))
+    return BridgeContract(params, CostModel(), EthAccounts(accounts or dict(RICH)), ClockParams())
+
+
+def at_block(contract, n):
+    """Move the contract's clock to the first second of contract block n."""
+    contract.advance_to(n * contract.clock.eth_block_seconds)
 
 
 def chain_with_lock(n_blocks=45, lock_at=3, head=None, sender=None, amount=1000, memo=b""):
@@ -82,7 +88,7 @@ def chain_with_lock(n_blocks=45, lock_at=3, head=None, sender=None, amount=1000,
             lock_tx = Transaction(sender or doge_address(ALICE), head, amount, 0, memo)
             txs = [lock_tx]
         block = view.mine_block(tip, txs, time=62 * i, seed=1000 + i)
-        assert view.add_block(block, 62 * i).accepted
+        assert view.add_block(block, 62 * i) is None
         tip = block.header.hash
     return view, tip, lock_tx
 
@@ -121,10 +127,13 @@ def assert_contiguous(contract, view, tip):
 
 
 def accept_first_extension(contract, view, tip, relayer=R1, range_b=30, at_eth=100):
+    """Submit at contract block at_eth and accept when the window closes."""
     contract.become_relayer(relayer, contract.required_relayer_deposit())
     sub = build_submission(view, tip, contract.current_date, range_b, contract.params.c)
-    deadline = contract.submit_extension(relayer, sub, at_eth)
-    return contract.accept_on_timeout(deadline, now_s=deadline * 14)
+    at_block(contract, at_eth)
+    deadline = contract.submit_extension(relayer, sub)
+    at_block(contract, deadline)
+    return contract.accept_on_timeout()
 
 
 class TestGenesisAndParams:
@@ -138,7 +147,7 @@ class TestGenesisAndParams:
 
     def test_bad_params_k_ge_d(self):
         with pytest.raises(BadParams):
-            BridgeContract(ProtocolParams(k=20, d=20), CostModel(), EthAccounts())
+            BridgeContract(ProtocolParams(k=20, d=20), CostModel(), EthAccounts(), ClockParams())
 
     def test_genesis_deterministic(self):
         assert fresh().state_digest() == fresh().state_digest()
@@ -254,8 +263,9 @@ class TestRelayerDeposits:
         contract.open_bridge(OP, 100 * ETH, Y100, doge_address("h"))
         view, tip, _ = chain_with_lock(45)
         sub = build_submission(view, tip, 0, 30, 10)
+        at_block(contract, 10)
         with pytest.raises(NotARelayer):
-            contract.submit_extension(OP, sub, at_eth=10)
+            contract.submit_extension(OP, sub)
 
     def test_withdraw_idle_full_refund(self):
         contract = fresh()
@@ -270,7 +280,8 @@ class TestRelayerDeposits:
         view, tip, _ = chain_with_lock(45)
         contract.become_relayer(R1, 10_110)
         sub = build_submission(view, tip, 0, 30, 10)
-        contract.submit_extension(R1, sub, at_eth=10)
+        at_block(contract, 10)
+        contract.submit_extension(R1, sub)
         with pytest.raises(ActiveOrPending):
             contract.withdraw_relayer_deposit(R1)
 
@@ -280,8 +291,10 @@ class TestRelayerDeposits:
         contract.become_relayer(R1, 10_110)
         contract.become_relayer(R2, 10_110)
         sub = build_submission(view, tip, 0, 30, 10)
-        contract.submit_extension(R1, sub, at_eth=10)
-        contract.challenge_commitment(R2, at_eth=20, now_s=280)
+        at_block(contract, 10)
+        contract.submit_extension(R1, sub)
+        at_block(contract, 20)
+        contract.challenge_commitment(R2)
         for who in (R1, R2):
             with pytest.raises(ActiveOrPending):
                 contract.withdraw_relayer_deposit(who)
@@ -303,38 +316,45 @@ class TestRelaySubmitAccept:
         contract.become_relayer(R1, 10_110)
         contract.become_relayer(R2, 10_110)
         sub = build_submission(view, tip, 0, 30, 10)
-        contract.submit_extension(R1, sub, at_eth=10)
+        at_block(contract, 10)
+        contract.submit_extension(R1, sub)
+        at_block(contract, 11)
         with pytest.raises(NotListening):
-            contract.submit_extension(R2, build_submission(view, tip, 0, 31, 10), at_eth=11)
+            contract.submit_extension(R2, build_submission(view, tip, 0, 31, 10))
 
     def test_range_not_ahead_and_too_long(self):
         contract = fresh()
         view, tip, _ = chain_with_lock(45)
         contract.become_relayer(R1, 10_110)
         at_genesis = Submission(b"\0" * 32, b"\0" * 32, view.genesis.header)
+        at_block(contract, 1)
         with pytest.raises(RangeNotAhead):
-            contract.submit_extension(R1, at_genesis, at_eth=1)
+            contract.submit_extension(R1, at_genesis)
         too_long = bogus_claim(10_001, b"\0" * 32, b"\0" * 32)
         with pytest.raises(RangeTooLong):
-            contract.submit_extension(R1, too_long, at_eth=1)
+            contract.submit_extension(R1, too_long)
 
     def test_accept_before_window_rejected(self):
         contract = fresh()
         view, tip, _ = chain_with_lock(45)
         contract.become_relayer(R1, 10_110)
         sub = build_submission(view, tip, 0, 30, 10)
-        deadline = contract.submit_extension(R1, sub, at_eth=100)
+        at_block(contract, 100)
+        deadline = contract.submit_extension(R1, sub)
         assert deadline == 180  # 100 + 80-block window
+        at_block(contract, 179)
         with pytest.raises(WindowNotElapsed):
-            contract.accept_on_timeout(at_eth=179, now_s=179 * 14)
+            contract.accept_on_timeout()
 
     def test_consecutive_ranges_strictly_increase(self):
         contract = fresh()
         view, tip, _ = chain_with_lock(60)
         accept_first_extension(contract, view, tip, range_b=30)
         sub2 = build_submission(view, tip, 30, 45, 10)
-        deadline = contract.submit_extension(R1, sub2, at_eth=200)
-        contract.accept_on_timeout(deadline, now_s=deadline * 14)
+        at_block(contract, 200)
+        deadline = contract.submit_extension(R1, sub2)
+        at_block(contract, deadline)
+        contract.accept_on_timeout()
         assert [e.range for e in contract.history] == [30, 45]
 
 
@@ -345,28 +365,33 @@ class TestChallengeRange:
         contract.become_relayer(R2, 10_110)
         view, tip, _ = chain_with_lock(140)
         # prior progress to date 80, its window closing at eth 80, before this test's submissions
-        deadline = contract.submit_extension(R1, build_submission(view, tip, 0, 80, 10), at_eth=0)
-        contract.accept_on_timeout(deadline, now_s=deadline * 14)
+        deadline = contract.submit_extension(R1, build_submission(view, tip, 0, 80, 10))
+        at_block(contract, deadline)
+        contract.accept_on_timeout()
         sub = build_submission(view, tip, 80, range_b, 10)
-        contract.submit_extension(R1, sub, at_eth=90)
+        at_block(contract, 90)
+        contract.submit_extension(R1, sub)
         return contract, view, tip
 
     def test_less_than_d_ignored(self):
         contract, view, tip = self.setup_verification(100)
         alt = build_submission(view, tip, 80, 115, 10)
-        assert contract.challenge_range(R2, alt, at_eth=100) == "ignored"
+        at_block(contract, 100)
+        assert contract.challenge_range(R2, alt) == "ignored"
         assert contract.active.sub.range == 100
         assert contract.relayer_deposits[R1] == 10_110  # no penalty
 
     def test_equal_range_ignored(self):
         contract, view, tip = self.setup_verification(100)
         alt = build_submission(view, tip, 80, 100, 10)
-        assert contract.challenge_range(R2, alt, at_eth=100) == "ignored"
+        at_block(contract, 100)
+        assert contract.challenge_range(R2, alt) == "ignored"
 
     def test_replacement_penalty_10_percent(self):
         contract, view, tip = self.setup_verification(100)
         alt = build_submission(view, tip, 80, 125, 10)
-        assert contract.challenge_range(R2, alt, at_eth=100) == "replaced"
+        at_block(contract, 100)
+        assert contract.challenge_range(R2, alt) == "replaced"
         assert contract.active.sub.range == 125
         assert contract.active.relayer == R2
         assert contract.active.submitted_at_eth == 100  # window restarted
@@ -376,14 +401,17 @@ class TestChallengeRange:
     def test_window_elapsed(self):
         contract, view, tip = self.setup_verification(100)
         alt = build_submission(view, tip, 80, 125, 10)
+        at_block(contract, 170)
         with pytest.raises(WindowElapsed):
-            contract.challenge_range(R2, alt, at_eth=170)
+            contract.challenge_range(R2, alt)
 
     def test_penalty_finalized_on_accept(self):
         contract, view, tip = self.setup_verification(100)
         alt = build_submission(view, tip, 80, 125, 10)
-        contract.challenge_range(R2, alt, at_eth=100)
-        contract.accept_on_timeout(at_eth=180, now_s=2520)
+        at_block(contract, 100)
+        contract.challenge_range(R2, alt)
+        at_block(contract, 180)
+        contract.accept_on_timeout()
         assert contract.retained == 1_011
         assert contract.relayer_deposits[R1] == 10_110 - 1_011
 
@@ -393,8 +421,10 @@ class TestChallengeRange:
         contract.become_relayer(R1, 10_110)
         contract.become_relayer(R2, 10_110)
         view, tip, _ = chain_with_lock(45)
-        contract.submit_extension(R1, build_submission(view, tip, 0, 30, 10), at_eth=10)
-        assert contract.challenge_range(R2, bogus_claim(50, b"\x66" * 32, b"\x66" * 32), at_eth=12) == "replaced"
+        at_block(contract, 10)
+        contract.submit_extension(R1, build_submission(view, tip, 0, 30, 10))
+        at_block(contract, 12)
+        assert contract.challenge_range(R2, bogus_claim(50, b"\x66" * 32, b"\x66" * 32)) == "replaced"
         assert contract.active.pending_penalty == (R1, 10_110)
         assert not contract.is_relayer(R1) and R1 not in contract.relayer_deposits
         assert contract.received_total == contract.paid_total + contract.held_total()
@@ -409,12 +439,14 @@ class TestChallengeCommitmentAndProofs:
         sub = build_submission(view, tip, 0, 30, 10)
         if not honest:
             sub = Submission(b"\x42" * 32, sub.confirmation_witness, sub.tip_header)
-        contract.submit_extension(R1, sub, at_eth=10)
+        at_block(contract, 10)
+        contract.submit_extension(R1, sub)
         return contract, view, tip, sub
 
     def test_fork_returns_to_listening_without_append(self):
         contract, view, tip, sub = self.make_verifying()
-        thread = contract.challenge_commitment(R2, at_eth=20, now_s=280)
+        at_block(contract, 20)
+        thread = contract.challenge_commitment(R2)
         assert contract.relay_mode == "listening"
         assert contract.history == []
         assert thread.ext_len == 30
@@ -422,15 +454,19 @@ class TestChallengeCommitmentAndProofs:
 
     def test_second_challenge_rejected(self):
         contract, view, tip, sub = self.make_verifying()
-        contract.challenge_commitment(R2, at_eth=20, now_s=280)
+        at_block(contract, 20)
+        contract.challenge_commitment(R2)
+        at_block(contract, 21)
         with pytest.raises(SecondChallenge):
-            contract.challenge_commitment(R2, at_eth=21, now_s=294)
+            contract.challenge_commitment(R2)
 
     def test_vindicated_relayer_paid_by_challenger(self):
         contract, view, tip, sub = self.make_verifying(honest=True)
-        thread = contract.challenge_commitment(R2, at_eth=20, now_s=280)
+        at_block(contract, 20)
+        thread = contract.challenge_commitment(R2)
         proof = prove_extension_for(view, tip, 0, 30, c=10)
-        contract.supply_proof(R1, thread.thread_id, proof, now_s=290)
+        contract.advance_to(290)
+        contract.supply_proof(R1, thread.thread_id, proof)
         cost = verification_cost(contract.cost_model, 30, 10)  # 100 + 40 = 140
         assert cost == 140
         reward = rate_mul(Fraction(1, 100), cost)  # 1
@@ -444,9 +480,11 @@ class TestChallengeCommitmentAndProofs:
 
     def test_faulty_commitment_relayer_pays(self):
         contract, view, tip, sub = self.make_verifying(honest=False)
-        thread = contract.challenge_commitment(R2, at_eth=20, now_s=280)
+        at_block(contract, 20)
+        thread = contract.challenge_commitment(R2)
         proof = prove_extension_for(view, tip, 0, 30, c=10)
-        contract.supply_proof(R1, thread.thread_id, proof, now_s=290)
+        contract.advance_to(290)
+        contract.supply_proof(R1, thread.thread_id, proof)
         r2_before = contract.accounts.get(R2)
         contract.resolve_proof(thread.thread_id, "reject")
         assert contract.relayer_deposits[R1] == 10_110 - 141
@@ -454,7 +492,8 @@ class TestChallengeCommitmentAndProofs:
 
     def test_timeout_destroys_whole_deposit(self):
         contract, view, tip, sub = self.make_verifying(honest=False)
-        thread = contract.challenge_commitment(R2, at_eth=20, now_s=280)
+        at_block(contract, 20)
+        thread = contract.challenge_commitment(R2)
         settle = contract.resolve_proof(thread.thread_id, "timed_out")
         assert settle["destroyed"] == 10_110
         assert not contract.is_relayer(R1)
@@ -467,11 +506,14 @@ class TestChallengeCommitmentAndProofs:
         contract.become_relayer(R2, 10_110)
         view, tip, _ = chain_with_lock(45)
         sub = build_submission(view, tip, 0, 30, 10)
-        contract.submit_extension(R1, sub, at_eth=10)
+        at_block(contract, 10)
+        contract.submit_extension(R1, sub)
         bogus = bogus_claim(50, b"\x66" * 32, b"\x66" * 32)
-        contract.challenge_range(R2, bogus, at_eth=12)
+        at_block(contract, 12)
+        contract.challenge_range(R2, bogus)
         assert contract.relayer_deposits[R1] == 10_110 - 1_011
-        thread = contract.challenge_commitment(R1, at_eth=14, now_s=200)
+        contract.advance_to(200)
+        thread = contract.challenge_commitment(R1)
         contract.resolve_proof(thread.thread_id, "timed_out")
         # penalty returned to R1's deposit; R2's deposit destroyed
         assert contract.relayer_deposits[R1] == 10_110
@@ -484,11 +526,14 @@ class TestChallengeCommitmentAndProofs:
         for relayer in (R1, R2, BOB):
             contract.become_relayer(relayer, 10_110)
         view, tip, _ = chain_with_lock(45)
-        contract.submit_extension(R1, build_submission(view, tip, 0, 30, 10), at_eth=10)
-        contract.challenge_range(R2, bogus_claim(50, b"\x66" * 32, b"\x66" * 32), at_eth=12)
+        at_block(contract, 10)
+        contract.submit_extension(R1, build_submission(view, tip, 0, 30, 10))
+        at_block(contract, 12)
+        contract.challenge_range(R2, bogus_claim(50, b"\x66" * 32, b"\x66" * 32))
         assert contract.withdraw_relayer_deposit(R1) == 10_110 - 1_011
         r1_before = contract.accounts.get(R1)
-        thread = contract.challenge_commitment(BOB, at_eth=14, now_s=200)
+        contract.advance_to(200)
+        thread = contract.challenge_commitment(BOB)
         contract.resolve_proof(thread.thread_id, "timed_out")
         assert not contract.is_relayer(R1)
         assert contract.accounts.get(R1) == r1_before + 1_011
@@ -503,8 +548,10 @@ class TestChallengeCommitmentAndProofs:
         contract.become_relayer(R2, 150)
         view, tip, _ = chain_with_lock(45)
         sub = build_submission(view, tip, 0, 30, 10)
-        contract.submit_extension(R1, Submission(b"\x42" * 32, sub.confirmation_witness, sub.tip_header), at_eth=10)
-        thread = contract.challenge_commitment(R2, at_eth=20, now_s=280)
+        at_block(contract, 10)
+        contract.submit_extension(R1, Submission(b"\x42" * 32, sub.confirmation_witness, sub.tip_header))
+        at_block(contract, 20)
+        thread = contract.challenge_commitment(R2)
         retained, r2_before = contract.retained, contract.accounts.get(R2)
         settle = contract.resolve_proof(thread.thread_id, "reject")
         assert (settle["payer"], settle["cost"], settle["reward"], settle["paid"]) == (R1, 140, 14, 150)
@@ -522,25 +569,32 @@ class TestRelayerIsTheCaller:
         contract.become_relayer(R2, 10_110)
         view, tip, _ = chain_with_lock(45)
         sub = build_submission(view, tip, 0, 30, 10)
-        contract.submit_extension(R1, sub, at_eth=10)
-        thread = contract.challenge_commitment(R2, at_eth=20, now_s=280)
+        at_block(contract, 10)
+        contract.submit_extension(R1, sub)
+        at_block(contract, 20)
+        thread = contract.challenge_commitment(R2)
         assert thread.active.sub is sub and thread.active.relayer == R1
-        deadline = contract.submit_extension(R2, sub, at_eth=21)
+        at_block(contract, 21)
+        deadline = contract.submit_extension(R2, sub)
         assert contract.active.relayer == R2
-        contract.accept_on_timeout(deadline, now_s=deadline * 14)
+        at_block(contract, deadline)
+        contract.accept_on_timeout()
         assert contract.history[-1].relayer == R2
         with pytest.raises(NotARelayer):  # the thread still answers to R1
-            contract.supply_proof(R2, thread.thread_id, prove_extension_for(view, tip, 0, 30, c=10), now_s=290)
+            contract.supply_proof(R2, thread.thread_id, prove_extension_for(view, tip, 0, 30, c=10))
 
     def test_range_replacement_displaces_the_relayer_on_record(self):
         contract = fresh()
         contract.become_relayer(R1, 10_110)
         contract.become_relayer(R2, 10_110)
         view, tip, _ = chain_with_lock(45)
-        contract.submit_extension(R1, build_submission(view, tip, 0, 30, 10), at_eth=10)
-        assert contract.challenge_range(R2, bogus_claim(50, b"\x66" * 32, b"\x66" * 32), at_eth=12) == "replaced"
+        at_block(contract, 10)
+        contract.submit_extension(R1, build_submission(view, tip, 0, 30, 10))
+        at_block(contract, 12)
+        assert contract.challenge_range(R2, bogus_claim(50, b"\x66" * 32, b"\x66" * 32)) == "replaced"
         assert contract.active.relayer == R2 and contract.active.pending_penalty[0] == R1
-        assert contract.challenge_range(R1, bogus_claim(70, b"\x67" * 32, b"\x67" * 32), at_eth=14) == "replaced"
+        at_block(contract, 14)
+        assert contract.challenge_range(R1, bogus_claim(70, b"\x67" * 32, b"\x67" * 32)) == "replaced"
         assert contract.active.relayer == R1 and contract.active.pending_penalty == (R2, 1_011)
         assert contract.retained == 1_011  # R1's penalty, final once its displacer was displaced
 
@@ -634,8 +688,10 @@ class TestMinting:
         assert contract.report_lock(BOB, TxReport(1, lock_tx, report.leaf_proof)) == "ignored"
         assert contract.report_lock(BOB, tampered(report)) == "ignored"
         # close the bridge and reopen its head so only the used transaction stands in the way
-        burn = contract.burn_wow(ALICE, Y100, 1000, doge_address("alice/dest"), at_eth=300)
-        contract.unlock_timeout(burn.burn_id, at_eth=320)
+        at_block(contract, 300)
+        burn = contract.burn_wow(ALICE, Y100, 1000, doge_address("alice/dest"))
+        at_block(contract, 320)
+        contract.unlock_timeout(burn.burn_id)
         assert contract.bridges[bid].state == "closed"
         contract.open_bridge(OP, 10 * ETH, Y100, contract.bridges[bid].head)
         assert contract.report_lock(BOB, report) == "ignored"
@@ -665,7 +721,8 @@ class TestMinting:
     def test_supply_equals_balance_sum(self):
         contract = fresh(ProtocolParams(relay_tax=2, registration_window_doge_blocks=60))
         minted_bridge(contract, fee=5, lock_bounty=1)
-        contract.burn_wow(ALICE, Y100, 400, doge_address("d"), at_eth=300)
+        at_block(contract, 300)
+        contract.burn_wow(ALICE, Y100, 400, doge_address("d"))
         total = sum(amt for (_, y), amt in contract.wow_balances.items() if y == Y100)
         assert total == contract.wow_supply[Y100] == 1000
 
@@ -674,7 +731,8 @@ class TestBurnAndUnlock:
     def test_burn_escrow_arithmetic(self):
         contract = fresh()
         minted_bridge(contract)
-        burn = contract.burn_wow(ALICE, Y100, 50, doge_address("alice/dest"), at_eth=300)
+        at_block(contract, 300)
+        burn = contract.burn_wow(ALICE, Y100, 50, doge_address("alice/dest"))
         assert len(burn.portions) == 1
         assert burn.portions[0].escrow_eth == 50_000  # 0.5 ETH
         assert contract.bridges[burn.portions[0].bridge_id].collateral == 10 * ETH - 50_000
@@ -685,14 +743,16 @@ class TestBurnAndUnlock:
     def test_burn_zero_rejected(self):
         contract = fresh()
         minted_bridge(contract)
+        at_block(contract, 300)
         with pytest.raises(InsufficientBalance):
-            contract.burn_wow(ALICE, Y100, 0, doge_address("d"), at_eth=300)
+            contract.burn_wow(ALICE, Y100, 0, doge_address("d"))
 
     def test_burn_beyond_balance_rejected(self):
         contract = fresh()
         minted_bridge(contract)
+        at_block(contract, 300)
         with pytest.raises(InsufficientBalance):
-            contract.burn_wow(ALICE, Y100, 1001, doge_address("d"), at_eth=300)
+            contract.burn_wow(ALICE, Y100, 1001, doge_address("d"))
 
     def test_fifo_spans_two_bridges(self):
         contract = fresh()
@@ -710,14 +770,17 @@ class TestBurnAndUnlock:
             view.add_block(b, 62 * i)
             tip2 = b.header.hash
         sub = build_submission(view, tip2, 30, 46, 10)
-        deadline = contract.submit_extension(R1, sub, at_eth=300)
-        contract.accept_on_timeout(deadline, now_s=deadline * 14)
+        at_block(contract, 300)
+        deadline = contract.submit_extension(R1, sub)
+        at_block(contract, deadline)
+        contract.accept_on_timeout()
         report = build_tx_report(view, tip2, contract.history, 1, lock2)
         assert contract.report_lock(BOB, report) == "minted"
         assert contract.y_queues[Y100] == [bid1, bid2]
         assert contract.wow_balance(ALICE, Y100) == 2000
 
-        burn = contract.burn_wow(ALICE, Y100, 1500, doge_address("alice/dest"), at_eth=700)
+        at_block(contract, 700)
+        burn = contract.burn_wow(ALICE, Y100, 1500, doge_address("alice/dest"))
         assert [(p.bridge_id, p.owed_doge, p.escrow_eth) for p in burn.portions] == [
             (bid1, 1000, 10 * ETH),
             (bid2, 500, 5 * ETH),
@@ -730,8 +793,9 @@ class TestBurnAndUnlock:
         contract = fresh()
         minted_bridge(contract)
         contract.wow_balances[(ALICE, Y100)] += 5_000  # corrupt the ledger on purpose
+        at_block(contract, 300)
         with pytest.raises(InsufficientQueue):
-            contract.burn_wow(ALICE, Y100, 3_000, doge_address("d"), at_eth=300)
+            contract.burn_wow(ALICE, Y100, 3_000, doge_address("d"))
 
     def unlockable_state(self, w=50):
         """Minted bridge, burn of w, and the operator's payment mined and committed."""
@@ -739,7 +803,8 @@ class TestBurnAndUnlock:
                                         registration_window_doge_blocks=60))
         view, tip, bid, _ = minted_bridge(contract)
         dest = doge_address("alice/dest")
-        burn = contract.burn_wow(ALICE, Y100, w, dest, at_eth=300)
+        at_block(contract, 300)
+        burn = contract.burn_wow(ALICE, Y100, w, dest)
         head = contract.bridges[bid].head
         pay_tx = Transaction(head, dest, w, 0)
         block = view.mine_block(tip, [pay_tx], time=62 * 46, seed=3046)
@@ -750,8 +815,10 @@ class TestBurnAndUnlock:
             view.add_block(b, 62 * i)
             tip = b.header.hash
         sub = build_submission(view, tip, 30, 46, 10)
-        deadline = contract.submit_extension(R1, sub, at_eth=320)
-        contract.accept_on_timeout(deadline, now_s=deadline * 14)
+        at_block(contract, 320)
+        deadline = contract.submit_extension(R1, sub)
+        at_block(contract, deadline)
+        contract.accept_on_timeout()
         return contract, view, tip, bid, burn, pay_tx
 
     def test_unlock_report_refunds_escrow(self):
@@ -775,8 +842,10 @@ class TestBurnAndUnlock:
             view.add_block(b, 62 * i)
             tip2 = b.header.hash
         sub = build_submission(view, tip2, 46, 58, 10)
-        deadline = contract.submit_extension(R1, sub, at_eth=800)
-        contract.accept_on_timeout(deadline, now_s=deadline * 14)
+        at_block(contract, 800)
+        deadline = contract.submit_extension(R1, sub)
+        at_block(contract, deadline)
+        contract.accept_on_timeout()
         report = build_tx_report(view, tip2, contract.history, 2, stray)
         assert contract.report_unlock(BOB, burn.burn_id, report) == "ignored"
 
@@ -796,7 +865,8 @@ class TestBurnAndUnlock:
         contract = fresh()
         view, tip, bid, lock_tx = minted_bridge(contract)
         dest = doge_address("alice/dest")
-        burn = contract.burn_wow(ALICE, Y100, 50, dest, at_eth=300)
+        at_block(contract, 300)
+        burn = contract.burn_wow(ALICE, Y100, 50, dest)
         report = build_tx_report(view, tip, contract.history, 0, lock_tx)
         assert contract.report_unlock(BOB, burn.burn_id, report) == "ignored"
 
@@ -817,12 +887,15 @@ class TestBurnAndUnlock:
             view.add_block(b, 62 * i)
             tip = b.header.hash
         sub = build_submission(view, tip, 30, 46, 10)
-        deadline = contract.submit_extension(R1, sub, at_eth=300)
-        contract.accept_on_timeout(deadline, now_s=deadline * 14)
+        at_block(contract, 300)
+        deadline = contract.submit_extension(R1, sub)
+        at_block(contract, deadline)
+        contract.accept_on_timeout()
         contract.report_lock(BOB, build_tx_report(view, tip, contract.history, 1, lock2))
 
         dest = doge_address("alice/dest")
-        burn = contract.burn_wow(ALICE, Y100, 1500, dest, at_eth=500)
+        at_block(contract, 500)
+        burn = contract.burn_wow(ALICE, Y100, 1500, dest)
         pay1 = Transaction(contract.bridges[bid1].head, dest, 1000, 0)
         block = view.mine_block(tip, [pay1], time=62 * 58, seed=8100)
         view.add_block(block, 62 * 58)
@@ -832,29 +905,36 @@ class TestBurnAndUnlock:
             view.add_block(b, 62 * i)
             tip = b.header.hash
         sub = build_submission(view, tip, 46, 58, 10)
-        deadline = contract.submit_extension(R1, sub, at_eth=600)
-        contract.accept_on_timeout(deadline, now_s=deadline * 14)
+        at_block(contract, 600)
+        deadline = contract.submit_extension(R1, sub)
+        at_block(contract, deadline)
+        contract.accept_on_timeout()
         assert contract.report_unlock(BOB, burn.burn_id,
                                       build_tx_report(view, tip, contract.history, 2, pay1)) == "settled"
 
         alice_before = contract.accounts.get(ALICE)
-        contract.unlock_timeout(burn.burn_id, at_eth=900)
+        at_block(contract, 900)
+        contract.unlock_timeout(burn.burn_id)
         assert contract.accounts.get(ALICE) == alice_before + 5 * ETH  # bid2's 500 only
         assert burn.d_recv == 1000 and burn.eth_received == 5 * ETH
 
     def test_unlock_timeout_pays_hodler(self):
         contract = fresh()
         minted_bridge(contract)
-        burn = contract.burn_wow(ALICE, Y100, 50, doge_address("d"), at_eth=300)
+        at_block(contract, 300)
+        burn = contract.burn_wow(ALICE, Y100, 50, doge_address("d"))
         alice_before = contract.accounts.get(ALICE)
+        at_block(contract, 319)
         with pytest.raises(NotElapsed):
-            contract.unlock_timeout(burn.burn_id, at_eth=319)
-        contract.unlock_timeout(burn.burn_id, at_eth=320)
+            contract.unlock_timeout(burn.burn_id)
+        at_block(contract, 320)
+        contract.unlock_timeout(burn.burn_id)
         assert contract.accounts.get(ALICE) == alice_before + 50_000  # 0.5 ETH
         assert burn.eth_received == 50_000 and burn.d_recv == 0
         assert contract.wow_supply[Y100] == 950
+        at_block(contract, 999)
         with pytest.raises(AlreadySettled):
-            contract.unlock_timeout(burn.burn_id, at_eth=999)
+            contract.unlock_timeout(burn.burn_id)
 
     def test_invariant_one_through_burn_lifecycle(self):
         contract, view, tip, bid, burn, pay_tx = self.unlockable_state()
@@ -882,8 +962,10 @@ class TestMissingDoge:
             view.add_block(b, 62 * i)
             tip = b.header.hash
         sub = build_submission(view, tip, 30, 46, 10)
-        deadline = contract.submit_extension(R1, sub, at_eth=300)
-        contract.accept_on_timeout(deadline, now_s=deadline * 14)
+        at_block(contract, 300)
+        deadline = contract.submit_extension(R1, sub)
+        at_block(contract, deadline)
+        contract.accept_on_timeout()
         return contract, view, tip, bid, theft
 
     def test_full_claim_pays_n_over_y(self):
@@ -934,8 +1016,10 @@ class TestBacktracking:
         contract = fresh()
         view, tip, bid, lock_tx = minted_bridge(contract)
         bogus = bogus_claim(60, b"\x99" * 32, b"\x98" * 32)
-        deadline = contract.submit_extension(R1, bogus, at_eth=300)
-        contract.accept_on_timeout(deadline, now_s=deadline * 14)
+        at_block(contract, 300)
+        deadline = contract.submit_extension(R1, bogus)
+        at_block(contract, deadline)
+        contract.accept_on_timeout()
         assert contract.current_date == 60
         return contract, view, tip, lock_tx
 
@@ -950,8 +1034,10 @@ class TestBacktracking:
         contract, view, tip, _ = self.bogus_tail_state()
         tip = self.extend_chain(view, tip, 60, 6000)
         sub = build_submission(view, tip, 30, 50, 10)
-        contract.backtrack(R1, from_index=1, sub=sub, at_eth=500)
-        contract.accept_on_timeout(at_eth=580, now_s=580 * 14)
+        at_block(contract, 500)
+        contract.backtrack(R1, from_index=1, sub=sub)
+        at_block(contract, 580)
+        contract.accept_on_timeout()
         assert [e.range for e in contract.history] == [30, 50]
         assert contract.current_date == 50
         assert contract.history[1].commitment == sub.commitment
@@ -960,28 +1046,34 @@ class TestBacktracking:
         contract, view, tip, _ = self.bogus_tail_state()
         tip = self.extend_chain(view, tip, 60, 6100)
         sub = build_submission(view, tip, 30, 50, 10)
+        at_block(contract, 500)
         with pytest.raises(BadIndex):
-            contract.backtrack(R1, from_index=5, sub=sub, at_eth=500)
+            contract.backtrack(R1, from_index=5, sub=sub)
 
     def test_too_deep_routed_to_deep_mode(self):
         contract = fresh()
         contract.become_relayer(R1, 10_110)
         view, tip, _ = chain_with_lock(45)
         sub = build_submission(view, tip, 0, 30, 10)
-        deadline = contract.submit_extension(R1, sub, at_eth=10)
-        contract.accept_on_timeout(deadline, now_s=deadline * 14)
+        at_block(contract, 10)
+        deadline = contract.submit_extension(R1, sub)
+        at_block(contract, deadline)
+        contract.accept_on_timeout()
         # drain the deposit so even a shallow backtrack is uncoverable
         contract.relayer_deposits[R1] = 120
         sub2 = build_submission(view, tip, 0, 31, 10)
+        at_block(contract, 200)
         with pytest.raises(TooDeep):
-            contract.backtrack(R1, from_index=0, sub=sub2, at_eth=200)
+            contract.backtrack(R1, from_index=0, sub=sub2)
 
     def test_used_tx_survives_truncation(self):
         contract, view, tip, lock_tx = self.bogus_tail_state()
         tip = self.extend_chain(view, tip, 60, 6200)
         sub = build_submission(view, tip, 30, 50, 10)
-        contract.backtrack(R1, from_index=1, sub=sub, at_eth=500)
-        contract.accept_on_timeout(at_eth=580, now_s=580 * 14)
+        at_block(contract, 500)
+        contract.backtrack(R1, from_index=1, sub=sub)
+        at_block(contract, 580)
+        contract.accept_on_timeout()
         assert lock_tx.tx_id in contract.used_txs
         report = build_tx_report(view, tip, contract.history, 0, lock_tx)
         assert contract.report_lock(BOB, report) == "ignored"  # no double mint
@@ -993,54 +1085,66 @@ class TestDeepBacktrack:
         contract = contract or fresh()
         view, tip, _ = chain_with_lock(45)
         sub = build_submission(view, tip, 0, 30, 10)
-        proposal = contract.propose_deep_backtrack("anyone", 0, sub, at_eth=71, now_s=1000)
+        contract.advance_to(1000)
+        proposal = contract.propose_deep_backtrack("anyone", 0, sub)
         return contract, proposal
 
     def test_objection_cancels(self):
         contract, _ = self.staged()
-        assert contract.object_deep_backtrack("objector", now_s=1000 + 23 * 3600) == "cancelled"
+        contract.advance_to(1000 + 23 * 3600)
+        assert contract.object_deep_backtrack("objector") == "cancelled"
         assert contract.deep_proposal is None
         with pytest.raises(NoProposal):
-            contract.object_deep_backtrack("objector", now_s=1000)
+            contract.object_deep_backtrack("objector")
 
     def test_unopposed_finalizes_after_24h(self):
         contract, _ = self.staged()
+        contract.advance_to(1000 + 23 * 3600)
         with pytest.raises(NotElapsed):
-            contract.finalize_deep_backtrack(now_s=1000 + 23 * 3600)
-        entry = contract.finalize_deep_backtrack(now_s=1000 + 24 * 3600)
+            contract.finalize_deep_backtrack()
+        contract.advance_to(1000 + 24 * 3600)
+        entry = contract.finalize_deep_backtrack()
         assert contract.history == [entry]
         assert contract.current_date == 30
 
     def test_finalized_entry_was_submitted_when_proposed(self):
         contract, _ = self.staged()
-        entry = contract.finalize_deep_backtrack(now_s=1000 + 24 * 3600)
-        assert entry.submitted_at_eth == 71
+        contract.advance_to(1000 + 24 * 3600)
+        entry = contract.finalize_deep_backtrack()
+        assert entry.submitted_at_eth == 71  # the contract block of second 1000, when it was proposed
 
     def test_mode2_gate_at_72h(self):
         contract = fresh()
         contract.become_relayer(R1, 10_110)
         view, tip, _ = chain_with_lock(45)
         sub = build_submission(view, tip, 0, 30, 10)
-        with pytest.raises(NotStuck):
-            contract.chunked_backtrack(R1, 0, sub, at_eth=10, now_s=50 * 3600)
         # chunked mode needs an existing entry to re-extend; stage one first
-        deadline = contract.submit_extension(R1, sub, at_eth=10)
-        contract.accept_on_timeout(deadline, now_s=deadline * 14)
-        contract.last_progress_s = 0
+        at_block(contract, 10)
+        deadline = contract.submit_extension(R1, sub)
+        at_block(contract, deadline)
+        contract.accept_on_timeout()
+        assert contract.last_progress_s == 1260
         sub2 = build_submission(view, tip, 0, 31, 10)
-        contract.chunked_backtrack(R1, 0, sub2, at_eth=10_000, now_s=73 * 3600)
+        contract.advance_to(1260 + 72 * 3600 - 1)
+        with pytest.raises(NotStuck):
+            contract.chunked_backtrack(R1, 0, sub2)
+        contract.advance_to(1260 + 72 * 3600)
+        contract.chunked_backtrack(R1, 0, sub2)
         assert contract.relay_mode == "verification"
 
     def test_finalize_refused_while_verifying(self):
         contract = fresh()
         view, tip, _ = chain_with_lock(65)
         accept_first_extension(contract, view, tip, range_b=20, at_eth=10)
-        contract.propose_deep_backtrack("anyone", 1, build_submission(view, tip, 20, 40, 10),
-                                        at_eth=142, now_s=2000)
-        deadline = contract.submit_extension(R1, build_submission(view, tip, 20, 50, 10), at_eth=200)
+        contract.advance_to(2000)
+        contract.propose_deep_backtrack("anyone", 1, build_submission(view, tip, 20, 40, 10))
+        at_block(contract, 200)
+        deadline = contract.submit_extension(R1, build_submission(view, tip, 20, 50, 10))
+        contract.advance_to(2000 + 24 * 3600)
         with pytest.raises(NotListening):
-            contract.finalize_deep_backtrack(now_s=2000 + 24 * 3600)
-        contract.accept_on_timeout(deadline, now_s=2000 + 25 * 3600)
+            contract.finalize_deep_backtrack()
+        contract.advance_to(2000 + 25 * 3600)
+        contract.accept_on_timeout()
         assert [e.range for e in contract.history] == [20, 50]
         assert contract.deep_proposal is None
         assert_contiguous(contract, view, tip)
@@ -1050,26 +1154,44 @@ class TestDeepBacktrack:
         contract.become_relayer(R1, 10_110)
         view, tip, _ = chain_with_lock(45)
         sub = build_submission(view, tip, 0, 30, 10)
-        deadline = contract.submit_extension(R1, sub, at_eth=10)
-        contract.propose_deep_backtrack("anyone", 0, build_submission(view, tip, 0, 29, 10),
-                                        at_eth=14, now_s=200)
-        contract.accept_on_timeout(deadline, now_s=deadline * 14)
+        at_block(contract, 10)
+        deadline = contract.submit_extension(R1, sub)
+        contract.advance_to(200)
+        contract.propose_deep_backtrack("anyone", 0, build_submission(view, tip, 0, 29, 10))
+        at_block(contract, deadline)
+        contract.accept_on_timeout()
         assert contract.deep_proposal is None
 
 
 class TestProgressTime:
-    """The relay's last progress time never moves back, so the 72 h stagnation
-    gate of chunked backtracking measures from the real last progress."""
+    """Only advance_to moves the contract's clock, and never back, so no call can be back-dated: the
+    relay's last progress time never moves back, and the 72 h stagnation gate of chunked
+    backtracking measures from the real last progress."""
+
+    def test_advance_to_refuses_an_earlier_or_negative_time(self):
+        contract = fresh()
+        view, tip, _ = chain_with_lock(45)
+        accept_first_extension(contract, view, tip, range_b=30)  # accepted at eth 180
+        assert (contract.now_s, contract.eth_now, contract.last_progress_s) == (2520, 180, 2520)
+        before = (contract.now_s, contract.state_digest(), contract.aggregates())
+        for earlier in (2519, 0, -1):
+            with pytest.raises(PastEvent):
+                contract.advance_to(earlier)
+            assert (contract.now_s, contract.state_digest(), contract.aggregates()) == before
+        contract.advance_to(2520)  # the same second is no move back
+        assert contract.now_s == 2520
 
     def test_accept_before_last_progress_refused(self):
         contract = fresh()
         view, tip, _ = chain_with_lock(45)
         accept_first_extension(contract, view, tip, range_b=30)  # accepted at eth 180
         assert contract.last_progress_s == 2520
-        deadline = contract.submit_extension(R1, build_submission(view, tip, 30, 35, 10), at_eth=5)
-        assert deadline == 85
+        deadline = contract.submit_extension(R1, build_submission(view, tip, 30, 35, 10))
+        assert deadline == 260  # submitted at the clock's block 180
         with pytest.raises(PastEvent):
-            contract.accept_on_timeout(deadline, now_s=10)
+            at_block(contract, 5)
+        with pytest.raises(WindowNotElapsed):
+            contract.accept_on_timeout()
         assert contract.last_progress_s == 2520
         assert [e.range for e in contract.history] == [30]
         assert contract.relay_mode == "verification"
@@ -1078,11 +1200,15 @@ class TestProgressTime:
         contract = fresh()
         contract.become_relayer(R1, 10_110)
         view, tip, _ = chain_with_lock(45)
-        deadline = contract.submit_extension(R1, build_submission(view, tip, 0, 30, 10), at_eth=10)
-        contract.accept_on_timeout(deadline, now_s=100_000)
-        contract.propose_deep_backtrack("anyone", 0, build_submission(view, tip, 0, 31, 10), at_eth=0, now_s=0)
+        contract.submit_extension(R1, build_submission(view, tip, 0, 30, 10))
+        contract.advance_to(100_000)
+        contract.accept_on_timeout()
+        proposal = contract.propose_deep_backtrack("anyone", 0, build_submission(view, tip, 0, 31, 10))
+        assert proposal.proposed_at_s == 100_000  # at the clock, after the last progress
         with pytest.raises(PastEvent):
-            contract.finalize_deep_backtrack(now_s=24 * 3600)
+            contract.advance_to(24 * 3600)
+        with pytest.raises(NotElapsed):
+            contract.finalize_deep_backtrack()
         assert contract.deep_proposal is not None
         assert [e.range for e in contract.history] == [30]
         assert contract.last_progress_s == 100_000
@@ -1091,27 +1217,31 @@ class TestProgressTime:
                                       "challenge_range", "challenge_commitment", "burn_wow",
                                       "propose_deep_backtrack"])
     def test_negative_eth_time_refused(self, call):
+        """A negative time cannot reach a timed call: advance_to refuses it and changes nothing, and
+        the call is then made at the clock's time."""
         contract = fresh()
         contract.become_relayer(R2, 10_110)
         view, tip, bid, _ = minted_bridge(contract, n_blocks=60)  # history [30], accepted at eth 180
         sub = build_submission(view, tip, 30, 40, 10)
         if call in ("challenge_range", "challenge_commitment"):
-            contract.submit_extension(R1, sub, at_eth=200)
-        contract.last_progress_s = 0  # lets chunked_backtrack past its stagnation gate
-        before = (contract.state_digest(), contract.aggregates())
-        attempt = {
-            "submit_extension": lambda: contract.submit_extension(R1, sub, at_eth=-500),
-            "backtrack": lambda: contract.backtrack(R1, 0, sub, at_eth=-500),
-            "chunked_backtrack": lambda: contract.chunked_backtrack(R1, 0, sub, at_eth=-500, now_s=73 * 3600),
-            "challenge_range": lambda: contract.challenge_range(R2, build_submission(view, tip, 30, 50, 10),
-                                                                at_eth=-500),
-            "challenge_commitment": lambda: contract.challenge_commitment(R2, at_eth=-500, now_s=0),
-            "burn_wow": lambda: contract.burn_wow(ALICE, Y100, 100, doge_address("alice/dest"), at_eth=-500),
-            "propose_deep_backtrack": lambda: contract.propose_deep_backtrack(ALICE, 0, sub, at_eth=-500, now_s=0),
-        }[call]
+            at_block(contract, 200)
+            contract.submit_extension(R1, sub)
+        if call == "chunked_backtrack":  # past its stagnation gate
+            contract.advance_to(contract.last_progress_s + contract.params.deep_backtrack_delay_2_s)
+        before = (contract.now_s, contract.state_digest(), contract.aggregates())
         with pytest.raises(PastEvent):
-            attempt()
-        assert (contract.state_digest(), contract.aggregates()) == before
+            at_block(contract, -500)
+        assert (contract.now_s, contract.state_digest(), contract.aggregates()) == before
+        {
+            "submit_extension": lambda: contract.submit_extension(R1, sub),
+            "backtrack": lambda: contract.backtrack(R1, 0, sub),
+            "chunked_backtrack": lambda: contract.chunked_backtrack(R1, 0, sub),
+            "challenge_range": lambda: contract.challenge_range(R2, bogus_claim(70, b"\x66" * 32, b"\x66" * 32)),
+            "challenge_commitment": lambda: contract.challenge_commitment(R2),
+            "burn_wow": lambda: contract.burn_wow(ALICE, Y100, 100, doge_address("alice/dest")),
+            "propose_deep_backtrack": lambda: contract.propose_deep_backtrack(ALICE, 0, sub),
+        }[call]()
+        assert contract.now_s == before[0] and contract.state_digest() != before[1]
 
 
 class TestWowTransfer:
@@ -1131,14 +1261,16 @@ class TestWowTransfer:
     def test_wow_held_for_a_pending_burn_does_not_move(self):
         contract = fresh()
         minted_bridge(contract)
-        burn = contract.burn_wow(ALICE, Y100, 500, doge_address("alice/dest"), at_eth=300)
+        at_block(contract, 300)
+        burn = contract.burn_wow(ALICE, Y100, 500, doge_address("alice/dest"))
         before = contract.state_digest()
         for frm, to in ((br.BRIDGE_ADDR, "mallory"), (ALICE, br.BRIDGE_ADDR)):
             with pytest.raises(SimError):
                 contract.wow_transfer(frm, to, Y100, 500)
         assert contract.state_digest() == before
         alice_before = contract.accounts.get(ALICE)
-        contract.unlock_timeout(burn.burn_id, at_eth=400)
+        at_block(contract, 400)
+        contract.unlock_timeout(burn.burn_id)
         assert burn.settled and burn.eth_received == 500 * 1000
         assert contract.accounts.get(ALICE) == alice_before + 500 * 1000
 
@@ -1156,7 +1288,9 @@ class TestConservation:
 
         view, tip, bid, _ = minted_bridge(contract, fee=5, bounty=1000, lock_bounty=1)
         check()
-        burn = contract.burn_wow(ALICE, Y100, 992, doge_address("alice/dest"), at_eth=300)
+        at_block(contract, 300)
+        burn = contract.burn_wow(ALICE, Y100, 992, doge_address("alice/dest"))
         check()
-        contract.unlock_timeout(burn.burn_id, at_eth=800)
+        at_block(contract, 800)
+        contract.unlock_timeout(burn.burn_id)
         check()

@@ -27,6 +27,7 @@ from test_bridge import (
     R2,
     RICH,
     Y100,
+    at_block,
     bogus_claim,
     chain_with_lock,
     fresh,
@@ -40,7 +41,8 @@ class TestBurnBountyPot:
                                         registration_window_doge_blocks=60, relay_tax=0))
         view, tip, bid, _ = minted_bridge(contract, bounty=2_000)
         dest = doge_address("alice/dest")
-        burn = contract.burn_wow(ALICE, Y100, 1000, dest, at_eth=300)
+        at_block(contract, 300)
+        burn = contract.burn_wow(ALICE, Y100, 1000, dest)
         head = contract.bridges[bid].head
         pay = Transaction(head, dest, 1000, 0)
         block = view.mine_block(tip, [pay], time=62 * 46, seed=9046)
@@ -51,8 +53,10 @@ class TestBurnBountyPot:
             view.add_block(b, 62 * i)
             tip = b.header.hash
         sub = build_submission(view, tip, 30, 46, 10)
-        deadline = contract.submit_extension(R1, sub, at_eth=320)
-        contract.accept_on_timeout(deadline, now_s=deadline * 14)
+        at_block(contract, 320)
+        deadline = contract.submit_extension(R1, sub)
+        at_block(contract, deadline)
+        contract.accept_on_timeout()
         return contract, view, tip, bid, burn, pay
 
     def test_pot_pays_first_unlock_reporter(self):
@@ -69,8 +73,10 @@ class TestBurnBountyPot:
         contract = fresh()
         op_before = contract.accounts.get(OP)
         view, tip, bid, _ = minted_bridge(contract, bounty=2_000)
-        burn = contract.burn_wow(ALICE, Y100, 1000, doge_address("d"), at_eth=300)
-        contract.unlock_timeout(burn.burn_id, at_eth=900)
+        at_block(contract, 300)
+        burn = contract.burn_wow(ALICE, Y100, 1000, doge_address("d"))
+        at_block(contract, 900)
+        contract.unlock_timeout(burn.burn_id)
         # timeout path: hodler took the escrow, nobody evidenced an unlock
         assert contract.bridges[bid].state == "closed"
         assert contract.accounts.get(OP) == op_before - 10 * ETH  # pot back, collateral gone
@@ -82,7 +88,8 @@ class TestUnlockOverpayment:
                                         registration_window_doge_blocks=60, relay_tax=0))
         view, tip, bid, _ = minted_bridge(contract)
         dest = doge_address("alice/dest")
-        burn = contract.burn_wow(ALICE, Y100, 200, dest, at_eth=300)
+        at_block(contract, 300)
+        burn = contract.burn_wow(ALICE, Y100, 200, dest)
         head = contract.bridges[bid].head
         generous = Transaction(head, dest, 450, 0)  # overpays the 200 owed
         block = view.mine_block(tip, [generous], time=62 * 46, seed=9146)
@@ -93,8 +100,10 @@ class TestUnlockOverpayment:
             view.add_block(b, 62 * i)
             tip = b.header.hash
         sub = build_submission(view, tip, 30, 46, 10)
-        deadline = contract.submit_extension(R1, sub, at_eth=320)
-        contract.accept_on_timeout(deadline, now_s=deadline * 14)
+        at_block(contract, 320)
+        deadline = contract.submit_extension(R1, sub)
+        at_block(contract, deadline)
+        contract.accept_on_timeout()
         report = build_tx_report(view, tip, contract.history, 1, generous)
         assert contract.report_unlock(BOB, burn.burn_id, report) == "settled"
         assert burn.d_recv == 200  # the obligation, not the gift
@@ -108,18 +117,25 @@ class TestChallengeRangeOnBacktrack:
         contract.become_relayer(R2, 10_110)
         view, tip, _ = chain_with_lock(120)
         sub = build_submission(view, tip, 0, 30, 10)
-        deadline = contract.submit_extension(R1, sub, at_eth=10)
-        contract.accept_on_timeout(deadline, now_s=deadline * 14)
+        at_block(contract, 10)
+        deadline = contract.submit_extension(R1, sub)
+        at_block(contract, deadline)
+        contract.accept_on_timeout()
         bogus = bogus_claim(60, b"\x99" * 32, b"\x98" * 32)
-        deadline = contract.submit_extension(R1, bogus, at_eth=200)
-        contract.accept_on_timeout(deadline, now_s=deadline * 14)
+        at_block(contract, 200)
+        deadline = contract.submit_extension(R1, bogus)
+        at_block(contract, deadline)
+        contract.accept_on_timeout()
 
         short = build_submission(view, tip, 30, 50, 10)
-        contract.backtrack(R1, from_index=1, sub=short, at_eth=400)
+        at_block(contract, 400)
+        contract.backtrack(R1, from_index=1, sub=short)
         longer = build_submission(view, tip, 30, 80, 10)
-        assert contract.challenge_range(R2, longer, at_eth=410) == "replaced"
+        at_block(contract, 410)
+        assert contract.challenge_range(R2, longer) == "replaced"
         assert contract.active.backtrack_from == 1
-        contract.accept_on_timeout(at_eth=500, now_s=7000)
+        at_block(contract, 500)
+        contract.accept_on_timeout()
         assert [e.range for e in contract.history] == [30, 80]
 
     def test_alt_bounded_by_extension_from_base(self):
@@ -131,16 +147,22 @@ class TestChallengeRangeOnBacktrack:
         contract.become_relayer(R2, 10_110)
         view, tip, _ = chain_with_lock(120)
         sub = build_submission(view, tip, 0, 30, 10)
-        deadline = contract.submit_extension(R1, sub, at_eth=10)
-        contract.accept_on_timeout(deadline, now_s=deadline * 14)
+        at_block(contract, 10)
+        deadline = contract.submit_extension(R1, sub)
+        at_block(contract, deadline)
+        contract.accept_on_timeout()
         bogus = bogus_claim(60, b"\x99" * 32, b"\x98" * 32)
-        deadline = contract.submit_extension(R1, bogus, at_eth=200)
-        contract.accept_on_timeout(deadline, now_s=deadline * 14)
+        at_block(contract, 200)
+        deadline = contract.submit_extension(R1, bogus)
+        at_block(contract, deadline)
+        contract.accept_on_timeout()
         short = build_submission(view, tip, 30, 50, 10)
-        contract.backtrack(R1, from_index=1, sub=short, at_eth=400)
+        at_block(contract, 400)
+        contract.backtrack(R1, from_index=1, sub=short)
         too_long = build_submission(view, tip, 30, 75, 10)  # 45 > 40 from base
+        at_block(contract, 410)
         with pytest.raises(RangeTooLong):
-            contract.challenge_range(R2, too_long, at_eth=410)
+            contract.challenge_range(R2, too_long)
 
 
 class TestChunkedBacktrackBounds:
@@ -149,15 +171,17 @@ class TestChunkedBacktrackBounds:
         contract.become_relayer(R1, 10_110)
         view, tip, _ = chain_with_lock(60)
         sub = build_submission(view, tip, 0, 30, 10)
-        deadline = contract.submit_extension(R1, sub, at_eth=10)
-        contract.accept_on_timeout(deadline, now_s=deadline * 14)
-        contract.last_progress_s = 0
+        at_block(contract, 10)
+        deadline = contract.submit_extension(R1, sub)
+        at_block(contract, deadline)
+        contract.accept_on_timeout()
         contract.relayer_deposits[R1] = 130  # covers only tiny chunks
         big = build_submission(view, tip, 0, 40, 10)
+        contract.advance_to(73 * 3600)  # past the 72 h stagnation gate
         with pytest.raises(TooDeep):
-            contract.chunked_backtrack(R1, 0, big, at_eth=20_000, now_s=73 * 3600)
+            contract.chunked_backtrack(R1, 0, big)
         small = build_submission(view, tip, 0, 15, 10)  # cost 125 <= 130
-        contract.chunked_backtrack(R1, 0, small, at_eth=20_000, now_s=73 * 3600)
+        contract.chunked_backtrack(R1, 0, small)
         assert contract.relay_mode == "verification"
 
 

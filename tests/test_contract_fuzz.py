@@ -1,18 +1,17 @@
 """The Bridge Contract as a state machine, fuzzed one public call at a time.
 
 `ContractMachine` is a Hypothesis `RuleBasedStateMachine` with one rule per
-public contract call (CALLS, named as the call) and a rule that moves a
-monotone clock.  Its world is a small Dogecoin chain, mined once: a lock
-payment to the operator's bridge head, the operator's unlock payment, and a
-fork on which the operator moves the locked coins elsewhere.  So the rules
-can draw honest claims, bogus claims (made-up roots, or a tip header that
-fails PoW) and transaction reports on either branch.  Each run starts at a
-stage of the honest lifecycle (`ContractMachine.begin`).
+public contract call (CALLS, named as the call), `advance_to`, which moves
+the contract's clock, included.  Its world is a small Dogecoin chain, mined
+once: a lock payment to the operator's bridge head, the operator's unlock
+payment, and a fork on which the operator moves the locked coins elsewhere.
+So the rules can draw honest claims, bogus claims (made-up roots, or a tip
+header that fails PoW) and transaction reports on either branch.  Each run
+starts at a stage of the honest lifecycle (`ContractMachine.begin`).
 
-The contract lives in a `SimulationRunner`, and each call runs at the
-runner's clock, so every event goes through the runner's own `_record`,
-snapshot reuse included.  Each call and each step is checked: see
-`ContractMachine.call` and `ContractMachine.holds`.
+The contract lives in a `SimulationRunner`, so every event goes through the
+runner's own `_record`, snapshot reuse included.  Each call and each step is
+checked: see `ContractMachine.call` and `ContractMachine.holds`.
 
 The budget comes from the Hypothesis profile (tests/conftest.py); run
 `HYPOTHESIS_PROFILE=deep pytest tests/test_contract_fuzz.py` for a larger one.
@@ -34,7 +33,6 @@ from pegsim.chainsim import ChainView, Transaction, doge_address
 from pegsim.errors import SimError
 from pegsim.harness import SimulationRunner, audit, parse_config
 from pegsim.proofsys import commitment_root, date_of, prove_extension_for
-from pegsim.scheduler import ethereum_time
 
 from test_golden import FUZZER, REACHED_OUTSIDE_THE_CORPUS
 
@@ -58,7 +56,7 @@ MAIN_LEN, FORK_AT, FORK_LEN = 36, 6, 30
 CONFIG = parse_config({
     "schema_version": 1,
     "name": "contract_fuzz",
-    # windows and delays short enough that one Dogecoin block of waiting (tick) can end each
+    # windows and delays short enough that one Dogecoin block of waiting (advance_to) can end each
     "params": {"c": C, "d": 6, "k": 2, "registration_window_doge_blocks": 4, "max_extension_len": 40,
                "challenge_window_eth_blocks": 5, "unlock_timeout_eth_blocks": 5,
                "deep_backtrack_delay_1_s": 62, "deep_backtrack_delay_2_s": 62},
@@ -82,7 +80,7 @@ def world():
         for i in range(view.blocks[tip].header.ordinal + 1, length + 1):
             txs = [pays[i]] if i in pays else []
             block = view.mine_block(tip, txs, time=62 * i, seed=len(tips) * 1000 + i)
-            assert view.add_block(block, 62 * i).accepted
+            assert view.add_block(block, 62 * i) is None
             tip = block.header.hash
         tips.append(tip)
     return view, tuple(tips)
@@ -133,9 +131,9 @@ def usually(data, likely, unlikely):
 
 
 class ContractMachine(RuleBasedStateMachine):
-    """Checks, for each call, that a refused call (SimError) changed nothing and that a call that
-    changed the contract wrote an event (the premise of turn skipping and of snapshot reuse); and,
-    after each step, the ledger, the history and the trace (holds)."""
+    """Checks, for each call, that a refused call (SimError) changed nothing, its clock included, and
+    that a call that changed the contract wrote an event (the premise of turn skipping and of snapshot
+    reuse; the clock is not state); and, after each step, the ledger, the history and the trace (holds)."""
 
     def __init__(self):
         super().__init__()
@@ -148,26 +146,18 @@ class ContractMachine(RuleBasedStateMachine):
         return self.contract.state_digest(), self.contract.aggregates(), dict(self.accounts.balances)
 
     def call(self, name, *args):
-        events = self.runner.events
-        before, count = self.snapshot(), len(events)
+        events, c = self.runner.events, self.contract
+        before, count, now = self.snapshot(), len(events), c.now_s
         try:
-            getattr(self.contract, name)(*args)
+            getattr(c, name)(*args)
         except SimError:
-            assert self.snapshot() == before, f"refused {name} changed the contract"
+            assert (c.now_s, self.snapshot()) == (now, before), f"refused {name} changed the contract"
             return
         assert len(events) > count or self.snapshot() == before, f"{name} changed the contract and wrote no event"
         SUCCEEDED[name] += 1
         EMITTED.update(event["kind"] for event in events[count:])
 
     # -- what the rules draw ---------------------------------------------------
-
-    @property
-    def at_eth(self):
-        return self.runner.eth_now
-
-    @property
-    def now_s(self):
-        return self.runner.now
 
     def prior(self, index):
         """The date a claim kept index history entries starts from; the current date for a bad index."""
@@ -228,9 +218,6 @@ class ContractMachine(RuleBasedStateMachine):
         hodler, y, n = data.draw(st.sampled_from(self.holdings()))
         return hodler, y, usually(data, [n // 2, n], [n + 1, 0])
 
-    def set_clock(self, now_s):
-        self.runner.now, self.runner.eth_now = now_s, ethereum_time(now_s, self.runner.clock)
-
     @initialize(y=st.sampled_from(RATES), x=st.sampled_from([500_000, 1_000_000, 2_000_000]),
                 first=st.sampled_from([8, 20]), data=st.data())
     def begin(self, y, x, first, data):
@@ -251,25 +238,25 @@ class ContractMachine(RuleBasedStateMachine):
         for relayer in ("relay1", "relay2"):
             c.become_relayer(relayer, c.required_relayer_deposit())
         if stage >= 1:
-            deadline = c.submit_extension("relay1", claim(main, 0, first), self.at_eth)
-            self.set_clock(deadline * self.runner.clock.eth_block_seconds)
-            c.accept_on_timeout(self.at_eth, self.now_s)
+            deadline = c.submit_extension("relay1", claim(main, 0, first))
+            c.advance_to(deadline * c.clock.eth_block_seconds)
+            c.accept_on_timeout()
         if register:
             c.open_bridge("op", x, y, OTHER_HEAD, 0, 0)
             c.register_crossing("alice", OTHER_HEAD, 50_000, LOCK.sender, 0)
         if stage >= 2:
             assert c.report_lock("op", report(0, main, 0, first, LOCK)) == "minted"
         if stage >= 3:
-            c.burn_wow("alice", y, c.wow_balance("alice", y) // 2, DEST, self.at_eth)
+            c.burn_wow("alice", y, c.wow_balance("alice", y) // 2, DEST)
         if stage >= 4:
-            c.submit_extension("relay2", claim(main, first, 30), self.at_eth)
+            c.submit_extension("relay2", claim(main, first, 30))
         if stage >= 5:
-            c.challenge_commitment("relay1", self.at_eth, self.now_s)
+            c.challenge_commitment("relay1")
         if stage >= 6:
-            c.submit_extension("relay1", claim(main, first, 30), self.at_eth)
+            c.submit_extension("relay1", claim(main, first, 30))
         if propose:
-            c.propose_deep_backtrack("alice", 0, claim(main, 0, 26), self.at_eth, self.now_s)
-        self.set_clock(data.draw(st.sampled_from([self.now_s, self.now_s, *self.deadlines()])))
+            c.propose_deep_backtrack("alice", 0, claim(main, 0, 26))
+        c.advance_to(data.draw(st.sampled_from([c.now_s, c.now_s, *self.deadlines()])))
 
     # -- the clock -------------------------------------------------------------
 
@@ -283,16 +270,18 @@ class ContractMachine(RuleBasedStateMachine):
             ends.append(c.window_deadline() * eth_s)
         if c.deep_proposal is not None:
             ends.append(c.deep_proposal.proposed_at_s + c.params.deep_backtrack_delay_1_s)
-        return sorted({t for t in ends if t > self.now_s + 1})
+        return sorted({t for t in ends if t > self.contract.now_s + 1})
 
     @rule(data=st.data())
-    def tick(self, data):
-        """Advance the clock, usually to a deadline still to come, else by a second or a Dogecoin block or
-        to one second before a deadline; and mine a Dogecoin block then on the runner's own chain, so
-        that of two ticks in a row the second records its block with a copy of the first one's snapshot."""
-        ends, now = self.deadlines(), self.now_s
-        self.set_clock(usually(data, ends, [now + 1, now + 62, *(t - 1 for t in ends)]))
-        self.runner._mine_next_block()
+    def advance_to(self, data):
+        """Move the clock, usually to a deadline still to come, else by a second or a Dogecoin block or
+        to one second before a deadline, or back a second, which must be refused; and after a move mine
+        a Dogecoin block then on the runner's own chain, so that of two moves in a row the second
+        records its block with a copy of the first one's snapshot."""
+        ends, now = self.deadlines(), self.contract.now_s
+        self.call("advance_to", usually(data, ends, [now + 1, now + 62, *(t - 1 for t in ends), now - 1]))
+        if self.contract.now_s > now:
+            self.runner._mine_next_block()
 
     # -- one rule per contract call --------------------------------------------
     # Each mostly draws the arguments an honest caller would pass, else ones the contract should refuse
@@ -331,26 +320,26 @@ class ContractMachine(RuleBasedStateMachine):
     @rule(data=st.data())
     def submit_extension(self, data):
         relayer = self.draw_relayer(data)
-        self.call("submit_extension", relayer, self.draw_claim(data, self.contract.current_date), self.at_eth)
+        self.call("submit_extension", relayer, self.draw_claim(data, self.contract.current_date))
 
-    @precondition(lambda self: self.contract.active and self.at_eth + 1 >= self.contract.window_deadline())
+    @precondition(lambda self: self.contract.active and self.contract.eth_now + 1 >= self.contract.window_deadline())
     @rule()
     def accept_on_timeout(self):
-        self.call("accept_on_timeout", self.at_eth, self.now_s)
+        self.call("accept_on_timeout")
 
-    @precondition(lambda self: self.contract.active and self.at_eth <= self.contract.window_deadline())
+    @precondition(lambda self: self.contract.active and self.contract.eth_now <= self.contract.window_deadline())
     @rule(data=st.data())
     def challenge_range(self, data):
         challenger = self.draw_relayer(data)
         alt = self.draw_claim(data, self.contract.base(self.contract.active.backtrack_from)[1])
-        self.call("challenge_range", challenger, alt, self.at_eth)
+        self.call("challenge_range", challenger, alt)
 
-    @precondition(lambda self: self.contract.active and self.at_eth <= self.contract.window_deadline())
+    @precondition(lambda self: self.contract.active and self.contract.eth_now <= self.contract.window_deadline())
     @rule(data=st.data())
     def challenge_commitment(self, data):
-        self.call("challenge_commitment", self.draw_relayer(data), self.at_eth, self.now_s)
+        self.call("challenge_commitment", self.draw_relayer(data))
 
-    @precondition(lambda self: any(not t.resolved and t.proof is None and self.now_s <= t.proof_deadline_s + 1
+    @precondition(lambda self: any(not t.resolved and t.proof is None and self.contract.now_s <= t.proof_deadline_s + 1
                                    for t in self.contract.threads.values()))
     @rule(data=st.data())
     def supply_proof(self, data):
@@ -366,7 +355,7 @@ class ContractMachine(RuleBasedStateMachine):
             tip = branch_of(sub.tip_header) or tip
             if date_of(thread.prior_tip_header) < sub.range <= ordinal(tip) - C:
                 prior, range_b = date_of(thread.prior_tip_header), sub.range
-        self.call("supply_proof", relayer, thread_id, proof(tip, prior, range_b), self.now_s)
+        self.call("supply_proof", relayer, thread_id, proof(tip, prior, range_b))
 
     @precondition(lambda self: any(not t.resolved for t in self.contract.threads.values()))
     @rule(data=st.data(), verdict=st.sampled_from(["accept", "reject", "timed_out", "void"]))
@@ -382,7 +371,7 @@ class ContractMachine(RuleBasedStateMachine):
     @rule(data=st.data())
     def burn_wow(self, data):
         hodler, y, w = self.draw_holding(data)
-        self.call("burn_wow", hodler, y, w, usually(data, [DEST], [HEAD]), self.at_eth)
+        self.call("burn_wow", hodler, y, w, usually(data, [DEST], [HEAD]))
 
     @precondition(lambda self: any(not b.settled for b in self.contract.burns.values()))
     @rule(reporter=st.sampled_from(ACTORS), data=st.data())
@@ -390,11 +379,11 @@ class ContractMachine(RuleBasedStateMachine):
         self.call("report_unlock", reporter, self.draw_id(data, self.contract.burns, lambda b: not b.settled),
                   self.draw_report(data))
 
-    @precondition(lambda self: any(not b.settled and b.deadline_eth <= self.at_eth + 1
+    @precondition(lambda self: any(not b.settled and b.deadline_eth <= self.contract.eth_now + 1
                                    for b in self.contract.burns.values()))
     @rule(data=st.data())
     def unlock_timeout(self, data):
-        self.call("unlock_timeout", self.draw_id(data, self.contract.burns, lambda b: not b.settled), self.at_eth)
+        self.call("unlock_timeout", self.draw_id(data, self.contract.burns, lambda b: not b.settled))
 
     @precondition(holdings)
     @rule(data=st.data())
@@ -406,35 +395,33 @@ class ContractMachine(RuleBasedStateMachine):
     @rule(data=st.data())
     def backtrack(self, data):
         relayer, index = self.draw_relayer(data), self.draw_index(data, len(self.contract.history))
-        self.call("backtrack", relayer, index, self.draw_claim(data, self.prior(index)), self.at_eth)
+        self.call("backtrack", relayer, index, self.draw_claim(data, self.prior(index)))
 
     @precondition(lambda self: self.contract.deep_proposal is None)
     @rule(proposer=st.sampled_from(ACTORS), data=st.data())
     def propose_deep_backtrack(self, proposer, data):
         index = self.draw_index(data, len(self.contract.history) + 1)
-        self.call("propose_deep_backtrack", proposer, index, self.draw_claim(data, self.prior(index)),
-                  self.at_eth, self.now_s)
+        self.call("propose_deep_backtrack", proposer, index, self.draw_claim(data, self.prior(index)))
 
     def deep_delay_end(self):
         return self.contract.deep_proposal.proposed_at_s + self.contract.params.deep_backtrack_delay_1_s
 
-    @precondition(lambda self: self.contract.deep_proposal and self.now_s <= self.deep_delay_end())
+    @precondition(lambda self: self.contract.deep_proposal and self.contract.now_s <= self.deep_delay_end())
     @rule(objector=st.sampled_from(ACTORS))
     def object_deep_backtrack(self, objector):
-        self.call("object_deep_backtrack", objector, self.now_s)
+        self.call("object_deep_backtrack", objector)
 
-    @precondition(lambda self: self.contract.deep_proposal and self.now_s + 1 >= self.deep_delay_end())
+    @precondition(lambda self: self.contract.deep_proposal and self.contract.now_s + 1 >= self.deep_delay_end())
     @rule()
     def finalize_deep_backtrack(self):
-        self.call("finalize_deep_backtrack", self.now_s)
+        self.call("finalize_deep_backtrack")
 
-    @precondition(lambda self: self.contract.history and self.contract.active is None and self.now_s + 1
+    @precondition(lambda self: self.contract.history and self.contract.active is None and self.contract.now_s + 1
                   >= self.contract.last_progress_s + self.contract.params.deep_backtrack_delay_2_s)
     @rule(data=st.data())
     def chunked_backtrack(self, data):
         relayer, index = self.draw_relayer(data), self.draw_index(data, len(self.contract.history))
-        self.call("chunked_backtrack", relayer, index, self.draw_claim(data, self.prior(index)),
-                  self.at_eth, self.now_s)
+        self.call("chunked_backtrack", relayer, index, self.draw_claim(data, self.prior(index)))
 
     @precondition(holdings)
     @rule(data=st.data(), to=st.sampled_from(ACTORS))
@@ -475,7 +462,7 @@ class ContractMachine(RuleBasedStateMachine):
 
 def test_every_public_call_is_a_read_or_has_a_rule():
     assert READS <= PUBLIC
-    assert len(CALLS) == 21
+    assert len(CALLS) == 22
     assert {name for name in CALLS if callable(getattr(ContractMachine, name, None))} == CALLS
 
 
@@ -496,9 +483,9 @@ def test_an_accept_that_cancels_a_deep_proposal_audits_clean():
     runner = SimulationRunner(CONFIG)
     c, main = runner.contract, world()[1][0]
     c.become_relayer("relay1", c.required_relayer_deposit())
-    deadline = c.submit_extension("relay1", claim(main, 0, 8), 0)
-    c.propose_deep_backtrack("alice", 0, claim(main, 0, 20), 0, 0)
-    runner.eth_now, runner.now = deadline, deadline * runner.clock.eth_block_seconds
-    c.accept_on_timeout(runner.eth_now, runner.now)
+    deadline = c.submit_extension("relay1", claim(main, 0, 8))
+    c.propose_deep_backtrack("alice", 0, claim(main, 0, 20))
+    c.advance_to(deadline * c.clock.eth_block_seconds)
+    c.accept_on_timeout()
     assert [e["kind"] for e in runner.events[-2:]] == ["accept", "deep_cancelled"]
     assert audit(runner.events).ok

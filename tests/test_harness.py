@@ -377,14 +377,14 @@ class TestOracleAgreement:
                 continue
             direct = verify_extension_proof(thread.prior_tip_header, thread.active.sub,
                                             thread.proof, runner.contract.params)
-            assert (traced == "accept") == direct.accepted
+            assert (traced == "accept") == (direct is None)
             tip = runner.view.best_tip()
             tip_ord = runner.view.blocks[tip].header.ordinal
             on_best = False
             if thread.active.sub.range <= tip_ord:
                 segment = runner.view.path_blocks(tip, date_of(thread.prior_tip_header) + 1, thread.active.sub.range)
                 on_best = tuple(b.header for b in segment) == thread.proof.revealed_headers
-            assert direct.accepted == on_best, thread.thread_id
+            assert (direct is None) == on_best, thread.thread_id
             checked += 1
         if scenario in ("orphan_attack", "false_challenge"):
             assert checked >= 1
@@ -434,9 +434,9 @@ class TestDelayedVisibility:
 
         def checked(agent, tip, true_rate):
             obs = observe(agent, tip, true_rate)
-            assert obs.true_rate == runner.config.rate_path.rate_at(runner.now)
+            assert obs.true_rate == runner.config.rate_path.rate_at(runner.contract.now_s)
             if agent is relay2:
-                view, cutoff = runner.view, runner.now - 31
+                view, cutoff = runner.view, runner.contract.now_s - 31
                 assert obs.tip == view.best_tip(cutoff)
                 arrived = [h for h in view.blocks if view.arrival[h] <= cutoff] or [view.genesis_hash]
                 assert obs.tip == min(arrived, key=lambda h: (-view.cum_work[h], view.arrival[h], h))
@@ -474,9 +474,9 @@ class TestTurnSkipping:
         def checked(runner, agent, key):
             if not asleep(runner, agent, key):
                 return False
-            assert key[1] == runner.view.best_tip(runner.now - agent.visibility_delay_s)
+            assert key[1] == runner.view.best_tip(runner.contract.now_s - agent.visibility_delay_s)
             obs = runner._observe(agent, key[1], key[2])
-            assert agent.policy.step(obs, agent.priv) == ([], agent.priv), f"{agent.name} at {runner.now}"
+            assert agent.policy.step(obs, agent.priv) == ([], agent.priv), f"{agent.name} at {obs.sim_time}"
             skipped[type(agent.policy)] += 1
             return True
 
@@ -599,9 +599,9 @@ class TestUnlockDeadline:
 
         unlock_timeout, refused = BridgeContract.unlock_timeout, []
 
-        def recording(self, burn_id, at_eth):
+        def recording(self, burn_id):
             try:
-                return unlock_timeout(self, burn_id, at_eth)
+                return unlock_timeout(self, burn_id)
             except SimError as exc:
                 refused.append(exc)
                 raise
