@@ -10,7 +10,9 @@ layouts are documented in the README.  An integer outside its field's range
 is refused (EncodingError), never reduced.  A header's PoW digest and a
 transaction's id are computed once, when the value is built.  The nonce search
 encodes a header's fields once and changes only the nonce bytes between
-attempts; it builds the winning header once, from the digest it found.
+attempts, wrapping from 2^64 - 1 to 0; for sha256d it hashes the fixed 80-byte
+prefix once and resumes from that midstate per nonce.  It builds the winning
+header once, from the digest it found.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import EncodingError, UnknownParent, RangeUnavailable
@@ -35,6 +38,8 @@ def _u64(n: int) -> bytes:
 
 
 def _u256(n: int) -> bytes:
+    if not 0 <= n < 1 << 256:
+        raise EncodingError(f"{n} is outside the u256 range [0, 2^256)")
     return n.to_bytes(32, "big")
 
 
@@ -171,23 +176,32 @@ def search_pow(
 ) -> Tuple[BlockHeader, int]:
     """Deterministic nonce search from a seeded start; returns (header, attempts).
 
-    The header's other fields are encoded once; each attempt hashes that
-    encoding with only the nonce bytes changed, and the winning header is
-    built once, holding the digest the search computed.
+    Nonces count up from the start and wrap from 2^64 - 1 to 0.  For sha256d
+    the fixed 80-byte prefix is hashed once and each attempt resumes from that
+    midstate; other PoW functions hash the whole encoding through pow_digest.
     """
     # seed is not an encoded field: callers pass agent_seed + offset, which may reach 2^64
     start = int.from_bytes(sha256(b"nonce/" + _u64(seed % MAX_U64) + parent + tx_root + _u64(ordinal))[:8], "big")
     prefix = parent + tx_root + _u64(ordinal) + _u64(timestamp)
     suffix = _u256(target)
-    nonce = start
-    attempts = 0
-    while True:
-        attempts += 1
-        digest = pow_digest(pow_fn, prefix + nonce.to_bytes(8, "big") + suffix)
-        # pow_check as bytes: both are 32-byte big-endian, and a zero target is never beaten
-        if digest < suffix:
-            return _found_header(parent, tx_root, ordinal, timestamp, nonce, target, pow_fn, digest), attempts
-        nonce = (nonce + 1) % MAX_U64
+    if target < 1:
+        raise ValueError("no digest beats a target below 1")
+    nonces = chain(range(start, MAX_U64), range(start))
+    # pow_check as bytes: digest and target are both 32-byte big-endian
+    if pow_fn == "sha256d":
+        midstate = hashlib.sha256(prefix)
+        for nonce in nonces:
+            inner = midstate.copy()
+            inner.update(nonce.to_bytes(8, "big") + suffix)
+            digest = hashlib.sha256(inner.digest()).digest()
+            if digest < suffix:
+                break
+    else:
+        for nonce in nonces:
+            digest = pow_digest(pow_fn, prefix + nonce.to_bytes(8, "big") + suffix)
+            if digest < suffix:
+                break
+    return _found_header(parent, tx_root, ordinal, timestamp, nonce, target, pow_fn, digest), (nonce - start) % MAX_U64 + 1
 
 
 def mine_header(

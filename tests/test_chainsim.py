@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import signal
 import statistics
 from pathlib import Path
 
@@ -130,6 +131,58 @@ class TestNonceSearch:
             met_the_target += got[0].nonce % 3 == 2 and got[1] >= 2
         assert met_the_target > 0
 
+    @pytest.mark.parametrize("target", [0x5A3 << 244 | 0xC0FFEE, (1 << 256) - 1])
+    def test_equals_the_plain_search_at_an_uneven_and_the_top_target(self, target):
+        for seed in range(100):
+            args = search_inputs(seed) + (target,)
+            got = search_pow(*args, seed=seed)
+            self.assert_same_search(got, reference_search(*args, seed=seed))
+            assert got[1] == 1 or target != (1 << 256) - 1
+
+    @pytest.mark.parametrize("pow_fn", ["sha256d", "edge"])
+    def test_a_start_two_below_2_64_wraps_to_zero(self, monkeypatch, pow_fn):
+        target, start = 1 << 254, MAX_U64 - 2
+
+        def edge(data):
+            # only nonce 1, the second past the wrap, beats the target
+            return (target - (int.from_bytes(data[-40:-32], "big") == 1)).to_bytes(32, "big")
+
+        def forced_start(data):
+            return start.to_bytes(8, "big") if data.startswith(b"nonce/") else hashlib.sha256(data).digest()
+
+        monkeypatch.setitem(POW_FNS, "edge", edge)
+        monkeypatch.setattr(chainsim, "sha256", forced_start)
+        wrapped = 0
+        for seed in range(20):
+            args = search_inputs(seed) + (target, pow_fn)
+            tried = (BlockHeader(*args[:4], (start + i) % MAX_U64, target, pow_fn) for i in range(MAX_U64))
+            want = next((header, i + 1) for i, header in enumerate(tried) if pow_check(header))
+            self.assert_same_search(search_pow(*args, seed=seed), want)
+            wrapped += want[0].nonce < start
+        assert wrapped >= 5
+        if pow_fn == "edge":
+            assert wrapped == 20 and want[0].nonce == 1 and want[1] == 4
+
+    @pytest.mark.parametrize("target", [-1, 1 << 256], ids=["-1", "2^256"])
+    def test_target_outside_u256_refused(self, target):
+        with pytest.raises(EncodingError):
+            BlockHeader(b"\x11" * 32, EMPTY_TX_ROOT, 1, 0, 77, target)
+        with pytest.raises(EncodingError):
+            search_pow(b"\x11" * 32, EMPTY_TX_ROOT, 1, 0, target)
+
+    def test_zero_target_refused_at_once(self):
+        def too_slow(signum, frame):
+            raise TimeoutError("search_pow(target=0) still searching after 1 s")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            with pytest.raises(ValueError):
+                search_pow(b"\x11" * 32, EMPTY_TX_ROOT, 1, 0, 0)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
     @pytest.mark.parametrize("value", [MAX_U64, -1])
     def test_ordinal_or_timestamp_outside_u64_refused(self, value):
         with pytest.raises(EncodingError):
@@ -209,8 +262,9 @@ class TestIdentity:
         with pytest.raises(TypeError):
             Transaction(doge_address("a"), doge_address("b"), 5, 0, tx_id=b"\x00" * 32)
 
-    def test_every_digest_of_a_run_is_a_search_attempt(self, monkeypatch):
-        # two_rates: sha256d and no attacker, so nothing builds a header outside a search
+    def test_a_sha256d_run_searches_without_pow_digest(self, monkeypatch):
+        # two_rates: sha256d and no attacker, so nothing builds a header outside a search,
+        # and the search hashes from its midstate instead of calling pow_digest
         counts = {"digests": 0, "attempts": 0}
         digest, search = chainsim.pow_digest, chainsim.search_pow
 
@@ -225,9 +279,14 @@ class TestIdentity:
 
         monkeypatch.setattr(chainsim, "pow_digest", counting_digest)
         monkeypatch.setattr(chainsim, "search_pow", counting_search)
-        SimulationRunner(load_config(str(SCENARIO_DIR / "two_rates.json"))).run()
+        runner = SimulationRunner(load_config(str(SCENARIO_DIR / "two_rates.json")))
+        runner.run()
         assert counts["attempts"] > 0
-        assert counts["digests"] == counts["attempts"]
+        assert counts["digests"] == 0
+        for h, block in runner.view.blocks.items():
+            header = block.header
+            assert header.pow_fn == "sha256d"
+            assert h == header.hash == POW_FNS["sha256d"](header.encode())
 
 
 class TestMining:
