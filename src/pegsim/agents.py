@@ -20,6 +20,10 @@ same seed produces identical action streams.  Policies never mutate the
 world; the harness applies their actions in roster order each turn and
 records rejected ones as policy bugs.
 
+An agent's own facts each have one home: its name, DOGE address and seed are
+on its policy, and its clock and ETH balance are the contract's (`bridge.now_s`
+and `bridge.accounts`); an observation holds only the world the agent sees.
+
 A step also names its wake (see Policy.step).  The harness skips an agent's
 turn while its world is unchanged since its last step did nothing and that
 step's wake has not come, so most turns of a quiet relay cost no step.
@@ -40,7 +44,6 @@ from .bridge import (
     Submission,
     proven_submission,
     rate_mul,
-    segment_bounds,
     tx_report,
 )
 from .chainsim import (
@@ -93,21 +96,14 @@ class RatePath:
 @dataclass
 class Observation:
     """What one agent sees at its turn: the whole chain, read only along the
-    path of tip, the best tip at sim_time - visibility_delay_s."""
+    path of tip, the best tip at bridge.now_s - visibility_delay_s."""
 
-    sim_time: int
-    my_doge_addr: bytes
-    my_eth: int
     doge_balances: Dict[bytes, int]
     chain: ChainView
     tip: bytes
     bridge: BridgeContract
     true_rate: Fraction
     visibility_delay_s: int
-
-    @property
-    def my_doge(self) -> int:
-        return self.doge_balances.get(self.my_doge_addr, 0)
 
 
 @dataclass(frozen=True)
@@ -147,10 +143,10 @@ NEVER = float("inf")
 
 
 def reached(obs: Observation, priv: dict, t: int) -> bool:
-    """Whether sim_time t has come; if not, name it as a wake of this step."""
-    if obs.sim_time < t:
+    """Whether the contract's clock has reached t; if not, name t as a wake of this step."""
+    if obs.bridge.now_s < t:
         priv[WAKE] = min(priv[WAKE], t)
-    return obs.sim_time >= t
+    return obs.bridge.now_s >= t
 
 
 class Rate(Fraction):
@@ -184,6 +180,7 @@ class Policy:
 
     def __init__(self, name: str, params: dict, agent_seed: int):
         self.name = name
+        self.doge_addr = doge_address(name)
         self.params = {**self.DEFAULTS, **params}
         self.agent_seed = agent_seed
         self._memo_tip: Optional[bytes] = None  # the memo and the cursor hold for this tip's path
@@ -196,10 +193,11 @@ class Policy:
         self._pending: List[Tuple[int, Tuple[Block, ...], Transaction]] = []  # unused txs of matched entries
 
     def step(self, obs: Observation, priv: dict) -> Tuple[List[Action], dict]:
-        """(actions, priv), priv[WAKE] the earliest sim_time at which this step could answer otherwise
-        in an unchanged world (the same contract, doge balances, visible tip and true rate), or NEVER.
-        A step compares each time threshold with the clock through reached(), which names it while
-        it is ahead.  Waking early only costs a step; waking late loses an action."""
+        """(actions, priv), priv[WAKE] the earliest time on the contract's clock (bridge.now_s) at
+        which this step could answer otherwise in an unchanged world (the same contract, doge
+        balances, visible tip and true rate), or NEVER.  A step compares each time threshold with
+        that clock through reached(), which names it while it is ahead.  Waking early only costs a
+        step; waking late loses an action."""
         priv = {**priv, WAKE: NEVER}
         joining = None if self.ONBOARD_AT is None else self.onboard(obs, priv)
         actions = self.decide(obs, priv) if joining is None else joining
@@ -216,7 +214,7 @@ class Policy:
         if st.is_relayer(self.name):
             return None
         need = st.required_relayer_deposit()
-        return [Action("become_relayer", {"deposit": need})] if obs.my_eth >= need else []
+        return [Action("become_relayer", {"deposit": need})] if st.accounts.get(self.name) >= need else []
 
     def supply_proofs(self, obs: Observation,
                       proof_for: Callable[[ProofThread], Optional[ExtensionProof]]) -> List[Action]:
@@ -231,7 +229,7 @@ class Policy:
 
     def fake_submission(self, obs: Observation, rng: random.Random, range_b: int) -> Submission:
         """Random roots under a tip header that fails PoW, claiming range_b."""
-        tip_header = find_bad_header(rng.randbytes(32), range_b, obs.sim_time,
+        tip_header = find_bad_header(rng.randbytes(32), range_b, obs.bridge.now_s,
                                      obs.chain.genesis.header.difficulty_target, seed=self.agent_seed)
         return Submission(rng.randbytes(32), rng.randbytes(32), tip_header)
 
@@ -272,8 +270,7 @@ class Policy:
 
     def matched_segment(self, obs: Observation, i: int) -> Optional[Segment]:
         """Segment of history entry i if it matches my chain (see matched), else None."""
-        history = obs.bridge.history
-        return self.matched(obs, history[i], segment_bounds(history, i)[0])
+        return self.matched(obs, obs.bridge.history[i], obs.bridge.base(i)[1])
 
     def _judge_history(self, obs: Observation) -> None:
         """Bring the cursor up to the history entries my tip reaches (see the module docstring)."""
@@ -467,14 +464,14 @@ class OrphanAttacker(Policy):
         headers: List[BlockHeader] = []
         parent_header = prior_tip
         for i in range(range_b - prior):
-            header = mine_header(parent_header, EMPTY_TX_ROOT, obs.sim_time, seed=self.agent_seed + i)
+            header = mine_header(parent_header, EMPTY_TX_ROOT, st.now_s, seed=self.agent_seed + i)
             headers.append(header)
             parent_header = header
         target = headers[-1].difficulty_target
         witness = []
         parent = headers[-1].hash
         for j in range(st.params.c):
-            bad = find_bad_header(parent, headers[-1].ordinal + 1 + j, obs.sim_time, target,
+            bad = find_bad_header(parent, headers[-1].ordinal + 1 + j, st.now_s, target,
                                   headers[-1].pow_fn, seed=self.agent_seed + 10_000 + j)
             witness.append(bad)
             parent = bad.hash
@@ -565,7 +562,7 @@ class RationalOperator(Policy):
         if not priv.get("opened") and reached(obs, priv, self.params["open_at"]):
             x = self.params["collateral"]
             bounty = self.params["burn_bounty"]
-            if obs.my_eth >= x + bounty:
+            if st.accounts.get(self.name) >= x + bounty:
                 actions.append(Action("open_bridge", {
                     "x": x, "y": self.params["y"], "head": doge_address(f"{self.name}/head"),
                     "crossing_fee": self.params["crossing_fee"], "burn_bounty": bounty,
@@ -583,7 +580,7 @@ class RationalOperator(Policy):
                 balance = obs.doge_balances.get(bridge.head, 0)
                 if balance > 0:
                     actions.append(Action("send_doge", {
-                        "sender": bridge.head, "receiver": obs.my_doge_addr,
+                        "sender": bridge.head, "receiver": self.doge_addr,
                         "amount": balance, "memo": b"",
                     }))
                     absconded.add(bridge.bridge_id)
@@ -644,11 +641,11 @@ class HonestCrosser(Policy):
             for bridge in st.bridges.values():
                 if bridge.state == "open" and bridge.y == y and \
                         bridge.head not in st.registrations and bridge.head not in sent_heads:
-                    if obs.my_doge < self._amount(bridge):
+                    if obs.doge_balances.get(self.doge_addr, 0) < self._amount(bridge):
                         return []  # cannot fund the lock; don't waste a registration
                     void_fee = rate_mul(st.params.registration_void_fee_rate, bridge.collateral)
                     deposit = void_fee + self.DEPOSIT_MARGIN
-                    if obs.my_eth >= deposit:
+                    if st.accounts.get(self.name) >= deposit:
                         return [Action("register", {"head": bridge.head, "deposit": deposit,
                                                     "lock_bounty": self.params["lock_bounty"]})]
                     return []
@@ -660,10 +657,10 @@ class HonestCrosser(Policy):
             return []
 
         amount = self._amount(bridge)
-        if obs.my_doge >= amount:
+        if obs.doge_balances.get(self.doge_addr, 0) >= amount:
             priv["sent_heads"] = sent_heads | {bridge.head}
             return [Action("send_doge", {
-                "sender": obs.my_doge_addr, "receiver": bridge.head,
+                "sender": self.doge_addr, "receiver": bridge.head,
                 "amount": amount, "memo": self.name.encode(),
             })]
         return []
@@ -711,7 +708,7 @@ class VigilantHodler(HonestCrosser):
                 priv["burned_total"] = priv.get("burned_total", 0) + w
                 actions.append(Action("burn_wow", {
                     "y": y, "w": w,
-                    "dest": obs.my_doge_addr,
+                    "dest": self.doge_addr,
                 }))
         return actions
 

@@ -1239,11 +1239,6 @@ def history_base(history: List[HistoryEntry], index: int) -> Tuple[Optional[Bloc
     return tip_header, date_of(tip_header)
 
 
-def segment_bounds(history: List[HistoryEntry], history_index: int) -> Tuple[int, int]:
-    """Ordinal interval (prior, range] that the indexed commitment covers."""
-    return history_base(history, history_index)[1], history[history_index].range
-
-
 def tx_report(history_index: int, blocks: Sequence[Block], tx: Transaction) -> TxReport:
     """Report a transaction out of the committed blocks of history entry history_index.
 
@@ -1260,5 +1255,5 @@ def build_tx_report(view: ChainView, tip: bytes, history: List[HistoryEntry],
     Only works when the view's path actually matches the committed segment;
     raises ValueError when the transaction is not in that segment.
     """
-    prior, range_b = segment_bounds(history, history_index)
-    return tx_report(history_index, view.path_blocks(tip, prior + 1, range_b), tx)
+    prior = history_base(history, history_index)[1]
+    return tx_report(history_index, view.path_blocks(tip, prior + 1, history[history_index].range), tx)

@@ -15,7 +15,7 @@ from typing import Callable, Tuple
 
 from ..agents import POLICIES, Rate, RatePath, declared_defaults
 from ..bridge import ProtocolParams
-from ..chainsim import POW_FNS, doge_address
+from ..chainsim import POW_FNS
 from ..errors import BadParams, ConfigError
 from ..proofsys import CostModel
 from ..scheduler import ClockParams, challenge_window_eth_blocks
@@ -32,10 +32,6 @@ class AgentSpec:
     doge: int
     visibility_delay_s: int
     params: dict
-
-    @property
-    def doge_addr(self) -> bytes:
-        return doge_address(self.name)
 
 
 @dataclass(frozen=True)

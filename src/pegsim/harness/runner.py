@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from ..agents import WAKE, Observation, make_policy
+from ..agents import WAKE, Observation, Policy, make_policy
 from ..bridge import BridgeContract, EthAccounts
 from ..chainsim import ChainView, Transaction
 from ..errors import ParseError, SimError
@@ -69,9 +69,7 @@ class Trace:
 
 @dataclass
 class _AgentRuntime:
-    name: str
-    policy: object
-    doge_addr: bytes
+    policy: Policy
     visibility_delay_s: int
     priv: dict = field(default_factory=dict)
     idle: Optional[tuple] = None  # turn key (see _asleep) of my last step if it returned no actions
@@ -88,21 +86,13 @@ class SimulationRunner:
         self.contract.emit_hook = self._record
 
         self.view = ChainView.new(config.pow_target, config.pow_fn)
-        self.doge_balances: Dict[bytes, int] = {}
-        for a in config.agents:
-            if a.doge:
-                self.doge_balances[a.doge_addr] = a.doge
-
         self.agents = [
-            _AgentRuntime(
-                name=a.name,
-                policy=make_policy(a.policy, a.name, a.params,
-                                   agent_seed=_agent_seed(config.seed, a.name)),
-                doge_addr=a.doge_addr,
-                visibility_delay_s=a.visibility_delay_s,
-            )
+            _AgentRuntime(make_policy(a.policy, a.name, a.params, agent_seed=_agent_seed(config.seed, a.name)),
+                          a.visibility_delay_s)
             for a in config.agents
         ]
+        self.doge_balances: Dict[bytes, int] = {
+            agent.policy.doge_addr: a.doge for agent, a in zip(self.agents, config.agents) if a.doge}
 
         self.mempool: List[Transaction] = []
         self._nonces: Dict[bytes, int] = {}
@@ -153,13 +143,13 @@ class SimulationRunner:
         })
         self.queue.schedule(next_doge_block_time(now, self.clock, self._doge_rng), ("doge_block", {}))
 
-    def _send_doge(self, agent: _AgentRuntime, params: dict) -> None:
+    def _send_doge(self, policy: Policy, params: dict) -> None:
         sender: bytes = params["sender"]
-        owns = sender == agent.doge_addr or any(
-            b.operator == agent.name and b.head == sender for b in self.contract.bridges.values()
+        owns = sender == policy.doge_addr or any(
+            b.operator == policy.name and b.head == sender for b in self.contract.bridges.values()
         )
         if not owns:
-            raise SimError(f"{agent.name} does not control sender address")
+            raise SimError(f"{policy.name} does not control sender address")
         amount = params["amount"]
         balance = self.doge_balances.get(sender, 0)
         if amount <= 0 or balance < amount:
@@ -170,16 +160,13 @@ class SimulationRunner:
         self.doge_balances[sender] = balance - amount
         self.doge_balances[params["receiver"]] = self.doge_balances.get(params["receiver"], 0) + amount
         self.mempool.append(tx)
-        self._record("doge_tx", agent.name, {
+        self._record("doge_tx", policy.name, {
             "sender": tx.sender.hex(), "receiver": tx.receiver.hex(),
             "amount": tx.amount, "tx_id": tx.tx_id.hex(), "memo": tx.memo.decode("utf-8", "replace"),
         })
 
     def _observe(self, agent: _AgentRuntime, tip: bytes, true_rate: Fraction) -> Observation:
         return Observation(
-            sim_time=self.contract.now_s,
-            my_doge_addr=agent.doge_addr,
-            my_eth=self.accounts.get(agent.name),
             doge_balances=self.doge_balances,
             chain=self.view,
             tip=tip,
@@ -198,47 +185,47 @@ class SimulationRunner:
 
     # -- action dispatch ---------------------------------------------------------
 
-    def _apply_action(self, agent: _AgentRuntime, action) -> None:
+    def _apply_action(self, policy: Policy, action) -> None:
         c = self.contract
         p = action.params
         kind = action.kind
         if kind == "become_relayer":
-            c.become_relayer(agent.name, p["deposit"])
+            c.become_relayer(policy.name, p["deposit"])
         elif kind == "open_bridge":
-            c.open_bridge(agent.name, p["x"], p["y"], p["head"],
+            c.open_bridge(policy.name, p["x"], p["y"], p["head"],
                           crossing_fee=p["crossing_fee"], burn_bounty=p["burn_bounty"])
         elif kind == "register":
-            c.register_crossing(agent.name, p["head"], p["deposit"], crosser_doge=agent.doge_addr,
+            c.register_crossing(policy.name, p["head"], p["deposit"], crosser_doge=policy.doge_addr,
                                 lock_bounty=p["lock_bounty"])
         elif kind == "send_doge":
-            self._send_doge(agent, p)
+            self._send_doge(policy, p)
         elif kind == "submit_extension":
-            deadline = c.submit_extension(agent.name, p["sub"])
+            deadline = c.submit_extension(policy.name, p["sub"])
             self._schedule_accept(deadline)
         elif kind == "challenge_range":
-            if c.challenge_range(agent.name, p["alt"]) == "replaced":
+            if c.challenge_range(policy.name, p["alt"]) == "replaced":
                 self._schedule_accept(c.window_deadline())
         elif kind == "challenge_commitment":
-            thread = c.challenge_commitment(agent.name)
+            thread = c.challenge_commitment(policy.name)
             self.queue.schedule(thread.proof_deadline_s, ("proof_timeout", {"thread": thread}))
         elif kind == "supply_proof":
-            thread = c.supply_proof(agent.name, p["thread_id"], p["proof"])
+            thread = c.supply_proof(policy.name, p["thread_id"], p["proof"])
             fault, delay_s = oracle_verify(thread.prior_tip_header, thread.active.sub, p["proof"],
                                            c.params, c.cost_model)
             verdict = "accept" if fault is None else "reject"
             self.queue.schedule(c.now_s + delay_s, ("oracle", {"thread": thread, "verdict": verdict}))
         elif kind == "report_lock":
-            c.report_lock(agent.name, p["report"])
+            c.report_lock(policy.name, p["report"])
         elif kind == "report_unlock":
-            c.report_unlock(agent.name, p["burn_id"], p["report"])
+            c.report_unlock(policy.name, p["burn_id"], p["report"])
         elif kind == "report_missing":
-            c.report_missing_doge(agent.name, p["report"], p["y"], p["n"])
+            c.report_missing_doge(policy.name, p["report"], p["y"], p["n"])
         elif kind == "burn_wow":
-            burn = c.burn_wow(agent.name, p["y"], p["w"], p["dest"])
+            burn = c.burn_wow(policy.name, p["y"], p["w"], p["dest"])
             self.queue.schedule(burn.deadline_eth * self.clock.eth_block_seconds,
                                 ("unlock_deadline", {"burn": burn}))
         elif kind == "backtrack":
-            deadline = c.backtrack(agent.name, p["from_index"], p["sub"])
+            deadline = c.backtrack(policy.name, p["from_index"], p["sub"])
             self._schedule_accept(deadline)
         else:
             raise SimError(f"unknown action kind {kind!r}")
@@ -265,9 +252,9 @@ class SimulationRunner:
                 agent.idle = None if actions else key
                 for action in actions:
                     try:
-                        self._apply_action(agent, action)
+                        self._apply_action(agent.policy, action)
                     except SimError as exc:
-                        self._record("action_rejected", agent.name, {
+                        self._record("action_rejected", agent.policy.name, {
                             "action": action.kind,
                             "error": type(exc).__name__,
                             "detail": str(exc),

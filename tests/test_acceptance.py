@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from pegsim.bridge import ProtocolParams, rate_mul
-from pegsim.chainsim import EMPTY_TX_ROOT, search_pow
+from pegsim.chainsim import EMPTY_TX_ROOT, doge_address, search_pow
 from pegsim.harness import audit, load_config, replay_check, run
 from pegsim.harness.runner import SimulationRunner
 from pegsim.merkle import merkle_prove, merkle_root, merkle_verify
@@ -74,8 +74,7 @@ class TestCriterion01Lifecycle:
         assert outcome["d_recv"] == outcome["w"] == 1000
         assert outcome["eth_received"] == 0
 
-        alice_addr = next(a.doge_addr for a in config.agents if a.name == "alice")
-        assert runner.doge_balances.get(alice_addr, 0) == 1000  # exactly the burn amount back
+        assert runner.doge_balances.get(doge_address("alice"), 0) == 1000  # exactly the burn amount back
         assert audit(trace.events).ok
         _ok(1, f"supply 0, collateral refunded, 1000 DOGE returned in {elapsed:.2f}s")
 

@@ -28,7 +28,6 @@ from pegsim.bridge import (
     ProtocolParams,
     build_submission,
     build_tx_report,
-    segment_bounds,
 )
 from pegsim.chainsim import ChainView, Transaction, doge_address, pow_check
 from pegsim.errors import BeforeStart, ConfigError, RangeUnavailable
@@ -105,11 +104,12 @@ class TestHelpers:
         assert not pow_check(header)
 
 
-def observation(contract, view, name="agent", rate=Fraction(1, 500), t=100, delay=0):
+def observation(contract, view, rate=Fraction(1, 500), t=None, delay=0):
+    """What an agent sees of this world at the contract's clock, first moved to t when t is
+    given (advance_to refuses to move it back, so a test steps only in times a run can reach)."""
+    if t is not None:
+        contract.advance_to(t)
     return Observation(
-        sim_time=t,
-        my_doge_addr=doge_address(name),
-        my_eth=contract.accounts.get(name),
         doge_balances={},
         chain=view,
         tip=view.best_tip(),
@@ -138,18 +138,20 @@ def test_relayer_policy_onboards_before_deciding(policy_id, monkeypatch):
     contract, view = fresh_world()
     policy = make_policy(policy_id, "r", {POLICIES[policy_id].ONBOARD_AT: 500}, agent_seed=1)
     decided = []
-    monkeypatch.setattr(policy, "decide", lambda obs, priv: decided.append(obs.sim_time) or [])
+    monkeypatch.setattr(policy, "decide", lambda obs, priv: decided.append(obs.bridge.now_s) or [])
     need = contract.required_relayer_deposit()
 
-    assert policy.step(observation(contract, view, "r", t=400), {})[0] == []
-    poor = dataclasses.replace(observation(contract, view, "r", t=600), my_eth=need - 1)
-    assert policy.step(poor, {})[0] == []
-    joining, _ = policy.step(observation(contract, view, "r", t=600), {})
+    assert policy.step(observation(contract, view, t=400), {})[0] == []
+    funds = contract.accounts.get("r")
+    contract.accounts.balances["r"] = need - 1
+    assert policy.step(observation(contract, view, t=600), {})[0] == []
+    contract.accounts.balances["r"] = funds
+    joining, _ = policy.step(observation(contract, view), {})
     assert joining == [Action("become_relayer", {"deposit": need})]
     assert decided == []
 
     contract.become_relayer("r", need)
-    policy.step(observation(contract, view, "r", t=700), {})
+    policy.step(observation(contract, view, t=700), {})
     assert decided == [700]
 
 
@@ -163,20 +165,20 @@ def test_a_time_threshold_is_the_wake_until_it_passes(policy_id, params):
     nothing, so an idle agent is not stepped every turn for a time already past."""
     contract, view = fresh_world()
     policy = make_policy(policy_id, "op", params, agent_seed=1)
-    assert policy.step(observation(contract, view, "op", t=499), {})[1][WAKE] == 500
-    assert policy.step(observation(contract, view, "op", t=500), {})[1][WAKE] == NEVER
-    assert policy.step(observation(contract, view, "op", t=900), {})[1][WAKE] == NEVER
+    assert policy.step(observation(contract, view, t=499), {})[1][WAKE] == 500
+    assert policy.step(observation(contract, view, t=500), {})[1][WAKE] == NEVER
+    assert policy.step(observation(contract, view, t=900), {})[1][WAKE] == NEVER
 
 
 class TestHonestRelayer:
     def test_joins_then_submits_when_behind(self):
         contract, view = fresh_world()
         policy = make_policy("honest_relayer", "r", {}, agent_seed=1)
-        obs = observation(contract, view, "r")
+        obs = observation(contract, view)
         actions, priv = policy.step(obs, {})
         assert [a.kind for a in actions] == ["become_relayer"]
         contract.become_relayer("r", actions[0].params["deposit"])
-        actions, priv = policy.step(observation(contract, view, "r"), priv)
+        actions, priv = policy.step(observation(contract, view), priv)
         assert [a.kind for a in actions] == ["submit_extension"]
         sub = actions[0].params["sub"]
         assert sub.range == 35  # tip 45 - c 10, maximal confirmed
@@ -188,7 +190,7 @@ class TestHonestRelayer:
         contract, view = fresh_world()
         contract.become_relayer("r", 10_110)
         policy = make_policy("honest_relayer", "r", {}, agent_seed=1)
-        actions, _ = policy.step(observation(contract, view, "r"), {})
+        actions, _ = policy.step(observation(contract, view), {})
         sub = actions[0].params["sub"]
         proof = prove_extension_for(view, view.best_tip(), 0, sub.range, contract.params.c)
         assert verify_extension_proof(None, sub, proof, contract.params) is None
@@ -203,7 +205,7 @@ class TestHonestRelayer:
         at_block(contract, 10)
         contract.submit_extension("other", sub)
         policy = make_policy("honest_relayer", "r", {}, agent_seed=1)
-        actions, _ = policy.step(observation(contract, view, "r"), {})
+        actions, _ = policy.step(observation(contract, view), {})
         assert actions == []
 
     def test_challenges_garbage_commitment(self):
@@ -214,7 +216,7 @@ class TestHonestRelayer:
         at_block(contract, 10)
         contract.submit_extension("evil", bogus)
         policy = make_policy("honest_relayer", "r", {}, agent_seed=1)
-        actions, _ = policy.step(observation(contract, view, "r"), {})
+        actions, _ = policy.step(observation(contract, view), {})
         assert [a.kind for a in actions] == ["challenge_commitment"]
 
     def test_waits_on_plausibly_fresh_range(self):
@@ -226,7 +228,7 @@ class TestHonestRelayer:
         at_block(contract, 10)
         contract.submit_extension("fast", ahead)
         policy = make_policy("honest_relayer", "r", {}, agent_seed=1)
-        actions, priv = policy.step(observation(contract, view, "r"), {})
+        actions, priv = policy.step(observation(contract, view), {})
         assert actions == [] and priv[WAKE] == NEVER  # only a move of my tip changes my answer
 
     def test_challenges_impossible_range_after_patience(self):
@@ -239,11 +241,11 @@ class TestHonestRelayer:
         policy = make_policy("honest_relayer", "r", {}, agent_seed=1)
         # within the patience window the range might just be fresher news; it ends at the
         # first second of eth block 10 + RANGE_PATIENCE_ETH, which the step names as its wake
-        actions, priv = policy.step(observation(contract, view, "r", t=200), {})
+        actions, priv = policy.step(observation(contract, view, t=200), {})
         assert actions == [] and priv[WAKE] == 40 * 14
-        assert policy.step(observation(contract, view, "r", t=40 * 14 - 1), priv) == ([], priv)
+        assert policy.step(observation(contract, view, t=40 * 14 - 1), priv) == ([], priv)
         # patience exhausted with the range still unverifiable: it cannot exist
-        actions, _ = policy.step(observation(contract, view, "r", t=40 * 14), priv)
+        actions, _ = policy.step(observation(contract, view, t=40 * 14), priv)
         assert [a.kind for a in actions] == ["challenge_commitment"]
 
     def test_range_patience_counts_from_when_the_claim_can_first_be_visible(self):
@@ -255,9 +257,9 @@ class TestHonestRelayer:
         at_block(contract, 10)
         contract.submit_extension("evil", bogus_claim(90, b"\x13" * 32, b"\x37" * 32))
         policy = make_policy("honest_relayer", "r", {}, agent_seed=1)
-        actions, priv = policy.step(observation(contract, view, "r", t=40 * 14, delay=100), {})
+        actions, priv = policy.step(observation(contract, view, t=40 * 14, delay=100), {})
         assert actions == [] and priv[WAKE] == 40 * 14 + 100
-        actions, _ = policy.step(observation(contract, view, "r", t=40 * 14 + 100, delay=100), priv)
+        actions, _ = policy.step(observation(contract, view, t=40 * 14 + 100, delay=100), priv)
         assert [a.kind for a in actions] == ["challenge_commitment"]
 
     @pytest.mark.parametrize("scenario, relayer, seed", [
@@ -293,7 +295,7 @@ class TestHonestRelayer:
         at_block(contract, submitted_at_eth)
         contract.submit_extension("evil", bogus_claim(5, b"\x13" * 32, b"\x37" * 32))
         policy = make_policy("honest_relayer", "r", {}, agent_seed=1)
-        actions, _ = policy.step(observation(contract, view, "r", t=3534, delay=delay), {})
+        actions, _ = policy.step(observation(contract, view, t=3534, delay=delay), {})
         assert [a.kind for a in actions] == [kind]
         if kind == "challenge_range":
             assert actions[0].params["alt"].range == 35  # maximal: tip 45 - c 10
@@ -306,7 +308,7 @@ class TestHonestRelayer:
         at_block(contract, 10)
         contract.submit_extension("evil", dataclasses.replace(honest, tip_header=header_at(view, 34)))
         policy = make_policy("honest_relayer", "r", {}, agent_seed=1)
-        actions, _ = policy.step(observation(contract, view, "r"), {})
+        actions, _ = policy.step(observation(contract, view), {})
         assert [a.kind for a in actions] == ["challenge_commitment"]
 
     def test_backtracks_an_entry_with_a_matching_commitment_under_another_tip(self):
@@ -319,7 +321,7 @@ class TestHonestRelayer:
         contract.accept_on_timeout()
         contract.become_relayer("r", 10_110)
         policy = make_policy("honest_relayer", "r", {}, agent_seed=1)
-        actions, _ = policy.step(observation(contract, view, "r"), {})
+        actions, _ = policy.step(observation(contract, view), {})
         assert [(a.kind, a.params.get("from_index")) for a in actions] == [("backtrack", 0)]
 
 
@@ -355,9 +357,9 @@ class TestGreedyReporter:
     def test_reports_at_most_four_per_turn_and_the_rest_next_turn(self):
         contract, view, locks = locks_world(6)
         policy = make_policy("greedy_reporter", "bob", {}, agent_seed=1)
-        first, priv = policy.step(observation(contract, view, "bob"), {})
-        second, priv = policy.step(observation(contract, view, "bob"), priv)
-        third, _ = policy.step(observation(contract, view, "bob"), priv)
+        first, priv = policy.step(observation(contract, view), {})
+        second, priv = policy.step(observation(contract, view), priv)
+        third, _ = policy.step(observation(contract, view), priv)
         assert [a.kind for a in first] == ["report_lock"] * 4
         assert [a.kind for a in second] == ["report_lock"] * 2
         assert third == []
@@ -371,7 +373,7 @@ class TestGreedyReporter:
         contract, view, locks = locks_world(2)
         contract.used_txs.add(locks[0].tx_id)
         policy = make_policy("greedy_reporter", "bob", {}, agent_seed=1)
-        actions, _ = policy.step(observation(contract, view, "bob"), {})
+        actions, _ = policy.step(observation(contract, view), {})
         assert [a.params["report"].tx for a in actions] == [locks[1]]
 
 
@@ -387,13 +389,13 @@ class TestVigilantHodler:
         accept_extension(contract, view, 30, 46, at_eth=300)
 
         policy = make_policy("vigilant_hodler", "alice", {"y": Y100, "burn_on_rate": False}, agent_seed=1)
-        actions, _ = policy.step(observation(contract, view, "alice"), {})
+        actions, _ = policy.step(observation(contract, view), {})
         assert [a.kind for a in actions] == ["report_missing"]
         p = actions[0].params
         assert p["report"].tx == theft and p["report"].history_index == 1 and p["n"] == 1000
         assert contract.report_missing_doge("alice", p["report"], p["y"], p["n"]) == "paid"
         # the evidence is spent: nothing left to report, and the balance is gone
-        assert policy.step(observation(contract, view, "alice"), {})[0] == []
+        assert policy.step(observation(contract, view), {})[0] == []
 
 
 class TestOrphanAttacker:
@@ -401,11 +403,11 @@ class TestOrphanAttacker:
         contract, view = fresh_world()
         accept_extension(contract, view, 0, 30)
         policy = make_policy("orphan_attacker", "m", {}, agent_seed=3)
-        actions, priv = policy.step(observation(contract, view, "m"), {})
+        actions, priv = policy.step(observation(contract, view), {})
         assert [a.kind for a in actions] == ["become_relayer"]
         contract.become_relayer("m", actions[0].params["deposit"])
 
-        actions, priv = policy.step(observation(contract, view, "m"), priv)
+        actions, priv = policy.step(observation(contract, view), priv)
         assert [a.kind for a in actions] == ["submit_extension"]
         sub = actions[0].params["sub"]
         commitment, proof = priv["attack"]
@@ -413,18 +415,18 @@ class TestOrphanAttacker:
         at_block(contract, 200)
         contract.submit_extension("m", sub)
         # unchallenged, it neither supplies nor attacks again
-        assert policy.step(observation(contract, view, "m"), priv)[0] == []
+        assert policy.step(observation(contract, view), priv)[0] == []
 
         at_block(contract, 201)
         thread = contract.challenge_commitment("r")
-        actions, priv = policy.step(observation(contract, view, "m"), priv)
+        actions, priv = policy.step(observation(contract, view), priv)
         assert [a.kind for a in actions] == ["supply_proof"]
         assert actions[0].params == {"thread_id": thread.thread_id, "proof": proof}
         assert verify_extension_proof(thread.prior_tip_header, sub, proof, contract.params) == "BadPoW"
 
         at_block(contract, 202)
         contract.supply_proof("m", thread.thread_id, proof)
-        assert policy.step(observation(contract, view, "m"), priv)[0] == []
+        assert policy.step(observation(contract, view), priv)[0] == []
 
 
 def reorg(view, fork_at, to):
@@ -445,12 +447,12 @@ class TestSegmentMemo:
         accept_extension(contract, view, 0, 30)
         contract.become_relayer("alice", contract.required_relayer_deposit())
         policy = make_policy("honest_relayer", "alice", {}, agent_seed=1)
-        actions, priv = policy.step(observation(contract, view, "alice"), {})
+        actions, priv = policy.step(observation(contract, view), {})
         assert [a.kind for a in actions] == ["submit_extension"]  # entry 0 matched
         contract.become_relayer("m", contract.required_relayer_deposit())
         replay = bogus_claim(60, contract.history[0].commitment, b"\x37" * 32)
         contract.submit_extension("m", replay)
-        actions, _ = policy.step(observation(contract, view, "alice"), priv)
+        actions, _ = policy.step(observation(contract, view), priv)
         assert [a.kind for a in actions] == ["challenge_commitment"]
 
     def test_entry_orphaned_after_a_match_is_backtracked(self):
@@ -458,10 +460,10 @@ class TestSegmentMemo:
         accept_extension(contract, view, 0, 30)
         contract.become_relayer("alice", contract.required_relayer_deposit())
         policy = make_policy("honest_relayer", "alice", {}, agent_seed=1)
-        actions, priv = policy.step(observation(contract, view, "alice"), {})
+        actions, priv = policy.step(observation(contract, view), {})
         assert [a.kind for a in actions] == ["submit_extension"]
         reorg(view, 20, 80)
-        actions, _ = policy.step(observation(contract, view, "alice"), priv)
+        actions, _ = policy.step(observation(contract, view), priv)
         assert [(a.kind, a.params.get("from_index")) for a in actions] == [("backtrack", 0)]
 
     def test_active_submission_orphaned_after_a_match_is_challenged(self):
@@ -471,10 +473,10 @@ class TestSegmentMemo:
         at_block(contract, 10)
         contract.submit_extension("r", build_submission(view, view.best_tip(), 0, 35, 10))
         policy = make_policy("honest_relayer", "alice", {}, agent_seed=1)
-        actions, priv = policy.step(observation(contract, view, "alice"), {})
+        actions, priv = policy.step(observation(contract, view), {})
         assert actions == []  # matches my chain
         reorg(view, 20, 80)
-        actions, _ = policy.step(observation(contract, view, "alice", t=200), priv)
+        actions, _ = policy.step(observation(contract, view, t=200), priv)
         assert [a.kind for a in actions] == ["challenge_commitment"]
 
 
@@ -482,7 +484,7 @@ def reference_match(obs, i, cache):
     """Blocks of history entry i if they are on my tip's path, hash to its commitment and end
     in its tip header, else None; cache holds earlier answers for the same tip and entry."""
     entry = obs.bridge.history[i]
-    prior, range_b = segment_bounds(obs.bridge.history, i)
+    prior, range_b = obs.bridge.base(i)[1], entry.range
     key = (obs.tip, prior, range_b, entry.commitment, entry.tip_header.hash)
     if key not in cache:
         try:
@@ -537,14 +539,14 @@ class TestHistoryCursor:
         at_block(contract, deadline)
         contract.accept_on_timeout()
         policy = make_policy("greedy_reporter", "bob", {}, agent_seed=1)
-        assert cursor_answers(policy, observation(contract, view, "bob"), 60) == ([], 1)
+        assert cursor_answers(policy, observation(contract, view), 60) == ([], 1)
 
         sub = build_submission(view, view.best_tip(), 30, 40, contract.params.c)
         at_block(contract, deadline + 1)
         deadline = contract.backtrack("r", 1, sub)
         at_block(contract, deadline)
         contract.accept_on_timeout()
-        obs = observation(contract, view, "bob")
+        obs = observation(contract, view)
         assert cursor_answers(policy, obs, 60) == ([lock], None)
         self.assert_full_walk(policy, obs)
 
@@ -553,13 +555,13 @@ class TestHistoryCursor:
         contract, view = fresh_world(n_blocks=75, txs_at={3: locks[:1], 33: locks[1:]})
         accept_extension(contract, view, 0, 30)
         policy = make_policy("greedy_reporter", "bob", {}, agent_seed=1)
-        assert cursor_answers(policy, observation(contract, view, "bob"), 60) == (locks[:1], None)
+        assert cursor_answers(policy, observation(contract, view), 60) == (locks[:1], None)
 
         sub = build_submission(view, view.best_tip(), 0, 35, contract.params.c)
         contract.propose_deep_backtrack("m", 0, sub)
         contract.advance_to(contract.now_s + contract.params.deep_backtrack_delay_1_s)
         contract.finalize_deep_backtrack()
-        obs = observation(contract, view, "bob")
+        obs = observation(contract, view)
         assert cursor_answers(policy, obs, 60) == (locks, None)
         assert [blocks[-1].header.ordinal for _, blocks, _ in policy.committed_txs(obs)] == [35, 35]
         self.assert_full_walk(policy, obs)
@@ -569,10 +571,10 @@ class TestHistoryCursor:
         contract, view = fresh_world(txs_at={3: [lock]})
         accept_extension(contract, view, 0, 30)
         policy = make_policy("greedy_reporter", "bob", {}, agent_seed=1)
-        assert cursor_answers(policy, observation(contract, view, "bob"), 40) == ([lock], None)
+        assert cursor_answers(policy, observation(contract, view), 40) == ([lock], None)
 
         reorg(view, 2, 80)  # the lock's block is orphaned
-        obs = observation(contract, view, "bob")
+        obs = observation(contract, view)
         assert cursor_answers(policy, obs, 40) == ([], 0)
         self.assert_full_walk(policy, obs)
 
@@ -582,10 +584,10 @@ class TestHistoryCursor:
         accept_extension(contract, view, 0, 30)
         accept_extension(contract, view, 30, 55, at_eth=300)
         policy = make_policy("greedy_reporter", "bob", {}, agent_seed=1)
-        behind = dataclasses.replace(observation(contract, view, "bob"), tip=view.ancestor_at(view.best_tip(), 50))
+        behind = dataclasses.replace(observation(contract, view), tip=view.ancestor_at(view.best_tip(), 50))
         assert cursor_answers(policy, behind, 50) == (locks[:1], None)
 
-        obs = observation(contract, view, "bob")  # my tip now reaches entry 1's range
+        obs = observation(contract, view)  # my tip now reaches entry 1's range
         assert cursor_answers(policy, obs, 60) == (locks, None)
         self.assert_full_walk(policy, obs)
 
@@ -599,7 +601,7 @@ class TestHistoryCursor:
             cm = confirmed_max(obs.chain, obs.tip, obs.bridge.params.c)
             want = full_walk_committed_txs(obs, cache), full_walk_first_bogus(obs, cm, cache)
             assert (list(self.committed_txs(obs)), self.first_bogus_index(obs, cm)) == want, \
-                f"{self.name} at {obs.sim_time}"
+                f"{self.name} at {obs.bridge.now_s}"
             seen["turns"] += 1
             seen["with txs"] += bool(want[0])
             seen["with bogus"] += want[1] is not None
@@ -657,8 +659,8 @@ class TestPolicyPurity:
         p2 = make_policy("honest_relayer", "r", {}, agent_seed=9)
         priv1, priv2 = {}, {}
         for t in (100, 114, 128):
-            a1, priv1 = p1.step(observation(contract1, view1, "r", t=t), priv1)
-            a2, priv2 = p2.step(observation(contract2, view2, "r", t=t), priv2)
+            a1, priv1 = p1.step(observation(contract1, view1, t=t), priv1)
+            a2, priv2 = p2.step(observation(contract2, view2, t=t), priv2)
             assert [a.kind for a in a1] == ["submit_extension"]
             assert a1 == a2
             assert priv1 == priv2
@@ -671,7 +673,7 @@ class TestPolicyPurity:
         contract.submit_extension("other", build_submission(view, view.best_tip(), 0, 35, 10))
         policy = make_policy("dos_challenger", "r", {}, agent_seed=9)
         priv_in = {"rounds": 2}
-        actions, priv_out = policy.step(observation(contract, view, "r"), priv_in)
+        actions, priv_out = policy.step(observation(contract, view), priv_in)
         assert priv_in == {"rounds": 2}
         assert [a.kind for a in actions] == ["challenge_range"]
         assert priv_out["rounds"] == 1
@@ -680,7 +682,7 @@ class TestPolicyPurity:
         contract, view, locks = locks_world(2)
         policy = make_policy("greedy_reporter", "bob", {}, agent_seed=9)
         priv_in = {"reported": {locks[0].tx_id}}
-        actions, priv_out = policy.step(observation(contract, view, "bob"), priv_in)
+        actions, priv_out = policy.step(observation(contract, view), priv_in)
         assert priv_in == {"reported": {locks[0].tx_id}}
         assert [a.params["report"].tx for a in actions] == [locks[1]]
         assert priv_out["reported"] == {locks[0].tx_id, locks[1].tx_id}

@@ -428,7 +428,7 @@ class TestDelayedVisibility:
         from pegsim.harness.runner import SimulationRunner
 
         runner = SimulationRunner(load_config(str(SCENARIO_DIR / "fuzz_random.json")))
-        relay2 = next(a for a in runner.agents if a.name == "relay2")
+        relay2 = next(a for a in runner.agents if a.policy.name == "relay2")
         assert relay2.visibility_delay_s == 31
         observe, lagged = runner._observe, []
 
@@ -476,7 +476,8 @@ class TestTurnSkipping:
                 return False
             assert key[1] == runner.view.best_tip(runner.contract.now_s - agent.visibility_delay_s)
             obs = runner._observe(agent, key[1], key[2])
-            assert agent.policy.step(obs, agent.priv) == ([], agent.priv), f"{agent.name} at {obs.sim_time}"
+            assert agent.policy.step(obs, agent.priv) == ([], agent.priv), \
+                f"{agent.policy.name} at {runner.contract.now_s}"
             skipped[type(agent.policy)] += 1
             return True
 
@@ -625,12 +626,55 @@ class TestSendDoge:
         agent = runner.agents[0]
         before = (dict(runner.doge_balances), dict(runner._nonces), list(runner.mempool))
         for amount, memo in ((2**64, b""), (1, b"m" * 256)):
-            send = Action("send_doge", {"sender": agent.doge_addr, "receiver": doge_address("x"),
+            send = Action("send_doge", {"sender": agent.policy.doge_addr, "receiver": doge_address("x"),
                                         "amount": amount, "memo": memo})
             with pytest.raises(EncodingError):  # a SimError: the turn records action_rejected
-                runner._apply_action(agent, send)
+                runner._apply_action(agent.policy, send)
         assert issubclass(EncodingError, SimError)
         assert (runner.doge_balances, runner._nonces, runner.mempool) == before
+
+
+class TestAgentFacts:
+    """An agent's name and DOGE address live on its policy; its clock and ETH on the contract."""
+
+    def test_each_policy_holds_its_agents_address_and_the_runner_funds_it(self):
+        from pegsim.chainsim import doge_address
+        from pegsim.harness.runner import SimulationRunner
+
+        paths = sorted(SCENARIO_DIR.glob("*.json"))
+        assert paths
+        for path in paths:
+            config = load_config(str(path))
+            runner = SimulationRunner(config)
+            assert [(a.policy.name, a.policy.doge_addr) for a in runner.agents] == \
+                [(spec.name, doge_address(spec.name)) for spec in config.agents], path.stem
+            assert runner.doge_balances == \
+                {doge_address(spec.name): spec.doge for spec in config.agents if spec.doge}, path.stem
+
+    def test_a_stepped_policy_reads_the_turn_time_off_the_contract(self, monkeypatch):
+        """Every time threshold a policy tests during a run is compared with the time of the turn
+        being stepped, which the observation's contract holds."""
+        import pegsim.agents as agents
+        from pegsim.harness.runner import SimulationRunner
+
+        runner = SimulationRunner(load_config(str(SCENARIO_DIR / "lifecycle_happy_path.json")))
+        handle, reached, turn, answers = runner._handle, agents.reached, [None], Counter()
+
+        def handling(t, event):
+            turn[0] = t if event[0] == "turns" else None
+            handle(t, event)
+
+        def spied(obs, priv, t):
+            answer = reached(obs, priv, t)
+            assert obs.bridge is runner.contract and obs.bridge.now_s == turn[0]
+            assert answer == (turn[0] >= t), (turn[0], t)
+            answers[answer] += 1
+            return answer
+
+        runner._handle = handling
+        monkeypatch.setattr(agents, "reached", spied)
+        runner.run()
+        assert answers[True] > 0 and answers[False] > 0, answers
 
 
 class TestCli:
