@@ -409,7 +409,9 @@ class BridgeContract:
         index is the number of history entries the extension keeps, as a
         backtrack's from_index; None extends the whole history.
         """
-        return history_base(self.history, len(self.history) if index is None else index)
+        index = len(self.history) if index is None else index
+        tip_header = self.history[index - 1].tip_header if index > 0 else None
+        return tip_header, date_of(tip_header)
 
     @staticmethod
     def _unsettled_escrow(burns) -> int:
@@ -452,7 +454,11 @@ class BridgeContract:
         }
 
     def state_digest(self) -> str:
-        """SHA-256 over the canonical JSON encoding of the full contract state."""
+        """SHA-256 over the canonical JSON of the contract's ledgers and records.  Two states share a digest
+        if they differ only in the clock, last_progress_s, the next submission number, the active claim's
+        witness or tip hash, a bridge's crossing_fee, a registration's crosser_doge or lock_bounty, a burn's
+        dest or history_len_at_burn, a thread's proof_deadline_s or proof (only whether it has one counts),
+        or the deep proposal's submission."""
         doc = {
             "current_date": self.current_date,
             "relay_mode": self.relay_mode,
@@ -1233,12 +1239,6 @@ def build_submission(view: ChainView, tip: bytes, prior_date: int, range_b: int,
     return proven_submission(prove_extension_for(view, tip, prior_date, range_b, c))
 
 
-def history_base(history: List[HistoryEntry], index: int) -> Tuple[Optional[BlockHeader], int]:
-    """(tip header, date) after the first index entries of a history."""
-    tip_header = history[index - 1].tip_header if index > 0 else None
-    return tip_header, date_of(tip_header)
-
-
 def tx_report(history_index: int, blocks: Sequence[Block], tx: Transaction) -> TxReport:
     """Report a transaction out of the committed blocks of history entry history_index.
 
@@ -1255,5 +1255,5 @@ def build_tx_report(view: ChainView, tip: bytes, history: List[HistoryEntry],
     Only works when the view's path actually matches the committed segment;
     raises ValueError when the transaction is not in that segment.
     """
-    prior = history_base(history, history_index)[1]
+    prior = history[history_index - 1].range if history_index > 0 else 0
     return tx_report(history_index, view.path_blocks(tip, prior + 1, history[history_index].range), tx)

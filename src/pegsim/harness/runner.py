@@ -2,9 +2,11 @@
 
 Every state transition lands in the trace as one JSON-safe event carrying the
 contract's aggregate snapshot and state digest, so the auditor can re-check
-the economic invariants without consulting the live objects; a doge_block
-directly after another carries a copy of that block's snapshot.  A fixed
-(config, seed) pair replays to a byte-identical trace.
+the economic invariants without consulting the live objects.  A call that
+changes the contract writes an event after the change, so only genesis and
+the contract's own events compute a snapshot, and every other event copies
+the one before it.  A fixed (config, seed) pair replays to a byte-identical
+trace.
 """
 
 from __future__ import annotations
@@ -103,8 +105,8 @@ class SimulationRunner:
     # -- trace plumbing ------------------------------------------------------
 
     def _record(self, kind: str, actor: str, payload: dict) -> None:
-        if kind == "doge_block" and self.events and self.events[-1]["kind"] == "doge_block":
-            # no event since the previous block, so no call has changed the contract (see _asleep)
+        if kind in ("doge_block", "doge_tx", "action_rejected", "run_summary"):
+            # the runner's own kinds but genesis follow no contract change: see the module docstring
             agg, digest = dict(self.events[-1]["agg"]), self.events[-1]["digest"]
             agg.update(supply=dict(agg["supply"]), backing=dict(agg["backing"]),
                        queues={y: list(q) for y, q in agg["queues"].items()})
@@ -178,8 +180,7 @@ class SimulationRunner:
     def _asleep(self, agent: _AgentRuntime, key: tuple) -> bool:
         """Whether the agent did nothing at a turn with this key, (trace events, visible tip, true
         rate), and its wake (none: the next turn) has not come.  Each change to the contract, doge
-        balances or chain is an event, and ETH moves only through contract calls: so it would again.
-        _record's reuse of a doge_block's snapshot rests on the same event-count invariant."""
+        balances or chain is an event, and ETH moves only through contract calls: so it would again."""
         now = self.contract.now_s
         return key == agent.idle and now < agent.priv.get(WAKE, now)
 
@@ -349,14 +350,21 @@ class ReplayResult:
 
 
 def replay_check(config: ScenarioConfig, trace: Trace) -> ReplayResult:
-    """Re-run the config and compare digests event by event."""
-    fresh = run(config)
-    old, new = trace.events, fresh.events
+    """Re-run the config and compare whole events, naming the first field that differs."""
+    old, new = trace.events, run(config).events
     for i, (a, b) in enumerate(zip(old, new)):
-        if a.get("digest") != b.get("digest") or a.get("kind") != b.get("kind"):
-            return ReplayResult(False, i, f"event {i}: {a.get('kind')}/{str(a.get('digest', ''))[:12]} "
-                                          f"vs {b.get('kind')}/{b['digest'][:12]}")
+        if a != b:
+            return ReplayResult(False, i, f"event {i} ({b['kind']}): {_first_difference(a, b)}")
     if len(old) != len(new):
         return ReplayResult(False, min(len(old), len(new)),
                             f"length mismatch: {len(old)} vs {len(new)}")
     return ReplayResult(True)
+
+
+def _first_difference(a: dict, b: dict) -> str:
+    """The first field, in the re-run's order, where trace event a and re-run event b differ."""
+    key = next(k for k in [*b, *a] if k not in a or k not in b or a[k] != b[k])
+    x, y = a.get(key, "<absent>"), b.get(key, "<absent>")
+    if isinstance(x, dict) and isinstance(y, dict):
+        return f"{key}.{_first_difference(x, y)}"
+    return f"{key}: {x!r} vs {y!r}"

@@ -7,7 +7,7 @@ also be the declared defaults.  The long-horizon runs (fuzz_random at seed
 offsets 0-2, at x1 and x8 its end.sim_time) must reproduce their digest,
 event count, blocks mined and `fired`.  Every event kind the contract emits
 is in a corpus trace, or is listed in REACHED_OUTSIDE_THE_CORPUS with the test
-that reaches it.
+that reaches it, and none is a kind the runner records itself.
 
 A change that alters behaviour on purpose re-records the goldens with
 `python3 pegbench/run.py --workload <corpus|long_horizon> --seed 0 --write-golden` and says
@@ -26,6 +26,7 @@ import pytest
 
 from pegsim import bridge
 from pegsim.harness import SimulationRunner, load_config, parse_config, run
+from pegsim.harness import runner as runner_module
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = sorted((ROOT / "scenarios").glob("*.json"))
@@ -82,11 +83,28 @@ REACHED_OUTSIDE_THE_CORPUS = {
 }
 
 
+def called_kinds(module, method):
+    """The first argument of each call of method in module's source."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    return {node.args[0].value for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == method}
+
+
 def contract_event_kinds():
     """The event kinds BridgeContract can emit: the first argument of each _emit call in bridge.py."""
-    tree = ast.parse(Path(bridge.__file__).read_text())
-    return {node.args[0].value for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_emit"}
+    return called_kinds(bridge, "_emit")
+
+
+def runner_event_kinds():
+    """The event kinds the runner records itself: the first argument of each _record call in runner.py."""
+    return called_kinds(runner_module, "_record")
+
+
+def test_the_contract_emits_no_kind_the_runner_records_itself():
+    """Of the runner's own kinds only genesis computes a snapshot; the rest copy the snapshot of the event
+    before them, which is sound only while no contract call writes them."""
+    assert runner_event_kinds() == {"genesis", "doge_block", "doge_tx", "action_rejected", "run_summary"}
+    assert not contract_event_kinds() & runner_event_kinds()
 
 
 def test_every_contract_event_kind_is_in_the_corpus_or_reached_elsewhere():

@@ -19,7 +19,7 @@ from pegsim.harness.cli import main as cli_main
 from pegsim.harness.runner import Trace
 
 from test_contract_fuzz import CALLS
-from test_golden import corpus_run
+from test_golden import corpus_run, runner_event_kinds
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 GOLDEN = json.loads((SCENARIO_DIR.parent / "pegbench" / "golden.json").read_text())["corpus"]["runs"]
@@ -261,6 +261,22 @@ class TestRunAndReplay:
         result = replay_check(config, truncated)
         assert not result
         assert result.first_divergence == len(truncated.events)
+
+    @pytest.mark.parametrize("kind,field,value,named", [
+        ("open_bridge", "payload", {"crossing_fee": 7}, "payload.crossing_fee: 7 vs 0"),
+        ("open_bridge", "actor", "mallory", "actor: 'mallory' vs 'op1'"),
+        ("doge_block", "t", 1, "t: 1 vs "),
+    ], ids=["payload", "actor", "time"])
+    def test_replay_check_compares_whole_events(self, kind, field, value, named):
+        """A field the digest leaves out still diverges: the open_bridge crossing fee, an actor, a time."""
+        config = load_config(str(SCENARIO_DIR / "lifecycle_happy_path.json"))
+        events = [json.loads(line) for line in run(config).lines()]
+        assert replay_check(config, Trace(events))  # a re-run equals its JSON round trip
+        event = next(e for e in events if e["kind"] == kind)
+        event[field] = {**event[field], **value} if isinstance(value, dict) else value
+        result = replay_check(config, Trace(events))
+        assert not result and result.first_divergence == event["seq"]
+        assert f"event {event['seq']} ({kind}): {named}" in result.detail, result.detail
 
 
 class TestAudit:
@@ -524,8 +540,9 @@ def _containers(value):
 
 
 class TestSnapshotReuse:
-    """A doge_block directly after another carries a copy of that block's snapshot.  This and
-    turn skipping both rest on one premise: a call that changes the contract writes an event."""
+    """Only genesis and the contract's own events compute a snapshot; every other event the runner
+    records copies the one before it.  This and turn skipping both rest on one premise: a call that
+    changes the contract writes an event after the change."""
 
     def test_every_recorded_snapshot_equals_a_fresh_one(self, monkeypatch):
         from pegsim.bridge import BridgeContract
@@ -555,8 +572,10 @@ class TestSnapshotReuse:
             events = SimulationRunner(config).run().events
             owners = Counter(id(obj) for event in events for obj in _containers(event["agg"]))
             assert max(owners.values()) == 1, config.name
-        # the last run is fuzz_random x8: the runner must have reused most of its snapshots
-        assert len(events) == 990 and digests[0] <= 200, digests[0]
+        # the last run is fuzz_random x8: genesis and each contract event computed one digest
+        own = runner_event_kinds()
+        computed = 1 + sum(event["kind"] not in own for event in events)
+        assert (len(events), digests[0]) == (990, computed) and computed == 120, digests[0]
 
     def test_a_call_that_changes_the_contract_writes_an_event(self, monkeypatch):
         from pegsim.bridge import BridgeContract
