@@ -57,7 +57,6 @@ from .errors import (
     ProposalPending,
     RangeNotAhead,
     RangeTooLong,
-    SecondChallenge,
     SimError,
     TooDeep,
     TooLate,
@@ -524,9 +523,8 @@ class BridgeContract:
         k = eth_per_doge(y)
         if x % k != 0:
             raise BadCollateral(f"collateral {x} not a multiple of 1/y = {k}")
-        for b in self.bridges.values():
-            if b.head == head and b.state != "closed":
-                raise HeadInUse(head.hex())
+        if self._bridge_at(head) is not None:
+            raise HeadInUse(head.hex())
         self._inflow(operator, x + burn_bounty)
         bid = len(self.bridges)
         bridge = Bridge(
@@ -546,11 +544,9 @@ class BridgeContract:
         )
         return bid
 
-    def _open_bridge_by_head(self, head: bytes) -> Optional[Bridge]:
-        for b in self.bridges.values():
-            if b.head == head and b.state == "open":
-                return b
-        return None
+    def _bridge_at(self, head: bytes) -> Optional[Bridge]:
+        """The bridge at head that has not closed, if any: open_bridge lets no two such bridges share a head."""
+        return next((b for b in self.bridges.values() if b.head == head and b.state != "closed"), None)
 
     def register_crossing(
         self,
@@ -560,8 +556,8 @@ class BridgeContract:
         crosser_doge: bytes,
         lock_bounty: int = 0,
     ) -> Registration:
-        bridge = self._open_bridge_by_head(head)
-        if bridge is None:
+        bridge = self._bridge_at(head)
+        if bridge is None or bridge.state != "open":
             raise UnknownHead(head.hex())
         if head in self.registrations:
             raise AlreadyRegistered(head.hex())
@@ -734,10 +730,8 @@ class BridgeContract:
 
         The contract forks: the relay returns to Listening without appending,
         while a proof thread awaits the active relayer's extension proof.
-        Only the first such challenge against a submission is considered.
+        The first challenge returns the relay to Listening, so a second is refused as NotVerifying.
         """
-        if self.active is None and any(not t.resolved for t in self.threads.values()):
-            raise SecondChallenge("a commitment challenge is already pending")
         active = self._check_challenge(challenger)
         prior_tip, prior_date = self.base(active.backtrack_from)
         ext_len = active.sub.range - prior_date
@@ -850,7 +844,8 @@ class BridgeContract:
         """Why a report does not evidence its transaction, or None.
 
         The indexed commitment must exist, must not precede min_index, and
-        must hold the transaction under the report's Merkle path.
+        must hold the transaction under the report's Merkle path; last, the
+        transaction must not have been used by an earlier report.
         """
         if not 0 <= report.history_index < len(self.history):
             return "no such commitment"
@@ -858,6 +853,8 @@ class BridgeContract:
             return "commitment predates burn"
         if not merkle_verify(self.history[report.history_index].commitment, report.tx.encode(), report.leaf_proof):
             return "bad proof"
+        if report.tx.tx_id in self.used_txs:
+            return "transaction used"
         return None
 
     def _ignored(self, reporter: str, report_kind: str, reason: str) -> str:
@@ -876,11 +873,9 @@ class BridgeContract:
         reason = self._evidence_fault(report)
         if reason is not None:
             return self._ignored(reporter, "lock", reason)
-        bridge = self._open_bridge_by_head(tx.receiver)
-        if bridge is None:
+        bridge = self._bridge_at(tx.receiver)
+        if bridge is None or bridge.state != "open":
             return self._ignored(reporter, "lock", "receiver not an open bridge head")
-        if tx.tx_id in self.used_txs:
-            return self._ignored(reporter, "lock", "transaction used")
         reg = self.registrations.get(tx.receiver)
         if reg is not None:
             if reg.crosser_doge != tx.sender:
@@ -1032,8 +1027,6 @@ class BridgeContract:
         reason = self._evidence_fault(report, burn.history_len_at_burn)
         if reason is not None:
             return self._ignored(reporter, "unlock", reason)
-        if tx.tx_id in self.used_txs:
-            return self._ignored(reporter, "unlock", "transaction used")
         if tx.receiver != burn.dest:
             return self._ignored(reporter, "unlock", "wrong receiver")
         for portion in burn.portions:
@@ -1094,12 +1087,8 @@ class BridgeContract:
         reason = self._evidence_fault(report)
         if reason is not None:
             return self._ignored(hodler, "missing", reason)
-        if tx.tx_id in self.used_txs:
-            return self._ignored(hodler, "missing", "transaction used")
-        for bridge in self.bridges.values():
-            if bridge.head == tx.sender and bridge.y == y and bridge.state in ("queued", "escrowed"):
-                break
-        else:
+        bridge = self._bridge_at(tx.sender)
+        if bridge is None or bridge.y != y or bridge.state == "open":
             return self._ignored(hodler, "missing", "sender is not a live bridge head at this rate")
         if tx.amount < n:
             return self._ignored(hodler, "missing", "moved amount below burn")
@@ -1217,7 +1206,7 @@ class BridgeContract:
 
 
 # ---------------------------------------------------------------------------
-# chain-facing builders (shared by agent policies and tests)
+# chain-facing builders (shared by agent policies, tests and the README's library quick start)
 # ---------------------------------------------------------------------------
 
 

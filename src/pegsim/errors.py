@@ -1,7 +1,7 @@
 """Exception types raised by the simulator.
 
-Operations that the contract "ignores" (bad reports, second challenges against
-the same submission) do not raise; they return an outcome value instead.
+Operations that the contract "ignores" (bad reports, range challenges short by
+less than d) do not raise; they return an outcome value instead.
 Everything here signals a caller error or a rejected state transition.
 """
 
@@ -95,10 +95,6 @@ class NotVerifying(SimError):
 
 
 class WindowElapsed(SimError):
-    pass
-
-
-class SecondChallenge(SimError):
     pass
 
 

@@ -139,15 +139,9 @@ def verify_extension_proof(
     if not revealed:
         return "BadLength"
 
-    err = _chain_ok(revealed, None, prior_date)
+    err = _chain_ok(revealed, None if prior_tip_header is None else prior_tip_header.hash, prior_date)
     if err:
         return err
-
-    if prior_tip_header is not None and revealed[0].parent != prior_tip_header.hash:
-        return "NotExtendingHistory"
-
-    if witness[0].parent != revealed[-1].hash:
-        return "WitnessNotExtending"
     err = _chain_ok(witness, revealed[-1].hash, revealed[-1].ordinal)
     if err:
         return err

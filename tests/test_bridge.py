@@ -42,10 +42,10 @@ from pegsim.errors import (
     NotElapsed,
     NotListening,
     NotStuck,
+    NotVerifying,
     PastEvent,
     RangeNotAhead,
     RangeTooLong,
-    SecondChallenge,
     SimError,
     TooDeep,
     WindowElapsed,
@@ -457,7 +457,7 @@ class TestChallengeCommitmentAndProofs:
         at_block(contract, 20)
         contract.challenge_commitment(R2)
         at_block(contract, 21)
-        with pytest.raises(SecondChallenge):
+        with pytest.raises(NotVerifying):
             contract.challenge_commitment(R2)
 
     def test_vindicated_relayer_paid_by_challenger(self):
@@ -640,9 +640,11 @@ class TestMinting:
     def test_replay_ignored(self):
         contract = fresh()
         view, tip, bid, lock_tx = minted_bridge(contract)
+        reasons = ignored_reasons(contract)
         report = build_tx_report(view, tip, contract.history, 0, lock_tx)
         assert contract.report_lock(BOB, report) == "ignored"
         assert contract.wow_supply[Y100] == 1000
+        assert reasons == ["transaction used"]  # refused as used before its bridge's state is read
 
     def test_shortfall_refunds_proportional_collateral(self):
         contract = fresh()

@@ -353,6 +353,22 @@ class TestAudit:
         Trace(events).write(str(path))
         assert cli_main(["audit", str(path)]) == 2
 
+    def test_a_field_of_an_unexpected_type_is_a_parse_error(self, tmp_path):
+        """No declared check covers a snapshot's backing; as a list it still ends in a ParseError, not a
+        traceback, and `pegsim audit` exits 2."""
+        event = {"seq": 0, "kind": "mint", "payload": {"y": "1/1000", "minted": 1, "bridge_id": 0},
+                 "agg": {"supply": {"1/1000": 1}, "backing": [1000]}}
+        with pytest.raises(ParseError, match="malformed event 0: AttributeError"):
+            audit([event])
+        path = tmp_path / "trace.ndjson"
+        Trace([event]).write(str(path))
+        assert cli_main(["audit", str(path)]) == 2
+
+    @pytest.mark.parametrize("event", [5, "mint", [0], None])
+    def test_an_event_that_is_not_an_object_is_a_parse_error(self, event):
+        with pytest.raises(ParseError, match="not an event object"):
+            audit([event])
+
     @pytest.mark.parametrize("rate", ["1e10000000", "1/0x10", " 1/1000", "1_000", "0.001", "-1/1000"])
     def test_rate_outside_the_integer_grammar_is_a_parse_error(self, rate):
         event = {"seq": 0, "kind": "genesis", "payload": {}, "agg": {"supply": {rate: 0}, "backing": {}}}
@@ -652,6 +668,32 @@ class TestSendDoge:
         assert issubclass(EncodingError, SimError)
         assert (runner.doge_balances, runner._nonces, runner.mempool) == before
 
+    @pytest.mark.parametrize("own, amount, detail", [
+        (False, 1, "relay1 does not control sender address"),
+        (True, 101, "holds 100, sends 101"),
+        (True, 0, "holds 100, sends 0"),
+    ], ids=["foreign-sender", "overdraft", "zero"])
+    def test_a_refused_transfer_is_recorded_and_changes_nothing(self, monkeypatch, own, amount, detail):
+        from pegsim.agents import Action
+        from pegsim.chainsim import doge_address
+        from pegsim.harness.runner import SimulationRunner
+
+        doc = mini_config()
+        doc["agents"][0]["doge"] = 100
+        runner = SimulationRunner(parse_config(doc))
+        policy = runner.agents[0].policy
+        send = Action("send_doge", {"sender": policy.doge_addr if own else doge_address("someone else"),
+                                    "receiver": doge_address("x"), "amount": amount, "memo": b""})
+        monkeypatch.setattr(policy, "step", lambda obs, priv: ([send], priv))
+        runner._record("genesis", "system", {})
+        before = (dict(runner.doge_balances), dict(runner._nonces), list(runner.mempool))
+        runner._handle(runner.clock.eth_block_seconds, ("turns", {}))
+        assert [e["kind"] for e in runner.events] == ["genesis", "action_rejected"]
+        rejected = runner.events[-1]["payload"]
+        assert (rejected["action"], rejected["error"]) == ("send_doge", "SimError")
+        assert detail in rejected["detail"]
+        assert (runner.doge_balances, runner._nonces, runner.mempool) == before
+
 
 class TestAgentFacts:
     """An agent's name and DOGE address live on its policy; its clock and ETH on the contract."""
@@ -705,6 +747,25 @@ class TestCli:
         assert cli_main(["audit", str(trace_path)]) == 0
         assert cli_main(["replay", str(config_path), str(trace_path)]) == 0
         assert cli_main(["replay", str(config_path), str(trace_path), "--seed", "99"]) == 1
+
+    def test_tampered_trace_exits_1_and_prints_its_violations(self, tmp_path, capsys):
+        config_path = tmp_path / "mini.json"
+        config_path.write_text(json.dumps(mini_config()))
+        trace_path = tmp_path / "trace.ndjson"
+        assert cli_main(["run", str(config_path), "--out", str(trace_path)]) == 0
+        events = Trace.read(str(trace_path)).events
+        events[-1]["agg"]["paid"] += 1
+        Trace(events).write(str(trace_path))
+        capsys.readouterr()
+        assert cli_main(["audit", str(trace_path)]) == 1
+        out = capsys.readouterr().out
+        assert "VIOLATIONS (1):" in out and f"seq {events[-1]['seq']}: [EthConservation]" in out
+
+    def test_missing_trace_exits_2_without_a_traceback(self, tmp_path, capsys):
+        missing = tmp_path / "absent.ndjson"
+        assert cli_main(["audit", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert str(missing) in err and "Traceback" not in err
 
     def test_bad_config_exits_2(self, tmp_path):
         config_path = tmp_path / "bad.json"

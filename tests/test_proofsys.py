@@ -114,7 +114,17 @@ class TestVerify:
             BlockHeader(stranger.parent, stranger.tx_root, 1, 0, 12, TARGET),
             sub1, mismatched, PARAMS,
         )
-        assert res in ("NotExtendingHistory", "BadPoW", "BadOrdinal")
+        assert res == "BadLink"
+
+    def test_witness_off_the_last_revealed_header_is_a_bad_link(self):
+        view, tip, sub, proof, prior = self.roundtrip()
+        # a valid block at ordinal 31 mined on a sibling of block 30, not on block 30
+        sibling = view.mine_block(view.ancestor_at(tip, 29), [], time=62 * 30 + 1, seed=1)
+        assert view.add_block(sibling, 62 * 30 + 1) is None
+        stray = view.mine_block(sibling.header.hash, [], time=62 * 31 + 1, seed=2).header
+        assert stray.ordinal == 31 and stray.parent != proof.revealed_headers[-1].hash
+        forked = ExtensionProof(proof.revealed_headers, (stray,) + proof.witness_headers[1:], proof.txs_per_block)
+        assert verify_extension_proof(prior, sub, forked, PARAMS) == "BadLink"
 
     def test_commitment_mismatch(self):
         _, _, sub, proof, prior = self.roundtrip()
