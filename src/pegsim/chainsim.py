@@ -11,16 +11,18 @@ is refused (EncodingError), never reduced.  A header's PoW digest and a
 transaction's id are computed once, when the value is built.  The nonce search
 encodes a header's fields once and changes only the nonce bytes between
 attempts, wrapping from 2^64 - 1 to 0; for sha256d it hashes the fixed 80-byte
-prefix once and resumes from that midstate per nonce.  It builds the winning
-header once, from the digest it found.
+prefix once and resumes from that midstate per nonce; any other PoW function
+runs POW_WIDTH nonces at once, on the caller's thread and on helper threads,
+the only work off it.  The winning header is built from the digest found.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
-from itertools import chain
+from itertools import chain, islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import EncodingError, UnknownParent, RangeUnavailable
@@ -136,8 +138,30 @@ POW_FNS = {
 
 
 def pow_digest(pow_fn: str, data: bytes) -> bytes:
-    """The one PoW evaluation, over a header's encoding; a header stores it as `hash`."""
+    """A header's PoW digest, over its encoding; a header stores it as `hash`."""
     return POW_FNS[pow_fn](data)
+
+
+# CPUs this process may run on, at most 4: at ~64 attempts a block, wider windows add mostly wasted 128 KiB digests
+POW_WIDTH = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+_pow_helpers = None  # POW_WIDTH - 1 threads, started by the first search that needs them
+
+
+def _pow_windows(evaluate, prefix: bytes, suffix: bytes, nonces):
+    """(nonce, digest) in nonce order, POW_WIDTH at once (one on this thread); a window ends before it yields or raises."""
+    global _pow_helpers
+    while window := list(islice(nonces, POW_WIDTH)):
+        encodings = [prefix + nonce.to_bytes(8, "big") + suffix for nonce in window]
+        if _pow_helpers is None and len(window) > 1:
+            from concurrent.futures import ThreadPoolExecutor
+            _pow_helpers = ThreadPoolExecutor(POW_WIDTH - 1, thread_name_prefix="pegsim-pow")
+        futures = [_pow_helpers.submit(evaluate, data) for data in encodings[1:]]
+        try:
+            first = evaluate(encodings[0])
+        finally:
+            for future in futures:
+                future.exception()  # waits for it without raising
+        yield from zip(window, [first] + [future.result() for future in futures])
 
 
 _HEADER_FIELDS = tuple(f.name for f in fields(BlockHeader))  # `hash` last
@@ -176,9 +200,9 @@ def search_pow(
 ) -> Tuple[BlockHeader, int]:
     """Deterministic nonce search from a seeded start; returns (header, attempts).
 
-    Nonces count up from the start and wrap from 2^64 - 1 to 0.  For sha256d
-    the fixed 80-byte prefix is hashed once and each attempt resumes from that
-    midstate; other PoW functions hash the whole encoding through pow_digest.
+    Nonces count up from the start, wrapping from 2^64 - 1 to 0; the first digest
+    below the target wins.  sha256d resumes each attempt from the midstate of
+    the fixed 80-byte prefix; other PoW functions go through _pow_windows.
     """
     # seed is not an encoded field: callers pass agent_seed + offset, which may reach 2^64
     start = int.from_bytes(sha256(b"nonce/" + _u64(seed % MAX_U64) + parent + tx_root + _u64(ordinal))[:8], "big")
@@ -197,8 +221,7 @@ def search_pow(
             if digest < suffix:
                 break
     else:
-        for nonce in nonces:
-            digest = pow_digest(pow_fn, prefix + nonce.to_bytes(8, "big") + suffix)
+        for nonce, digest in _pow_windows(POW_FNS[pow_fn], prefix, suffix, nonces):
             if digest < suffix:
                 break
     return _found_header(parent, tx_root, ordinal, timestamp, nonce, target, pow_fn, digest), (nonce - start) % MAX_U64 + 1

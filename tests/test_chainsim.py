@@ -2,8 +2,12 @@
 
 import dataclasses
 import hashlib
+import os
 import signal
 import statistics
+import threading
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -67,17 +71,40 @@ class TestPow:
         assert header.pow_fn == "scrypt"
 
 
+def nonce_start(parent, tx_root, ordinal, seed):
+    return int.from_bytes(hashlib.sha256(b"nonce/" + (seed % MAX_U64).to_bytes(8, "big") + parent + tx_root
+                                         + ordinal.to_bytes(8, "big")).digest()[:8], "big")
+
+
 def reference_search(parent, tx_root, ordinal, timestamp, target, pow_fn="sha256d", seed=0):
     """The nonce search written plainly: one BlockHeader built, and its digest computed, per attempt."""
-    start = hashlib.sha256(b"nonce/" + (seed % MAX_U64).to_bytes(8, "big") + parent + tx_root
-                           + ordinal.to_bytes(8, "big")).digest()[:8]
-    nonce, attempts = int.from_bytes(start, "big"), 0
+    nonce, attempts = nonce_start(parent, tx_root, ordinal, seed), 0
     while True:
         attempts += 1
         header = BlockHeader(parent, tx_root, ordinal, timestamp, nonce, target, pow_fn)
         if pow_check(header):
             return header, attempts
         nonce = (nonce + 1) % MAX_U64
+
+
+WIDTHS = (1, 2, 3, 5)
+
+
+@contextmanager
+def windows_of(width):
+    """search_pow evaluating `width` nonces at once, on helper threads of its own that are shut down after."""
+    saved = chainsim.POW_WIDTH, chainsim._pow_helpers
+    chainsim.POW_WIDTH, chainsim._pow_helpers = width, None
+    try:
+        yield
+    finally:
+        if chainsim._pow_helpers is not None:
+            chainsim._pow_helpers.shutdown()
+        chainsim.POW_WIDTH, chainsim._pow_helpers = saved
+
+
+def nonce_of(data):
+    return int.from_bytes(data[-40:-32], "big")
 
 
 def search_inputs(seed):
@@ -118,13 +145,16 @@ class TestNonceSearch:
 
         def edge(data):
             # by nonce mod 3: one above the target, the target itself, one below
-            nonce = int.from_bytes(data[-40:-32], "big")
+            nonce = nonce_of(data)
+            if (nonce - start) % MAX_U64 >= 3 + chainsim.POW_WIDTH:
+                raise AssertionError(f"nonce {nonce} evaluated: the search skipped the passing one before it")
             return (target + 1 - nonce % 3).to_bytes(32, "big")
 
         monkeypatch.setitem(POW_FNS, "edge", edge)
         met_the_target = 0
         for seed in range(20):
             args = search_inputs(seed) + (target, "edge")
+            start = nonce_start(*args[:3], seed)
             got = search_pow(*args, seed=seed)
             self.assert_same_search(got, reference_search(*args, seed=seed))
             assert got[0].hash == (target - 1).to_bytes(32, "big")
@@ -141,27 +171,91 @@ class TestNonceSearch:
 
     @pytest.mark.parametrize("pow_fn", ["sha256d", "edge"])
     def test_a_start_two_below_2_64_wraps_to_zero(self, monkeypatch, pow_fn):
+        # at every window width: the windows straddle the wrap, and none may drop a nonce
         target, start = 1 << 254, MAX_U64 - 2
 
         def edge(data):
-            # only nonce 1, the second past the wrap, beats the target
-            return (target - (int.from_bytes(data[-40:-32], "big") == 1)).to_bytes(32, "big")
+            # only nonce 1, the second past the wrap, beats the target; a search reaching 64 has skipped it
+            if 64 <= nonce_of(data) < start:
+                raise AssertionError(f"nonce {nonce_of(data)} evaluated: the search skipped nonce 1")
+            return (target - (nonce_of(data) == 1)).to_bytes(32, "big")
 
         def forced_start(data):
             return start.to_bytes(8, "big") if data.startswith(b"nonce/") else hashlib.sha256(data).digest()
 
         monkeypatch.setitem(POW_FNS, "edge", edge)
         monkeypatch.setattr(chainsim, "sha256", forced_start)
-        wrapped = 0
-        for seed in range(20):
-            args = search_inputs(seed) + (target, pow_fn)
-            tried = (BlockHeader(*args[:4], (start + i) % MAX_U64, target, pow_fn) for i in range(MAX_U64))
-            want = next((header, i + 1) for i, header in enumerate(tried) if pow_check(header))
-            self.assert_same_search(search_pow(*args, seed=seed), want)
-            wrapped += want[0].nonce < start
-        assert wrapped >= 5
-        if pow_fn == "edge":
-            assert wrapped == 20 and want[0].nonce == 1 and want[1] == 4
+        for width in WIDTHS:
+            wrapped = 0
+            with windows_of(width):
+                for seed in range(20):
+                    args = search_inputs(seed) + (target, pow_fn)
+                    tried = (BlockHeader(*args[:4], (start + i) % MAX_U64, target, pow_fn) for i in range(MAX_U64))
+                    want = next((header, i + 1) for i, header in enumerate(tried) if pow_check(header))
+                    self.assert_same_search(search_pow(*args, seed=seed), want)
+                    wrapped += want[0].nonce < start
+            assert wrapped >= 5
+            if pow_fn == "edge":
+                assert wrapped == 20 and want[0].nonce == 1 and want[1] == 4
+
+    @pytest.mark.parametrize("width", WIDTHS, ids=[f"W{w}" for w in WIDTHS])
+    def test_the_first_passing_nonce_in_order_wins_at_each_window_offset(self, monkeypatch, width):
+        target, passing, evaluated = 1 << 200, set(), []
+
+        def edge(data):
+            # beats the target only at the nonces in `passing`, all within 3 windows of the start
+            evaluated.append(nonce_of(data))
+            if (nonce_of(data) - start) % MAX_U64 >= 3 * width:
+                raise AssertionError(f"nonce {nonce_of(data)} evaluated: the search skipped {sorted(passing)}")
+            return (target - (nonce_of(data) in passing)).to_bytes(32, "big")
+
+        monkeypatch.setitem(POW_FNS, "edge", edge)
+        with windows_of(width):
+            for seed in range(3):
+                args = search_inputs(seed) + (target, "edge")
+                start = nonce_start(*args[:3], seed)
+                for offset in range(2 * width + 1):
+                    # the only passing nonce at this offset; then it and the width - 1 nonces after it
+                    for count in (1, width):
+                        passing.clear()
+                        passing.update((start + offset + i) % MAX_U64 for i in range(count))
+                        evaluated.clear()
+                        got = search_pow(*args, seed=seed)
+                        windows = offset // width + 1
+                        assert sorted(evaluated) == sorted((start + i) % MAX_U64 for i in range(windows * width))
+                        assert got[0].nonce == (start + offset) % MAX_U64 and got[1] == offset + 1
+                        self.assert_same_search(got, reference_search(*args, seed=seed))
+            assert (chainsim._pow_helpers is None) == (width == 1)
+
+    @pytest.mark.parametrize("width", WIDTHS, ids=[f"W{w}" for w in WIDTHS])
+    def test_an_error_reaches_the_caller_after_its_window_finishes(self, monkeypatch, width):
+        target, finished = 1 << 200, []
+
+        def slow_failing(data):
+            # raises at once on the failing nonce; every other digest takes a while, then is recorded
+            if (nonce_of(data) - start) % MAX_U64 >= 3 * width:
+                raise AssertionError(f"nonce {nonce_of(data)} evaluated: the search skipped {failing}")
+            if nonce_of(data) == failing:
+                raise RuntimeError(f"no digest for nonce {failing}")
+            time.sleep(0.005)
+            finished.append(nonce_of(data))
+            return target.to_bytes(32, "big")
+
+        monkeypatch.setitem(POW_FNS, "slow_failing", slow_failing)
+        args = search_inputs(1) + (target, "slow_failing")
+        start = nonce_start(*args[:3], 1)
+        with windows_of(width):
+            for offset in range(2 * width):
+                failing, evaluated = (start + offset) % MAX_U64, (offset // width + 1) * width
+                finished.clear()
+                with pytest.raises(RuntimeError, match=f"nonce {failing}"):
+                    search_pow(*args, seed=1)
+                assert sorted(finished) == sorted((start + i) % MAX_U64 for i in range(evaluated) if i != offset)
+                time.sleep(0.02)
+                assert len(finished) == evaluated - 1  # nothing was left running
+
+    def test_the_window_is_the_cpus_this_process_may_run_on_at_most_4(self):
+        assert chainsim.POW_WIDTH == min(4, len(os.sched_getaffinity(0)))
 
     @pytest.mark.parametrize("target", [-1, 1 << 256], ids=["-1", "2^256"])
     def test_target_outside_u256_refused(self, target):
@@ -279,8 +373,11 @@ class TestIdentity:
 
         monkeypatch.setattr(chainsim, "pow_digest", counting_digest)
         monkeypatch.setattr(chainsim, "search_pow", counting_search)
+        threads = threading.active_count()
         runner = SimulationRunner(load_config(str(SCENARIO_DIR / "two_rates.json")))
-        runner.run()
+        with windows_of(2):  # a search that could start helper threads
+            runner.run()
+            assert threading.active_count() == threads  # the sha256d search starts none
         assert counts["attempts"] > 0
         assert counts["digests"] == 0
         for h, block in runner.view.blocks.items():

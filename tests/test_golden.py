@@ -5,12 +5,13 @@ also with every policy param it leaves unset written out at the value the
 policies fell back to before their params were declared; those values must
 also be the declared defaults.  The long-horizon runs (fuzz_random at seed
 offsets 0-2, at x1 and x8 its end.sim_time) must reproduce their digest,
-event count, blocks mined and `fired`.  Every event kind the contract emits
+event count, blocks mined and `fired`, and so must two_rates with scrypt PoW
+at its committed seed.  Every event kind the contract emits
 is in a corpus trace, or is listed in REACHED_OUTSIDE_THE_CORPUS with the test
 that reaches it, and none is a kind the runner records itself.
 
 A change that alters behaviour on purpose re-records the goldens with
-`python3 pegbench/run.py --workload <corpus|long_horizon> --seed 0 --write-golden` and says
+`python3 pegbench/run.py --workload <corpus|long_horizon|scrypt_pow> --seed 0 --write-golden` and says
 why in CHANGES.md.
 """
 
@@ -121,15 +122,25 @@ def test_every_long_horizon_golden_is_run():
     assert {label.split("#")[0] for label in runs} == {long_horizon_label(*run) for run in LONG_HORIZON}
 
 
+def assert_run_matches(config, want):
+    """The run's trace digest, event count, blocks mined and `fired` are the golden's."""
+    trace, fired = counted_run(config)
+    blocks = sum(e["kind"] == "doge_block" for e in trace.events)
+    assert (trace.digest(), len(trace.events), blocks) == (want["digest"], want["events"], want["blocks"])
+    assert fired == want["fired"]
+
+
 @pytest.mark.parametrize("offset,horizon", LONG_HORIZON, ids=[long_horizon_label(*r) for r in LONG_HORIZON])
 def test_long_horizon_trace_matches_golden(offset, horizon):
     config = load_config(str(ROOT / "scenarios" / "fuzz_random.json"))
     config = dataclasses.replace(config, seed=config.seed + offset, end_time=config.end_time * horizon)
-    trace, fired = counted_run(config)
-    want = GOLDENS["long_horizon"]["runs"][long_horizon_label(offset, horizon)]
-    blocks = sum(e["kind"] == "doge_block" for e in trace.events)
-    assert (trace.digest(), len(trace.events), blocks) == (want["digest"], want["events"], want["blocks"])
-    assert fired == want["fired"]
+    assert_run_matches(config, GOLDENS["long_horizon"]["runs"][long_horizon_label(offset, horizon)])
+
+
+def test_scrypt_trace_matches_golden():
+    """two_rates with scrypt PoW: the one golden run whose nonce search is not sha256d's."""
+    config = dataclasses.replace(load_config(str(ROOT / "scenarios" / "two_rates.json")), pow_fn="scrypt")
+    assert_run_matches(config, GOLDENS["scrypt_pow"]["runs"]["two_rates/scrypt+0"])
 
 
 # Every policy key a scenario may leave unset, at the value the policies fell
