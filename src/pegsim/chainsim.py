@@ -12,17 +12,19 @@ transaction's id are computed once, when the value is built.  The nonce search
 encodes a header's fields once and changes only the nonce bytes between
 attempts, wrapping from 2^64 - 1 to 0; for sha256d it hashes the fixed 80-byte
 prefix once and resumes from that midstate per nonce; any other PoW function
-runs POW_WIDTH nonces at once, on the caller's thread and on helper threads,
-the only work off it.  The winning header is built from the digest found.
+is evaluated on POW_WIDTH threads that draw nonces in order, the only work off
+the caller's thread, with a result that does not depend on their scheduling.
+The winning header is built from the digest found.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
-from itertools import chain, islice
+from itertools import chain, count
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import EncodingError, UnknownParent, RangeUnavailable
@@ -142,26 +144,64 @@ def pow_digest(pow_fn: str, data: bytes) -> bytes:
     return POW_FNS[pow_fn](data)
 
 
-# CPUs this process may run on, at most 4: at ~64 attempts a block, wider windows add mostly wasted 128 KiB digests
+# CPUs this process may run on, at most 4: a block's scan evaluates at most POW_WIDTH - 1 digests past the winner
 POW_WIDTH = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 _pow_helpers = None  # POW_WIDTH - 1 threads, started by the first search that needs them
 
 
-def _pow_windows(evaluate, prefix: bytes, suffix: bytes, nonces):
-    """(nonce, digest) in nonce order, POW_WIDTH at once (one on this thread); a window ends before it yields or raises."""
+def _pow_scan(evaluate, prefix: bytes, suffix: bytes, start: int) -> Tuple[int, bytes]:
+    """(nonce, digest) at the first position from `start` whose digest beats `suffix`, or what evaluating it raised.
+
+    POW_WIDTH threads, this one and the helpers, draw positions i in order from one counter and evaluate nonce
+    (start + i) % MAX_U64 once every position up to i - POW_WIDTH has finished.  The first position that passes
+    or raises decides; a thread stops on drawing a position past it, so every position below it is evaluated
+    and at most POW_WIDTH - 1 past it.  The helpers are joined before this returns or raises.
+    """
     global _pow_helpers
-    while window := list(islice(nonces, POW_WIDTH)):
-        encodings = [prefix + nonce.to_bytes(8, "big") + suffix for nonce in window]
-        if _pow_helpers is None and len(window) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            _pow_helpers = ThreadPoolExecutor(POW_WIDTH - 1, thread_name_prefix="pegsim-pow")
-        futures = [_pow_helpers.submit(evaluate, data) for data in encodings[1:]]
+    positions, gate, finished = count(), threading.Condition(threading.Lock()), set()
+    low, first, found, stopped = 0, MAX_U64, None, False  # every position below `low` has finished
+
+    def scan():
+        nonlocal low, first, found, stopped
         try:
-            first = evaluate(encodings[0])
-        finally:
-            for future in futures:
-                future.exception()  # waits for it without raising
-        yield from zip(window, [first] + [future.result() for future in futures])
+            for i in positions:
+                with gate:
+                    gate.wait_for(lambda: stopped or i > first or i < low + POW_WIDTH)
+                    if stopped or i > first:
+                        return
+                nonce = (start + i) % MAX_U64
+                try:
+                    digest = evaluate(prefix + nonce.to_bytes(8, "big") + suffix)
+                    decides = digest < suffix
+                except Exception as error:
+                    digest, decides = error, True
+                with gate:
+                    finished.add(i)
+                    while low in finished:
+                        low += 1
+                    if decides and i < first:
+                        first, found = i, (nonce, digest)
+                    gate.notify_all()
+        except BaseException:  # an interrupt or exit: every thread stops, and the caller re-raises it
+            with gate:
+                stopped = True
+                gate.notify_all()
+            raise
+
+    if _pow_helpers is None and POW_WIDTH > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        _pow_helpers = ThreadPoolExecutor(POW_WIDTH - 1, thread_name_prefix="pegsim-pow")
+    helpers = [_pow_helpers.submit(scan) for _ in range(POW_WIDTH - 1)]
+    try:
+        scan()
+    finally:
+        for helper in helpers:
+            helper.exception()  # waits for it without raising
+    for helper in helpers:
+        helper.result()  # re-raises an interrupt that stopped a helper
+    if isinstance(found[1], Exception):
+        raise found[1]
+    return found
 
 
 _HEADER_FIELDS = tuple(f.name for f in fields(BlockHeader))  # `hash` last
@@ -201,8 +241,9 @@ def search_pow(
     """Deterministic nonce search from a seeded start; returns (header, attempts).
 
     Nonces count up from the start, wrapping from 2^64 - 1 to 0; the first digest
-    below the target wins.  sha256d resumes each attempt from the midstate of
-    the fixed 80-byte prefix; other PoW functions go through _pow_windows.
+    below the target wins, and an error raised by the PoW function on an earlier
+    nonce is raised instead.  sha256d resumes each attempt from the midstate of
+    the fixed 80-byte prefix; other PoW functions go through _pow_scan.
     """
     # seed is not an encoded field: callers pass agent_seed + offset, which may reach 2^64
     start = int.from_bytes(sha256(b"nonce/" + _u64(seed % MAX_U64) + parent + tx_root + _u64(ordinal))[:8], "big")
@@ -210,20 +251,17 @@ def search_pow(
     suffix = _u256(target)
     if target < 1:
         raise ValueError("no digest beats a target below 1")
-    nonces = chain(range(start, MAX_U64), range(start))
     # pow_check as bytes: digest and target are both 32-byte big-endian
     if pow_fn == "sha256d":
         midstate = hashlib.sha256(prefix)
-        for nonce in nonces:
+        for nonce in chain(range(start, MAX_U64), range(start)):
             inner = midstate.copy()
             inner.update(nonce.to_bytes(8, "big") + suffix)
             digest = hashlib.sha256(inner.digest()).digest()
             if digest < suffix:
                 break
     else:
-        for nonce, digest in _pow_windows(POW_FNS[pow_fn], prefix, suffix, nonces):
-            if digest < suffix:
-                break
+        nonce, digest = _pow_scan(POW_FNS[pow_fn], prefix, suffix, start)
     return _found_header(parent, tx_root, ordinal, timestamp, nonce, target, pow_fn, digest), (nonce - start) % MAX_U64 + 1
 
 

@@ -1,10 +1,13 @@
 """Chain simulation tests: PoW predicate, mining, fork choice, header ranges."""
 
 import dataclasses
+import faulthandler
 import hashlib
 import os
+import random
 import signal
 import statistics
+import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -91,8 +94,8 @@ WIDTHS = (1, 2, 3, 5)
 
 
 @contextmanager
-def windows_of(width):
-    """search_pow evaluating `width` nonces at once, on helper threads of its own that are shut down after."""
+def scan_width(width):
+    """search_pow scanning on `width` threads, with helper threads of its own that are shut down after."""
     saved = chainsim.POW_WIDTH, chainsim._pow_helpers
     chainsim.POW_WIDTH, chainsim._pow_helpers = width, None
     try:
@@ -101,6 +104,29 @@ def windows_of(width):
         if chainsim._pow_helpers is not None:
             chainsim._pow_helpers.shutdown()
         chainsim.POW_WIDTH, chainsim._pow_helpers = saved
+
+
+class Digests:
+    """A PoW function's record: the nonces it was called on, and those whose call returned or raised."""
+
+    def __init__(self):
+        self.called, self.done = [], []
+
+    def assert_scanned_to(self, start, decider, width):
+        """Every position up to the decider evaluated exactly once, at most width - 1 past it, none still running."""
+        positions = [(nonce - start) % MAX_U64 for nonce in self.called]
+        assert len(positions) == len(set(positions)), sorted(positions)
+        assert set(range(decider + 1)) <= set(positions), sorted(positions)
+        assert len([i for i in positions if i > decider]) <= width - 1, sorted(positions)
+        assert len(self.done) == len(self.called)
+
+
+def outcome(search, args, seed):
+    """What a search returns, or the LookupError it raises."""
+    try:
+        return search(*args, seed=seed)
+    except LookupError as error:
+        return error
 
 
 def nonce_of(data):
@@ -171,7 +197,7 @@ class TestNonceSearch:
 
     @pytest.mark.parametrize("pow_fn", ["sha256d", "edge"])
     def test_a_start_two_below_2_64_wraps_to_zero(self, monkeypatch, pow_fn):
-        # at every window width: the windows straddle the wrap, and none may drop a nonce
+        # at every scan width: the threads' positions straddle the wrap, and none may drop a nonce
         target, start = 1 << 254, MAX_U64 - 2
 
         def edge(data):
@@ -187,7 +213,7 @@ class TestNonceSearch:
         monkeypatch.setattr(chainsim, "sha256", forced_start)
         for width in WIDTHS:
             wrapped = 0
-            with windows_of(width):
+            with scan_width(width):
                 for seed in range(20):
                     args = search_inputs(seed) + (target, pow_fn)
                     tried = (BlockHeader(*args[:4], (start + i) % MAX_U64, target, pow_fn) for i in range(MAX_U64))
@@ -200,61 +226,144 @@ class TestNonceSearch:
 
     @pytest.mark.parametrize("width", WIDTHS, ids=[f"W{w}" for w in WIDTHS])
     def test_the_first_passing_nonce_in_order_wins_at_each_window_offset(self, monkeypatch, width):
-        target, passing, evaluated = 1 << 200, set(), []
+        # the decider at every offset within two widths of the start: alone, and with the width - 1 after it passing
+        target, passing, digests = 1 << 200, set(), Digests()
 
         def edge(data):
-            # beats the target only at the nonces in `passing`, all within 3 windows of the start
-            evaluated.append(nonce_of(data))
+            digests.called.append(nonce_of(data))
+            digests.done.append(nonce_of(data))
             if (nonce_of(data) - start) % MAX_U64 >= 3 * width:
                 raise AssertionError(f"nonce {nonce_of(data)} evaluated: the search skipped {sorted(passing)}")
             return (target - (nonce_of(data) in passing)).to_bytes(32, "big")
 
         monkeypatch.setitem(POW_FNS, "edge", edge)
-        with windows_of(width):
+        threads = threading.active_count()
+        with scan_width(width):
             for seed in range(3):
                 args = search_inputs(seed) + (target, "edge")
                 start = nonce_start(*args[:3], seed)
                 for offset in range(2 * width + 1):
-                    # the only passing nonce at this offset; then it and the width - 1 nonces after it
                     for count in (1, width):
                         passing.clear()
                         passing.update((start + offset + i) % MAX_U64 for i in range(count))
-                        evaluated.clear()
+                        digests = Digests()
                         got = search_pow(*args, seed=seed)
-                        windows = offset // width + 1
-                        assert sorted(evaluated) == sorted((start + i) % MAX_U64 for i in range(windows * width))
+                        digests.assert_scanned_to(start, offset, width)
                         assert got[0].nonce == (start + offset) % MAX_U64 and got[1] == offset + 1
                         self.assert_same_search(got, reference_search(*args, seed=seed))
+                        assert threading.active_count() <= threads + width - 1
             assert (chainsim._pow_helpers is None) == (width == 1)
+        assert threading.active_count() == threads
 
     @pytest.mark.parametrize("width", WIDTHS, ids=[f"W{w}" for w in WIDTHS])
     def test_an_error_reaches_the_caller_after_its_window_finishes(self, monkeypatch, width):
-        target, finished = 1 << 200, []
+        # an error at each offset within two widths of the start, with a passing nonce just before or just after it;
+        # the search returns or raises only once every digest in its window has finished
+        target, digests = 1 << 200, Digests()
 
         def slow_failing(data):
-            # raises at once on the failing nonce; every other digest takes a while, then is recorded
+            # every digest takes a while, so the helpers are part-way through one when the search decides
+            digests.called.append(nonce_of(data))
+            time.sleep(0.002)
+            digests.done.append(nonce_of(data))
             if (nonce_of(data) - start) % MAX_U64 >= 3 * width:
                 raise AssertionError(f"nonce {nonce_of(data)} evaluated: the search skipped {failing}")
             if nonce_of(data) == failing:
                 raise RuntimeError(f"no digest for nonce {failing}")
-            time.sleep(0.005)
-            finished.append(nonce_of(data))
-            return target.to_bytes(32, "big")
+            return (target - (nonce_of(data) == passing)).to_bytes(32, "big")
 
         monkeypatch.setitem(POW_FNS, "slow_failing", slow_failing)
         args = search_inputs(1) + (target, "slow_failing")
         start = nonce_start(*args[:3], 1)
-        with windows_of(width):
-            for offset in range(2 * width):
-                failing, evaluated = (start + offset) % MAX_U64, (offset // width + 1) * width
-                finished.clear()
-                with pytest.raises(RuntimeError, match=f"nonce {failing}"):
-                    search_pow(*args, seed=1)
-                assert sorted(finished) == sorted((start + i) % MAX_U64 for i in range(evaluated) if i != offset)
-                time.sleep(0.02)
-                assert len(finished) == evaluated - 1  # nothing was left running
+        threads = threading.active_count()
+        with scan_width(width):
+            for offset in range(2 * width + 1):
+                for passing_offset in (offset - 1, offset + 1)[offset == 0:]:
+                    failing, passing = (start + offset) % MAX_U64, (start + passing_offset) % MAX_U64
+                    digests = Digests()
+                    if passing_offset < offset:
+                        got = search_pow(*args, seed=1)
+                        assert got[0].nonce == passing and got[1] == passing_offset + 1
+                    else:
+                        with pytest.raises(RuntimeError, match=f"nonce {failing}"):
+                            search_pow(*args, seed=1)
+                    digests.assert_scanned_to(start, min(offset, passing_offset), width)
+                    called = len(digests.called)
+                    time.sleep(0.01)
+                    assert len(digests.called) == len(digests.done) == called  # nothing was left running
+                    assert threading.active_count() <= threads + width - 1
+        assert threading.active_count() == threads
 
-    def test_the_window_is_the_cpus_this_process_may_run_on_at_most_4(self):
+    @pytest.mark.parametrize("width", WIDTHS, ids=[f"W{w}" for w in WIDTHS])
+    def test_the_scan_equals_the_plain_search_however_digests_are_scheduled(self, monkeypatch, width):
+        # random sleeps finish digests in shuffled order; a short switch interval interleaves the threads more
+        target, rng, digests = 1 << 252, random.Random(width), Digests()
+
+        def jittery(data):
+            digests.called.append(nonce_of(data))
+            time.sleep(rng.uniform(0, 0.0005))
+            digests.done.append(nonce_of(data))
+            if nonce_of(data) % 29 == 0:
+                raise LookupError(nonce_of(data))
+            return hashlib.sha256(data).digest()
+
+        monkeypatch.setitem(POW_FNS, "jittery", jittery)
+        switch_interval, raised = sys.getswitchinterval(), 0
+        sys.setswitchinterval(1e-5)
+        try:
+            with scan_width(width):
+                for seed in range(40):
+                    args = search_inputs(seed) + (target, "jittery")
+                    start = nonce_start(*args[:3], seed)
+                    want = outcome(reference_search, args, seed)
+                    digests = Digests()
+                    got = outcome(search_pow, args, seed)
+                    if isinstance(want, LookupError):
+                        raised += 1
+                        assert type(got) is LookupError and got.args == want.args
+                        digests.assert_scanned_to(start, (want.args[0] - start) % MAX_U64, width)
+                    else:
+                        digests.assert_scanned_to(start, want[1] - 1, width)
+                        self.assert_same_search(got, want)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert 0 < raised < 40
+
+    @pytest.mark.parametrize("raiser, width", [("caller", w) for w in WIDTHS] + [("helper", w) for w in WIDTHS[1:]],
+                             ids=[f"caller-W{w}" for w in WIDTHS] + [f"helper-W{w}" for w in WIDTHS[1:]])
+    def test_an_interrupt_stops_the_helpers_before_it_propagates(self, monkeypatch, raiser, width):
+        # no digest ever passes: helpers left running would scan on forever
+        target, digests, interrupted_at = 1 << 200, Digests(), []
+
+        def interrupted(data):
+            if interrupted_at and len(digests.called) - interrupted_at[0] >= 2 * width:
+                raise AssertionError("the helpers kept scanning after the interrupt")
+            digests.called.append(nonce_of(data))
+            time.sleep(0.001)
+            digests.done.append(nonce_of(data))
+            if (threading.current_thread() is threading.main_thread()) == (raiser == "caller") and len(digests.done) > width:
+                interrupted_at.append(len(digests.called))
+                raise KeyboardInterrupt
+            return target.to_bytes(32, "big")
+
+        monkeypatch.setitem(POW_FNS, "interrupted", interrupted)
+        threads = threading.active_count()
+        faulthandler.dump_traceback_later(30, exit=True)  # a thread left waiting would hang the search: end the run
+        try:
+            with scan_width(width):
+                with pytest.raises(KeyboardInterrupt):
+                    search_pow(*search_inputs(1), target, "interrupted", seed=1)
+                called = len(digests.called)
+                assert called == len(digests.done)
+                # positions below p - width + 1 had finished when the interrupted p started, none from p + width may
+                assert called - interrupted_at[0] <= 2 * (width - 1)
+                time.sleep(0.01)
+                assert len(digests.called) == called  # no helper started another digest
+        finally:
+            faulthandler.cancel_dump_traceback_later()
+        assert threading.active_count() == threads
+
+    def test_the_width_is_the_cpus_this_process_may_run_on_at_most_4(self):
         assert chainsim.POW_WIDTH == min(4, len(os.sched_getaffinity(0)))
 
     @pytest.mark.parametrize("target", [-1, 1 << 256], ids=["-1", "2^256"])
@@ -375,7 +484,7 @@ class TestIdentity:
         monkeypatch.setattr(chainsim, "search_pow", counting_search)
         threads = threading.active_count()
         runner = SimulationRunner(load_config(str(SCENARIO_DIR / "two_rates.json")))
-        with windows_of(2):  # a search that could start helper threads
+        with scan_width(2):  # a search that could start helper threads
             runner.run()
             assert threading.active_count() == threads  # the sha256d search starts none
         assert counts["attempts"] > 0
