@@ -24,9 +24,14 @@ An agent's own facts each have one home: its name, DOGE address and seed are
 on its policy, and its clock and ETH balance are the contract's (`bridge.now_s`
 and `bridge.accounts`); an observation holds only the world the agent sees.
 
-A step also names its wake (see Policy.step).  The harness skips an agent's
-turn while its world is unchanged since its last step did nothing and that
-step's wake has not come, so most turns of a quiet relay cost no step.
+A step also names its wake, and whether its answer holds on every extension
+of its visible tip (see Policy.step).  When a step does nothing, the harness
+lets the agent sleep until the trace gets an event or the earliest of that
+wake, the next time its visible tip can change (when the answer holds on
+extensions: can stop extending the tip it saw) and the next rate point comes.
+So most turns of a quiet relay cost no step, a relayer that lags wakes for a
+block only when its answer can change, and a turn in which every agent
+sleeps costs one comparison.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from .bridge import (
 from .chainsim import (
     EMPTY_TX_ROOT,
     MAX_U64,
+    NEVER,
     Block,
     BlockHeader,
     ChainView,
@@ -82,15 +88,18 @@ class RatePath:
             raise ConfigError("rate_path: rates must be positive")
 
     def rate_at(self, t: int) -> Fraction:
+        return self.segment(t)[0]
+
+    def segment(self, t: int) -> Tuple[Fraction, float]:
+        """(rate at t, the next point's start after t, or NEVER).  That point may repeat the rate."""
         if t < self.points[0][0]:
             raise BeforeStart(f"t={t} before rate path start {self.points[0][0]}")
         rate = self.points[0][1]
         for start, value in self.points:
-            if start <= t:
-                rate = value
-            else:
-                break
-        return rate
+            if start > t:
+                return rate, start
+            rate = value
+        return rate, NEVER
 
 
 @dataclass
@@ -139,7 +148,7 @@ def find_bad_header(parent: bytes, ordinal: int, timestamp: int, target: int,
 
 
 WAKE = "wake"  # the priv key of a step's wake (see Policy.step)
-NEVER = float("inf")
+ON_EXTENSION = "on_extension"  # the priv key: whether a step's answer holds on every extension of its tip
 
 
 def reached(obs: Observation, priv: dict, t: int) -> bool:
@@ -197,8 +206,9 @@ class Policy:
         which this step could answer otherwise in an unchanged world (the same contract, doge
         balances, visible tip and true rate), or NEVER.  A step compares each time threshold with
         that clock through reached(), which names it while it is ahead.  Waking early only costs a
-        step; waking late loses an action."""
-        priv = {**priv, WAKE: NEVER}
+        step; waking late loses an action.  priv[ON_EXTENSION] is True when this step would answer
+        the same on any tip that extends its visible one, the rest of that world unchanged."""
+        priv = {**priv, WAKE: NEVER, ON_EXTENSION: False}
         joining = None if self.ONBOARD_AT is None else self.onboard(obs, priv)
         actions = self.decide(obs, priv) if joining is None else joining
         return actions, priv
@@ -220,12 +230,16 @@ class Policy:
                       proof_for: Callable[[ProofThread], Optional[ExtensionProof]]) -> List[Action]:
         """A supply_proof for each of my unanswered challenges that proof_for can answer."""
         actions = []
-        for thread in obs.bridge.threads.values():
-            if not thread.resolved and thread.active.relayer == self.name and thread.proof is None:
-                proof = proof_for(thread)
-                if proof is not None:
-                    actions.append(Action("supply_proof", {"thread_id": thread.thread_id, "proof": proof}))
+        for thread in self.open_challenges(obs):
+            proof = proof_for(thread)
+            if proof is not None:
+                actions.append(Action("supply_proof", {"thread_id": thread.thread_id, "proof": proof}))
         return actions
+
+    def open_challenges(self, obs: Observation) -> List[ProofThread]:
+        """Threads challenging a submission of mine that still wait for my proof."""
+        return [t for t in obs.bridge.threads.values()
+                if not t.resolved and t.active.relayer == self.name and t.proof is None]
 
     def fake_submission(self, obs: Observation, rng: random.Random, range_b: int) -> Submission:
         """Random roots under a tip header that fails PoW, claiming range_b."""
@@ -349,6 +363,10 @@ class HonestRelayer(Policy):
                 challenge = self._evaluate_submission(obs, priv, cm)
                 if challenge is not None:
                     actions.append(challenge)
+            else:
+                priv[ON_EXTENSION] = True  # my own submission stands on any tip
+            if self.open_challenges(obs):
+                priv[ON_EXTENSION] = False  # a longer tip may give a proof this one could not
             return actions
 
         bogus = self.first_bogus_index(obs, cm)
@@ -411,6 +429,7 @@ class HonestRelayer(Policy):
             return None  # plausibly fresher than my view; re-judge once my tip moves
 
         if self.matched(obs, sub, prior) is not None:
+            priv[ON_EXTENSION] = True  # an extension keeps the matched segment and cm >= sub.range
             return None
 
         seen = obs.chain.best_tip(active.submitted_at_eth * eth_s - obs.visibility_delay_s)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, fields
 from itertools import chain, count
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -33,6 +33,7 @@ from .merkle import merkle_root, sha256
 ZERO_HASH = b"\x00" * 32
 EMPTY_TX_ROOT = sha256(b"\x02")  # designated root for an empty tx list
 MAX_U64 = 2**64
+NEVER = float("inf")  # a time later than every simulated second
 
 
 def _u64(n: int) -> bytes:
@@ -311,6 +312,7 @@ class ChainView:
     genesis_hash: bytes
     _seen_at: List[int]  # when each recorded best became visible
     _best: List[bytes]  # best tip after each insertion
+    _forks: List[int]  # indices of _best whose tip does not extend the one before
 
     @classmethod
     def new(cls, difficulty_target: int, pow_fn: str = "sha256d") -> "ChainView":
@@ -318,7 +320,7 @@ class ChainView:
         genesis = Block(header, ())
         gh = header.hash
         return cls(blocks={gh: genesis}, arrival={gh: 0}, cum_work={gh: work_for_target(difficulty_target)},
-                   genesis_hash=gh, _seen_at=[0], _best=[gh])
+                   genesis_hash=gh, _seen_at=[0], _best=[gh], _forks=[])
 
     @property
     def genesis(self) -> Block:
@@ -345,7 +347,10 @@ class ChainView:
         self.arrival[h] = arrival_time
         self.cum_work[h] = self.cum_work[parent] + work_for_target(block.header.difficulty_target)
         self._seen_at.append(max(arrival_time, self._seen_at[-1]))
-        self._best.append(min(self._best[-1], h, key=self._fork_key))
+        best = min(self._best[-1], h, key=self._fork_key)
+        if best == h and parent != self._best[-1]:
+            self._forks.append(len(self._best))
+        self._best.append(best)
         return None
 
     def mine_block(self, parent: bytes, txs: Sequence[Transaction], time: int, seed: int = 0) -> Block:
@@ -360,10 +365,17 @@ class ChainView:
 
         With a cutoff, the best tip visible at that time (see the class docstring).
         """
-        if cutoff is None:
-            return self._best[-1]
+        return self._best[-1] if cutoff is None else self.visible(cutoff)[0]
+
+    def visible(self, cutoff: int) -> Tuple[bytes, float, float]:
+        """(best tip visible at cutoff, the first later cutoff at which it can change, the first later
+        cutoff at which it can be a tip that does not extend it).  Each time is NEVER while no such
+        block has arrived; the tip may stay the same, or extend it, at that cutoff."""
         i = bisect_right(self._seen_at, cutoff)
-        return self._best[i - 1] if i else self.genesis_hash
+        n, j = len(self._seen_at), bisect_left(self._forks, i)
+        return (self._best[i - 1] if i else self.genesis_hash,
+                self._seen_at[i] if i < n else NEVER,
+                self._seen_at[self._forks[j]] if j < len(self._forks) else NEVER)
 
     def ancestor_at(self, tip: bytes, ordinal: int) -> bytes:
         """Hash of tip's ancestor at the given ordinal; raises RangeUnavailable."""

@@ -3,7 +3,9 @@
 The audit is trace-only: it reconstructs running supplies and backing from
 per-event deltas and cross-checks them against every event's aggregate
 snapshot, so a corrupted event is flagged at its exact sequence number even
-when its own snapshot was doctored to match.
+when its own snapshot was doctored to match.  An event the runner records
+after no contract change (SNAPSHOT_COPIES) must carry the snapshot of the
+event before it.
 """
 
 from __future__ import annotations
@@ -17,6 +19,10 @@ from ..errors import ParseError
 
 # a rational written as text, in a config or a trace: n or n/d in decimal digits, as str(Fraction) writes it
 RATIONAL = re.compile(r"[0-9]+(/[0-9]+)?")
+
+# the event kinds the runner records after no contract change: each carries a copy of the snapshot, agg
+# and digest, of the event before it
+SNAPSHOT_COPIES = frozenset({"doge_block", "doge_tx", "action_rejected", "run_summary"})
 
 # event kinds allowed to change the relay mode, per the state machine
 _MODE_CHANGERS = {"submit", "accept", "challenge_commitment", "challenge_range_replaced"}
@@ -98,6 +104,7 @@ def _check_events(events: List[dict], report: AuditReport) -> None:
     queues: Dict[str, List[int]] = {}
     burn_y: Dict[int, str] = {}
     prev_seq = -1
+    prev: Optional[dict] = None
     prev_mode: Optional[str] = None
     prev_used = 0
     tags: List[str] = []
@@ -116,6 +123,12 @@ def _check_events(events: List[dict], report: AuditReport) -> None:
         if seq != prev_seq + 1:
             report.flag(seq, "SeqOrder", f"expected seq {prev_seq + 1}")
         prev_seq = seq
+
+        if kind in SNAPSHOT_COPIES:  # a first event has no snapshot before it to copy
+            for key in ("agg", "digest"):
+                if prev is None or event.get(key) != prev.get(key):
+                    report.flag(seq, "SnapshotCopy", f"{key} is not the previous event's")
+        prev = event
 
         if kind == "genesis":
             tags = list(payload.get("tags", []))

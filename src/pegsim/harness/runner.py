@@ -17,13 +17,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from ..agents import WAKE, Observation, Policy, make_policy
+from ..agents import ON_EXTENSION, WAKE, Observation, Policy, make_policy
 from ..bridge import BridgeContract, EthAccounts
-from ..chainsim import ChainView, Transaction
+from ..chainsim import NEVER, ChainView, Transaction
 from ..errors import ParseError, SimError
 from ..merkle import sha256
 from ..proofsys import oracle_verify
 from ..scheduler import EventQueue, next_doge_block_time
+from .audit import SNAPSHOT_COPIES
 from .config import ScenarioConfig
 
 
@@ -74,7 +75,8 @@ class _AgentRuntime:
     policy: Policy
     visibility_delay_s: int
     priv: dict = field(default_factory=dict)
-    idle: Optional[tuple] = None  # turn key (see _asleep) of my last step if it returned no actions
+    seen: int = -1  # trace events at my last step
+    until: float = 0  # when my last step's answer can change in a world of `seen` events (see _asleep)
 
 
 class SimulationRunner:
@@ -101,12 +103,12 @@ class SimulationRunner:
         self._doge_rng = random.Random(f"{config.seed}/doge-times")
 
         self.events: List[dict] = []
+        self._quiet: Tuple[int, float] = (-1, 0)  # (trace events, smallest until) after the last turn taken
 
     # -- trace plumbing ------------------------------------------------------
 
     def _record(self, kind: str, actor: str, payload: dict) -> None:
-        if kind in ("doge_block", "doge_tx", "action_rejected", "run_summary"):
-            # the runner's own kinds but genesis follow no contract change: see the module docstring
+        if kind in SNAPSHOT_COPIES:  # the runner's own kinds but genesis: see the module docstring
             agg, digest = dict(self.events[-1]["agg"]), self.events[-1]["digest"]
             agg.update(supply=dict(agg["supply"]), backing=dict(agg["backing"]),
                        queues={y: list(q) for y, q in agg["queues"].items()})
@@ -177,12 +179,13 @@ class SimulationRunner:
             visibility_delay_s=agent.visibility_delay_s,
         )
 
-    def _asleep(self, agent: _AgentRuntime, key: tuple) -> bool:
-        """Whether the agent did nothing at a turn with this key, (trace events, visible tip, true
-        rate), and its wake (none: the next turn) has not come.  Each change to the contract, doge
-        balances or chain is an event, and ETH moves only through contract calls: so it would again."""
-        now = self.contract.now_s
-        return key == agent.idle and now < agent.priv.get(WAKE, now)
+    def _asleep(self, agent: _AgentRuntime) -> bool:
+        """Whether the agent's last step did nothing, the trace has had no event since, and its until
+        has not come: the earliest of that step's wake (none: the next turn), the next time its
+        visible tip can change (if its answer holds on every extension of that tip: can stop
+        extending it) and the next rate point.  Each change to the contract, doge balances
+        or chain is an event, and ETH moves only through contract calls: so it would again."""
+        return agent.seen == len(self.events) and self.contract.now_s < agent.until
 
     # -- action dispatch ---------------------------------------------------------
 
@@ -244,22 +247,9 @@ class SimulationRunner:
         if kind == "doge_block":
             self._mine_next_block()
         elif kind == "turns":
-            true_rate = self.config.rate_path.rate_at(t)
-            for agent in self.agents:
-                key = (len(self.events), self.view.best_tip(t - agent.visibility_delay_s), true_rate)
-                if self._asleep(agent, key):
-                    continue
-                actions, agent.priv = agent.policy.step(self._observe(agent, key[1], true_rate), agent.priv)
-                agent.idle = None if actions else key
-                for action in actions:
-                    try:
-                        self._apply_action(agent.policy, action)
-                    except SimError as exc:
-                        self._record("action_rejected", agent.policy.name, {
-                            "action": action.kind,
-                            "error": type(exc).__name__,
-                            "detail": str(exc),
-                        })
+            events, until = self._quiet
+            if not (events == len(self.events) and t < until):  # _asleep of every agent at once
+                self._take_turns(t)
             self.queue.schedule(t + self.clock.eth_block_seconds, ("turns", {}))
         elif kind == "accept_check":
             if c.active is p["active"]:
@@ -272,6 +262,32 @@ class SimulationRunner:
         elif kind == "unlock_deadline":
             if not p["burn"].settled:  # its deadline has come, so all its unpaid portions are due
                 c.unlock_timeout(p["burn"].burn_id)
+
+    def _take_turns(self, t: int) -> None:
+        """Step each agent not asleep, in roster order, and keep the smallest until for later turns."""
+        true_rate, rate_until = self.config.rate_path.segment(t)
+        events, quiet = len(self.events), NEVER
+        for agent in self.agents:
+            if not self._asleep(agent):
+                tip, tip_until, fork_until = self.view.visible(t - agent.visibility_delay_s)
+                actions, agent.priv = agent.policy.step(self._observe(agent, tip, true_rate), agent.priv)
+                if agent.priv.get(ON_EXTENSION):
+                    tip_until = fork_until
+                agent.seen = len(self.events)
+                agent.until = 0 if actions else min(
+                    agent.priv.get(WAKE, t), tip_until + agent.visibility_delay_s, rate_until)
+                for action in actions:
+                    try:
+                        self._apply_action(agent.policy, action)
+                    except SimError as exc:
+                        self._record("action_rejected", agent.policy.name, {
+                            "action": action.kind,
+                            "error": type(exc).__name__,
+                            "detail": str(exc),
+                        })
+            quiet = min(quiet, agent.until)
+        # once this turn recorded an event, the count has moved past `events` for good
+        self._quiet = (events, quiet)
 
     # -- entry point -------------------------------------------------------------
 

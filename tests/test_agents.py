@@ -10,6 +10,7 @@ import pytest
 
 from pegsim.agents import (
     NEVER,
+    ON_EXTENSION,
     POLICIES,
     WAKE,
     Action,
@@ -205,8 +206,38 @@ class TestHonestRelayer:
         at_block(contract, 10)
         contract.submit_extension("other", sub)
         policy = make_policy("honest_relayer", "r", {}, agent_seed=1)
-        actions, _ = policy.step(observation(contract, view), {})
-        assert actions == []
+        actions, priv = policy.step(observation(contract, view), {})
+        assert actions == [] and priv[ON_EXTENSION]
+        # so it answers the same on a longer tip
+        tip = view.best_tip()
+        for i in range(46, 49):
+            block = view.mine_block(tip, [], time=62 * i, seed=400 + i)
+            view.add_block(block, 62 * i)
+            tip = block.header.hash
+        assert policy.step(observation(contract, view), priv) == ([], priv)
+
+    def test_own_submission_holds_on_extension_unless_a_challenge_waits_for_my_proof(self):
+        from pegsim.bridge import build_submission
+
+        contract, view = fresh_world()
+        contract.become_relayer("r", 10_110)
+        contract.relayer_deposits["other"] = 10_110
+        at_block(contract, 10)
+        contract.submit_extension("r", build_submission(view, view.best_tip(), 0, 35, 10))
+        policy = make_policy("honest_relayer", "r", {}, agent_seed=1)
+        actions, priv = policy.step(observation(contract, view), {})
+        assert actions == [] and priv[ON_EXTENSION]
+
+        at_block(contract, 11)
+        thread = contract.challenge_commitment("other")
+        at_block(contract, 12)
+        contract.submit_extension("other", build_submission(view, view.best_tip(), 0, 20, 10))
+        # my tip shows the other claim matched but is too short to prove my challenged one
+        short = dataclasses.replace(observation(contract, view), tip=view.ancestor_at(view.best_tip(), 40))
+        actions, priv = policy.step(short, {})
+        assert actions == [] and not priv[ON_EXTENSION]
+        actions, _ = policy.step(observation(contract, view), priv)
+        assert [(a.kind, a.params["thread_id"]) for a in actions] == [("supply_proof", thread.thread_id)]
 
     def test_challenges_garbage_commitment(self):
         contract, view = fresh_world()
@@ -230,6 +261,7 @@ class TestHonestRelayer:
         policy = make_policy("honest_relayer", "r", {}, agent_seed=1)
         actions, priv = policy.step(observation(contract, view), {})
         assert actions == [] and priv[WAKE] == NEVER  # only a move of my tip changes my answer
+        assert not priv[ON_EXTENSION]  # any longer tip may verify the range
 
     def test_challenges_impossible_range_after_patience(self):
         contract, view = fresh_world()

@@ -21,6 +21,7 @@ from pegsim import chainsim
 from pegsim.chainsim import (
     EMPTY_TX_ROOT,
     MAX_U64,
+    NEVER,
     POW_FNS,
     BlockHeader,
     ChainView,
@@ -713,6 +714,34 @@ class TestVisibility:
             tip = view.best_tip(cutoff)
             assert tip == view.genesis_hash or view.arrival[tip] <= cutoff
         assert view.best_tip() == visible_best(view, 20)  # fork choice stays exact
+
+    @settings(max_examples=60, deadline=None)
+    @given(moves=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from([0, 0, 1, 3])),
+                          min_size=1, max_size=25))
+    def test_visible_names_the_next_change_and_the_next_fork(self, moves):
+        # until the first time named, the visible tip is the same; until the second, it extends
+        arrival, timed = 0, []
+        for pick, step in moves:
+            arrival += step
+            timed.append((pick, arrival))
+        view, _ = grow(timed)
+        for cutoff in range(-1, arrival + 2):
+            tip, change, fork = view.visible(cutoff)
+            assert tip == view.best_tip(cutoff) and cutoff < change <= fork
+            ordinal = view.blocks[tip].header.ordinal
+            for later in range(cutoff + 1, min(fork, arrival + 2)):
+                seen = view.best_tip(later)
+                assert later >= change or seen == tip, (cutoff, later)
+                assert view.ancestor_at(seen, ordinal) == tip, (cutoff, later)
+            if change == NEVER:
+                assert tip == view.best_tip()
+
+    def test_a_reorg_is_the_next_fork_and_an_extension_is_not(self):
+        view, hashes = grow([(0, 10), (1, 20), (2, 30)])  # g-a-b-c
+        assert view.visible(15) == (hashes[1], 20, NEVER)
+        view, hashes = grow([(0, 10), (1, 20), (1, 30), (3, 40)])  # g-a-b, a-c at 30, c-d at 40
+        assert view.visible(25) == (hashes[2], 30, 40)  # c ties b and loses on arrival; d outweighs b
+        assert view.visible(40) == (hashes[4], NEVER, NEVER)
 
     def test_every_path_block_passes_pow(self):
         view, tip = build_chain(10, seed_base=500)

@@ -22,7 +22,8 @@ from test_contract_fuzz import CALLS
 from test_golden import corpus_run, runner_event_kinds
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
-GOLDEN = json.loads((SCENARIO_DIR.parent / "pegbench" / "golden.json").read_text())["corpus"]["runs"]
+GOLDENS = json.loads((SCENARIO_DIR.parent / "pegbench" / "golden.json").read_text())
+GOLDEN, LONG_HORIZON = GOLDENS["corpus"]["runs"], GOLDENS["long_horizon"]["runs"]
 BASE = {
     "schema_version": 1,
     "name": "mini",
@@ -279,6 +280,22 @@ class TestRunAndReplay:
         assert f"event {event['seq']} ({kind}): {named}" in result.detail, result.detail
 
 
+# a change to the digest and to each agg field of an event's snapshot
+SNAPSHOT_CHANGES = {
+    "supply": lambda v: {y: n + 5 for y, n in v.items()},
+    "backing": lambda v: {y: n + 5000 for y, n in v.items()},
+    "held": lambda v: v + 5,
+    "received": lambda v: v + 5,
+    "paid": lambda v: v + 5,
+    "relay_mode": lambda v: "listening" if v == "verification" else "verification",
+    "history_len": lambda v: v + 5,
+    "current_date": lambda v: v + 5,
+    "used_tx_count": lambda v: v + 5,
+    "queues": lambda v: {**v, "1/1000": [*v.get("1/1000", []), 7]},
+    "digest": lambda v: "00" * 32,
+}
+
+
 class TestAudit:
     def test_clean_run_audits_clean(self):
         trace = run(parse_config(mini_config()))
@@ -312,6 +329,22 @@ class TestAudit:
         assert any(v.seq == mint_seq and v.rule in ("Invariant1", "SupplyDelta")
                    for v in report.violations)
 
+
+    @pytest.mark.parametrize("fields", [[name] for name in SNAPSHOT_CHANGES] + [["received", "held"]],
+                             ids="+".join)
+    def test_a_doctored_copied_snapshot_is_flagged_first_at_its_seq(self, fields):
+        """doge_block, doge_tx, action_rejected and run_summary copy the snapshot of the event before
+        them, so a change to its digest or any agg field is flagged there even when it breaks no
+        invariant, as received + 5 and held + 5 together do not."""
+        events = [json.loads(line) for line in corpus_run(SCENARIO_DIR / "lifecycle_happy_path.json")[0].lines()]
+        event = events[71]
+        assert event["kind"] == "doge_block" and audit(events).ok
+        assert set(SNAPSHOT_CHANGES) == {*event["agg"], "digest"}
+        for name in fields:
+            holder = event if name == "digest" else event["agg"]
+            holder[name] = SNAPSHOT_CHANGES[name](holder[name])
+        first = audit(events).violations[0]
+        assert (first.seq, first.rule) == (71, "SnapshotCopy"), first
 
     @pytest.mark.parametrize("scenario, kind, change, rule, detail", TAMPERED)
     def test_a_changed_field_is_flagged_at_its_seq(self, scenario, kind, change, rule, detail):
@@ -492,52 +525,94 @@ class TestScryptVariant:
 
 
 class TestTurnSkipping:
-    """The runner skips an agent's turn while nothing it sees has changed since its last step
-    returned no actions, and the wake that step named has not come."""
+    """The runner skips an agent's turn while the trace has had no event since its last step returned
+    no actions, and neither that step's wake, its visible tip's next possible change (if the step's
+    answer holds on every extension of its tip: the next time that tip can stop extending) nor the
+    next rate point has come; and it skips a whole turn while that holds for every agent."""
 
     def test_a_skipped_turn_is_a_no_op(self, monkeypatch):
-        """On every corpus scenario each skipped step, run anyway, returns no actions and the
-        priv the agent kept, and running it leaves the trace as it was."""
+        """On every corpus scenario and fuzz_random x8, each step skipped by the per-agent rule or
+        with its whole turn, run anyway, returns no actions and the priv the agent kept, and running
+        it leaves the trace as it was."""
         from pegsim.agents import POLICIES
         from pegsim.harness.runner import SimulationRunner
 
-        asleep, skipped = SimulationRunner._asleep, Counter()
+        asleep, take_turns, handle = SimulationRunner._asleep, SimulationRunner._take_turns, SimulationRunner._handle
+        skipped, taken, whole = Counter(), [], [0]
 
-        def checked(runner, agent, key):
-            if not asleep(runner, agent, key):
-                return False
-            assert key[1] == runner.view.best_tip(runner.contract.now_s - agent.visibility_delay_s)
-            obs = runner._observe(agent, key[1], key[2])
-            assert agent.policy.step(obs, agent.priv) == ([], agent.priv), \
-                f"{agent.policy.name} at {runner.contract.now_s}"
+        def no_op(runner, agent):
+            now = runner.contract.now_s
+            obs = runner._observe(agent, runner.view.best_tip(now - agent.visibility_delay_s),
+                                  runner.config.rate_path.rate_at(now))
+            assert agent.policy.step(obs, agent.priv) == ([], agent.priv), f"{agent.policy.name} at {now}"
             skipped[type(agent.policy)] += 1
+
+        def checked(runner, agent):
+            if not asleep(runner, agent):
+                return False
+            no_op(runner, agent)
             return True
 
+        def checked_handle(runner, t, event):
+            before = len(taken)
+            handle(runner, t, event)
+            if event[0] == "turns" and len(taken) == before:  # skipped whole
+                whole[0] += 1
+                for agent in runner.agents:
+                    assert asleep(runner, agent), (agent.policy.name, t)
+                    no_op(runner, agent)
+
+        def counted_turns(runner, t):
+            taken.append(t)
+            take_turns(runner, t)
+
         monkeypatch.setattr(SimulationRunner, "_asleep", checked)
+        monkeypatch.setattr(SimulationRunner, "_handle", checked_handle)
+        monkeypatch.setattr(SimulationRunner, "_take_turns", counted_turns)
         paths = sorted(SCENARIO_DIR.glob("*.json"))
         assert paths
         for path in paths:
             trace = run(load_config(str(path)))
             want = GOLDEN[f"{path.stem}+0"]
             assert (trace.digest(), len(trace.events)) == (want["digest"], want["events"]), path.stem
+        fuzz = load_config(str(SCENARIO_DIR / "fuzz_random.json"))
+        trace = run(dataclasses.replace(fuzz, end_time=8 * fuzz.end_time))
+        want = LONG_HORIZON["fuzz_random/x8+0"]
+        assert (trace.digest(), len(trace.events)) == (want["digest"], want["events"])
+        # a lone relayer that lags: no event marks the moment a block it has not seen becomes visible
+        lagging = {**BASE["agents"][0], "visibility_delay_s": 31}
+        submits = [e["t"] for e in run(parse_config(mini_config(agents=[lagging]))).events if e["kind"] == "submit"]
+        assert submits == [714, 1834, 2954]
         assert set(skipped) == set(POLICIES.values()), skipped
+        assert whole[0] > 0
 
     def test_fuzz_random_x8_steps_under_a_third_of_the_turns(self, monkeypatch):
         from pegsim.agents import Policy
+        from pegsim.harness.runner import SimulationRunner
 
         step, steps = Policy.step, Counter()
+        take_turns, taken = SimulationRunner._take_turns, [0]
 
         def counted(policy, obs, priv):
             steps[policy.name] += 1
             return step(policy, obs, priv)
 
+        def counted_turns(runner, t):
+            taken[0] += 1
+            take_turns(runner, t)
+
         monkeypatch.setattr(Policy, "step", counted)
+        monkeypatch.setattr(SimulationRunner, "_take_turns", counted_turns)
         config = load_config(str(SCENARIO_DIR / "fuzz_random.json"))
         config = dataclasses.replace(config, end_time=8 * config.end_time)
         run(config)
-        agent_turns = config.end_time // config.clock.eth_block_seconds * len(config.agents)
-        assert agent_turns == 36_000
+        turns = config.end_time // config.clock.eth_block_seconds
+        assert (turns, turns * len(config.agents)) == (4_000, 36_000)
         assert sum(steps.values()) < 12_000, steps
+        # relay2 lags 31 s, so a block reaches it a turn or more after relay1; it wakes for one only
+        # when its answer can change
+        assert steps["relay2"] <= steps["relay1"], steps
+        assert turns - taken[0] > turns // 2, taken[0]  # more than half the turns skipped whole
 
 
 def _snapshot_runs():
@@ -759,7 +834,9 @@ class TestCli:
         capsys.readouterr()
         assert cli_main(["audit", str(trace_path)]) == 1
         out = capsys.readouterr().out
-        assert "VIOLATIONS (1):" in out and f"seq {events[-1]['seq']}: [EthConservation]" in out
+        seq = events[-1]["seq"]
+        assert "VIOLATIONS (2):" in out
+        assert f"seq {seq}: [SnapshotCopy]" in out and f"seq {seq}: [EthConservation]" in out
 
     def test_missing_trace_exits_2_without_a_traceback(self, tmp_path, capsys):
         missing = tmp_path / "absent.ndjson"
