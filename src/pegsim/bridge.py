@@ -245,8 +245,9 @@ class ProofThread:
     active: ActiveSubmission  # the challenged submission, with its relayer and pending penalty
     prior_tip_header: Optional[BlockHeader]
     challenger: str
-    proof_deadline_s: int
+    verdict_due_s: int  # from when resolve_proof settles on verdict: the proof deadline until a proof comes
     proof: Optional[ExtensionProof] = None
+    verdict: str = "timed_out"  # until a proof comes; then the oracle's accept or reject of it
     resolved: bool = False
 
     @property
@@ -456,8 +457,8 @@ class BridgeContract:
         """SHA-256 over the canonical JSON of the contract's ledgers and records.  Two states share a digest
         if they differ only in the clock, last_progress_s, the next submission number, the active claim's
         witness or tip hash, a bridge's crossing_fee, a registration's crosser_doge or lock_bounty, a burn's
-        dest or history_len_at_burn, a thread's proof_deadline_s or proof (only whether it has one counts),
-        or the deep proposal's submission."""
+        dest or history_len_at_burn, a thread's verdict, verdict_due_s or proof (only whether it has one
+        counts), or the deep proposal's submission."""
         doc = {
             "current_date": self.current_date,
             "relay_mode": self.relay_mode,
@@ -740,14 +741,14 @@ class BridgeContract:
             active=active,
             prior_tip_header=prior_tip,
             challenger=challenger,
-            proof_deadline_s=self.now_s + self.params.proof_timeout_per_block_s * ext_len,
+            verdict_due_s=self.now_s + self.params.proof_timeout_per_block_s * ext_len,
         )
         self.threads[thread.thread_id] = thread
         self.active = None
         self._emit(
             "challenge_commitment", challenger,
             relayer=active.relayer, thread_id=thread.thread_id, ext_len=ext_len,
-            proof_deadline_s=thread.proof_deadline_s, sub_seq=active.seq,
+            proof_deadline_s=thread.verdict_due_s, sub_seq=active.seq,
         )
         return thread
 
@@ -797,26 +798,28 @@ class BridgeContract:
             raise NotARelayer(f"{relayer} is not the thread's relayer")
         if thread.proof is not None:
             raise TooLate("proof already supplied")
-        if self.now_s > thread.proof_deadline_s:
-            raise TooLate(f"proof deadline {thread.proof_deadline_s} passed at {self.now_s}")
-        thread.proof = proof
+        if self.now_s > thread.verdict_due_s:  # a timed_out verdict is due
+            raise TooLate(f"proof deadline {thread.verdict_due_s} passed at {self.now_s}")
+        fault, delay_s = proofsys.oracle_verify(thread.prior_tip_header, thread.active.sub, proof,
+                                                self.params, self.cost_model)
+        thread.proof, thread.verdict_due_s = proof, self.now_s + delay_s
+        thread.verdict = "reject" if fault else "accept"
         self._emit("proof_supplied", relayer, thread_id=thread_id, proof_len=proof.length)
         return thread
 
-    def resolve_proof(self, thread_id: int, verdict: str) -> dict:
-        """Settle a proof thread: accept | reject | timed_out.
+    def resolve_proof(self, thread_id: int) -> dict:
+        """Settle a proof thread on its verdict once that is due; before, refuse it as NotElapsed.
 
-        Accept: the challenger's deposit pays the verification cost and
-        compensates the vindicated relayer.  Reject: the relayer's deposit
-        pays the cost and rewards the challenger.  Timed out: the relayer's
-        whole deposit is destroyed.
-        """
+        Timed out, at the proof deadline with no proof: the relayer's whole deposit is destroyed.  Else the
+        oracle's verdict on the proof.  Accept: the challenger's deposit pays the verification cost and
+        compensates the vindicated relayer.  Reject: the relayer's deposit pays the cost and rewards the
+        challenger."""
         thread = self.threads.get(thread_id)
         if thread is None or thread.resolved:
             raise UnknownThread(thread_id)
-        if verdict not in ("accept", "reject", "timed_out"):
-            raise SimError(f"unknown verdict {verdict!r}")
-        relayer = thread.active.relayer
+        if self.now_s < thread.verdict_due_s:
+            raise NotElapsed(f"thread {thread_id}'s {thread.verdict} is due at {thread.verdict_due_s}")
+        relayer, verdict = thread.active.relayer, thread.verdict
         cost = verification_cost(self.cost_model, thread.ext_len, self.params.c)
         reward = rate_mul(self.params.challenge_reward_rate, cost)
         settlement = {"thread_id": thread_id, "verdict": verdict, "cost": cost, "reward": reward}

@@ -22,7 +22,6 @@ from ..bridge import BridgeContract, EthAccounts
 from ..chainsim import NEVER, ChainView, Transaction
 from ..errors import ParseError, SimError
 from ..merkle import sha256
-from ..proofsys import oracle_verify
 from ..scheduler import EventQueue, next_doge_block_time
 from .audit import SNAPSHOT_COPIES
 from .config import ScenarioConfig
@@ -211,13 +210,10 @@ class SimulationRunner:
                 self._schedule_accept(c.window_deadline())
         elif kind == "challenge_commitment":
             thread = c.challenge_commitment(policy.name)
-            self.queue.schedule(thread.proof_deadline_s, ("proof_timeout", {"thread": thread}))
+            self.queue.schedule(thread.verdict_due_s, ("proof_timeout", {"thread": thread}))
         elif kind == "supply_proof":
             thread = c.supply_proof(policy.name, p["thread_id"], p["proof"])
-            fault, delay_s = oracle_verify(thread.prior_tip_header, thread.active.sub, p["proof"],
-                                           c.params, c.cost_model)
-            verdict = "accept" if fault is None else "reject"
-            self.queue.schedule(c.now_s + delay_s, ("oracle", {"thread": thread, "verdict": verdict}))
+            self.queue.schedule(thread.verdict_due_s, ("oracle", {"thread": thread}))
         elif kind == "report_lock":
             c.report_lock(policy.name, p["report"])
         elif kind == "report_unlock":
@@ -255,10 +251,10 @@ class SimulationRunner:
             if c.active is p["active"]:
                 c.accept_on_timeout()
         elif kind == "proof_timeout":
-            if p["thread"].proof is None:  # no proof, so no oracle verdict has resolved it
-                c.resolve_proof(p["thread"].thread_id, "timed_out")
+            if p["thread"].proof is None:  # no proof, so it times out; else the oracle event resolves it
+                c.resolve_proof(p["thread"].thread_id)
         elif kind == "oracle":
-            c.resolve_proof(p["thread"].thread_id, p["verdict"])
+            c.resolve_proof(p["thread"].thread_id)
         elif kind == "unlock_deadline":
             if not p["burn"].settled:  # its deadline has come, so all its unpaid portions are due
                 c.unlock_timeout(p["burn"].burn_id)

@@ -197,5 +197,5 @@ def oracle_verify(
     params: "ProtocolParams",
     model: CostModel,
 ) -> Tuple[Optional[str], int]:
-    """Always-correct oracle: (fault, delay_s), the fault of direct verification, due delay_s after the proof."""
+    """The always-correct oracle the contract asks on each supplied proof: (direct verification's fault, delay_s)."""
     return verify_extension_proof(prior_tip_header, sub, proof, params), model.latency_per_block_s * proof.length

@@ -450,7 +450,7 @@ class TestChallengeCommitmentAndProofs:
         assert contract.relay_mode == "listening"
         assert contract.history == []
         assert thread.ext_len == 30
-        assert thread.proof_deadline_s == 280 + 10 * 30
+        assert thread.verdict_due_s == 280 + 10 * 30  # the proof deadline, 10 s per block, until a proof comes
 
     def test_second_challenge_rejected(self):
         contract, view, tip, sub = self.make_verifying()
@@ -467,12 +467,14 @@ class TestChallengeCommitmentAndProofs:
         proof = prove_extension_for(view, tip, 0, 30, c=10)
         contract.advance_to(290)
         contract.supply_proof(R1, thread.thread_id, proof)
+        assert thread.verdict_due_s == 290 + 2 * 40  # latency_per_block_s x (30 revealed + 10 witness)
         cost = verification_cost(contract.cost_model, 30, 10)  # 100 + 40 = 140
         assert cost == 140
         reward = rate_mul(Fraction(1, 100), cost)  # 1
         r1_before = contract.accounts.get(R1)
-        settle = contract.resolve_proof(thread.thread_id, "accept")
-        assert settle["cost"] == 140 and settle["reward"] == 1
+        contract.advance_to(thread.verdict_due_s)
+        settle = contract.resolve_proof(thread.thread_id)
+        assert settle["verdict"] == "accept" and settle["cost"] == 140 and settle["reward"] == 1
         assert contract.relayer_deposits[R2] == 10_110 - 141
         assert contract.accounts.get(R1) == r1_before + reward
         # the vindicated submission is NOT appended; relay already moved on
@@ -484,9 +486,10 @@ class TestChallengeCommitmentAndProofs:
         thread = contract.challenge_commitment(R2)
         proof = prove_extension_for(view, tip, 0, 30, c=10)
         contract.advance_to(290)
-        contract.supply_proof(R1, thread.thread_id, proof)
+        contract.supply_proof(R1, thread.thread_id, proof)  # the chain's segment: the made-up root does not commit it
         r2_before = contract.accounts.get(R2)
-        contract.resolve_proof(thread.thread_id, "reject")
+        contract.advance_to(thread.verdict_due_s)
+        assert contract.resolve_proof(thread.thread_id)["verdict"] == "reject"
         assert contract.relayer_deposits[R1] == 10_110 - 141
         assert contract.accounts.get(R2) == r2_before + 1
 
@@ -494,8 +497,9 @@ class TestChallengeCommitmentAndProofs:
         contract, view, tip, sub = self.make_verifying(honest=False)
         at_block(contract, 20)
         thread = contract.challenge_commitment(R2)
-        settle = contract.resolve_proof(thread.thread_id, "timed_out")
-        assert settle["destroyed"] == 10_110
+        contract.advance_to(thread.verdict_due_s)
+        settle = contract.resolve_proof(thread.thread_id)
+        assert settle["verdict"] == "timed_out" and settle["destroyed"] == 10_110
         assert not contract.is_relayer(R1)
         assert contract.retained >= 10_110
 
@@ -514,7 +518,8 @@ class TestChallengeCommitmentAndProofs:
         assert contract.relayer_deposits[R1] == 10_110 - 1_011
         contract.advance_to(200)
         thread = contract.challenge_commitment(R1)
-        contract.resolve_proof(thread.thread_id, "timed_out")
+        contract.advance_to(thread.verdict_due_s)  # R2 cannot prove its made-up roots
+        assert contract.resolve_proof(thread.thread_id)["verdict"] == "timed_out"
         # penalty returned to R1's deposit; R2's deposit destroyed
         assert contract.relayer_deposits[R1] == 10_110
         assert not contract.is_relayer(R2)
@@ -534,7 +539,8 @@ class TestChallengeCommitmentAndProofs:
         r1_before = contract.accounts.get(R1)
         contract.advance_to(200)
         thread = contract.challenge_commitment(BOB)
-        contract.resolve_proof(thread.thread_id, "timed_out")
+        contract.advance_to(thread.verdict_due_s)
+        assert contract.resolve_proof(thread.thread_id)["verdict"] == "timed_out"
         assert not contract.is_relayer(R1)
         assert contract.accounts.get(R1) == r1_before + 1_011
         assert contract.received_total == contract.paid_total + contract.held_total()
@@ -552,9 +558,12 @@ class TestChallengeCommitmentAndProofs:
         contract.submit_extension(R1, Submission(b"\x42" * 32, sub.confirmation_witness, sub.tip_header))
         at_block(contract, 20)
         thread = contract.challenge_commitment(R2)
+        contract.supply_proof(R1, thread.thread_id, prove_extension_for(view, tip, 0, 30, c=10))
         retained, r2_before = contract.retained, contract.accounts.get(R2)
-        settle = contract.resolve_proof(thread.thread_id, "reject")
-        assert (settle["payer"], settle["cost"], settle["reward"], settle["paid"]) == (R1, 140, 14, 150)
+        contract.advance_to(thread.verdict_due_s)
+        settle = contract.resolve_proof(thread.thread_id)
+        assert (settle["verdict"], settle["payer"], settle["cost"], settle["reward"], settle["paid"]) == \
+            ("reject", R1, 140, 14, 150)
         assert contract.retained == retained + 140  # the whole cost
         assert contract.accounts.get(R2) == r2_before + 10  # what is left toward the reward of 14
         assert R1 not in contract.relayer_deposits and not contract.is_relayer(R1)

@@ -19,6 +19,7 @@ from pegsim.bridge import (
 from pegsim.chainsim import Transaction, doge_address
 from pegsim.errors import (
     NoProposal,
+    NotElapsed,
     NotVerifying,
     ProposalPending,
     RangeNotAhead,
@@ -287,12 +288,44 @@ class TestRefusalsChangeNothing:
         if case in ("resolved thread", "second proof"):
             contract.supply_proof(R1, thread.thread_id, proof)
         if case == "resolved thread":
-            contract.resolve_proof(thread.thread_id, "accept")
+            contract.advance_to(thread.verdict_due_s)
+            contract.resolve_proof(thread.thread_id)
         if case == "late proof":
-            contract.advance_to(thread.proof_deadline_s + 1)
+            contract.advance_to(thread.verdict_due_s + 1)
         before = untouched(contract)
         with pytest.raises(error, match=match):
             contract.supply_proof(R1, thread_id, proof)
+        assert untouched(contract) == before
+
+    @pytest.mark.parametrize("case, error, match", [
+        ("unknown thread", UnknownThread, "99"),
+        ("resolved thread", UnknownThread, "0"),
+        ("no proof before its deadline", NotElapsed, "timed_out is due at 580"),
+        ("a proof before its verdict is due", NotElapsed, "accept is due at 360"),
+    ])
+    def test_resolve_proof_refused(self, case, error, match):
+        """Only the contract decides a thread's verdict, and only once it is due."""
+        contract = fresh()
+        contract.become_relayer(R1, 10_110)
+        contract.become_relayer(R2, 10_110)
+        view, tip, _ = chain_with_lock(45)
+        at_block(contract, 10)
+        contract.submit_extension(R1, build_submission(view, tip, 0, 30, 10))
+        at_block(contract, 20)
+        thread = contract.challenge_commitment(R2)  # proof due by 280 s + 10 s x 30 blocks
+        if case in ("resolved thread", "a proof before its verdict is due"):
+            # at 280 s; the oracle's verdict is due 2 s x (30 revealed + 10 witness blocks) later, at 360 s
+            contract.supply_proof(R1, thread.thread_id, prove_extension_for(view, tip, 0, 30, 10))
+        if case == "resolved thread":
+            contract.advance_to(thread.verdict_due_s)
+            contract.resolve_proof(thread.thread_id)
+        if case == "no proof before its deadline":
+            contract.advance_to(579)
+        if case == "a proof before its verdict is due":
+            contract.advance_to(359)
+        before = untouched(contract)
+        with pytest.raises(error, match=match):
+            contract.resolve_proof(99 if case == "unknown thread" else thread.thread_id)
         assert untouched(contract) == before
 
     @pytest.mark.parametrize("case, from_index, prior_date, range_b, error", [

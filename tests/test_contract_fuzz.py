@@ -6,8 +6,13 @@ the contract's clock, included.  Its world is a small Dogecoin chain, mined
 once: a lock payment to the operator's bridge head, the operator's unlock
 payment, and a fork on which the operator moves the locked coins elsewhere.
 So the rules can draw honest claims, bogus claims (made-up roots, or a tip
-header that fails PoW) and transaction reports on either branch.  Each run
-starts at a stage of the honest lifecycle (`ContractMachine.begin`).
+header that fails PoW) and transaction reports on either branch.
+
+`ContractMachine.tour` is a fixed path on which every call succeeds and every
+event kind the coverage ledger gives this test is recorded.  The test plays it
+whole, so its coverage does not rest on the draw; each run of the machine
+starts somewhere along it (`ContractMachine.begin`), next to the calls that
+only a long history of earlier calls enables.
 
 The contract lives in a `SimulationRunner`, so every event goes through the
 runner's own `_record`, snapshot reuse included.  Each call and each step is
@@ -21,6 +26,7 @@ import functools
 import inspect
 from collections import Counter
 from fractions import Fraction
+from itertools import islice, product
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -44,6 +50,7 @@ CALLS = PUBLIC - READS
 
 ACTORS = ("op", "alice", "relay1", "relay2")
 RATES = (Fraction(1, 1000), Fraction(1, 500))
+COLLATERALS = (500_000, 1_000_000, 2_000_000)
 TARGET = 1 << 250
 C = 2
 HEADS = tuple(doge_address(f"op/head{i}") for i in range(3))
@@ -53,6 +60,9 @@ LOCK = Transaction(doge_address("alice"), HEAD, 1000, 0, b"alice")  # memo: mint
 UNLOCK = Transaction(HEAD, DEST, 1000, 0)
 THEFT = Transaction(HEAD, doge_address("mallory"), 1000, 0)  # on the fork
 MAIN_LEN, FORK_AT, FORK_LEN = 36, 6, 30
+FIRST = 8  # the date of the tour's first history entry, which commits the lock but not the unlock payment
+TOUR_STEPS = 38
+STAGED = range(15, 21)  # tour steps played: a deep proposal, a registration and burns pending; from 17 a thread
 CONFIG = parse_config({
     "schema_version": 1,
     "name": "contract_fuzz",
@@ -131,9 +141,10 @@ def usually(data, likely, unlikely):
 
 
 class ContractMachine(RuleBasedStateMachine):
-    """Checks, for each call, that a refused call (SimError) changed nothing, its clock included, and
-    that a call that changed the contract wrote an event (the premise of turn skipping and of snapshot
-    reuse; the clock is not state); and, after each step, the ledger, the history and the trace (holds)."""
+    """One public contract call per step, each checked twice over.  The call itself (call): a refused
+    one (SimError) leaves the contract and its clock as they were, and one that changed the contract
+    recorded an event, as turn skipping and snapshot reuse assume (the clock is not state).  Then the
+    whole contract (holds): its ledgers, its history and the trace it has written so far."""
 
     def __init__(self):
         super().__init__()
@@ -152,10 +163,11 @@ class ContractMachine(RuleBasedStateMachine):
             getattr(c, name)(*args)
         except SimError:
             assert (c.now_s, self.snapshot()) == (now, before), f"refused {name} changed the contract"
-            return
+            return False
         assert len(events) > count or self.snapshot() == before, f"{name} changed the contract and wrote no event"
         SUCCEEDED[name] += 1
         EMITTED.update(event["kind"] for event in events[count:])
+        return True
 
     # -- what the rules draw ---------------------------------------------------
 
@@ -218,44 +230,72 @@ class ContractMachine(RuleBasedStateMachine):
         hodler, y, n = data.draw(st.sampled_from(self.holdings()))
         return hodler, y, usually(data, [n // 2, n], [n + 1, 0])
 
-    @initialize(y=st.sampled_from(RATES), x=st.sampled_from([500_000, 1_000_000, 2_000_000]),
-                first=st.sampled_from([8, 20]), data=st.data())
-    def begin(self, y, x, first, data):
-        """Start at a stage of the honest lifecycle, so that short runs of rules reach the late calls.
+    def tour(self, y, x):
+        """The fixed path: (call, *args) steps, each computed when it is reached.  A bridge is opened at the
+        lock's head, the lock is relayed and minted, and alice burns twice; a commitment challenge of the
+        claim that holds the unlock payment ends on the contract's verdict, and the payment settles one
+        burn while the other times out.  Then a deep proposal is objected to and another finalized, a
+        backtrack to the fork lets alice report the operator's theft, and a stalled relay backtracks in a
+        chunk.  On the way an accepted claim cancels a staged proposal, and a registration expires unfilled."""
+        c, (main, fork) = self.contract, world()[1]
 
-        Stage 0 is the operator's bridge at the head the world's lock pays, and two relayers.  Each later
-        stage adds a step: 1, a first history entry (0, first], which commits the lock, and the unlock
-        payment too if first is 20; 2, its mint to alice; 3, alice's burn of half of it; 4, a claim in
-        Verification that commits the unlock payment; 5, a commitment challenge against it; 6, the same
-        claim again, by the challenger.  Most runs start at stage 5 or 6, most with a registration at a
-        second bridge that no payment fills and a staged deep backtrack.  The clock then stays, or moves
-        to a deadline still to come.
-        """
-        c, main = self.contract, world()[1][0]
-        stage = data.draw(st.sampled_from([5, 5, 5, 5, 6, 6, 6, 0, 1, 2, 3, 4]))
-        register, propose = usually(data, [True], [False]), usually(data, [True], [False])
-        c.open_bridge("op", x, y, HEAD, 0, 2_000)
+        def until(t):
+            return "advance_to", max(c.now_s, t)
+
+        def window_end():
+            return until(c.window_deadline() * c.clock.eth_block_seconds)
+
+        yield "open_bridge", "op", x, y, HEAD, 0, 2_000
         for relayer in ("relay1", "relay2"):
-            c.become_relayer(relayer, c.required_relayer_deposit())
-        if stage >= 1:
-            deadline = c.submit_extension("relay1", claim(main, 0, first))
-            c.advance_to(deadline * c.clock.eth_block_seconds)
-            c.accept_on_timeout()
-        if register:
-            c.open_bridge("op", x, y, OTHER_HEAD, 0, 0)
-            c.register_crossing("alice", OTHER_HEAD, 50_000, LOCK.sender, 0)
-        if stage >= 2:
-            assert c.report_lock("op", report(0, main, 0, first, LOCK)) == "minted"
-        if stage >= 3:
-            c.burn_wow("alice", y, c.wow_balance("alice", y) // 2, DEST)
-        if stage >= 4:
-            c.submit_extension("relay2", claim(main, first, 30))
-        if stage >= 5:
-            c.challenge_commitment("relay1")
-        if stage >= 6:
-            c.submit_extension("relay1", claim(main, first, 30))
-        if propose:
-            c.propose_deep_backtrack("alice", 0, claim(main, 0, 26))
+            yield "become_relayer", relayer, c.required_relayer_deposit()
+        yield "open_bridge", "op", x, y, OTHER_HEAD, 0, 0
+        yield "submit_extension", "relay1", claim(main, 0, FIRST)
+        yield "challenge_range", "relay2", claim(main, 0, FIRST + 2)  # less than d longer: ignored
+        yield window_end()
+        yield ("accept_on_timeout",)
+        yield "register_crossing", "alice", OTHER_HEAD, 50_000, LOCK.sender, 0  # no payment will fill it
+        yield "report_lock", "op", report(0, main, 0, FIRST, LOCK)
+        yield "report_lock", "op", report(0, main, 0, FIRST, LOCK)  # ignored: the lock is used
+        yield "wow_transfer", "alice", "relay1", y, 1
+        for share in (2, 4):
+            yield "burn_wow", "alice", y, c.wow_balance("alice", y) // share, DEST
+        yield "propose_deep_backtrack", "alice", 0, claim(main, 0, 26)  # staged until the next accept
+        yield "submit_extension", "relay2", claim(main, FIRST, 30)
+        yield "challenge_commitment", "relay1"
+        yield "submit_extension", "relay1", claim(main, FIRST, 30)
+        yield "supply_proof", "relay2", 0, proof(main, FIRST, 30)
+        yield until(c.threads[0].verdict_due_s)
+        yield "resolve_proof", 0
+        yield window_end()
+        yield ("accept_on_timeout",)  # cancels the proposal, and the history passes the registration's expiry
+        yield "report_unlock", "op", 0, report(1, main, FIRST, 30, UNLOCK)
+        yield until(c.burns[1].deadline_eth * c.clock.eth_block_seconds)
+        yield "unlock_timeout", 1
+        yield "propose_deep_backtrack", "alice", 0, claim(main, 0, 26)
+        yield "object_deep_backtrack", "relay1"
+        yield "propose_deep_backtrack", "alice", 2, claim(main, 30, MAIN_LEN - C)
+        yield until(c.deep_proposal.proposed_at_s + c.params.deep_backtrack_delay_1_s)
+        yield ("finalize_deep_backtrack",)
+        yield "backtrack", "relay2", 0, claim(fork, 0, 12)
+        yield window_end()
+        yield ("accept_on_timeout",)
+        yield "report_missing_doge", "alice", report(0, fork, 0, 12, THEFT), y, 1
+        yield "withdraw_relayer_deposit", "relay1"
+        yield until(c.last_progress_s + c.params.deep_backtrack_delay_2_s)
+        yield "chunked_backtrack", "relay2", 0, claim(main, 0, 20)
+
+    @initialize(y=st.sampled_from(RATES), x=st.sampled_from(COLLATERALS), data=st.data())
+    def begin(self, y, x, data):
+        """Start after the first steps of the tour, then stay or move the clock to a deadline to come.
+
+        Usually the start is STAGED, with much pending that the rules rarely set up on their own.  Else it
+        follows any step from the third on: the first three (a bridge and two relayers) record the events
+        whose snapshot a Dogecoin block copies.
+        """
+        c = self.contract
+        steps = data.draw(st.sampled_from(usually(data, [STAGED], [range(3, TOUR_STEPS + 1)])))
+        for name, *args in islice(self.tour(y, x), steps):
+            getattr(c, name)(*args)
         c.advance_to(data.draw(st.sampled_from([c.now_s, c.now_s, *self.deadlines()])))
 
     # -- the clock -------------------------------------------------------------
@@ -263,7 +303,7 @@ class ContractMachine(RuleBasedStateMachine):
     def deadlines(self):
         """The times still to come at which a contract deadline or delay ends."""
         c, eth_s = self.contract, self.runner.clock.eth_block_seconds
-        ends = [t.proof_deadline_s for t in c.threads.values() if not t.resolved]
+        ends = [t.verdict_due_s for t in c.threads.values() if not t.resolved]
         ends += [b.deadline_eth * eth_s for b in c.burns.values() if not b.settled]
         ends.append(c.last_progress_s + c.params.deep_backtrack_delay_2_s)
         if c.active is not None:
@@ -274,9 +314,9 @@ class ContractMachine(RuleBasedStateMachine):
 
     @rule(data=st.data())
     def advance_to(self, data):
-        """Move the clock, usually to a deadline still to come, else by a second or a Dogecoin block or
-        to one second before a deadline, or back a second, which must be refused; and after a move mine
-        a Dogecoin block then on the runner's own chain, so that of two moves in a row the second
+        """Usually move the clock to a deadline still to come.  Else move it a second or a Dogecoin block
+        on, to a second short of a deadline, or a second back, which the contract must refuse.  A move
+        also mines a Dogecoin block on the runner's own chain, so the second of two moves in a row
         records its block with a copy of the first one's snapshot."""
         ends, now = self.deadlines(), self.contract.now_s
         self.call("advance_to", usually(data, ends, [now + 1, now + 62, *(t - 1 for t in ends), now - 1]))
@@ -339,7 +379,7 @@ class ContractMachine(RuleBasedStateMachine):
     def challenge_commitment(self, data):
         self.call("challenge_commitment", self.draw_relayer(data))
 
-    @precondition(lambda self: any(not t.resolved and t.proof is None and self.contract.now_s <= t.proof_deadline_s + 1
+    @precondition(lambda self: any(not t.resolved and t.proof is None and self.contract.now_s <= t.verdict_due_s + 1
                                    for t in self.contract.threads.values()))
     @rule(data=st.data())
     def supply_proof(self, data):
@@ -358,9 +398,9 @@ class ContractMachine(RuleBasedStateMachine):
         self.call("supply_proof", relayer, thread_id, proof(tip, prior, range_b))
 
     @precondition(lambda self: any(not t.resolved for t in self.contract.threads.values()))
-    @rule(data=st.data(), verdict=st.sampled_from(["accept", "reject", "timed_out", "void"]))
-    def resolve_proof(self, data, verdict):
-        self.call("resolve_proof", self.draw_id(data, self.contract.threads, lambda t: not t.resolved), verdict)
+    @rule(data=st.data())
+    def resolve_proof(self, data):
+        self.call("resolve_proof", self.draw_id(data, self.contract.threads, lambda t: not t.resolved))
 
     @precondition(lambda self: self.contract.history)
     @rule(reporter=st.sampled_from(ACTORS), data=st.data())
@@ -467,10 +507,18 @@ def test_every_public_call_is_a_read_or_has_a_rule():
 
 
 def test_contract_state_machine():
-    """Runs the machine under the profile's budget; every call must succeed, and every event kind the
-    coverage ledger says only this test reaches must be recorded, at least once."""
+    """Plays the tour at each rate and collateral, every step of which must succeed, then runs the machine
+    under the profile's budget.  Every call must succeed, and every event kind the coverage ledger says
+    only this test reaches must be recorded, at least once."""
     SUCCEEDED.clear()
     EMITTED.clear()
+    for y, x in product(RATES, COLLATERALS):
+        machine, played = ContractMachine(), 0
+        for name, *args in machine.tour(y, x):
+            assert machine.call(name, *args), f"step {played} of the tour, {name}, refused at y={y}, x={x}"
+            machine.holds()
+            played += 1
+        assert played == TOUR_STEPS
     run_state_machine_as_test(ContractMachine, settings=settings())
     assert set(SUCCEEDED) == CALLS, sorted(CALLS - set(SUCCEEDED))
     fuzzed = {kind for kind, test in REACHED_OUTSIDE_THE_CORPUS.items() if test == FUZZER}

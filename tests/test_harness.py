@@ -423,9 +423,9 @@ class TestOracleAgreement:
     @pytest.mark.parametrize("scenario", ["orphan_attack", "fuzz_random", "dos_challenge",
                                           "false_challenge"])
     def test_three_way_agreement(self, scenario):
-        # For every proof thread that received a proof: the oracle's verdict,
-        # direct verification, and "revealed headers equal the best-chain
-        # segment" must all agree.
+        # Every traced verdict is the one its thread kept.  For every proof thread
+        # that received a proof: the oracle's verdict, direct verification, and
+        # "revealed headers equal the best-chain segment" must all agree.
         from pegsim.harness.runner import SimulationRunner
         from pegsim.proofsys import date_of, verify_extension_proof
 
@@ -435,10 +435,9 @@ class TestOracleAgreement:
                     for e in trace.events if e["kind"] == "proof_resolved"}
         checked = 0
         for thread in runner.contract.threads.values():
-            if thread.proof is None or thread.thread_id not in verdicts:
-                continue
-            traced = verdicts[thread.thread_id]
-            if traced == "timed_out":
+            traced = verdicts.get(thread.thread_id)
+            assert traced == (thread.verdict if thread.resolved else None), thread.thread_id
+            if thread.proof is None or traced is None:
                 continue
             direct = verify_extension_proof(thread.prior_tip_header, thread.active.sub,
                                             thread.proof, runner.contract.params)
