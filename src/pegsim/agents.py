@@ -87,9 +87,6 @@ class RatePath:
         if any(r <= 0 for _, r in self.points):
             raise ConfigError("rate_path: rates must be positive")
 
-    def rate_at(self, t: int) -> Fraction:
-        return self.segment(t)[0]
-
     def segment(self, t: int) -> Tuple[Fraction, float]:
         """(rate at t, the next point's start after t, or NEVER).  That point may repeat the rate."""
         if t < self.points[0][0]:

@@ -13,7 +13,7 @@ encodes a header's fields once and changes only the nonce bytes between
 attempts, wrapping from 2^64 - 1 to 0; for sha256d it hashes the fixed 80-byte
 prefix once and resumes from that midstate per nonce; any other PoW function
 is evaluated on POW_WIDTH threads that draw nonces in order, the only work off
-the caller's thread, with a result that does not depend on their scheduling.
+the caller's thread; the nonce found does not depend on their scheduling.
 The winning header is built from the digest found.
 """
 
@@ -145,7 +145,7 @@ def pow_digest(pow_fn: str, data: bytes) -> bytes:
     return POW_FNS[pow_fn](data)
 
 
-# CPUs this process may run on, at most 4: a block's scan evaluates at most POW_WIDTH - 1 digests past the winner
+# CPUs this process may run on, at most 4: the threads a block's scan evaluates nonces on
 POW_WIDTH = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 _pow_helpers = None  # POW_WIDTH - 1 threads, started by the first search that needs them
 
@@ -154,39 +154,31 @@ def _pow_scan(evaluate, prefix: bytes, suffix: bytes, start: int) -> Tuple[int, 
     """(nonce, digest) at the first position from `start` whose digest beats `suffix`, or what evaluating it raised.
 
     POW_WIDTH threads, this one and the helpers, draw positions i in order from one counter and evaluate nonce
-    (start + i) % MAX_U64 once every position up to i - POW_WIDTH has finished.  The first position that passes
-    or raises decides; a thread stops on drawing a position past it, so every position below it is evaluated
-    and at most POW_WIDTH - 1 past it.  The helpers are joined before this returns or raises.
+    (start + i) % MAX_U64.  The first position that passes or raises decides; a thread stops on drawing a position
+    past it, so every position below it is evaluated, however the threads are scheduled.  The helpers are joined
+    before this returns or raises.
     """
     global _pow_helpers
-    positions, gate, finished = count(), threading.Condition(threading.Lock()), set()
-    low, first, found, stopped = 0, MAX_U64, None, False  # every position below `low` has finished
+    positions, deciding, first, found, stopped = count(), threading.Lock(), MAX_U64, None, False
 
     def scan():
-        nonlocal low, first, found, stopped
+        nonlocal first, found, stopped
         try:
             for i in positions:
-                with gate:
-                    gate.wait_for(lambda: stopped or i > first or i < low + POW_WIDTH)
-                    if stopped or i > first:
-                        return
+                if stopped or i > first:
+                    return
                 nonce = (start + i) % MAX_U64
                 try:
                     digest = evaluate(prefix + nonce.to_bytes(8, "big") + suffix)
                     decides = digest < suffix
                 except Exception as error:
                     digest, decides = error, True
-                with gate:
-                    finished.add(i)
-                    while low in finished:
-                        low += 1
-                    if decides and i < first:
-                        first, found = i, (nonce, digest)
-                    gate.notify_all()
+                if decides:
+                    with deciding:
+                        if i < first:
+                            first, found = i, (nonce, digest)
         except BaseException:  # an interrupt or exit: every thread stops, and the caller re-raises it
-            with gate:
-                stopped = True
-                gate.notify_all()
+            stopped = True
             raise
 
     if _pow_helpers is None and POW_WIDTH > 1:

@@ -2,7 +2,8 @@
 
 Run with `pytest -v tests/test_acceptance.py` (or `-s` to see the PASS
 lines).  Scenario configs live under scenarios/; every criterion that
-consumes them re-runs the simulator rather than trusting cached artifacts.
+consumes them re-runs the simulator rather than trusting cached artifacts;
+the corpus runs once per test session (`conftest.corpus_run`).
 """
 
 import random
@@ -20,6 +21,8 @@ from pegsim.harness.runner import SimulationRunner
 from pegsim.merkle import merkle_prove, merkle_root, merkle_verify
 from pegsim.proofsys import CostModel, commitment_root, required_relayer_deposit, verification_cost
 
+from conftest import corpus_run
+
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 SCENARIOS = sorted(str(p) for p in SCENARIO_DIR.glob("*.json"))
 DEPOSIT = 10_110  # required relayer deposit under the corpus cost model
@@ -31,12 +34,11 @@ def _ok(n, message):
 
 @pytest.fixture(scope="module")
 def corpus():
-    """One audited run of every bundled scenario."""
+    """The audit of every bundled scenario's run, which the session shares with the golden tests."""
     assert len(SCENARIOS) == 16, f"expected the 16-scenario corpus in {SCENARIO_DIR}"
     results = {}
     for path in SCENARIOS:
-        config = load_config(path)
-        trace = run(config)
+        config, (trace, _) = load_config(path), corpus_run(Path(path).stem)
         results[config.name] = (config, trace, audit(trace.events))
     return results
 

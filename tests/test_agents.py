@@ -48,18 +48,18 @@ TARGET = 1 << 250
 class TestRatePath:
     def test_single_segment(self):
         path = RatePath(((0, Fraction(100)),))
-        assert path.rate_at(0) == 100
-        assert path.rate_at(10**9) == 100
+        assert path.segment(0)[0] == 100
+        assert path.segment(10**9)[0] == 100
 
     def test_step(self):
         path = RatePath(((0, Fraction(100)), (500, Fraction(40))))
-        assert path.rate_at(499) == 100
-        assert path.rate_at(500) == 40
+        assert path.segment(499)[0] == 100
+        assert path.segment(500)[0] == 40
 
     def test_before_start(self):
         path = RatePath(((10, Fraction(1)),))
         with pytest.raises(BeforeStart):
-            path.rate_at(9)
+            path.segment(9)
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):

@@ -113,12 +113,11 @@ class Digests:
     def __init__(self):
         self.called, self.done = [], []
 
-    def assert_scanned_to(self, start, decider, width):
-        """Every position up to the decider evaluated exactly once, at most width - 1 past it, none still running."""
+    def assert_scanned_to(self, start, decider):
+        """Every position up to the decider evaluated exactly once, none still running."""
         positions = [(nonce - start) % MAX_U64 for nonce in self.called]
         assert len(positions) == len(set(positions)), sorted(positions)
         assert set(range(decider + 1)) <= set(positions), sorted(positions)
-        assert len([i for i in positions if i > decider]) <= width - 1, sorted(positions)
         assert len(self.done) == len(self.called)
 
 
@@ -227,7 +226,8 @@ class TestNonceSearch:
 
     @pytest.mark.parametrize("width", WIDTHS, ids=[f"W{w}" for w in WIDTHS])
     def test_the_first_passing_nonce_in_order_wins_at_each_window_offset(self, monkeypatch, width):
-        # the decider at every offset within two widths of the start: alone, and with the width - 1 after it passing
+        # the decider at every offset of the window, the first two widths of positions from the start: alone, and
+        # with the width - 1 after it passing
         target, passing, digests = 1 << 200, set(), Digests()
 
         def edge(data):
@@ -249,7 +249,7 @@ class TestNonceSearch:
                         passing.update((start + offset + i) % MAX_U64 for i in range(count))
                         digests = Digests()
                         got = search_pow(*args, seed=seed)
-                        digests.assert_scanned_to(start, offset, width)
+                        digests.assert_scanned_to(start, offset)
                         assert got[0].nonce == (start + offset) % MAX_U64 and got[1] == offset + 1
                         self.assert_same_search(got, reference_search(*args, seed=seed))
                         assert threading.active_count() <= threads + width - 1
@@ -259,7 +259,7 @@ class TestNonceSearch:
     @pytest.mark.parametrize("width", WIDTHS, ids=[f"W{w}" for w in WIDTHS])
     def test_an_error_reaches_the_caller_after_its_window_finishes(self, monkeypatch, width):
         # an error at each offset within two widths of the start, with a passing nonce just before or just after it;
-        # the search returns or raises only once every digest in its window has finished
+        # the search returns or raises only once its window, every digest the threads had started, has finished
         target, digests = 1 << 200, Digests()
 
         def slow_failing(data):
@@ -288,7 +288,7 @@ class TestNonceSearch:
                     else:
                         with pytest.raises(RuntimeError, match=f"nonce {failing}"):
                             search_pow(*args, seed=1)
-                    digests.assert_scanned_to(start, min(offset, passing_offset), width)
+                    digests.assert_scanned_to(start, min(offset, passing_offset))
                     called = len(digests.called)
                     time.sleep(0.01)
                     assert len(digests.called) == len(digests.done) == called  # nothing was left running
@@ -322,9 +322,9 @@ class TestNonceSearch:
                     if isinstance(want, LookupError):
                         raised += 1
                         assert type(got) is LookupError and got.args == want.args
-                        digests.assert_scanned_to(start, (want.args[0] - start) % MAX_U64, width)
+                        digests.assert_scanned_to(start, (want.args[0] - start) % MAX_U64)
                     else:
-                        digests.assert_scanned_to(start, want[1] - 1, width)
+                        digests.assert_scanned_to(start, want[1] - 1)
                         self.assert_same_search(got, want)
         finally:
             sys.setswitchinterval(switch_interval)
@@ -356,10 +356,44 @@ class TestNonceSearch:
                     search_pow(*search_inputs(1), target, "interrupted", seed=1)
                 called = len(digests.called)
                 assert called == len(digests.done)
-                # positions below p - width + 1 had finished when the interrupted p started, none from p + width may
+                # after the interrupted digest, each other thread starts at most the one it had drawn and one more
+                # before the stop flag is set
                 assert called - interrupted_at[0] <= 2 * (width - 1)
                 time.sleep(0.01)
                 assert len(digests.called) == called  # no helper started another digest
+        finally:
+            faulthandler.cancel_dump_traceback_later()
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("width", WIDTHS, ids=[f"W{w}" for w in WIDTHS])
+    def test_the_threads_stop_once_position_0_passes(self, monkeypatch, width):
+        # position 0 passes at once and every other digest is slow: a thread that drew a position past 0 before 0
+        # decided finishes that one digest and draws no other, so the search returns after about one slow digest
+        target, slow, digests = 1 << 200, 0.02, Digests()
+
+        def slow_past_0(data):
+            digests.called.append(nonce_of(data))
+            if nonce_of(data) != start:
+                time.sleep(slow)
+            digests.done.append(nonce_of(data))
+            return (target - (nonce_of(data) == start)).to_bytes(32, "big")
+
+        monkeypatch.setitem(POW_FNS, "slow_past_0", slow_past_0)
+        threads = threading.active_count()
+        faulthandler.dump_traceback_later(10, exit=True)  # threads that never stop would hang the search: end the run
+        try:
+            with scan_width(width):
+                for seed in range(3):
+                    args = search_inputs(seed) + (target, "slow_past_0")
+                    start = nonce_start(*args[:3], seed)
+                    digests = Digests()
+                    began = time.monotonic()
+                    got = search_pow(*args, seed=seed)
+                    elapsed = time.monotonic() - began
+                    assert got[0].nonce == start and got[1] == 1
+                    digests.assert_scanned_to(start, 0)
+                    assert len(digests.called) - 1 <= width - 1, sorted(digests.called)
+                    assert elapsed < 1.5 * slow, f"{elapsed:.3f} s"
         finally:
             faulthandler.cancel_dump_traceback_later()
         assert threading.active_count() == threads

@@ -17,17 +17,17 @@ why in CHANGES.md.
 
 import ast
 import dataclasses
-import functools
 import json
-from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from pegsim import bridge
-from pegsim.harness import SimulationRunner, load_config, parse_config, run
+from pegsim.harness import load_config, parse_config, run
 from pegsim.harness import runner as runner_module
+
+from conftest import corpus_run, counted_run
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = sorted((ROOT / "scenarios").glob("*.json"))
@@ -36,33 +36,14 @@ GOLDEN = GOLDENS["corpus"]["runs"]
 LONG_HORIZON = [(offset, horizon) for offset in range(3) for horizon in (1, 8)]
 
 
-def counted_run(config):
-    """The trace of a run, and the scheduler events the runner handled in it, by kind."""
-    runner, fired = SimulationRunner(config), Counter()
-    handle = runner._handle
-
-    def counted(t, event):
-        fired[event[0]] += 1
-        handle(t, event)
-
-    runner._handle = counted
-    return runner.run(), fired
-
-
 def test_every_scenario_has_a_golden():
     assert SCENARIOS
     assert {f"{p.stem}+0" for p in SCENARIOS} == set(GOLDEN)
 
 
-@functools.cache
-def corpus_run(path):
-    """counted_run of a corpus scenario at its committed seed, shared by the golden and ledger tests."""
-    return counted_run(load_config(str(path)))
-
-
 @pytest.mark.parametrize("path", SCENARIOS, ids=[p.stem for p in SCENARIOS])
 def test_trace_matches_golden(path):
-    trace, fired = corpus_run(path)
+    trace, fired = corpus_run(path.stem)
     want = GOLDEN[f"{path.stem}+0"]
     assert (trace.digest(), len(trace.events)) == (want["digest"], want["events"])
     assert fired == want["fired"]
@@ -109,7 +90,7 @@ def test_the_contract_emits_no_kind_the_runner_records_itself():
 
 
 def test_every_contract_event_kind_is_in_the_corpus_or_reached_elsewhere():
-    in_corpus = {event["kind"] for path in SCENARIOS for event in corpus_run(path)[0].events}
+    in_corpus = {event["kind"] for path in SCENARIOS for event in corpus_run(path.stem)[0].events}
     assert contract_event_kinds() - in_corpus == set(REACHED_OUTSIDE_THE_CORPUS)
 
 

@@ -18,8 +18,9 @@ from pegsim.harness import audit, load_config, parse_config, replay_check, run
 from pegsim.harness.cli import main as cli_main
 from pegsim.harness.runner import Trace
 
+from conftest import corpus_run
 from test_contract_fuzz import CALLS
-from test_golden import corpus_run, runner_event_kinds
+from test_golden import runner_event_kinds
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 GOLDENS = json.loads((SCENARIO_DIR.parent / "pegbench" / "golden.json").read_text())
@@ -336,7 +337,7 @@ class TestAudit:
         """doge_block, doge_tx, action_rejected and run_summary copy the snapshot of the event before
         them, so a change to its digest or any agg field is flagged there even when it breaks no
         invariant, as received + 5 and held + 5 together do not."""
-        events = [json.loads(line) for line in corpus_run(SCENARIO_DIR / "lifecycle_happy_path.json")[0].lines()]
+        events = [json.loads(line) for line in corpus_run("lifecycle_happy_path")[0].lines()]
         event = events[71]
         assert event["kind"] == "doge_block" and audit(events).ok
         assert set(SNAPSHOT_CHANGES) == {*event["agg"], "digest"}
@@ -348,7 +349,7 @@ class TestAudit:
 
     @pytest.mark.parametrize("scenario, kind, change, rule, detail", TAMPERED)
     def test_a_changed_field_is_flagged_at_its_seq(self, scenario, kind, change, rule, detail):
-        trace, _ = corpus_run(SCENARIO_DIR / f"{scenario}.json")
+        trace, _ = corpus_run(scenario)
         events = [json.loads(line) for line in trace.lines()]
         assert audit(events).ok
         event = next(e for e in events if e["kind"] == kind)
@@ -498,7 +499,7 @@ class TestDelayedVisibility:
 
         def checked(agent, tip, true_rate):
             obs = observe(agent, tip, true_rate)
-            assert obs.true_rate == runner.config.rate_path.rate_at(runner.contract.now_s)
+            assert obs.true_rate == runner.config.rate_path.segment(runner.contract.now_s)[0]
             if agent is relay2:
                 view, cutoff = runner.view, runner.contract.now_s - 31
                 assert obs.tip == view.best_tip(cutoff)
@@ -542,7 +543,7 @@ class TestTurnSkipping:
         def no_op(runner, agent):
             now = runner.contract.now_s
             obs = runner._observe(agent, runner.view.best_tip(now - agent.visibility_delay_s),
-                                  runner.config.rate_path.rate_at(now))
+                                  runner.config.rate_path.segment(now)[0])
             assert agent.policy.step(obs, agent.priv) == ([], agent.priv), f"{agent.policy.name} at {now}"
             skipped[type(agent.policy)] += 1
 
