@@ -25,12 +25,14 @@ on its policy, and its clock and ETH balance are the contract's (`bridge.now_s`
 and `bridge.accounts`); an observation holds only the world the agent sees.
 
 A step also names its wake, and whether its answer holds on every extension
-of its visible tip (see Policy.step).  When a step does nothing, the harness
-lets the agent sleep until the trace gets an event or the earliest of that
-wake, the next time its visible tip can change (when the answer holds on
-extensions: can stop extending the tip it saw) and the next rate point comes.
-So most turns of a quiet relay cost no step, a relayer that lags wakes for a
-block only when its answer can change, and a turn in which every agent
+of its visible tip (see Policy.step); a step that reads neither the chain nor
+its tip says it does.  When a step does nothing, the harness lets the agent
+sleep until the trace gets an event other than a coin block, or the earliest
+of that wake, the next rate point and, unless the answer holds on
+extensions, the next time its visible tip can change comes.  The harness
+mines every block on the best tip, so a block extends every visible tip: it
+wakes only the agents whose answer may depend on their tip, a relayer that
+lags wakes for it once it becomes visible, and a turn in which every agent
 sleeps costs one comparison.
 """
 
@@ -204,11 +206,14 @@ class Policy:
         balances, visible tip and true rate), or NEVER.  A step compares each time threshold with
         that clock through reached(), which names it while it is ahead.  Waking early only costs a
         step; waking late loses an action.  priv[ON_EXTENSION] is True when this step would answer
-        the same on any tip that extends its visible one, the rest of that world unchanged."""
+        the same on any tip that extends its visible one, the rest of that world unchanged: as
+        onboarding and every step that reads neither obs.chain nor obs.tip do."""
         priv = {**priv, WAKE: NEVER, ON_EXTENSION: False}
         joining = None if self.ONBOARD_AT is None else self.onboard(obs, priv)
-        actions = self.decide(obs, priv) if joining is None else joining
-        return actions, priv
+        if joining is None:
+            return self.decide(obs, priv), priv
+        priv[ON_EXTENSION] = True  # onboarding reads no chain
+        return joining, priv
 
     def decide(self, obs: Observation, priv: dict) -> List[Action]:
         raise NotImplementedError
@@ -448,6 +453,7 @@ class LazyRelayer(Policy):
     ONBOARD_AT = "activate_at"
 
     def decide(self, obs: Observation, priv: dict) -> List[Action]:
+        priv[ON_EXTENSION] = True
         return []
 
 
@@ -469,6 +475,7 @@ class OrphanAttacker(Policy):
         actions = self.supply_proofs(obs, lambda t: proof if t.active.sub.commitment == commitment else None)
 
         if proof is not None or st.relay_mode != "listening" or not st.history:
+            priv[ON_EXTENSION] = True  # neither my proof nor this test reads my chain
             return actions
 
         prior_tip, prior = st.base()
@@ -508,6 +515,7 @@ class HighRangeAttacker(Policy):
     def decide(self, obs: Observation, priv: dict) -> List[Action]:
         st = obs.bridge
         if priv.get("attacked") or st.relay_mode != "listening":
+            priv[ON_EXTENSION] = True
             return []
         cm = confirmed_max(obs.chain, obs.tip, st.params.c)
         overshoot = self.params["overshoot"]
@@ -528,6 +536,7 @@ class FalseChallenger(Policy):
 
     def decide(self, obs: Observation, priv: dict) -> List[Action]:
         st = obs.bridge
+        priv[ON_EXTENSION] = True  # reads no chain
         rounds = priv.get("rounds", self.params["rounds"])
         if rounds <= 0 or st.active is None:
             return []
@@ -545,6 +554,7 @@ class DosChallenger(Policy):
 
     def decide(self, obs: Observation, priv: dict) -> List[Action]:
         st = obs.bridge
+        priv[ON_EXTENSION] = True  # reads no tip
         rounds = priv.get("rounds", self.params["rounds"])
         if rounds <= 0 or st.active is None:
             return []
@@ -573,6 +583,7 @@ class RationalOperator(Policy):
 
     def decide(self, obs: Observation, priv: dict) -> List[Action]:
         st = obs.bridge
+        priv[ON_EXTENSION] = True  # reads no chain
         actions: List[Action] = []
 
         if not priv.get("opened") and reached(obs, priv, self.params["open_at"]):
@@ -642,6 +653,7 @@ class HonestCrosser(Policy):
 
     def decide(self, obs: Observation, priv: dict) -> List[Action]:
         st = obs.bridge
+        priv[ON_EXTENSION] = True  # reads no chain
         y = self.params["y"]
         if obs.true_rate < self._min_rate:
             return []
@@ -706,7 +718,9 @@ class VigilantHodler(HonestCrosser):
         y = self.params["y"]
         balance = st.wow_balance(self.name, y)
 
-        if self.params["report_missing"] and balance > 0:
+        scans = self.params["report_missing"] and balance > 0
+        priv[ON_EXTENSION] = not scans  # only the theft scan reads my chain
+        if scans:
             theft = self._find_theft(obs, y, balance)
             if theft is not None:
                 return actions + [theft]

@@ -7,6 +7,10 @@ changes the contract writes an event after the change, so only genesis and
 the contract's own events compute a snapshot, and every other event copies
 the one before it.  A fixed (config, seed) pair replays to a byte-identical
 trace.
+
+Every coin block is mined on the best tip, so each block extends every tip an
+agent can see: a `doge_block` event changes the chain alone, and an agent whose
+answer holds on every extension of its tip sleeps through it (see _asleep).
 """
 
 from __future__ import annotations
@@ -74,8 +78,8 @@ class _AgentRuntime:
     policy: Policy
     visibility_delay_s: int
     priv: dict = field(default_factory=dict)
-    seen: int = -1  # trace events at my last step
-    until: float = 0  # when my last step's answer can change in a world of `seen` events (see _asleep)
+    seen: int = -1  # the runner's changes at my last step
+    until: float = 0  # when my last step's answer can change while the changes stay `seen` (see _asleep)
 
 
 class SimulationRunner:
@@ -102,12 +106,16 @@ class SimulationRunner:
         self._doge_rng = random.Random(f"{config.seed}/doge-times")
 
         self.events: List[dict] = []
-        self._quiet: Tuple[int, float] = (-1, 0)  # (trace events, smallest until) after the last turn taken
+        self._changes = 0  # recorded events but doge_block: the world's version, the chain aside (see _asleep)
+        self._next_block_s = 0  # when the next coin block is mined
+        self._quiet: Tuple[int, float] = (-1, 0)  # (changes, smallest until) after the last turn taken
 
     # -- trace plumbing ------------------------------------------------------
 
     def _record(self, kind: str, actor: str, payload: dict) -> None:
-        if kind in SNAPSHOT_COPIES:  # the runner's own kinds but genesis: see the module docstring
+        if kind != "doge_block":
+            self._changes += 1
+        if kind in SNAPSHOT_COPIES and self.events:  # the runner's own kinds but genesis, after a first event
             agg, digest = dict(self.events[-1]["agg"]), self.events[-1]["digest"]
             agg.update(supply=dict(agg["supply"]), backing=dict(agg["backing"]),
                        queues={y: list(q) for y, q in agg["queues"].items()})
@@ -144,7 +152,11 @@ class SimulationRunner:
                 for tx in txs
             ],
         })
-        self.queue.schedule(next_doge_block_time(now, self.clock, self._doge_rng), ("doge_block", {}))
+        self._schedule_block(now)
+
+    def _schedule_block(self, after: int) -> None:
+        self._next_block_s = next_doge_block_time(after, self.clock, self._doge_rng)
+        self.queue.schedule(self._next_block_s, ("doge_block", {}))
 
     def _send_doge(self, policy: Policy, params: dict) -> None:
         sender: bytes = params["sender"]
@@ -179,12 +191,13 @@ class SimulationRunner:
         )
 
     def _asleep(self, agent: _AgentRuntime) -> bool:
-        """Whether the agent's last step did nothing, the trace has had no event since, and its until
-        has not come: the earliest of that step's wake (none: the next turn), the next time its
-        visible tip can change (if its answer holds on every extension of that tip: can stop
-        extending it) and the next rate point.  Each change to the contract, doge balances
-        or chain is an event, and ETH moves only through contract calls: so it would again."""
-        return agent.seen == len(self.events) and self.contract.now_s < agent.until
+        """Whether the agent's last step did nothing, the trace has had no event but doge_block since,
+        and its until has not come: the earliest of that step's wake (none: the next turn), the next
+        rate point and, unless its answer holds on every extension of its visible tip, the next time
+        that tip can change (when a block that arrived after its cutoff, or else the next block,
+        becomes visible to it).  Each change to the contract or doge balances is an event, ETH moves
+        only through contract calls, and a block only extends the tip: so it would again."""
+        return agent.seen == self._changes and self.contract.now_s < agent.until
 
     # -- action dispatch ---------------------------------------------------------
 
@@ -243,8 +256,8 @@ class SimulationRunner:
         if kind == "doge_block":
             self._mine_next_block()
         elif kind == "turns":
-            events, until = self._quiet
-            if not (events == len(self.events) and t < until):  # _asleep of every agent at once
+            changes, until = self._quiet
+            if not (changes == self._changes and t < until):  # _asleep of every agent at once
                 self._take_turns(t)
             self.queue.schedule(t + self.clock.eth_block_seconds, ("turns", {}))
         elif kind == "accept_check":
@@ -262,16 +275,15 @@ class SimulationRunner:
     def _take_turns(self, t: int) -> None:
         """Step each agent not asleep, in roster order, and keep the smallest until for later turns."""
         true_rate, rate_until = self.config.rate_path.segment(t)
-        events, quiet = len(self.events), NEVER
+        changes, quiet = self._changes, NEVER
         for agent in self.agents:
             if not self._asleep(agent):
-                tip, tip_until, fork_until = self.view.visible(t - agent.visibility_delay_s)
+                tip, tip_until = self.view.visible(t - agent.visibility_delay_s)
                 actions, agent.priv = agent.policy.step(self._observe(agent, tip, true_rate), agent.priv)
-                if agent.priv.get(ON_EXTENSION):
-                    tip_until = fork_until
-                agent.seen = len(self.events)
-                agent.until = 0 if actions else min(
-                    agent.priv.get(WAKE, t), tip_until + agent.visibility_delay_s, rate_until)
+                chain_until = NEVER if agent.priv.get(ON_EXTENSION) else \
+                    min(tip_until, self._next_block_s) + agent.visibility_delay_s
+                agent.seen = self._changes
+                agent.until = 0 if actions else min(agent.priv.get(WAKE, t), chain_until, rate_until)
                 for action in actions:
                     try:
                         self._apply_action(agent.policy, action)
@@ -282,8 +294,8 @@ class SimulationRunner:
                             "detail": str(exc),
                         })
             quiet = min(quiet, agent.until)
-        # once this turn recorded an event, the count has moved past `events` for good
-        self._quiet = (events, quiet)
+        # once this turn recorded an event, the changes have moved past `changes` for good
+        self._quiet = (changes, quiet)
 
     # -- entry point -------------------------------------------------------------
 
@@ -294,7 +306,7 @@ class SimulationRunner:
             "seed": self.config.seed,
             "agents": [a.name for a in self.config.agents],
         })
-        self.queue.schedule(next_doge_block_time(0, self.clock, self._doge_rng), ("doge_block", {}))
+        self._schedule_block(0)
         self.queue.schedule(self.clock.eth_block_seconds, ("turns", {}))
         self.queue.run_until(self.config.end_time, self._handle)
         self.contract.advance_to(self.config.end_time)

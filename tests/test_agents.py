@@ -624,8 +624,8 @@ class TestHistoryCursor:
         self.assert_full_walk(policy, obs)
 
     def test_equals_full_walk_on_every_turn(self, monkeypatch):
-        """On every turn of every corpus scenario and of fuzz_random at x2: the run's trace is
-        unchanged by asking, and the answers equal a full walk of the history."""
+        """On every turn of every corpus scenario at seed offsets 0 to 3 and of fuzz_random at x2: the
+        run's trace is unchanged by asking, and the answers equal a full walk of the history."""
         step = Policy.step
         seen, cache = Counter(), {}  # cache: reference answers within one run
 
@@ -640,7 +640,9 @@ class TestHistoryCursor:
             return step(self, obs, priv)
 
         fuzz = load_config(str(ROOT / "scenarios" / "fuzz_random.json"))
-        configs = [load_config(str(p)) for p in SCENARIOS] + [dataclasses.replace(fuzz, end_time=2 * fuzz.end_time)]
+        corpus = [load_config(str(p)) for p in SCENARIOS]
+        configs = [dataclasses.replace(config, seed=config.seed + offset) for offset in range(4) for config in corpus]
+        configs.append(dataclasses.replace(fuzz, end_time=2 * fuzz.end_time))
         digests = [run(config).digest() for config in configs]
         monkeypatch.setattr(Policy, "step", checking_step)
         for config, digest in zip(configs, digests):
