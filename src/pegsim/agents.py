@@ -4,12 +4,10 @@ Each policy is a decision function from (observation, private state) to a
 list of protocol actions plus updated private state.  Every value a decision
 depends on lives in that private state, `priv`: step() hands decide() a
 shallow copy and decide() replaces, never mutates, the values it changes.
-The instance holds its configuration, a memo of the segments its chain has
-matched (their blocks and transactions, keyed by commitment and range), and
-a history cursor: the contract history entries it has judged, in order, with
-the unused transactions of the matched ones.  Both are emptied whenever the
-observed tip stops extending the tip they were filled on, so a memo hit
-returns what recomputing from the observation would.  So does the cursor:
+The instance holds its configuration and a history cursor: the contract
+history entries it has judged, in order, with the unused transactions of the
+matched ones.  It is emptied whenever the observed tip stops extending the
+tip it was filled on, so it answers what a walk of the whole history would:
 an entry is judged once my tip reaches its range, and ranges increase along
 the history, so the judged entries are exactly the prefix my chain can
 judge; the contract only appends entries or replaces a suffix with new
@@ -42,7 +40,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import UnionType
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .bridge import (
     BridgeContract,
@@ -168,13 +166,6 @@ def declared_defaults(declared: dict) -> dict:
             for key, decl in declared.items() if not isinstance(decl, type)}
 
 
-class Segment(NamedTuple):
-    """Blocks of a matched commitment and their transactions, in block order."""
-
-    blocks: Tuple[Block, ...]
-    txs: Tuple[Transaction, ...]
-
-
 class Policy:
     """Base: subclasses implement decide(); step() wraps it with onboarding and purity plumbing."""
 
@@ -191,11 +182,7 @@ class Policy:
         self.doge_addr = doge_address(name)
         self.params = {**self.DEFAULTS, **params}
         self.agent_seed = agent_seed
-        self._memo_tip: Optional[bytes] = None  # the memo and the cursor hold for this tip's path
-        self._forget()
-
-    def _forget(self) -> None:
-        self._segments: Dict[Tuple[bytes, int, int], Segment] = {}
+        self._cursor_tip: Optional[bytes] = None  # the cursor holds for this tip's path
         self._judged: List[HistoryEntry] = []  # history prefix already judged against my chain
         self._first_bogus: Optional[int] = None  # first judged entry my chain does not match
         self._pending: List[Tuple[int, Tuple[Block, ...], Transaction]] = []  # unused txs of matched entries
@@ -251,62 +238,49 @@ class Policy:
 
     # -- shared views over the contract history ----------------------------
 
-    def _follow(self, chain: ChainView, tip: bytes) -> None:
-        """Empty the memo and the cursor unless tip extends the tip they were filled on."""
-        if self._memo_tip != tip:
-            anchor = chain.blocks.get(self._memo_tip)
-            try:
-                kept = anchor is not None and chain.ancestor_at(tip, anchor.header.ordinal) == self._memo_tip
-            except RangeUnavailable:
-                kept = False
-            if not kept:
-                self._forget()
-            self._memo_tip = tip
+    def matched(self, obs: Observation, claim: Submission | HistoryEntry, prior: int) -> Optional[Tuple[Block, ...]]:
+        """Blocks (prior, claim.range] of my chain if they hash to claim's commitment
+        and the last is claim's tip header, else None."""
+        try:
+            blocks = tuple(obs.chain.path_blocks(obs.tip, prior + 1, claim.range))
+        except RangeUnavailable:
+            return None
+        if commitment_root(blocks) != claim.commitment or blocks[-1].header.hash != claim.tip_header.hash:
+            return None
+        return blocks
 
-    def matched(self, obs: Observation, claim: Submission | HistoryEntry, prior: int) -> Optional[Segment]:
-        """Segment (prior, claim.range] of my chain if its blocks hash to claim's commitment
-        and its last block is claim's tip header, else None.
-
-        The memo holds the matches found on the path of _memo_tip, so a hit
-        is what recomputing would return, also after a reorg.
-        """
-        chain, tip = obs.chain, obs.tip
-        self._follow(chain, tip)
-        key = (claim.commitment, prior, claim.range)
-        segment = self._segments.get(key)
-        if segment is None:
-            try:
-                blocks = tuple(chain.path_blocks(tip, prior + 1, claim.range))
-            except RangeUnavailable:
-                return None
-            if commitment_root(blocks) != claim.commitment:
-                return None
-            segment = self._segments[key] = Segment(blocks, tuple(tx for b in blocks for tx in b.txs))
-        return segment if segment.blocks[-1].header.hash == claim.tip_header.hash else None
-
-    def matched_segment(self, obs: Observation, i: int) -> Optional[Segment]:
-        """Segment of history entry i if it matches my chain (see matched), else None."""
+    def matched_segment(self, obs: Observation, i: int) -> Optional[Tuple[Block, ...]]:
+        """Blocks of history entry i if it matches my chain (see matched), else None."""
         return self.matched(obs, obs.bridge.history[i], obs.bridge.base(i)[1])
 
     def _judge_history(self, obs: Observation) -> None:
         """Bring the cursor up to the history entries my tip reaches (see the module docstring)."""
-        self._follow(obs.chain, obs.tip)
+        chain, tip = obs.chain, obs.tip
         history, judged = obs.bridge.history, self._judged
-        n = len(judged)
-        if n and not (len(history) >= n and history[n - 1] is judged[n - 1]):
+        k = len(judged)
+        if self._cursor_tip != tip:  # keep the cursor only if tip extends the one it was filled on
+            anchor = chain.blocks.get(self._cursor_tip)
+            try:
+                if anchor is None or chain.ancestor_at(tip, anchor.header.ordinal) != self._cursor_tip:
+                    k = 0
+            except RangeUnavailable:
+                k = 0
+            self._cursor_tip = tip
+        if k and not (len(history) >= k and history[k - 1] is judged[k - 1]):
             k = next((i for i, (a, b) in enumerate(zip(history, judged)) if a is not b), len(history))
+        if k < len(judged):
             del judged[k:]
             if self._first_bogus is not None and self._first_bogus >= k:
                 self._first_bogus = None
             self._pending = [p for p in self._pending if p[0] < k]
-        tip_ordinal = obs.chain.blocks[obs.tip].header.ordinal
+        tip_ordinal = chain.blocks[tip].header.ordinal
         for i in range(len(judged), len(history)):
             if history[i].range > tip_ordinal:
                 break  # unverifiable yet, and so is every later entry
-            segment = self.matched_segment(obs, i)
+            blocks = self.matched_segment(obs, i)
             judged.append(history[i])
-            if segment is not None:
-                self._pending.extend((i, segment.blocks, tx) for tx in segment.txs)
+            if blocks is not None:
+                self._pending.extend((i, blocks, tx) for b in blocks for tx in b.txs)
             elif self._first_bogus is None:
                 self._first_bogus = i
 

@@ -78,8 +78,7 @@ class _AgentRuntime:
     policy: Policy
     visibility_delay_s: int
     priv: dict = field(default_factory=dict)
-    seen: int = -1  # the runner's changes at my last step
-    until: float = 0  # when my last step's answer can change while the changes stay `seen` (see _asleep)
+    until: float = 0  # I sleep until then; every event but doge_block sets it to 0 (see _asleep)
 
 
 class SimulationRunner:
@@ -106,15 +105,16 @@ class SimulationRunner:
         self._doge_rng = random.Random(f"{config.seed}/doge-times")
 
         self.events: List[dict] = []
-        self._changes = 0  # recorded events but doge_block: the world's version, the chain aside (see _asleep)
         self._next_block_s = 0  # when the next coin block is mined
-        self._quiet: Tuple[int, float] = (-1, 0)  # (changes, smallest until) after the last turn taken
+        self._quiet: float = 0  # the agents' smallest until: no turn is taken before it
 
     # -- trace plumbing ------------------------------------------------------
 
     def _record(self, kind: str, actor: str, payload: dict) -> None:
-        if kind != "doge_block":
-            self._changes += 1
+        if kind != "doge_block":  # the world but the chain changed: wake every agent
+            self._quiet = 0
+            for agent in self.agents:
+                agent.until = 0
         if kind in SNAPSHOT_COPIES and self.events:  # the runner's own kinds but genesis, after a first event
             agg, digest = dict(self.events[-1]["agg"]), self.events[-1]["digest"]
             agg.update(supply=dict(agg["supply"]), backing=dict(agg["backing"]),
@@ -191,13 +191,13 @@ class SimulationRunner:
         )
 
     def _asleep(self, agent: _AgentRuntime) -> bool:
-        """Whether the agent's last step did nothing, the trace has had no event but doge_block since,
-        and its until has not come: the earliest of that step's wake (none: the next turn), the next
-        rate point and, unless its answer holds on every extension of its visible tip, the next time
-        that tip can change (when a block that arrived after its cutoff, or else the next block,
-        becomes visible to it).  Each change to the contract or doge balances is an event, ETH moves
-        only through contract calls, and a block only extends the tip: so it would again."""
-        return agent.seen == self._changes and self.contract.now_s < agent.until
+        """Whether the agent's until has not come.  Every event but doge_block sets it to 0, and so does
+        a step that acts; one that does nothing sets the earliest of its wake (none: the next turn), the
+        next rate point and, unless its answer holds on every extension of its visible tip, the next time
+        that tip can change (when a block that arrived after its cutoff, or else the next block, becomes
+        visible to it).  Each change to the contract or doge balances is an event, ETH moves only through
+        contract calls, and a block only extends the tip: so until then the step would do nothing again."""
+        return self.contract.now_s < agent.until
 
     # -- action dispatch ---------------------------------------------------------
 
@@ -256,8 +256,7 @@ class SimulationRunner:
         if kind == "doge_block":
             self._mine_next_block()
         elif kind == "turns":
-            changes, until = self._quiet
-            if not (changes == self._changes and t < until):  # _asleep of every agent at once
+            if t >= self._quiet:  # else every agent is _asleep
                 self._take_turns(t)
             self.queue.schedule(t + self.clock.eth_block_seconds, ("turns", {}))
         elif kind == "accept_check":
@@ -275,14 +274,12 @@ class SimulationRunner:
     def _take_turns(self, t: int) -> None:
         """Step each agent not asleep, in roster order, and keep the smallest until for later turns."""
         true_rate, rate_until = self.config.rate_path.segment(t)
-        changes, quiet = self._changes, NEVER
         for agent in self.agents:
             if not self._asleep(agent):
                 tip, tip_until = self.view.visible(t - agent.visibility_delay_s)
                 actions, agent.priv = agent.policy.step(self._observe(agent, tip, true_rate), agent.priv)
                 chain_until = NEVER if agent.priv.get(ON_EXTENSION) else \
                     min(tip_until, self._next_block_s) + agent.visibility_delay_s
-                agent.seen = self._changes
                 agent.until = 0 if actions else min(agent.priv.get(WAKE, t), chain_until, rate_until)
                 for action in actions:
                     try:
@@ -293,9 +290,7 @@ class SimulationRunner:
                             "error": type(exc).__name__,
                             "detail": str(exc),
                         })
-            quiet = min(quiet, agent.until)
-        # once this turn recorded an event, the changes have moved past `changes` for good
-        self._quiet = (changes, quiet)
+        self._quiet = min((agent.until for agent in self.agents), default=NEVER)
 
     # -- entry point -------------------------------------------------------------
 

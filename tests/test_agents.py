@@ -471,8 +471,10 @@ def reorg(view, fork_at, to):
     assert view.best_tip() == tip
 
 
-class TestSegmentMemo:
-    """A segment matched once is judged again like one never seen before."""
+class TestJudgedAgainAfterAMatch:
+    """A claim my chain matched is judged afresh once the world around it moves: a replay of its
+    commitment over another range is challenged, and an entry or active claim that a reorg orphans
+    after the match is backtracked or challenged."""
 
     def test_replayed_commitment_over_another_range_is_challenged(self):
         contract, view = fresh_world(n_blocks=75)
