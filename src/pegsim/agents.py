@@ -23,8 +23,10 @@ on its policy, and its clock and ETH balance are the contract's (`bridge.now_s`
 and `bridge.accounts`); an observation holds only the world the agent sees.
 
 A step also names its wake, and whether its answer holds on every extension
-of its visible tip (see Policy.step); a step that reads neither the chain nor
-its tip says it does.  When a step does nothing, the harness lets the agent
+of its visible tip (see Policy.step); a step that reads neither the chain
+nor its tip says it does, and so does one that reads the chain only through
+the cursor once the cursor has judged every history entry
+(Policy.judged_all).  When a step does nothing, the harness lets the agent
 sleep until the trace gets an event other than a coin block, or the earliest
 of that wake, the next rate point and, unless the answer holds on
 extensions, the next time its visible tip can change comes.  The harness
@@ -291,6 +293,11 @@ class Policy:
         used = obs.bridge.used_txs
         self._pending = [p for p in self._pending if p[2].tx_id not in used]
         return iter(self._pending)
+
+    def judged_all(self, obs: Observation) -> bool:
+        """Whether the cursor, filled at my tip, has judged every history entry: then an extension
+        keeps it and gives it nothing to judge, so a step that reads my chain only through it holds."""
+        return self._cursor_tip == obs.tip and len(self._judged) == len(obs.bridge.history)
 
     def first_bogus_index(self, obs: Observation, cm: int) -> Optional[int]:
         """First history entry provably wrong against my view.
@@ -693,11 +700,11 @@ class VigilantHodler(HonestCrosser):
         balance = st.wow_balance(self.name, y)
 
         scans = self.params["report_missing"] and balance > 0
-        priv[ON_EXTENSION] = not scans  # only the theft scan reads my chain
         if scans:
             theft = self._find_theft(obs, y, balance)
             if theft is not None:
                 return actions + [theft]
+        priv[ON_EXTENSION] = not scans or self.judged_all(obs)  # only the theft scan reads my chain
 
         burn_at = self.params["burn_at"]
         triggered = (burn_at is not None and reached(obs, priv, burn_at)) or \
@@ -734,7 +741,8 @@ class VigilantHodler(HonestCrosser):
 
 
 class GreedyReporter(Policy):
-    """Reveals locks and unlock payments out of matched commitments for bounties."""
+    """Reveals locks and unlock payments out of matched commitments for bounties; reads the chain only
+    through the history cursor, so only while that has an entry left to judge do coin blocks wake it."""
 
     MAX_PER_TURN = 4
 
@@ -766,6 +774,7 @@ class GreedyReporter(Policy):
                 break
 
         priv["reported"] = reported
+        priv[ON_EXTENSION] = self.judged_all(obs)
         return actions
 
 

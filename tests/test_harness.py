@@ -10,15 +10,19 @@ import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from types import UnionType
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pegsim.agents import POLICIES
 from pegsim.errors import ConfigError, ParseError, SimError
 from pegsim.harness import audit, load_config, parse_config, replay_check, run
 from pegsim.harness.cli import main as cli_main
 from pegsim.harness.runner import Trace
 
-from conftest import corpus_run
+from conftest import corpus_run, skipped_steps
 from test_contract_fuzz import CALLS
 from test_golden import runner_event_kinds
 
@@ -531,6 +535,62 @@ class TestScryptVariant:
         assert len(blocks) >= 20
 
 
+def _near_default(declared):
+    """A strategy for policy params near their declared defaults: a time (`*_at`) in the first half hour
+    (an optional one perhaps left out), the corpus's y and collateral, a flag, a count or a fraction at
+    or just above its default, and an optional amount left out."""
+    def near(key, decl):
+        if key == "y":
+            return st.just("1/1000")
+        if key == "collateral":
+            return st.just(1_000_000)
+        if key.endswith("_at"):
+            return st.integers(0, 1_800)
+        if isinstance(decl, bool):
+            return st.booleans()
+        if isinstance(decl, int):
+            return st.integers(decl, decl + 2)
+        return st.sampled_from([str(decl), str(2 * decl)])  # a Fraction
+
+    optional = {key for key, decl in declared.items() if isinstance(decl, UnionType)}
+    required = {key: near(key, decl) for key, decl in declared.items() if key not in optional}
+    times = {key: near(key, None) for key in optional if key.endswith("_at")}
+    return st.fixed_dictionaries(required, optional=times)
+
+
+@st.composite
+def drawn_rosters(draw):
+    """A config with an operator, a hodler, a relayer and a reporter, so that a run can lock, relay,
+    report and scan for theft, then up to four more agents of policies drawn from POLICIES; each with
+    params near their defaults and, for some, a visibility delay of up to 2,500 s, so that a reporter
+    can lag past the challenge window; a horizon, a seed, and perhaps a rate crash."""
+    policies = ["rational_operator", "vigilant_hodler", "honest_relayer", "greedy_reporter",
+                *draw(st.lists(st.sampled_from(sorted(POLICIES)), max_size=4))]
+    agents = [{"name": f"{policy}{i}", "policy": policy, "eth": 1_200_000, "doge": 1_000,
+               "visibility_delay_s": draw(st.just(0) | st.integers(0, 2_500)),
+               "params": draw(_near_default(POLICIES[policy].PARAMS))}
+              for i, policy in enumerate(policies)]
+    horizon = draw(st.integers(2_000, 8_000))
+    crash = draw(st.none() | st.integers(1, horizon))
+    interarrival = draw(st.sampled_from(["deterministic", "seeded-exponential"]))
+    return parse_config({
+        **BASE, "seed": draw(st.integers(0, 2**16)), "agents": agents, "end": {"sim_time": horizon},
+        "rate_path": [[0, "1/500"]] + ([] if crash is None else [[crash, "1/2000"]]),
+        "clock": {**BASE["clock"], "doge_interarrival": interarrival},
+        "params": {**BASE["params"], "registration_window_doge_blocks": 60},  # as in the corpus: outlives a relay
+    })
+
+
+def no_op_checked():
+    """skipped_steps, asserting that each skipped step, run anyway, returns no actions and the priv the
+    agent kept."""
+    def no_op(runner, agent, obs):
+        assert agent.policy.step(obs, agent.priv) == ([], agent.priv), \
+            f"{agent.policy.name} at {runner.contract.now_s}"
+
+    return skipped_steps(no_op)
+
+
 class TestTurnSkipping:
     """The runner skips an agent's turn while the trace has had no event but doge_block since its last
     step returned no actions, and neither that step's wake, the next rate point nor, unless the step's
@@ -538,66 +598,50 @@ class TestTurnSkipping:
     it skips a whole turn while that holds for every agent.  A block changes only the chain, and
     extends every visible tip, because the runner mines each block on the best tip."""
 
-    def test_a_skipped_turn_is_a_no_op(self, monkeypatch):
+    def test_a_skipped_turn_is_a_no_op(self):
         """On every corpus scenario and fuzz_random x8, each step skipped by the per-agent rule or
         with its whole turn, run anyway, returns no actions and the priv the agent kept, and running
         it leaves the trace as it was; so do fuzz_random x8 and maximality_gap at seed offset 1,
-        which have no golden."""
-        from pegsim.agents import POLICIES
-        from pegsim.harness.runner import SimulationRunner
-
-        asleep, take_turns, handle = SimulationRunner._asleep, SimulationRunner._take_turns, SimulationRunner._handle
-        skipped, taken, whole = Counter(), [], [0]
-
-        def no_op(runner, agent):
-            now = runner.contract.now_s
-            obs = runner._observe(agent, runner.view.best_tip(now - agent.visibility_delay_s),
-                                  runner.config.rate_path.segment(now)[0])
-            assert agent.policy.step(obs, agent.priv) == ([], agent.priv), f"{agent.policy.name} at {now}"
-            skipped[type(agent.policy)] += 1
-
-        def checked(runner, agent):
-            if not asleep(runner, agent):
-                return False
-            no_op(runner, agent)
-            return True
-
-        def checked_handle(runner, t, event):
-            before = len(taken)
-            handle(runner, t, event)
-            if event[0] == "turns" and len(taken) == before:  # skipped whole
-                whole[0] += 1
-                for agent in runner.agents:
-                    assert asleep(runner, agent), (agent.policy.name, t)
-                    no_op(runner, agent)
-
-        def counted_turns(runner, t):
-            taken.append(t)
-            take_turns(runner, t)
-
-        monkeypatch.setattr(SimulationRunner, "_asleep", checked)
-        monkeypatch.setattr(SimulationRunner, "_handle", checked_handle)
-        monkeypatch.setattr(SimulationRunner, "_take_turns", counted_turns)
+        which have no golden, and lifecycle_happy_path and missing_doge with a reporter or a hodler
+        that lags by 2,000 s."""
         paths = sorted(SCENARIO_DIR.glob("*.json"))
         assert paths
-        for path in paths:
-            trace = run(load_config(str(path)))
-            want = GOLDEN[f"{path.stem}+0"]
-            assert (trace.digest(), len(trace.events)) == (want["digest"], want["events"]), path.stem
-        fuzz = load_config(str(SCENARIO_DIR / "fuzz_random.json"))
-        trace = run(dataclasses.replace(fuzz, end_time=8 * fuzz.end_time))
-        want = LONG_HORIZON["fuzz_random/x8+0"]
-        assert (trace.digest(), len(trace.events)) == (want["digest"], want["events"])
-        gap = load_config(str(SCENARIO_DIR / "maximality_gap.json"))
-        for config in (dataclasses.replace(fuzz, seed=fuzz.seed + 1, end_time=8 * fuzz.end_time),
-                       dataclasses.replace(gap, seed=gap.seed + 1)):
+        with no_op_checked() as skipped:
+            for path in paths:
+                trace = run(load_config(str(path)))
+                want = GOLDEN[f"{path.stem}+0"]
+                assert (trace.digest(), len(trace.events)) == (want["digest"], want["events"]), path.stem
+            fuzz = load_config(str(SCENARIO_DIR / "fuzz_random.json"))
+            trace = run(dataclasses.replace(fuzz, end_time=8 * fuzz.end_time))
+            want = LONG_HORIZON["fuzz_random/x8+0"]
+            assert (trace.digest(), len(trace.events)) == (want["digest"], want["events"])
+            gap = load_config(str(SCENARIO_DIR / "maximality_gap.json"))
+            for config in (dataclasses.replace(fuzz, seed=fuzz.seed + 1, end_time=8 * fuzz.end_time),
+                           dataclasses.replace(gap, seed=gap.seed + 1)):
+                run(config)
+            # a reporter, and a hodler, that lag past the challenge window: each reports out of an entry
+            # whose range stays past its tip long after the event that appended it
+            for name, who, kinds in (("lifecycle_happy_path", "bob", ["mint", "unlock_settled"]),
+                                     ("missing_doge", "alice", ["register", "doge_tx", "missing_doge_paid"])):
+                config = load_config(str(SCENARIO_DIR / f"{name}.json"))
+                config = dataclasses.replace(config, agents=tuple(
+                    dataclasses.replace(a, visibility_delay_s=2000) if a.name == who else a for a in config.agents))
+                assert [e["kind"] for e in run(config).events if e["actor"] == who] == kinds, name
+            # a lone relayer that lags: no event marks the moment a block it has not seen becomes visible
+            lagging = {**BASE["agents"][0], "visibility_delay_s": 31}
+            submits = [e["t"] for e in run(parse_config(mini_config(agents=[lagging]))).events
+                       if e["kind"] == "submit"]
+            assert submits == [714, 1834, 2954]
+        assert set(skipped) == {*POLICIES.values(), "whole turns"}, skipped
+
+    @settings(max_examples=settings.default.max_examples // 2)
+    @given(config=drawn_rosters())
+    def test_a_skipped_turn_is_a_no_op_on_drawn_rosters(self, config):
+        """The no-op check of test_a_skipped_turn_is_a_no_op on drawn rosters, half the Hypothesis
+        profile's budget of them: 30, and 500 under `HYPOTHESIS_PROFILE=deep`."""
+        with no_op_checked() as skipped:
             run(config)
-        # a lone relayer that lags: no event marks the moment a block it has not seen becomes visible
-        lagging = {**BASE["agents"][0], "visibility_delay_s": 31}
-        submits = [e["t"] for e in run(parse_config(mini_config(agents=[lagging]))).events if e["kind"] == "submit"]
-        assert submits == [714, 1834, 2954]
-        assert set(skipped) == set(POLICIES.values()), skipped
-        assert whole[0] > 0
+        assert skipped
 
     def test_fuzz_random_x8_steps_under_a_fourteenth_of_the_turns(self, monkeypatch):
         from pegsim.agents import Policy
@@ -621,7 +665,9 @@ class TestTurnSkipping:
         run(config)
         turns = config.end_time // config.clock.eth_block_seconds
         assert (turns, turns * len(config.agents)) == (4_000, 36_000)
-        assert sum(steps.values()) < 2_500, steps
+        assert sum(steps.values()) < 1_000, steps
+        # the reporter sleeps through blocks once its cursor has judged every history entry
+        assert steps["bob"] <= 100, steps
         # relay2 lags 31 s, so a block reaches it a turn or more after relay1; it wakes for one only
         # when its answer can change
         assert steps["relay2"] <= steps["relay1"], steps
