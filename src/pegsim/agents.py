@@ -6,17 +6,17 @@ depends on lives in that private state, `priv`: step() hands decide() a
 shallow copy and decide() replaces, never mutates, the values it changes.
 The instance holds its configuration and a history cursor: the contract
 history entries it has judged, in order, with the unused transactions of the
-matched ones.  It is emptied whenever the observed tip stops extending the
-tip it was filled on, so it answers what a walk of the whole history would:
-an entry is judged once my tip reaches its range, and ranges increase along
-the history, so the judged entries are exactly the prefix my chain can
-judge; the contract only appends entries or replaces a suffix with new
-ones, so the cursor is still a prefix of the history iff its last entry is
-still in place, and otherwise it drops its entries from the first one that
-is not.  Decisions depend on (obs, priv) alone, and a fresh run with the
-same seed produces identical action streams.  Policies never mutate the
-world; the harness applies their actions in roster order each turn and
-records rejected ones as policy bugs.
+matched ones.  It keeps them while the observed tip extends the tip it was
+filled on and its last entry is still in place in the history, and
+otherwise starts over from entry 0, so it answers what a walk of the whole
+history would: an entry is judged once my tip reaches its range, and ranges
+increase along the history, so the judged entries are exactly the prefix my
+chain can judge; the contract only appends entries or replaces a suffix
+with new ones, so the cursor is still a prefix of the history iff its last
+entry is still in place.  Decisions depend on (obs, priv) alone, and a
+fresh run with the same seed produces identical action streams.  Policies
+never mutate the world; the harness applies their actions in roster order
+each turn and records rejected ones as policy bugs.
 
 An agent's own facts each have one home: its name, DOGE address and seed are
 on its policy, and its clock and ETH balance are the contract's (`bridge.now_s`
@@ -65,7 +65,7 @@ from .chainsim import (
     mine_header,
     pow_check,
 )
-from .errors import BeforeStart, ConfigError, RangeUnavailable, SimError
+from .errors import BeforeStart, ConfigError, SimError
 from .proofsys import ExtensionProof, commitment_root, date_of, prove_extension_for
 
 
@@ -242,44 +242,30 @@ class Policy:
 
     def matched(self, obs: Observation, claim: Submission | HistoryEntry, prior: int) -> Optional[Tuple[Block, ...]]:
         """Blocks (prior, claim.range] of my chain if they hash to claim's commitment
-        and the last is claim's tip header, else None."""
-        try:
-            blocks = tuple(obs.chain.path_blocks(obs.tip, prior + 1, claim.range))
-        except RangeUnavailable:
-            return None
+        and the last is claim's tip header, else None.  The caller keeps claim.range within
+        my tip's ordinal: a range past it raises RangeUnavailable."""
+        blocks = tuple(obs.chain.path_blocks(obs.tip, prior + 1, claim.range))
         if commitment_root(blocks) != claim.commitment or blocks[-1].header.hash != claim.tip_header.hash:
             return None
         return blocks
-
-    def matched_segment(self, obs: Observation, i: int) -> Optional[Tuple[Block, ...]]:
-        """Blocks of history entry i if it matches my chain (see matched), else None."""
-        return self.matched(obs, obs.bridge.history[i], obs.bridge.base(i)[1])
 
     def _judge_history(self, obs: Observation) -> None:
         """Bring the cursor up to the history entries my tip reaches (see the module docstring)."""
         chain, tip = obs.chain, obs.tip
         history, judged = obs.bridge.history, self._judged
-        k = len(judged)
-        if self._cursor_tip != tip:  # keep the cursor only if tip extends the one it was filled on
-            anchor = chain.blocks.get(self._cursor_tip)
-            try:
-                if anchor is None or chain.ancestor_at(tip, anchor.header.ordinal) != self._cursor_tip:
-                    k = 0
-            except RangeUnavailable:
-                k = 0
-            self._cursor_tip = tip
-        if k and not (len(history) >= k and history[k - 1] is judged[k - 1]):
-            k = next((i for i, (a, b) in enumerate(zip(history, judged)) if a is not b), len(history))
-        if k < len(judged):
-            del judged[k:]
-            if self._first_bogus is not None and self._first_bogus >= k:
-                self._first_bogus = None
-            self._pending = [p for p in self._pending if p[0] < k]
         tip_ordinal = chain.blocks[tip].header.ordinal
+        anchor = chain.blocks.get(self._cursor_tip)  # the tip the cursor was filled on
+        on_path = anchor is not None and anchor.header.ordinal <= tip_ordinal \
+            and chain.ancestor_at(tip, anchor.header.ordinal) == self._cursor_tip
+        k = len(judged)
+        if k and not (on_path and len(history) >= k and history[k - 1] is judged[k - 1]):
+            judged.clear()  # a reorg or a rewritten history: judge again from entry 0
+            self._first_bogus, self._pending = None, []
+        self._cursor_tip = tip
         for i in range(len(judged), len(history)):
             if history[i].range > tip_ordinal:
                 break  # unverifiable yet, and so is every later entry
-            blocks = self.matched_segment(obs, i)
+            blocks = self.matched(obs, history[i], obs.bridge.base(i)[1])
             judged.append(history[i])
             if blocks is not None:
                 self._pending.extend((i, blocks, tx) for b in blocks for tx in b.txs)

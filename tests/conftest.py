@@ -26,7 +26,8 @@ from pegsim.harness import SimulationRunner, load_config
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 settings.register_profile("default", max_examples=60, stateful_step_count=30, derandomize=True, deadline=None)
-settings.register_profile("deep", max_examples=1_000, stateful_step_count=50, deadline=None)
+# a profile inherits what it leaves unset from the default registered above, derandomize included
+settings.register_profile("deep", max_examples=1_000, stateful_step_count=50, derandomize=False, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 

@@ -28,6 +28,7 @@ from pegsim.bridge import (
     BridgeContract,
     CostModel,
     EthAccounts,
+    HistoryEntry,
     ProtocolParams,
     build_submission,
     build_tx_report,
@@ -615,6 +616,18 @@ class TestHistoryCursor:
         assert cursor_answers(policy, obs, 40) == ([], 0)
         self.assert_full_walk(policy, obs)
 
+    def test_tip_behind_the_one_the_cursor_was_filled_on(self):
+        locks = [Transaction(doge_address(f"crosser{j}"), HEAD, 100, 0) for j in range(2)]
+        contract, view = fresh_world(n_blocks=75, txs_at={3: locks[:1], 50: locks[1:]})
+        accept_extension(contract, view, 0, 30)
+        accept_extension(contract, view, 30, 55, at_eth=300)
+        policy = make_policy("greedy_reporter", "bob", {}, agent_seed=1)
+        assert cursor_answers(policy, observation(contract, view), 60) == (locks, None)
+
+        behind = dataclasses.replace(observation(contract, view), tip=view.ancestor_at(view.best_tip(), 50))
+        assert cursor_answers(policy, behind, 50) == (locks[:1], None)  # entry 1's range is past my tip again
+        self.assert_full_walk(policy, behind)
+
     def test_entry_past_the_tip_becomes_judgeable(self):
         locks = [Transaction(doge_address(f"crosser{j}"), HEAD, 100, 0) for j in range(2)]
         contract, view = fresh_world(n_blocks=75, txs_at={3: locks[:1], 50: locks[1:]})
@@ -665,10 +678,10 @@ class TestHistoryCursor:
         assert seen["with txs"] > 0 and seen["with bogus"] > 0 and seen["turns"] > 10_000, seen
 
     def test_each_entry_judged_once_per_chain(self, monkeypatch):
-        """Per policy on a fuzz_random run: matched_segment calls <= the history entries that
-        appeared + for each turn whose tip does not extend the previous turn's, the entries
+        """Per policy on a fuzz_random run: matched calls on history entries <= the history entries
+        that appeared + for each turn whose tip does not extend the previous turn's, the entries
         then in the history (which that turn may have to judge again)."""
-        step, matched_segment = Policy.step, Policy.matched_segment
+        step, matched = Policy.step, Policy.matched
         calls, bound, last_tip, entries = Counter(), Counter(), {}, {}
 
         def counting_step(self, obs, priv):
@@ -685,12 +698,12 @@ class TestHistoryCursor:
             last_tip[self.name] = obs.tip
             return step(self, obs, priv)
 
-        def counting_matched_segment(self, obs, i):
-            calls[self.name] += 1
-            return matched_segment(self, obs, i)
+        def counting_matched(self, obs, claim, prior):
+            calls[self.name] += isinstance(claim, HistoryEntry)  # a relayer also matches the active claim
+            return matched(self, obs, claim, prior)
 
         monkeypatch.setattr(Policy, "step", counting_step)
-        monkeypatch.setattr(Policy, "matched_segment", counting_matched_segment)
+        monkeypatch.setattr(Policy, "matched", counting_matched)
         run(load_config(str(ROOT / "scenarios" / "fuzz_random.json")))
         for name, seen in entries.items():
             bound[name] += len(seen)

@@ -561,17 +561,25 @@ def _near_default(declared):
 @st.composite
 def drawn_rosters(draw):
     """A config with an operator, a hodler, a relayer and a reporter, so that a run can lock, relay,
-    report and scan for theft, then up to four more agents of policies drawn from POLICIES; each with
-    params near their defaults and, for some, a visibility delay of up to 2,500 s, so that a reporter
-    can lag past the challenge window; a horizon, a seed, and perhaps a rate crash."""
+    report and scan for theft; each with params near their defaults and perhaps a visibility delay of
+    up to 2,500 s; a horizon, a seed, and perhaps a rate crash.  In two draws of three, the hodler or
+    the reporter lags 2,000 to 2,500 s, past the challenge window, and no agent joins, so that its tip
+    reaches an entry's range while only the lone relay's events could wake it.  Then the hodler
+    crosses and holds, as missing_doge's does, the horizon is at least 5,000 s, and a lagging hodler's
+    run has a rate crash at 1,500 to 3,500 s, so that its theft scan has an abscond to find.  In the
+    third, up to four agents of policies drawn from POLICIES join."""
+    lagging = draw(st.sampled_from(["vigilant_hodler", "greedy_reporter", None]))
     policies = ["rational_operator", "vigilant_hodler", "honest_relayer", "greedy_reporter",
-                *draw(st.lists(st.sampled_from(sorted(POLICIES)), max_size=4))]
+                *([] if lagging else draw(st.lists(st.sampled_from(sorted(POLICIES)), max_size=4)))]
     agents = [{"name": f"{policy}{i}", "policy": policy, "eth": 1_200_000, "doge": 1_000,
-               "visibility_delay_s": draw(st.just(0) | st.integers(0, 2_500)),
+               "visibility_delay_s": draw(st.integers(2_000, 2_500) if policy == lagging
+                                          else st.just(0) | st.integers(0, 2_500)),
                "params": draw(_near_default(POLICIES[policy].PARAMS))}
               for i, policy in enumerate(policies)]
-    horizon = draw(st.integers(2_000, 8_000))
-    crash = draw(st.none() | st.integers(1, horizon))
+    if lagging:
+        agents[1]["params"] = {"y": "1/1000", "cross": True, "burn_on_rate": False}
+    horizon = draw(st.integers(5_000 if lagging else 2_000, 8_000))
+    crash = draw(st.integers(1_500, 3_500) if lagging == "vigilant_hodler" else st.none() | st.integers(1, horizon))
     interarrival = draw(st.sampled_from(["deterministic", "seeded-exponential"]))
     return parse_config({
         **BASE, "seed": draw(st.integers(0, 2**16)), "agents": agents, "end": {"sim_time": horizon},

@@ -3,7 +3,7 @@
 import pytest
 
 from pegsim.bridge import ProtocolParams, Submission, build_submission
-from pegsim.chainsim import BlockHeader, ChainView, Transaction, doge_address
+from pegsim.chainsim import BlockHeader, ChainView, Transaction, doge_address, search_pow
 from pegsim.proofsys import (
     CostModel,
     ExtensionProof,
@@ -100,6 +100,26 @@ class TestVerify:
         trimmed = ExtensionProof(proof.revealed_headers[:-1], proof.witness_headers,
                                  proof.txs_per_block[:-1])
         assert verify_extension_proof(prior, sub, trimmed, PARAMS) == "BadLength"
+
+    def test_long_witness_rejected(self):
+        _, _, sub, proof, prior = self.roundtrip()
+        long = ExtensionProof(proof.revealed_headers, proof.witness_headers + proof.witness_headers[-1:],
+                              proof.txs_per_block)
+        assert verify_extension_proof(prior, sub, long, PARAMS) == "LongWitness"
+
+    def test_empty_extension_rejected(self):
+        _, _, sub, proof, _ = self.roundtrip()
+        prior = sub.tip_header  # a claim whose range is the prior date reveals no header
+        empty = ExtensionProof((), proof.witness_headers, ())
+        assert verify_extension_proof(prior, sub, empty, PARAMS) == "BadLength"
+
+    def test_witness_skipping_an_ordinal_rejected(self):
+        _, _, sub, proof, prior = self.roundtrip()
+        last = proof.revealed_headers[-1]
+        # a valid header on the last revealed one, one ordinal too high
+        skip, _ = search_pow(last.hash, last.tx_root, last.ordinal + 2, last.timestamp + 62, last.difficulty_target)
+        bad = ExtensionProof(proof.revealed_headers, (skip,) + proof.witness_headers[1:], proof.txs_per_block)
+        assert verify_extension_proof(prior, sub, bad, PARAMS) == "BadOrdinal"
 
     def test_not_extending_history(self):
         view, tip, sub, proof, _ = self.roundtrip(prior_date=0, range_b=30)
