@@ -130,6 +130,17 @@ def confirmed_max(view: ChainView, tip: bytes, c: int) -> int:
     return max(0, view.blocks[tip].header.ordinal - c)
 
 
+def segment_root(view: ChainView, last: bytes, prior: int, compute: Callable[[], bytes]) -> bytes:
+    """The commitment root of view's blocks (prior, last]: from the view's memo, or compute(), which
+    the memo keeps.  compute must hash those blocks of the view, never a proof an agent or the contract
+    received: add_block checked that each view block's tx_root binds its transactions."""
+    key = (last, prior)
+    root = view.segment_roots.get(key)
+    if root is None:
+        root = view.segment_roots[key] = compute()
+    return root
+
+
 def find_bad_header(parent: bytes, ordinal: int, timestamp: int, target: int,
                     pow_fn: str = "sha256d", seed: int = 0) -> BlockHeader:
     """A header that fails its own PoW check, for modeling fabricated blocks."""
@@ -241,11 +252,13 @@ class Policy:
     # -- shared views over the contract history ----------------------------
 
     def matched(self, obs: Observation, claim: Submission | HistoryEntry, prior: int) -> Optional[Tuple[Block, ...]]:
-        """Blocks (prior, claim.range] of my chain if they hash to claim's commitment
-        and the last is claim's tip header, else None.  The caller keeps claim.range within
-        my tip's ordinal: a range past it raises RangeUnavailable."""
+        """Blocks (prior, claim.range] of my chain if the last is claim's tip header and they
+        hash to claim's commitment, else None.  The caller keeps claim.range within my tip's
+        ordinal: a range past it raises RangeUnavailable."""
         blocks = tuple(obs.chain.path_blocks(obs.tip, prior + 1, claim.range))
-        if commitment_root(blocks) != claim.commitment or blocks[-1].header.hash != claim.tip_header.hash:
+        last = blocks[-1].header.hash
+        if last != claim.tip_header.hash or \
+                segment_root(obs.chain, last, prior, lambda: commitment_root(blocks)) != claim.commitment:
             return None
         return blocks
 
@@ -366,7 +379,11 @@ class HonestRelayer(Policy):
 
     def _try_build(self, obs: Observation, prior: int, range_b: int) -> Optional[Submission]:
         proof = self._try_prove(obs, prior, range_b)
-        return None if proof is None else proven_submission(proof)
+        if proof is None:
+            return None
+        sub = proven_submission(proof)  # the proof reveals blocks of my view, so its root seeds the memo
+        segment_root(obs.chain, sub.tip_header.hash, prior, lambda: sub.commitment)
+        return sub
 
     def _evaluate_submission(self, obs: Observation, priv: dict, cm: int) -> Optional[Action]:
         """Judge the active submission against my own view.

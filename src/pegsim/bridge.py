@@ -238,6 +238,11 @@ class HistoryEntry:
     def range(self) -> int:
         return self.tip_header.ordinal
 
+    def digest_text(self) -> str:
+        """This entry's item of state_digest's history list, as canonical JSON."""
+        return canonical_json([self.commitment.hex(), self.range, self.submitted_at_eth, self.relayer,
+                               self.tip_header.hash.hex()])
+
 
 @dataclass
 class ProofThread:
@@ -300,6 +305,9 @@ class DeepProposal:
 
 EmitFn = Callable[[str, str, dict], None]
 
+# the canonical JSON text of a value: sorted keys, no whitespace; one encoder, built once
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
 
 # ---------------------------------------------------------------------------
 # the contract
@@ -319,6 +327,7 @@ class BridgeContract:
         self.now_s = 0
 
         self.history: List[HistoryEntry] = []
+        self._history_text: List[str] = []  # digest_text() of each history entry, kept by _commit
         self.active: Optional[ActiveSubmission] = None
         self._next_sub_seq = 0
 
@@ -454,18 +463,23 @@ class BridgeContract:
         }
 
     def state_digest(self) -> str:
-        """SHA-256 over the canonical JSON of the contract's ledgers and records.  Two states share a digest
-        if they differ only in the clock, last_progress_s, the next submission number, the active claim's
-        witness or tip hash, a bridge's crossing_fee, a registration's crosser_doge or lock_bounty, a burn's
-        dest or history_len_at_burn, a thread's verdict, verdict_due_s or proof (only whether it has one
-        counts), or the deep proposal's submission."""
-        doc = {
+        """SHA-256 over the canonical JSON of the contract's ledgers and records: _digest_doc() with a
+        "history" key added, the list of each entry's digest_text().  Each section is encoded on its own
+        and joined in key order, which gives the same text; an entry's text is the one _commit kept.
+        Two states share a digest if they differ only in the clock, last_progress_s, the next submission
+        number, the active claim's witness or tip hash, a bridge's crossing_fee, a registration's
+        crosser_doge or lock_bounty, a burn's dest or history_len_at_burn, a thread's verdict,
+        verdict_due_s or proof (only whether it has one counts), or the deep proposal's submission."""
+        sections = {key: canonical_json(value) for key, value in self._digest_doc().items()}
+        sections["history"] = f"[{','.join(self._history_text)}]"
+        text = "{" + ",".join(f'"{key}":{sections[key]}' for key in sorted(sections)) + "}"
+        return sha256(text.encode()).hex()
+
+    def _digest_doc(self) -> dict:
+        """Every section of the document state_digest hashes but its history."""
+        return {
             "current_date": self.current_date,
             "relay_mode": self.relay_mode,
-            "history": [
-                [e.commitment.hex(), e.range, e.submitted_at_eth, e.relayer, e.tip_header.hash.hex()]
-                for e in self.history
-            ],
             "active": None
             if self.active is None
             else [
@@ -506,7 +520,6 @@ class BridgeContract:
             if self.deep_proposal is None
             else [self.deep_proposal.proposer, self.deep_proposal.from_index, self.deep_proposal.proposed_at_s],
         }
-        return sha256(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()).hex()
 
     # -- bridge opening and crossing registration --------------------------
 
@@ -667,9 +680,10 @@ class BridgeContract:
 
     def _commit(self, keep: int, sub: Submission, submitted_at_eth: int, relayer: str) -> HistoryEntry:
         """Keep the first keep history entries and append sub's: the relay progressed."""
-        del self.history[keep:]
+        del self.history[keep:], self._history_text[keep:]
         entry = HistoryEntry(sub.commitment, submitted_at_eth, relayer, sub.tip_header)
         self.history.append(entry)
+        self._history_text.append(entry.digest_text())
         self.last_progress_s = self.now_s
         return entry
 

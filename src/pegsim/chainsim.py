@@ -295,6 +295,12 @@ class ChainView:
     A child always carries more work than its parent, so the best block
     overall is a tip.
 
+    segment_roots memoizes the commitment root of a segment of blocks, keyed
+    by (hash of its last block, the ordinal before its first): a block's hash
+    fixes its ancestors and, through tx_root, which add_block checked, its
+    transactions, so the key fixes the root.  Only blocks of this view may
+    feed it (see agents.segment_root), and it lives as long as the view.
+
     Owned by the simulation thread; never mutated concurrently.
     """
 
@@ -304,6 +310,7 @@ class ChainView:
     genesis_hash: bytes
     _seen_at: List[int]  # when each recorded best became visible
     _best: List[bytes]  # best tip after each insertion
+    segment_roots: Dict[Tuple[bytes, int], bytes] = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def new(cls, difficulty_target: int, pow_fn: str = "sha256d") -> "ChainView":

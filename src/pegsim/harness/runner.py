@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from ..agents import ON_EXTENSION, WAKE, Observation, Policy, make_policy
-from ..bridge import BridgeContract, EthAccounts
+from ..bridge import BridgeContract, EthAccounts, canonical_json
 from ..chainsim import NEVER, ChainView, Transaction
 from ..errors import ParseError, SimError
 from ..merkle import sha256
@@ -31,12 +31,20 @@ from .audit import SNAPSHOT_COPIES
 from .config import ScenarioConfig
 
 
+def _refuse_number(literal: str):
+    raise ValueError(f"{literal} is not an integer: a trace holds integers only")
+
+
+# a run writes integers only, and a parsed 3.0 would compare equal to the 3 a replay computes
+_TRACE_JSON = json.JSONDecoder(parse_float=_refuse_number, parse_constant=_refuse_number)
+
+
 @dataclass
 class Trace:
     events: List[dict]
 
     def lines(self) -> List[str]:
-        return [json.dumps(e, sort_keys=True, separators=(",", ":")) for e in self.events]
+        return [canonical_json(e) for e in self.events]
 
     def digest(self) -> str:
         h = sha256("\n".join(self.lines()).encode())
@@ -49,7 +57,8 @@ class Trace:
 
     @classmethod
     def read(cls, path: str) -> "Trace":
-        """Parse an NDJSON trace; raises ParseError on a line that is not a UTF-8 JSON object."""
+        """Parse an NDJSON trace; raises ParseError on a line that is not a UTF-8 JSON object, or that
+        holds a number other than an integer (a fraction, an exponent, NaN or Infinity)."""
         events = []
         with open(path, "rb") as fh:
             for n, raw in enumerate(fh, 1):
@@ -57,7 +66,7 @@ class Trace:
                     line = raw.decode("utf-8").strip()
                     if not line:
                         continue
-                    event = json.loads(line)
+                    event = _TRACE_JSON.decode(line)
                 except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nesting past the stack
                     raise ParseError(f"{path}:{n}: {exc}") from exc
                 if not isinstance(event, dict):

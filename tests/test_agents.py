@@ -710,6 +710,56 @@ class TestHistoryCursor:
         assert calls and all(calls[name] <= bound[name] for name in calls), (calls, bound)
 
 
+class TestSegmentRoots:
+    """A view memoizes the commitment root of each of its segments, keyed by the segment's last block
+    and the ordinal before its first, for the run's whole life; every root it serves equals a fresh
+    commitment_root (see test_harness.TestKeptFacts)."""
+
+    def test_branches_with_the_same_prior_get_separate_entries(self):
+        contract, view = fresh_world(n_blocks=60)
+        main = view.best_tip()
+        reorg(view, 20, 70)
+        fork = view.best_tip()
+        policy = make_policy("honest_relayer", "r", {}, agent_seed=1)
+        subs = {tip: build_submission(view, tip, 20, 40, 10) for tip in (main, fork)}
+        assert subs[main].commitment != subs[fork].commitment
+        obs = {tip: dataclasses.replace(observation(contract, view), tip=tip) for tip in (main, fork)}
+        for tip, other in ((main, fork), (fork, main)):
+            # the other branch's commitment under my tip header, judged first: the memo keeps my root
+            spliced = dataclasses.replace(subs[other], tip_header=subs[tip].tip_header)
+            assert policy.matched(obs[tip], spliced, 20) is None
+            assert policy.matched(obs[tip], subs[tip], 20) is not None
+        keys = [(subs[tip].tip_header.hash, 20) for tip in (main, fork)]
+        assert keys[0] != keys[1] and set(keys) <= view.segment_roots.keys()
+        assert [view.segment_roots[key] for key in keys] == [subs[main].commitment, subs[fork].commitment]
+        for tip, other in ((main, fork), (fork, main)):
+            assert policy.matched(obs[tip], subs[other], 20) is None
+
+    def test_a_claim_a_relayer_built_is_judged_without_hashing_again(self, monkeypatch):
+        import pegsim.agents as agents
+
+        contract, view = fresh_world()
+        for who in ("r", "alice"):
+            contract.become_relayer(who, contract.required_relayer_deposit())
+        builder, judge = (make_policy("honest_relayer", who, {}, agent_seed=1) for who in ("r", "alice"))
+        [action], _ = builder.step(observation(contract, view, t=140), {})
+        assert action.kind == "submit_extension"
+        contract.submit_extension("r", action.params["sub"])
+        hashed = []
+        monkeypatch.setattr(agents, "commitment_root", lambda blocks: hashed.append(blocks) or b"")
+        assert judge.step(observation(contract, view), {})[0] == []  # the claim matches my chain
+        assert hashed == []
+
+    def test_a_new_runner_starts_with_an_empty_memo(self):
+        from pegsim.harness import SimulationRunner
+
+        config = load_config(str(ROOT / "scenarios" / "lifecycle_happy_path.json"))
+        runner = SimulationRunner(config)
+        runner.run()
+        assert runner.view.segment_roots
+        assert SimulationRunner(config).view.segment_roots == {}
+
+
 class TestPolicyPurity:
     def test_step_is_replayable(self):
         contract1, view1 = fresh_world()

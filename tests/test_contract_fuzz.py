@@ -490,9 +490,10 @@ class ContractMachine(RuleBasedStateMachine):
             pending = sum(p.owed_doge for b in c.burns.values() if b.y == y for p in b.portions if not p.settled)
             assert c.wow_balance(BRIDGE_ADDR, y) == pending
         assert min(c.wow_balances.values(), default=0) >= 0
-        # history ranges strictly increase
+        # history ranges strictly increase, and the digest text kept for each entry is its own
         ranges = [e.range for e in c.history]
         assert all(a < b for a, b in zip(ranges, ranges[1:])), ranges
+        assert c._history_text == [e.digest_text() for e in c.history]
         # the trace audits clean (relay-mode legality included), and its last snapshot is the contract's
         audited = audit(events)
         assert audited.ok, [str(v) for v in audited.violations]

@@ -2,6 +2,8 @@
 
 import copy
 import dataclasses
+import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -23,7 +25,7 @@ from pegsim.harness.cli import main as cli_main
 from pegsim.harness.runner import Trace
 
 from conftest import corpus_run, skipped_steps
-from test_contract_fuzz import CALLS
+from test_contract_fuzz import CALLS, COLLATERALS, RATES, ContractMachine
 from test_golden import runner_event_kinds
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -793,6 +795,77 @@ class TestSnapshotReuse:
         assert len(reached) >= 15, sorted(reached)
 
 
+def one_shot_digest(contract):
+    """state_digest as one json.dumps of its whole document, each history entry encoded afresh."""
+    history = [[e.commitment.hex(), e.range, e.submitted_at_eth, e.relayer, e.tip_header.hash.hex()]
+               for e in contract.history]
+    doc = {**contract._digest_doc(), "history": history}
+    return hashlib.sha256(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
+@functools.cache
+def kept_fact_runs():
+    """Runs _snapshot_runs(), then plays the contract fuzzer's whole tour, with each fact a run keeps
+    checked where it is used: every state_digest against one_shot_digest, and every root
+    agents.segment_root gives against a fresh commitment_root.  Returns a Counter of the checks, the
+    roots the memo served without computing them, and the history rewrites per run, and the event
+    kinds recorded."""
+    import pegsim.agents as agents
+    from pegsim.bridge import BridgeContract
+    from pegsim.proofsys import commitment_root
+
+    state_digest, commit, segment_root = BridgeContract.state_digest, BridgeContract._commit, agents.segment_root
+    seen, kinds = Counter(), Counter()
+
+    def checked_digest(contract):
+        digest = state_digest(contract)
+        assert digest == one_shot_digest(contract), (len(contract.history), contract.now_s)
+        seen["digests"] += 1
+        return digest
+
+    def counted_commit(contract, keep, *args):
+        seen["rewrites", contract.emit_hook.__self__.config.name] += keep < len(contract.history)
+        return commit(contract, keep, *args)
+
+    def checked_root(view, last, prior, compute):
+        seen["served"] += (last, prior) in view.segment_roots
+        root = segment_root(view, last, prior, compute)
+        assert root == commitment_root(view.path_blocks(last, prior + 1, view.blocks[last].header.ordinal))
+        seen["roots"] += 1
+        return root
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(BridgeContract, "state_digest", checked_digest)
+        patch.setattr(BridgeContract, "_commit", counted_commit)
+        patch.setattr(agents, "segment_root", checked_root)
+        for config in _snapshot_runs():
+            kinds.update(event["kind"] for event in run(config).events)
+        machine = ContractMachine()
+        for name, *args in machine.tour(RATES[0], COLLATERALS[0]):
+            assert machine.call(name, *args), name
+        kinds.update(event["kind"] for event in machine.runner.events)
+    return seen, kinds
+
+
+class TestKeptFacts:
+    """A run computes some facts once and keeps them: each history entry's text in state_digest's
+    document, and each segment's commitment root in its chain view's memo.  Each must equal the fact
+    computed afresh wherever it is used."""
+
+    def test_every_state_digest_equals_a_one_shot_encoding(self):
+        """On every contract event of the corpus, of fuzz_random x8 and of the contract fuzzer's tour,
+        backtrack rewrites and a deep finalization among them."""
+        seen, kinds = kept_fact_runs()
+        assert seen["digests"] > 500, seen
+        assert seen["rewrites", "backtrack_recovery"] and seen["rewrites", "contract_fuzz"], seen
+        assert kinds["deep_finalized"] and kinds["accept"] > 100, kinds
+
+    def test_every_segment_root_equals_a_fresh_one(self):
+        """On the corpus and fuzz_random x8, where honest relayers, reporters and hodlers judge claims."""
+        seen, _ = kept_fact_runs()
+        assert seen["roots"] > seen["served"] > seen["roots"] // 2, seen  # most judgments hit the memo
+
+
 class TestUnlockDeadline:
     def test_a_burn_settled_by_report_unlock_draws_no_unlock_timeout(self, monkeypatch):
         """The unlock_deadline timer calls unlock_timeout only for a burn still unsettled then."""
@@ -958,6 +1031,23 @@ class TestCli:
         capsys.readouterr()
         assert cli_main(["replay", str(config_path), str(trace_path)]) == 2
         assert "not an event object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("literal", ["1.0", "1e0", "NaN", "Infinity", "-Infinity"])
+    def test_a_number_other_than_an_integer_exits_2(self, tmp_path, capsys, literal):
+        """A run writes integers only, and replay compares parsed events: a 1.0 would equal the 1 it
+        computes, so reading refuses it, and audit and replay exit 2."""
+        config_path = SCENARIO_DIR / "lifecycle_happy_path.json"
+        trace_path = tmp_path / "trace.ndjson"
+        assert cli_main(["run", str(config_path), "--out", str(trace_path)]) == 0
+        lines = trace_path.read_text().splitlines(keepends=True)
+        assert '"eth":1,' in lines[3] and '"seq":3,' in lines[3]
+        lines[3] = lines[3].replace('"eth":1,', f'"eth":{literal},')
+        trace_path.write_text("".join(lines))
+        capsys.readouterr()
+        for argv in (["audit", str(trace_path)], ["replay", str(config_path), str(trace_path)]):
+            assert cli_main(argv) == 2
+            err = capsys.readouterr().err
+            assert f"{trace_path}:4: {literal} is not an integer" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("content", [b'{"name": "\xff"}\n', b"[" * 100_000 + b"\n"],
                              ids=["invalid_utf8", "nested_past_the_stack"])
