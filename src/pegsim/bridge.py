@@ -305,8 +305,15 @@ class DeepProposal:
 
 EmitFn = Callable[[str, str, dict], None]
 
-# the canonical JSON text of a value: sorted keys, no whitespace; one encoder, built once
-canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# the canonical JSON text of a value, json.dumps(value, sort_keys=True, separators=(",", ":")), through
+# one C encoder built once; with no circular-reference markers it keeps no state between calls, so a
+# failed call leaves nothing behind
+_ENCODE = json.encoder.c_make_encoder(None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+                                      None, ":", ",", True, False, True)
+
+
+def canonical_json(value) -> str:
+    return "".join(_ENCODE(value, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -35,16 +35,23 @@ def _refuse_number(literal: str):
     raise ValueError(f"{literal} is not an integer: a trace holds integers only")
 
 
-# a run writes integers only, and a parsed 3.0 would compare equal to the 3 a replay computes
+# a run writes integers only, and the auditor, which checks parsed values, would take a 3.0 for a 3
 _TRACE_JSON = json.JSONDecoder(parse_float=_refuse_number, parse_constant=_refuse_number)
 
 
 @dataclass
 class Trace:
+    """A run's events and their canonical JSON lines.  A run's trace encodes its lines once, the first
+    time they are needed, and a read trace keeps the lines as read, so its digest is over the file's own
+    text.  A Trace is not edited in place: build a new one from edited events, and it encodes afresh."""
+
     events: List[dict]
+    _lines: Optional[List[str]] = field(default=None, repr=False, compare=False)
 
     def lines(self) -> List[str]:
-        return [canonical_json(e) for e in self.events]
+        if self._lines is None:
+            self._lines = [canonical_json(e) for e in self.events]
+        return self._lines
 
     def digest(self) -> str:
         h = sha256("\n".join(self.lines()).encode())
@@ -59,7 +66,7 @@ class Trace:
     def read(cls, path: str) -> "Trace":
         """Parse an NDJSON trace; raises ParseError on a line that is not a UTF-8 JSON object, or that
         holds a number other than an integer (a fraction, an exponent, NaN or Infinity)."""
-        events = []
+        events, lines = [], []
         with open(path, "rb") as fh:
             for n, raw in enumerate(fh, 1):
                 try:
@@ -72,7 +79,8 @@ class Trace:
                 if not isinstance(event, dict):
                     raise ParseError(f"{path}:{n}: not an event object: {event!r}")
                 events.append(event)
-        return cls(events)
+                lines.append(line)
+        return cls(events, lines)
 
     @property
     def summary(self) -> Optional[dict]:
@@ -378,21 +386,32 @@ class ReplayResult:
 
 
 def replay_check(config: ScenarioConfig, trace: Trace) -> ReplayResult:
-    """Re-run the config and compare whole events, naming the first field that differs."""
-    old, new = trace.events, run(config).events
-    for i, (a, b) in enumerate(zip(old, new)):
+    """Re-run the config and compare the trace's lines with the re-run's byte for byte, naming the
+    first field of the first differing event that differs in value or type."""
+    rerun = run(config)
+    for i, (a, b) in enumerate(zip(trace.lines(), rerun.lines())):
         if a != b:
-            return ReplayResult(False, i, f"event {i} ({b['kind']}): {_first_difference(a, b)}")
+            a, b = trace.events[i], rerun.events[i]
+            where = _first_difference(a, b) or "the same values in other text"
+            return ReplayResult(False, i, f"event {i} ({b['kind']}): {where}")
+    old, new = trace.events, rerun.events
     if len(old) != len(new):
         return ReplayResult(False, min(len(old), len(new)),
                             f"length mismatch: {len(old)} vs {len(new)}")
     return ReplayResult(True)
 
 
-def _first_difference(a: dict, b: dict) -> str:
-    """The first field, in the re-run's order, where trace event a and re-run event b differ."""
-    key = next(k for k in [*b, *a] if k not in a or k not in b or a[k] != b[k])
-    x, y = a.get(key, "<absent>"), b.get(key, "<absent>")
-    if isinstance(x, dict) and isinstance(y, dict):
-        return f"{key}.{_first_difference(x, y)}"
-    return f"{key}: {x!r} vs {y!r}"
+def _first_difference(a: dict, b: dict) -> Optional[str]:
+    """The first field, in the re-run's order, where trace event a and re-run event b differ in value or
+    type (so true differs from 1), or None: a field's canonical text is its value and type."""
+    for key in [*b, *a]:
+        if key not in a or key not in b:
+            return f"{key}: {a.get(key, '<absent>')!r} vs {b.get(key, '<absent>')!r}"
+        x, y = a[key], b[key]
+        if isinstance(x, dict) and isinstance(y, dict):
+            inner = _first_difference(x, y)
+            if inner:
+                return f"{key}.{inner}"
+        elif canonical_json(x) != canonical_json(y):
+            return f"{key}: {x!r} vs {y!r}"
+    return None

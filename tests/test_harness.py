@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pegsim.agents import POLICIES
+from pegsim.bridge import canonical_json
 from pegsim.errors import ConfigError, ParseError, SimError
 from pegsim.harness import audit, load_config, parse_config, replay_check, run
 from pegsim.harness.cli import main as cli_main
@@ -285,6 +286,85 @@ class TestRunAndReplay:
         result = replay_check(config, Trace(events))
         assert not result and result.first_divergence == event["seq"]
         assert f"event {event['seq']} ({kind}): {named}" in result.detail, result.detail
+
+
+def dumps(value):
+    """The canonical text canonical_json must give: one json.dumps with sorted keys and no whitespace."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+CORPUS = sorted(p.stem for p in SCENARIO_DIR.glob("*.json"))
+
+
+class TestTraceText:
+    """canonical_json is one C encoder built once, and a Trace keeps its lines: a run's trace encodes
+    them once, and a read trace keeps the lines it parsed, so its digest is over the file's own text."""
+
+    def test_every_corpus_event_encodes_as_json_dumps(self):
+        assert len(CORPUS) == 16
+        for name in CORPUS:
+            trace, _ = corpus_run(name)
+            for event, line in zip(trace.events, trace.lines(), strict=True):
+                assert line == canonical_json(event) == dumps(event), (name, event["seq"])
+
+    @pytest.mark.parametrize("value", ["é ☃ \U0001f600 \x00\"\\", "", None, True, False, 0, -7, 2**70,
+                                       [], {}, [[], {}], {"b": {}, "a": [[]]}, {"ä": [None, True]}],
+                             ids=repr)
+    def test_a_top_level_value_encodes_as_json_dumps(self, value):
+        assert canonical_json(value) == dumps(value)
+
+    def test_a_failed_call_leaves_the_encoder_as_it_was(self):
+        """The containers a failed call was inside are not remembered: fresh ones, which may reuse
+        their ids, encode as well."""
+        text = '{"a":null,"b":[1,{"c":"d"}]}'
+        for bad in (b"x", {"k": [1, b"x"]}, [{"k": b"x"}]):
+            with pytest.raises(TypeError, match="bytes is not JSON serializable"):
+                canonical_json(bad)
+            assert canonical_json(json.loads(text)) == text
+
+    def test_a_written_trace_reads_back_its_own_text_without_encoding(self, tmp_path, monkeypatch):
+        """For each corpus trace: the lines read are the file's lines, and the digest over them is the
+        run's; reading and hashing them encodes nothing."""
+        import pegsim.harness.runner as runner_mod
+
+        def no_encoding(value):
+            raise AssertionError("a read trace encoded an event")
+
+        path = tmp_path / "trace.ndjson"
+        for name in CORPUS:
+            trace, _ = corpus_run(name)
+            trace.write(str(path))
+            with monkeypatch.context() as patch:
+                patch.setattr(runner_mod, "canonical_json", no_encoding)
+                back = Trace.read(str(path))
+                assert back.lines() == path.read_text().splitlines(), name
+                assert back.digest() == trace.digest(), name
+            assert back.events == trace.events, name
+
+    def test_a_respaced_file_reads_to_the_same_events_but_not_the_same_text(self, tmp_path):
+        """json.dumps's default separators give the same values in other bytes: the digest differs and
+        replay refuses the file at event 0, while a new Trace of its events encodes afresh."""
+        config = load_config(str(SCENARIO_DIR / "lifecycle_happy_path.json"))
+        trace, _ = corpus_run("lifecycle_happy_path")
+        path = tmp_path / "trace.ndjson"
+        path.write_text("".join(json.dumps(event, sort_keys=True) + "\n" for event in trace.events))
+        back = Trace.read(str(path))
+        assert back.events == trace.events and back.lines() == path.read_text().splitlines()
+        assert back.digest() != trace.digest()
+        result = replay_check(config, back)
+        assert not result and result.first_divergence == 0, result
+        assert result.detail == "event 0 (genesis): the same values in other text"
+        assert Trace(back.events).lines() == trace.lines()
+        assert Trace(back.events).digest() == trace.digest()
+
+    def test_a_new_trace_of_edited_events_encodes_them(self):
+        trace, _ = corpus_run("lifecycle_happy_path")
+        events = [json.loads(line) for line in trace.lines()]
+        events[5]["actor"] = "mallory"
+        edited = Trace(events)
+        assert edited.lines() == [dumps(event) for event in events]
+        assert [i for i, (a, b) in enumerate(zip(edited.lines(), trace.lines())) if a != b] == [5]
+        assert edited.digest() != trace.digest()
 
 
 # a change to the digest and to each agg field of an event's snapshot
@@ -800,13 +880,14 @@ def one_shot_digest(contract):
     history = [[e.commitment.hex(), e.range, e.submitted_at_eth, e.relayer, e.tip_header.hash.hex()]
                for e in contract.history]
     doc = {**contract._digest_doc(), "history": history}
-    return hashlib.sha256(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+    return hashlib.sha256(dumps(doc).encode()).hexdigest()
 
 
 @functools.cache
 def kept_fact_runs():
     """Runs _snapshot_runs(), then plays the contract fuzzer's whole tour, with each fact a run keeps
-    checked where it is used: every state_digest against one_shot_digest, and every root
+    checked where it is used: every state_digest against one_shot_digest, each section of its
+    document through canonical_json against json.dumps, and every root
     agents.segment_root gives against a fresh commitment_root.  Returns a Counter of the checks, the
     roots the memo served without computing them, and the history rewrites per run, and the event
     kinds recorded."""
@@ -820,6 +901,9 @@ def kept_fact_runs():
     def checked_digest(contract):
         digest = state_digest(contract)
         assert digest == one_shot_digest(contract), (len(contract.history), contract.now_s)
+        for key, section in contract._digest_doc().items():
+            assert canonical_json(section) == dumps(section), key
+            seen["sections"] += 1
         seen["digests"] += 1
         return digest
 
@@ -859,6 +943,11 @@ class TestKeptFacts:
         assert seen["digests"] > 500, seen
         assert seen["rewrites", "backtrack_recovery"] and seen["rewrites", "contract_fuzz"], seen
         assert kinds["deep_finalized"] and kinds["accept"] > 100, kinds
+
+    def test_every_digest_section_encodes_as_json_dumps(self):
+        """canonical_json of each section of _digest_doc(), at every state_digest of those runs."""
+        seen, _ = kept_fact_runs()
+        assert seen["sections"] == 16 * seen["digests"] > 8000, seen
 
     def test_every_segment_root_equals_a_fresh_one(self):
         """On the corpus and fuzz_random x8, where honest relayers, reporters and hodlers judge claims."""
@@ -1034,8 +1123,8 @@ class TestCli:
 
     @pytest.mark.parametrize("literal", ["1.0", "1e0", "NaN", "Infinity", "-Infinity"])
     def test_a_number_other_than_an_integer_exits_2(self, tmp_path, capsys, literal):
-        """A run writes integers only, and replay compares parsed events: a 1.0 would equal the 1 it
-        computes, so reading refuses it, and audit and replay exit 2."""
+        """A run writes integers only, so reading refuses any other number, and audit and replay
+        exit 2."""
         config_path = SCENARIO_DIR / "lifecycle_happy_path.json"
         trace_path = tmp_path / "trace.ndjson"
         assert cli_main(["run", str(config_path), "--out", str(trace_path)]) == 0
@@ -1048,6 +1137,23 @@ class TestCli:
             assert cli_main(argv) == 2
             err = capsys.readouterr().err
             assert f"{trace_path}:4: {literal} is not an integer" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("was,now,named", [('"seed":1,', '"seed":true,', "payload.seed: True vs 1"),
+                                               ('"eth":0,', '"eth":false,', "eth: False vs 0")],
+                             ids=["true_for_1", "false_for_0"])
+    def test_a_boolean_for_an_integer_is_a_divergence(self, tmp_path, capsys, was, now, named):
+        """Parsed, true equals 1 and false equals 0; replay compares the text, and names the field by
+        value and type."""
+        config_path = SCENARIO_DIR / "lifecycle_happy_path.json"
+        trace_path = tmp_path / "trace.ndjson"
+        corpus_run("lifecycle_happy_path")[0].write(str(trace_path))
+        lines = trace_path.read_text().splitlines(keepends=True)
+        assert lines[0].count(was) == 1
+        lines[0] = lines[0].replace(was, now)
+        trace_path.write_text("".join(lines))
+        capsys.readouterr()
+        assert cli_main(["replay", str(config_path), str(trace_path)]) == 1
+        assert f"DIVERGED at event 0: event 0 (genesis): {named}" in capsys.readouterr().out
 
     @pytest.mark.parametrize("content", [b'{"name": "\xff"}\n', b"[" * 100_000 + b"\n"],
                              ids=["invalid_utf8", "nested_past_the_stack"])
