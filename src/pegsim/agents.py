@@ -66,7 +66,7 @@ from .chainsim import (
     pow_check,
 )
 from .errors import BeforeStart, ConfigError, SimError
-from .proofsys import ExtensionProof, commitment_root, date_of, prove_extension_for
+from .proofsys import ExtensionProof, commitment_root, prove_extension_for
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +338,7 @@ class HonestRelayer(Policy):
         cm = confirmed_max(obs.chain, obs.tip, st.params.c)
 
         actions = self.supply_proofs(
-            obs, lambda t: self._try_prove(obs, date_of(t.prior_tip_header), t.active.sub.range))
+            obs, lambda t: self._try_prove(obs, t.prior_tip_header.ordinal, t.active.sub.range))
 
         if st.active is not None:
             if st.active.relayer != self.name:
@@ -418,7 +418,7 @@ class HonestRelayer(Policy):
             priv[ON_EXTENSION] = True  # an extension keeps the matched segment and cm >= sub.range
             return None
 
-        seen = obs.chain.best_tip(active.submitted_at_eth * eth_s - obs.visibility_delay_s)
+        seen = obs.chain.visible(active.submitted_at_eth * eth_s - obs.visibility_delay_s)[0]
         cm_at_sub = confirmed_max(obs.chain, seen, st.params.c)
         stale = cm_at_sub - sub.range >= st.params.d
         if stale and cm - sub.range >= st.params.d:

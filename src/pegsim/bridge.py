@@ -70,7 +70,6 @@ from .proofsys import (
     CostModel,
     ExtensionProof,
     commitment_root,
-    date_of,
     extension_leaves,
     prove_extension_for,
     verification_cost,
@@ -248,7 +247,7 @@ class HistoryEntry:
 class ProofThread:
     thread_id: int
     active: ActiveSubmission  # the challenged submission, with its relayer and pending penalty
-    prior_tip_header: Optional[BlockHeader]
+    prior_tip_header: BlockHeader
     challenger: str
     verdict_due_s: int  # from when resolve_proof settles on verdict: the proof deadline until a proof comes
     proof: Optional[ExtensionProof] = None
@@ -257,7 +256,7 @@ class ProofThread:
 
     @property
     def ext_len(self) -> int:
-        return self.active.sub.range - date_of(self.prior_tip_header)
+        return self.active.sub.range - self.prior_tip_header.ordinal
 
 
 @dataclass
@@ -325,12 +324,14 @@ class BridgeContract:
     """now_s, the current simulated second, is the contract's clock: only advance_to moves it, and
     eth_now is its contract block.  Like a block's timestamp it is environment, outside state_digest."""
 
-    def __init__(self, params: ProtocolParams, cost_model: CostModel, accounts: EthAccounts, clock: ClockParams):
+    def __init__(self, params: ProtocolParams, cost_model: CostModel, accounts: EthAccounts, clock: ClockParams,
+                 genesis: BlockHeader):
         params.validate()
         self.params = params
         self.cost_model = cost_model
         self.accounts = accounts
         self.clock = clock
+        self.genesis = genesis  # the coin chain's genesis header: the base of an empty history
         self.now_s = 0
 
         self.history: List[HistoryEntry] = []
@@ -419,15 +420,15 @@ class BridgeContract:
         """The date the whole history fixes: its last entry's range; 0 before the first."""
         return self.base()[1]
 
-    def base(self, index: Optional[int] = None) -> Tuple[Optional[BlockHeader], int]:
-        """(tip header, date) that an extension starts from.
+    def base(self, index: Optional[int] = None) -> Tuple[BlockHeader, int]:
+        """(tip header, date) that an extension starts from; genesis, at date 0, when it keeps no entry.
 
         index is the number of history entries the extension keeps, as a
         backtrack's from_index; None extends the whole history.
         """
         index = len(self.history) if index is None else index
-        tip_header = self.history[index - 1].tip_header if index > 0 else None
-        return tip_header, date_of(tip_header)
+        tip_header = self.history[index - 1].tip_header if index > 0 else self.genesis
+        return tip_header, tip_header.ordinal
 
     @staticmethod
     def _unsettled_escrow(burns) -> int:

@@ -1,8 +1,9 @@
 """Simulated PoW coin chain: transactions, mining, fork tracking, fork choice.
 
-Difficulty is constant for a whole simulation; cumulative work is still
-tracked and fork choice compares work, with ties broken by earliest arrival
-then lexicographically smallest hash.
+Difficulty is constant for a whole simulation: link_fault, the one chain-link
+rule, keeps each header at its parent's target and PoW function, so the most
+work is the greatest height.  Fork choice takes the highest tip, ties broken
+by earliest arrival then lexicographically smallest hash.
 
 Canonical byte encodings (all integers big-endian, addresses length-prefixed)
 are the cross-language contract for every hash in the system; the exact
@@ -215,11 +216,18 @@ def pow_check(header: BlockHeader) -> bool:
     return int.from_bytes(header.hash, "big") < header.difficulty_target
 
 
-def work_for_target(target: int) -> int:
-    """Expected attempts per block at this target; constant at constant difficulty."""
-    if target <= 0:
-        return 0
-    return (1 << 256) // (target + 1)
+def link_fault(parent: BlockHeader, header: BlockHeader) -> Optional[str]:
+    """Why header does not extend parent, or None when it does: BadPoW | BadLink | BadOrdinal | BadTarget
+    (its target or PoW function is not the parent's)."""
+    if not pow_check(header):
+        return "BadPoW"
+    if header.parent != parent.hash:
+        return "BadLink"
+    if header.ordinal != parent.ordinal + 1:
+        return "BadOrdinal"
+    if (header.difficulty_target, header.pow_fn) != (parent.difficulty_target, parent.pow_fn):
+        return "BadTarget"
+    return None
 
 
 def search_pow(
@@ -292,8 +300,8 @@ class ChainView:
     became visible: the later of the block's arrival and the previous
     record's.  So no block is shown before it arrives, and the answer is
     exact when blocks are inserted in arrival order, as the simulation does.
-    A child always carries more work than its parent, so the best block
-    overall is a tip.
+    A child is always higher than its parent, so the best block overall is
+    a tip.
 
     segment_roots memoizes the commitment root of a segment of blocks, keyed
     by (hash of its last block, the ordinal before its first): a block's hash
@@ -306,7 +314,6 @@ class ChainView:
 
     blocks: Dict[bytes, Block]
     arrival: Dict[bytes, int]
-    cum_work: Dict[bytes, int]
     genesis_hash: bytes
     _seen_at: List[int]  # when each recorded best became visible
     _best: List[bytes]  # best tip after each insertion
@@ -317,33 +324,30 @@ class ChainView:
         header, _ = search_pow(ZERO_HASH, EMPTY_TX_ROOT, 0, 0, difficulty_target, pow_fn, seed=0)
         genesis = Block(header, ())
         gh = header.hash
-        return cls(blocks={gh: genesis}, arrival={gh: 0}, cum_work={gh: work_for_target(difficulty_target)},
-                   genesis_hash=gh, _seen_at=[0], _best=[gh])
+        return cls(blocks={gh: genesis}, arrival={gh: 0}, genesis_hash=gh, _seen_at=[0], _best=[gh])
 
     @property
     def genesis(self) -> Block:
         return self.blocks[self.genesis_hash]
 
     def _fork_key(self, h: bytes) -> Tuple[int, int, bytes]:
-        return -self.cum_work[h], self.arrival[h], h
+        return -self.blocks[h].header.ordinal, self.arrival[h], h
 
     def add_block(self, block: Block, arrival_time: int = 0) -> Optional[str]:
-        """Insert block; returns None, or why it was refused: UnknownParent | BadPoW | BadOrdinal | BadTxRoot."""
+        """Insert block; returns None, or why it was refused: UnknownParent, link_fault's answer, or BadTxRoot."""
         h = block.header.hash
         if h in self.blocks:
             return None  # idempotent
         parent = block.header.parent
         if parent not in self.blocks:
             return "UnknownParent"
-        if not pow_check(block.header):
-            return "BadPoW"
-        if block.header.ordinal != self.blocks[parent].header.ordinal + 1:
-            return "BadOrdinal"
+        fault = link_fault(self.blocks[parent].header, block.header)
+        if fault is not None:
+            return fault
         if block.header.tx_root != tx_list_root(block.txs):
             return "BadTxRoot"
         self.blocks[h] = block
         self.arrival[h] = arrival_time
-        self.cum_work[h] = self.cum_work[parent] + work_for_target(block.header.difficulty_target)
         self._seen_at.append(max(arrival_time, self._seen_at[-1]))
         self._best.append(min(self._best[-1], h, key=self._fork_key))
         return None
@@ -355,12 +359,10 @@ class ChainView:
         txs = tuple(txs)
         return Block(mine_header(self.blocks[parent].header, tx_list_root(txs), time, seed), txs)
 
-    def best_tip(self, cutoff: Optional[int] = None) -> bytes:
-        """Tip with maximal cumulative work; ties: earliest arrival, then smallest hash.
-
-        With a cutoff, the best tip visible at that time (see the class docstring).
-        """
-        return self._best[-1] if cutoff is None else self.visible(cutoff)[0]
+    def best_tip(self) -> bytes:
+        """The highest tip; ties: earliest arrival, then smallest hash.  visible(cutoff)[0] is the best
+        tip visible at a cutoff (see the class docstring)."""
+        return self._best[-1]
 
     def visible(self, cutoff: int) -> Tuple[bytes, float]:
         """(best tip visible at cutoff, the first later cutoff at which it can change).  That time is

@@ -38,6 +38,10 @@ _PAYLOAD_FIELDS = {
     "burn_settled": {"y": str, "w": int, "d_recv": int, "eth_received": int},
 }
 
+# snapshot fields, and their types, that the audit reads; every event must carry each one
+_AGG_FIELDS = {"supply": dict, "backing": dict, "held": int, "received": int, "paid": int, "relay_mode": str,
+               "used_tx_count": int, "queues": dict}
+
 
 @dataclass
 class Violation:
@@ -113,10 +117,15 @@ def _check_events(events: List[dict], report: AuditReport) -> None:
         if not isinstance(event, dict):
             raise ParseError(f"not an event object: {event!r}")
         seq = _require(event, "seq", int, "event")
-        kind = _require(event, "kind", str, f"event {seq}")
-        agg = _require(event, "agg", dict, f"event {seq}")
+        where = f"event {seq}"
+        kind = _require(event, "kind", str, where)
+        agg = _require(event, "agg", dict, where)
+        _require(event, "digest", str, where)
         payload = event.get("payload", {})
         report.events += 1
+        for key, typ in _AGG_FIELDS.items():
+            if type(agg[key]) is not typ:  # read by index: a missing field is a KeyError, so a ParseError
+                _require(agg, key, typ, f"{where} agg")
         for key, typ in _PAYLOAD_FIELDS.get(kind, {}).items():
             _require(payload, key, typ, f"{kind} event {seq}")
 
@@ -126,7 +135,7 @@ def _check_events(events: List[dict], report: AuditReport) -> None:
 
         if kind in SNAPSHOT_COPIES:  # a first event has no snapshot before it to copy
             for key in ("agg", "digest"):
-                if prev is None or event.get(key) != prev.get(key):
+                if prev is None or event[key] != prev[key]:
                     report.flag(seq, "SnapshotCopy", f"{key} is not the previous event's")
         prev = event
 
@@ -136,14 +145,14 @@ def _check_events(events: List[dict], report: AuditReport) -> None:
             report.rejected_actions += 1
 
         # -- per-event Invariant 1 and ETH conservation from the snapshot ----
-        for y_str, n in agg.get("supply", {}).items():
+        for y_str, n in agg["supply"].items():
             y = _rate(y_str, f"event {seq} agg.supply")
             if Fraction(n, 1) != y * agg["backing"].get(y_str, 0):
                 report.flag(seq, "Invariant1",
                             f"supply[{y_str}]={n} != y*backing={y * agg['backing'].get(y_str, 0)}")
-        if agg.get("received", 0) != agg.get("paid", 0) + agg.get("held", 0):
+        if agg["received"] != agg["paid"] + agg["held"]:
             report.flag(seq, "EthConservation",
-                        f"received {agg.get('received')} != paid {agg.get('paid')} + held {agg.get('held')}")
+                        f"received {agg['received']} != paid {agg['paid']} + held {agg['held']}")
 
         # -- delta reconstruction ------------------------------------------
         if kind == "mint":
@@ -160,7 +169,7 @@ def _check_events(events: List[dict], report: AuditReport) -> None:
             touched = [p[0] for p in payload["portions"]]
             if q[: len(touched)] != touched:
                 report.flag(seq, "FIFO", f"burn touched {touched}, queue front was {q[:len(touched)]}")
-            consumed = set(touched) - set(agg.get("queues", {}).get(y_str, []))
+            consumed = set(touched) - set(agg["queues"].get(y_str, []))
             queues[y_str] = [b for b in q if b not in consumed]
         elif kind == "unlock_settled":
             y_str = burn_y.get(payload["burn_id"])
@@ -178,22 +187,22 @@ def _check_events(events: List[dict], report: AuditReport) -> None:
             supply[y_str] = supply.get(y_str, 0) - payload["burned"]
             backing[y_str] = backing.get(y_str, 0) - payload["eth"]
             q = queues.get(y_str)
-            if q and payload["bridge_id"] not in agg.get("queues", {}).get(y_str, []):
+            if q and payload["bridge_id"] not in agg["queues"].get(y_str, []):
                 queues[y_str] = [b for b in q if b != payload["bridge_id"]]
         elif kind == "bridge_closed":
             for y_str, q in queues.items():
                 if payload["bridge_id"] in q and payload["bridge_id"] not in \
-                        agg.get("queues", {}).get(y_str, []):
+                        agg["queues"].get(y_str, []):
                     queues[y_str] = [b for b in q if b != payload["bridge_id"]]
 
         for y_str, n in supply.items():
-            if agg.get("supply", {}).get(y_str, 0) != n:
+            if agg["supply"].get(y_str, 0) != n:
                 report.flag(seq, "SupplyDelta",
-                            f"running supply[{y_str}]={n} vs snapshot {agg.get('supply', {}).get(y_str, 0)}")
-            if agg.get("backing", {}).get(y_str, 0) != backing.get(y_str, 0):
+                            f"running supply[{y_str}]={n} vs snapshot {agg['supply'].get(y_str, 0)}")
+            if agg["backing"].get(y_str, 0) != backing.get(y_str, 0):
                 report.flag(seq, "BackingDelta",
                             f"running backing[{y_str}]={backing.get(y_str, 0)} vs snapshot "
-                            f"{agg.get('backing', {}).get(y_str, 0)}")
+                            f"{agg['backing'].get(y_str, 0)}")
 
         # -- Invariant 2 per completed burn ----------------------------------
         if kind == "burn_settled":
@@ -206,13 +215,13 @@ def _check_events(events: List[dict], report: AuditReport) -> None:
                 report.flag(seq, "Invariant2", f"eth {eth} != (w-d)/y = {Fraction(w - d, 1) / y}")
 
         # -- relay mode discipline -------------------------------------------
-        mode = agg.get("relay_mode")
+        mode = agg["relay_mode"]
         if prev_mode is not None and mode != prev_mode and kind not in _MODE_CHANGERS:
             report.flag(seq, "ModeExclusivity", f"{prev_mode} -> {mode} via {kind}")
         prev_mode = mode
 
         # -- used transactions only grow --------------------------------------
-        used = agg.get("used_tx_count", 0)
+        used = agg["used_tx_count"]
         if used < prev_used:
             report.flag(seq, "UsedTxMonotone", f"{prev_used} -> {used}")
         prev_used = used

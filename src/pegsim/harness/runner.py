@@ -64,17 +64,20 @@ class Trace:
 
     @classmethod
     def read(cls, path: str) -> "Trace":
-        """Parse an NDJSON trace; raises ParseError on a line that is not a UTF-8 JSON object, or that
-        holds a number other than an integer (a fraction, an exponent, NaN or Infinity)."""
+        """Parse an NDJSON trace, each line kept as written, a carriage return or space included.  Raises
+        ParseError on a line that does not end in a line feed, a blank line, a line that is not a UTF-8 JSON
+        object, or one that holds a number other than an integer (a fraction, an exponent, NaN or Infinity)."""
         events, lines = [], []
         with open(path, "rb") as fh:
-            for n, raw in enumerate(fh, 1):
+            for n, raw in enumerate(fh, 1):  # a binary file splits on b"\n" only
                 try:
-                    line = raw.decode("utf-8").strip()
+                    if not raw.endswith(b"\n"):
+                        raise ValueError("no line feed at the end of the file")
+                    line = raw[:-1].decode("utf-8")
                     if not line:
-                        continue
+                        raise ValueError("blank line")
                     event = _TRACE_JSON.decode(line)
-                except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nesting past the stack
+                except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, a bad line end, or deep nesting
                     raise ParseError(f"{path}:{n}: {exc}") from exc
                 if not isinstance(event, dict):
                     raise ParseError(f"{path}:{n}: not an event object: {event!r}")
@@ -104,11 +107,12 @@ class SimulationRunner:
         self.clock = config.clock
         self.queue = EventQueue()
 
+        self.view = ChainView.new(config.pow_target, config.pow_fn)
         self.accounts = EthAccounts({a.name: a.eth for a in config.agents})
-        self.contract = BridgeContract(config.params, config.cost_model, self.accounts, self.clock)
+        self.contract = BridgeContract(config.params, config.cost_model, self.accounts, self.clock,
+                                       self.view.genesis.header)
         self.contract.emit_hook = self._record
 
-        self.view = ChainView.new(config.pow_target, config.pow_fn)
         self.agents = [
             _AgentRuntime(make_policy(a.policy, a.name, a.params, agent_seed=_agent_seed(config.seed, a.name)),
                           a.visibility_delay_s)

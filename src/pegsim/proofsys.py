@@ -1,9 +1,11 @@
 """Pluggable extension-proof system with an abstract cost/latency model.
 
 The prover reveals the committed headers plus per-block transaction lists,
-and the verifier recomputes both Merkle roots and checks the PoW chain.  The
-verification oracle is sound and complete; succinct-proof economics appear
-only through CostModel, which also drives relayer deposit sizing.
+and the verifier recomputes both Merkle roots and checks the chain from the
+contract's latest block (genesis for an empty history) by the chain view's
+own rule, chainsim.link_fault.  The verification oracle is sound and
+complete; succinct-proof economics appear only through CostModel, which
+also drives relayer deposit sizing.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from .chainsim import Block, BlockHeader, ChainView, Transaction, pow_check, tx_list_root
+from .chainsim import Block, BlockHeader, ChainView, Transaction, link_fault, tx_list_root
 from .errors import SimError
 from .merkle import merkle_root
 
@@ -94,41 +96,22 @@ def prove_extension_for(view: ChainView, tip: bytes, prior_date: int, range_b: i
     )
 
 
-def _chain_ok(headers: Sequence[BlockHeader], prev_hash: Optional[bytes], prev_ordinal: Optional[int]) -> Optional[str]:
-    for h in headers:
-        if not pow_check(h):
-            return "BadPoW"
-        if prev_hash is not None and h.parent != prev_hash:
-            return "BadLink"
-        if prev_ordinal is not None and h.ordinal != prev_ordinal + 1:
-            return "BadOrdinal"
-        prev_hash = h.hash
-        prev_ordinal = h.ordinal
-    return None
-
-
-def date_of(base_header: Optional[BlockHeader]) -> int:
-    """The date a base header fixes: its ordinal, or 0 with no header (an empty history)."""
-    return 0 if base_header is None else base_header.ordinal
-
-
 def verify_extension_proof(
-    prior_tip_header: Optional[BlockHeader],
+    prior_tip_header: BlockHeader,
     sub: "Submission",
     proof: ExtensionProof,
     params: "ProtocolParams",
 ) -> Optional[str]:
     """Why the proof does not evidence a well-formed, confirmed extension, or None when it does.
 
-    Checks: revealed length matches the claimed range, every revealed and
-    witness header is a valid PoW chain with consecutive ordinals, the first
-    revealed header extends the contract's latest block (skipped when the
-    history is empty), the witness is exactly c headers extending the last
-    committed one, each block's tx list matches its header's tx_root, both
-    recomputed Merkle roots equal the submission's, and the last revealed
-    header is the submission's claimed tip.
+    Checks: revealed length matches the claimed range, the witness is exactly
+    c headers, the contract's latest block (genesis with an empty history),
+    the revealed headers and the witness form one chain by link_fault, each
+    block's tx list matches its header's tx_root, both recomputed Merkle
+    roots equal the submission's, and the last revealed header is the
+    submission's claimed tip.
     """
-    prior_date = date_of(prior_tip_header)
+    prior_date = prior_tip_header.ordinal
     revealed = proof.revealed_headers
     witness = proof.witness_headers
 
@@ -139,12 +122,11 @@ def verify_extension_proof(
     if not revealed:
         return "BadLength"
 
-    err = _chain_ok(revealed, None if prior_tip_header is None else prior_tip_header.hash, prior_date)
-    if err:
-        return err
-    err = _chain_ok(witness, revealed[-1].hash, revealed[-1].ordinal)
-    if err:
-        return err
+    chain = (prior_tip_header, *revealed, *witness)
+    for parent, header in zip(chain, chain[1:]):
+        fault = link_fault(parent, header)
+        if fault is not None:
+            return fault
 
     for header, txs in zip(revealed, proof.txs_per_block):
         if header.tx_root != tx_list_root(txs):
@@ -191,7 +173,7 @@ def required_relayer_deposit(model: CostModel, params: "ProtocolParams") -> int:
 
 
 def oracle_verify(
-    prior_tip_header: Optional[BlockHeader],
+    prior_tip_header: BlockHeader,
     sub: "Submission",
     proof: ExtensionProof,
     params: "ProtocolParams",

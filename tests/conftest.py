@@ -61,7 +61,7 @@ def skipped_steps(visit):
 
     def skip(runner, agent):
         now = runner.contract.now_s
-        obs = runner._observe(agent, runner.view.best_tip(now - agent.visibility_delay_s),
+        obs = runner._observe(agent, runner.view.visible(now - agent.visibility_delay_s)[0],
                               runner.config.rate_path.segment(now)[0])
         visit(runner, agent, obs)
         skipped[type(agent.policy)] += 1

@@ -127,8 +127,8 @@ def observation(contract, view, rate=Fraction(1, 500), t=None, delay=0):
 def fresh_world(n_blocks=45, txs_at=None):
     """A contract and a chain of n_blocks; txs_at maps an ordinal to that block's txs."""
     accounts = EthAccounts({"r": 50_000, "op": 2_000_000, "alice": 50_000, "m": 50_000})
-    contract = BridgeContract(ProtocolParams(relay_tax=0), CostModel(), accounts, ClockParams())
     view = ChainView.new(TARGET)
+    contract = BridgeContract(ProtocolParams(relay_tax=0), CostModel(), accounts, ClockParams(), view.genesis.header)
     tip = view.genesis_hash
     for i in range(1, n_blocks + 1):
         b = view.mine_block(tip, (txs_at or {}).get(i, []), time=62 * i, seed=400 + i)
@@ -198,7 +198,7 @@ class TestHonestRelayer:
         actions, _ = policy.step(observation(contract, view), {})
         sub = actions[0].params["sub"]
         proof = prove_extension_for(view, view.best_tip(), 0, sub.range, contract.params.c)
-        assert verify_extension_proof(None, sub, proof, contract.params) is None
+        assert verify_extension_proof(view.genesis.header, sub, proof, contract.params) is None
 
     def test_idles_when_matching_submission_pending(self):
         from pegsim.bridge import build_submission

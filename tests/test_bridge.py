@@ -24,7 +24,7 @@ from pegsim.bridge import (
     eth_per_doge,
     rate_mul,
 )
-from pegsim.chainsim import ChainView, Transaction, doge_address
+from pegsim.chainsim import EMPTY_TX_ROOT, BlockHeader, ChainView, Transaction, doge_address
 from pegsim.errors import (
     AlreadyRegistered,
     AlreadySettled,
@@ -53,6 +53,7 @@ from pegsim.errors import (
 )
 from pegsim.proofsys import commitment_root, prove_extension_for, verification_cost
 from pegsim.scheduler import ClockParams
+from test_proofsys import ALL_PASS, forged_extension
 
 ETH = 100_000
 Y100 = Fraction(1, 1000)  # 100 DOGE per ETH at this unit scale
@@ -61,6 +62,7 @@ TARGET = 1 << 250
 OP, ALICE, BOB, R1, R2 = "op1", "alice", "bob", "relay1", "relay2"
 
 RICH = {name: 100_000 * ETH for name in (OP, ALICE, BOB, R1, R2, "op2", "mallory")}
+GENESIS = ChainView.new(TARGET).genesis.header  # the genesis of every chain these tests build
 
 
 def fresh(params=None, accounts=None) -> BridgeContract:
@@ -69,7 +71,7 @@ def fresh(params=None, accounts=None) -> BridgeContract:
     # so balances stay round; both are tested explicitly at their defaults
     if params is None:
         params = ProtocolParams(registration_window_doge_blocks=60, relay_tax=0)
-    return BridgeContract(params, CostModel(), EthAccounts(accounts or dict(RICH)), ClockParams())
+    return BridgeContract(params, CostModel(), EthAccounts(accounts or dict(RICH)), ClockParams(), GENESIS)
 
 
 def at_block(contract, n):
@@ -147,7 +149,7 @@ class TestGenesisAndParams:
 
     def test_bad_params_k_ge_d(self):
         with pytest.raises(BadParams):
-            BridgeContract(ProtocolParams(k=20, d=20), CostModel(), EthAccounts(), ClockParams())
+            BridgeContract(ProtocolParams(k=20, d=20), CostModel(), EthAccounts(), ClockParams(), GENESIS)
 
     def test_genesis_deterministic(self):
         assert fresh().state_digest() == fresh().state_digest()
@@ -492,6 +494,27 @@ class TestChallengeCommitmentAndProofs:
         assert contract.resolve_proof(thread.thread_id)["verdict"] == "reject"
         assert contract.relayer_deposits[R1] == 10_110 - 141
         assert contract.accounts.get(R2) == r2_before + 1
+
+    def test_a_forged_chain_from_no_real_block_is_rejected(self):
+        """40 headers from a made-up block, each at an all-pass target and found at the first nonce: the
+        claim's own roots and tip match, but its first header does not extend genesis, the base of an
+        empty history.  The challenged forger pays the cost and the challenger's reward."""
+        contract = fresh()
+        contract.become_relayer(R1, 10_110)
+        contract.become_relayer(R2, 10_110)
+        nowhere = BlockHeader(b"\x13" * 32, EMPTY_TX_ROOT, 0, 0, 0, ALL_PASS)
+        sub, proof = forged_extension(nowhere, 30, 10, target=ALL_PASS)
+        at_block(contract, 10)
+        contract.submit_extension(R1, sub)
+        at_block(contract, 20)
+        thread = contract.challenge_commitment(R2)
+        contract.supply_proof(R1, thread.thread_id, proof)
+        r2_before = contract.accounts.get(R2)
+        contract.advance_to(thread.verdict_due_s)
+        settle = contract.resolve_proof(thread.thread_id)
+        assert (settle["verdict"], settle["payer"], settle["paid"]) == ("reject", R1, 141)
+        assert contract.relayer_deposits == {R1: 10_110 - 141, R2: 10_110}
+        assert contract.accounts.get(R2) == r2_before + 1 and contract.history == []
 
     def test_timeout_destroys_whole_deposit(self):
         contract, view, tip, sub = self.make_verifying(honest=False)

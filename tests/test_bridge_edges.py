@@ -74,10 +74,11 @@ def untouched(contract):
 
 
 def recorded(contract) -> list:
-    """Records every event the contract emits, with its aggregates, in the form the auditor reads."""
+    """Records every event the contract emits, with its aggregates and state digest, in the form the auditor reads."""
     events = []
     contract.emit_hook = lambda kind, actor, payload: events.append(
-        {"seq": len(events), "kind": kind, "actor": actor, "payload": payload, "agg": contract.aggregates()})
+        {"seq": len(events), "kind": kind, "actor": actor, "payload": payload, "agg": contract.aggregates(),
+         "digest": contract.state_digest()})
     return events
 
 

@@ -27,10 +27,10 @@ from pegsim.chainsim import (
     ChainView,
     Transaction,
     doge_address,
+    link_fault,
     pow_check,
     search_pow,
     tx_list_root,
-    work_for_target,
 )
 from pegsim.errors import EncodingError, RangeUnavailable, UnknownParent
 from pegsim.harness import load_config
@@ -554,9 +554,9 @@ class TestMining:
         assert b1.header.hash != b2.header.hash
         assert view.add_block(b1, 62) is None
         assert view.add_block(b2, 63) is None
-        assert view.best_tip() == b1.header.hash  # equal work: earlier arrival
-        assert view.best_tip(62) == b1.header.hash
-        assert view.best_tip(61) == view.genesis_hash
+        assert view.best_tip() == b1.header.hash  # equal height: earlier arrival
+        assert view.visible(62)[0] == b1.header.hash
+        assert view.visible(61)[0] == view.genesis_hash
 
     def test_thirty_block_ordinals_consecutive(self):
         view, tip = build_chain(30)
@@ -606,13 +606,31 @@ class TestAddBlock:
         lying, _ = search_pow(view.genesis_hash, EMPTY_TX_ROOT, 1, 0, TARGET, seed=6)
         assert view.add_block(Block(lying, (tx,)), 0) == "BadTxRoot"
 
+    @pytest.mark.parametrize("target, pow_fn", [(TARGET >> 1, "sha256d"), (TARGET << 1, "sha256d"), (TARGET, "scrypt")],
+                             ids=["harder", "easier", "scrypt"])
+    def test_rejects_another_target_or_pow_function(self, target, pow_fn):
+        """A child must keep its parent's target and PoW function (link_fault's BadTarget), a refused
+        block changes nothing, and the view's own child of genesis is still taken."""
+        from pegsim.chainsim import Block
+
+        view = ChainView.new(TARGET)
+        genesis = view.genesis_hash
+        other, _ = search_pow(genesis, EMPTY_TX_ROOT, 1, 62, target, pow_fn, seed=3)
+        assert pow_check(other)
+        assert view.add_block(Block(other, ()), 62) == "BadTarget"
+        assert list(view.blocks) == [genesis] and list(view.arrival) == [genesis]
+        assert view.best_tip() == genesis and view.visible(62) == (genesis, NEVER)
+        assert link_fault(view.genesis.header, other) == "BadTarget"
+        kept = view.mine_block(genesis, [], time=62, seed=3)
+        assert view.add_block(kept, 62) is None and view.best_tip() == kept.header.hash
+
     def test_duplicate_add_idempotent(self):
         view = ChainView.new(TARGET)
         b = view.mine_block(view.genesis_hash, [], time=62, seed=1)
         assert view.add_block(b, 62) is None
-        snapshot = dict(view.cum_work)
+        snapshot = dict(view.arrival)
         assert view.add_block(b, 99) is None
-        assert view.cum_work == snapshot
+        assert view.arrival == snapshot
 
 
 class TestForkChoice:
@@ -649,20 +667,6 @@ class TestForkChoice:
         v2, t2 = build([("b", 2, 60), ("a", 1, 50)])
         assert v1.best_tip() == t1["a"]
         assert v2.best_tip() == t2["a"]  # insertion order irrelevant given arrivals
-
-    def test_cumulative_work_matches_length_at_constant_difficulty(self):
-        view, tip = build_chain(12)
-        unit = work_for_target(TARGET)
-        for h, block in view.blocks.items():
-            assert view.cum_work[h] == unit * (block.header.ordinal + 1)
-
-    def test_work_strictly_monotone_along_path(self):
-        view, tip = build_chain(8)
-        h = tip
-        while h != view.genesis_hash:
-            parent = view.blocks[h].header.parent
-            assert view.cum_work[h] > view.cum_work[parent]
-            h = parent
 
 
 class TestHeadersRange:
@@ -702,7 +706,7 @@ def visible_best(view, cutoff):
     seen = {h for h in view.blocks if view.arrival[h] <= cutoff or h == view.genesis_hash}
     parents = {view.blocks[h].header.parent for h in seen}
     tips = seen - parents
-    return min(tips, key=lambda h: (-view.cum_work[h], view.arrival[h], h))
+    return min(tips, key=lambda h: (-view.blocks[h].header.ordinal, view.arrival[h], h))
 
 
 EASY = 1 << 255  # ~2 attempts per block
@@ -723,11 +727,11 @@ def grow(moves, target=EASY):
 class TestVisibility:
     def test_best_tip_at_cutoff_filters_by_arrival(self):
         view, tip = build_chain(5)  # arrivals 62, 124, ...
-        assert view.best_tip(124 + 1) == view.ancestor_at(tip, 2)
-        assert view.best_tip(124) == view.ancestor_at(tip, 2)
-        assert view.best_tip(123) == view.ancestor_at(tip, 1)
-        assert view.best_tip(-1) == view.genesis_hash
-        assert view.best_tip(10**9) == view.best_tip() == tip
+        assert view.visible(124 + 1)[0] == view.ancestor_at(tip, 2)
+        assert view.visible(124)[0] == view.ancestor_at(tip, 2)
+        assert view.visible(123)[0] == view.ancestor_at(tip, 1)
+        assert view.visible(-1)[0] == view.genesis_hash
+        assert view.visible(10**9)[0] == view.best_tip() == tip
 
     @settings(max_examples=60, deadline=None)
     @given(moves=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from([0, 0, 1, 3])),
@@ -740,7 +744,7 @@ class TestVisibility:
             timed.append((pick, arrival))
         view, _ = grow(timed)
         for cutoff in range(-1, arrival + 2):
-            assert view.best_tip(cutoff) == visible_best(view, cutoff), cutoff
+            assert view.visible(cutoff)[0] == visible_best(view, cutoff), cutoff
         assert view.best_tip() == visible_best(view, arrival)
 
     @settings(max_examples=60, deadline=None)
@@ -749,7 +753,7 @@ class TestVisibility:
     def test_out_of_order_insertion_never_shows_a_later_block(self, moves):
         view, _ = grow(moves)
         for cutoff in range(-1, 22):
-            tip = view.best_tip(cutoff)
+            tip = view.visible(cutoff)[0]
             assert tip == view.genesis_hash or view.arrival[tip] <= cutoff
         assert view.best_tip() == visible_best(view, 20)  # fork choice stays exact
 
@@ -765,9 +769,9 @@ class TestVisibility:
         view, _ = grow(timed)
         for cutoff in range(-1, arrival + 2):
             tip, change = view.visible(cutoff)
-            assert tip == view.best_tip(cutoff) and cutoff < change
+            assert cutoff < change
             for later in range(cutoff + 1, min(change, arrival + 2)):
-                assert view.best_tip(later) == tip, (cutoff, later)
+                assert view.visible(later)[0] == tip, (cutoff, later)
             if change == NEVER:
                 assert tip == view.best_tip()
 

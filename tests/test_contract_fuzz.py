@@ -38,7 +38,7 @@ from pegsim.bridge import BRIDGE_ADDR, BridgeContract, Submission, build_submiss
 from pegsim.chainsim import ChainView, Transaction, doge_address
 from pegsim.errors import SimError
 from pegsim.harness import SimulationRunner, audit, parse_config
-from pegsim.proofsys import commitment_root, date_of, prove_extension_for
+from pegsim.proofsys import commitment_root, prove_extension_for
 
 from test_golden import FUZZER, REACHED_OUTSIDE_THE_CORPUS
 
@@ -393,8 +393,8 @@ class ContractMachine(RuleBasedStateMachine):
         if thread is not None:
             sub = thread.active.sub
             tip = branch_of(sub.tip_header) or tip
-            if date_of(thread.prior_tip_header) < sub.range <= ordinal(tip) - C:
-                prior, range_b = date_of(thread.prior_tip_header), sub.range
+            if thread.prior_tip_header.ordinal < sub.range <= ordinal(tip) - C:
+                prior, range_b = thread.prior_tip_header.ordinal, sub.range
         self.call("supply_proof", relayer, thread_id, proof(tip, prior, range_b))
 
     @precondition(lambda self: any(not t.resolved for t in self.contract.threads.values()))

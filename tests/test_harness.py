@@ -381,6 +381,15 @@ SNAPSHOT_CHANGES = {
     "queues": lambda v: {**v, "1/1000": [*v.get("1/1000", []), 7]},
     "digest": lambda v: "00" * 32,
 }
+# the snapshot fields the auditor reads: all but the two it leaves to the digest
+SNAPSHOT_READ = [name for name in SNAPSHOT_CHANGES if name not in ("history_len", "current_date", "digest")]
+
+
+def bare_event(kind, payload, **agg):
+    """Event 0 of kind with a digest and every snapshot field the auditor reads, as agg overrides them."""
+    return {"seq": 0, "kind": kind, "payload": payload, "digest": "00" * 32,
+            "agg": {"supply": {}, "backing": {}, "held": 0, "received": 0, "paid": 0, "relay_mode": "listening",
+                    "used_tx_count": 0, "queues": {}, **agg}}
 
 
 class TestAudit:
@@ -433,6 +442,31 @@ class TestAudit:
         first = audit(events).violations[0]
         assert (first.seq, first.rule) == (71, "SnapshotCopy"), first
 
+    @pytest.mark.parametrize("keys", [[name] for name in SNAPSHOT_READ] + [
+        ["held", "received", "paid", "relay_mode", "used_tx_count", "queues"], ["digest"]], ids="+".join)
+    def test_a_snapshot_field_missing_from_every_event_is_a_parse_error(self, tmp_path, keys):
+        """The auditor fails closed: with fields it reads dropped from every event's snapshot, or the
+        digest from every event, no check can go quiet (without the six fields together, or the digest,
+        the trace once audited clean); the trace is refused, and `pegsim audit` exits 2."""
+        events = [json.loads(line) for line in corpus_run("lifecycle_happy_path")[0].lines()]
+        for event in events:
+            for key in keys:
+                del (event if key == "digest" else event["agg"])[key]
+        error = "event 0 missing 'digest'" if keys == ["digest"] else f"malformed event 0: KeyError: '{keys[0]}'"
+        with pytest.raises(ParseError, match=error):
+            audit(events)
+        path = tmp_path / "trace.ndjson"
+        Trace(events).write(str(path))
+        assert cli_main(["audit", str(path)]) == 2
+
+    @pytest.mark.parametrize("key, value", [("held", "0"), ("received", True), ("paid", None),
+                                            ("used_tx_count", 1.0), ("digest", 0)])
+    def test_a_snapshot_field_of_another_type_is_a_parse_error(self, key, value):
+        events = [json.loads(line) for line in corpus_run("lifecycle_happy_path")[0].lines()]
+        (events[5] if key == "digest" else events[5]["agg"])[key] = value
+        with pytest.raises(ParseError, match=f"event 5 (agg )?field '{key}' is not"):
+            audit(events)
+
     @pytest.mark.parametrize("scenario, kind, change, rule, detail", TAMPERED)
     def test_a_changed_field_is_flagged_at_its_seq(self, scenario, kind, change, rule, detail):
         trace, _ = corpus_run(scenario)
@@ -473,12 +507,16 @@ class TestAudit:
         Trace(events).write(str(path))
         assert cli_main(["audit", str(path)]) == 2
 
-    def test_a_field_of_an_unexpected_type_is_a_parse_error(self, tmp_path):
-        """No declared check covers a snapshot's backing; as a list it still ends in a ParseError, not a
-        traceback, and `pegsim audit` exits 2."""
-        event = {"seq": 0, "kind": "mint", "payload": {"y": "1/1000", "minted": 1, "bridge_id": 0},
-                 "agg": {"supply": {"1/1000": 1}, "backing": [1000]}}
-        with pytest.raises(ParseError, match="malformed event 0: AttributeError"):
+    @pytest.mark.parametrize("agg, error", [
+        ({"supply": {"1/1000": 1}, "backing": [1000]}, "event 0 agg field 'backing' is not dict"),
+        ({"supply": {"1/1000": "1"}, "backing": {"1/1000": 1000}}, "malformed event 0: TypeError"),
+    ], ids=["declared", "undeclared"])
+    def test_a_field_of_an_unexpected_type_is_a_parse_error(self, tmp_path, agg, error):
+        """A snapshot's backing as a list fails its declared check; no declared check covers the values
+        of its supply, and a string there still ends in a ParseError, not a traceback.  Either way
+        `pegsim audit` exits 2."""
+        event = bare_event("mint", {"y": "1/1000", "minted": 1, "bridge_id": 0}, **agg)
+        with pytest.raises(ParseError, match=error):
             audit([event])
         path = tmp_path / "trace.ndjson"
         Trace([event]).write(str(path))
@@ -491,7 +529,7 @@ class TestAudit:
 
     @pytest.mark.parametrize("rate", ["1e10000000", "1/0x10", " 1/1000", "1_000", "0.001", "-1/1000"])
     def test_rate_outside_the_integer_grammar_is_a_parse_error(self, rate):
-        event = {"seq": 0, "kind": "genesis", "payload": {}, "agg": {"supply": {rate: 0}, "backing": {}}}
+        event = bare_event("genesis", {}, supply={rate: 0})
         start = time.perf_counter()
         with pytest.raises(ParseError, match="rate"):
             audit([event])
@@ -514,7 +552,7 @@ class TestOracleAgreement:
         # that received a proof: the oracle's verdict, direct verification, and
         # "revealed headers equal the best-chain segment" must all agree.
         from pegsim.harness.runner import SimulationRunner
-        from pegsim.proofsys import date_of, verify_extension_proof
+        from pegsim.proofsys import verify_extension_proof
 
         runner = SimulationRunner(load_config(str(SCENARIO_DIR / f"{scenario}.json")))
         trace = runner.run()
@@ -533,7 +571,7 @@ class TestOracleAgreement:
             tip_ord = runner.view.blocks[tip].header.ordinal
             on_best = False
             if thread.active.sub.range <= tip_ord:
-                segment = runner.view.path_blocks(tip, date_of(thread.prior_tip_header) + 1, thread.active.sub.range)
+                segment = runner.view.path_blocks(tip, thread.prior_tip_header.ordinal + 1, thread.active.sub.range)
                 on_best = tuple(b.header for b in segment) == thread.proof.revealed_headers
             assert (direct is None) == on_best, thread.thread_id
             checked += 1
@@ -598,9 +636,9 @@ class TestDelayedVisibility:
             assert obs.true_rate == runner.config.rate_path.segment(runner.contract.now_s)[0]
             if agent.visibility_delay_s:
                 view, cutoff = runner.view, runner.contract.now_s - agent.visibility_delay_s
-                assert obs.tip == view.best_tip(cutoff)
+                assert obs.tip == view.visible(cutoff)[0]
                 arrived = [h for h in view.blocks if view.arrival[h] <= cutoff] or [view.genesis_hash]
-                assert obs.tip == min(arrived, key=lambda h: (-view.cum_work[h], view.arrival[h], h))
+                assert obs.tip == min(arrived, key=lambda h: (-view.blocks[h].header.ordinal, view.arrival[h], h))
                 lagged.append(obs.tip != view.best_tip())
             return obs
         return checked
@@ -1154,6 +1192,53 @@ class TestCli:
         capsys.readouterr()
         assert cli_main(["replay", str(config_path), str(trace_path)]) == 1
         assert f"DIVERGED at event 0: event 0 (genesis): {named}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("edit", [lambda line: line[:-1] + "\r\n", lambda line: line[:-1] + " \n"],
+                             ids=["crlf", "trailing_space"])
+    def test_a_line_with_other_line_end_bytes_is_a_divergence(self, tmp_path, capsys, edit):
+        """Reading keeps each line as written, so a copy of a trace with CRLF line ends or a trailing space
+        still audits but does not replay identical, and its digest is not the run's."""
+        config_path = SCENARIO_DIR / "lifecycle_happy_path.json"
+        trace_path = tmp_path / "trace.ndjson"
+        trace = corpus_run("lifecycle_happy_path")[0]
+        trace.write(str(trace_path))
+        lines = trace_path.read_text().splitlines(keepends=True)
+        trace_path.write_bytes("".join(map(edit, lines)).encode())
+        assert Trace.read(str(trace_path)).digest() != trace.digest()
+        capsys.readouterr()
+        assert cli_main(["audit", str(trace_path)]) == 0
+        assert cli_main(["replay", str(config_path), str(trace_path)]) == 1
+        assert "DIVERGED at event 0: event 0 (genesis): the same values in other text" in capsys.readouterr().out
+
+    def test_a_last_line_without_a_line_feed_exits_2(self, tmp_path, capsys):
+        """Every line a run writes ends in a line feed, and a trace's digest joins its lines with one, so a
+        file cut before its last line feed is refused, not read as the run's own lines."""
+        config_path = SCENARIO_DIR / "lifecycle_happy_path.json"
+        trace_path = tmp_path / "trace.ndjson"
+        corpus_run("lifecycle_happy_path")[0].write(str(trace_path))
+        text = trace_path.read_bytes()
+        trace_path.write_bytes(text[:-1])
+        last = text.count(b"\n")
+        capsys.readouterr()
+        for argv in (["audit", str(trace_path)], ["replay", str(config_path), str(trace_path)]):
+            assert cli_main(argv) == 2
+            err = capsys.readouterr().err
+            assert f"{trace_path}:{last}: no line feed" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("at", [0, 5, "end"])
+    def test_a_blank_line_exits_2_naming_its_line(self, tmp_path, capsys, at):
+        config_path = SCENARIO_DIR / "lifecycle_happy_path.json"
+        trace_path = tmp_path / "trace.ndjson"
+        corpus_run("lifecycle_happy_path")[0].write(str(trace_path))
+        lines = trace_path.read_text().splitlines(keepends=True)
+        n = len(lines) if at == "end" else at
+        lines.insert(n, "\n")
+        trace_path.write_text("".join(lines))
+        capsys.readouterr()
+        for argv in (["audit", str(trace_path)], ["replay", str(config_path), str(trace_path)]):
+            assert cli_main(argv) == 2
+            err = capsys.readouterr().err
+            assert f"{trace_path}:{n + 1}: blank line" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("content", [b'{"name": "\xff"}\n', b"[" * 100_000 + b"\n"],
                              ids=["invalid_utf8", "nested_past_the_stack"])

@@ -1,22 +1,35 @@
 """Extension proof system tests: prove/verify roundtrips, mutations, cost model."""
 
+import dataclasses
+
 import pytest
 
 from pegsim.bridge import ProtocolParams, Submission, build_submission
-from pegsim.chainsim import BlockHeader, ChainView, Transaction, doge_address, search_pow
+from pegsim.chainsim import (
+    EMPTY_TX_ROOT,
+    Block,
+    BlockHeader,
+    ChainView,
+    Transaction,
+    doge_address,
+    search_pow,
+)
 from pegsim.proofsys import (
     CostModel,
     ExtensionProof,
     InsufficientChain,
+    commitment_root,
     extension_leaves,
     oracle_verify,
     prove_extension_for,
     required_relayer_deposit,
     verification_cost,
     verify_extension_proof,
+    witness_root,
 )
 
 TARGET = 1 << 250
+ALL_PASS = (1 << 256) - 1  # every digest but one beats it: one nonce attempt per header
 PARAMS = ProtocolParams()
 
 
@@ -29,6 +42,19 @@ def build_chain(n, txs_at=None, seed_base=900):
         assert view.add_block(block, 62 * i) is None
         tip = block.header.hash
     return view, tip
+
+
+def forged_extension(parent, n, c, target=None, pow_fn=None):
+    """(claim, proof) of a PoW chain of n empty headers and c witness headers on parent, at target and
+    pow_fn (the parent's when None); the claim's roots and tip are the proof's own."""
+    headers = []
+    for i in range(n + c):
+        parent, _ = search_pow(parent.hash, EMPTY_TX_ROOT, parent.ordinal + 1, 62 * (parent.ordinal + 1),
+                               target or parent.difficulty_target, pow_fn or parent.pow_fn, seed=i)
+        headers.append(parent)
+    revealed, witness = tuple(headers[:n]), tuple(headers[n:])
+    sub = Submission(commitment_root([Block(h, ()) for h in revealed]), witness_root(witness), revealed[-1])
+    return sub, ExtensionProof(revealed, witness, ((),) * n)
 
 
 class TestProveExtension:
@@ -62,7 +88,7 @@ class TestVerify:
         view, tip = build_chain(45, txs_at={3: [Transaction(doge_address("a"), doge_address("b"), 7, 0)]})
         sub = build_submission(view, tip, prior_date, range_b, PARAMS.c)
         proof = prove_extension_for(view, tip, prior_date, range_b, PARAMS.c)
-        prior_tip = None if prior_date == 0 else view.blocks[view.ancestor_at(tip, prior_date)].header
+        prior_tip = view.blocks[view.ancestor_at(tip, prior_date)].header
         return view, tip, sub, proof, prior_tip
 
     def test_honest_accept(self):
@@ -146,6 +172,29 @@ class TestVerify:
         forked = ExtensionProof(proof.revealed_headers, (stray,) + proof.witness_headers[1:], proof.txs_per_block)
         assert verify_extension_proof(prior, sub, forked, PARAMS) == "BadLink"
 
+    def test_headers_at_an_all_pass_target_are_refused(self):
+        """Headers linked to the prior tip that each beat a target every digest but one beats: at the
+        prior's own target they would be work, at this one they are none."""
+        *_, prior = self.roundtrip(prior_date=10)
+        sub, proof = forged_extension(prior, 20, PARAMS.c, target=ALL_PASS)
+        assert verify_extension_proof(prior, sub, proof, PARAMS) == "BadTarget"
+
+    def test_a_first_extension_off_genesis_is_a_bad_link(self):
+        """With an empty history the prior tip is genesis, and a chain from another block does not extend it."""
+        genesis = ChainView.new(TARGET).genesis.header
+        stranger = BlockHeader(b"\x13" * 32, EMPTY_TX_ROOT, 0, 0, 0, TARGET)  # in no chain
+        sub, proof = forged_extension(stranger, 30, PARAMS.c)
+        assert verify_extension_proof(stranger, sub, proof, PARAMS) is None  # a sound chain on its own block
+        assert verify_extension_proof(genesis, sub, proof, PARAMS) == "BadLink"
+
+    def test_a_header_with_another_pow_function_is_refused(self):
+        """A chain on the prior tip at its target but under another PoW function: each header passes
+        its own function's check, yet the chain does not keep the prior's."""
+        *_, prior = self.roundtrip(prior_date=10)
+        params = dataclasses.replace(PARAMS, c=2)
+        sub, proof = forged_extension(prior, 2, params.c, pow_fn="scrypt")
+        assert verify_extension_proof(prior, sub, proof, params) == "BadTarget"
+
     def test_commitment_mismatch(self):
         _, _, sub, proof, prior = self.roundtrip()
         forged = Submission(b"\x01" * 32, sub.confirmation_witness, sub.tip_header)
@@ -211,15 +260,17 @@ class TestOracle:
         view, tip = build_chain(45)
         sub = build_submission(view, tip, 0, 30, PARAMS.c)
         proof = prove_extension_for(view, tip, 0, 30, PARAMS.c)
-        assert oracle_verify(None, sub, proof, PARAMS, CostModel(latency_per_block_s=2)) == (None, 80)  # (30 + 10) * 2
+        latency = CostModel(latency_per_block_s=2)
+        assert oracle_verify(view.genesis.header, sub, proof, PARAMS, latency) == (None, 80)  # (30 + 10) * 2
 
     def test_oracle_matches_direct_verification(self):
         view, tip = build_chain(45)
         sub = build_submission(view, tip, 0, 30, PARAMS.c)
         proof = prove_extension_for(view, tip, 0, 30, PARAMS.c)
-        direct = verify_extension_proof(None, sub, proof, PARAMS)
-        assert oracle_verify(None, sub, proof, PARAMS, CostModel())[0] == direct
+        genesis = view.genesis.header
+        direct = verify_extension_proof(genesis, sub, proof, PARAMS)
+        assert oracle_verify(genesis, sub, proof, PARAMS, CostModel())[0] == direct
 
         forged = Submission(b"\x0f" * 32, sub.confirmation_witness, sub.tip_header)
-        assert oracle_verify(None, forged, proof, PARAMS, CostModel())[0] == \
-            verify_extension_proof(None, forged, proof, PARAMS) == "CommitmentMismatch"
+        assert oracle_verify(genesis, forged, proof, PARAMS, CostModel())[0] == \
+            verify_extension_proof(genesis, forged, proof, PARAMS) == "CommitmentMismatch"
