@@ -20,14 +20,14 @@ from ..errors import ParseError
 # a rational written as text, in a config or a trace: n or n/d in decimal digits, as str(Fraction) writes it
 RATIONAL = re.compile(r"[0-9]+(/[0-9]+)?")
 
-# the event kinds the runner records after no contract change: each carries a copy of the snapshot, agg
-# and digest, of the event before it
+# the event kinds the runner records after no contract change: each carries the snapshot, agg and digest,
+# of the event before it (in a run's own trace, the same objects)
 SNAPSHOT_COPIES = frozenset({"doge_block", "doge_tx", "action_rejected", "run_summary"})
 
 # event kinds allowed to change the relay mode, per the state machine
 _MODE_CHANGERS = {"submit", "accept", "challenge_commitment", "challenge_range_replaced"}
 
-# payload fields, and their types, of the event kinds the audit reconstructs
+# payload fields, and their types, of the event kinds the audit reconstructs or reads
 _PAYLOAD_FIELDS = {
     "mint": {"y": str, "minted": int, "bridge_id": int},
     "burn": {"y": str, "burn_id": int, "portions": list},
@@ -36,6 +36,8 @@ _PAYLOAD_FIELDS = {
     "missing_doge_paid": {"y": str, "burned": int, "eth": int, "bridge_id": int},
     "bridge_closed": {"bridge_id": int},
     "burn_settled": {"y": str, "w": int, "d_recv": int, "eth_received": int},
+    "genesis": {"tags": list},
+    "run_summary": {"tags": list, "quiescent": bool, "supply": dict, "locked_on_best": dict},
 }
 
 # snapshot fields, and their types, that the audit reads; every event must carry each one
@@ -140,7 +142,7 @@ def _check_events(events: List[dict], report: AuditReport) -> None:
         prev = event
 
         if kind == "genesis":
-            tags = list(payload.get("tags", []))
+            tags = payload["tags"]
         if kind == "action_rejected":
             report.rejected_actions += 1
 
@@ -230,12 +232,13 @@ def _check_events(events: List[dict], report: AuditReport) -> None:
     last = events[-1]
     if last.get("kind") == "run_summary":
         summary = last["payload"]
-        if "rational_rate_ge_y" in (tags or summary.get("tags", [])):
-            if not summary.get("quiescent", False):
+        # genesis and the summary both carry the scenario's tags, and each field was required in the loop
+        if "rational_rate_ge_y" in [*tags, *summary["tags"]]:
+            if not summary["quiescent"]:
                 report.flag(last["seq"], "Invariant3", "scenario tagged rational_rate_ge_y did not end quiescent")
             else:
-                locked = summary.get("locked_on_best", {})
-                for y_str, n in summary.get("supply", {}).items():
+                locked = summary["locked_on_best"]
+                for y_str, n in summary["supply"].items():
                     if locked.get(y_str, 0) != n:
                         report.flag(last["seq"], "Invariant3",
                                     f"locked[{y_str}]={locked.get(y_str, 0)} != supply {n}")

@@ -4,9 +4,9 @@ Every state transition lands in the trace as one JSON-safe event carrying the
 contract's aggregate snapshot and state digest, so the auditor can re-check
 the economic invariants without consulting the live objects.  A call that
 changes the contract writes an event after the change, so only genesis and
-the contract's own events compute a snapshot, and every other event copies
-the one before it.  A fixed (config, seed) pair replays to a byte-identical
-trace.
+the contract's own events compute a snapshot, and every other event holds the
+very agg and digest of the one before it.  A fixed (config, seed) pair replays
+to a byte-identical trace.
 
 Every coin block is mined on the best tip, so each block extends every tip an
 agent can see: a `doge_block` event changes the chain alone, and an agent whose
@@ -15,6 +15,7 @@ answer holds on every extension of its tip sleeps through it (see _asleep).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from dataclasses import dataclass, field
@@ -43,7 +44,8 @@ _TRACE_JSON = json.JSONDecoder(parse_float=_refuse_number, parse_constant=_refus
 class Trace:
     """A run's events and their canonical JSON lines.  A run's trace encodes its lines once, the first
     time they are needed, and a read trace keeps the lines as read, so its digest is over the file's own
-    text.  A Trace is not edited in place: build a new one from edited events, and it encodes afresh."""
+    text.  A Trace is not edited in place, and a run's events share snapshot objects: edit parsed lines or
+    a deep copy, and build a new Trace of them, which encodes afresh."""
 
     events: List[dict]
     _lines: Optional[List[str]] = field(default=None, repr=False, compare=False)
@@ -54,8 +56,11 @@ class Trace:
         return self._lines
 
     def digest(self) -> str:
-        h = sha256("\n".join(self.lines()).encode())
-        return h.hex()
+        """SHA-256 of the lines joined by line feeds, fed one line at a time: the joined text is never built."""
+        h = hashlib.sha256()
+        for i, line in enumerate(self.lines()):
+            h.update(("\n" + line if i else line).encode())
+        return h.hexdigest()
 
     def write(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -137,9 +142,7 @@ class SimulationRunner:
             for agent in self.agents:
                 agent.until = 0
         if kind in SNAPSHOT_COPIES and self.events:  # the runner's own kinds but genesis, after a first event
-            agg, digest = dict(self.events[-1]["agg"]), self.events[-1]["digest"]
-            agg.update(supply=dict(agg["supply"]), backing=dict(agg["backing"]),
-                       queues={y: list(q) for y, q in agg["queues"].items()})
+            agg, digest = self.events[-1]["agg"], self.events[-1]["digest"]
         else:
             agg, digest = self.contract.aggregates(), self.contract.state_digest()
         event = {

@@ -83,7 +83,7 @@ def runner_event_kinds():
 
 
 def test_the_contract_emits_no_kind_the_runner_records_itself():
-    """Of the runner's own kinds only genesis computes a snapshot; the rest copy the snapshot of the event
+    """Of the runner's own kinds only genesis computes a snapshot; the rest carry the snapshot of the event
     before them, which is sound only while no contract call writes them."""
     assert runner_event_kinds() == {"genesis", "doge_block", "doge_tx", "action_rejected", "run_summary"}
     assert not contract_event_kinds() & runner_event_kinds()

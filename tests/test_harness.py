@@ -323,23 +323,27 @@ class TestTraceText:
             assert canonical_json(json.loads(text)) == text
 
     def test_a_written_trace_reads_back_its_own_text_without_encoding(self, tmp_path, monkeypatch):
-        """For each corpus trace: the lines read are the file's lines, and the digest over them is the
-        run's; reading and hashing them encodes nothing."""
+        """For each corpus trace, a trace of one event and one of none: the lines read are the file's
+        lines, and the digest over them is the run's, the SHA-256 of the lines joined by line feeds (of no
+        bytes for no lines); reading and hashing them encodes nothing."""
         import pegsim.harness.runner as runner_mod
 
         def no_encoding(value):
             raise AssertionError("a read trace encoded an event")
 
         path = tmp_path / "trace.ndjson"
-        for name in CORPUS:
-            trace, _ = corpus_run(name)
+        first = corpus_run("lifecycle_happy_path")[0].events[:1]
+        for name, trace in [*((name, corpus_run(name)[0]) for name in CORPUS),
+                            ("one event", Trace(first)), ("no events", Trace([]))]:
             trace.write(str(path))
             with monkeypatch.context() as patch:
                 patch.setattr(runner_mod, "canonical_json", no_encoding)
                 back = Trace.read(str(path))
                 assert back.lines() == path.read_text().splitlines(), name
-                assert back.digest() == trace.digest(), name
+                joined = hashlib.sha256("\n".join(back.lines()).encode()).hexdigest()
+                assert back.digest() == trace.digest() == joined, name
             assert back.events == trace.events, name
+        assert Trace([]).digest() == hashlib.sha256(b"").hexdigest()
 
     def test_a_respaced_file_reads_to_the_same_events_but_not_the_same_text(self, tmp_path):
         """json.dumps's default separators give the same values in other bytes: the digest differs and
@@ -467,6 +471,49 @@ class TestAudit:
         with pytest.raises(ParseError, match=f"event 5 (agg )?field '{key}' is not"):
             audit(events)
 
+    @pytest.mark.parametrize("scenario", ["lifecycle_happy_path", "false_challenge"])
+    @pytest.mark.parametrize("drops, doctored", [
+        *(pytest.param([(-1, key)], False, id=key) for key in ("tags", "quiescent", "supply", "locked_on_best")),
+        pytest.param([(0, "tags")], False, id="genesis_tags"),
+        pytest.param([(-1, "supply")], True, id="supply-locked_on_best_doctored"),
+        pytest.param([(0, "tags"), (-1, "tags")], True, id="both_tags-locked_on_best_doctored")])
+    def test_a_field_the_end_state_check_reads_missing_is_a_parse_error(self, tmp_path, scenario, drops, doctored):
+        """The end-state Invariant 3 fails closed: a genesis or run summary payload that lacks a field it
+        reads is refused, whether or not the scenario is tagged rational_rate_ge_y, and `pegsim audit`
+        exits 2.  A doctored locked_on_best is flagged; with the summary's supply dropped, or the tags
+        dropped from both payloads, that trace once audited clean."""
+        events = [json.loads(line) for line in corpus_run(scenario)[0].lines()]
+        if doctored:
+            events[-1]["payload"]["locked_on_best"] = {"1/1000": 5}
+            if scenario == "lifecycle_happy_path":
+                assert [v.rule for v in audit(events).violations] == ["Invariant3"]
+        for i, key in drops:
+            del events[i]["payload"][key]
+        first, key = events[drops[0][0]], drops[0][1]
+        with pytest.raises(ParseError, match=f"{first['kind']} event {first['seq']} missing '{key}'"):
+            audit(events)
+        path = tmp_path / "trace.ndjson"
+        Trace(events).write(str(path))
+        assert cli_main(["audit", str(path)]) == 2
+
+    @pytest.mark.parametrize("i, key, value", [(-1, "tags", "rational_rate_ge_y"), (-1, "quiescent", 1),
+                                               (-1, "supply", [["1/1000", 0]]), (-1, "locked_on_best", None),
+                                               (0, "tags", "x")])
+    def test_a_field_the_end_state_check_reads_of_another_type_is_a_parse_error(self, i, key, value):
+        events = [json.loads(line) for line in corpus_run("lifecycle_happy_path")[0].lines()]
+        events[i]["payload"][key] = value
+        with pytest.raises(ParseError, match=f"{events[i]['kind']} event {events[i]['seq']} field '{key}' is not"):
+            audit(events)
+
+    @pytest.mark.parametrize("i", [0, -1], ids=["genesis", "run_summary"])
+    def test_invariant3_is_checked_when_either_payload_carries_its_tag(self, i):
+        """The genesis and run summary payloads both carry the scenario's tags: with rational_rate_ge_y
+        taken out of one, a doctored locked_on_best is still flagged (out of genesis's, it once was not)."""
+        events = [json.loads(line) for line in corpus_run("lifecycle_happy_path")[0].lines()]
+        events[-1]["payload"]["locked_on_best"] = {"1/1000": 5}
+        events[i]["payload"]["tags"] = ["lifecycle"]
+        assert [(v.seq, v.rule) for v in audit(events).violations] == [(events[-1]["seq"], "Invariant3")]
+
     @pytest.mark.parametrize("scenario, kind, change, rule, detail", TAMPERED)
     def test_a_changed_field_is_flagged_at_its_seq(self, scenario, kind, change, rule, detail):
         trace, _ = corpus_run(scenario)
@@ -529,7 +576,7 @@ class TestAudit:
 
     @pytest.mark.parametrize("rate", ["1e10000000", "1/0x10", " 1/1000", "1_000", "0.001", "-1/1000"])
     def test_rate_outside_the_integer_grammar_is_a_parse_error(self, rate):
-        event = bare_event("genesis", {}, supply={rate: 0})
+        event = bare_event("genesis", {"tags": []}, supply={rate: 0})
         start = time.perf_counter()
         with pytest.raises(ParseError, match="rate"):
             audit([event])
@@ -806,7 +853,9 @@ class TestTurnSkipping:
         tip's path, so each block extended every visible tip, as the sleep rule assumes."""
         from pegsim.harness.runner import SimulationRunner
 
-        for path in sorted(SCENARIO_DIR.glob("*.json")):
+        paths = sorted(SCENARIO_DIR.glob("*.json"))
+        assert paths
+        for path in paths:
             config = load_config(str(path))
             for offset in range(3):
                 runner = SimulationRunner(dataclasses.replace(config, seed=config.seed + offset))
@@ -832,11 +881,15 @@ def _containers(value):
 
 class TestSnapshotReuse:
     """Only genesis and the contract's own events compute a snapshot; every other event the runner
-    records copies the one before it.  This and turn skipping both rest on one premise: a call that
-    changes the contract writes an event after the change."""
+    records holds the very agg object and digest of the one before it.  This and turn skipping both rest
+    on one premise: a call that changes the contract writes an event after the change."""
 
     def test_every_recorded_snapshot_equals_a_fresh_one(self, monkeypatch):
+        """Each snapshot equals a fresh one when recorded.  A run's trace holds one agg object per
+        contract state: an event of a SNAPSHOT_COPIES kind holds the agg and digest of the event before
+        it, and genesis and each contract event an agg that shares no container with an earlier event."""
         from pegsim.bridge import BridgeContract
+        from pegsim.harness.audit import SNAPSHOT_COPIES
         from pegsim.harness.runner import SimulationRunner
 
         record, state_digest = SimulationRunner._record, BridgeContract.state_digest
@@ -861,11 +914,19 @@ class TestSnapshotReuse:
         for config in _snapshot_runs():
             digests[0] = 0
             events = SimulationRunner(config).run().events
-            owners = Counter(id(obj) for event in events for obj in _containers(event["agg"]))
-            assert max(owners.values()) == 1, config.name
+            held = set()  # the ids of every container in an earlier event's agg; each event stays alive
+            for prev, event in zip([None, *events], events):
+                where = (config.name, event["seq"], event["kind"])
+                if event["kind"] in SNAPSHOT_COPIES and prev is not None:
+                    assert event["agg"] is prev["agg"] and event["digest"] == prev["digest"], where
+                    continue
+                ids = [id(obj) for obj in _containers(event["agg"])]
+                assert held.isdisjoint(ids) and len(set(ids)) == len(ids), where
+                held.update(ids)
+            own = runner_event_kinds()
+            computed = 1 + sum(event["kind"] not in own for event in events)
+            assert len({id(event["agg"]) for event in events}) == computed, config.name
         # the last run is fuzz_random x8: genesis and each contract event computed one digest
-        own = runner_event_kinds()
-        computed = 1 + sum(event["kind"] not in own for event in events)
         assert (len(events), digests[0]) == (990, computed) and computed == 120, digests[0]
 
     def test_a_first_event_of_a_copying_kind_computes_its_snapshot(self):
