@@ -355,20 +355,16 @@ class HonestRelayer(Policy):
         if bogus is not None:
             _, prior = st.base(bogus)
             range_b = min(cm, prior + st.params.max_extension_len)
-            if range_b > prior:
-                sub = self._try_build(obs, prior, range_b)
-                if sub is not None:
-                    _, cost = st.backtrack_cost(bogus, range_b)
-                    if cost <= st.relayer_deposits.get(self.name, 0):
-                        actions.append(Action("backtrack", {"from_index": bogus, "sub": sub}))
+            sub = self._build(obs, prior, range_b)
+            _, cost = st.backtrack_cost(bogus, range_b)
+            if cost <= st.relayer_deposits.get(self.name, 0):
+                actions.append(Action("backtrack", {"from_index": bogus, "sub": sub}))
             return actions
 
         date = st.current_date
         if cm > date:
             range_b = min(cm, date + st.params.max_extension_len)
-            sub = self._try_build(obs, date, range_b)
-            if sub is not None:
-                actions.append(Action("submit_extension", {"sub": sub}))
+            actions.append(Action("submit_extension", {"sub": self._build(obs, date, range_b)}))
         return actions
 
     def _try_prove(self, obs: Observation, prior: int, range_b: int) -> Optional[ExtensionProof]:
@@ -377,10 +373,9 @@ class HonestRelayer(Policy):
         except SimError:
             return None
 
-    def _try_build(self, obs: Observation, prior: int, range_b: int) -> Optional[Submission]:
-        proof = self._try_prove(obs, prior, range_b)
-        if proof is None:
-            return None
+    def _build(self, obs: Observation, prior: int, range_b: int) -> Submission:
+        """The claim (prior, range_b] on my tip, for prior < range_b <= my confirmed maximum, so the proof exists."""
+        proof = prove_extension_for(obs.chain, obs.tip, prior, range_b, obs.bridge.params.c)
         sub = proven_submission(proof)  # the proof reveals blocks of my view, so its root seeds the memo
         segment_root(obs.chain, sub.tip_header.hash, prior, lambda: sub.commitment)
         return sub
@@ -424,9 +419,7 @@ class HonestRelayer(Policy):
         if stale and cm - sub.range >= st.params.d:
             alt_range = min(cm, prior + st.params.max_extension_len)
             if alt_range - sub.range >= st.params.d:
-                alt = self._try_build(obs, prior, alt_range)
-                if alt is not None:
-                    return Action("challenge_range", {"alt": alt})
+                return Action("challenge_range", {"alt": self._build(obs, prior, alt_range)})
         return Action("challenge_commitment", {})
 
 
@@ -505,8 +498,6 @@ class HighRangeAttacker(Policy):
         overshoot = self.params["overshoot"]
         range_b = min(max(cm + st.params.d + overshoot, st.current_date + st.params.d + overshoot),
                       st.current_date + st.params.max_extension_len)
-        if range_b <= st.current_date:
-            return []
         sub = self.fake_submission(obs, random.Random(self.agent_seed), range_b)
         priv["attacked"] = True
         return [Action("submit_extension", {"sub": sub})]
@@ -523,8 +514,6 @@ class FalseChallenger(Policy):
         priv[ON_EXTENSION] = True  # reads no chain
         rounds = priv.get("rounds", self.params["rounds"])
         if rounds <= 0 or st.active is None:
-            return []
-        if st.active.relayer == self.name:
             return []
         priv["rounds"] = rounds - 1
         return [Action("challenge_commitment", {})]
@@ -730,8 +719,6 @@ class VigilantHodler(HonestCrosser):
         st = obs.bridge
         heads = {b.head: b for b in st.bridges.values()
                  if b.y == y and b.state in ("queued", "escrowed")}
-        if not heads:
-            return None
         unlock_dests = {burn.dest for burn in st.burns.values()}
         for i, blocks, tx in self.committed_txs(obs):
             bridge = heads.get(tx.sender)

@@ -477,7 +477,8 @@ class BridgeContract:
         Two states share a digest if they differ only in the clock, last_progress_s, the next submission
         number, the active claim's witness or tip hash, a bridge's crossing_fee, a registration's
         crosser_doge or lock_bounty, a burn's dest or history_len_at_burn, a thread's verdict,
-        verdict_due_s or proof (only whether it has one counts), or the deep proposal's submission."""
+        verdict_due_s or proof (only whether it has one counts), the deep proposal's submission, or
+        genesis, the coin chain's genesis header, which is fixed per run."""
         sections = {key: canonical_json(value) for key, value in self._digest_doc().items()}
         sections["history"] = f"[{','.join(self._history_text)}]"
         text = "{" + ",".join(f'"{key}":{sections[key]}' for key in sorted(sections)) + "}"

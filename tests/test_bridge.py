@@ -151,6 +151,11 @@ class TestGenesisAndParams:
         with pytest.raises(BadParams):
             BridgeContract(ProtocolParams(k=20, d=20), CostModel(), EthAccounts(), ClockParams(), GENESIS)
 
+    @pytest.mark.parametrize("field", ["relay_tax", "deposit_floor"])
+    def test_a_negative_tax_or_floor_is_bad_params(self, field):
+        with pytest.raises(BadParams, match="relay_tax and deposit_floor must be >= 0"):
+            BridgeContract(ProtocolParams(**{field: -1}), CostModel(), EthAccounts(), ClockParams(), GENESIS)
+
     def test_genesis_deterministic(self):
         assert fresh().state_digest() == fresh().state_digest()
 

@@ -18,6 +18,7 @@ from pegsim.bridge import (
 )
 from pegsim.chainsim import Transaction, doge_address
 from pegsim.errors import (
+    InsufficientBalance,
     NoProposal,
     NotElapsed,
     NotVerifying,
@@ -255,6 +256,7 @@ class TestRefusalsChangeNothing:
         ("challenge_range", NotVerifying),
         ("challenge_commitment", NotVerifying),
         ("finalize_deep_backtrack", NoProposal),
+        ("unlock_timeout", UnknownThread),
     ])
     def test_refused_on_a_listening_relay_with_nothing_staged(self, call, error):
         contract = fresh()
@@ -266,6 +268,22 @@ class TestRefusalsChangeNothing:
                 "challenge_range": lambda: contract.challenge_range(R2, bogus_claim(30, b"\x66" * 32, b"\x66" * 32)),
                 "challenge_commitment": lambda: contract.challenge_commitment(R2),
                 "finalize_deep_backtrack": contract.finalize_deep_backtrack,
+                "unlock_timeout": lambda: contract.unlock_timeout(0),
+            }[call]()
+        assert untouched(contract) == before
+
+    @pytest.mark.parametrize("call, needs", [
+        ("become_relayer", 10_110),
+        ("open_bridge", 10 * ETH + 3),
+    ])
+    def test_a_call_short_of_eth_is_refused(self, call, needs):
+        contract = fresh(accounts={OP: needs - 1})
+        before = untouched(contract)
+        with pytest.raises(InsufficientBalance, match=f"{OP} has {needs - 1}, needs {needs}"):
+            {
+                "become_relayer": lambda: contract.become_relayer(OP, 10_110),
+                "open_bridge": lambda: contract.open_bridge(OP, 10 * ETH, Y100, doge_address("op1/head"),
+                                                            burn_bounty=3),
             }[call]()
         assert untouched(contract) == before
 

@@ -700,6 +700,17 @@ class TestHeadersRange:
         with pytest.raises(RangeUnavailable):
             view.path_blocks(tip, 3, 1)
 
+    @pytest.mark.parametrize("call, match", [
+        (lambda view, tip: view.ancestor_at(b"\x77" * 32, 1), "unknown tip"),
+        (lambda view, tip: view.path_blocks(b"\x77" * 32, 1, 1), "unknown tip"),
+        (lambda view, tip: view.ancestor_at(tip, 4), "ordinal 4 not on path to tip at 3"),
+        (lambda view, tip: view.ancestor_at(tip, -1), "ordinal -1 not on path to tip at 3"),
+    ], ids=["ancestor-unknown-tip", "path-unknown-tip", "past-the-tip", "below-0"])
+    def test_an_unknown_tip_or_an_ordinal_off_the_path_is_unavailable(self, call, match):
+        view, tip = build_chain(3)
+        with pytest.raises(RangeUnavailable, match=match):
+            call(view, tip)
+
 
 def visible_best(view, cutoff):
     """Reference: the best among blocks arrived by cutoff that have no visible child."""

@@ -132,6 +132,26 @@ def mini_config(**changes):
     return doc
 
 
+# (change, message): a value of the right type outside its range, refused with its section named
+OUT_OF_RANGE = [
+    pytest.param(_set(("params",), c=0), "params: c must be >= 1", id="c-0"),
+    *(pytest.param(_set(("params",), **{rate: value}), f"params: {rate} must be in (0, 1]", id=f"{rate}-{value}")
+      for rate in ("registration_void_fee_rate", "nonmax_penalty_rate", "challenge_reward_rate")
+      for value in ("0", "3/2")),
+    pytest.param(_set(("params",), max_extension_len=19), "params: max_extension_len must be >= d",
+                 id="max-extension-len-below-d"),
+    *(pytest.param(_set(("params",), **{name: 0}), "params: all windows and delays must be positive", id=f"{name}-0")
+      for name in ("registration_window_doge_blocks", "unlock_timeout_eth_blocks", "challenge_window_eth_blocks",
+                   "proof_timeout_per_block_s", "deep_backtrack_delay_1_s", "deep_backtrack_delay_2_s")),
+    pytest.param(_set(("clock",), eth_block_seconds=0), "clock: block intervals must be positive",
+                 id="eth-block-seconds-0"),
+    pytest.param(_set(("clock",), doge_interarrival="poisson"), "clock: unknown interarrival mode 'poisson'",
+                 id="interarrival-poisson"),
+    pytest.param(_set((), rate_path=[[0, "0"]]), "rate_path: rates must be positive", id="rate-0"),
+    pytest.param(_set((), rate_path=[[0, "1/0"]]), "rate_path[0][1]: not a rational: Fraction(1, 0)", id="rate-1/0"),
+]
+
+
 # rate strings outside the n or n/d grammar that Fraction(str) would take or expand
 OUTSIDE_THE_GRAMMAR = ["1e1000000", "0.001", " 1/1000", "1_000"]
 
@@ -187,6 +207,14 @@ class TestConfigValidation:
     def test_bad_params_combination(self):
         with pytest.raises(ConfigError, match="params"):
             parse_config(mini_config(params={"k": 30, "d": 20}))
+
+    @pytest.mark.parametrize("change, message", OUT_OF_RANGE)
+    def test_a_value_out_of_its_range_is_refused_naming_its_section(self, change, message):
+        doc = mini_config()
+        change(doc)
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert str(err.value) == message
 
     def test_rate_path_must_start_at_zero(self):
         with pytest.raises(ConfigError, match=r"rate_path\[0\]"):
@@ -1254,6 +1282,32 @@ class TestCli:
         assert cli_main(["replay", str(config_path), str(trace_path)]) == 1
         assert f"DIVERGED at event 0: event 0 (genesis): {named}" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("change, named", [
+        (lambda payload: payload.pop("seed"), "payload.seed: '<absent>' vs 1"),
+        (lambda payload: payload.update(zap=5), "payload.zap: 5 vs '<absent>'"),
+    ], ids=["field_dropped", "field_added"])
+    def test_a_field_only_one_event_holds_is_named_absent_in_the_other(self, tmp_path, capsys, change, named):
+        config_path = SCENARIO_DIR / "lifecycle_happy_path.json"
+        trace_path = tmp_path / "trace.ndjson"
+        events = copy.deepcopy(corpus_run("lifecycle_happy_path")[0].events)
+        change(events[0]["payload"])
+        Trace(events).write(str(trace_path))
+        capsys.readouterr()
+        assert cli_main(["replay", str(config_path), str(trace_path)]) == 1
+        assert f"DIVERGED at event 0: event 0 (genesis): {named}" in capsys.readouterr().out
+
+    def test_run_at_another_seed_replays_only_at_that_seed(self, tmp_path, capsys):
+        config_path = SCENARIO_DIR / "lifecycle_happy_path.json"
+        trace_path = tmp_path / "trace.ndjson"
+        assert cli_main(["run", str(config_path), "--seed", "7", "--out", str(trace_path)]) == 0
+        digest = corpus_run("lifecycle_happy_path")[0].digest()
+        out = capsys.readouterr().out
+        assert "trace digest: " in out and f"trace digest: {digest}" not in out
+        assert cli_main(["replay", str(config_path), str(trace_path), "--seed", "7"]) == 0
+        assert "replay: identical" in capsys.readouterr().out
+        assert cli_main(["replay", str(config_path), str(trace_path)]) == 1
+        assert "DIVERGED at event 0: event 0 (genesis): payload.seed: 7 vs 1" in capsys.readouterr().out
+
     @pytest.mark.parametrize("edit", [lambda line: line[:-1] + "\r\n", lambda line: line[:-1] + " \n"],
                              ids=["crlf", "trailing_space"])
     def test_a_line_with_other_line_end_bytes_is_a_divergence(self, tmp_path, capsys, edit):
@@ -1364,6 +1418,12 @@ class TestCli:
     def test_scenarios_list_and_run_all(self):
         assert cli_main(["scenarios", "list", "--dir", str(SCENARIO_DIR)]) == 0
         assert cli_main(["scenarios", "run-all", "--dir", str(SCENARIO_DIR)]) == 0
+
+    @pytest.mark.parametrize("action", ["list", "run-all"])
+    def test_scenarios_in_a_dir_without_configs_exits_2(self, tmp_path, capsys, action):
+        (tmp_path / "notes.txt").write_text("no configs here")
+        assert cli_main(["scenarios", action, "--dir", str(tmp_path)]) == 2
+        assert f"no scenarios found in {str(tmp_path)!r}" in capsys.readouterr().err
 
     def test_corpus_has_at_least_ten(self):
         assert len(list(SCENARIO_DIR.glob("*.json"))) >= 10

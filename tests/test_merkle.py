@@ -42,6 +42,8 @@ class TestRootDefinition:
     def test_empty_rejected(self):
         with pytest.raises(EmptyTree):
             merkle_root([])
+        with pytest.raises(EmptyTree):
+            merkle_prove([], 0)
 
     def test_deterministic(self):
         leaves = [bytes([i]) * 3 for i in range(7)]

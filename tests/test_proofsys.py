@@ -69,6 +69,15 @@ class TestProveExtension:
         with pytest.raises(InsufficientChain):
             prove_extension_for(view, tip, 0, 30, c=10)  # needs height 40
 
+    @pytest.mark.parametrize("tip, prior, range_b, match", [
+        (b"\x77" * 32, 0, 30, "unknown tip"),
+        (None, 30, 30, "range 30 not past prior date 30"),
+    ], ids=["unknown-tip", "empty-range"])
+    def test_an_unknown_tip_or_an_empty_range_is_refused(self, tip, prior, range_b, match):
+        view, own_tip = build_chain(45)
+        with pytest.raises(InsufficientChain, match=match):
+            prove_extension_for(view, tip or own_tip, prior, range_b, c=10)
+
     def test_fork_proofs_differ_beyond_fork_point(self):
         view, tip = build_chain(40)
         fork_base = view.ancestor_at(tip, 25)
@@ -253,6 +262,16 @@ class TestCostModel:
         # cost(100) = 100 + 110 = 210 < 5000 floor
         assert required_relayer_deposit(CostModel(), small) == 5_000
         assert required_relayer_deposit(CostModel(), ProtocolParams()) == 10_110
+
+    @pytest.mark.parametrize("make, match", [
+        (lambda: CostModel(base_cost=-1), "cost model values must be non-negative"),
+        (lambda: verification_cost(CostModel(), -1, 10), "num_blocks must be >= 0"),
+        (lambda: ExtensionProof((BlockHeader(b"\0" * 32, EMPTY_TX_ROOT, 1, 62, 0, TARGET),), (), ()),
+         "one tx list per revealed header required"),
+    ], ids=["negative-cost", "negative-blocks", "tx-list-short"])
+    def test_a_negative_cost_or_a_missing_tx_list_is_a_value_error(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()
 
 
 class TestOracle:
