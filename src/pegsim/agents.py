@@ -355,10 +355,9 @@ class HonestRelayer(Policy):
         if bogus is not None:
             _, prior = st.base(bogus)
             range_b = min(cm, prior + st.params.max_extension_len)
-            sub = self._build(obs, prior, range_b)
             _, cost = st.backtrack_cost(bogus, range_b)
             if cost <= st.relayer_deposits.get(self.name, 0):
-                actions.append(Action("backtrack", {"from_index": bogus, "sub": sub}))
+                actions.append(Action("backtrack", {"from_index": bogus, "sub": self._build(obs, prior, range_b)}))
             return actions
 
         date = st.current_date
@@ -577,13 +576,11 @@ class RationalOperator(Policy):
                 continue
             if bridge.bridge_id not in absconded and \
                     should_abscond(bridge.capacity, obs.true_rate, bridge.collateral):
-                balance = obs.doge_balances.get(bridge.head, 0)
-                if balance > 0:
-                    actions.append(Action("send_doge", {
-                        "sender": bridge.head, "receiver": self.doge_addr,
-                        "amount": balance, "memo": b"",
-                    }))
-                    absconded.add(bridge.bridge_id)
+                actions.append(Action("send_doge", {
+                    "sender": bridge.head, "receiver": self.doge_addr,
+                    "amount": obs.doge_balances.get(bridge.head, 0), "memo": b"",
+                }))
+                absconded.add(bridge.bridge_id)
 
         for burn in st.burns.values():
             for portion in burn.portions:

@@ -1,11 +1,12 @@
 """Trace auditor: machine-checks the economic invariants over a full run.
 
-The audit is trace-only: it reconstructs running supplies and backing from
-per-event deltas and cross-checks them against every event's aggregate
-snapshot, so a corrupted event is flagged at its exact sequence number even
-when its own snapshot was doctored to match.  An event the runner records
-after no contract change (SNAPSHOT_COPIES) must carry the snapshot of the
-event before it.
+The audit is trace-only: it rebuilds running supplies, backing and burn
+queues from payloads and cross-checks them against every event's snapshot,
+so a corrupted event is flagged at its exact sequence number even when its
+own snapshot was doctored to match.  A bridge leaves its queue once a burn
+takes its last minted DOGE, or when it closes.  An unlock of a burn the
+trace never holds is a parse error.  An event the runner records after no
+contract change (SNAPSHOT_COPIES) must carry the snapshot of the one before it.
 """
 
 from __future__ import annotations
@@ -108,6 +109,8 @@ def _check_events(events: List[dict], report: AuditReport) -> None:
     supply: Dict[str, int] = {}
     backing: Dict[str, int] = {}
     queues: Dict[str, List[int]] = {}
+    shown: Dict[str, List[int]] = {}  # the queues that are not empty, as a snapshot lists them
+    capacity: Dict[int, int] = {}  # each minted bridge's DOGE not yet burned
     burn_y: Dict[int, str] = {}
     prev_seq = -1
     prev: Optional[dict] = None
@@ -162,8 +165,8 @@ def _check_events(events: List[dict], report: AuditReport) -> None:
             k = int(1 / _rate(y_str, f"mint event {seq}"))
             supply[y_str] = supply.get(y_str, 0) + payload["minted"]
             backing[y_str] = backing.get(y_str, 0) + payload["minted"] * k
-            q = queues.setdefault(y_str, [])
-            q.append(payload["bridge_id"])
+            queues.setdefault(y_str, []).append(payload["bridge_id"])
+            capacity[payload["bridge_id"]] = payload["minted"]
         elif kind == "burn":
             y_str = payload["y"]
             burn_y[payload["burn_id"]] = y_str
@@ -171,32 +174,28 @@ def _check_events(events: List[dict], report: AuditReport) -> None:
             touched = [p[0] for p in payload["portions"]]
             if q[: len(touched)] != touched:
                 report.flag(seq, "FIFO", f"burn touched {touched}, queue front was {q[:len(touched)]}")
-            consumed = set(touched) - set(agg["queues"].get(y_str, []))
-            queues[y_str] = [b for b in q if b not in consumed]
-        elif kind == "unlock_settled":
-            y_str = burn_y.get(payload["burn_id"])
-            if y_str is not None:
-                supply[y_str] = supply.get(y_str, 0) - payload["owed"]
-                backing[y_str] = backing.get(y_str, 0) - payload["escrow_refund"]
-        elif kind == "unlock_timeout":
-            y_str = burn_y.get(payload["burn_id"])
-            if y_str is not None:
-                for _, owed, escrow in payload["payouts"]:
-                    supply[y_str] = supply.get(y_str, 0) - owed
-                    backing[y_str] = backing.get(y_str, 0) - escrow
+            for bid, owed, _ in payload["portions"]:
+                capacity[bid] = capacity.get(bid, 0) - owed
+            queues[y_str] = [b for b in q if b not in touched or capacity[b] > 0]
+        elif kind in ("unlock_settled", "unlock_timeout"):
+            y_str = burn_y[payload["burn_id"]]
+            settled = payload["payouts"] if kind == "unlock_timeout" else \
+                [[None, payload["owed"], payload["escrow_refund"]]]
+            for _, owed, escrow in settled:
+                supply[y_str] = supply.get(y_str, 0) - owed
+                backing[y_str] = backing.get(y_str, 0) - escrow
         elif kind == "missing_doge_paid":
             y_str = payload["y"]
             supply[y_str] = supply.get(y_str, 0) - payload["burned"]
             backing[y_str] = backing.get(y_str, 0) - payload["eth"]
-            q = queues.get(y_str)
-            if q and payload["bridge_id"] not in agg["queues"].get(y_str, []):
-                queues[y_str] = [b for b in q if b != payload["bridge_id"]]
+            capacity[payload["bridge_id"]] = capacity.get(payload["bridge_id"], 0) - payload["burned"]
         elif kind == "bridge_closed":
-            for y_str, q in queues.items():
-                if payload["bridge_id"] in q and payload["bridge_id"] not in \
-                        agg["queues"].get(y_str, []):
-                    queues[y_str] = [b for b in q if b != payload["bridge_id"]]
+            queues = {y_str: [b for b in q if b != payload["bridge_id"]] for y_str, q in queues.items()}
 
+        if kind in ("mint", "burn", "bridge_closed"):
+            shown = {y_str: q for y_str, q in queues.items() if q}
+        if agg["queues"] != shown:
+            report.flag(seq, "QueueDelta", f"running queues {shown} vs snapshot {agg['queues']}")
         for y_str, n in supply.items():
             if agg["supply"].get(y_str, 0) != n:
                 report.flag(seq, "SupplyDelta",

@@ -119,6 +119,10 @@ TAMPERED = [
                  "ModeExclusivity", "verification -> listening via mint", id="ModeExclusivity"),
     pytest.param("lifecycle_happy_path", "burn", _edit("agg", "used_tx_count", to=lambda n: n - 1),
                  "UsedTxMonotone", "1 -> 0", id="UsedTxMonotone"),
+    pytest.param("lifecycle_happy_path", "mint", _edit("agg", "queues", to=lambda q: {}), "QueueDelta",
+                 "running queues {'1/1000': [0]} vs snapshot {}", id="QueueDelta-mint"),
+    pytest.param("missing_doge", "missing_doge_paid", _edit("agg", "queues", to=lambda q: {}), "QueueDelta",
+                 "running queues {'1/1000': [0]} vs snapshot {}", id="QueueDelta-missing_doge_paid"),
     pytest.param("unregistered_cross", "run_summary", _edit("payload", "quiescent", to=lambda q: not q),
                  "Invariant3", "did not end quiescent", id="Invariant3-quiescent"),
     pytest.param("unregistered_cross", "run_summary", _edit("payload", "locked_on_best", "1/1000", to=lambda n: n - 1),
@@ -841,10 +845,13 @@ class TestTurnSkipping:
     @given(config=drawn_rosters())
     def test_a_skipped_turn_is_a_no_op_on_drawn_rosters(self, config):
         """The no-op check of test_a_skipped_turn_is_a_no_op on drawn rosters, half the Hypothesis
-        profile's budget of them: 30, and 500 under `HYPOTHESIS_PROFILE=deep`."""
+        profile's budget of them: 30, and 500 under `HYPOTHESIS_PROFILE=deep`.  Each drawn run also
+        audits clean, so the auditor's rebuilt queues are checked on every roster."""
         with no_op_checked() as skipped:
-            run(config)
+            trace = run(config)
         assert skipped
+        report = audit(trace.events)
+        assert report.ok, report.violations[:3]
 
     def test_fuzz_random_x8_steps_under_a_fourteenth_of_the_turns(self, monkeypatch):
         from pegsim.agents import Policy
@@ -1216,6 +1223,16 @@ class TestCli:
         seq = events[-1]["seq"]
         assert "VIOLATIONS (2):" in out
         assert f"seq {seq}: [SnapshotCopy]" in out and f"seq {seq}: [EthConservation]" in out
+
+    def test_an_unlock_of_a_burn_the_trace_never_holds_exits_2_without_a_traceback(self, tmp_path, capsys):
+        events = [json.loads(line) for line in corpus_run("lifecycle_happy_path")[0].lines()]
+        next(e for e in events if e["kind"] == "unlock_settled")["payload"]["burn_id"] = 99
+        path = tmp_path / "trace.ndjson"
+        Trace(events).write(str(path))
+        capsys.readouterr()
+        assert cli_main(["audit", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "KeyError: 99" in err and "Traceback" not in err
 
     def test_missing_trace_exits_2_without_a_traceback(self, tmp_path, capsys):
         missing = tmp_path / "absent.ndjson"
