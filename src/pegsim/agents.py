@@ -278,7 +278,7 @@ class Policy:
         for i in range(len(judged), len(history)):
             if history[i].range > tip_ordinal:
                 break  # unverifiable yet, and so is every later entry
-            blocks = self.matched(obs, history[i], obs.bridge.base(i)[1])
+            blocks = self.matched(obs, history[i], obs.bridge.base(i).ordinal)
             judged.append(history[i])
             if blocks is not None:
                 self._pending.extend((i, blocks, tx) for b in blocks for tx in b.txs)
@@ -353,7 +353,7 @@ class HonestRelayer(Policy):
 
         bogus = self.first_bogus_index(obs, cm)
         if bogus is not None:
-            _, prior = st.base(bogus)
+            prior = st.base(bogus).ordinal
             range_b = min(cm, prior + st.params.max_extension_len)
             _, cost = st.backtrack_cost(bogus, range_b)
             if cost <= st.relayer_deposits.get(self.name, 0):
@@ -399,7 +399,7 @@ class HonestRelayer(Policy):
         st = obs.bridge
         active = st.active
         sub = active.sub
-        _, prior = st.base(active.backtrack_from)
+        prior = st.base(active.backtrack_from).ordinal
         eth_s = st.clock.eth_block_seconds
 
         if sub.range > cm:
@@ -454,14 +454,14 @@ class OrphanAttacker(Policy):
             priv[ON_EXTENSION] = True  # neither my proof nor this test reads my chain
             return actions
 
-        prior_tip, prior = st.base()
+        parent_header = st.base()
+        prior = parent_header.ordinal
         cm = confirmed_max(obs.chain, obs.tip, st.params.c)
         range_b = max(prior + 1, cm)
         if range_b - prior > st.params.max_extension_len:
             return actions
 
         headers: List[BlockHeader] = []
-        parent_header = prior_tip
         for i in range(range_b - prior):
             header = mine_header(parent_header, EMPTY_TX_ROOT, st.now_s, seed=self.agent_seed + i)
             headers.append(header)
@@ -531,7 +531,7 @@ class DosChallenger(Policy):
         if rounds <= 0 or st.active is None:
             return []
         alt_range = st.active.sub.range + st.params.d
-        _, prior = st.base(st.active.backtrack_from)
+        prior = st.base(st.active.backtrack_from).ordinal
         if alt_range - prior > st.params.max_extension_len:
             return []
         alt = self.fake_submission(obs, random.Random(f"{self.agent_seed}/{st.active.seq}"), alt_range)
@@ -582,23 +582,20 @@ class RationalOperator(Policy):
                 }))
                 absconded.add(bridge.bridge_id)
 
-        for burn in st.burns.values():
-            for portion in burn.portions:
-                if portion.settled is not None:
-                    continue
-                bridge = st.bridges[portion.bridge_id]
-                if bridge.operator != self.name or bridge.bridge_id in absconded:
-                    continue
-                key = (burn.burn_id, portion.bridge_id)
-                if key in paid:
-                    continue
-                # paying owed DOGE is rational while 1 unit of escrow outvalues it
-                if obs.true_rate >= burn.y and obs.doge_balances.get(bridge.head, 0) >= portion.owed_doge:
-                    actions.append(Action("send_doge", {
-                        "sender": bridge.head, "receiver": burn.dest,
-                        "amount": portion.owed_doge, "memo": b"",
-                    }))
-                    paid.add(key)
+        for burn, portion in st.unsettled():
+            bridge = st.bridges[portion.bridge_id]
+            if bridge.operator != self.name or bridge.bridge_id in absconded:
+                continue
+            key = (burn.burn_id, portion.bridge_id)
+            if key in paid:
+                continue
+            # paying owed DOGE is rational while 1 unit of escrow outvalues it
+            if obs.true_rate >= burn.y and obs.doge_balances.get(bridge.head, 0) >= portion.owed_doge:
+                actions.append(Action("send_doge", {
+                    "sender": bridge.head, "receiver": burn.dest,
+                    "amount": portion.owed_doge, "memo": b"",
+                }))
+                paid.add(key)
 
         priv["paid"] = paid
         priv["absconded"] = absconded
@@ -738,12 +735,7 @@ class GreedyReporter(Policy):
         reported = set(priv.get("reported", ()))
         actions: List[Action] = []
         open_heads = {b.head for b in st.bridges.values() if b.state == "open"}
-        owing = {}
-        for burn in st.burns.values():
-            for portion in burn.portions:
-                if portion.settled is None:
-                    bridge = st.bridges[portion.bridge_id]
-                    owing[(bridge.head, burn.dest)] = (burn, portion)
+        owing = {(st.bridges[p.bridge_id].head, burn.dest): (burn, p) for burn, p in st.unsettled()}
 
         for i, blocks, tx in self.committed_txs(obs):
             if tx.tx_id in reported:

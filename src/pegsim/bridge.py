@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import proofsys
 from .chainsim import Block, BlockHeader, ChainView, Transaction
@@ -418,49 +418,44 @@ class BridgeContract:
     @property
     def current_date(self) -> int:
         """The date the whole history fixes: its last entry's range; 0 before the first."""
-        return self.base()[1]
+        return self.base().ordinal
 
-    def base(self, index: Optional[int] = None) -> Tuple[BlockHeader, int]:
-        """(tip header, date) that an extension starts from; genesis, at date 0, when it keeps no entry.
+    def base(self, index: Optional[int] = None) -> BlockHeader:
+        """The tip header an extension starts from, whose ordinal is its date; genesis when it keeps no entry.
 
         index is the number of history entries the extension keeps, as a
         backtrack's from_index; None extends the whole history.
         """
         index = len(self.history) if index is None else index
-        tip_header = self.history[index - 1].tip_header if index > 0 else self.genesis
-        return tip_header, tip_header.ordinal
+        return self.history[index - 1].tip_header if index > 0 else self.genesis
 
-    @staticmethod
-    def _unsettled_escrow(burns) -> int:
-        return sum(p.escrow_eth for burn in burns for p in burn.portions if p.settled is None)
-
-    def backing_eth(self, y: Fraction) -> int:
-        """ETH actually backing WOW[y]: minted live collateral plus burn escrow."""
-        total = 0
-        for b in self.bridges.values():
-            if b.y == y and b.state in ("queued", "escrowed"):
-                total += b.collateral
-        return total + self._unsettled_escrow(burn for burn in self.burns.values() if burn.y == y)
-
-    def held_total(self) -> int:
-        held = self.retained
-        held += sum(self.relayer_deposits.values())
-        held += sum(r.deposit for r in self.registrations.values())
-        for b in self.bridges.values():
-            held += b.collateral
-            if not b.bounty_paid:
-                held += b.bounty_pot
-        held += self._unsettled_escrow(self.burns.values())
-        # a fine stays pending until its submission is settled, so a resolved thread holds none
-        actives = [self.active, *(t.active for t in self.threads.values())]
-        return held + sum(a.pending_penalty[1] for a in actives if a is not None and a.pending_penalty)
+    def unsettled(self) -> Iterator[Tuple[Burn, BurnPortion]]:
+        """(burn, portion) for each burn portion still owed, in burn order and then portion order."""
+        for burn in self.burns.values():
+            for portion in burn.portions:
+                if portion.settled is None:
+                    yield burn, portion
 
     def aggregates(self) -> dict:
-        ys = sorted(set(self.wow_supply) | {b.y for b in self.bridges.values() if b.state != "open"}, key=str)
+        """backing[y] is the ETH behind WOW[y]: minted live collateral plus unsettled escrow.  A bridge
+        mints before it leaves "open", so each minted rate has a supply."""
+        ys = sorted(self.wow_supply, key=str)
+        backing = dict.fromkeys(ys, 0)
+        held = self.retained + sum(self.relayer_deposits.values()) + sum(r.deposit for r in self.registrations.values())
+        for b in self.bridges.values():
+            held += b.collateral + (0 if b.bounty_paid else b.bounty_pot)
+            if b.state in ("queued", "escrowed"):
+                backing[b.y] += b.collateral
+        for burn, p in self.unsettled():
+            held += p.escrow_eth
+            backing[burn.y] += p.escrow_eth
+        # a fine stays pending until its submission is settled, so a resolved thread holds none
+        actives = [self.active, *(t.active for t in self.threads.values())]
+        held += sum(a.pending_penalty[1] for a in actives if a is not None and a.pending_penalty)
         return {
-            "supply": {str(y): self.wow_supply.get(y, 0) for y in ys},
-            "backing": {str(y): self.backing_eth(y) for y in ys},
-            "held": self.held_total(),
+            "supply": {str(y): self.wow_supply[y] for y in ys},
+            "backing": {str(y): backing[y] for y in ys},
+            "held": held,
             "received": self.received_total,
             "paid": self.paid_total,
             "relay_mode": self.relay_mode,
@@ -657,7 +652,7 @@ class BridgeContract:
             raise NotARelayer(relayer)
         if from_index is not None and not 0 <= from_index < len(self.history):
             raise BadIndex(f"from_index {from_index} vs history of {len(self.history)}")
-        _, prior_date = self.base(from_index)
+        prior_date = self.base(from_index).ordinal
         ext_len = sub.range - prior_date
         if ext_len < 1:
             raise RangeNotAhead(f"range {sub.range} vs prior date {prior_date}")
@@ -733,7 +728,7 @@ class BridgeContract:
             self._emit("challenge_range_ignored", challenger, alt_range=alt.range, sub_range=sub.range)
             return "ignored"
         base = active.backtrack_from
-        _, prior_date = self.base(base)
+        prior_date = self.base(base).ordinal
         if alt.range - prior_date > self.params.max_extension_len:
             raise RangeTooLong(f"alt extension of {alt.range - prior_date} blocks")
         displaced = active.relayer
@@ -757,8 +752,8 @@ class BridgeContract:
         The first challenge returns the relay to Listening, so a second is refused as NotVerifying.
         """
         active = self._check_challenge(challenger)
-        prior_tip, prior_date = self.base(active.backtrack_from)
-        ext_len = active.sub.range - prior_date
+        prior_tip = self.base(active.backtrack_from)
+        ext_len = active.sub.range - prior_tip.ordinal
         thread = ProofThread(
             thread_id=len(self.threads),
             active=active,
@@ -1004,11 +999,7 @@ class BridgeContract:
     def _maybe_close_bridge(self, bridge: Bridge) -> None:
         if bridge.state in ("open", "closed"):
             return
-        pending = any(
-            p.settled is None and p.bridge_id == bridge.bridge_id
-            for burn in self.burns.values()
-            for p in burn.portions
-        )
+        pending = any(p.bridge_id == bridge.bridge_id for _, p in self.unsettled())
         if bridge.collateral == 0 and not pending:
             self._close_bridge(bridge)
 
@@ -1154,7 +1145,7 @@ class BridgeContract:
 
     def backtrack_cost(self, from_index: int, range_b: int) -> Tuple[int, int]:
         """(depth, verification cost) of a backtrack from entry from_index to range_b."""
-        _, prior_date = self.base(from_index)
+        prior_date = self.base(from_index).ordinal
         depth = max(self.current_date, range_b) - prior_date
         return depth, verification_cost(self.cost_model, depth, self.params.c)
 
@@ -1164,7 +1155,7 @@ class BridgeContract:
             raise ProposalPending("a proposal is already staged")
         if not 0 <= from_index <= len(self.history):
             raise BadIndex(f"from_index {from_index} vs history of {len(self.history)}")
-        _, prior_date = self.base(from_index)
+        prior_date = self.base(from_index).ordinal
         if sub.range <= prior_date:
             raise RangeNotAhead(f"range {sub.range} vs prior date {prior_date}")
         proposal = DeepProposal(proposer, from_index, sub, self.now_s)

@@ -14,18 +14,24 @@ from typing import List, Optional
 
 from ..errors import ConfigError, ParseError
 from .audit import audit
-from .config import load_config
+from .config import ScenarioConfig, load_config
 from .runner import Trace, replay_check, run
 
 DEFAULT_SCENARIO_DIR = "scenarios"
 
 
+def _load(args) -> ScenarioConfig:
+    """The scenario args.config names, under args.seed when one is given."""
+    config = load_config(args.config)
+    return config if args.seed is None else config.with_seed(args.seed)
+
+
 def _print_summary(trace: Trace) -> None:
-    summary = trace.summary or {}
-    print(f"scenario: {summary.get('name', '?')}")
-    print(f"events: {len(trace.events)}  history: {summary.get('history_len')}  "
-          f"current date: {summary.get('current_date')}  best tip: {summary.get('best_tip_ordinal')}")
-    print(f"final supply: {summary.get('supply')}")
+    summary = trace.summary
+    print(f"scenario: {summary['name']}")
+    print(f"events: {len(trace.events)}  history: {summary['history_len']}  "
+          f"current date: {summary['current_date']}  best tip: {summary['best_tip_ordinal']}")
+    print(f"final supply: {summary['supply']}")
     print(f"trace digest: {trace.digest()}")
 
 
@@ -44,10 +50,7 @@ def _print_audit(trace: Trace) -> int:
 
 
 def cmd_run(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config = config.with_seed(args.seed)
-    trace = run(config)
+    trace = run(_load(args))
     if args.out:
         trace.write(args.out)
         print(f"trace written to {args.out}")
@@ -60,9 +63,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config = config.with_seed(args.seed)
+    config = _load(args)
     trace = Trace.read(args.trace)
     result = replay_check(config, trace)
     if result:

@@ -334,26 +334,22 @@ class SimulationRunner:
 
     def _summary(self) -> dict:
         c = self.contract
-        live_heads: Dict[str, Dict[bytes, None]] = {}
-        for b in c.bridges.values():
-            if b.state in ("queued", "escrowed"):
-                live_heads.setdefault(str(b.y), {})[b.head] = None
-        locked: Dict[str, int] = {y: 0 for y in live_heads}
+        # the rate of each minted bridge that has not closed, by its head; no two such bridges share a head
+        rate_at = {b.head: str(b.y) for b in c.bridges.values() if b.state in ("queued", "escrowed")}
+        locked: Dict[str, int] = dict.fromkeys(rate_at.values(), 0)
         tip = self.view.best_tip()
         tip_ord = self.view.blocks[tip].header.ordinal
         for block in self.view.path_blocks(tip, 0, tip_ord):
             for tx in block.txs:
-                for y, heads in live_heads.items():
-                    if tx.receiver in heads:
-                        locked[y] += tx.amount
-                    if tx.sender in heads:
-                        locked[y] -= tx.amount
+                if tx.receiver in rate_at:
+                    locked[rate_at[tx.receiver]] += tx.amount
+                if tx.sender in rate_at:
+                    locked[rate_at[tx.sender]] -= tx.amount
         open_inflight = any(
             b.state == "open" and self.doge_balances.get(b.head, 0) > 0
             for b in c.bridges.values()
         )
-        pending_burns = any(not burn.settled for burn in c.burns.values())
-        quiescent = not c.registrations and not pending_burns and not open_inflight
+        quiescent = not c.registrations and not any(c.unsettled()) and not open_inflight
         return {
             "name": self.config.name,
             "tags": list(self.config.tags),

@@ -522,7 +522,7 @@ def reference_match(obs, i, cache):
     """Blocks of history entry i if they are on my tip's path, hash to its commitment and end
     in its tip header, else None; cache holds earlier answers for the same tip and entry."""
     entry = obs.bridge.history[i]
-    prior, range_b = obs.bridge.base(i)[1], entry.range
+    prior, range_b = obs.bridge.base(i).ordinal, entry.range
     key = (obs.tip, prior, range_b, entry.commitment, entry.tip_header.hash)
     if key not in cache:
         try:

@@ -434,7 +434,7 @@ class TestChallengeRange:
         assert contract.challenge_range(R2, bogus_claim(50, b"\x66" * 32, b"\x66" * 32)) == "replaced"
         assert contract.active.pending_penalty == (R1, 10_110)
         assert not contract.is_relayer(R1) and R1 not in contract.relayer_deposits
-        assert contract.received_total == contract.paid_total + contract.held_total()
+        assert contract.received_total == contract.paid_total + contract.aggregates()["held"]
 
 
 class TestChallengeCommitmentAndProofs:
@@ -571,7 +571,7 @@ class TestChallengeCommitmentAndProofs:
         assert contract.resolve_proof(thread.thread_id)["verdict"] == "timed_out"
         assert not contract.is_relayer(R1)
         assert contract.accounts.get(R1) == r1_before + 1_011
-        assert contract.received_total == contract.paid_total + contract.held_total()
+        assert contract.received_total == contract.paid_total + contract.aggregates()["held"]
 
     def test_lost_proof_pays_the_cost_then_what_is_left_of_the_reward(self):
         params = ProtocolParams(registration_window_doge_blocks=60, relay_tax=0, deposit_floor=0,
@@ -717,7 +717,7 @@ class TestMinting:
     def test_invariant_one_holds_after_mint(self):
         contract = fresh()
         minted_bridge(contract)
-        assert contract.wow_supply[Y100] == Y100 * contract.backing_eth(Y100)
+        assert contract.wow_supply[Y100] == Y100 * contract.aggregates()["backing"][str(Y100)]
 
     def test_ignored_reasons(self):
         contract = fresh()
@@ -979,7 +979,7 @@ class TestBurnAndUnlock:
         contract, view, tip, bid, burn, pay_tx = self.unlockable_state()
 
         def check():
-            assert contract.wow_supply[Y100] == Y100 * contract.backing_eth(Y100)
+            assert contract.wow_supply[Y100] == Y100 * contract.aggregates()["backing"][str(Y100)]
 
         check()
         report = build_tx_report(view, tip, contract.history, 1, pay_tx)
@@ -1030,7 +1030,7 @@ class TestMissingDoge:
         assert theft.tx_id in contract.used_txs
         assert contract.bridges[bid].collateral == 6 * ETH
         assert contract.wow_supply[Y100] == 600
-        assert contract.wow_supply[Y100] == Y100 * contract.backing_eth(Y100)
+        assert contract.wow_supply[Y100] == Y100 * contract.aggregates()["backing"][str(Y100)]
 
     def test_ignored_reasons(self):
         contract, view, tip, bid, theft = self.stolen_state()
@@ -1321,7 +1321,7 @@ class TestConservation:
         total_before = sum(contract.accounts.balances.values())
 
         def check():
-            held = contract.held_total()
+            held = contract.aggregates()["held"]
             assert contract.received_total == contract.paid_total + held
             assert sum(contract.accounts.balances.values()) + held == total_before
 

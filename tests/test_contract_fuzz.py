@@ -43,8 +43,8 @@ from pegsim.proofsys import commitment_root, prove_extension_for
 from test_golden import FUZZER, REACHED_OUTSIDE_THE_CORPUS
 
 # public BridgeContract methods that only read; every other public method is a call the fuzzer drives
-READS = {"wow_balance", "is_relayer", "required_relayer_deposit", "base", "backing_eth", "held_total",
-         "aggregates", "state_digest", "window_deadline", "backtrack_cost"}
+READS = {"wow_balance", "is_relayer", "required_relayer_deposit", "base", "unsettled", "aggregates",
+         "state_digest", "window_deadline", "backtrack_cost"}
 PUBLIC = {name for name, value in vars(BridgeContract).items() if inspect.isfunction(value) and name[0] != "_"}
 CALLS = PUBLIC - READS
 
@@ -174,7 +174,7 @@ class ContractMachine(RuleBasedStateMachine):
     def prior(self, index):
         """The date a claim kept index history entries starts from; the current date for a bad index."""
         history = self.contract.history
-        return self.contract.base(index if 0 <= index <= len(history) else None)[1]
+        return self.contract.base(index if 0 <= index <= len(history) else None).ordinal
 
     def draw_claim(self, data, prior):
         """An honest claim on either branch, or a bogus one: made-up roots, or a tip that fails PoW."""
@@ -198,7 +198,7 @@ class ContractMachine(RuleBasedStateMachine):
         tips = world()[1]
         honest = []
         for index, entry in enumerate(self.contract.history):
-            prior = self.contract.base(index)[1]
+            prior = self.contract.base(index).ordinal
             for tip in tips:
                 if entry.range > ordinal(tip):
                     continue
@@ -371,7 +371,7 @@ class ContractMachine(RuleBasedStateMachine):
     @rule(data=st.data())
     def challenge_range(self, data):
         challenger = self.draw_relayer(data)
-        alt = self.draw_claim(data, self.contract.base(self.contract.active.backtrack_from)[1])
+        alt = self.draw_claim(data, self.contract.base(self.contract.active.backtrack_from).ordinal)
         self.call("challenge_range", challenger, alt)
 
     @precondition(lambda self: self.contract.active and self.contract.eth_now <= self.contract.window_deadline())
