@@ -39,20 +39,39 @@ def _refuse_number(literal: str):
 # a run writes integers only, and the auditor, which checks parsed values, would take a 3.0 for a 3
 _TRACE_JSON = json.JSONDecoder(parse_float=_refuse_number, parse_constant=_refuse_number)
 
+# the keys of every event _record writes, and the snapshot Trace.lines has encoded before its first event:
+# none yet, and an event may hold "agg": null
+_EVENT_KEYS = frozenset({"seq", "t", "eth", "kind", "actor", "payload", "agg", "digest"})
+_NO_AGG = object()
+
 
 @dataclass
 class Trace:
     """A run's events and their canonical JSON lines.  A run's trace encodes its lines once, the first
-    time they are needed, and a read trace keeps the lines as read, so its digest is over the file's own
-    text.  A Trace is not edited in place, and a run's events share snapshot objects: edit parsed lines or
-    a deep copy, and build a new Trace of them, which encodes afresh."""
+    time they are needed, and each snapshot object its events share once, splicing that text into each
+    line; a read trace keeps the lines as read, so its digest is over the file's own text.  A Trace is
+    not edited in place, and a run's events share snapshot objects: edit parsed lines or a deep copy, and
+    build a new Trace of them, which encodes afresh."""
 
     events: List[dict]
     _lines: Optional[List[str]] = field(default=None, repr=False, compare=False)
 
     def lines(self) -> List[str]:
         if self._lines is None:
-            self._lines = [canonical_json(e) for e in self.events]
+            lines, last, text = [], _NO_AGG, ""
+            for e in self.events:
+                # the line canonical_json(e) gives, its sorted keys written out: for the runner's eight keys
+                # only, and seq, t and eth of type int (an f-string writes a bool as True, not true)
+                if e.keys() != _EVENT_KEYS or not type(e["seq"]) is type(e["t"]) is type(e["eth"]) is int:
+                    lines.append(canonical_json(e))
+                    continue
+                if e["agg"] is not last:
+                    last, text = e["agg"], canonical_json(e["agg"])
+                lines.append(
+                    f'{{"actor":{canonical_json(e["actor"])},"agg":{text},"digest":{canonical_json(e["digest"])},'
+                    f'"eth":{e["eth"]},"kind":{canonical_json(e["kind"])},"payload":{canonical_json(e["payload"])},'
+                    f'"seq":{e["seq"]},"t":{e["t"]}}}')
+            self._lines = lines
         return self._lines
 
     def digest(self) -> str:

@@ -22,6 +22,7 @@ from pegsim.agents import POLICIES
 from pegsim.bridge import canonical_json
 from pegsim.errors import ConfigError, ParseError, SimError
 from pegsim.harness import audit, load_config, parse_config, replay_check, run
+from pegsim.harness.audit import SNAPSHOT_COPIES
 from pegsim.harness.cli import main as cli_main
 from pegsim.harness.runner import Trace
 
@@ -328,6 +329,18 @@ def dumps(value):
 CORPUS = sorted(p.stem for p in SCENARIO_DIR.glob("*.json"))
 
 
+@functools.cache
+def shared_snapshot_runs():
+    """(name, trace) of fresh runs, not corpus_run's: each corpus scenario at seed offsets 0-2, then
+    fuzz_random at x8.  A test that doctors one of these traces in place puts it back before it ends."""
+    configs = [dataclasses.replace(config, seed=config.seed + offset)
+               for config in (load_config(str(SCENARIO_DIR / f"{name}.json")) for name in CORPUS)
+               for offset in range(3)]
+    fuzz = load_config(str(SCENARIO_DIR / "fuzz_random.json"))
+    configs.append(dataclasses.replace(fuzz, end_time=8 * fuzz.end_time))
+    return [(f"{config.name} seed {config.seed} to {config.end_time}", run(config)) for config in configs]
+
+
 class TestTraceText:
     """canonical_json is one C encoder built once, and a Trace keeps its lines: a run's trace encodes
     them once, and a read trace keeps the lines it parsed, so its digest is over the file's own text."""
@@ -401,6 +414,36 @@ class TestTraceText:
         assert edited.lines() == [dumps(event) for event in events]
         assert [i for i, (a, b) in enumerate(zip(edited.lines(), trace.lines())) if a != b] == [5]
         assert edited.digest() != trace.digest()
+
+    def test_each_line_of_a_run_is_its_events_canonical_encoding(self):
+        """A run's trace encodes each snapshot object its events share once and splices that text into
+        every line that holds it: each line is still canonical_json of its event."""
+        runs = shared_snapshot_runs()
+        assert len(runs) == 3 * len(CORPUS) + 1
+        for name, trace in runs:
+            shared = sum(e["agg"] is prev["agg"] for prev, e in zip(trace.events, trace.events[1:]))
+            assert shared > 0, name
+            assert trace.lines() == [canonical_json(e) for e in trace.events], name
+
+    @pytest.mark.parametrize("i, change", [
+        (5, lambda e: {**e, "note": "x"}),
+        (5, lambda e: {**e, "seq": True}),
+        (71, lambda e: {**e, "t": False}),
+        (0, lambda e: {**e, "agg": None}),
+        (None, None),
+    ], ids=["extra_key", "bool_seq", "bool_t_on_a_copy", "null_agg_first", "parsed"])
+    def test_an_event_outside_the_runners_form_encodes_as_json_dumps(self, i, change):
+        """An event whose keys are not the runner's eight, or whose seq, t or eth is not an int, is
+        encoded whole, and a first event may hold "agg": null; its neighbours still share their snapshot
+        objects.  Events parsed from the lines share none, and encode to the same lines."""
+        trace, _ = corpus_run("lifecycle_happy_path")
+        if change is None:
+            events = [json.loads(line) for line in trace.lines()]
+        else:
+            events = list(trace.events)  # a shallow copy: the snapshots stay shared
+            assert events[71]["kind"] == "doge_block" and events[71]["agg"] is events[70]["agg"]
+            events[i] = change(events[i])
+        assert Trace(events).lines() == [dumps(event) for event in events]
 
 
 # a change to the digest and to each agg field of an event's snapshot
@@ -503,6 +546,16 @@ class TestAudit:
         with pytest.raises(ParseError, match=f"event 5 (agg )?field '{key}' is not"):
             audit(events)
 
+    def test_a_copy_whose_snapshot_equals_the_one_before_in_another_type_is_a_parse_error(self):
+        """Only the very object counts as a shared snapshot: a parsed copy whose paid is false, where the
+        event before it holds 0, is equal to that snapshot (False == 0) and is still refused."""
+        events = [json.loads(line) for line in corpus_run("lifecycle_happy_path")[0].lines()]
+        i = next(i for i, e in enumerate(events) if e["kind"] in SNAPSHOT_COPIES and e["agg"]["paid"] == 0)
+        events[i]["agg"]["paid"] = False
+        assert events[i]["agg"] == events[i - 1]["agg"]
+        with pytest.raises(ParseError, match=f"event {i} agg field 'paid' is not int"):
+            audit(events)
+
     @pytest.mark.parametrize("scenario", ["lifecycle_happy_path", "false_challenge"])
     @pytest.mark.parametrize("drops, doctored", [
         *(pytest.param([(-1, key)], False, id=key) for key in ("tags", "quiescent", "supply", "locked_on_best")),
@@ -567,6 +620,53 @@ class TestAudit:
         report = audit(trace.events)
         assert report.ok
         assert report.rejected_actions == 1
+
+    def test_an_unknown_action_kind_is_refused(self):
+        """The runner refuses an action of a kind it does not dispatch with a SimError that names the
+        kind; the refusal is recorded, and the trace still audits clean."""
+        from pegsim.agents import ON_EXTENSION, Action, Policy
+        from pegsim.harness import SimulationRunner
+
+        class Flier(Policy):
+            def decide(self, obs, priv):
+                priv[ON_EXTENSION] = True
+                flown, priv["flown"] = priv.get("flown"), True
+                return [] if flown else [Action("fly", {})]
+
+        runner = SimulationRunner(parse_config(mini_config()))
+        relayer = runner.agents[0].policy
+        runner.agents[0].policy = Flier(relayer.name, {}, relayer.agent_seed)
+        trace = runner.run()
+        rejected = [e["payload"] for e in trace.events if e["kind"] == "action_rejected"]
+        assert rejected == [{"action": "fly", "error": "SimError", "detail": "unknown action kind 'fly'"}]
+        report = audit(trace.events)
+        assert report.ok and report.rejected_actions == 1
+
+    def test_a_shared_snapshot_reports_what_its_parsed_copies_report(self):
+        """audit checks a snapshot object once and repeats its findings at each later event of a
+        SNAPSHOT_COPIES kind that holds it.  On a run's own trace it reports what it reports on the
+        trace's parsed lines, which share no object (a deep copy would keep them shared): clean, and with
+        the first mint's snapshot doctored in place, so that the copies holding it carry it too."""
+        def report_of(events):
+            report = audit(events)
+            return ([(v.seq, v.rule, v.detail) for v in report.violations], report.warnings, report.events,
+                    report.burns_checked, report.rejected_actions)
+
+        found, at_copies = 0, 0
+        for name, trace in shared_snapshot_runs():
+            assert report_of(trace.events) == report_of([json.loads(line) for line in trace.lines()]), name
+            mint = next((e for e in trace.events if e["kind"] == "mint"), None)
+            if mint is None:
+                continue
+            mint["agg"]["received"] += 5
+            try:
+                doctored = report_of(trace.events)
+                assert doctored == report_of([json.loads(dumps(e)) for e in trace.events]), name
+            finally:
+                mint["agg"]["received"] -= 5
+            found += len(doctored[0])
+            at_copies += sum(trace.events[seq]["kind"] in SNAPSHOT_COPIES for seq, _, _ in doctored[0])
+        assert found > at_copies > 0, (found, at_copies)
 
     @pytest.mark.parametrize("kind,key,value", [
         ("mint", "minted", None),  # field missing
