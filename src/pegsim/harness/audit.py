@@ -7,8 +7,9 @@ own snapshot was doctored to match.  A bridge leaves its queue once a burn
 takes its last minted DOGE, or when it closes.  An unlock of a burn the
 trace never holds is a parse error.  An event the runner records after no
 contract change (SNAPSHOT_COPIES) must carry the snapshot of the one before it.
-In a run's own trace it holds that very object: its snapshot is checked once,
-and its findings are repeated at each copy.
+One whose agg and digest equal that event's holds a state already checked
+there, so only its field types and payload are checked; one that differs is
+flagged and checked in full.
 """
 
 from __future__ import annotations
@@ -116,7 +117,6 @@ def _check_events(events: List[dict], report: AuditReport) -> None:
     burn_y: Dict[int, str] = {}
     prev_seq = -1
     prev: Optional[dict] = None
-    found: List[tuple] = []  # the previous event's snapshot findings, (rule, detail)
     prev_mode: Optional[str] = None
     prev_used = 0
     tags: List[str] = []
@@ -131,13 +131,9 @@ def _check_events(events: List[dict], report: AuditReport) -> None:
         _require(event, "digest", str, where)
         payload = event.get("payload", {})
         report.events += 1
-        # the previous event's very snapshot object, identical and not merely equal (True == 1): each check
-        # that reads it gives that event's answer, as the running ledgers move only on contract kinds
-        shared = kind in SNAPSHOT_COPIES and prev is not None and agg is prev["agg"]
-        if not shared:
-            for key, typ in _AGG_FIELDS.items():
-                if type(agg[key]) is not typ:  # read by index: a missing field is a KeyError, so a ParseError
-                    _require(agg, key, typ, f"{where} agg")
+        for key, typ in _AGG_FIELDS.items():
+            if type(agg[key]) is not typ:  # read by index: a missing field is a KeyError, so a ParseError
+                _require(agg, key, typ, f"{where} agg")
         for key, typ in _PAYLOAD_FIELDS.get(kind, {}).items():
             _require(payload, key, typ, f"{kind} event {seq}")
 
@@ -145,21 +141,20 @@ def _check_events(events: List[dict], report: AuditReport) -> None:
             report.flag(seq, "SeqOrder", f"expected seq {prev_seq + 1}")
         prev_seq = seq
 
+        copied = False  # a copy equal to the event before it holds a state already checked there
         if kind in SNAPSHOT_COPIES:  # a first event has no snapshot before it to copy
-            for key in ("agg", "digest"):
-                if prev is None or event[key] != prev[key]:
-                    report.flag(seq, "SnapshotCopy", f"{key} is not the previous event's")
+            differs = [key for key in ("agg", "digest") if prev is None or event[key] != prev[key]]
+            for key in differs:
+                report.flag(seq, "SnapshotCopy", f"{key} is not the previous event's")
+            copied = not differs
         prev = event
 
         if kind == "genesis":
             tags = payload["tags"]
         if kind == "action_rejected":
             report.rejected_actions += 1
-        if shared:  # its relay mode and used count are the previous event's, so those two checks pass
-            for rule, detail in found:
-                report.flag(seq, rule, detail)
+        if copied:  # the running ledgers move only on contract kinds, so its checks would repeat that event's
             continue
-        mark = len(report.violations)
 
         # -- per-event Invariant 1 and ETH conservation from the snapshot ----
         for y_str, n in agg["supply"].items():
@@ -216,8 +211,6 @@ def _check_events(events: List[dict], report: AuditReport) -> None:
                 report.flag(seq, "BackingDelta",
                             f"running backing[{y_str}]={backing.get(y_str, 0)} vs snapshot "
                             f"{agg['backing'].get(y_str, 0)}")
-        # this event's snapshot findings, Invariant1 to BackingDelta; a burn's FIFO reads its payload
-        found = [(v.rule, v.detail) for v in report.violations[mark:] if v.rule != "FIFO"]
 
         # -- Invariant 2 per completed burn ----------------------------------
         if kind == "burn_settled":

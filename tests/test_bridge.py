@@ -1136,6 +1136,15 @@ class TestDeepBacktrack:
         with pytest.raises(NoProposal):
             contract.object_deep_backtrack("objector")
 
+    def test_an_objection_when_the_window_ends_is_refused_and_the_proposal_finalizes(self):
+        contract, proposal = self.staged()
+        contract.advance_to(proposal.proposed_at_s + contract.params.deep_backtrack_delay_1_s)
+        with pytest.raises(NoProposal, match="objection window passed"):
+            contract.object_deep_backtrack("objector")
+        assert contract.deep_proposal is proposal
+        entry = contract.finalize_deep_backtrack()
+        assert contract.history == [entry] and contract.deep_proposal is None
+
     def test_unopposed_finalizes_after_24h(self):
         contract, _ = self.staged()
         contract.advance_to(1000 + 23 * 3600)

@@ -22,7 +22,7 @@ from pegsim.agents import POLICIES
 from pegsim.bridge import canonical_json
 from pegsim.errors import ConfigError, ParseError, SimError
 from pegsim.harness import audit, load_config, parse_config, replay_check, run
-from pegsim.harness.audit import SNAPSHOT_COPIES
+from pegsim.harness.audit import _AGG_FIELDS, SNAPSHOT_COPIES, AuditReport, Violation
 from pegsim.harness.cli import main as cli_main
 from pegsim.harness.runner import Trace
 
@@ -390,6 +390,14 @@ class TestTraceText:
             assert back.events == trace.events, name
         assert Trace([]).digest() == hashlib.sha256(b"").hexdigest()
 
+    def test_a_read_trace_without_its_run_summary_has_no_summary(self, tmp_path):
+        """A file cut before its last line reads to a trace with no run_summary event, and no summary."""
+        path = tmp_path / "trace.ndjson"
+        trace = corpus_run("lifecycle_happy_path")[0]
+        assert trace.summary is trace.events[-1]["payload"]
+        path.write_text("".join(line + "\n" for line in trace.lines()[:-1]))
+        assert Trace.read(str(path)).summary is None
+
     def test_a_respaced_file_reads_to_the_same_events_but_not_the_same_text(self, tmp_path):
         """json.dumps's default separators give the same values in other bytes: the digest differs and
         replay refuses the file at event 0, while a new Trace of its events encodes afresh."""
@@ -448,8 +456,8 @@ class TestTraceText:
 
 # a change to the digest and to each agg field of an event's snapshot
 SNAPSHOT_CHANGES = {
-    "supply": lambda v: {y: n + 5 for y, n in v.items()},
-    "backing": lambda v: {y: n + 5000 for y, n in v.items()},
+    "supply": lambda v: {**v, "1/1000": v.get("1/1000", 0) + 5},  # at 1/1000 even where it holds no rate
+    "backing": lambda v: {**v, "1/1000": v.get("1/1000", 0) + 5000},
     "held": lambda v: v + 5,
     "received": lambda v: v + 5,
     "paid": lambda v: v + 5,
@@ -547,14 +555,26 @@ class TestAudit:
             audit(events)
 
     def test_a_copy_whose_snapshot_equals_the_one_before_in_another_type_is_a_parse_error(self):
-        """Only the very object counts as a shared snapshot: a parsed copy whose paid is false, where the
-        event before it holds 0, is equal to that snapshot (False == 0) and is still refused."""
+        """A copy equal to the event before it has its snapshot checks skipped, but not its field types: a
+        parsed copy whose paid is false, where the event before it holds 0, is equal to that snapshot
+        (False == 0) and is still refused."""
         events = [json.loads(line) for line in corpus_run("lifecycle_happy_path")[0].lines()]
         i = next(i for i, e in enumerate(events) if e["kind"] in SNAPSHOT_COPIES and e["agg"]["paid"] == 0)
         events[i]["agg"]["paid"] = False
         assert events[i]["agg"] == events[i - 1]["agg"]
         with pytest.raises(ParseError, match=f"event {i} agg field 'paid' is not int"):
             audit(events)
+
+    def test_a_contract_event_whose_snapshot_equals_the_one_before_is_checked_in_full(self):
+        """Only a copy's equal snapshot skips the checks: a mint that carries the previous event's agg and
+        digest is flagged at its own seq, since the running supply it adds is not in that snapshot."""
+        events = [json.loads(line) for line in corpus_run("lifecycle_happy_path")[0].lines()]
+        mint = next(e for e in events if e["kind"] == "mint")
+        before = events[mint["seq"] - 1]
+        mint["agg"], mint["digest"] = copy.deepcopy(before["agg"]), before["digest"]
+        violations = audit(events).violations
+        assert violations[0].seq == mint["seq"], violations[0]
+        assert "SupplyDelta" in {v.rule for v in violations if v.seq == mint["seq"]}
 
     @pytest.mark.parametrize("scenario", ["lifecycle_happy_path", "false_challenge"])
     @pytest.mark.parametrize("drops, doctored", [
@@ -643,30 +663,66 @@ class TestAudit:
         assert report.ok and report.rejected_actions == 1
 
     def test_a_shared_snapshot_reports_what_its_parsed_copies_report(self):
-        """audit checks a snapshot object once and repeats its findings at each later event of a
-        SNAPSHOT_COPIES kind that holds it.  On a run's own trace it reports what it reports on the
-        trace's parsed lines, which share no object (a deep copy would keep them shared): clean, and with
-        the first mint's snapshot doctored in place, so that the copies holding it carry it too."""
+        """A run's own trace audits as its parsed lines do, which share no object (a deep copy would keep
+        them shared): clean, and with the first mint's snapshot doctored in place, so that the copies
+        holding it carry it too.  The doctored mint is flagged at its own seq and at no copy: a copy equal
+        to the event before it holds a state already checked there."""
         def report_of(events):
             report = audit(events)
             return ([(v.seq, v.rule, v.detail) for v in report.violations], report.warnings, report.events,
                     report.burns_checked, report.rejected_actions)
 
-        found, at_copies = 0, 0
+        shared = 0
         for name, trace in shared_snapshot_runs():
             assert report_of(trace.events) == report_of([json.loads(line) for line in trace.lines()]), name
             mint = next((e for e in trace.events if e["kind"] == "mint"), None)
             if mint is None:
                 continue
+            shared += any(e["agg"] is mint["agg"] for e in trace.events[mint["seq"] + 1:])
             mint["agg"]["received"] += 5
             try:
                 doctored = report_of(trace.events)
                 assert doctored == report_of([json.loads(dumps(e)) for e in trace.events]), name
             finally:
                 mint["agg"]["received"] -= 5
-            found += len(doctored[0])
-            at_copies += sum(trace.events[seq]["kind"] in SNAPSHOT_COPIES for seq, _, _ in doctored[0])
-        assert found > at_copies > 0, (found, at_copies)
+            assert doctored[0] and {seq for seq, _, _ in doctored[0]} == {mint["seq"]}, (name, doctored[0])
+        assert shared > 0
+
+    @pytest.mark.parametrize("key", SNAPSHOT_READ)
+    def test_skipping_the_checks_at_an_equal_copy_changes_no_verdict(self, key):
+        """An equal copy's checks could only repeat the findings of the event it copies.  On each run, one
+        contract event's snapshot field is doctored together with the copies after it, as a run with that
+        snapshot writes them.  The audit gives the same verdict, the same first flagged seq and the same
+        (rule, detail) findings as on a reference trace whose doge_block, doge_tx and action_rejected
+        events take another kind, which the auditor checks in full."""
+        assert set(SNAPSHOT_READ) == set(_AGG_FIELDS)
+
+        def verdict(events):
+            violations = audit(events).violations
+            return (not violations, min((v.seq for v in violations), default=None),
+                    {(v.rule, v.detail) for v in violations})
+
+        flagged, skipped = 0, 0
+        for name, trace in shared_snapshot_runs():
+            events = [json.loads(line) for line in trace.lines()]
+            copies, last = Counter(), 0  # the copies that follow each event of another kind
+            for i, event in enumerate(events):
+                if event["kind"] in SNAPSHOT_COPIES:
+                    copies[last] += 1
+                else:
+                    last = i
+            start = max((i for i in copies if i > 0), key=copies.__getitem__)  # a contract event, not genesis
+            doctored = SNAPSHOT_CHANGES[key](events[start]["agg"][key])
+            for event in events[start:start + copies[start] + 1]:
+                event["agg"] = {**event["agg"], key: doctored}
+            # the run summary keeps its kind, which the end-state check looks for
+            reference = [{**e, "kind": f"full_{e['kind']}"} if e["kind"] in SNAPSHOT_COPIES - {"run_summary"}
+                         else e for e in events]
+            got = verdict(events)
+            assert got == verdict(reference), name
+            flagged += not got[0]
+            skipped += copies[start]
+        assert flagged > 0 and skipped > 0, (flagged, skipped)
 
     @pytest.mark.parametrize("kind,key,value", [
         ("mint", "minted", None),  # field missing
@@ -1324,6 +1380,17 @@ class TestCli:
         assert "VIOLATIONS (2):" in out
         assert f"seq {seq}: [SnapshotCopy]" in out and f"seq {seq}: [EthConservation]" in out
 
+    @pytest.mark.parametrize("keep, warning", [(0, "EmptyTrace"), (-1, "NoRunSummary")],
+                             ids=["empty_file", "no_last_line"])
+    def test_audit_prints_its_warning_and_exits_0(self, tmp_path, capsys, keep, warning):
+        lines = corpus_run("lifecycle_happy_path")[0].lines()[:keep]
+        path = tmp_path / "trace.ndjson"
+        path.write_text("".join(line + "\n" for line in lines))
+        capsys.readouterr()
+        assert cli_main(["audit", str(path)]) == 0
+        warned, clean = capsys.readouterr().out.splitlines()
+        assert warned == f"warning: {warning}" and clean.startswith(f"audit: clean ({len(lines)} events, "), clean
+
     def test_an_unlock_of_a_burn_the_trace_never_holds_exits_2_without_a_traceback(self, tmp_path, capsys):
         events = [json.loads(line) for line in corpus_run("lifecycle_happy_path")[0].lines()]
         next(e for e in events if e["kind"] == "unlock_settled")["payload"]["burn_id"] = 99
@@ -1535,6 +1602,25 @@ class TestCli:
     def test_scenarios_list_and_run_all(self):
         assert cli_main(["scenarios", "list", "--dir", str(SCENARIO_DIR)]) == 0
         assert cli_main(["scenarios", "run-all", "--dir", str(SCENARIO_DIR)]) == 0
+
+    def test_scenarios_list_marks_an_invalid_config_and_exits_0(self, tmp_path, capsys):
+        (tmp_path / "bad.json").write_text(json.dumps(mini_config(schema_version=9)))
+        (tmp_path / "good.json").write_text(json.dumps(mini_config()))
+        capsys.readouterr()
+        assert cli_main(["scenarios", "list", "--dir", str(tmp_path)]) == 0
+        bad, good = capsys.readouterr().out.splitlines()
+        assert bad.startswith("bad.json ") and " INVALID: schema_version" in bad, bad
+        assert good.startswith("good.json ") and "INVALID" not in good and " seed=5 " in good, good
+
+    def test_scenarios_run_all_prints_the_first_five_violations_and_exits_1(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "mini.json").write_text(json.dumps(mini_config()))
+        report = AuditReport(violations=[Violation(seq, "Invariant1", f"doctored {seq}") for seq in range(7)])
+        monkeypatch.setattr(sys.modules[cli_main.__module__], "audit", lambda events: report)
+        capsys.readouterr()
+        assert cli_main(["scenarios", "run-all", "--dir", str(tmp_path)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("mini.json ") and out[0].endswith(" events  7 VIOLATIONS"), out[0]
+        assert out[1:] == [f"    seq {seq}: [Invariant1] doctored {seq}" for seq in range(5)] + ["0/1 scenarios clean"]
 
     @pytest.mark.parametrize("action", ["list", "run-all"])
     def test_scenarios_in_a_dir_without_configs_exits_2(self, tmp_path, capsys, action):
